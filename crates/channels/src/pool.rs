@@ -85,6 +85,43 @@ impl PoolInner {
         Ok(())
     }
 
+    /// Takes a slot off the free list; returns it with its generation.
+    fn take_slot(&self) -> Result<(u32, u32), PoolError> {
+        let Some(slot) = self.free_list.lock().pop() else {
+            self.exhausted_rejections.fetch_add(1, Ordering::Relaxed);
+            return Err(PoolError::Exhausted);
+        };
+        self.in_use.fetch_add(1, Ordering::Relaxed);
+        self.allocations.fetch_add(1, Ordering::Relaxed);
+        let generation = self.slots[slot as usize].lock().generation;
+        Ok((slot, generation))
+    }
+
+    /// Makes `data` the contents of a taken slot and returns the rich
+    /// pointer to all of it.
+    fn store(&self, slot: u32, generation: u32, data: Bytes) -> RichPtr {
+        let len = data.len() as u32;
+        self.slots[slot as usize].lock().data = Some(data);
+        RichPtr {
+            pool: self.id,
+            slot,
+            generation,
+            offset: 0,
+            len,
+        }
+    }
+
+    fn fits(&self, len: usize) -> Result<(), PoolError> {
+        if len > self.chunk_size {
+            return Err(PoolError::OutOfRange {
+                offset: 0,
+                len: len as u32,
+                published: self.chunk_size as u32,
+            });
+        }
+        Ok(())
+    }
+
     fn read(&self, ptr: &RichPtr) -> Result<Bytes, PoolError> {
         self.check(ptr)?;
         let slot = self.slots[ptr.slot as usize].lock();
@@ -216,38 +253,25 @@ impl Pool {
         self.inner.in_use.load(Ordering::Relaxed)
     }
 
-    /// Allocates a chunk for writing.
+    /// Allocates a chunk for writing.  The writer's storage grows with
+    /// what is written into it; taking the slot itself allocates nothing.
     ///
     /// # Errors
     ///
     /// Returns [`PoolError::Exhausted`] when every chunk is in use — the
     /// caller decides what to do, e.g. the network stack drops the packet.
     pub fn alloc(&self) -> Result<ChunkWriter, PoolError> {
-        let slot = {
-            let mut free = self.inner.free_list.lock();
-            match free.pop() {
-                Some(s) => s,
-                None => {
-                    self.inner
-                        .exhausted_rejections
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Err(PoolError::Exhausted);
-                }
-            }
-        };
-        self.inner.in_use.fetch_add(1, Ordering::Relaxed);
-        self.inner.allocations.fetch_add(1, Ordering::Relaxed);
-        let generation = self.inner.slots[slot as usize].lock().generation;
+        let (slot, generation) = self.inner.take_slot()?;
         Ok(ChunkWriter {
             inner: Arc::clone(&self.inner),
             slot,
             generation,
-            buf: BytesMut::with_capacity(self.inner.chunk_size),
+            buf: BytesMut::new(),
             published: false,
         })
     }
 
-    /// Convenience: allocates a chunk, copies `data` into it and publishes
+    /// Convenience: copies `data` into a chunk sized to it and publishes
     /// it.
     ///
     /// # Errors
@@ -255,48 +279,29 @@ impl Pool {
     /// Returns [`PoolError::Exhausted`] if no chunk is free, or
     /// [`PoolError::OutOfRange`] if `data` does not fit into one chunk.
     pub fn publish(&self, data: &[u8]) -> Result<RichPtr, PoolError> {
-        if data.len() > self.inner.chunk_size {
-            return Err(PoolError::OutOfRange {
-                offset: 0,
-                len: data.len() as u32,
-                published: self.inner.chunk_size as u32,
-            });
-        }
-        let mut chunk = self.alloc()?;
-        chunk.write(data);
-        Ok(chunk.publish())
+        self.inner.fits(data.len())?;
+        let (slot, generation) = self.inner.take_slot()?;
+        Ok(self
+            .inner
+            .store(slot, generation, Bytes::copy_from_slice(data)))
     }
 
     /// Publishes an already reference-counted buffer as a chunk **without
     /// copying**: the `Bytes` handle itself becomes the chunk contents, so
-    /// the slot aliases the caller's view.  This is the transmit-side
-    /// zero-copy path — a socket-buffer region loaned to the fabric keeps
-    /// exactly one underlying allocation however many rich pointers and
-    /// retransmissions reference it.
+    /// the slot aliases the caller's view and nothing is allocated.  Both
+    /// directions' zero-copy paths end here — a socket-buffer region loaned
+    /// to the fabric on transmit, a frame the NIC handed the driver on
+    /// receive — and keep exactly one underlying allocation however many
+    /// rich pointers, retransmissions and socket-buffer slices reference it.
     ///
     /// # Errors
     ///
     /// Returns [`PoolError::Exhausted`] if no chunk is free, or
     /// [`PoolError::OutOfRange`] if `data` does not fit into one chunk.
     pub fn publish_bytes(&self, data: Bytes) -> Result<RichPtr, PoolError> {
-        if data.len() > self.inner.chunk_size {
-            return Err(PoolError::OutOfRange {
-                offset: 0,
-                len: data.len() as u32,
-                published: self.inner.chunk_size as u32,
-            });
-        }
-        let mut chunk = self.alloc()?;
-        let len = data.len() as u32;
-        self.inner.slots[chunk.slot as usize].lock().data = Some(data);
-        chunk.published = true;
-        Ok(RichPtr {
-            pool: self.inner.id,
-            slot: chunk.slot,
-            generation: chunk.generation,
-            offset: 0,
-            len,
-        })
+        self.inner.fits(data.len())?;
+        let (slot, generation) = self.inner.take_slot()?;
+        Ok(self.inner.store(slot, generation, data))
     }
 
     /// Reads the region described by `ptr`.
@@ -474,20 +479,9 @@ impl ChunkWriter {
     /// Publishes the chunk, making it readable through the returned rich
     /// pointer.  The data becomes immutable.
     pub fn publish(mut self) -> RichPtr {
-        let len = self.buf.len() as u32;
         let data = std::mem::take(&mut self.buf).freeze();
-        {
-            let mut slot = self.inner.slots[self.slot as usize].lock();
-            slot.data = Some(data);
-        }
         self.published = true;
-        RichPtr {
-            pool: self.inner.id,
-            slot: self.slot,
-            generation: self.generation,
-            offset: 0,
-            len,
-        }
+        self.inner.store(self.slot, self.generation, data)
     }
 }
 

@@ -67,6 +67,26 @@ impl Bytes {
         }
     }
 
+    /// Returns the zero-copy sub-view that covers `subset`, a slice borrowed
+    /// from this view (e.g. the payload a parser found inside a frame).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `subset` does not lie within this view.
+    pub fn slice_ref(&self, subset: &[u8]) -> Bytes {
+        if subset.is_empty() {
+            return Bytes::new();
+        }
+        let base = self.as_ptr() as usize;
+        let sub = subset.as_ptr() as usize;
+        assert!(
+            sub >= base && sub + subset.len() <= base + self.len(),
+            "slice_ref: subset is not contained in the view"
+        );
+        let begin = sub - base;
+        self.slice(begin..begin + subset.len())
+    }
+
     /// Converts back into a mutable buffer **without copying** when this is
     /// the only reference to the underlying allocation and the view covers
     /// it entirely; otherwise hands `self` back.
@@ -328,6 +348,25 @@ mod tests {
         let sub = mid.slice(1..3);
         assert_eq!(&sub[..], b"34");
         assert_eq!(Arc::strong_count(&b.data), 3);
+    }
+
+    #[test]
+    fn slice_ref_recovers_a_borrowed_subslice() {
+        let b = Bytes::from(b"header|payload".to_vec());
+        let view = b.slice(1..);
+        let payload = &view[6..];
+        let shared = view.slice_ref(payload);
+        assert_eq!(&shared[..], b"payload");
+        assert_eq!(shared.as_ptr(), payload.as_ptr());
+        assert!(view.slice_ref(&[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "not contained")]
+    fn slice_ref_rejects_foreign_slices() {
+        let b = Bytes::from(b"abc".to_vec());
+        let other = [b'a'; 3];
+        let _ = b.slice_ref(&other);
     }
 
     #[test]

@@ -144,16 +144,15 @@ fn seq_gt(a: u32, b: u32) -> bool {
 
 /// A merge in progress.  The common case — a lone frame that nothing ever
 /// merges with — keeps the original [`Bytes`] untouched and flushes it
-/// zero-copy; bytes are materialized into an owned buffer only when a
-/// second frame actually joins.
+/// zero-copy; frames that join are held by reference
+/// ([`GroEngine::absorbed`]) and the super-segment is materialized once, at
+/// flush, into a buffer of exactly its size — the one copy receive
+/// coalescing costs.
 #[derive(Debug)]
 struct Pending {
     info: TcpInfo,
     /// The first frame exactly as it arrived.
     first: Bytes,
-    /// Accumulated merge (first frame's headers + payloads so far),
-    /// created on the first successful merge.
-    merged: Option<Vec<u8>>,
     /// Total payload length accumulated (first frame's included).
     payload_len: usize,
     /// Latest acknowledgement number / window seen.
@@ -170,6 +169,9 @@ struct Pending {
 #[derive(Debug)]
 pub struct GroEngine {
     pending: Option<Pending>,
+    /// Payloads of the frames absorbed into the pending merge after its
+    /// first, as views of the frames they arrived in; reused across merges.
+    absorbed: Vec<Bytes>,
     /// Upper bound on a merged segment's payload (keeps the super-frame
     /// within whatever buffer the receive path can hold).
     max_payload: usize,
@@ -182,6 +184,7 @@ impl GroEngine {
     pub fn new(max_payload: usize) -> Self {
         GroEngine {
             pending: None,
+            absorbed: Vec::new(),
             max_payload,
             stats: GroStats::default(),
         }
@@ -204,15 +207,9 @@ impl GroEngine {
         let max_payload = self.max_payload;
         if let Some(pending) = self.pending.as_mut() {
             if Self::mergeable(pending, &info, max_payload) {
-                // First merge: materialize the owned buffer from the first
-                // frame (trimmed to its payload end).
-                let merged = pending.merged.get_or_insert_with(|| {
-                    pending.first[..pending.info.payload_at + pending.info.payload_len].to_vec()
-                });
                 if info.payload_len > 0 {
-                    merged.extend_from_slice(
-                        &frame[info.payload_at..info.payload_at + info.payload_len],
-                    );
+                    self.absorbed
+                        .push(frame.slice(info.payload_at..info.payload_at + info.payload_len));
                     pending.payload_len += info.payload_len;
                 } else {
                     // A newer pure ACK simply supersedes the pending one.
@@ -229,7 +226,6 @@ impl GroEngine {
         }
         self.pending = Some(Pending {
             first: frame,
-            merged: None,
             payload_len: info.payload_len,
             ack: info.ack,
             window: info.window,
@@ -281,7 +277,14 @@ impl GroEngine {
         let info = pending.info;
         let ip = info.ip_at;
         let tcp = info.tcp_at;
-        let mut merged = pending.merged.expect("frames > 1 implies a merge");
+        // The first frame up to its payload end, then every absorbed
+        // payload, in a buffer sized to the result.
+        let head = &pending.first[..info.payload_at + info.payload_len];
+        let mut merged = Vec::with_capacity(info.payload_at + pending.payload_len);
+        merged.extend_from_slice(head);
+        for payload in self.absorbed.drain(..) {
+            merged.extend_from_slice(&payload);
+        }
         let bytes = &mut merged;
         // IPv4 total length + header checksum.
         let total_len = (bytes.len() - ip) as u16;

@@ -42,8 +42,9 @@ use newt_kernel::clock::SimClock;
 
 use crate::link::LinkPort;
 use crate::wire::{
-    ArpOperation, ArpPacket, EtherType, EthernetFrame, IcmpMessage, IcmpType, IpProtocol,
-    Ipv4Packet, MacAddr, TcpFlags, TcpSegment, UdpDatagram, MTU,
+    ArpOperation, ArpPacket, EtherType, EthernetFrame, EthernetView, IcmpMessage, IcmpType,
+    IcmpView, IpProtocol, Ipv4Packet, Ipv4View, MacAddr, TcpFlags, TcpSegment, TcpView,
+    UdpDatagram, UdpView, ETHERNET_HEADER_LEN, IPV4_HEADER_LEN, MTU,
 };
 
 /// Well-known port of the iperf-like bulk sink.
@@ -150,6 +151,56 @@ const CLIENT_WINDOW: usize = 64 * 1024;
 /// MSS used by client flows (Ethernet MTU minus IP + TCP headers).
 const CLIENT_MSS: usize = MTU - 40;
 
+/// A client flow's outbound bytes, oldest first, in one buffer behind two
+/// cursors: `buf[head..head + in_flight]` was transmitted and awaits
+/// acknowledgement (contiguous from `snd_una`), whatever follows waits for
+/// window.  Sending and acknowledging only move the cursors; the dead
+/// prefix is cut off once it outweighs the live bytes, so every byte is
+/// moved at most once more after it was written.
+#[derive(Debug, Default)]
+struct SendQueue {
+    buf: Vec<u8>,
+    head: usize,
+    in_flight: usize,
+}
+
+impl SendQueue {
+    /// Appends bytes the harness wrote.
+    fn push(&mut self, data: &[u8]) {
+        self.buf.extend_from_slice(data);
+    }
+
+    /// Transmitted, unacknowledged bytes.
+    fn unacked(&self) -> &[u8] {
+        &self.buf[self.head..self.head + self.in_flight]
+    }
+
+    /// Bytes written but not yet transmitted.
+    fn backlog_len(&self) -> usize {
+        self.buf.len() - self.head - self.in_flight
+    }
+
+    /// Moves the next `n` backlog bytes into flight and returns them.
+    fn send(&mut self, n: usize) -> &[u8] {
+        let start = self.head + self.in_flight;
+        self.in_flight += n;
+        &self.buf[start..start + n]
+    }
+
+    /// Drops the oldest `n` in-flight bytes (the peer acknowledged them).
+    fn ack(&mut self, n: usize) {
+        self.head += n;
+        self.in_flight -= n;
+        if self.head == self.buf.len() {
+            self.buf.clear();
+            self.head = 0;
+        } else if self.head >= self.buf.len() - self.head {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
+    }
+}
+
 /// A peer-originated TCP connection (see the module docs, "Client flows").
 #[derive(Debug)]
 struct ClientConn {
@@ -160,10 +211,8 @@ struct ClientConn {
     status: ClientStatus,
     isn: u32,
     snd_una: u32,
-    /// Bytes written but not yet transmitted.
-    tx_backlog: Vec<u8>,
-    /// Bytes transmitted but unacknowledged (contiguous from `snd_una`).
-    unacked: Vec<u8>,
+    /// Bytes written by the harness and not yet acknowledged.
+    tx: SendQueue,
     rcv_nxt: u32,
     peer_window: u32,
     /// Response bytes waiting for the harness to take.
@@ -175,7 +224,7 @@ struct ClientConn {
 
 impl ClientConn {
     fn snd_nxt(&self) -> u32 {
-        self.snd_una.wrapping_add(self.unacked.len() as u32)
+        self.snd_una.wrapping_add(self.tx.in_flight as u32)
     }
 }
 
@@ -305,6 +354,23 @@ impl RemotePeer {
         self.port.transmit(frame.build());
     }
 
+    /// Starts a frame towards `dst_ip`: one buffer sized for the whole
+    /// frame, Ethernet and IPv4 headers written, ready for `l4_len` bytes
+    /// of transport segment.
+    fn ipv4_frame(
+        &self,
+        dst_mac: MacAddr,
+        dst_ip: Ipv4Addr,
+        protocol: IpProtocol,
+        l4_len: usize,
+    ) -> Vec<u8> {
+        let mut frame = Vec::with_capacity(ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + l4_len);
+        EthernetFrame::write_header(dst_mac, self.config.mac, EtherType::Ipv4, &mut frame);
+        Ipv4Packet::new(self.config.ip, dst_ip, protocol, Vec::new())
+            .write_header(l4_len, &mut frame);
+        frame
+    }
+
     fn send_ipv4(
         &self,
         dst_mac: MacAddr,
@@ -312,26 +378,27 @@ impl RemotePeer {
         protocol: IpProtocol,
         payload: Vec<u8>,
     ) {
-        let packet = Ipv4Packet::new(self.config.ip, dst_ip, protocol, payload);
-        self.send_frame(dst_mac, EtherType::Ipv4, packet.build());
+        let mut frame = self.ipv4_frame(dst_mac, dst_ip, protocol, payload.len());
+        frame.extend_from_slice(&payload);
+        self.port.transmit(frame);
     }
 
     fn handle_frame(&self, bytes: &[u8]) {
         {
             self.state.lock().stats.frames += 1;
         }
-        let Ok(frame) = EthernetFrame::parse(bytes) else {
+        let Ok(frame) = EthernetView::parse(bytes) else {
             self.state.lock().stats.parse_errors += 1;
             return;
         };
         match frame.ethertype {
-            EtherType::Arp => self.handle_arp(&frame),
+            EtherType::Arp => self.handle_arp(frame.payload),
             EtherType::Ipv4 => self.handle_ipv4(&frame),
         }
     }
 
-    fn handle_arp(&self, frame: &EthernetFrame) {
-        let Ok(arp) = ArpPacket::parse(&frame.payload) else {
+    fn handle_arp(&self, payload: &[u8]) {
+        let Ok(arp) = ArpPacket::parse(payload) else {
             self.state.lock().stats.parse_errors += 1;
             return;
         };
@@ -362,12 +429,12 @@ impl RemotePeer {
             syns
         };
         for (mac, ip, syn) in resolved {
-            self.send_tcp(mac, ip, syn);
+            self.send_tcp(mac, ip, syn.as_view());
         }
     }
 
-    fn handle_ipv4(&self, frame: &EthernetFrame) {
-        let Ok(packet) = Ipv4Packet::parse(&frame.payload) else {
+    fn handle_ipv4(&self, frame: &EthernetView<'_>) {
+        let Ok(packet) = Ipv4View::parse(frame.payload) else {
             self.state.lock().stats.parse_errors += 1;
             return;
         };
@@ -381,20 +448,20 @@ impl RemotePeer {
         }
     }
 
-    fn handle_icmp(&self, frame: &EthernetFrame, packet: &Ipv4Packet) {
-        let Ok(icmp) = IcmpMessage::parse(&packet.payload) else {
+    fn handle_icmp(&self, frame: &EthernetView<'_>, packet: &Ipv4View<'_>) {
+        let Ok(icmp) = IcmpView::parse(packet.payload) else {
             self.state.lock().stats.parse_errors += 1;
             return;
         };
         if icmp.icmp_type == IcmpType::EchoRequest {
             self.state.lock().stats.pings_answered += 1;
-            let reply = IcmpMessage::reply_to(&icmp);
+            let reply = IcmpMessage::reply_to(icmp);
             self.send_ipv4(frame.src, packet.src, IpProtocol::Icmp, reply.build());
         }
     }
 
-    fn handle_udp(&self, frame: &EthernetFrame, packet: &Ipv4Packet) {
-        let Ok(dgram) = UdpDatagram::parse(&packet.payload, packet.src, packet.dst) else {
+    fn handle_udp(&self, frame: &EthernetView<'_>, packet: &Ipv4View<'_>) {
+        let Ok(dgram) = UdpView::parse(packet.payload, packet.src, packet.dst) else {
             self.state.lock().stats.parse_errors += 1;
             return;
         };
@@ -402,10 +469,10 @@ impl RemotePeer {
             DNS_PORT => {
                 self.state.lock().stats.dns_answered += 1;
                 let mut answer = b"answer:".to_vec();
-                answer.extend_from_slice(&dgram.payload);
+                answer.extend_from_slice(dgram.payload);
                 Some(answer)
             }
-            UDP_ECHO_PORT => Some(dgram.payload.clone()),
+            UDP_ECHO_PORT => Some(dgram.payload.to_vec()),
             _ => None,
         };
         if let Some(payload) = reply_payload {
@@ -419,8 +486,8 @@ impl RemotePeer {
         }
     }
 
-    fn handle_tcp(&self, frame: &EthernetFrame, packet: &Ipv4Packet) {
-        let Ok(seg) = TcpSegment::parse(&packet.payload, packet.src, packet.dst) else {
+    fn handle_tcp(&self, frame: &EthernetView<'_>, packet: &Ipv4View<'_>) {
+        let Ok(seg) = TcpView::parse(packet.payload, packet.src, packet.dst) else {
             self.state.lock().stats.parse_errors += 1;
             return;
         };
@@ -471,7 +538,7 @@ impl RemotePeer {
                     replies.push(rst);
                     drop(state);
                     for r in replies {
-                        self.send_tcp(frame.src, packet.src, r);
+                        self.send_tcp(frame.src, packet.src, r.as_view());
                     }
                     return;
                 };
@@ -507,7 +574,7 @@ impl RemotePeer {
                         conn.bytes_received += seg.payload.len() as u64;
                         stats.tcp_bytes_received += seg.payload.len() as u64;
                         if conn.echo {
-                            conn.echo_backlog.extend_from_slice(&seg.payload);
+                            conn.echo_backlog.extend_from_slice(seg.payload);
                         }
                     } else {
                         stats.tcp_out_of_order += 1;
@@ -569,13 +636,21 @@ impl RemotePeer {
             }
         }
         for reply in replies {
-            self.send_tcp(frame.src, packet.src, reply);
+            self.send_tcp(frame.src, packet.src, reply.as_view());
         }
     }
 
-    fn send_tcp(&self, dst_mac: MacAddr, dst_ip: Ipv4Addr, segment: TcpSegment) {
-        let bytes = segment.build(self.config.ip, dst_ip);
-        self.send_ipv4(dst_mac, dst_ip, IpProtocol::Tcp, bytes);
+    /// Builds the whole frame carrying `segment` in one buffer: headers
+    /// written in place, the payload copied once, the checksum taken over
+    /// the final bytes.
+    fn tcp_frame(&self, dst_mac: MacAddr, dst_ip: Ipv4Addr, segment: TcpView<'_>) -> Vec<u8> {
+        let mut frame = self.ipv4_frame(dst_mac, dst_ip, IpProtocol::Tcp, segment.wire_len());
+        segment.write(self.config.ip, dst_ip, &mut frame);
+        frame
+    }
+
+    fn send_tcp(&self, dst_mac: MacAddr, dst_ip: Ipv4Addr, segment: TcpView<'_>) {
+        self.port.transmit(self.tcp_frame(dst_mac, dst_ip, segment));
     }
 
     // ---- client flows (the load generator's wire side) ----------------------
@@ -598,8 +673,7 @@ impl RemotePeer {
             status: ClientStatus::Resolving,
             isn,
             snd_una: isn.wrapping_add(1),
-            tx_backlog: Vec::new(),
-            unacked: Vec::new(),
+            tx: SendQueue::default(),
             rcv_nxt: 0,
             peer_window: CLIENT_WINDOW as u32,
             received: Vec::new(),
@@ -622,7 +696,7 @@ impl RemotePeer {
             state.clients.insert(src_port, conn);
         }
         match action {
-            Some((mac, ip, syn)) => self.send_tcp(mac, ip, syn),
+            Some((mac, ip, syn)) => self.send_tcp(mac, ip, syn.as_view()),
             None => self.send_arp_request(dst_ip),
         }
     }
@@ -635,7 +709,7 @@ impl RemotePeer {
             let mut state = self.state.lock();
             match state.clients.get_mut(&src_port) {
                 Some(conn) if conn.status != ClientStatus::Failed => {
-                    conn.tx_backlog.extend_from_slice(data);
+                    conn.tx.push(data);
                     true
                 }
                 _ => false,
@@ -686,7 +760,7 @@ impl RemotePeer {
             }
         };
         if let Some((mac, ip, rst)) = rst {
-            self.send_tcp(mac, ip, rst);
+            self.send_tcp(mac, ip, rst.as_view());
         }
     }
 
@@ -798,10 +872,11 @@ impl RemotePeer {
         self.send_frame(MacAddr::BROADCAST, EtherType::Arp, req.build());
     }
 
-    /// Moves backlog bytes into the window and transmits them.
+    /// Moves backlog bytes into the window and transmits them, each data
+    /// frame built once, straight from the send queue.
     fn flush_client(&self, src_port: u16) {
         let now = self.clock.now();
-        let mut out = Vec::new();
+        let mut frames = Vec::new();
         {
             let mut state = self.state.lock();
             let Some(conn) = state.clients.get_mut(&src_port) else {
@@ -812,27 +887,25 @@ impl RemotePeer {
             }
             let Some(mac) = conn.dst_mac else { return };
             let window = (conn.peer_window as usize).min(CLIENT_WINDOW);
-            while !conn.tx_backlog.is_empty() && conn.unacked.len() < window {
+            while conn.tx.backlog_len() > 0 && conn.tx.in_flight < window {
                 let take = conn
-                    .tx_backlog
-                    .len()
+                    .tx
+                    .backlog_len()
                     .min(CLIENT_MSS)
-                    .min(window - conn.unacked.len());
-                let seq = conn.snd_nxt();
-                let chunk: Vec<u8> = conn.tx_backlog.drain(..take).collect();
-                conn.unacked.extend_from_slice(&chunk);
-                let mut seg = TcpSegment::control(
-                    conn.src_port,
-                    conn.dst_port,
-                    seq,
-                    conn.rcv_nxt,
-                    TcpFlags::PSH_ACK,
-                );
-                seg.window = u16::MAX;
-                seg.payload = chunk;
-                out.push((mac, conn.dst_ip, seg));
+                    .min(window - conn.tx.in_flight);
+                let segment = TcpView {
+                    src_port: conn.src_port,
+                    dst_port: conn.dst_port,
+                    seq: conn.snd_nxt(),
+                    ack: conn.rcv_nxt,
+                    flags: TcpFlags::PSH_ACK,
+                    window: u16::MAX,
+                    mss: None,
+                    payload: conn.tx.send(take),
+                };
+                frames.push(self.tcp_frame(mac, conn.dst_ip, segment));
             }
-            let armed = if !out.is_empty() && conn.rto_deadline.is_none() {
+            let armed = if !frames.is_empty() && conn.rto_deadline.is_none() {
                 let due = now + conn.rto;
                 conn.rto_deadline = Some(due);
                 Some(due)
@@ -843,14 +916,19 @@ impl RemotePeer {
                 state.note_client_timer(due);
             }
         }
-        for (mac, ip, seg) in out {
-            self.send_tcp(mac, ip, seg);
+        for frame in frames {
+            self.port.transmit(frame);
         }
     }
 
     /// Handles an inbound segment belonging to a client flow.
-    fn handle_client_segment(&self, frame: &EthernetFrame, packet: &Ipv4Packet, seg: &TcpSegment) {
-        let mut replies: Vec<(MacAddr, Ipv4Addr, TcpSegment)> = Vec::new();
+    fn handle_client_segment(
+        &self,
+        frame: &EthernetView<'_>,
+        packet: &Ipv4View<'_>,
+        seg: &TcpView<'_>,
+    ) {
+        let mut reply: Option<TcpSegment> = None;
         let mut flush = false;
         {
             let mut state = self.state.lock();
@@ -883,7 +961,7 @@ impl RemotePeer {
                         TcpFlags::ACK,
                     );
                     ack.window = u16::MAX;
-                    replies.push((frame.src, packet.src, ack));
+                    reply = Some(ack);
                     flush = true;
                 }
                 ClientStatus::Established | ClientStatus::Closed => {
@@ -891,12 +969,12 @@ impl RemotePeer {
                     // ACK processing for our outstanding request data.
                     if seg.flags.ack {
                         let acked = seg.ack.wrapping_sub(conn.snd_una);
-                        if acked > 0 && acked as usize <= conn.unacked.len() {
-                            conn.unacked.drain(..acked as usize);
+                        if acked > 0 && acked as usize <= conn.tx.in_flight {
+                            conn.tx.ack(acked as usize);
                             conn.snd_una = seg.ack;
                             conn.retries = 0;
                             conn.rto = CLIENT_RTO_INITIAL;
-                            conn.rto_deadline = if conn.unacked.is_empty() {
+                            conn.rto_deadline = if conn.tx.in_flight == 0 {
                                 None
                             } else {
                                 Some(self.clock.now() + conn.rto)
@@ -909,7 +987,7 @@ impl RemotePeer {
                     if !seg.payload.is_empty() {
                         if seg.seq == conn.rcv_nxt {
                             conn.rcv_nxt = conn.rcv_nxt.wrapping_add(seg.payload.len() as u32);
-                            conn.received.extend_from_slice(&seg.payload);
+                            conn.received.extend_from_slice(seg.payload);
                             stats.tcp_bytes_received += seg.payload.len() as u64;
                         } else {
                             stats.tcp_out_of_order += 1;
@@ -932,14 +1010,14 @@ impl RemotePeer {
                             TcpFlags::ACK,
                         );
                         ack.window = u16::MAX;
-                        replies.push((frame.src, packet.src, ack));
+                        reply = Some(ack);
                     }
                 }
                 _ => {}
             }
         }
-        for (mac, ip, reply) in replies {
-            self.send_tcp(mac, ip, reply);
+        if let Some(reply) = reply {
+            self.send_tcp(frame.src, packet.src, reply.as_view());
         }
         if flush {
             self.flush_client(seg.dst_port);
@@ -985,9 +1063,9 @@ impl RemotePeer {
                             segs.push((mac, conn.dst_ip, Self::client_syn(conn)));
                         }
                     }
-                    ClientStatus::Established if !conn.unacked.is_empty() => {
+                    ClientStatus::Established if conn.tx.in_flight > 0 => {
                         if let Some(mac) = conn.dst_mac {
-                            let len = conn.unacked.len().min(CLIENT_MSS);
+                            let len = conn.tx.in_flight.min(CLIENT_MSS);
                             let mut seg = TcpSegment::control(
                                 conn.src_port,
                                 conn.dst_port,
@@ -996,7 +1074,7 @@ impl RemotePeer {
                                 TcpFlags::PSH_ACK,
                             );
                             seg.window = u16::MAX;
-                            seg.payload = conn.unacked[..len].to_vec();
+                            seg.payload = conn.tx.unacked()[..len].to_vec();
                             segs.push((mac, conn.dst_ip, seg));
                         }
                     }
@@ -1015,7 +1093,7 @@ impl RemotePeer {
             self.send_arp_request(target);
         }
         for (mac, ip, seg) in segs {
-            self.send_tcp(mac, ip, seg);
+            self.send_tcp(mac, ip, seg.as_view());
         }
         work
     }
@@ -1095,6 +1173,30 @@ mod tests {
             let ip = Ipv4Packet::parse(&eth.payload).ok()?;
             TcpSegment::parse(&ip.payload, ip.src, ip.dst).ok()
         }
+    }
+
+    #[test]
+    fn send_queue_moves_cursors_not_bytes() {
+        let mut q = SendQueue::default();
+        q.push(b"0123456789");
+        assert_eq!(q.backlog_len(), 10);
+        assert_eq!(q.send(4), b"0123");
+        assert_eq!(q.send(3), b"456");
+        assert_eq!(q.unacked(), b"0123456");
+        assert_eq!(q.backlog_len(), 3);
+        // A partial acknowledgement leaves the rest in flight, in place.
+        q.ack(2);
+        assert_eq!(q.unacked(), b"23456");
+        assert_eq!(q.head, 2, "a short dead prefix is not worth moving");
+        q.push(b"ab");
+        assert_eq!(q.backlog_len(), 5);
+        // Once the dead prefix outweighs the live bytes it is cut off.
+        q.ack(5);
+        assert_eq!(q.head, 0);
+        assert_eq!(q.buf, b"789ab");
+        assert_eq!(q.send(5), b"789ab");
+        q.ack(5);
+        assert!(q.buf.is_empty() && q.head == 0 && q.in_flight == 0);
     }
 
     #[test]

@@ -62,23 +62,61 @@ impl EthernetFrame {
         }
     }
 
+    /// Appends an Ethernet II header to `out` — for senders that assemble a
+    /// whole frame in one buffer.
+    pub fn write_header(dst: MacAddr, src: MacAddr, ethertype: EtherType, out: &mut Vec<u8>) {
+        out.extend_from_slice(&dst.octets());
+        out.extend_from_slice(&src.octets());
+        out.extend_from_slice(&ethertype.as_u16().to_be_bytes());
+    }
+
     /// Serialises the frame into wire bytes.
     pub fn build(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(ETHERNET_HEADER_LEN + self.payload.len());
-        out.extend_from_slice(&self.dst.octets());
-        out.extend_from_slice(&self.src.octets());
-        out.extend_from_slice(&self.ethertype.as_u16().to_be_bytes());
+        Self::write_header(self.dst, self.src, self.ethertype, &mut out);
         out.extend_from_slice(&self.payload);
         out
     }
 
-    /// Parses a frame from wire bytes.
+    /// Parses a frame from wire bytes into an owned copy — for builders and
+    /// tests; data paths use [`EthernetView::parse`] and leave the payload
+    /// where it is.
+    ///
+    /// # Errors
+    ///
+    /// See [`EthernetView::parse`].
+    pub fn parse(data: &[u8]) -> Result<Self, WireError> {
+        EthernetView::parse(data).map(EthernetView::to_owned)
+    }
+
+    /// Total length of the frame on the wire.
+    pub fn wire_len(&self) -> usize {
+        ETHERNET_HEADER_LEN + self.payload.len()
+    }
+}
+
+/// A borrowed view of an Ethernet II frame: the header decoded, the payload
+/// left in the receive buffer it arrived in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EthernetView<'a> {
+    /// Destination MAC address.
+    pub dst: MacAddr,
+    /// Source MAC address.
+    pub src: MacAddr,
+    /// Payload protocol.
+    pub ethertype: EtherType,
+    /// Frame payload (an IPv4 packet or an ARP packet).
+    pub payload: &'a [u8],
+}
+
+impl<'a> EthernetView<'a> {
+    /// Parses a frame from wire bytes without copying.
     ///
     /// # Errors
     ///
     /// Returns [`WireError::Truncated`] for short buffers and
     /// [`WireError::UnsupportedEtherType`] for unknown payload protocols.
-    pub fn parse(data: &[u8]) -> Result<Self, WireError> {
+    pub fn parse(data: &'a [u8]) -> Result<Self, WireError> {
         if data.len() < ETHERNET_HEADER_LEN {
             return Err(WireError::Truncated {
                 needed: ETHERNET_HEADER_LEN,
@@ -88,17 +126,17 @@ impl EthernetFrame {
         let dst = MacAddr([data[0], data[1], data[2], data[3], data[4], data[5]]);
         let src = MacAddr([data[6], data[7], data[8], data[9], data[10], data[11]]);
         let ethertype = EtherType::try_from_u16(u16::from_be_bytes([data[12], data[13]]))?;
-        Ok(EthernetFrame {
+        Ok(EthernetView {
             dst,
             src,
             ethertype,
-            payload: data[ETHERNET_HEADER_LEN..].to_vec(),
+            payload: &data[ETHERNET_HEADER_LEN..],
         })
     }
 
-    /// Total length of the frame on the wire.
-    pub fn wire_len(&self) -> usize {
-        ETHERNET_HEADER_LEN + self.payload.len()
+    /// Copies the view into an owned frame.
+    pub fn to_owned(self) -> EthernetFrame {
+        EthernetFrame::new(self.dst, self.src, self.ethertype, self.payload.to_vec())
     }
 }
 

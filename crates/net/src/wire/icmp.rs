@@ -53,12 +53,10 @@ impl IcmpMessage {
     }
 
     /// Creates the reply answering `request`.
-    pub fn reply_to(request: &IcmpMessage) -> Self {
+    pub fn reply_to(request: IcmpView<'_>) -> Self {
         IcmpMessage {
             icmp_type: IcmpType::EchoReply,
-            identifier: request.identifier,
-            sequence: request.sequence,
-            payload: request.payload.clone(),
+            ..request.to_owned()
         }
     }
 
@@ -76,13 +74,39 @@ impl IcmpMessage {
         out
     }
 
-    /// Parses a message, verifying the checksum.
+    /// Parses a message into an owned copy — for builders and tests; data
+    /// paths use [`IcmpView::parse`] and leave the payload where it is.
+    ///
+    /// # Errors
+    ///
+    /// See [`IcmpView::parse`].
+    pub fn parse(data: &[u8]) -> Result<Self, WireError> {
+        IcmpView::parse(data).map(IcmpView::to_owned)
+    }
+}
+
+/// A borrowed view of an ICMP echo message: the header decoded and the
+/// checksum verified, the payload left in the receive buffer it arrived in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IcmpView<'a> {
+    /// Echo request or reply.
+    pub icmp_type: IcmpType,
+    /// Identifier chosen by the sender.
+    pub identifier: u16,
+    /// Sequence number within the session.
+    pub sequence: u16,
+    /// Echo payload.
+    pub payload: &'a [u8],
+}
+
+impl<'a> IcmpView<'a> {
+    /// Parses a message without copying, verifying the checksum.
     ///
     /// # Errors
     ///
     /// Returns [`WireError::Truncated`], [`WireError::BadChecksum`] or
     /// [`WireError::BadLength`] (for non-echo types).
-    pub fn parse(data: &[u8]) -> Result<Self, WireError> {
+    pub fn parse(data: &'a [u8]) -> Result<Self, WireError> {
         if data.len() < ICMP_HEADER_LEN {
             return Err(WireError::Truncated {
                 needed: ICMP_HEADER_LEN,
@@ -97,12 +121,22 @@ impl IcmpMessage {
             8 => IcmpType::EchoRequest,
             _ => return Err(WireError::BadLength { field: "icmp type" }),
         };
-        Ok(IcmpMessage {
+        Ok(IcmpView {
             icmp_type,
             identifier: u16::from_be_bytes([data[4], data[5]]),
             sequence: u16::from_be_bytes([data[6], data[7]]),
-            payload: data[ICMP_HEADER_LEN..].to_vec(),
+            payload: &data[ICMP_HEADER_LEN..],
         })
+    }
+
+    /// Copies the view into an owned message.
+    pub fn to_owned(self) -> IcmpMessage {
+        IcmpMessage {
+            icmp_type: self.icmp_type,
+            identifier: self.identifier,
+            sequence: self.sequence,
+            payload: self.payload.to_vec(),
+        }
     }
 }
 
@@ -115,7 +149,7 @@ mod tests {
         let req = IcmpMessage::echo_request(0x1234, 7, b"ping payload".to_vec());
         let parsed = IcmpMessage::parse(&req.build()).unwrap();
         assert_eq!(parsed, req);
-        let reply = IcmpMessage::reply_to(&parsed);
+        let reply = IcmpMessage::reply_to(IcmpView::parse(&req.build()).unwrap());
         assert_eq!(reply.icmp_type, IcmpType::EchoReply);
         assert_eq!(reply.identifier, 0x1234);
         assert_eq!(reply.payload, b"ping payload");

@@ -76,10 +76,12 @@ impl Ipv4Packet {
         }
     }
 
-    /// Serialises the packet, computing the header checksum.
-    pub fn build(&self) -> Vec<u8> {
-        let total_len = (IPV4_HEADER_LEN + self.payload.len()) as u16;
-        let mut out = Vec::with_capacity(total_len as usize);
+    /// Appends this packet's options-less header, checksum included, for a
+    /// payload of `payload_len` bytes to `out` — for senders that assemble
+    /// a whole frame in one buffer (the payload field is not read).
+    pub fn write_header(&self, payload_len: usize, out: &mut Vec<u8>) {
+        let start = out.len();
+        let total_len = (IPV4_HEADER_LEN + payload_len) as u16;
         out.push(0x45); // version 4, IHL 5
         out.push(0); // DSCP/ECN
         out.extend_from_slice(&total_len.to_be_bytes());
@@ -90,20 +92,62 @@ impl Ipv4Packet {
         out.extend_from_slice(&[0, 0]); // checksum placeholder
         out.extend_from_slice(&self.src.octets());
         out.extend_from_slice(&self.dst.octets());
-        let csum = internet_checksum(&out[..IPV4_HEADER_LEN]);
-        out[10..12].copy_from_slice(&csum.to_be_bytes());
+        let csum = internet_checksum(&out[start..]);
+        out[start + 10..start + 12].copy_from_slice(&csum.to_be_bytes());
+    }
+
+    /// Serialises the packet, computing the header checksum.
+    pub fn build(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.write_header(self.payload.len(), &mut out);
         out.extend_from_slice(&self.payload);
         out
     }
 
-    /// Parses a packet, verifying the header checksum.
+    /// Parses a packet into an owned copy — for builders and tests; data
+    /// paths use [`Ipv4View::parse`] and leave the payload where it is.
+    ///
+    /// # Errors
+    ///
+    /// See [`Ipv4View::parse`].
+    pub fn parse(data: &[u8]) -> Result<Self, WireError> {
+        Ipv4View::parse(data).map(Ipv4View::to_owned)
+    }
+
+    /// Total length of the packet on the wire.
+    pub fn wire_len(&self) -> usize {
+        IPV4_HEADER_LEN + self.payload.len()
+    }
+}
+
+/// A borrowed view of an IPv4 packet: the header decoded and verified, the
+/// payload left in the receive buffer it arrived in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ipv4View<'a> {
+    /// Source address.
+    pub src: Ipv4Addr,
+    /// Destination address.
+    pub dst: Ipv4Addr,
+    /// Transport protocol.
+    pub protocol: IpProtocol,
+    /// Time to live.
+    pub ttl: u8,
+    /// Identification field.
+    pub identification: u16,
+    /// Transport payload (header options and anything beyond the declared
+    /// total length — Ethernet padding — excluded).
+    pub payload: &'a [u8],
+}
+
+impl<'a> Ipv4View<'a> {
+    /// Parses a packet without copying, verifying the header checksum.
     ///
     /// # Errors
     ///
     /// Returns [`WireError::Truncated`], [`WireError::UnsupportedIpVersion`],
     /// [`WireError::BadChecksum`], [`WireError::BadLength`] or
     /// [`WireError::UnsupportedProtocol`] as appropriate.
-    pub fn parse(data: &[u8]) -> Result<Self, WireError> {
+    pub fn parse(data: &'a [u8]) -> Result<Self, WireError> {
         if data.len() < IPV4_HEADER_LEN {
             return Err(WireError::Truncated {
                 needed: IPV4_HEADER_LEN,
@@ -128,17 +172,30 @@ impl Ipv4Packet {
             });
         }
         let protocol = IpProtocol::try_from_u8(data[9])?;
-        Ok(Ipv4Packet {
+        Ok(Ipv4View {
             src: Ipv4Addr::new(data[12], data[13], data[14], data[15]),
             dst: Ipv4Addr::new(data[16], data[17], data[18], data[19]),
             protocol,
             ttl: data[8],
             identification: u16::from_be_bytes([data[4], data[5]]),
-            payload: data[ihl..total_len].to_vec(),
+            payload: &data[ihl..total_len],
         })
     }
 
-    /// Total length of the packet on the wire.
+    /// Copies the view into an owned packet.
+    pub fn to_owned(self) -> Ipv4Packet {
+        Ipv4Packet {
+            src: self.src,
+            dst: self.dst,
+            protocol: self.protocol,
+            ttl: self.ttl,
+            identification: self.identification,
+            payload: self.payload.to_vec(),
+        }
+    }
+
+    /// Length of the packet as [`Ipv4Packet::wire_len`] reports it (an
+    /// options-less header plus the payload).
     pub fn wire_len(&self) -> usize {
         IPV4_HEADER_LEN + self.payload.len()
     }

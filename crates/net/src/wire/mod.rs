@@ -5,6 +5,11 @@
 //! remote peer host, the trace capture) packets are parsed from and built
 //! into contiguous byte buffers using the types in this module.
 //!
+//! Each format has one parser, on its borrowed `*View` type: it validates
+//! exactly what the wire carries and leaves the payload in the buffer it
+//! arrived in, so the receive path never re-owns a packet.  The owning
+//! types build packets; their `parse` is the view copied out.
+//!
 //! Parsing is strict about lengths and checksums so that fault-injection
 //! experiments that corrupt packets are detected rather than silently
 //! accepted.
@@ -19,11 +24,11 @@ mod udp;
 
 pub use arp::{ArpOperation, ArpPacket};
 pub use checksum::{internet_checksum, pseudo_header_checksum};
-pub use ethernet::{EtherType, EthernetFrame, ETHERNET_HEADER_LEN};
-pub use icmp::{IcmpMessage, IcmpType};
-pub use ipv4::{IpProtocol, Ipv4Packet, IPV4_HEADER_LEN};
-pub use tcp::{TcpFlags, TcpSegment, TCP_HEADER_LEN};
-pub use udp::{UdpDatagram, UDP_HEADER_LEN};
+pub use ethernet::{EtherType, EthernetFrame, EthernetView, ETHERNET_HEADER_LEN};
+pub use icmp::{IcmpMessage, IcmpType, IcmpView};
+pub use ipv4::{IpProtocol, Ipv4Packet, Ipv4View, IPV4_HEADER_LEN};
+pub use tcp::{TcpFlags, TcpSegment, TcpView, TCP_HEADER_LEN};
+pub use udp::{UdpDatagram, UdpView, UDP_HEADER_LEN};
 
 use std::fmt;
 

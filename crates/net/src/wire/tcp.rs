@@ -137,39 +137,81 @@ impl TcpSegment {
         }
     }
 
+    /// This segment as a borrowed view.
+    pub fn as_view(&self) -> TcpView<'_> {
+        TcpView {
+            src_port: self.src_port,
+            dst_port: self.dst_port,
+            seq: self.seq,
+            ack: self.ack,
+            flags: self.flags,
+            window: self.window,
+            mss: self.mss,
+            payload: &self.payload,
+        }
+    }
+
     /// Serialises the segment, computing the checksum over the pseudo
     /// header for `src`/`dst`.
     pub fn build(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
-        let options_len = if self.mss.is_some() { 4 } else { 0 };
-        let header_len = TCP_HEADER_LEN + options_len;
-        let mut out = Vec::with_capacity(header_len + self.payload.len());
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&self.ack.to_be_bytes());
-        out.push(((header_len / 4) as u8) << 4);
-        out.push(self.flags.as_u8());
-        out.extend_from_slice(&self.window.to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&[0, 0]); // urgent pointer
-        if let Some(mss) = self.mss {
-            out.push(2); // kind: MSS
-            out.push(4); // length
-            out.extend_from_slice(&mss.to_be_bytes());
-        }
-        out.extend_from_slice(&self.payload);
-        let csum = pseudo_header_checksum(src, dst, IpProtocol::Tcp.as_u8(), &out);
-        out[16..18].copy_from_slice(&csum.to_be_bytes());
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.as_view().write(src, dst, &mut out);
         out
     }
 
-    /// Parses a segment, verifying its checksum against the pseudo header.
+    /// Parses a segment into an owned copy — for builders and tests; data
+    /// paths use [`TcpView::parse`] and leave the payload where it is.
+    ///
+    /// # Errors
+    ///
+    /// See [`TcpView::parse`].
+    pub fn parse(data: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<Self, WireError> {
+        TcpView::parse(data, src, dst).map(TcpView::to_owned)
+    }
+
+    /// The amount of sequence space this segment occupies (payload plus one
+    /// for SYN and FIN each).
+    pub fn sequence_len(&self) -> u32 {
+        self.payload.len() as u32 + self.flags.syn as u32 + self.flags.fin as u32
+    }
+
+    /// Total length of the segment on the wire.
+    pub fn wire_len(&self) -> usize {
+        self.as_view().wire_len()
+    }
+}
+
+/// A borrowed view of a TCP segment: the header decoded and the checksum
+/// verified, the payload left in the receive buffer it arrived in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TcpView<'a> {
+    /// Source port.
+    pub src_port: u16,
+    /// Destination port.
+    pub dst_port: u16,
+    /// Sequence number of the first payload byte (or of the SYN/FIN).
+    pub seq: u32,
+    /// Acknowledgement number (valid when `flags.ack`).
+    pub ack: u32,
+    /// Control flags.
+    pub flags: TcpFlags,
+    /// Advertised receive window.
+    pub window: u16,
+    /// Maximum segment size option (only meaningful on SYN segments).
+    pub mss: Option<u16>,
+    /// Payload bytes.
+    pub payload: &'a [u8],
+}
+
+impl<'a> TcpView<'a> {
+    /// Parses a segment without copying, verifying its checksum against the
+    /// pseudo header.
     ///
     /// # Errors
     ///
     /// Returns [`WireError::Truncated`], [`WireError::BadLength`] or
     /// [`WireError::BadChecksum`].
-    pub fn parse(data: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<Self, WireError> {
+    pub fn parse(data: &'a [u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<Self, WireError> {
         if data.len() < TCP_HEADER_LEN {
             return Err(WireError::Truncated {
                 needed: TCP_HEADER_LEN,
@@ -207,7 +249,7 @@ impl TcpSegment {
                 }
             }
         }
-        Ok(TcpSegment {
+        Ok(TcpView {
             src_port: u16::from_be_bytes([data[0], data[1]]),
             dst_port: u16::from_be_bytes([data[2], data[3]]),
             seq: u32::from_be_bytes([data[4], data[5], data[6], data[7]]),
@@ -215,19 +257,52 @@ impl TcpSegment {
             flags: TcpFlags::from_u8(data[13]),
             window: u16::from_be_bytes([data[14], data[15]]),
             mss,
-            payload: data[header_len..].to_vec(),
+            payload: &data[header_len..],
         })
     }
 
-    /// The amount of sequence space this segment occupies (payload plus one
-    /// for SYN and FIN each).
-    pub fn sequence_len(&self) -> u32 {
-        self.payload.len() as u32 + self.flags.syn as u32 + self.flags.fin as u32
+    /// Appends the serialised segment to `out` — the payload is copied
+    /// once, straight to its place in the frame — computing the checksum
+    /// over the pseudo header for `src`/`dst`.
+    pub fn write(&self, src: Ipv4Addr, dst: Ipv4Addr, out: &mut Vec<u8>) {
+        let start = out.len();
+        let header_len = self.wire_len() - self.payload.len();
+        out.extend_from_slice(&self.src_port.to_be_bytes());
+        out.extend_from_slice(&self.dst_port.to_be_bytes());
+        out.extend_from_slice(&self.seq.to_be_bytes());
+        out.extend_from_slice(&self.ack.to_be_bytes());
+        out.push(((header_len / 4) as u8) << 4);
+        out.push(self.flags.as_u8());
+        out.extend_from_slice(&self.window.to_be_bytes());
+        out.extend_from_slice(&[0, 0]); // checksum placeholder
+        out.extend_from_slice(&[0, 0]); // urgent pointer
+        if let Some(mss) = self.mss {
+            out.push(2); // kind: MSS
+            out.push(4); // length
+            out.extend_from_slice(&mss.to_be_bytes());
+        }
+        out.extend_from_slice(self.payload);
+        let csum = pseudo_header_checksum(src, dst, IpProtocol::Tcp.as_u8(), &out[start..]);
+        out[start + 16..start + 18].copy_from_slice(&csum.to_be_bytes());
     }
 
     /// Total length of the segment on the wire.
     pub fn wire_len(&self) -> usize {
         TCP_HEADER_LEN + if self.mss.is_some() { 4 } else { 0 } + self.payload.len()
+    }
+
+    /// Copies the view into an owned segment.
+    pub fn to_owned(self) -> TcpSegment {
+        TcpSegment {
+            src_port: self.src_port,
+            dst_port: self.dst_port,
+            seq: self.seq,
+            ack: self.ack,
+            flags: self.flags,
+            window: self.window,
+            mss: self.mss,
+            payload: self.payload.to_vec(),
+        }
     }
 }
 

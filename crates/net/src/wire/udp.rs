@@ -47,13 +47,43 @@ impl UdpDatagram {
         out
     }
 
-    /// Parses a datagram, verifying the checksum against the pseudo header.
+    /// Parses a datagram into an owned copy — for builders and tests; data
+    /// paths use [`UdpView::parse`] and leave the payload where it is.
+    ///
+    /// # Errors
+    ///
+    /// See [`UdpView::parse`].
+    pub fn parse(data: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<Self, WireError> {
+        UdpView::parse(data, src, dst).map(UdpView::to_owned)
+    }
+
+    /// Total length of the datagram on the wire.
+    pub fn wire_len(&self) -> usize {
+        UDP_HEADER_LEN + self.payload.len()
+    }
+}
+
+/// A borrowed view of a UDP datagram: the header decoded and the checksum
+/// verified, the payload left in the receive buffer it arrived in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UdpView<'a> {
+    /// Source port.
+    pub src_port: u16,
+    /// Destination port.
+    pub dst_port: u16,
+    /// Application payload.
+    pub payload: &'a [u8],
+}
+
+impl<'a> UdpView<'a> {
+    /// Parses a datagram without copying, verifying the checksum against
+    /// the pseudo header.
     ///
     /// # Errors
     ///
     /// Returns [`WireError::Truncated`], [`WireError::BadLength`] or
     /// [`WireError::BadChecksum`].
-    pub fn parse(data: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<Self, WireError> {
+    pub fn parse(data: &'a [u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<Self, WireError> {
         if data.len() < UDP_HEADER_LEN {
             return Err(WireError::Truncated {
                 needed: UDP_HEADER_LEN,
@@ -72,16 +102,16 @@ impl UdpDatagram {
         {
             return Err(WireError::BadChecksum { protocol: "udp" });
         }
-        Ok(UdpDatagram {
+        Ok(UdpView {
             src_port: u16::from_be_bytes([data[0], data[1]]),
             dst_port: u16::from_be_bytes([data[2], data[3]]),
-            payload: data[UDP_HEADER_LEN..len].to_vec(),
+            payload: &data[UDP_HEADER_LEN..len],
         })
     }
 
-    /// Total length of the datagram on the wire.
-    pub fn wire_len(&self) -> usize {
-        UDP_HEADER_LEN + self.payload.len()
+    /// Copies the view into an owned datagram.
+    pub fn to_owned(self) -> UdpDatagram {
+        UdpDatagram::new(self.src_port, self.dst_port, self.payload.to_vec())
     }
 }
 

@@ -338,6 +338,13 @@ impl Telemetry {
     pub fn tx_copies_total(&self) -> u64 {
         self.tcp_shards.iter().map(|t| t.tx_copies).sum()
     }
+
+    /// In-order segments across every TCP shard whose payload was copied
+    /// into the socket buffer instead of queued by reference.  Bulk
+    /// receives keep this at 0.
+    pub fn rx_copies_total(&self) -> u64 {
+        self.tcp_shards.iter().map(|t| t.rx_copies).sum()
+    }
 }
 
 /// A running NewtOS networking stack.

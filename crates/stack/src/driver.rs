@@ -44,12 +44,14 @@ use newt_channels::reqdb::RequestId;
 use newt_channels::rich::{RichChain, RichPtr};
 use newt_kernel::rs::CrashEvent;
 use newt_net::gro::GroEngine;
-use newt_net::nic::Nic;
+use newt_net::nic::{Nic, NicError};
 use newt_net::rss::{is_handshake_syn, MAX_QUEUES};
 
 #[cfg(test)]
 use crate::fabric::drain;
-use crate::fabric::{send, CrashBoard, PoolTable, Rx, Tx};
+#[cfg(test)]
+use crate::fabric::send;
+use crate::fabric::{CrashBoard, PoolTable, Rx, Tx};
 use crate::msg::{DrvToIp, IpToDrv};
 
 /// Largest TCP payload a GRO merge may accumulate.  Sized so the merged
@@ -295,10 +297,10 @@ impl DriverServer {
                         // connection-opening SYN must reach whichever shard
                         // holds the listener (its SYN-ACK pins the flow).
                         for s in 0..shards {
-                            self.deliver(s, &frame);
+                            self.deliver(s, frame.clone());
                         }
                     } else {
-                        self.deliver(shard, &frame);
+                        self.deliver(shard, frame);
                     }
                 }
                 self.gro_scratch = ready;
@@ -317,22 +319,25 @@ impl DriverServer {
             }
             let ptrs = std::mem::take(&mut self.rx_batches[shard]);
             let count = ptrs.len() as u64;
-            if send(
-                &self.outboxes[shard],
-                DrvToIp::ReceivedBatch {
-                    nic: self.index,
-                    ptrs: ptrs.clone(),
-                },
-            ) {
-                self.stats.rx_delivered += count;
-                self.stats.rx_steered[shard.min(MAX_QUEUES - 1)] += count;
-            } else {
+            let batch = DrvToIp::ReceivedBatch {
+                nic: self.index,
+                ptrs,
+            };
+            match self.outboxes[shard].send(batch) {
+                Ok(()) => {
+                    self.stats.rx_delivered += count;
+                    self.stats.rx_steered[shard.min(MAX_QUEUES - 1)] += count;
+                }
                 // IP's queue is full (or IP is gone): drop the burst, never
                 // block.
-                for ptr in &ptrs {
-                    let _ = self.rx_pools[shard].free(ptr);
+                Err(refused) => {
+                    if let DrvToIp::ReceivedBatch { ptrs, .. } = refused {
+                        for ptr in &ptrs {
+                            let _ = self.rx_pools[shard].free(ptr);
+                        }
+                    }
+                    self.stats.rx_dropped += count;
                 }
-                self.stats.rx_dropped += count;
             }
         }
 
@@ -348,7 +353,22 @@ impl DriverServer {
         // (§V-D, "Drivers"); assembling multi-chunk frames is the NIC's
         // gather-DMA job.
         let ok = match self.pools.parts(&chain) {
-            Some(parts) => self.nic.lock().transmit_scattered(shard, &parts).is_ok(),
+            Some(parts) => {
+                let mut nic = self.nic.lock();
+                match nic.transmit_scattered(shard, &parts) {
+                    // The ring is full of frames queued earlier in this
+                    // very batch (a round can carry more transmits than
+                    // the ring has descriptors — a reaper tick's burst of
+                    // RSTs does): let the device put them on the wire and
+                    // retry.  A ring still full after that is real
+                    // back-pressure and fails the request.
+                    Err(NicError::TxRingFull) => {
+                        nic.poll();
+                        nic.transmit_scattered(shard, &parts).is_ok()
+                    }
+                    result => result.is_ok(),
+                }
+            }
             // A stale chain (its owner crashed and invalidated the pool)
             // cannot be sent; report failure so the owner can clean up.
             None => false,
@@ -359,10 +379,12 @@ impl DriverServer {
         self.ack_batches[shard].push((req, ok));
     }
 
-    /// Publishes one received frame into shard `shard`'s receive pool and
-    /// queues the rich pointer for this round's delivery batch.
-    fn deliver(&mut self, shard: usize, frame: &[u8]) {
-        match self.rx_pools[shard].publish(frame) {
+    /// Publishes one received frame into shard `shard`'s receive pool — by
+    /// reference: the buffer the NIC (or the GRO engine) produced becomes
+    /// the chunk — and queues the rich pointer for this round's delivery
+    /// batch.
+    fn deliver(&mut self, shard: usize, frame: Bytes) {
+        match self.rx_pools[shard].publish_bytes(frame) {
             Ok(ptr) => self.rx_batches[shard].push(ptr),
             Err(_) => {
                 self.stats.rx_dropped += 1;
@@ -518,6 +540,27 @@ mod tests {
         assert_eq!(replies.len(), 1, "one completion message per round");
         assert_eq!(dones_in(&replies), vec![(req, true)]);
         assert_eq!(rig.driver.stats().tx_requests, 1);
+    }
+
+    #[test]
+    fn a_batch_larger_than_the_tx_ring_goes_out_whole() {
+        let mut rig = rig();
+        let ring = rig.nic.lock().config().tx_ring;
+        let ptr = rig.header_pool.publish(&sample_frame()).unwrap();
+        let batch: Vec<(RequestId, RichChain)> = (0..ring as u64 + 40)
+            .map(|i| (RequestId::from_raw(i + 1), RichChain::single(ptr)))
+            .collect();
+        let count = batch.len();
+        send(&rig.to_driver, IpToDrv::TransmitBatch(batch));
+        rig.driver.poll();
+        let dones = dones_in(&drain(&rig.from_driver));
+        assert_eq!(dones.len(), count);
+        assert!(
+            dones.iter().all(|(_, ok)| *ok),
+            "the driver must drain the ring, not fail what overflows it"
+        );
+        assert_eq!(rig.driver.stats().tx_failures, 0);
+        assert_eq!(rig.peer_port.drain_receive().len(), count);
     }
 
     #[test]

@@ -155,11 +155,23 @@ impl<T> std::fmt::Debug for Rx<T> {
 }
 
 impl<T> Tx<T> {
-    /// Sends a message, returning `false` when the queue is full, the
-    /// receiver is gone, or the endpoint is held by another incarnation.
-    pub fn send(&self, message: T) -> bool {
-        self.handle
-            .with(false, |sender| sender.try_send(message).is_ok())
+    /// Sends a message.
+    ///
+    /// # Errors
+    ///
+    /// Hands the message back when the queue is full, the receiver is gone,
+    /// or the endpoint is held by another incarnation — the caller still
+    /// owns whatever the message referenced and decides what dropping it
+    /// means.
+    pub fn send(&self, message: T) -> Result<(), T> {
+        let mut undelivered = Some(message);
+        self.handle.with((), |sender| {
+            let message = undelivered.take().expect("set above");
+            if let Err(refused) = sender.try_send(message) {
+                undelivered = Some(refused.into_inner());
+            }
+        });
+        undelivered.map_or(Ok(()), Err)
     }
 
     /// Bulk-enqueues from the front of `items` (removing what was sent) and
@@ -262,7 +274,7 @@ impl<T: Send + 'static> Chan<T> {
 /// full or disconnected (the caller decides what dropping means — see the
 /// paper's "never block when the queue is full" rule).
 pub fn send<T>(tx: &Tx<T>, message: T) -> bool {
-    tx.send(message)
+    tx.send(message).is_ok()
 }
 
 /// Drains every message currently queued on a fabric receiver into a fresh
@@ -438,11 +450,12 @@ mod tests {
         let chan: Chan<u32> = Chan::new(4);
         let first = chan.tx();
         let second = chan.tx();
-        assert!(first.send(1)); // `first` acquires the endpoint...
-        assert!(!second.send(2)); // ...so `second` cannot.
-                                  // Releasing hands it over.
+        // `first` acquires the endpoint, so `second` gets its message back.
+        assert_eq!(first.send(1), Ok(()));
+        assert_eq!(second.send(2), Err(2));
+        // Releasing hands it over.
         first.release();
-        assert!(second.send(3));
+        assert_eq!(second.send(3), Ok(()));
         let rx = chan.rx();
         assert_eq!(drain(&rx), vec![1, 3]);
     }
@@ -453,10 +466,10 @@ mod tests {
         let rx = chan.rx();
         {
             let first_incarnation = chan.tx();
-            assert!(first_incarnation.send(1));
+            assert_eq!(first_incarnation.send(1), Ok(()));
         } // crash: the incarnation is dropped, the endpoint parked again
         let second_incarnation = chan.tx();
-        assert!(second_incarnation.send(2));
+        assert_eq!(second_incarnation.send(2), Ok(()));
         assert_eq!(drain(&rx), vec![1, 2]);
     }
 
@@ -467,7 +480,7 @@ mod tests {
         let rx = chan.rx();
         let producer = std::thread::spawn(move || {
             for i in 0..50u64 {
-                while !tx.send(i) {
+                while tx.send(i).is_err() {
                     std::hint::spin_loop();
                 }
             }

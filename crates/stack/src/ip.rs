@@ -28,7 +28,7 @@ use newt_kernel::rs::{CrashEvent, StartMode, StateSnapshot};
 use newt_kernel::storage::{codec, StorageServer};
 use newt_net::wire::{
     internet_checksum, pseudo_header_checksum, ArpOperation, ArpPacket, EtherType, EthernetFrame,
-    IcmpMessage, IcmpType, IpProtocol, Ipv4Packet, MacAddr, TcpFlags, TcpSegment, UdpDatagram,
+    EthernetView, IcmpMessage, IcmpType, IcmpView, IpProtocol, Ipv4View, MacAddr, TcpSegment,
     ETHERNET_HEADER_LEN, IPV4_HEADER_LEN,
 };
 use std::sync::Arc;
@@ -132,7 +132,15 @@ struct PendingTx {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 enum PendingCheck {
     Outbound(OutPacket),
-    Inbound { ptr: RichPtr, nic: usize },
+    /// A received frame waiting for its verdict, with what the first parse
+    /// learned so the frame is not parsed again once the verdict arrives.
+    Inbound {
+        ptr: RichPtr,
+        nic: usize,
+        protocol: IpProtocol,
+        src: Ipv4Addr,
+        src_mac: MacAddr,
+    },
 }
 
 /// Which transport a lent receive chunk went to.
@@ -142,8 +150,9 @@ enum LentTo {
     Udp,
 }
 
-/// Version tag of the IP live-update snapshot payload.
-pub const IP_STATE_VERSION: u32 = 1;
+/// Version tag of the IP live-update snapshot payload.  Version 2 added
+/// the first-parse results to pending inbound filter checks.
+pub const IP_STATE_VERSION: u32 = 2;
 
 /// Everything an IP incarnation hands over on live update: the ARP cache
 /// and packets parked on unresolved ARP entries, the IP identification
@@ -500,7 +509,9 @@ impl IpServer {
                 continue;
             }
             let batch = std::mem::take(&mut self.tx_batch[iface]);
-            if !send(&self.to_drv[iface], IpToDrv::TransmitBatch(batch.clone())) {
+            if let Err(IpToDrv::TransmitBatch(batch)) =
+                self.to_drv[iface].send(IpToDrv::TransmitBatch(batch))
+            {
                 for (req, _) in batch {
                     if let Some(pending) = self.drv_reqs.complete(req) {
                         self.header_pool.free_chain(&pending.chain);
@@ -514,25 +525,26 @@ impl IpServer {
     /// Sends this round's accumulated deliveries and send completions as
     /// one batch message per transport and direction.
     fn flush_transport_batches(&mut self) {
-        if !self.deliver_tcp.is_empty() {
-            let ptrs = std::mem::take(&mut self.deliver_tcp);
-            self.stats.packets_in += ptrs.len() as u64;
-            if !send(&self.to_tcp, IpToTransport::DeliverBatch(ptrs.clone())) {
-                self.stats.packets_in -= ptrs.len() as u64;
-                for ptr in ptrs {
-                    self.lent_rx.remove(&ptr);
-                    let _ = self.rx_pool.free(&ptr);
-                }
+        for (lane, staged) in [
+            (&self.to_tcp, &mut self.deliver_tcp),
+            (&self.to_udp, &mut self.deliver_udp),
+        ] {
+            if staged.is_empty() {
+                continue;
             }
-        }
-        if !self.deliver_udp.is_empty() {
-            let ptrs = std::mem::take(&mut self.deliver_udp);
-            self.stats.packets_in += ptrs.len() as u64;
-            if !send(&self.to_udp, IpToTransport::DeliverBatch(ptrs.clone())) {
-                self.stats.packets_in -= ptrs.len() as u64;
-                for ptr in ptrs {
-                    self.lent_rx.remove(&ptr);
-                    let _ = self.rx_pool.free(&ptr);
+            let ptrs = std::mem::take(staged);
+            let count = ptrs.len() as u64;
+            match lane.send(IpToTransport::DeliverBatch(ptrs)) {
+                Ok(()) => self.stats.packets_in += count,
+                // The transport's queue is full (or it is gone): take the
+                // chunks back.
+                Err(refused) => {
+                    if let IpToTransport::DeliverBatch(ptrs) = refused {
+                        for ptr in ptrs {
+                            self.lent_rx.remove(&ptr);
+                            let _ = self.rx_pool.free(&ptr);
+                        }
+                    }
                 }
             }
         }
@@ -631,9 +643,15 @@ impl IpServer {
                     self.notify_send_done(pkt.origin, false);
                 }
             }
-            PendingCheck::Inbound { ptr, nic } => {
+            PendingCheck::Inbound {
+                ptr,
+                protocol,
+                src,
+                src_mac,
+                ..
+            } => {
                 if pass {
-                    self.continue_inbound(nic, ptr);
+                    self.continue_inbound(ptr, protocol, src, src_mac);
                 } else {
                     self.stats.filtered += 1;
                     let _ = self.rx_pool.free(&ptr);
@@ -780,18 +798,18 @@ impl IpServer {
         let Ok(frame_bytes) = self.rx_pool.read(&ptr) else {
             return;
         };
-        let Ok(frame) = EthernetFrame::parse(&frame_bytes) else {
+        let Ok(frame) = EthernetView::parse(&frame_bytes) else {
             self.stats.parse_errors += 1;
             let _ = self.rx_pool.free(&ptr);
             return;
         };
         match frame.ethertype {
             EtherType::Arp => {
-                self.handle_arp(nic, &frame);
+                self.handle_arp(nic, frame.payload);
                 let _ = self.rx_pool.free(&ptr);
             }
             EtherType::Ipv4 => {
-                let Ok(packet) = Ipv4Packet::parse(&frame.payload) else {
+                let Ok(packet) = Ipv4View::parse(frame.payload) else {
                     self.stats.parse_errors += 1;
                     let _ = self.rx_pool.free(&ptr);
                     return;
@@ -811,17 +829,23 @@ impl IpServer {
                     let req = self.pf_reqs.submit(
                         endpoints::PF,
                         AbortPolicy::Resubmit,
-                        PendingCheck::Inbound { ptr, nic },
+                        PendingCheck::Inbound {
+                            ptr,
+                            nic,
+                            protocol: packet.protocol,
+                            src: packet.src,
+                            src_mac: frame.src,
+                        },
                     );
                     self.queue_check(req, meta);
                 } else {
-                    self.continue_inbound(nic, ptr);
+                    self.continue_inbound(ptr, packet.protocol, packet.src, frame.src);
                 }
             }
         }
     }
 
-    fn meta_for_inbound(packet: &Ipv4Packet) -> PacketMeta {
+    fn meta_for_inbound(packet: &Ipv4View<'_>) -> PacketMeta {
         let (src_port, dst_port, is_start) = match packet.protocol {
             IpProtocol::Tcp | IpProtocol::Udp if packet.payload.len() >= 4 => {
                 let sp = u16::from_be_bytes([packet.payload[0], packet.payload[1]]);
@@ -845,40 +869,48 @@ impl IpServer {
         }
     }
 
-    fn continue_inbound(&mut self, _nic: usize, ptr: RichPtr) {
-        let Ok(frame_bytes) = self.rx_pool.read(&ptr) else {
-            return;
-        };
-        let Ok(frame) = EthernetFrame::parse(&frame_bytes) else {
-            let _ = self.rx_pool.free(&ptr);
-            return;
-        };
-        let Ok(packet) = Ipv4Packet::parse(&frame.payload) else {
-            let _ = self.rx_pool.free(&ptr);
-            return;
-        };
+    /// Views the IPv4 packet inside a frame from the receive pool, for the
+    /// paths that look at a frame again after its first parse.
+    fn ipv4_view(frame: &[u8]) -> Option<Ipv4View<'_>> {
+        Ipv4View::parse(EthernetView::parse(frame).ok()?.payload).ok()
+    }
+
+    /// Second half of the inbound path, after the filter passed the frame
+    /// (or straight from [`IpServer::handle_received`] without one).  The
+    /// arguments are what the first parse learned; only ICMP, which IP
+    /// answers itself, looks at the frame again.
+    fn continue_inbound(
+        &mut self,
+        ptr: RichPtr,
+        protocol: IpProtocol,
+        src: Ipv4Addr,
+        src_mac: MacAddr,
+    ) {
         // Opportunistically learn the sender's MAC (gratuitous ARP-like).
-        self.arp_cache.insert(packet.src, frame.src);
-        match packet.protocol {
+        self.arp_cache.insert(src, src_mac);
+        match protocol {
             IpProtocol::Icmp => {
-                if let Ok(icmp) = IcmpMessage::parse(&packet.payload) {
-                    if icmp.icmp_type == IcmpType::EchoRequest {
-                        let reply = IcmpMessage::reply_to(&icmp);
-                        self.stats.icmp_replies += 1;
-                        let pkt = OutPacket {
-                            origin: Origin::Local,
-                            protocol: IpProtocol::Icmp,
-                            dst: packet.src,
-                            src_port: 0,
-                            dst_port: 0,
-                            transport_header: reply.build(),
-                            payload: RichChain::new(),
-                            is_connection_start: false,
-                        };
-                        self.stage_route(pkt);
+                let Ok(frame) = self.rx_pool.read(&ptr) else {
+                    return;
+                };
+                match Self::ipv4_view(&frame).map(|packet| IcmpView::parse(packet.payload)) {
+                    Some(Ok(icmp)) => {
+                        if icmp.icmp_type == IcmpType::EchoRequest {
+                            self.stats.icmp_replies += 1;
+                            let pkt = OutPacket {
+                                origin: Origin::Local,
+                                protocol: IpProtocol::Icmp,
+                                dst: src,
+                                src_port: 0,
+                                dst_port: 0,
+                                transport_header: IcmpMessage::reply_to(icmp).build(),
+                                payload: RichChain::new(),
+                                is_connection_start: false,
+                            };
+                            self.stage_route(pkt);
+                        }
                     }
-                } else {
-                    self.stats.parse_errors += 1;
+                    _ => self.stats.parse_errors += 1,
                 }
                 let _ = self.rx_pool.free(&ptr);
             }
@@ -897,8 +929,8 @@ impl IpServer {
 
     // ---- ARP ---------------------------------------------------------------
 
-    fn handle_arp(&mut self, nic: usize, frame: &EthernetFrame) {
-        let Ok(arp) = ArpPacket::parse(&frame.payload) else {
+    fn handle_arp(&mut self, nic: usize, payload: &[u8]) {
+        let Ok(arp) = ArpPacket::parse(payload) else {
             self.stats.parse_errors += 1;
             return;
         };
@@ -1016,13 +1048,10 @@ impl IpServer {
                         }
                     }
                     PendingCheck::Inbound { ptr, .. } => {
-                        let Ok(frame_bytes) = self.rx_pool.read(ptr) else {
+                        let Ok(frame) = self.rx_pool.read(ptr) else {
                             continue;
                         };
-                        let Ok(frame) = EthernetFrame::parse(&frame_bytes) else {
-                            continue;
-                        };
-                        let Ok(packet) = Ipv4Packet::parse(&frame.payload) else {
+                        let Some(packet) = Self::ipv4_view(&frame) else {
                             continue;
                         };
                         Self::meta_for_inbound(&packet)
@@ -1057,26 +1086,6 @@ impl IpServer {
         }
     }
 
-    /// Parses transport headers out of a received frame, used by the
-    /// transports (and tests) that hold a rich pointer into the RX pool.
-    pub fn parse_frame(
-        bytes: &[u8],
-    ) -> Option<(Ipv4Packet, Option<TcpSegment>, Option<UdpDatagram>)> {
-        let frame = EthernetFrame::parse(bytes).ok()?;
-        let packet = Ipv4Packet::parse(&frame.payload).ok()?;
-        match packet.protocol {
-            IpProtocol::Tcp => {
-                let seg = TcpSegment::parse(&packet.payload, packet.src, packet.dst).ok()?;
-                Some((packet.clone(), Some(seg), None))
-            }
-            IpProtocol::Udp => {
-                let dgram = UdpDatagram::parse(&packet.payload, packet.src, packet.dst).ok()?;
-                Some((packet.clone(), None, Some(dgram)))
-            }
-            IpProtocol::Icmp => Some((packet, None, None)),
-        }
-    }
-
     /// Builds the transport header for an outgoing TCP segment with the
     /// checksum left zero (filled in by IP software checksumming or by the
     /// NIC's offload).
@@ -1087,9 +1096,8 @@ impl IpServer {
         bytes.truncate(bytes.len() - seg.payload.len());
         bytes[16] = 0;
         bytes[17] = 0;
-        // Restore the payload-less header only: callers append the payload
-        // through the shared pools.
-        let _ = TcpFlags::ACK; // keep the import used for documentation clarity
+        // The payload-less header only: callers append the payload through
+        // the shared pools.
         bytes
     }
 }
@@ -1099,6 +1107,7 @@ mod tests {
     use super::*;
     use crate::fabric::Chan;
     use newt_channels::endpoint::Endpoint;
+    use newt_net::wire::{Ipv4Packet, TcpFlags, UdpDatagram};
 
     fn config(with_pf: bool) -> IpConfig {
         IpConfig {

@@ -182,6 +182,121 @@ impl std::fmt::Debug for ReadyWatch {
     }
 }
 
+/// Heap bytes one queued receive chunk costs besides the buffer it
+/// references: its queue entry plus the refcount block of the allocation.
+const CHUNK_OVERHEAD: usize = std::mem::size_of::<(Bytes, usize)>() + 40;
+
+/// Size at which the receive queue's copy tail is sealed into a chunk, so
+/// bytes the application has read are returned a few KiB at a time instead
+/// of accumulating in front of an ever-growing buffer.
+const TAIL_SEAL: usize = 4096;
+
+/// How a payload offered through [`SocketBuffer::push_recv_bytes`] entered
+/// the receive queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecvPush {
+    /// Bytes accepted (data beyond the receive capacity is rejected).
+    pub accepted: usize,
+    /// `true` when the accepted bytes were copied instead of queued by
+    /// reference.
+    pub copied: bool,
+}
+
+/// The receive queue: reference-counted chunks of the buffers the data
+/// arrived in, plus a tail that small payloads are appended to by copy.
+///
+/// Queuing by reference pins the whole buffer a payload sits in — a
+/// received frame, headers included — for as long as the application leaves
+/// it unread, so a payload is queued by reference only when it is at least
+/// half of what doing so pins; smaller ones are copied into the tail.
+/// Unread chunks therefore pin at most twice their bytes (a sealed tail,
+/// grown by doubling, likewise), and beyond that only what the application
+/// has read of the front chunk and of the [`TAIL_SEAL`]-bounded tail stays
+/// allocated: the queue never holds more than `4 * recv_capacity` plus a
+/// fixed 16 KiB, whatever segment sizes a peer chooses.
+#[derive(Debug, Default)]
+struct RecvQueue {
+    /// Chunks in arrival order, each with the heap bytes it pins.
+    chunks: VecDeque<(Bytes, usize)>,
+    /// Copied bytes, logically after every chunk; `tail[tail_pos..]` is
+    /// unread.
+    tail: Vec<u8>,
+    tail_pos: usize,
+    /// Unread bytes in `chunks` and `tail` together.
+    len: usize,
+    /// Heap bytes pinned by `chunks`.
+    pinned: usize,
+}
+
+impl RecvQueue {
+    /// Moves the unread part of the tail behind the chunks, as a chunk.
+    fn seal_tail(&mut self) {
+        if self.tail_pos < self.tail.len() {
+            let tail = std::mem::take(&mut self.tail);
+            let pinned = tail.capacity() + CHUNK_OVERHEAD;
+            let unread = Bytes::from(tail).slice(self.tail_pos..);
+            self.pinned += pinned;
+            self.chunks.push_back((unread, pinned));
+        }
+        self.tail.clear();
+        self.tail_pos = 0;
+    }
+
+    /// Queues `chunk` by reference; `pinned` is what that keeps allocated.
+    fn push_chunk(&mut self, chunk: Bytes, pinned: usize) {
+        // Order: whatever the tail still holds precedes the new chunk.
+        self.seal_tail();
+        self.len += chunk.len();
+        self.pinned += pinned;
+        self.chunks.push_back((chunk, pinned));
+    }
+
+    /// Appends `data` by copy.
+    fn push_copy(&mut self, data: &[u8]) {
+        if self.tail_pos == self.tail.len() || self.tail.len() + data.len() > TAIL_SEAL {
+            self.seal_tail();
+        }
+        self.tail.extend_from_slice(data);
+        self.len += data.len();
+    }
+
+    /// Copies out up to `buf.len()` bytes, one `copy_from_slice` per chunk
+    /// touched.
+    fn read(&mut self, buf: &mut [u8]) -> usize {
+        let mut n = 0;
+        while n < buf.len() {
+            let Some((front, pinned)) = self.chunks.front_mut() else {
+                break;
+            };
+            let take = front.len().min(buf.len() - n);
+            buf[n..n + take].copy_from_slice(&front[..take]);
+            n += take;
+            if take == front.len() {
+                self.pinned -= *pinned;
+                self.chunks.pop_front();
+            } else {
+                *front = front.slice(take..);
+            }
+        }
+        if n < buf.len() {
+            let unread = &self.tail[self.tail_pos..];
+            let take = unread.len().min(buf.len() - n);
+            buf[n..n + take].copy_from_slice(&unread[..take]);
+            self.tail_pos += take;
+            n += take;
+        }
+        self.len -= n;
+        n
+    }
+
+    /// Heap bytes the queue holds (`pinned` covers the occupied entries of
+    /// `chunks`).
+    fn mem_bytes(&self) -> usize {
+        let spare_entries = self.chunks.capacity() - self.chunks.len();
+        self.pinned + self.tail.capacity() + spare_entries * std::mem::size_of::<(Bytes, usize)>()
+    }
+}
+
 #[derive(Debug, Default)]
 struct BufInner {
     /// The send queue is a `BytesMut` rather than a ring of bytes so the
@@ -189,7 +304,7 @@ struct BufInner {
     /// [`Bytes`] views ([`SocketBuffer::drain_send_bytes`]) — the start of
     /// the transmit path's zero-copy chain.
     send: BytesMut,
-    recv: VecDeque<u8>,
+    recv: RecvQueue,
     recv_eof: bool,
     error: Option<SockError>,
     closed_by_app: bool,
@@ -275,12 +390,14 @@ impl SocketBuffer {
         }
     }
 
-    /// Bytes of heap memory this buffer currently holds (the send and
-    /// receive queues' allocations plus the fixed structure), the figure
-    /// behind the per-connection-memory benchmark gate.
+    /// Bytes of heap memory this buffer currently holds (the send queue's
+    /// allocation, everything the receive queue owns or pins by reference,
+    /// plus the fixed structure), the figure behind the
+    /// per-connection-memory benchmark gate.  The receive side stays within
+    /// `4 * recv_capacity` plus a fixed 16 KiB whatever the peer sends.
     pub fn mem_bytes(&self) -> usize {
         let inner = self.inner.lock();
-        inner.send.capacity() + inner.recv.capacity() + std::mem::size_of::<SocketBuffer>()
+        inner.send.capacity() + inner.recv.mem_bytes() + std::mem::size_of::<SocketBuffer>()
     }
 
     /// The configured send and receive capacities, in bytes.
@@ -375,11 +492,8 @@ impl SocketBuffer {
         let deadline = Instant::now() + timeout;
         let mut inner = self.inner.lock();
         loop {
-            if !inner.recv.is_empty() {
-                let n = buf.len().min(inner.recv.len());
-                for slot in buf.iter_mut().take(n) {
-                    *slot = inner.recv.pop_front().expect("length checked");
-                }
+            if inner.recv.len > 0 {
+                let n = inner.recv.read(buf);
                 self.writable.notify_all();
                 return Ok(n);
             }
@@ -402,7 +516,7 @@ impl SocketBuffer {
 
     /// Returns the number of bytes waiting to be read by the application.
     pub fn recv_available(&self) -> usize {
-        self.inner.lock().recv.len()
+        self.inner.lock().recv.len
     }
 
     /// Returns the send-buffer space currently available to the application
@@ -420,7 +534,7 @@ impl SocketBuffer {
         let error = inner.error;
         let eof = inner.recv_eof;
         Readiness {
-            readable: !inner.recv.is_empty() || eof || error.is_some(),
+            readable: inner.recv.len > 0 || eof || error.is_some(),
             writable: self.send_capacity.saturating_sub(inner.send.len()) > 0 && error.is_none(),
             hung_up: eof,
             error,
@@ -489,16 +603,42 @@ impl SocketBuffer {
         self.inner.lock().closed_by_app
     }
 
-    /// Appends received, in-order data for the application.  Returns the
-    /// number of bytes accepted (data beyond the receive capacity is
-    /// rejected so the advertised window is honoured).
+    /// Appends received, in-order data for the application by copy.
+    /// Returns the number of bytes accepted (data beyond the receive
+    /// capacity is rejected so the advertised window is honoured).
     pub fn push_recv(&self, data: &[u8]) -> usize {
+        self.admit_recv(data.len(), |recv, n| recv.push_copy(&data[..n]))
+    }
+
+    /// Appends received, in-order data that sits inside a reference-counted
+    /// buffer of `backing` bytes (the received frame `payload` is a slice
+    /// of).  The payload is queued by reference — no copy until the
+    /// application reads it — unless it is so small a part of the buffer
+    /// that pinning the whole buffer for it would break the receive
+    /// queue's memory bound; then it is copied like
+    /// [`SocketBuffer::push_recv`] does.
+    pub fn push_recv_bytes(&self, payload: Bytes, backing: usize) -> RecvPush {
+        let pinned = backing + CHUNK_OVERHEAD;
+        let mut copied = false;
+        let accepted = self.admit_recv(payload.len(), |recv, n| {
+            if 2 * n >= pinned {
+                recv.push_chunk(payload.slice(..n), pinned);
+            } else {
+                recv.push_copy(&payload[..n]);
+                copied = true;
+            }
+        });
+        RecvPush { accepted, copied }
+    }
+
+    /// Admits up to `len` bytes into the receive queue: `enqueue` is called
+    /// with the count that fits, unless that is zero.  Returns the count.
+    fn admit_recv(&self, len: usize, enqueue: impl FnOnce(&mut RecvQueue, usize)) -> usize {
         let n = {
             let mut inner = self.inner.lock();
-            let space = self.recv_capacity.saturating_sub(inner.recv.len());
-            let n = space.min(data.len());
-            inner.recv.extend(&data[..n]);
+            let n = self.recv_capacity.saturating_sub(inner.recv.len).min(len);
             if n > 0 {
+                enqueue(&mut inner.recv, n);
                 self.readable.notify_all();
             }
             n
@@ -513,7 +653,7 @@ impl SocketBuffer {
     /// window to advertise).
     pub fn recv_space(&self) -> usize {
         let inner = self.inner.lock();
-        self.recv_capacity.saturating_sub(inner.recv.len())
+        self.recv_capacity.saturating_sub(inner.recv.len)
     }
 
     /// Marks the receive stream as finished (the remote sent FIN).
@@ -778,6 +918,182 @@ mod tests {
         buf.close();
         buf.push_recv(b"late");
         assert_eq!(cq.posted(), 3);
+    }
+
+    /// A payload of `len` bytes counting up from `first`, inside a frame
+    /// with 54 bytes of headers in front of it (what TCP hands over).
+    fn framed(first: u8, len: usize) -> (Bytes, usize) {
+        let mut frame = vec![0xEE; 54];
+        frame.extend((0..len).map(|i| first.wrapping_add(i as u8)));
+        let frame = Bytes::from(frame);
+        (frame.slice(54..), frame.len())
+    }
+
+    #[test]
+    fn large_payloads_are_queued_by_reference_and_small_ones_copied() {
+        let buf = SocketBuffer::new(16, 64 * 1024);
+        let (payload, backing) = framed(0, 1460);
+        let at = payload.as_ptr();
+        assert_eq!(
+            buf.push_recv_bytes(payload, backing),
+            RecvPush {
+                accepted: 1460,
+                copied: false
+            }
+        );
+        // The queue holds the frame's own memory, not a copy of it.
+        assert_eq!(buf.inner.lock().recv.chunks[0].0.as_ptr(), at);
+        let (payload, backing) = framed(0, 1);
+        assert_eq!(
+            buf.push_recv_bytes(payload, backing),
+            RecvPush {
+                accepted: 1,
+                copied: true
+            }
+        );
+        assert_eq!(buf.recv_available(), 1461);
+    }
+
+    #[test]
+    fn reads_straddle_chunk_boundaries_and_may_be_partial() {
+        let buf = SocketBuffer::new(16, 64 * 1024);
+        // Three by-reference chunks, a copied tail, another chunk behind it.
+        let mut expected = Vec::new();
+        for (first, len) in [(0u8, 300usize), (100, 200), (7, 1000)] {
+            let (payload, backing) = framed(first, len);
+            expected.extend_from_slice(&payload);
+            assert!(!buf.push_recv_bytes(payload, backing).copied);
+        }
+        expected.extend_from_slice(b"tail");
+        assert_eq!(buf.push_recv(b"tail"), 4);
+        let (payload, backing) = framed(42, 500);
+        expected.extend_from_slice(&payload);
+        assert!(!buf.push_recv_bytes(payload, backing).copied);
+        assert_eq!(buf.recv_available(), expected.len());
+
+        // Odd-sized reads: inside a chunk, across one boundary, across
+        // several chunks and the sealed tail at once.
+        let mut got = Vec::new();
+        for size in [1usize, 298, 2, 450, 1100, 4096] {
+            let mut out = vec![0u8; size];
+            let n = buf.read(&mut out, Duration::ZERO).unwrap();
+            assert_eq!(n, size.min(expected.len() - got.len()));
+            got.extend_from_slice(&out[..n]);
+        }
+        assert_eq!(got, expected);
+        assert_eq!(buf.recv_available(), 0);
+        let mut out = [0u8; 1];
+        assert_eq!(
+            buf.read(&mut out, Duration::ZERO),
+            Err(SockError::WouldBlock)
+        );
+    }
+
+    #[test]
+    fn queued_data_is_delivered_before_eof_and_errors() {
+        let buf = SocketBuffer::new(16, 4096);
+        let (payload, backing) = framed(1, 200);
+        buf.push_recv_bytes(payload, backing);
+        buf.push_recv(b"xy");
+        buf.set_eof();
+        buf.set_error(SockError::ConnectionReset);
+        let mut out = [0u8; 150];
+        assert_eq!(buf.read(&mut out, Duration::ZERO), Ok(150));
+        assert_eq!(buf.read(&mut out, Duration::ZERO), Ok(52));
+        assert_eq!(&out[50..52], b"xy");
+        // Drained: the error outranks end-of-stream, as before.
+        assert_eq!(
+            buf.read(&mut out, Duration::ZERO),
+            Err(SockError::ConnectionReset)
+        );
+        let buf = SocketBuffer::new(16, 4096);
+        let (payload, backing) = framed(1, 200);
+        buf.push_recv_bytes(payload, backing);
+        buf.set_eof();
+        let mut out = [0u8; 256];
+        assert_eq!(buf.read(&mut out, Duration::ZERO), Ok(200));
+        assert_eq!(buf.read(&mut out, Duration::ZERO), Ok(0));
+    }
+
+    #[test]
+    fn recv_space_counts_payload_bytes_whichever_way_they_were_queued() {
+        let buf = SocketBuffer::new(16, 1000);
+        let (payload, backing) = framed(0, 600);
+        assert_eq!(buf.push_recv_bytes(payload, backing).accepted, 600);
+        assert_eq!(buf.recv_space(), 400);
+        assert_eq!(buf.push_recv(&[1u8; 100]), 100);
+        assert_eq!(buf.recv_space(), 300);
+        // Only what fits the window is taken — by reference or by copy.
+        let (payload, backing) = framed(9, 600);
+        let push = buf.push_recv_bytes(payload, backing);
+        assert_eq!(push.accepted, 300);
+        assert_eq!(buf.recv_space(), 0);
+        assert_eq!(buf.push_recv(b"x"), 0);
+        assert_eq!(buf.push_recv_bytes(framed(0, 600).0, 654).accepted, 0);
+        // Reading re-opens the window byte for byte.
+        let mut out = [0u8; 250];
+        assert_eq!(buf.read(&mut out, Duration::ZERO), Ok(250));
+        assert_eq!(buf.recv_space(), 250);
+        let mut rest = vec![0u8; 1000];
+        assert_eq!(buf.read(&mut rest, Duration::ZERO), Ok(750));
+        assert_eq!(&rest[350..450], &[1u8; 100]);
+        assert_eq!(rest[450], 9);
+        assert_eq!(buf.recv_space(), 1000);
+    }
+
+    #[test]
+    fn a_one_byte_segment_flood_cannot_pin_more_than_the_bound() {
+        const CAP: usize = 64 * 1024;
+        let buf = SocketBuffer::new(16, CAP);
+        let idle = buf.mem_bytes();
+        // Hostile sender: one payload byte per frame, never read, until the
+        // window is shut; then a reader that always stays a byte behind
+        // while the flood continues for five more windows.
+        let mut sent = 0usize;
+        let mut peak = 0usize;
+        let mut out = [0u8; 1];
+        for i in 0..11 * CAP {
+            let (payload, backing) = framed(i as u8, 1);
+            let push = buf.push_recv_bytes(payload, backing);
+            sent += push.accepted;
+            if push.accepted == 0 {
+                assert_eq!(buf.read(&mut out, Duration::ZERO), Ok(1));
+            } else {
+                assert!(push.copied, "a 1-byte payload must not pin its frame");
+            }
+            peak = peak.max(buf.mem_bytes());
+        }
+        assert!(sent > 5 * CAP);
+        assert_eq!(buf.recv_space(), 0);
+        // By reference the window would have pinned 64 Ki frames of 55+
+        // bytes each (3.5 MiB and up); copied, the queue stays within
+        // twice the window even at its peak.
+        assert!(
+            peak - idle <= 2 * CAP + 16 * 1024,
+            "pinned {} bytes for a {CAP}-byte window",
+            peak - idle
+        );
+        // The same flood in the smallest segments that still go by
+        // reference stays within the documented bound too.
+        let small = 54 + CHUNK_OVERHEAD;
+        let buf = SocketBuffer::new(16, CAP);
+        let mut peak = 0usize;
+        let mut out = vec![0u8; small / 2];
+        for i in 0..4 * CAP / small {
+            let (payload, backing) = framed(i as u8, small);
+            let push = buf.push_recv_bytes(payload, backing);
+            if push.accepted == 0 {
+                assert_eq!(buf.read(&mut out, Duration::ZERO), Ok(small / 2));
+            } else if push.accepted == small {
+                assert!(!push.copied);
+            }
+            peak = peak.max(buf.mem_bytes());
+        }
+        assert!(
+            peak - idle <= 4 * CAP + 16 * 1024,
+            "pinned {} bytes for a {CAP}-byte window",
+            peak - idle
+        );
     }
 
     #[test]

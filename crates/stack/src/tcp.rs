@@ -33,7 +33,7 @@ use newt_kernel::clock::SimClock;
 use newt_kernel::rs::{CrashEvent, StartMode, StateSnapshot};
 use newt_kernel::storage::{codec, StorageServer};
 use newt_net::rss::{FlowKey, RssKey, RssSteering};
-use newt_net::wire::{EthernetFrame, IpProtocol, Ipv4Packet, TcpFlags, TcpSegment};
+use newt_net::wire::{EthernetView, IpProtocol, Ipv4View, TcpFlags, TcpSegment, TcpView};
 
 use crate::endpoints;
 #[cfg(test)]
@@ -344,6 +344,14 @@ pub struct TcpStats {
     /// transmit fast path is that this stays 0: socket-buffer loans flow
     /// into the pool, retransmissions and the driver by reference.
     pub tx_copies: u64,
+    /// In-order segments whose payload was copied into the socket buffer
+    /// instead of being queued as a reference-counted slice of the receive
+    /// chunk it arrived in — the receive-side twin of
+    /// [`TcpStats::tx_copies`].  Only payloads too small to be worth
+    /// pinning their frame for are copied (see
+    /// [`SocketBuffer::push_recv_bytes`]); bulk data keeps this at 0, and
+    /// the application's read is the one copy a received byte sees.
+    pub rx_copies: u64,
     /// Inbound frames that claimed to be TCP/IPv4 but failed to parse
     /// (truncated headers, wild data offsets, bogus lengths, checksum
     /// garbage).  Counted and dropped — malformed input never panics and
@@ -1947,7 +1955,7 @@ impl TcpServer {
     /// Answers an `offending` segment that named no connection with the
     /// RFC 793 reset: echo its ACK as our sequence when it carried one,
     /// otherwise RST+ACK covering its sequence space.
-    fn emit_rst(&mut self, dst: Ipv4Addr, offending: &TcpSegment) {
+    fn emit_rst(&mut self, dst: Ipv4Addr, offending: &TcpView<'_>) {
         let seg = if offending.flags.ack {
             TcpSegment::control(
                 offending.dst_port,
@@ -2260,15 +2268,18 @@ impl TcpServer {
     // ---- inbound segments --------------------------------------------------------
 
     fn handle_deliver(&mut self, ptr: RichPtr) {
-        let parsed = self
+        // Always hand the chunk back to IP, even if parsing fails; the
+        // whole round's chunks go back as one batched message.  What the
+        // socket buffer keeps of it is a refcounted slice, not the slot.
+        self.rxdone_batch.push(ptr);
+        // A pointer that no longer resolves reads as an empty frame, which
+        // fails to parse like any other garbage.
+        let frame = self
             .pools
             .reader(ptr.pool)
             .and_then(|reader| reader.read(&ptr).ok())
-            .and_then(|bytes| Self::parse_segment(&bytes));
-        // Always hand the chunk back to IP, even if parsing failed; the
-        // whole round's chunks go back as one batched message.
-        self.rxdone_batch.push(ptr);
-        let Some((src, dst, segment)) = parsed else {
+            .unwrap_or_default();
+        let Some((src, dst, segment)) = Self::parse_segment(&frame) else {
             // Truncated, garbage-offset or checksum-corrupt frame: count
             // and drop.  The chunk is already queued for return above, so
             // attacker input costs a counter bump and nothing else.
@@ -2276,16 +2287,16 @@ impl TcpServer {
             return;
         };
         self.stats.segments_in += 1;
-        self.handle_segment(src, dst, segment);
+        self.handle_segment(src, dst, &segment, &frame);
     }
 
-    fn parse_segment(frame: &[u8]) -> Option<(Ipv4Addr, Ipv4Addr, TcpSegment)> {
-        let eth = EthernetFrame::parse(frame).ok()?;
-        let packet = Ipv4Packet::parse(&eth.payload).ok()?;
+    fn parse_segment(frame: &[u8]) -> Option<(Ipv4Addr, Ipv4Addr, TcpView<'_>)> {
+        let eth = EthernetView::parse(frame).ok()?;
+        let packet = Ipv4View::parse(eth.payload).ok()?;
         if packet.protocol != IpProtocol::Tcp {
             return None;
         }
-        let segment = TcpSegment::parse(&packet.payload, packet.src, packet.dst).ok()?;
+        let segment = TcpView::parse(packet.payload, packet.src, packet.dst).ok()?;
         Some((packet.src, packet.dst, segment))
     }
 
@@ -2326,9 +2337,17 @@ impl TcpServer {
             .copied()
     }
 
-    fn handle_segment(&mut self, src: Ipv4Addr, dst: Ipv4Addr, segment: TcpSegment) {
+    /// Dispatches one inbound segment; `frame` is the receive chunk
+    /// `segment` borrows from, so payload can be queued by reference.
+    fn handle_segment(
+        &mut self,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        segment: &TcpView<'_>,
+        frame: &Bytes,
+    ) {
         let Some(id) = self.find_socket(src, segment.src_port, segment.dst_port) else {
-            self.stray_segment(src, dst, segment);
+            self.stray_segment(src, dst, segment, frame);
             return;
         };
         let is_listener = self
@@ -2338,23 +2357,29 @@ impl TcpServer {
             .unwrap_or(false);
         if is_listener {
             if segment.flags.syn && !segment.flags.ack {
-                self.accept_syn(id, src, dst, &segment);
+                self.accept_syn(id, src, dst, segment);
             } else {
                 // A non-SYN at a listening port names no connection we
                 // store — unless it completes a stateless cookie
                 // handshake.  Either way `stray_segment` decides.
-                self.stray_segment(src, dst, segment);
+                self.stray_segment(src, dst, segment, frame);
             }
             return;
         }
-        self.established_segment(id, src, segment);
+        self.established_segment(id, src, segment, frame);
     }
 
     /// A segment that matched no flow and no listener: either the
     /// completing ACK of a stateless SYN-cookie handshake, or traffic to a
     /// closed port — which draws an RST so peers (and attack tooling) can
     /// tell "closed" from "lost".
-    fn stray_segment(&mut self, src: Ipv4Addr, dst: Ipv4Addr, segment: TcpSegment) {
+    fn stray_segment(
+        &mut self,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        segment: &TcpView<'_>,
+        frame: &Bytes,
+    ) {
         // Never answer a RST with a RST.
         if segment.flags.rst {
             return;
@@ -2378,19 +2403,25 @@ impl TcpServer {
         if self.config.syn_cookies && segment.flags.ack && !segment.flags.syn && !segment.flags.fin
         {
             if let Some(&listener_id) = self.listen_index.get(&segment.dst_port) {
-                if self.try_cookie_ack(listener_id, src, &segment) {
+                if self.try_cookie_ack(listener_id, src, segment, frame) {
                     return;
                 }
             }
         }
-        self.emit_rst(src, &segment);
+        self.emit_rst(src, segment);
     }
 
     /// Validates `ack` against the SYN cookie for its 4-tuple and, on
     /// success, reconstructs the connection the stateless SYN-ACK never
     /// stored: a fully established child on the listener's backlog.
     /// Returns `false` (caller RSTs) when the cookie does not check out.
-    fn try_cookie_ack(&mut self, listener_id: SockId, src: Ipv4Addr, ack: &TcpSegment) -> bool {
+    fn try_cookie_ack(
+        &mut self,
+        listener_id: SockId,
+        src: Ipv4Addr,
+        ack: &TcpView<'_>,
+        frame: &Bytes,
+    ) -> bool {
         let Some(mss_class) = check_syn_cookie(
             self.config.syn_cookie_secret,
             src,
@@ -2471,11 +2502,11 @@ impl TcpServer {
         self.try_complete_accepts(listener_id);
         // Process whatever else the ACK carried (window update, piggybacked
         // request bytes) through the normal established path.
-        self.established_segment(child_id, src, ack.clone());
+        self.established_segment(child_id, src, ack, frame);
         true
     }
 
-    fn accept_syn(&mut self, listener_id: SockId, src: Ipv4Addr, dst: Ipv4Addr, syn: &TcpSegment) {
+    fn accept_syn(&mut self, listener_id: SockId, src: Ipv4Addr, dst: Ipv4Addr, syn: &TcpView<'_>) {
         let (local_port, backlog_limit, backlog_len, sharded, send_cap, recv_cap, half_open) = {
             let listener = self.sockets.get(&listener_id).expect("listener exists");
             (
@@ -2614,7 +2645,13 @@ impl TcpServer {
             .backlog_limit = listener_id as usize;
     }
 
-    fn established_segment(&mut self, id: SockId, _src: Ipv4Addr, segment: TcpSegment) {
+    fn established_segment(
+        &mut self,
+        id: SockId,
+        _src: Ipv4Addr,
+        segment: &TcpView<'_>,
+        frame: &Bytes,
+    ) {
         // `None` = no ACK owed; `Some(false)` = delayed; `Some(true)` =
         // immediate.  Immediate wins over delayed within one segment.
         let mut ack_due: Option<bool> = None;
@@ -2764,7 +2801,16 @@ impl TcpServer {
                 if !segment.payload.is_empty() && !matches!(s.state, TcpState::SynSent) {
                     self.stats.payload_segments_in += 1;
                     if segment.seq == s.rcv_nxt {
-                        let accepted = s.buffer.push_recv(&segment.payload);
+                        // The payload enters the socket buffer as a slice
+                        // of the chunk it arrived in; the application's
+                        // read is the first and only copy.
+                        let push = s
+                            .buffer
+                            .push_recv_bytes(frame.slice_ref(segment.payload), frame.len());
+                        if push.copied {
+                            self.stats.rx_copies += 1;
+                        }
+                        let accepted = push.accepted;
                         s.rcv_nxt = s.rcv_nxt.wrapping_add(accepted as u32);
                         // RFC 1122 delayed ACKs: every second full-sized
                         // segment is acknowledged immediately (a GRO-merged
@@ -2972,6 +3018,7 @@ fn route_reply(to_syscall: &Tx<SockReply>, to_ring: &Tx<SockReply>, reply: SockR
 mod tests {
     use super::*;
     use crate::fabric::Chan;
+    use newt_net::wire::{EthernetFrame, Ipv4Packet};
 
     struct Rig {
         tcp: TcpServer,
@@ -3149,16 +3196,21 @@ mod tests {
         out
     }
 
-    /// Injects a TCP segment as if it had arrived from the peer through IP.
-    fn inject(rig: &mut Rig, segment: TcpSegment) {
+    /// The frame `segment` arrives in from the peer.
+    fn frame_for(segment: &TcpSegment) -> Vec<u8> {
         let packet = Ipv4Packet::new(PEER, LOCAL, IpProtocol::Tcp, segment.build(PEER, LOCAL));
-        let frame = EthernetFrame::new(
+        EthernetFrame::new(
             newt_net::wire::MacAddr::from_index(1),
             newt_net::wire::MacAddr::from_index(200),
             newt_net::wire::EtherType::Ipv4,
             packet.build(),
-        );
-        let ptr = rig.rx_pool.publish(&frame.build()).unwrap();
+        )
+        .build()
+    }
+
+    /// Injects a TCP segment as if it had arrived from the peer through IP.
+    fn inject(rig: &mut Rig, segment: TcpSegment) {
+        let ptr = rig.rx_pool.publish(&frame_for(&segment)).unwrap();
         send(&rig.ip_tx, IpToTransport::Deliver { ptr });
         rig.tcp.poll();
     }
@@ -3590,6 +3642,93 @@ mod tests {
                 .any(|s| s.ack == rcv.wrapping_add(3 * mss as u32)),
             "a merged super-segment must be acked immediately, got {acks:?}"
         );
+    }
+
+    /// Streams 1 MiB of in-order MSS-sized frames into a fresh connection —
+    /// each burst through `gro` first when given, exactly as the driver
+    /// runs one — with the application reading the socket dry after every
+    /// burst.  Returns what the application read and the server's stats.
+    fn bulk_receive(mut gro: Option<newt_net::gro::GroEngine>) -> (Vec<u8>, TcpStats) {
+        const TOTAL: usize = 1 << 20;
+        let mut rig = rig();
+        let (sock, local_port, snd, rcv) = connect_established(&mut rig);
+        let buffer = Arc::clone(&rig.tcp.sockets[&sock].buffer);
+        let mss = TcpConfig::default().mss;
+        let data: Vec<u8> = (0..TOTAL).map(|i| (i * 31 + i / 251) as u8).collect();
+        let mut read = Vec::with_capacity(TOTAL);
+        let mut scratch = vec![0u8; 64 * 1024];
+        for burst in data.chunks(11 * mss) {
+            let mut frames = Vec::new();
+            for segment in burst.chunks(mss) {
+                let offset = segment.as_ptr() as usize - data.as_ptr() as usize;
+                let seg = data_segment(
+                    local_port,
+                    rcv.wrapping_add(offset as u32),
+                    snd,
+                    segment.to_vec(),
+                );
+                let frame = Bytes::from(frame_for(&seg));
+                match gro.as_mut() {
+                    Some(engine) => engine.push(frame, &mut frames),
+                    None => frames.push(frame),
+                }
+            }
+            if let Some(engine) = gro.as_mut() {
+                engine.flush(&mut frames);
+            }
+            for frame in frames {
+                let ptr = rig.rx_pool.publish_bytes(frame).unwrap();
+                send(&rig.ip_tx, IpToTransport::Deliver { ptr });
+            }
+            rig.tcp.poll();
+            while let Ok(n) = buffer.read(&mut scratch, Duration::ZERO) {
+                read.extend_from_slice(&scratch[..n]);
+            }
+            // Stand in for IP: free the chunks TCP handed back.
+            for msg in drain(&rig.ip_rx) {
+                match msg {
+                    TransportToIp::RxDone { ptr } => rig.rx_pool.free(&ptr).unwrap(),
+                    TransportToIp::RxDoneBatch(ptrs) => {
+                        ptrs.iter().for_each(|ptr| rig.rx_pool.free(ptr).unwrap())
+                    }
+                    TransportToIp::SendPacket { .. } => {}
+                }
+            }
+        }
+        assert_eq!(read, data, "every byte delivered, in order");
+        (read, rig.tcp.stats())
+    }
+
+    #[test]
+    fn in_order_bulk_receive_reaches_the_socket_buffer_by_reference() {
+        let (plain, plain_stats) = bulk_receive(None);
+        let (merged, merged_stats) = bulk_receive(Some(newt_net::gro::GroEngine::new(
+            crate::driver::GRO_MAX_PAYLOAD,
+        )));
+        assert_eq!(plain, merged, "GRO must not change what is delivered");
+        // One copy per received byte, and it is the application's read:
+        // nothing was copied on the way into the socket buffer, merged or
+        // not.
+        assert_eq!(plain_stats.rx_copies, 0);
+        assert_eq!(merged_stats.rx_copies, 0);
+        assert!(
+            merged_stats.payload_segments_in * 8 < plain_stats.payload_segments_in,
+            "GRO should have merged the bursts: {} vs {}",
+            merged_stats.payload_segments_in,
+            plain_stats.payload_segments_in
+        );
+    }
+
+    #[test]
+    fn a_payload_too_small_to_pin_its_frame_is_copied_and_counted() {
+        let mut rig = rig();
+        let (sock, local_port, snd, rcv) = connect_established(&mut rig);
+        inject(&mut rig, data_segment(local_port, rcv, snd, vec![7u8; 1]));
+        assert_eq!(rig.tcp.stats().rx_copies, 1);
+        let mut out = [0u8; 4];
+        let buffer = &rig.tcp.sockets[&sock].buffer;
+        assert_eq!(buffer.read(&mut out, Duration::ZERO), Ok(1));
+        assert_eq!(out[0], 7);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use newt_channels::reqdb::{AbortPolicy, RequestDb};
 use newt_channels::rich::{RichChain, RichPtr};
 use newt_kernel::rs::{CrashEvent, StartMode, StateSnapshot};
 use newt_kernel::storage::{codec, StorageServer};
-use newt_net::wire::{EthernetFrame, IpProtocol, Ipv4Packet, UdpDatagram, UDP_HEADER_LEN};
+use newt_net::wire::{EthernetView, IpProtocol, Ipv4View, UdpView, UDP_HEADER_LEN};
 
 use crate::endpoints;
 #[cfg(test)]
@@ -637,13 +637,17 @@ impl UdpServer {
     }
 
     fn handle_deliver(&mut self, ptr: RichPtr) {
-        let parsed = self
+        self.rxdone_batch.push(ptr);
+        // A pointer that no longer resolves reads as an empty frame, which
+        // fails to parse like any other garbage.
+        let frame = self
             .pools
             .reader(ptr.pool)
             .and_then(|reader| reader.read(&ptr).ok())
-            .and_then(|bytes| Self::parse_datagram(&bytes));
-        self.rxdone_batch.push(ptr);
-        let Some((src, dgram)) = parsed else { return };
+            .unwrap_or_default();
+        let Some((src, dgram)) = Self::parse_datagram(&frame) else {
+            return;
+        };
         let Some(sock) = self
             .sockets
             .values_mut()
@@ -652,19 +656,19 @@ impl UdpServer {
             self.stats.no_socket += 1;
             return;
         };
-        let record = encode_datagram(src, dgram.src_port, &dgram.payload);
+        let record = encode_datagram(src, dgram.src_port, dgram.payload);
         if sock.buffer.push_recv(&record) == record.len() {
             self.stats.datagrams_in += 1;
         }
     }
 
-    fn parse_datagram(frame: &[u8]) -> Option<(Ipv4Addr, UdpDatagram)> {
-        let eth = EthernetFrame::parse(frame).ok()?;
-        let packet = Ipv4Packet::parse(&eth.payload).ok()?;
+    fn parse_datagram(frame: &[u8]) -> Option<(Ipv4Addr, UdpView<'_>)> {
+        let eth = EthernetView::parse(frame).ok()?;
+        let packet = Ipv4View::parse(eth.payload).ok()?;
         if packet.protocol != IpProtocol::Udp {
             return None;
         }
-        let dgram = UdpDatagram::parse(&packet.payload, packet.src, packet.dst).ok()?;
+        let dgram = UdpView::parse(packet.payload, packet.src, packet.dst).ok()?;
         Some((packet.src, dgram))
     }
 
@@ -792,6 +796,7 @@ mod tests {
     use super::*;
     use crate::fabric::Chan;
     use newt_channels::reqdb::RequestId;
+    use newt_net::wire::{EthernetFrame, Ipv4Packet, UdpDatagram};
     use std::time::Duration;
 
     struct Rig {
