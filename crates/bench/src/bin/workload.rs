@@ -91,13 +91,18 @@ struct Sample {
     tso_frames: u64,
     /// Fallback copy-publishes on the send path — must stay zero.
     tx_copies: u64,
+    /// `(lane, messages enqueued)` for every fabric lane that carried
+    /// traffic — the evidence printed when a messages-per-request gate
+    /// fails.
+    lanes: Vec<(String, u64)>,
 }
 
-/// `NEWT_WORKLOAD_LEGACY_RX=1` turns the receive fast path off (no GRO, no
-/// delayed ACKs) to reproduce the pre-fast-path messages-per-request
-/// baseline; gates are skipped and `BENCH_workload.json` is left untouched.
-fn legacy_rx() -> bool {
-    std::env::var_os("NEWT_WORKLOAD_LEGACY_RX").is_some()
+impl Sample {
+    fn print_lanes(&self) {
+        for (lane, messages) in &self.lanes {
+            eprintln!("    lane {lane}: {messages} msgs");
+        }
+    }
 }
 
 fn bench_config(shards: usize, impaired: bool) -> StackConfig {
@@ -109,18 +114,13 @@ fn bench_config(shards: usize, impaired: bool) -> StackConfig {
         // the scaling bench's delay link.
         LinkConfig::gigabit().propagation(CLEAN_ONE_WAY_DELAY)
     };
-    let mut config = StackConfig::newtos()
+    StackConfig::newtos()
         .shards(shards)
         .link(link)
         // Mild speed-up: virtual TCP timers (200 ms RTO) elapse fast on
         // the impaired runs while host scheduling noise stays small next
         // to the 10 ms virtual RTT of the clean link.
-        .clock_speedup(2.0);
-    if legacy_rx() {
-        config = config.gro(false);
-        config.tcp.delayed_ack = Duration::ZERO;
-    }
-    config
+        .clock_speedup(2.0)
 }
 
 fn run_point(shards: usize, impaired: bool, connections: usize) -> Sample {
@@ -139,16 +139,17 @@ fn run_point(shards: usize, impaired: bool, connections: usize) -> Sample {
         },
     );
     let telemetry = stack.telemetry();
-    if std::env::var_os("NEWT_WORKLOAD_LANE_DEBUG").is_some() {
-        let names = stack.fabric_lane_names();
-        for s in 0..shards {
-            for (name, q) in names.iter().zip(stack.fabric_lane_stats(s)) {
-                if q.enqueued > 0 {
-                    println!("    lane shard{s} {name}: {} msgs", q.enqueued);
-                }
-            }
-        }
-    }
+    let names = stack.fabric_lane_names();
+    let lanes: Vec<(String, u64)> = (0..shards)
+        .flat_map(|s| {
+            names
+                .iter()
+                .zip(stack.fabric_lane_stats(s))
+                .filter(|(_, q)| q.enqueued > 0)
+                .map(move |(name, q)| (format!("shard{s} {name}"), q.enqueued))
+                .collect::<Vec<_>>()
+        })
+        .collect();
     let served_per_shard: Vec<u64> = (0..shards)
         .map(|s| telemetry.tcp_shards[s].connections_established)
         .collect();
@@ -185,6 +186,7 @@ fn run_point(shards: usize, impaired: bool, connections: usize) -> Sample {
         tx_segments,
         tso_frames,
         tx_copies,
+        lanes,
     }
 }
 
@@ -245,13 +247,6 @@ fn main() {
             );
             samples.push(sample);
         }
-    }
-
-    if legacy_rx() {
-        println!(
-            "\nNEWT_WORKLOAD_LEGACY_RX set: baseline measurement only, no record written, no gates"
-        );
-        return;
     }
 
     // The regression gates read the previous (checked-in) record before it
@@ -339,27 +334,23 @@ fn main() {
         }
     }
 
-    let clean4_mpr = samples
-        .iter()
-        .find(|s| s.shards == 4 && s.link == "clean")
-        .map(|s| s.messages_per_request)
-        .unwrap_or(0.0);
+    let clean = |shards: usize| {
+        samples
+            .iter()
+            .find(|s| s.shards == shards && s.link == "clean")
+            .expect("every clean point was run")
+    };
+    let clean4_mpr = clean(4).messages_per_request;
     println!("tx batching gate: clean 4-shard {clean4_mpr:.1} msgs/req (ceiling {TX_MPR_GATE})");
     if clean4_mpr > TX_MPR_GATE {
         eprintln!(
             "FAIL: clean 4-shard messages-per-request {clean4_mpr:.1} exceeds the TSO ceiling {TX_MPR_GATE}"
         );
+        clean(4).print_lanes();
         failed = true;
     }
 
-    let clean_rps = |shards: usize| {
-        samples
-            .iter()
-            .find(|s| s.shards == shards && s.link == "clean")
-            .map(|s| s.rps)
-            .unwrap_or(0.0)
-    };
-    let (rps1, rps4) = (clean_rps(1), clean_rps(4));
+    let (rps1, rps4) = (clean(1).rps, clean(4).rps);
     if rps1 > 0.0 {
         let ratio = rps4 / rps1;
         println!("scaling gate: clean 4-shard {rps4:.1} rps vs 1-shard {rps1:.1} rps ({ratio:.2}x, need >= {SCALING_GATE}x)");
@@ -369,11 +360,7 @@ fn main() {
         }
     }
 
-    let measured_mpr = samples
-        .iter()
-        .find(|s| s.shards == 1 && s.link == "clean")
-        .map(|s| s.messages_per_request)
-        .unwrap_or(0.0);
+    let measured_mpr = clean(1).messages_per_request;
     match baseline_mpr {
         Some(base) if base > 0.0 => {
             let factor = measured_mpr / base;
@@ -382,6 +369,7 @@ fn main() {
                 eprintln!(
                     "FAIL: messages-per-request regressed {factor:.2}x (> {MPR_GATE_FACTOR}x) over the baseline"
                 );
+                clean(1).print_lanes();
                 failed = true;
             }
         }
@@ -390,11 +378,7 @@ fn main() {
         ),
     }
 
-    let measured_p99 = samples
-        .iter()
-        .find(|s| s.shards == 4 && s.link == "clean")
-        .map(|s| s.p99_us)
-        .unwrap_or(0.0);
+    let measured_p99 = clean(4).p99_us;
     match baseline_p99 {
         Some(base) if base > 0.0 => {
             let factor = measured_p99 / base;

@@ -15,8 +15,6 @@
 //!   enqueues, IPIs, context switches);
 //! * [`ipc`] — synchronous kernel IPC between endpoints with cost accounting
 //!   and optional cost *emulation* for end-to-end baselines;
-//! * [`proc`] — the process table with per-component core assignment;
-//! * [`vmm`] — the trusted third party that sets up shared-memory exports;
 //! * [`storage`] — the key/value storage server holding recoverable state;
 //! * [`rs`] — the reincarnation server: heartbeats, crash detection,
 //!   restarts with generation bumps, fault-injection hooks.
@@ -74,18 +72,14 @@
 pub mod clock;
 pub mod cost;
 pub mod ipc;
-pub mod proc;
 pub mod rs;
 pub mod storage;
-pub mod vmm;
 
 pub use clock::SimClock;
 pub use cost::{CostModel, CycleAccount};
 pub use ipc::{IpcError, KernelIpc, KernelStats, Message};
-pub use proc::{CoreAssignment, Privilege, ProcessInfo, ProcessTable};
 pub use rs::{
     CrashEvent, CrashReason, FaultAction, RecoveryStamp, ReincarnationServer, ServiceConfig,
     ServiceRuntime, ServiceStatus, StartMode,
 };
 pub use storage::{StorageError, StorageServer, StorageStats};
-pub use vmm::{Grant, Vmm, VmmStats};

@@ -6,8 +6,10 @@
 //! path, how many NICs/links are attached, and whether kernel-IPC costs are
 //! merely accounted or physically emulated.  [`NewtStack::start`] brings the
 //! whole system up: the simulated NICs and links, the remote peer hosts, the
-//! reincarnation server with one service per component, and the SYSCALL
-//! front end applications talk to through [`NetClient`].
+//! reincarnation server with one service per row of the placement table
+//! (every server has the same shape and runs under the same service loop;
+//! the topology only decides which servers share a service), and the
+//! SYSCALL front end applications talk to through [`NetClient`].
 //!
 //! # Receive-side scaling (`shards`)
 //!
@@ -155,12 +157,14 @@ impl StackConfig {
     pub fn minix_like() -> Self {
         StackConfig {
             topology: Topology::SynchronousSingleCore,
-            tso: false,
             checksum_offload: false,
             with_packet_filter: false,
             emulate_kernel_costs: true,
             ..Self::default()
         }
+        // Through the setter, so TCP stops cutting TSO-sized segments the
+        // offload-less NIC cannot send.
+        .tso(false)
     }
 
     /// Sets the topology.
@@ -257,23 +261,15 @@ pub struct FabricStats {
 
 /// Aggregated per-component statistics sampled from the running servers.
 ///
-/// The scalar fields mirror the unsharded stack (and alias shard 0 /
-/// driver 0 of a sharded one); the `*_shards` and `drivers` arrays carry
-/// one entry per stack shard and per NIC respectively.
+/// The singletons have one field each; the `*_shards` and `drivers` arrays
+/// carry one entry per stack shard and per NIC respectively (an unsharded
+/// stack fills slot 0).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Telemetry {
-    /// TCP server counters (shard 0).
-    pub tcp: TcpStats,
-    /// UDP server counters (shard 0).
-    pub udp: UdpStats,
-    /// IP server counters (shard 0).
-    pub ip: IpStats,
     /// Packet filter counters.
     pub pf: PfStats,
     /// SYSCALL server counters (including per-shard routing counts).
     pub syscall: SyscallStats,
-    /// Driver 0 counters (representative).
-    pub driver0: DriverStats,
     /// Per-shard TCP counters.
     pub tcp_shards: [TcpStats; MAX_SHARDS],
     /// Per-shard UDP counters.
@@ -304,8 +300,7 @@ impl Telemetry {
         self.tcp_shards.iter().map(|t| t.payload_segments_in).sum()
     }
     /// Frames dropped by any driver because a receive pool was exhausted or
-    /// an IP server's queue was full (previously these were only visible
-    /// for driver 0).
+    /// an IP server's queue was full.
     pub fn rx_dropped_total(&self) -> u64 {
         self.drivers.iter().map(|d| d.rx_dropped).sum()
     }
@@ -351,47 +346,70 @@ impl Telemetry {
 ///
 /// Dropping the stack shuts every service down.
 pub struct NewtStack {
-    config: StackConfig,
-    clock: SimClock,
-    kernel: KernelIpc,
-    registry: Registry,
-    storage: Arc<StorageServer>,
+    wiring: Arc<Wiring>,
     rs: ReincarnationServer,
-    pools: PoolTable,
     peers: Vec<Arc<RemotePeer>>,
     peer_handles: Vec<PeerHandle>,
     links: Vec<Link>,
     peer_traces: Vec<TraceCapture>,
-    nics: Vec<Arc<Mutex<Nic>>>,
-    rings: Arc<RingTable>,
     component_services: HashMap<Component, Endpoint>,
-    telemetry: Arc<Mutex<Telemetry>>,
-    /// Per-shard observer handles onto every fabric lane's counters.
-    fabric_probes: Vec<Vec<newt_channels::spsc::StatsHandle>>,
     next_app: AtomicU32,
 }
 
 impl std::fmt::Debug for NewtStack {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let config = &self.wiring.config;
         f.debug_struct("NewtStack")
-            .field("topology", &self.config.topology)
-            .field("nics", &self.config.nics)
-            .field("shards", &self.config.shards)
-            .field("tso", &self.config.tso)
+            .field("topology", &config.topology)
+            .field("nics", &config.nics)
+            .field("shards", &config.shards)
+            .field("tso", &config.tso)
             .finish()
     }
 }
 
-struct ServerBundle {
-    tcp: TcpServer,
-    udp: UdpServer,
-    ip: IpServer,
-    pf: Option<PacketFilterServer>,
+/// The one contract every server of the stack implements: drain the queues
+/// and do the work, publish counters, hand hot state over on a live update.
+/// [`serve`] drives any group of them.
+pub(crate) trait Server {
+    /// Runs one iteration of the server's event loop; returns the amount of
+    /// work done (0 means the core may idle).
+    fn poll(&mut self) -> usize;
+    /// Copies the server's counters into its slot of the shared telemetry.
+    fn publish(&self, telemetry: &mut Telemetry);
+    /// Serializes the server's hot state for a live-update hand-over.
+    fn export_state(&mut self) -> (u32, Vec<u8>);
 }
+
+/// Implements [`Server`] on top of a server's inherent `poll` /
+/// `export_state`; the closure names the telemetry slot the server owns.
+macro_rules! server {
+    ($server:ty => |$s:ident, $t:ident| $publish:expr) => {
+        impl Server for $server {
+            fn poll(&mut self) -> usize {
+                <$server>::poll(self)
+            }
+            fn publish(&self, $t: &mut Telemetry) {
+                let $s = self;
+                $publish
+            }
+            fn export_state(&mut self) -> (u32, Vec<u8>) {
+                <$server>::export_state(self)
+            }
+        }
+    };
+}
+
+server!(TcpServer => |s, t| t.tcp_shards[s.shard().index] = s.stats());
+server!(UdpServer => |s, t| t.udp_shards[s.shard().index] = s.stats());
+server!(IpServer => |s, t| t.ip_shards[s.shard().index] = s.stats());
+server!(PacketFilterServer => |s, t| t.pf = s.stats());
+server!(DriverServer => |s, t| t.drivers[s.index()] = s.stats());
+server!(SyscallServer => |s, t| t.syscall = s.stats());
+server!(SyscallReplica => |_s, _t| ());
 
 /// The private fabric of one stack shard: every queue its three servers
 /// speak over.  Lanes are per shard so replicas share nothing.
-#[derive(Clone)]
 struct ShardLanes {
     tcp_to_ip: Chan<TransportToIp>,
     ip_to_tcp: Chan<IpToTransport>,
@@ -478,7 +496,6 @@ impl ShardLanes {
 
 /// The per-shard pools: receive and header pools owned by the shard's IP
 /// server, transmit pools owned by its transports.
-#[derive(Clone)]
 struct ShardPools {
     rx: Pool,
     header: Pool,
@@ -486,18 +503,281 @@ struct ShardPools {
     udp_tx: Pool,
 }
 
+impl ShardPools {
+    fn new(shard: Shard, tcp: &TcpConfig) -> Self {
+        ShardPools {
+            // RX chunks are sized for GRO: a merged super-frame (up to
+            // GRO_MAX_PAYLOAD of TCP payload + headers) must fit one chunk.
+            rx: Pool::new(
+                &format!("{}.rx", shard.service_name("ip")),
+                shard.ip(),
+                crate::driver::RX_POOL_CHUNK,
+                2048,
+            ),
+            header: Pool::new(
+                &format!("{}.hdr", shard.service_name("ip")),
+                shard.ip(),
+                2048,
+                4096,
+            ),
+            tcp_tx: Pool::new(
+                &format!("{}.tx", shard.service_name("tcp")),
+                shard.tcp(),
+                tcp.tso_segment.max(2048),
+                2048,
+            ),
+            udp_tx: Pool::new(
+                &format!("{}.tx", shard.service_name("udp")),
+                shard.udp(),
+                4096,
+                512,
+            ),
+        }
+    }
+}
+
+/// Where every component runs: one `(service name, endpoint, members)` row
+/// per reincarnation-server service, i.e. per core.  This table is the whole
+/// difference between the topologies — the servers, lanes and pools are the
+/// same in all three:
+///
+/// * [`Topology::Split`]: one component per service, `shards` replicas of
+///   the tcp/udp/ip trio (plus a SYSCALL ring pump per further shard);
+/// * [`Topology::SingleServer`]: the protocol components share the `inet`
+///   service; SYSCALL and the drivers keep their own;
+/// * [`Topology::SynchronousSingleCore`]: one service holds everything.
+///
+/// Only the split decomposition replicates pipelines; the others model one
+/// core and keep one of everything.
+fn placement(config: &StackConfig) -> Vec<(String, Endpoint, Vec<Component>)> {
+    let protocol = |shards: usize| {
+        let mut members: Vec<Component> = if shards == 1 {
+            vec![Component::Tcp, Component::Udp, Component::Ip]
+        } else {
+            (0..shards)
+                .flat_map(|s| {
+                    [
+                        Component::TcpShard(s),
+                        Component::UdpShard(s),
+                        Component::IpShard(s),
+                    ]
+                })
+                .collect()
+        };
+        if config.with_packet_filter {
+            members.push(Component::PacketFilter);
+        }
+        members
+    };
+    // The per-NIC telemetry array shares the 8-slot bound, so enforce the
+    // documented NIC limit even when the field was set directly.
+    let edge = |shards: usize| {
+        (0..config.nics.clamp(1, MAX_SHARDS))
+            .map(Component::Driver)
+            .chain([Component::Syscall])
+            .chain((1..shards).map(Component::SyscallShard))
+    };
+    let alone = |c: Component| (c.name(), c.endpoint(), vec![c]);
+    let inet = |members| ("inet".to_string(), endpoints::INET, members);
+    match config.topology {
+        Topology::Split => {
+            let shards = config.shards.clamp(1, MAX_SHARDS);
+            protocol(shards)
+                .into_iter()
+                .chain(edge(shards))
+                .map(alone)
+                .collect()
+        }
+        Topology::SingleServer => std::iter::once(inet(protocol(1)))
+            .chain(edge(1).map(alone))
+            .collect(),
+        Topology::SynchronousSingleCore => {
+            vec![inet(protocol(1).into_iter().chain(edge(1)).collect())]
+        }
+    }
+}
+
+/// Counts the members of a placement that match `kind`.
+fn placed(services: &[(String, Endpoint, Vec<Component>)], kind: fn(&Component) -> bool) -> usize {
+    services
+        .iter()
+        .flat_map(|(_, _, members)| members)
+        .filter(|c| kind(c))
+        .count()
+}
+
+/// Everything a server incarnation is built from — the configuration, the
+/// shared tables and the fabric — owned once and shared by every service
+/// body.  All of it outlives any single incarnation, which is what lets a
+/// replacement re-acquire the same lanes, pools and rings.
+struct Wiring {
+    config: StackConfig,
+    clock: SimClock,
+    kernel: KernelIpc,
+    registry: Registry,
+    storage: Arc<StorageServer>,
+    crash_board: CrashBoard,
+    pools: PoolTable,
+    shard_pools: Vec<ShardPools>,
+    lanes: Vec<ShardLanes>,
+    /// The submission/completion rings live in this builder-owned table,
+    /// outside every server, so they survive any component's crash or live
+    /// update the same way the fabric lanes do.
+    rings: Arc<RingTable>,
+    nics: Vec<Arc<Mutex<Nic>>>,
+    telemetry: Mutex<Telemetry>,
+}
+
+impl Wiring {
+    /// Builds one incarnation of `component` on the lanes, pools and tables
+    /// it owns.  The reincarnation server runs this once per incarnation.
+    fn build(&self, component: Component, rt: &ServiceRuntime) -> Box<dyn Server> {
+        let index = match component {
+            Component::TcpShard(s)
+            | Component::UdpShard(s)
+            | Component::IpShard(s)
+            | Component::SyscallShard(s) => s,
+            _ => 0,
+        };
+        let shard = Shard::new(index, self.lanes.len());
+        let lane = &self.lanes[index];
+        let pool = &self.shard_pools[index];
+        match component {
+            Component::Tcp | Component::TcpShard(_) => Box::new(TcpServer::new(
+                rt.start_mode(),
+                rt.generation(),
+                shard,
+                self.config.tcp.clone(),
+                self.clock.clone(),
+                Arc::clone(&self.storage),
+                self.registry.clone(),
+                pool.tcp_tx.clone(),
+                self.pools.clone(),
+                lane.sys_to_tcp.rx(),
+                lane.tcp_to_sys.tx(),
+                lane.ring_to_tcp.rx(),
+                lane.tcp_to_ring.tx(),
+                lane.tcp_to_ip.tx(),
+                lane.ip_to_tcp.rx(),
+                lane.pf_to_tcp.rx(),
+                lane.tcp_to_pf.tx(),
+                self.crash_board.clone(),
+                Arc::clone(&lane.tcp_doorbell),
+                rt.take_snapshot(),
+            )),
+            Component::Udp | Component::UdpShard(_) => Box::new(UdpServer::new(
+                rt.start_mode(),
+                rt.generation(),
+                shard,
+                Arc::clone(&self.storage),
+                self.registry.clone(),
+                pool.udp_tx.clone(),
+                self.pools.clone(),
+                lane.sys_to_udp.rx(),
+                lane.udp_to_sys.tx(),
+                lane.udp_to_ip.tx(),
+                lane.ip_to_udp.rx(),
+                lane.pf_to_udp.rx(),
+                lane.udp_to_pf.tx(),
+                self.crash_board.clone(),
+                rt.take_snapshot(),
+            )),
+            Component::Ip | Component::IpShard(_) => Box::new(IpServer::new(
+                rt.start_mode(),
+                shard,
+                IpConfig {
+                    interfaces: (0..self.nics.len())
+                        .map(|i| IfaceConfig {
+                            mac: MacAddr::from_index(i as u8),
+                            addr: StackConfig::local_addr(i),
+                            prefix_len: 24,
+                        })
+                        .collect(),
+                    with_pf: self.config.with_packet_filter,
+                    checksum_offload: self.config.checksum_offload,
+                },
+                Arc::clone(&self.storage),
+                pool.rx.clone(),
+                pool.header.clone(),
+                self.pools.clone(),
+                lane.tcp_to_ip.rx(),
+                lane.ip_to_tcp.tx(),
+                lane.udp_to_ip.rx(),
+                lane.ip_to_udp.tx(),
+                lane.ip_to_pf.tx(),
+                lane.pf_to_ip.rx(),
+                lane.ip_to_drv.iter().map(Chan::tx).collect(),
+                lane.drv_to_ip.iter().map(Chan::rx).collect(),
+                self.crash_board.clone(),
+                rt.take_snapshot(),
+            )),
+            // The packet filter is a singleton with one lane set per shard.
+            Component::PacketFilter => Box::new(PacketFilterServer::new_sharded(
+                rt.start_mode(),
+                self.config.filter_rules.clone(),
+                Arc::clone(&self.storage),
+                self.lanes.iter().map(|l| l.ip_to_pf.rx()).collect(),
+                self.lanes.iter().map(|l| l.pf_to_ip.tx()).collect(),
+                self.lanes.iter().map(|l| l.pf_to_tcp.tx()).collect(),
+                self.lanes.iter().map(|l| l.tcp_to_pf.rx()).collect(),
+                self.lanes.iter().map(|l| l.pf_to_udp.tx()).collect(),
+                self.lanes.iter().map(|l| l.udp_to_pf.rx()).collect(),
+                rt.take_snapshot(),
+            )),
+            // The SYSCALL server is a singleton that routes every kernel
+            // call to the owning shard and pumps shard 0's rings.
+            Component::Syscall => Box::new(SyscallServer::new_sharded(
+                self.kernel.clone(),
+                self.registry.clone(),
+                rt.generation(),
+                Arc::clone(&self.rings),
+                self.lanes.iter().map(|l| l.sys_to_tcp.tx()).collect(),
+                self.lanes.iter().map(|l| l.tcp_to_sys.rx()).collect(),
+                self.lanes.iter().map(|l| l.sys_to_udp.tx()).collect(),
+                self.lanes.iter().map(|l| l.udp_to_sys.rx()).collect(),
+                lane.ring_to_tcp.tx(),
+                lane.tcp_to_ring.rx(),
+                self.crash_board.clone(),
+                rt.take_snapshot(),
+            )),
+            // One ring pump per further stack shard, so submission
+            // processing scales with the stack.
+            Component::SyscallShard(k) => Box::new(SyscallReplica::new(
+                k,
+                Arc::clone(&self.rings),
+                lane.ring_to_tcp.tx(),
+                lane.tcp_to_ring.rx(),
+                self.crash_board.clone(),
+            )),
+            // Driver `i` serves NIC `i` with one queue-pair lane per shard.
+            Component::Driver(i) => Box::new(DriverServer::with_gro(
+                i,
+                Arc::clone(&self.nics[i]),
+                self.shard_pools.iter().map(|p| p.rx.clone()).collect(),
+                self.pools.clone(),
+                self.lanes.iter().map(|l| l.ip_to_drv[i].rx()).collect(),
+                self.lanes.iter().map(|l| l.drv_to_ip[i].tx()).collect(),
+                self.crash_board.clone(),
+                if self.config.gro {
+                    crate::driver::GRO_MAX_PAYLOAD
+                } else {
+                    0
+                },
+            )),
+        }
+    }
+}
+
 impl NewtStack {
     /// Builds and starts a stack with the given configuration.
     pub fn start(mut config: StackConfig) -> Self {
-        // Only the split decomposition replicates pipelines; the
-        // single-server baselines model one core and keep one of everything.
-        if config.topology != Topology::Split {
-            config.shards = 1;
-        }
-        config.shards = config.shards.clamp(1, MAX_SHARDS);
-        // The per-NIC telemetry array shares the 8-slot bound, so enforce
-        // the documented NIC limit even when the field was set directly.
-        config.nics = config.nics.clamp(1, MAX_SHARDS);
+        // The placement table decides how many pipelines and drivers run;
+        // everything below is sized from it.
+        let services = placement(&config);
+        config.shards = placed(&services, |c| {
+            matches!(c, Component::Tcp | Component::TcpShard(_))
+        });
+        config.nics = placed(&services, |c| matches!(c, Component::Driver(_)));
         let shards = config.shards;
 
         let clock = SimClock::with_speedup(config.clock_speedup);
@@ -506,11 +786,6 @@ impl NewtStack {
         } else {
             KernelIpc::new(config.cost_model)
         };
-        // Size the registry for the expected population: a handful of
-        // entries per socket per shard, rather than growing from empty
-        // under load.
-        let registry = Registry::with_capacity(64 * shards);
-        let storage = Arc::new(StorageServer::new());
         let crash_board = CrashBoard::new();
         let pools = PoolTable::new();
         let rs = ReincarnationServer::new(clock.clone());
@@ -555,657 +830,89 @@ impl NewtStack {
             peer_traces.push(trace);
         }
 
-        // --- per-shard pools --------------------------------------------------
+        // --- per-shard pools and fabric lanes ----------------------------------
         let shard_pools: Vec<ShardPools> = (0..shards)
-            .map(|s| {
-                let shard = Shard::new(s, shards);
-                let set = ShardPools {
-                    // RX chunks are sized for GRO: a merged super-frame
-                    // (up to GRO_MAX_PAYLOAD of TCP payload + headers)
-                    // must fit one chunk.
-                    rx: Pool::new(
-                        &format!("{}.rx", shard.service_name("ip")),
-                        shard.ip(),
-                        crate::driver::RX_POOL_CHUNK,
-                        2048,
-                    ),
-                    header: Pool::new(
-                        &format!("{}.hdr", shard.service_name("ip")),
-                        shard.ip(),
-                        2048,
-                        4096,
-                    ),
-                    tcp_tx: Pool::new(
-                        &format!("{}.tx", shard.service_name("tcp")),
-                        shard.tcp(),
-                        config.tcp.tso_segment.max(2048),
-                        2048,
-                    ),
-                    udp_tx: Pool::new(
-                        &format!("{}.tx", shard.service_name("udp")),
-                        shard.udp(),
-                        4096,
-                        512,
-                    ),
-                };
-                for pool in [&set.rx, &set.header, &set.tcp_tx, &set.udp_tx] {
-                    pools.register(pool);
-                }
-                set
-            })
+            .map(|s| ShardPools::new(Shard::new(s, shards), &config.tcp))
             .collect();
-
-        // --- per-shard fabric lanes -------------------------------------------
+        for set in &shard_pools {
+            for pool in [&set.rx, &set.header, &set.tcp_tx, &set.udp_tx] {
+                pools.register(pool);
+            }
+        }
         let lanes: Vec<ShardLanes> = (0..shards).map(|_| ShardLanes::new(config.nics)).collect();
-        let fabric_probes: Vec<Vec<newt_channels::spsc::StatsHandle>> =
-            lanes.iter().map(ShardLanes::stats_handles).collect();
 
         // Attach the SYSCALL mailbox before any service or client runs so
         // that applications started right after boot can already queue calls.
         kernel.attach(endpoints::SYSCALL);
 
-        let telemetry = Arc::new(Mutex::new(Telemetry::default()));
-        let mut component_services: HashMap<Component, Endpoint> = HashMap::new();
-
-        let ip_config = IpConfig {
-            interfaces: (0..config.nics)
-                .map(|i| IfaceConfig {
-                    mac: MacAddr::from_index(i as u8),
-                    addr: StackConfig::local_addr(i),
-                    prefix_len: 24,
-                })
-                .collect(),
-            with_pf: config.with_packet_filter,
-            checksum_offload: config.checksum_offload,
-        };
-
-        // Factory builders: `make_*_for(s)` returns the factory closure a
-        // service registration owns; the reincarnation server calls it once
-        // per incarnation.  Every topology shares these.
-        let make_tcp_for = {
-            let config = config.clone();
-            let clock = clock.clone();
-            let storage = Arc::clone(&storage);
-            let registry = registry.clone();
-            let pools = pools.clone();
-            let shard_pools = shard_pools.clone();
-            let lanes = lanes.clone();
-            let crash_board = crash_board.clone();
-            move |s: usize| {
-                let shard = Shard::new(s, shards);
-                let config = config.clone();
-                let clock = clock.clone();
-                let storage = Arc::clone(&storage);
-                let registry = registry.clone();
-                let tcp_tx_pool = shard_pools[s].tcp_tx.clone();
-                let pools = pools.clone();
-                let lane = lanes[s].clone();
-                let crash_board = crash_board.clone();
-                move |rt: &ServiceRuntime| {
-                    TcpServer::new(
-                        rt.start_mode(),
-                        rt.generation(),
-                        shard,
-                        config.tcp.clone(),
-                        clock.clone(),
-                        Arc::clone(&storage),
-                        registry.clone(),
-                        tcp_tx_pool.clone(),
-                        pools.clone(),
-                        lane.sys_to_tcp.rx(),
-                        lane.tcp_to_sys.tx(),
-                        lane.ring_to_tcp.rx(),
-                        lane.tcp_to_ring.tx(),
-                        lane.tcp_to_ip.tx(),
-                        lane.ip_to_tcp.rx(),
-                        lane.pf_to_tcp.rx(),
-                        lane.tcp_to_pf.tx(),
-                        crash_board.clone(),
-                        Arc::clone(&lane.tcp_doorbell),
-                        rt.take_snapshot(),
-                    )
-                }
-            }
-        };
-        let make_udp_for = {
-            let storage = Arc::clone(&storage);
-            let registry = registry.clone();
-            let pools = pools.clone();
-            let shard_pools = shard_pools.clone();
-            let lanes = lanes.clone();
-            let crash_board = crash_board.clone();
-            move |s: usize| {
-                let shard = Shard::new(s, shards);
-                let storage = Arc::clone(&storage);
-                let registry = registry.clone();
-                let udp_tx_pool = shard_pools[s].udp_tx.clone();
-                let pools = pools.clone();
-                let lane = lanes[s].clone();
-                let crash_board = crash_board.clone();
-                move |rt: &ServiceRuntime| {
-                    UdpServer::new(
-                        rt.start_mode(),
-                        rt.generation(),
-                        shard,
-                        Arc::clone(&storage),
-                        registry.clone(),
-                        udp_tx_pool.clone(),
-                        pools.clone(),
-                        lane.sys_to_udp.rx(),
-                        lane.udp_to_sys.tx(),
-                        lane.udp_to_ip.tx(),
-                        lane.ip_to_udp.rx(),
-                        lane.pf_to_udp.rx(),
-                        lane.udp_to_pf.tx(),
-                        crash_board.clone(),
-                        rt.take_snapshot(),
-                    )
-                }
-            }
-        };
-        let make_ip_for = {
-            let ip_config = ip_config.clone();
-            let storage = Arc::clone(&storage);
-            let pools = pools.clone();
-            let shard_pools = shard_pools.clone();
-            let lanes = lanes.clone();
-            let crash_board = crash_board.clone();
-            move |s: usize| {
-                let shard = Shard::new(s, shards);
-                let ip_config = ip_config.clone();
-                let storage = Arc::clone(&storage);
-                let rx_pool = shard_pools[s].rx.clone();
-                let header_pool = shard_pools[s].header.clone();
-                let pools = pools.clone();
-                let lane = lanes[s].clone();
-                let crash_board = crash_board.clone();
-                move |rt: &ServiceRuntime| {
-                    IpServer::new(
-                        rt.start_mode(),
-                        shard,
-                        ip_config.clone(),
-                        Arc::clone(&storage),
-                        rx_pool.clone(),
-                        header_pool.clone(),
-                        pools.clone(),
-                        lane.tcp_to_ip.rx(),
-                        lane.ip_to_tcp.tx(),
-                        lane.udp_to_ip.rx(),
-                        lane.ip_to_udp.tx(),
-                        lane.ip_to_pf.tx(),
-                        lane.pf_to_ip.rx(),
-                        lane.ip_to_drv.iter().map(|c| c.tx()).collect(),
-                        lane.drv_to_ip.iter().map(|c| c.rx()).collect(),
-                        crash_board.clone(),
-                        rt.take_snapshot(),
-                    )
-                }
-            }
-        };
-        // The packet filter is a singleton with one lane set per shard.
-        let make_pf = {
-            let rules = config.filter_rules.clone();
-            let storage = Arc::clone(&storage);
-            let lanes = lanes.clone();
-            move |rt: &ServiceRuntime| {
-                PacketFilterServer::new_sharded(
-                    rt.start_mode(),
-                    rules.clone(),
-                    Arc::clone(&storage),
-                    lanes.iter().map(|l| l.ip_to_pf.rx()).collect(),
-                    lanes.iter().map(|l| l.pf_to_ip.tx()).collect(),
-                    lanes.iter().map(|l| l.pf_to_tcp.tx()).collect(),
-                    lanes.iter().map(|l| l.tcp_to_pf.rx()).collect(),
-                    lanes.iter().map(|l| l.pf_to_udp.tx()).collect(),
-                    lanes.iter().map(|l| l.udp_to_pf.rx()).collect(),
-                    rt.take_snapshot(),
-                )
-            }
-        };
-        // The submission/completion rings live in this builder-owned table,
-        // outside every server, so they survive any component's crash or
-        // live update the same way the fabric lanes do.
-        let rings = Arc::new(RingTable::new());
-        // The SYSCALL server is a singleton that routes every legacy call to
-        // the owning shard and pumps shard 0's rings; shards 1.. get their
-        // own ring-pump replicas below.
-        let make_syscall = {
-            let kernel = kernel.clone();
-            let registry = registry.clone();
-            let rings = Arc::clone(&rings);
-            let lanes = lanes.clone();
-            let crash_board = crash_board.clone();
-            move |rt: &ServiceRuntime| {
-                SyscallServer::new_sharded(
-                    kernel.clone(),
-                    registry.clone(),
-                    rt.generation(),
-                    Arc::clone(&rings),
-                    lanes.iter().map(|l| l.sys_to_tcp.tx()).collect(),
-                    lanes.iter().map(|l| l.tcp_to_sys.rx()).collect(),
-                    lanes.iter().map(|l| l.sys_to_udp.tx()).collect(),
-                    lanes.iter().map(|l| l.udp_to_sys.rx()).collect(),
-                    lanes[0].ring_to_tcp.tx(),
-                    lanes[0].tcp_to_ring.rx(),
-                    crash_board.clone(),
-                    rt.take_snapshot(),
-                )
-            }
-        };
-        // Driver `i` serves NIC `i` with one queue-pair lane per shard.
-        let make_driver = {
-            let nics = nics.clone();
-            let pools = pools.clone();
-            let shard_pools = shard_pools.clone();
-            let lanes = lanes.clone();
-            let crash_board = crash_board.clone();
-            let gro_cap = if config.gro {
-                crate::driver::GRO_MAX_PAYLOAD
-            } else {
-                0
-            };
-            move |index: usize| {
-                DriverServer::with_gro(
-                    index,
-                    Arc::clone(&nics[index]),
-                    shard_pools.iter().map(|p| p.rx.clone()).collect(),
-                    pools.clone(),
-                    lanes.iter().map(|l| l.ip_to_drv[index].rx()).collect(),
-                    lanes.iter().map(|l| l.drv_to_ip[index].tx()).collect(),
-                    crash_board.clone(),
-                    gro_cap,
-                )
-            }
-        };
-
-        let service_config =
-            |name: &str| ServiceConfig::new(name).heartbeat_timeout(config.heartbeat_timeout);
-
-        let with_pf = config.with_packet_filter;
-        match config.topology {
-            Topology::Split => {
-                for s in 0..shards {
-                    let shard = Shard::new(s, shards);
-                    // TCP shard s.
-                    {
-                        let make_tcp = make_tcp_for(s);
-                        let telemetry = Arc::clone(&telemetry);
-                        rs.register_with_endpoint(
-                            service_config(&shard.service_name("tcp")),
-                            shard.tcp(),
-                            move |rt| {
-                                let mut server = make_tcp(&rt);
-                                // Stats are published on working rounds only
-                                // (and once at startup), so idle spins never
-                                // touch the shared telemetry mutex.
-                                let mut published = false;
-                                let exit = run_loop(&rt, || {
-                                    let work = server.poll();
-                                    if work > 0 || !published {
-                                        published = true;
-                                        let mut t = telemetry.lock();
-                                        t.tcp_shards[s] = server.stats();
-                                        if s == 0 {
-                                            t.tcp = t.tcp_shards[0];
-                                        }
-                                    }
-                                    work
-                                });
-                                if exit == LoopExit::Update {
-                                    let (version, payload) = server.export_state();
-                                    rt.hand_over(version, payload);
-                                }
-                            },
-                        );
-                    }
-                    // UDP shard s.
-                    {
-                        let make_udp = make_udp_for(s);
-                        let telemetry = Arc::clone(&telemetry);
-                        rs.register_with_endpoint(
-                            service_config(&shard.service_name("udp")),
-                            shard.udp(),
-                            move |rt| {
-                                let mut server = make_udp(&rt);
-                                let mut published = false;
-                                let exit = run_loop(&rt, || {
-                                    let work = server.poll();
-                                    if work > 0 || !published {
-                                        published = true;
-                                        let mut t = telemetry.lock();
-                                        t.udp_shards[s] = server.stats();
-                                        if s == 0 {
-                                            t.udp = t.udp_shards[0];
-                                        }
-                                    }
-                                    work
-                                });
-                                if exit == LoopExit::Update {
-                                    let (version, payload) = server.export_state();
-                                    rt.hand_over(version, payload);
-                                }
-                            },
-                        );
-                    }
-                    // IP shard s.
-                    {
-                        let make_ip = make_ip_for(s);
-                        let telemetry = Arc::clone(&telemetry);
-                        rs.register_with_endpoint(
-                            service_config(&shard.service_name("ip")),
-                            shard.ip(),
-                            move |rt| {
-                                let mut server = make_ip(&rt);
-                                let mut published = false;
-                                let exit = run_loop(&rt, || {
-                                    let work = server.poll();
-                                    if work > 0 || !published {
-                                        published = true;
-                                        let mut t = telemetry.lock();
-                                        t.ip_shards[s] = server.stats();
-                                        if s == 0 {
-                                            t.ip = t.ip_shards[0];
-                                        }
-                                    }
-                                    work
-                                });
-                                if exit == LoopExit::Update {
-                                    let (version, payload) = server.export_state();
-                                    rt.hand_over(version, payload);
-                                }
-                            },
-                        );
-                    }
-                    if shards == 1 {
-                        component_services.insert(Component::Tcp, shard.tcp());
-                        component_services.insert(Component::Udp, shard.udp());
-                        component_services.insert(Component::Ip, shard.ip());
-                    } else {
-                        component_services.insert(Component::TcpShard(s), shard.tcp());
-                        component_services.insert(Component::UdpShard(s), shard.udp());
-                        component_services.insert(Component::IpShard(s), shard.ip());
-                    }
-                }
-                // PF (singleton).
-                if with_pf {
-                    let make_pf = make_pf.clone();
-                    let telemetry = Arc::clone(&telemetry);
-                    rs.register_with_endpoint(service_config("pf"), endpoints::PF, move |rt| {
-                        let mut server = make_pf(&rt);
-                        let mut published = false;
-                        let exit = run_loop(&rt, || {
-                            let work = server.poll();
-                            if work > 0 || !published {
-                                published = true;
-                                telemetry.lock().pf = server.stats();
-                            }
-                            work
-                        });
-                        if exit == LoopExit::Update {
-                            let (version, payload) = server.export_state();
-                            rt.hand_over(version, payload);
-                        }
-                    });
-                    component_services.insert(Component::PacketFilter, endpoints::PF);
-                }
-                // SYSCALL (singleton).
-                {
-                    let make_syscall = make_syscall.clone();
-                    let telemetry = Arc::clone(&telemetry);
-                    rs.register_with_endpoint(
-                        service_config("syscall"),
-                        endpoints::SYSCALL,
-                        move |rt| {
-                            let mut server = make_syscall(&rt);
-                            let mut published = false;
-                            let exit = run_loop(&rt, || {
-                                let work = server.poll();
-                                if work > 0 || !published {
-                                    published = true;
-                                    telemetry.lock().syscall = server.stats();
-                                }
-                                work
-                            });
-                            if exit == LoopExit::Update {
-                                let (version, payload) = server.export_state();
-                                rt.hand_over(version, payload);
-                            }
-                        },
-                    );
-                    component_services.insert(Component::Syscall, endpoints::SYSCALL);
-                }
-                // SYSCALL replicas: one ring pump per further stack shard,
-                // so submission processing scales with the stack.
-                for (k, shard_lane) in lanes.iter().enumerate().take(shards).skip(1) {
-                    let rings = Arc::clone(&rings);
-                    let lane = shard_lane.clone();
-                    let crash_board = crash_board.clone();
-                    let name = Component::SyscallShard(k).name();
-                    rs.register_with_endpoint(
-                        service_config(&name),
-                        endpoints::syscall_shard(k),
-                        move |rt| {
-                            let mut server = SyscallReplica::new(
-                                k,
-                                Arc::clone(&rings),
-                                lane.ring_to_tcp.tx(),
-                                lane.tcp_to_ring.rx(),
-                                crash_board.clone(),
-                            );
-                            let exit = run_loop(&rt, || server.poll());
-                            if exit == LoopExit::Update {
-                                let (version, payload) = server.export_state();
-                                rt.hand_over(version, payload);
-                            }
-                        },
-                    );
-                    component_services
-                        .insert(Component::SyscallShard(k), endpoints::syscall_shard(k));
-                }
-                // Drivers.
-                for i in 0..config.nics {
-                    let make_driver = make_driver.clone();
-                    let telemetry = Arc::clone(&telemetry);
-                    let name = Component::Driver(i).name();
-                    rs.register_with_endpoint(
-                        service_config(&name),
-                        endpoints::driver(i),
-                        move |rt| {
-                            let mut server = make_driver(i);
-                            let mut published = false;
-                            let exit = run_loop(&rt, || {
-                                let work = server.poll();
-                                if work > 0 || !published {
-                                    published = true;
-                                    let mut t = telemetry.lock();
-                                    t.drivers[i.min(MAX_SHARDS - 1)] = server.stats();
-                                    if i == 0 {
-                                        t.driver0 = server.stats();
-                                    }
-                                }
-                                work
-                            });
-                            if exit == LoopExit::Update {
-                                let (version, payload) = server.export_state();
-                                rt.hand_over(version, payload);
-                            }
-                        },
-                    );
-                    component_services.insert(Component::Driver(i), endpoints::driver(i));
-                }
-            }
-            Topology::SingleServer | Topology::SynchronousSingleCore => {
-                let synchronous = config.topology == Topology::SynchronousSingleCore;
-                // The combined protocol server ("inet"); always one shard.
-                {
-                    let make_tcp = make_tcp_for(0);
-                    let make_udp = make_udp_for(0);
-                    let make_ip = make_ip_for(0);
-                    let make_pf = make_pf.clone();
-                    let make_syscall = make_syscall.clone();
-                    let make_driver = make_driver.clone();
-                    let telemetry = Arc::clone(&telemetry);
-                    let nics_count = config.nics;
-                    let cost_model = config.cost_model;
-                    let emulate = config.emulate_kernel_costs;
-                    rs.register_with_endpoint(service_config("inet"), endpoints::INET, move |rt| {
-                        let mut bundle = ServerBundle {
-                            tcp: make_tcp(&rt),
-                            udp: make_udp(&rt),
-                            ip: make_ip(&rt),
-                            pf: if with_pf { Some(make_pf(&rt)) } else { None },
-                        };
-                        // In the fully synchronous baseline the drivers and the
-                        // SYSCALL server share this single core too.
-                        let mut drivers = Vec::new();
-                        let mut syscall = None;
-                        if synchronous {
-                            for i in 0..nics_count {
-                                drivers.push(make_driver(i));
-                            }
-                            syscall = Some(make_syscall(&rt));
-                        }
-                        // The combined server never hands over a snapshot —
-                        // a live update of the monolithic bundle degrades to
-                        // a graceful restart (crash-style recovery), which is
-                        // exactly the pre-split behaviour.
-                        let _ = run_loop(&rt, || {
-                            let mut work = 0;
-                            work += bundle.tcp.poll();
-                            work += bundle.udp.poll();
-                            work += bundle.ip.poll();
-                            if let Some(pf) = bundle.pf.as_mut() {
-                                work += pf.poll();
-                            }
-                            for driver in drivers.iter_mut() {
-                                work += driver.poll();
-                            }
-                            if let Some(sys) = syscall.as_mut() {
-                                work += sys.poll();
-                            }
-                            {
-                                let mut t = telemetry.lock();
-                                t.tcp = bundle.tcp.stats();
-                                t.udp = bundle.udp.stats();
-                                t.ip = bundle.ip.stats();
-                                t.tcp_shards[0] = t.tcp;
-                                t.udp_shards[0] = t.udp;
-                                t.ip_shards[0] = t.ip;
-                                if let Some(pf) = bundle.pf.as_ref() {
-                                    t.pf = pf.stats();
-                                }
-                            }
-                            if synchronous && emulate && work > 0 {
-                                // Every message in a synchronous single-core
-                                // multiserver costs kernel traps and context
-                                // switches; spin for the equivalent time.
-                                let cycles = work as u64
-                                    * (2 * cost_model.trap_expected() as u64
-                                        + cost_model.context_switch);
-                                spin_for(cost_model.cycles_to_duration(cycles));
-                            }
-                            work
-                        });
-                    });
-                    for component in [
-                        Component::Tcp,
-                        Component::Udp,
-                        Component::Ip,
-                        Component::PacketFilter,
-                    ] {
-                        component_services.insert(component, endpoints::INET);
-                    }
-                    if synchronous {
-                        component_services.insert(Component::Syscall, endpoints::INET);
-                        for i in 0..config.nics {
-                            component_services.insert(Component::Driver(i), endpoints::INET);
-                        }
-                    }
-                }
-                if !synchronous {
-                    // SYSCALL and drivers keep their own cores.
-                    {
-                        let make_syscall = make_syscall.clone();
-                        let telemetry = Arc::clone(&telemetry);
-                        rs.register_with_endpoint(
-                            service_config("syscall"),
-                            endpoints::SYSCALL,
-                            move |rt| {
-                                let mut server = make_syscall(&rt);
-                                let exit = run_loop(&rt, || {
-                                    let work = server.poll();
-                                    telemetry.lock().syscall = server.stats();
-                                    work
-                                });
-                                if exit == LoopExit::Update {
-                                    let (version, payload) = server.export_state();
-                                    rt.hand_over(version, payload);
-                                }
-                            },
-                        );
-                        component_services.insert(Component::Syscall, endpoints::SYSCALL);
-                    }
-                    for i in 0..config.nics {
-                        let make_driver = make_driver.clone();
-                        let name = Component::Driver(i).name();
-                        rs.register_with_endpoint(
-                            service_config(&name),
-                            endpoints::driver(i),
-                            move |rt| {
-                                let mut server = make_driver(i);
-                                let exit = run_loop(&rt, || server.poll());
-                                if exit == LoopExit::Update {
-                                    let (version, payload) = server.export_state();
-                                    rt.hand_over(version, payload);
-                                }
-                            },
-                        );
-                        component_services.insert(Component::Driver(i), endpoints::driver(i));
-                    }
-                }
-            }
-        }
-
-        let _ = crash_board;
-        let stack = NewtStack {
-            config,
+        let wiring = Arc::new(Wiring {
             clock,
             kernel,
-            registry,
-            storage,
-            rs,
+            // Size the registry for the expected population: a handful of
+            // entries per socket per shard, rather than growing from empty
+            // under load.
+            registry: Registry::with_capacity(64 * shards),
+            storage: Arc::new(StorageServer::new()),
+            crash_board,
             pools,
+            shard_pools,
+            lanes,
+            rings: Arc::new(RingTable::new()),
+            nics,
+            telemetry: Mutex::new(Telemetry::default()),
+            config,
+        });
+
+        // --- one service per placement row -------------------------------------
+        // A stack placed on a single core is the synchronous multiserver
+        // baseline: every message there costs kernel traps and a context
+        // switch, which the service loop spins away when emulation is on.
+        let ipc_toll = (services.len() == 1 && wiring.config.emulate_kernel_costs)
+            .then_some(wiring.config.cost_model);
+        let mut component_services: HashMap<Component, Endpoint> = HashMap::new();
+        for (name, endpoint, members) in &services {
+            component_services.extend(members.iter().map(|&c| (c, *endpoint)));
+            let wiring = Arc::clone(&wiring);
+            let members = members.clone();
+            rs.register_with_endpoint(
+                ServiceConfig::new(name).heartbeat_timeout(wiring.config.heartbeat_timeout),
+                *endpoint,
+                move |rt| {
+                    let servers = members.iter().map(|&c| wiring.build(c, &rt)).collect();
+                    serve(&rt, servers, &wiring.telemetry, ipc_toll);
+                },
+            );
+        }
+
+        let stack = NewtStack {
+            wiring,
+            rs,
             peers,
             peer_handles,
             links,
             peer_traces,
-            nics,
-            rings,
             component_services,
-            telemetry,
-            fabric_probes,
             next_app: AtomicU32::new(0),
         };
         // Wait until every service thread is up (in particular until the
         // SYSCALL server has attached its kernel mailbox) so that clients
         // created right after `start` never race the boot.
-        let services: Vec<Endpoint> = stack.component_services.values().copied().collect();
-        for service in services {
+        for (_, endpoint, _) in &services {
             stack
                 .rs
-                .wait_until_running(service, Duration::from_secs(10));
+                .wait_until_running(*endpoint, Duration::from_secs(10));
         }
         stack
     }
 
     /// Returns the stack's configuration.
     pub fn config(&self) -> &StackConfig {
-        &self.config
+        &self.wiring.config
     }
 
     /// Returns the number of replicated stack pipelines.
     pub fn shards(&self) -> usize {
-        self.config.shards
+        self.wiring.config.shards
     }
 
     /// Returns the shard that owns a socket (derived from the id the
@@ -1216,22 +923,22 @@ impl NewtStack {
 
     /// Returns the virtual clock shared by every component.
     pub fn clock(&self) -> SimClock {
-        self.clock.clone()
+        self.wiring.clock.clone()
     }
 
     /// Returns the storage server (useful for inspecting recoverable state).
     pub fn storage(&self) -> Arc<StorageServer> {
-        Arc::clone(&self.storage)
+        Arc::clone(&self.wiring.storage)
     }
 
     /// Returns the directory of shared pools (useful for diagnostics).
     pub fn pool_table(&self) -> PoolTable {
-        self.pools.clone()
+        self.wiring.pools.clone()
     }
 
     /// Returns the shared-object registry (sockbufs, ring queues, ...).
     pub fn registry(&self) -> Registry {
-        self.registry.clone()
+        self.wiring.registry.clone()
     }
 
     /// Returns the table of submission/completion ring groups.  The table is
@@ -1239,12 +946,12 @@ impl NewtStack {
     /// every component crash and live update; benches use it to read
     /// completion-side counters.
     pub fn ring_table(&self) -> Arc<RingTable> {
-        Arc::clone(&self.rings)
+        Arc::clone(&self.wiring.rings)
     }
 
     /// Returns a handle to the simulated NIC behind interface `i`.
     pub fn nic(&self, i: usize) -> Arc<Mutex<Nic>> {
-        Arc::clone(&self.nics[i])
+        Arc::clone(&self.wiring.nics[i])
     }
 
     /// Returns the number of frames currently waiting in RX queue `queue`
@@ -1252,21 +959,21 @@ impl NewtStack {
     /// this (and [`NewtStack::nic_stats`]) — it stays meaningful however
     /// many queues the adapter runs.
     pub fn rx_queue(&self, i: usize, queue: usize) -> usize {
-        self.nics[i].lock().rx_queue_depth(queue)
+        self.wiring.nics[i].lock().rx_queue_depth(queue)
     }
 
     /// Returns the traffic counters of NIC `i` (including per-queue
     /// steering and reset counts).
     pub fn nic_stats(&self, i: usize) -> NicStats {
-        self.nics[i].lock().stats()
+        self.wiring.nics[i].lock().stats()
     }
 
     /// Creates a client handle for a new application process.
     pub fn client(&self) -> NetClient {
         let index = self.next_app.fetch_add(1, Ordering::Relaxed);
         NetClient::new(
-            self.kernel.clone(),
-            self.registry.clone(),
+            self.wiring.kernel.clone(),
+            self.wiring.registry.clone(),
             endpoints::application(index),
         )
     }
@@ -1359,9 +1066,10 @@ impl NewtStack {
     /// [`Telemetry::fabric_shards`], useful for attributing fabric traffic
     /// to individual lanes.
     pub fn fabric_lane_stats(&self, shard: usize) -> Vec<newt_channels::spsc::QueueStats> {
-        self.fabric_probes
+        self.wiring
+            .lanes
             .get(shard)
-            .map(|probes| probes.iter().map(|p| p.stats()).collect())
+            .map(|lanes| lanes.stats_handles().iter().map(|p| p.stats()).collect())
             .unwrap_or_default()
     }
 
@@ -1388,10 +1096,10 @@ impl NewtStack {
         .iter()
         .map(|s| s.to_string())
         .collect();
-        for i in 0..self.config.nics {
+        for i in 0..self.wiring.config.nics {
             names.push(format!("ip→drv{i}"));
         }
-        for i in 0..self.config.nics {
+        for i in 0..self.wiring.config.nics {
             names.push(format!("drv{i}→ip"));
         }
         names
@@ -1400,10 +1108,10 @@ impl NewtStack {
     /// Returns a snapshot of per-component statistics, including the
     /// fabric message counters read live from the lanes themselves.
     pub fn telemetry(&self) -> Telemetry {
-        let mut snapshot = *self.telemetry.lock();
-        for (shard, probes) in self.fabric_probes.iter().enumerate().take(MAX_SHARDS) {
+        let mut snapshot = *self.wiring.telemetry.lock();
+        for (shard, lanes) in self.wiring.lanes.iter().enumerate() {
             let mut fabric = FabricStats::default();
-            for probe in probes {
+            for probe in lanes.stats_handles() {
                 let queue = probe.stats();
                 fabric.sent += queue.enqueued;
                 fabric.received += queue.dequeued;
@@ -1416,7 +1124,7 @@ impl NewtStack {
 
     /// Returns the kernel-IPC counters (traps, messages, IPIs, cycles).
     pub fn kernel_stats(&self) -> KernelStats {
-        self.kernel.stats()
+        self.wiring.kernel.stats()
     }
 
     /// Returns the components present in this topology.
@@ -1471,42 +1179,69 @@ impl Drop for NewtStack {
     }
 }
 
-/// Why a service loop returned: a plain stop (shutdown or forced restart),
-/// or a live-update request after the quiesce completed — the caller should
-/// export its state and hand it to the reincarnation server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LoopExit {
-    Stop,
-    Update,
-}
-
-/// The standard service loop: poll, heartbeat, idle briefly when there is no
-/// work, exit when asked to stop or to hand over for a live update.
+/// The service loop every placement row runs: poll the members, heartbeat,
+/// idle briefly when there is no work, exit when asked to stop or to hand
+/// over for a live update.
+///
+/// Stats are published on working rounds only (and once at startup), so
+/// idle spins never touch the shared telemetry mutex.  With an `ipc_toll`
+/// every unit of work additionally spins for two kernel traps and a context
+/// switch — the synchronous single-core baseline.
 ///
 /// On a live-update request the loop *quiesces* before returning: it runs a
 /// few more poll rounds to drain the fabric batches already parked in the
 /// SPSC queues down to a message boundary.  The drain is bounded — under
 /// load peers keep producing, and their later sends simply park in the
 /// queues until the replacement re-acquires them — so the service gap stays
-/// bounded too.
-fn run_loop<F: FnMut() -> usize>(rt: &ServiceRuntime, mut poll: F) -> LoopExit {
+/// bounded too.  A service of one member then hands that member's snapshot
+/// to the reincarnation server; a service of several hands nothing over, so
+/// its live update degrades to a graceful restart (crash-style recovery).
+fn serve(
+    rt: &ServiceRuntime,
+    mut members: Vec<Box<dyn Server>>,
+    telemetry: &Mutex<Telemetry>,
+    ipc_toll: Option<CostModel>,
+) {
+    let mut published = false;
+    let mut round = |members: &mut [Box<dyn Server>]| {
+        let work: usize = members.iter_mut().map(|member| member.poll()).sum();
+        if work > 0 || !published {
+            published = true;
+            let mut telemetry = telemetry.lock();
+            for member in members.iter() {
+                member.publish(&mut telemetry);
+            }
+        }
+        if let (Some(cost), true) = (ipc_toll, work > 0) {
+            let cycles = work as u64 * (2 * cost.trap_expected() as u64 + cost.context_switch);
+            spin_for(cost.cycles_to_duration(cycles));
+        }
+        work
+    };
     let mut idle_rounds = 0u32;
     loop {
-        // A live update sets both flags; check the update intent first.
+        // A live update raises the update flag before the stop flag, so
+        // reading them in the opposite order never sees a stop without the
+        // update intent that came with it.
+        let stop = rt.should_stop();
         if rt.update_requested() {
             for _ in 0..QUIESCE_ROUNDS {
                 rt.heartbeat();
-                if poll() == 0 {
+                if round(&mut members) == 0 {
                     break;
                 }
             }
-            return LoopExit::Update;
+            if let [member] = &mut members[..] {
+                let (version, payload) = member.export_state();
+                rt.hand_over(version, payload);
+            }
+            return;
         }
-        if rt.should_stop() {
-            return LoopExit::Stop;
+        if stop {
+            return;
         }
         rt.heartbeat();
-        let work = poll();
+        let work = round(&mut members);
         if work == 0 {
             idle_rounds = idle_rounds.saturating_add(1);
             if idle_rounds > 16 {
@@ -1537,6 +1272,7 @@ fn spin_for(duration: Duration) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use newt_kernel::rs::{StartMode, StateSnapshot};
 
     fn quick_config() -> StackConfig {
         StackConfig {
@@ -1609,14 +1345,14 @@ mod tests {
             "peer did not receive the full transfer"
         );
         let telemetry = stack.telemetry();
-        assert!(telemetry.tcp.segments_out > 0);
-        assert!(telemetry.ip.packets_out > 0);
+        assert!(telemetry.tcp_shards[0].segments_out > 0);
+        assert!(telemetry.ip_shards[0].packets_out > 0);
         stack.shutdown();
     }
 
-    #[test]
-    fn single_server_topology_also_transfers() {
-        let config = quick_config().topology(Topology::SingleServer);
+    /// Pushes 64 KiB to the peer over `config` and checks that every byte
+    /// arrived and that the drivers' counters reached telemetry.
+    fn transfers_and_publishes_driver_stats(config: StackConfig) {
         let stack = NewtStack::start(config);
         let client = stack.client();
         let socket = client.tcp_socket().expect("tcp socket");
@@ -1635,7 +1371,22 @@ mod tests {
             stack.peer(0).bytes_received_on(newt_net::peer::IPERF_PORT),
             data.len() as u64
         );
+        assert!(stack.telemetry().drivers[0].tx_requests > 0);
         stack.shutdown();
+    }
+
+    #[test]
+    fn single_server_topology_also_transfers() {
+        transfers_and_publishes_driver_stats(quick_config().topology(Topology::SingleServer));
+    }
+
+    #[test]
+    fn synchronous_single_core_topology_also_transfers() {
+        transfers_and_publishes_driver_stats(StackConfig {
+            link: LinkConfig::unshaped(),
+            clock_speedup: 50.0,
+            ..StackConfig::minix_like()
+        });
     }
 
     #[test]
@@ -1793,8 +1544,8 @@ mod tests {
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         let after = loop {
             let t = stack.telemetry();
-            if (t.ip.parse_errors > before.ip.parse_errors
-                && t.tcp.rx_malformed > before.tcp.rx_malformed)
+            if (t.ip_shards[0].parse_errors > before.ip_shards[0].parse_errors
+                && t.tcp_shards[0].rx_malformed > before.tcp_shards[0].rx_malformed)
                 || std::time::Instant::now() >= deadline
             {
                 break t;
@@ -1803,18 +1554,22 @@ mod tests {
         };
         assert_eq!(sent, 1200);
         assert!(
-            after.ip.parse_errors > before.ip.parse_errors,
+            after.ip_shards[0].parse_errors > before.ip_shards[0].parse_errors,
             "IP must reject its share of the fuzzed frames"
         );
         assert!(
-            after.tcp.rx_malformed > before.tcp.rx_malformed,
+            after.tcp_shards[0].rx_malformed > before.tcp_shards[0].rx_malformed,
             "TCP demux must reject frames that pass IP's header checks"
         );
         // No allocation proportional to attacker input: garbage must never
         // leave embryonic connections behind or complete a handshake.
-        assert_eq!(after.tcp.half_open, 0, "fuzz left half-open state behind");
         assert_eq!(
-            after.tcp.connections_established, before.tcp.connections_established,
+            after.tcp_shards[0].half_open, 0,
+            "fuzz left half-open state behind"
+        );
+        assert_eq!(
+            after.tcp_shards[0].connections_established,
+            before.tcp_shards[0].connections_established,
             "fuzz must not materialize connections"
         );
 
@@ -1837,5 +1592,196 @@ mod tests {
             "the stack must keep serving byte-exact transfers after the fuzz"
         );
         stack.shutdown();
+    }
+
+    #[test]
+    fn placement_puts_every_component_in_exactly_one_service() {
+        let cases = [
+            Topology::Split,
+            Topology::SingleServer,
+            Topology::SynchronousSingleCore,
+        ]
+        .into_iter()
+        .flat_map(|t| [1, 4].map(|shards| (t, shards)))
+        .flat_map(|(t, shards)| [1, 2].map(|nics| (t, shards, nics)))
+        .flat_map(|(t, shards, nics)| [true, false].map(|pf| (t, shards, nics, pf)));
+        for (topology, shards, nics, with_pf) in cases {
+            let config = StackConfig::default()
+                .topology(topology)
+                .shards(shards)
+                .nics(nics)
+                .packet_filter(with_pf);
+            let services = placement(&config);
+            let case = format!("{topology:?} x {shards} shards x {nics} nics, pf {with_pf}");
+
+            let pipelines = if topology == Topology::Split {
+                shards
+            } else {
+                1
+            };
+            for kind in [
+                |c: &Component| matches!(c, Component::Tcp | Component::TcpShard(_)),
+                |c: &Component| matches!(c, Component::Udp | Component::UdpShard(_)),
+                |c: &Component| matches!(c, Component::Ip | Component::IpShard(_)),
+                |c: &Component| matches!(c, Component::Syscall | Component::SyscallShard(_)),
+            ] {
+                assert_eq!(placed(&services, kind), pipelines, "{case}");
+            }
+            assert_eq!(
+                placed(&services, |c| matches!(c, Component::Driver(_))),
+                nics,
+                "{case}"
+            );
+            assert_eq!(
+                placed(&services, |c| *c == Component::PacketFilter),
+                usize::from(with_pf),
+                "{case}"
+            );
+
+            // No component is claimed twice, no endpoint hosts two services,
+            // and a service of one is named and addressed like its member.
+            let members: Vec<Component> = services
+                .iter()
+                .flat_map(|(_, _, members)| members.clone())
+                .collect();
+            let distinct: std::collections::HashSet<Component> = members.iter().copied().collect();
+            assert_eq!(distinct.len(), members.len(), "{case}");
+            let endpoints: std::collections::HashSet<Endpoint> =
+                services.iter().map(|(_, endpoint, _)| *endpoint).collect();
+            assert_eq!(endpoints.len(), services.len(), "{case}");
+            for (name, endpoint, members) in &services {
+                if let [only] = members[..] {
+                    assert_eq!((name, endpoint), (&only.name(), &only.endpoint()));
+                }
+            }
+
+            let expected_services = match topology {
+                Topology::Split => members.len(),
+                Topology::SingleServer => 1 + 1 + nics,
+                Topology::SynchronousSingleCore => 1,
+            };
+            assert_eq!(services.len(), expected_services, "{case}");
+        }
+    }
+
+    /// What a [`FakeServer`] was asked to do, observed from the test thread.
+    #[derive(Default)]
+    struct FakeLog {
+        /// Work the next poll reports (taken by it).
+        work: std::sync::atomic::AtomicUsize,
+        polls: std::sync::atomic::AtomicUsize,
+        publishes: std::sync::atomic::AtomicUsize,
+        exports: std::sync::atomic::AtomicUsize,
+        /// Polls that ran while a live update was requested.
+        quiesce_polls: std::sync::atomic::AtomicUsize,
+    }
+
+    /// A server that is idle unless told otherwise and busy for as long as
+    /// a live update is pending (peers keep producing during a quiesce).
+    struct FakeServer {
+        rt: ServiceRuntime,
+        log: Arc<FakeLog>,
+    }
+
+    impl Server for FakeServer {
+        fn poll(&mut self) -> usize {
+            self.log.polls.fetch_add(1, Ordering::SeqCst);
+            if self.rt.update_requested() {
+                self.log.quiesce_polls.fetch_add(1, Ordering::SeqCst);
+                return 1;
+            }
+            self.log.work.swap(0, Ordering::SeqCst)
+        }
+        fn publish(&self, _telemetry: &mut Telemetry) {
+            self.log.publishes.fetch_add(1, Ordering::SeqCst);
+        }
+        fn export_state(&mut self) -> (u32, Vec<u8>) {
+            self.log.exports.fetch_add(1, Ordering::SeqCst);
+            (7, b"hot".to_vec())
+        }
+    }
+
+    fn wait_until(what: &str, condition: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !condition() {
+            assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Runs `group` fake servers under [`serve`] in one service, live-updates
+    /// it and returns the log plus what the replacement incarnation saw.
+    fn serve_group(group: usize) -> (Arc<FakeLog>, StartMode, Option<StateSnapshot>) {
+        let log = Arc::new(FakeLog::default());
+        let replacement = Arc::new(Mutex::new(None));
+        let rs = ReincarnationServer::new(SimClock::realtime());
+        let service = {
+            let log = Arc::clone(&log);
+            let replacement = Arc::clone(&replacement);
+            rs.register(ServiceConfig::new("fake"), move |rt| {
+                if rt.generation() != newt_channels::endpoint::Generation::FIRST {
+                    *replacement.lock() = Some((rt.start_mode(), rt.take_snapshot()));
+                    // Stay up, or the watchdog would restart the service
+                    // and overwrite the record.
+                    while !rt.should_stop() {
+                        rt.heartbeat();
+                        std::thread::yield_now();
+                    }
+                    return;
+                }
+                let members = (0..group)
+                    .map(|_| {
+                        Box::new(FakeServer {
+                            rt: rt.clone(),
+                            log: Arc::clone(&log),
+                        }) as Box<dyn Server>
+                    })
+                    .collect();
+                serve(&rt, members, &Mutex::new(Telemetry::default()), None);
+            })
+        };
+
+        // Idle rounds publish once, at startup, and never again.
+        let polls = |n: usize| log.polls.load(Ordering::SeqCst) >= n;
+        wait_until("idle rounds", || polls(40 * group));
+        assert_eq!(log.publishes.load(Ordering::SeqCst), group);
+        // A working round publishes every member.
+        log.work.store(1, Ordering::SeqCst);
+        wait_until("the working round", || {
+            log.publishes.load(Ordering::SeqCst) == 2 * group
+        });
+        let before = log.polls.load(Ordering::SeqCst);
+        wait_until("more idle rounds", || polls(before + 40 * group));
+        assert_eq!(log.publishes.load(Ordering::SeqCst), 2 * group);
+
+        assert!(rs.live_update(service));
+        wait_until("the replacement", || replacement.lock().is_some());
+        rs.shutdown();
+        let (mode, snapshot) = replacement.lock().take().expect("replacement ran");
+        (log, mode, snapshot)
+    }
+
+    #[test]
+    fn serve_publishes_on_work_and_hands_over_a_service_of_one() {
+        let (log, mode, snapshot) = serve_group(1);
+        // The quiesce is bounded even though the server stays busy (one more
+        // round may have been in flight when the request landed).
+        let quiesce = log.quiesce_polls.load(Ordering::SeqCst);
+        assert!((1..=QUIESCE_ROUNDS + 1).contains(&quiesce), "{quiesce}");
+        assert_eq!(log.exports.load(Ordering::SeqCst), 1);
+        assert_eq!(mode, StartMode::LiveUpdate);
+        let snapshot = snapshot.expect("snapshot handed over");
+        assert!(snapshot.accepts("fake", 7));
+        assert_eq!(snapshot.payload, b"hot");
+    }
+
+    #[test]
+    fn serve_degrades_a_service_of_several_to_a_graceful_restart() {
+        let (log, mode, snapshot) = serve_group(2);
+        let quiesce = log.quiesce_polls.load(Ordering::SeqCst);
+        assert!(quiesce <= 2 * (QUIESCE_ROUNDS + 1), "{quiesce}");
+        assert_eq!(log.exports.load(Ordering::SeqCst), 0);
+        assert_eq!(mode, StartMode::Restart);
+        assert_eq!(snapshot, None);
     }
 }

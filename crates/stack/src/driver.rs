@@ -135,32 +135,9 @@ impl DriverServer {
     /// `rx_pools[s]` is the pool shard `s`'s IP server owns and the device
     /// "DMAs" that shard's frames into; `pools` resolves the chains of
     /// transmit requests.  The three per-shard vectors must have the same
-    /// length (one entry for a singleton stack).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        index: usize,
-        nic: Arc<Mutex<Nic>>,
-        rx_pools: Vec<Pool>,
-        pools: PoolTable,
-        inboxes: Vec<Rx<IpToDrv>>,
-        outboxes: Vec<Tx<DrvToIp>>,
-        crash_board: CrashBoard,
-    ) -> Self {
-        Self::with_gro(
-            index,
-            nic,
-            rx_pools,
-            pools,
-            inboxes,
-            outboxes,
-            crash_board,
-            GRO_MAX_PAYLOAD,
-        )
-    }
-
-    /// Like [`DriverServer::new`] with an explicit GRO merge cap
-    /// (`0` disables receive coalescing entirely).  The cap must leave a
-    /// merged frame within the receive pools' chunk size.
+    /// length (one entry for a singleton stack).  `gro_max_payload` caps a
+    /// GRO merge (`0` disables receive coalescing entirely) and must leave
+    /// a merged frame within the receive pools' chunk size.
     #[allow(clippy::too_many_arguments)]
     pub fn with_gro(
         index: usize,
@@ -241,15 +218,9 @@ impl DriverServer {
             self.inboxes[shard].drain_into(&mut requests);
             for request in requests.drain(..) {
                 work += 1;
-                match request {
-                    IpToDrv::Transmit { req, chain } => {
-                        self.handle_transmit(shard, req, chain);
-                    }
-                    IpToDrv::TransmitBatch(batch) => {
-                        for (req, chain) in batch {
-                            self.handle_transmit(shard, req, chain);
-                        }
-                    }
+                let IpToDrv::TransmitBatch(batch) = request;
+                for (req, chain) in batch {
+                    self.handle_transmit(shard, req, chain);
                 }
             }
             if !self.ack_batches[shard].is_empty() {
@@ -461,7 +432,7 @@ mod tests {
         let ip_to_drv: Chan<IpToDrv> = Chan::new(64);
         let drv_to_ip: Chan<DrvToIp> = Chan::new(64);
         let crash_board = CrashBoard::new();
-        let driver = DriverServer::new(
+        let driver = DriverServer::with_gro(
             0,
             Arc::clone(&nic),
             vec![rx_pool.clone()],
@@ -469,6 +440,7 @@ mod tests {
             vec![ip_to_drv.rx()],
             vec![drv_to_ip.tx()],
             crash_board.clone(),
+            GRO_MAX_PAYLOAD,
         );
         Rig {
             driver,
@@ -481,24 +453,22 @@ mod tests {
         }
     }
 
-    /// Flattens single and batched completions into `(request, ok)` pairs.
+    /// The `(request, ok)` pairs of the completion batches in `msgs`.
     fn dones_in(msgs: &[DrvToIp]) -> Vec<(RequestId, bool)> {
         msgs.iter()
             .flat_map(|msg| match msg {
-                DrvToIp::TransmitDone { req, ok } => vec![(*req, *ok)],
                 DrvToIp::TransmitDoneBatch(batch) => batch.clone(),
-                _ => Vec::new(),
+                DrvToIp::ReceivedBatch { .. } => Vec::new(),
             })
             .collect()
     }
 
-    /// Flattens single and batched deliveries into frame pointers.
+    /// The frame pointers of the delivery batches in `msgs`.
     fn received_in(msgs: &[DrvToIp]) -> Vec<RichPtr> {
         msgs.iter()
             .flat_map(|msg| match msg {
-                DrvToIp::Received { ptr, .. } => vec![*ptr],
                 DrvToIp::ReceivedBatch { ptrs, .. } => ptrs.clone(),
-                _ => Vec::new(),
+                DrvToIp::TransmitDoneBatch(_) => Vec::new(),
             })
             .collect()
     }
@@ -525,10 +495,7 @@ mod tests {
         let req = RequestId::from_raw(7);
         send(
             &rig.to_driver,
-            IpToDrv::Transmit {
-                req,
-                chain: RichChain::single(ptr),
-            },
+            IpToDrv::TransmitBatch(vec![(req, RichChain::single(ptr))]),
         );
         rig.driver.poll();
         // The frame went out on the link...
@@ -570,10 +537,7 @@ mod tests {
         rig.header_pool.free(&ptr).unwrap(); // the owner invalidated it
         send(
             &rig.to_driver,
-            IpToDrv::Transmit {
-                req: RequestId::from_raw(1),
-                chain: RichChain::single(ptr),
-            },
+            IpToDrv::TransmitBatch(vec![(RequestId::from_raw(1), RichChain::single(ptr))]),
         );
         rig.driver.poll();
         let dones = dones_in(&drain(&rig.from_driver));
@@ -700,7 +664,7 @@ mod tests {
         pools.register(&rx_pool);
         let ip_to_drv: Chan<IpToDrv> = Chan::new(8);
         let drv_to_ip: Chan<DrvToIp> = Chan::new(8);
-        let mut driver = DriverServer::new(
+        let mut driver = DriverServer::with_gro(
             0,
             nic,
             vec![rx_pool],
@@ -708,6 +672,7 @@ mod tests {
             vec![ip_to_drv.rx()],
             vec![drv_to_ip.tx()],
             CrashBoard::new(),
+            GRO_MAX_PAYLOAD,
         );
         for _ in 0..5 {
             peer_port.transmit(sample_frame());
@@ -749,7 +714,7 @@ mod tests {
         let lanes_in: Vec<Chan<IpToDrv>> = (0..2).map(|_| Chan::new(64)).collect();
         let lanes_out: Vec<Chan<DrvToIp>> = (0..2).map(|_| Chan::new(64)).collect();
         let crash_board = CrashBoard::new();
-        let driver = DriverServer::new(
+        let driver = DriverServer::with_gro(
             0,
             Arc::clone(&nic),
             rx_pools.clone(),
@@ -757,6 +722,7 @@ mod tests {
             lanes_in.iter().map(Chan::rx).collect(),
             lanes_out.iter().map(Chan::tx).collect(),
             crash_board.clone(),
+            GRO_MAX_PAYLOAD,
         );
         ShardedRig {
             driver,
@@ -802,10 +768,7 @@ mod tests {
         let ptr = rig.header_pool.publish(&frame).unwrap();
         send(
             &rig.to_driver[1],
-            IpToDrv::Transmit {
-                req: RequestId::from_raw(9),
-                chain: RichChain::single(ptr),
-            },
+            IpToDrv::TransmitBatch(vec![(RequestId::from_raw(9), RichChain::single(ptr))]),
         );
         rig.driver.poll();
         let on_wire = rig.peer_port.poll_receive().expect("datagram on the wire");

@@ -440,13 +440,9 @@ impl IpServer {
         self.from_pf.drain_into(&mut verdicts);
         for msg in verdicts.drain(..) {
             work += 1;
-            match msg {
-                PfToIp::Verdict { req, pass } => self.handle_verdict(req, pass),
-                PfToIp::VerdictBatch(batch) => {
-                    for (req, pass) in batch {
-                        self.handle_verdict(req, pass);
-                    }
-                }
+            let PfToIp::VerdictBatch(batch) = msg;
+            for (req, pass) in batch {
+                self.handle_verdict(req, pass);
             }
         }
         self.pf_scratch = verdicts;
@@ -458,8 +454,6 @@ impl IpServer {
             for msg in from_drivers.drain(..) {
                 work += 1;
                 match msg {
-                    DrvToIp::TransmitDone { req, ok } => self.handle_transmit_done(req, ok),
-                    DrvToIp::Received { nic, ptr } => self.handle_received(nic, ptr),
                     DrvToIp::TransmitDoneBatch(batch) => {
                         for (req, ok) in batch {
                             self.handle_transmit_done(req, ok);
@@ -587,9 +581,6 @@ impl IpServer {
                     is_connection_start,
                 };
                 self.stage_filter_outbound(pkt);
-            }
-            TransportToIp::RxDone { ptr } => {
-                self.release_rx(ptr);
             }
             TransportToIp::RxDoneBatch(ptrs) => {
                 for ptr in ptrs {
@@ -1226,45 +1217,36 @@ mod tests {
         Ipv4Addr::new(10, 0, 0, 2)
     }
 
-    /// Flattens single checks and check batches into `(req, meta)` pairs.
+    /// The `(req, meta)` pairs of the check batches in `msgs`.
     fn checks_in(msgs: &[IpToPf]) -> Vec<(RequestId, PacketMeta)> {
         msgs.iter()
-            .flat_map(|m| match m {
-                IpToPf::Check { req, meta } => vec![(*req, *meta)],
-                IpToPf::CheckBatch(batch) => batch.clone(),
-            })
+            .flat_map(|IpToPf::CheckBatch(batch)| batch.clone())
             .collect()
     }
 
-    /// Flattens single transmits and transmit batches into `(req, chain)`
-    /// pairs.
+    /// The `(req, chain)` pairs of the transmit batches in `msgs`.
     fn transmits_in(msgs: &[IpToDrv]) -> Vec<(RequestId, RichChain)> {
         msgs.iter()
-            .flat_map(|m| match m {
-                IpToDrv::Transmit { req, chain } => vec![(*req, chain.clone())],
-                IpToDrv::TransmitBatch(batch) => batch.clone(),
-            })
+            .flat_map(|IpToDrv::TransmitBatch(batch)| batch.clone())
             .collect()
     }
 
-    /// Flattens single deliveries and delivery batches into frame pointers.
+    /// The frame pointers of the delivery batches in `msgs`.
     fn deliveries_in(msgs: &[IpToTransport]) -> Vec<RichPtr> {
         msgs.iter()
             .flat_map(|m| match m {
-                IpToTransport::Deliver { ptr } => vec![*ptr],
                 IpToTransport::DeliverBatch(ptrs) => ptrs.clone(),
-                _ => Vec::new(),
+                IpToTransport::SendDoneBatch(_) => Vec::new(),
             })
             .collect()
     }
 
-    /// Flattens single and batched send completions into `(req, ok)` pairs.
+    /// The `(req, ok)` pairs of the send-completion batches in `msgs`.
     fn send_dones_in(msgs: &[IpToTransport]) -> Vec<(RequestId, bool)> {
         msgs.iter()
             .flat_map(|m| match m {
-                IpToTransport::SendDone { req, ok } => vec![(*req, *ok)],
                 IpToTransport::SendDoneBatch(batch) => batch.clone(),
-                _ => Vec::new(),
+                IpToTransport::DeliverBatch(_) => Vec::new(),
             })
             .collect()
     }
@@ -1272,7 +1254,13 @@ mod tests {
     /// Injects a received frame as the driver would.
     fn inject_frame(rig: &mut Rig, frame: Vec<u8>) {
         let ptr = rig.rx_pool.publish(&frame).unwrap();
-        send(&rig.drv_to_ip, DrvToIp::Received { nic: 0, ptr });
+        send(
+            &rig.drv_to_ip,
+            DrvToIp::ReceivedBatch {
+                nic: 0,
+                ptrs: vec![ptr],
+            },
+        );
         rig.ip.poll();
     }
 
@@ -1506,10 +1494,7 @@ mod tests {
         let header_in_use_before = rig.ip.header_pool.in_use();
         send(
             &rig.drv_to_ip,
-            DrvToIp::TransmitDone {
-                req: *req,
-                ok: true,
-            },
+            DrvToIp::TransmitDoneBatch(vec![(*req, true)]),
         );
         rig.ip.poll();
         assert!(rig.ip.header_pool.in_use() < header_in_use_before);
@@ -1541,13 +1526,7 @@ mod tests {
         assert_eq!(meta.dst_port, 40000);
 
         // Pass verdict: TCP receives the delivery.
-        send(
-            &rig.pf_to_ip,
-            PfToIp::Verdict {
-                req: *req,
-                pass: true,
-            },
-        );
+        send(&rig.pf_to_ip, PfToIp::VerdictBatch(vec![(*req, true)]));
         rig.ip.poll();
         let delivered = deliveries_in(&drain(&rig.ip_to_tcp));
         let ptr = match &delivered[..] {
@@ -1557,7 +1536,7 @@ mod tests {
         assert_eq!(rig.rx_pool.in_use(), 1);
 
         // TCP finishes with the chunk.
-        send(&rig.tcp_to_ip, TransportToIp::RxDone { ptr });
+        send(&rig.tcp_to_ip, TransportToIp::RxDoneBatch(vec![ptr]));
         rig.ip.poll();
         assert_eq!(rig.rx_pool.in_use(), 0);
         assert_eq!(rig.ip.stats().rx_freed, 1);
@@ -1579,13 +1558,7 @@ mod tests {
         inject_frame(&mut rig, frame.build());
         let checks = checks_in(&drain(&rig.ip_to_pf));
         let (req, _) = &checks[0];
-        send(
-            &rig.pf_to_ip,
-            PfToIp::Verdict {
-                req: *req,
-                pass: false,
-            },
-        );
+        send(&rig.pf_to_ip, PfToIp::VerdictBatch(vec![(*req, false)]));
         rig.ip.poll();
         assert!(drain(&rig.ip_to_tcp).is_empty());
         assert_eq!(rig.rx_pool.in_use(), 0);

@@ -64,14 +64,6 @@ pub struct FlowTuple {
 /// Requests from the IP server to a network driver.
 #[derive(Debug, Clone)]
 pub enum IpToDrv {
-    /// Transmit the frame described by `chain` (headers chunk followed by
-    /// payload chunks).
-    Transmit {
-        /// Request identifier from IP's request database.
-        req: RequestId,
-        /// Scatter-gather description of the frame.
-        chain: RichChain,
-    },
     /// Every frame IP staged during one poll round — one message per burst
     /// instead of one per frame (transmit fast path).
     TransmitBatch(
@@ -83,21 +75,6 @@ pub enum IpToDrv {
 /// Messages from a network driver to the IP server.
 #[derive(Debug, Clone)]
 pub enum DrvToIp {
-    /// A transmit request completed (the data can be freed).
-    TransmitDone {
-        /// The request being acknowledged.
-        req: RequestId,
-        /// Whether the frame actually went out (false: dropped, e.g. link
-        /// down or ring full — the protocols recover).
-        ok: bool,
-    },
-    /// A frame was received into the RX pool.
-    Received {
-        /// Index of the NIC the frame arrived on.
-        nic: usize,
-        /// Location of the frame bytes in the RX pool.
-        ptr: RichPtr,
-    },
     /// Every transmit acknowledgement from one poll round — one message per
     /// burst instead of one per frame (transmit fast path).
     TransmitDoneBatch(
@@ -138,12 +115,6 @@ pub enum TransportToIp {
         /// Whether this packet opens a new connection (outbound SYN).
         is_connection_start: bool,
     },
-    /// The transport finished reading a received frame; IP may free the RX
-    /// pool chunk.
-    RxDone {
-        /// The chunk to release.
-        ptr: RichPtr,
-    },
     /// Every RX chunk the transport finished with during one poll round —
     /// one message per burst instead of one per frame (receive fast path).
     RxDoneBatch(
@@ -155,19 +126,6 @@ pub enum TransportToIp {
 /// Messages from the IP server to a transport server.
 #[derive(Debug, Clone)]
 pub enum IpToTransport {
-    /// A received frame (still in the RX pool) destined to this transport.
-    Deliver {
-        /// Location of the full Ethernet frame in the RX pool.
-        ptr: RichPtr,
-    },
-    /// A previously submitted [`TransportToIp::SendPacket`] has been handed
-    /// to the hardware (or definitively dropped).
-    SendDone {
-        /// The request being acknowledged.
-        req: RequestId,
-        /// Whether the packet went out.
-        ok: bool,
-    },
     /// Every frame IP delivered during one poll round — one message per
     /// burst instead of one per frame (transmit fast path's inbound twin).
     DeliverBatch(
@@ -185,13 +143,6 @@ pub enum IpToTransport {
 /// Requests from the IP server to the packet filter.
 #[derive(Debug, Clone)]
 pub enum IpToPf {
-    /// Ask for a verdict on a packet.
-    Check {
-        /// Request identifier from IP's request database.
-        req: RequestId,
-        /// Metadata the rules are evaluated against.
-        meta: PacketMeta,
-    },
     /// Every check IP accumulated during one poll round — one message per
     /// burst instead of one per packet, answered by a single
     /// [`PfToIp::VerdictBatch`].
@@ -204,13 +155,6 @@ pub enum IpToPf {
 /// Replies from the packet filter to the IP server.
 #[derive(Debug, Clone)]
 pub enum PfToIp {
-    /// The verdict for a previously submitted check.
-    Verdict {
-        /// The request being answered.
-        req: RequestId,
-        /// `true` to let the packet through.
-        pass: bool,
-    },
     /// The verdicts for a whole [`IpToPf::CheckBatch`], in check order.
     VerdictBatch(
         /// `(request, pass)` per checked packet.
@@ -271,14 +215,6 @@ pub enum SockRequest {
         /// (0 = the transport's default).
         recv_cap: u32,
     },
-    /// Accept a connection from a listening socket's backlog (replied when
-    /// one is available).
-    Accept {
-        /// Request identifier.
-        req: RequestId,
-        /// The listening socket.
-        sock: SockId,
-    },
     /// Arm a *multishot* accept on a listening socket (the ring path):
     /// every connection entering the backlog is answered immediately
     /// with [`SockReply::Accepted`] carrying this request id, until the
@@ -320,7 +256,6 @@ impl SockRequest {
             SockRequest::Open { req }
             | SockRequest::Bind { req, .. }
             | SockRequest::Listen { req, .. }
-            | SockRequest::Accept { req, .. }
             | SockRequest::AcceptArm { req, .. }
             | SockRequest::Connect { req, .. }
             | SockRequest::Close { req, .. } => *req,
@@ -333,7 +268,6 @@ impl SockRequest {
             SockRequest::Open { .. } => None,
             SockRequest::Bind { sock, .. }
             | SockRequest::Listen { sock, .. }
-            | SockRequest::Accept { sock, .. }
             | SockRequest::AcceptArm { sock, .. }
             | SockRequest::Connect { sock, .. }
             | SockRequest::Close { sock, .. } => Some(*sock),
@@ -401,8 +335,6 @@ pub mod syscalls {
     pub const BIND: u32 = 2;
     /// listen(sock, backlog) — word0: socket, word1: backlog.
     pub const LISTEN: u32 = 3;
-    /// accept(sock) — word0: socket.
-    pub const ACCEPT: u32 = 4;
     /// connect(sock, addr, port) — word0: socket, word1: address, word2: port.
     pub const CONNECT: u32 = 5;
     /// close(sock) — word0: socket.

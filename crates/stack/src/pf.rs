@@ -196,45 +196,15 @@ pub struct PacketFilterServer {
     /// allocation on the message path).
     inbox_scratch: Vec<IpToPf>,
     transport_scratch: Vec<TransportToPf>,
-    /// Verdicts accumulated during one poll round and flushed to IP as a
-    /// single batch.
-    verdict_batch: Vec<PfToIp>,
 }
 
 impl PacketFilterServer {
-    /// Creates a packet-filter incarnation.
+    /// Creates a packet-filter incarnation serving one lane set per stack
+    /// shard.
     ///
     /// On a fresh start the `configured_rules` are installed and persisted;
     /// on a restart the rules are restored from the storage server and the
     /// connection table is rebuilt by querying the transport servers.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        mode: StartMode,
-        configured_rules: Vec<FilterRule>,
-        storage: Arc<StorageServer>,
-        inbox: Rx<IpToPf>,
-        outbox: Tx<PfToIp>,
-        to_tcp: Tx<PfToTransport>,
-        from_tcp: Rx<TransportToPf>,
-        to_udp: Tx<PfToTransport>,
-        from_udp: Rx<TransportToPf>,
-    ) -> Self {
-        Self::new_sharded(
-            mode,
-            configured_rules,
-            storage,
-            vec![inbox],
-            vec![outbox],
-            vec![to_tcp],
-            vec![from_tcp],
-            vec![to_udp],
-            vec![from_udp],
-            None,
-        )
-    }
-
-    /// Creates a packet-filter incarnation serving one lane set per stack
-    /// shard (see [`PacketFilterServer::new`] for the recovery behaviour).
     #[allow(clippy::too_many_arguments)]
     pub fn new_sharded(
         mode: StartMode,
@@ -298,7 +268,6 @@ impl PacketFilterServer {
             blocked: 0,
             inbox_scratch: Vec::new(),
             transport_scratch: Vec::new(),
-            verdict_batch: Vec::new(),
         };
         if mode == StartMode::Restart || (mode == StartMode::LiveUpdate && !restored) {
             // Rebuild connection tracking by asking every transport replica
@@ -398,37 +367,24 @@ impl PacketFilterServer {
             self.inboxes[shard].drain_into(&mut checks);
             for request in checks.drain(..) {
                 work += 1;
-                match request {
-                    IpToPf::Check { req, meta } => {
-                        self.checked += 1;
-                        let pass = self.verdict(&meta);
-                        if !pass {
-                            self.blocked += 1;
-                        }
-                        self.verdict_batch.push(PfToIp::Verdict { req, pass });
+                // A whole burst of packets in one message; the verdicts
+                // go back as one message too.
+                let IpToPf::CheckBatch(batch) = request;
+                let mut verdicts = Vec::with_capacity(batch.len());
+                for (req, meta) in batch {
+                    work += 1;
+                    self.checked += 1;
+                    let pass = self.verdict(&meta);
+                    if !pass {
+                        self.blocked += 1;
                     }
-                    IpToPf::CheckBatch(batch) => {
-                        // A whole burst of packets in one message; the
-                        // verdicts go back as one message too.
-                        let mut verdicts = Vec::with_capacity(batch.len());
-                        for (req, meta) in batch {
-                            work += 1;
-                            self.checked += 1;
-                            let pass = self.verdict(&meta);
-                            if !pass {
-                                self.blocked += 1;
-                            }
-                            verdicts.push((req, pass));
-                        }
-                        self.verdict_batch.push(PfToIp::VerdictBatch(verdicts));
-                    }
+                    verdicts.push((req, pass));
                 }
+                // Verdicts that do not fit are dropped, never blocked on
+                // (IP resubmits outstanding checks when the filter appears
+                // unresponsive).
+                let _ = self.outboxes[shard].send(PfToIp::VerdictBatch(verdicts));
             }
-            self.outboxes[shard].send_batch(&mut self.verdict_batch);
-            // Verdicts that did not fit are dropped, never blocked on (IP
-            // resubmits outstanding checks when the filter appears
-            // unresponsive).
-            self.verdict_batch.clear();
         }
         self.inbox_scratch = checks;
         work
@@ -512,16 +468,12 @@ mod tests {
     fn check(rig: &mut Rig, req: u64, m: PacketMeta) -> bool {
         send(
             &rig.to_pf,
-            IpToPf::Check {
-                req: RequestId::from_raw(req),
-                meta: m,
-            },
+            IpToPf::CheckBatch(vec![(RequestId::from_raw(req), m)]),
         );
         rig.pf.poll();
-        match drain(&rig.from_pf).pop() {
-            Some(PfToIp::Verdict { pass, .. }) => pass,
-            Some(PfToIp::VerdictBatch(batch)) => batch.last().expect("verdict").1,
-            None => panic!("no verdict"),
+        match &drain(&rig.from_pf)[..] {
+            [PfToIp::VerdictBatch(batch)] => batch.last().expect("verdict").1,
+            other => panic!("expected one verdict batch, got {other:?}"),
         }
     }
 

@@ -3,7 +3,7 @@
 //! Applications speak POSIX; the stack's internals are asynchronous.  The
 //! SYSCALL front end sits in between (paper §V-B) and now has two faces:
 //!
-//! * **Legacy kernel-IPC calls** — socket/bind/listen/connect/accept/close
+//! * **Legacy kernel-IPC calls** — socket/bind/listen/connect/close
 //!   arrive as synchronous kernel messages; the singleton [`SyscallServer`]
 //!   "pays the trapping toll for the rest of the system", peeks into each
 //!   message and forwards it to the owning protocol server over the
@@ -42,7 +42,7 @@ use crate::endpoints;
 #[cfg(test)]
 use crate::fabric::drain;
 use crate::fabric::{send, CrashBoard, Rx, Tx};
-use crate::msg::{addr_to_word, encode_sock_error, syscalls, word_to_addr, SockReply, SockRequest};
+use crate::msg::{encode_sock_error, syscalls, word_to_addr, SockReply, SockRequest};
 use crate::rings::{self, CqValue, Cqe, RingGroup, RingTable};
 use crate::sockbuf::SockError;
 
@@ -352,37 +352,6 @@ pub struct SyscallServer {
 }
 
 impl SyscallServer {
-    /// Creates a SYSCALL server incarnation serving a single-shard stack
-    /// and attaches it to the kernel.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        kernel: KernelIpc,
-        registry: Registry,
-        rings: Arc<RingTable>,
-        to_tcp: Tx<SockRequest>,
-        from_tcp: Rx<SockReply>,
-        to_udp: Tx<SockRequest>,
-        from_udp: Rx<SockReply>,
-        ring_to_tcp: Tx<SockRequest>,
-        tcp_to_ring: Rx<SockReply>,
-        crash_board: CrashBoard,
-    ) -> Self {
-        Self::new_sharded(
-            kernel,
-            registry,
-            Generation::FIRST,
-            rings,
-            vec![to_tcp],
-            vec![from_tcp],
-            vec![to_udp],
-            vec![from_udp],
-            ring_to_tcp,
-            tcp_to_ring,
-            crash_board,
-            None,
-        )
-    }
-
     /// Creates a SYSCALL server incarnation routing to one transport pair
     /// per stack shard and pumping shard 0's rings (`ring_to_tcp` /
     /// `tcp_to_ring` are shard 0's ring lanes).  A valid live-update
@@ -621,10 +590,6 @@ impl SyscallServer {
                 send_cap: message.word(3) as u32,
                 recv_cap: message.word(4) as u32,
             },
-            syscalls::ACCEPT => SockRequest::Accept {
-                req,
-                sock: message.word(0),
-            },
             syscalls::CONNECT => SockRequest::Connect {
                 req,
                 sock: message.word(0),
@@ -665,18 +630,13 @@ impl SyscallServer {
             SockReply::Ok { port, .. } => {
                 Message::new(syscalls::REPLY_OK).with_word(0, port as u64)
             }
-            SockReply::Accepted {
-                sock,
-                peer_addr,
-                peer_port,
-                ..
-            } => Message::new(syscalls::REPLY_OK)
-                .with_word(0, sock)
-                .with_word(1, addr_to_word(peer_addr))
-                .with_word(2, peer_port as u64),
             SockReply::Error { error, .. } => {
                 Message::new(syscalls::REPLY_ERR).with_word(0, encode_sock_error(error))
             }
+            // Accepts are armed on the rings; no kernel call is answered
+            // with a connection.
+            SockReply::Accepted { .. } => Message::new(syscalls::REPLY_ERR)
+                .with_word(0, encode_sock_error(SockError::InvalidState)),
         };
         if self
             .kernel
@@ -734,6 +694,7 @@ fn transport_shard_of(name: &str) -> Option<(&'static str, usize)> {
 mod tests {
     use super::*;
     use crate::fabric::Chan;
+    use crate::msg::addr_to_word;
     use crate::rings::{CompletionQueue, Sqe, SqeOp, SubmissionRing};
     use newt_channels::endpoint::Generation;
     use newt_channels::reqdb::RequestId;
@@ -770,17 +731,19 @@ mod tests {
         let ring_tcp: Chan<SockRequest> = Chan::new(16);
         let tcp_ring: Chan<SockReply> = Chan::new(16);
         let crash_board = CrashBoard::new();
-        let syscall = SyscallServer::new(
+        let syscall = SyscallServer::new_sharded(
             kernel.clone(),
             registry.clone(),
+            Generation::FIRST,
             Arc::clone(&rings),
-            sys_tcp.tx(),
-            tcp_sys.rx(),
-            sys_udp.tx(),
-            udp_sys.rx(),
+            vec![sys_tcp.tx()],
+            vec![tcp_sys.rx()],
+            vec![sys_udp.tx()],
+            vec![udp_sys.rx()],
             ring_tcp.tx(),
             tcp_ring.rx(),
             crash_board.clone(),
+            None,
         );
         Rig {
             syscall,
@@ -1001,7 +964,7 @@ mod tests {
     #[test]
     fn tcp_crash_fails_outstanding_calls() {
         let mut rig = rig();
-        let msg = Message::new(syscalls::ACCEPT)
+        let msg = Message::new(syscalls::CONNECT)
             .with_word(0, 5)
             .with_word(syscalls::PROTO_WORD, 6);
         rig.kernel.send(rig.app, endpoints::SYSCALL, msg).unwrap();
@@ -1038,15 +1001,18 @@ mod tests {
     #[test]
     fn accepted_reply_carries_peer_address() {
         let mut rig = rig();
-        let msg = Message::new(syscalls::ACCEPT)
-            .with_word(0, 5)
-            .with_word(syscalls::PROTO_WORD, 6);
-        rig.kernel.send(rig.app, endpoints::SYSCALL, msg).unwrap();
+        let (group, _) = rig.rings.get_or_create(0, 1);
+        group.sqs[0]
+            .submit(Sqe {
+                user_data: 3,
+                op: SqeOp::AcceptArm { listener: 5 },
+            })
+            .unwrap();
         rig.syscall.poll();
-        let req = drain(&rig.tcp_rx)[0].req();
+        let req = drain(&rig.ring_tcp_rx)[0].req();
         let peer = std::net::Ipv4Addr::new(10, 0, 0, 2);
         send(
-            &rig.tcp_tx,
+            &rig.ring_tcp_tx,
             SockReply::Accepted {
                 req,
                 sock: 9,
@@ -1055,10 +1021,22 @@ mod tests {
             },
         );
         rig.syscall.poll();
-        let reply = rig.kernel.receive(rig.app, Duration::from_secs(1)).unwrap();
-        assert_eq!(reply.word(0), 9);
-        assert_eq!(word_to_addr(reply.word(1)), peer);
-        assert_eq!(reply.word(2), 51000);
+        let mut cqes = Vec::new();
+        group.cq.drain_into(&mut cqes);
+        match &cqes[..] {
+            [Cqe {
+                user_data: 3,
+                result: Ok(accepted),
+            }] => assert_eq!(
+                *accepted,
+                CqValue::Accepted {
+                    sock: 9,
+                    peer_addr: peer,
+                    peer_port: 51000,
+                }
+            ),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

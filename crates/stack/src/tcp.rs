@@ -443,7 +443,6 @@ struct TcpSock {
 
     // Listener state.
     backlog: Vec<SockId>,
-    pending_accepts: Vec<RequestId>,
     backlog_limit: usize,
     /// `SO_REUSEPORT`-style listener replicated on every shard: only answer
     /// SYNs whose RSS hash steers to this shard.
@@ -588,13 +587,14 @@ struct PendingSend {
 /// `TcpHotState`/`HotSock` change incompatibly; a replacement
 /// incarnation that sees a different version falls back to crash-style
 /// recovery instead of misreading the predecessor's state.  Version 2
-/// added the multishot accept arm and the listener-scoped buffer caps.
-pub const TCP_STATE_VERSION: u32 = 2;
+/// added the multishot accept arm and the listener-scoped buffer caps;
+/// version 3 dropped the parked one-shot accepts.
+pub const TCP_STATE_VERSION: u32 = 3;
 
 /// The full per-connection state carried across a live update — everything
 /// [`SockSummary`] deliberately drops: send/receive sequence state,
 /// unacknowledged bytes, congestion control, timer deadlines and the
-/// requests parked inside the server (pending accepts/connects).
+/// requests parked inside the server (accept arms, pending connects).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct HotSock {
     id: SockId,
@@ -612,7 +612,6 @@ struct HotSock {
     rto_deadline: Option<Duration>,
     rcv_nxt: u32,
     backlog: Vec<SockId>,
-    pending_accepts: Vec<RequestId>,
     backlog_limit: usize,
     sharded_listener: bool,
     accept_watch: Option<RequestId>,
@@ -931,7 +930,6 @@ impl TcpServer {
                 rto_deadline: s.rto_deadline,
                 rcv_nxt: s.rcv_nxt,
                 backlog: s.backlog.clone(),
-                pending_accepts: s.pending_accepts.clone(),
                 backlog_limit: s.backlog_limit,
                 sharded_listener: s.sharded_listener,
                 accept_watch: s.accept_watch,
@@ -1002,7 +1000,6 @@ impl TcpServer {
             sock.rto_deadline = h.rto_deadline;
             sock.rcv_nxt = h.rcv_nxt;
             sock.backlog = h.backlog;
-            sock.pending_accepts = h.pending_accepts;
             sock.backlog_limit = h.backlog_limit;
             sock.sharded_listener = h.sharded_listener;
             sock.accept_watch = h.accept_watch;
@@ -1137,7 +1134,6 @@ impl TcpServer {
             rto_deadline: None,
             rcv_nxt: 0,
             backlog: Vec::new(),
-            pending_accepts: Vec::new(),
             backlog_limit: 0,
             sharded_listener: false,
             accept_watch: None,
@@ -1192,13 +1188,11 @@ impl TcpServer {
         for msg in from_ip.drain(..) {
             work += 1;
             match msg {
-                IpToTransport::Deliver { ptr } => self.handle_deliver(ptr),
                 IpToTransport::DeliverBatch(ptrs) => {
                     for ptr in ptrs {
                         self.handle_deliver(ptr);
                     }
                 }
-                IpToTransport::SendDone { req, ok } => self.handle_send_done(req, ok),
                 IpToTransport::SendDoneBatch(dones) => {
                     for (req, ok) in dones {
                         self.handle_send_done(req, ok);
@@ -1548,22 +1542,6 @@ impl TcpServer {
                 self.persist_sockets();
                 route_reply(&self.to_syscall, &self.to_ring, reply_for(req, reply));
             }
-            SockRequest::Accept { sock, .. } => match self.sockets.get_mut(&sock) {
-                Some(listener) if listener.state == TcpState::Listen => {
-                    listener.pending_accepts.push(req);
-                    self.try_complete_accepts(sock);
-                }
-                _ => {
-                    route_reply(
-                        &self.to_syscall,
-                        &self.to_ring,
-                        SockReply::Error {
-                            req,
-                            error: SockError::InvalidState,
-                        },
-                    );
-                }
-            },
             SockRequest::AcceptArm { sock, .. } => match self.sockets.get_mut(&sock) {
                 Some(listener) if listener.state == TcpState::Listen => {
                     // Idempotent: re-arming replaces the previous arm.
@@ -1776,14 +1754,9 @@ impl TcpServer {
             if listener.backlog.is_empty() {
                 return;
             }
-            // Blocking accepts are served first; the multishot arm then
-            // drains whatever remains (one completion per connection,
-            // the arm itself stays in place).
-            let req = if !listener.pending_accepts.is_empty() {
-                listener.pending_accepts.remove(0)
-            } else if let Some(watch) = listener.accept_watch {
-                watch
-            } else {
+            // The multishot arm drains the backlog: one completion per
+            // connection, the arm itself stays in place.
+            let Some(req) = listener.accept_watch else {
                 return;
             };
             let Some((child_id, peer_addr, peer_port)) = self.pop_backlog(listener_id) else {
@@ -3211,7 +3184,7 @@ mod tests {
     /// Injects a TCP segment as if it had arrived from the peer through IP.
     fn inject(rig: &mut Rig, segment: TcpSegment) {
         let ptr = rig.rx_pool.publish(&frame_for(&segment)).unwrap();
-        send(&rig.ip_tx, IpToTransport::Deliver { ptr });
+        send(&rig.ip_tx, IpToTransport::DeliverBatch(vec![ptr]));
         rig.tcp.poll();
     }
 
@@ -3516,7 +3489,7 @@ mod tests {
         );
         send(
             &rig.syscall_tx,
-            SockRequest::Accept {
+            SockRequest::AcceptArm {
                 req: RequestId::from_raw(4),
                 sock: listener,
             },
@@ -3678,7 +3651,7 @@ mod tests {
             }
             for frame in frames {
                 let ptr = rig.rx_pool.publish_bytes(frame).unwrap();
-                send(&rig.ip_tx, IpToTransport::Deliver { ptr });
+                send(&rig.ip_tx, IpToTransport::DeliverBatch(vec![ptr]));
             }
             rig.tcp.poll();
             while let Ok(n) = buffer.read(&mut scratch, Duration::ZERO) {
@@ -3687,7 +3660,6 @@ mod tests {
             // Stand in for IP: free the chunks TCP handed back.
             for msg in drain(&rig.ip_rx) {
                 match msg {
-                    TransportToIp::RxDone { ptr } => rig.rx_pool.free(&ptr).unwrap(),
                     TransportToIp::RxDoneBatch(ptrs) => {
                         ptrs.iter().for_each(|ptr| rig.rx_pool.free(ptr).unwrap())
                     }
@@ -4261,28 +4233,32 @@ mod tests {
 
     #[test]
     fn live_update_version_mismatch_falls_back_to_crash_recovery() {
-        let storage = Arc::new(StorageServer::new());
-        let registry = Registry::new();
-        let (sock, payload) = {
-            let mut rig = rig_with(StartMode::Fresh, Arc::clone(&storage), registry.clone());
-            let (sock, _p, _s, _r) = connect_established(&mut rig);
-            let (_version, payload) = rig.tcp.export_state();
-            (sock, payload)
-        };
-        // A snapshot from an incompatible predecessor version must not be
-        // trusted: the incarnation recovers crash-style instead.
-        let rig = rig_with_snapshot(
-            StartMode::LiveUpdate,
-            Arc::clone(&storage),
-            registry.clone(),
-            Some(snapshot_from(TCP_STATE_VERSION + 1, payload)),
-        );
-        assert!(!rig.tcp.sockets.contains_key(&sock));
-        assert!(rig.tcp.stats().connections_reset >= 1);
-        let buffer: Arc<SocketBuffer> = registry
-            .attach_shared(endpoints::SYSCALL, &TcpServer::buffer_name(sock))
-            .unwrap();
-        assert_eq!(buffer.error(), Some(SockError::ConnectionReset));
+        // A successor's version tag, and the tag of the version-2
+        // predecessor whose sockets still carried parked one-shot accepts.
+        for version in [TCP_STATE_VERSION + 1, 2] {
+            let storage = Arc::new(StorageServer::new());
+            let registry = Registry::new();
+            let (sock, payload) = {
+                let mut rig = rig_with(StartMode::Fresh, Arc::clone(&storage), registry.clone());
+                let (sock, _p, _s, _r) = connect_established(&mut rig);
+                let (_version, payload) = rig.tcp.export_state();
+                (sock, payload)
+            };
+            // A snapshot from an incompatible predecessor version must not
+            // be trusted: the incarnation recovers crash-style instead.
+            let rig = rig_with_snapshot(
+                StartMode::LiveUpdate,
+                Arc::clone(&storage),
+                registry.clone(),
+                Some(snapshot_from(version, payload)),
+            );
+            assert!(!rig.tcp.sockets.contains_key(&sock));
+            assert!(rig.tcp.stats().connections_reset >= 1);
+            let buffer: Arc<SocketBuffer> = registry
+                .attach_shared(endpoints::SYSCALL, &TcpServer::buffer_name(sock))
+                .unwrap();
+            assert_eq!(buffer.error(), Some(SockError::ConnectionReset));
+        }
     }
 
     // ---- hostile-traffic defenses --------------------------------------------------
@@ -4327,7 +4303,7 @@ mod tests {
         let mut rig = rig();
         // Pure garbage.
         let ptr = rig.rx_pool.publish(&[0xAB; 40]).unwrap();
-        send(&rig.ip_tx, IpToTransport::Deliver { ptr });
+        send(&rig.ip_tx, IpToTransport::DeliverBatch(vec![ptr]));
         // A real frame truncated mid-TCP-header.
         let seg = TcpSegment::control(40_000, 22, 1, 0, TcpFlags::SYN);
         let packet = Ipv4Packet::new(PEER, LOCAL, IpProtocol::Tcp, seg.build(PEER, LOCAL));
@@ -4340,7 +4316,7 @@ mod tests {
         let mut bytes = frame.build();
         bytes.truncate(bytes.len() - 12);
         let ptr = rig.rx_pool.publish(&bytes).unwrap();
-        send(&rig.ip_tx, IpToTransport::Deliver { ptr });
+        send(&rig.ip_tx, IpToTransport::DeliverBatch(vec![ptr]));
         rig.tcp.poll();
         assert_eq!(rig.tcp.stats().rx_malformed, 2);
         assert_eq!(rig.tcp.stats().segments_in, 0);

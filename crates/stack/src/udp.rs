@@ -448,15 +448,9 @@ impl UdpServer {
         for msg in from_ip.drain(..) {
             work += 1;
             match msg {
-                IpToTransport::Deliver { ptr } => self.handle_deliver(ptr),
                 IpToTransport::DeliverBatch(ptrs) => {
                     for ptr in ptrs {
                         self.handle_deliver(ptr);
-                    }
-                }
-                IpToTransport::SendDone { req, .. } => {
-                    if let Some(chain) = self.ip_reqs.complete(req) {
-                        self.tx_pool.free_chain(&chain);
                     }
                 }
                 IpToTransport::SendDoneBatch(dones) => {
@@ -622,9 +616,7 @@ impl UdpServer {
                 };
                 send(&self.to_syscall, reply);
             }
-            SockRequest::Listen { .. }
-            | SockRequest::Accept { .. }
-            | SockRequest::AcceptArm { .. } => {
+            SockRequest::Listen { .. } | SockRequest::AcceptArm { .. } => {
                 send(
                     &self.to_syscall,
                     SockReply::Error {
@@ -948,7 +940,7 @@ mod tests {
             packet.build(),
         );
         let ptr = rig.rx_pool.publish(&frame.build()).unwrap();
-        send(&rig.ip_tx, IpToTransport::Deliver { ptr });
+        send(&rig.ip_tx, IpToTransport::DeliverBatch(vec![ptr]));
         rig.udp.poll();
         // The chunk was returned to IP.
         // The application sees the record.
@@ -978,7 +970,7 @@ mod tests {
             packet.build(),
         );
         let ptr = rig.rx_pool.publish(&frame.build()).unwrap();
-        send(&rig.ip_tx, IpToTransport::Deliver { ptr });
+        send(&rig.ip_tx, IpToTransport::DeliverBatch(vec![ptr]));
         rig.udp.poll();
         assert_eq!(rig.udp.stats().no_socket, 1);
     }

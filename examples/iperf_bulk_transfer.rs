@@ -38,8 +38,8 @@ fn run_transfer(label: &str, config: StackConfig, bytes: usize) -> Result<f64, B
         received as f64 / (1024.0 * 1024.0),
         elapsed.as_secs_f64(),
         mbps,
-        telemetry.tcp.segments_out,
-        telemetry.tcp.retransmissions,
+        telemetry.tcp_shards[0].segments_out,
+        telemetry.tcp_shards[0].retransmissions,
     );
     stack.shutdown();
     Ok(mbps)

@@ -74,17 +74,17 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("server activity:");
     println!(
         "  tcp     : {} segments out, {} segments in (all shards: {} out)",
-        telemetry.tcp.segments_out,
-        telemetry.tcp.segments_in,
+        telemetry.tcp_shards[0].segments_out,
+        telemetry.tcp_shards[0].segments_in,
         telemetry.segments_out_total()
     );
     println!(
         "  udp     : {} datagrams out, {} in",
-        telemetry.udp.datagrams_out, telemetry.udp.datagrams_in
+        telemetry.udp_shards[0].datagrams_out, telemetry.udp_shards[0].datagrams_in
     );
     println!(
         "  ip      : {} packets out, {} in",
-        telemetry.ip.packets_out, telemetry.ip.packets_in
+        telemetry.ip_shards[0].packets_out, telemetry.ip_shards[0].packets_in
     );
     println!(
         "  pf      : {} packets checked, {} blocked",

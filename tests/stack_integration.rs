@@ -34,8 +34,8 @@ fn bulk_transfer_delivers_every_byte_in_order() {
     // no reordering at the application level.
     assert_eq!(stack.peer(0).bytes_received_on(IPERF_PORT), TOTAL as u64);
     let telemetry = stack.telemetry();
-    assert!(telemetry.tcp.segments_out > 0);
-    assert!(telemetry.ip.packets_out as u64 >= telemetry.tcp.segments_out / 2);
+    assert!(telemetry.tcp_shards[0].segments_out > 0);
+    assert!(telemetry.ip_shards[0].packets_out as u64 >= telemetry.tcp_shards[0].segments_out / 2);
     assert!(
         telemetry.pf.checked > 0,
         "the packet filter must sit on the data path"
@@ -167,9 +167,9 @@ fn telemetry_and_kernel_stats_reflect_traffic() {
         "socket/connect calls must use kernel IPC"
     );
     assert!(
-        telemetry.tcp.segments_out > kernel.messages,
+        telemetry.tcp_shards[0].segments_out > kernel.messages,
         "the data path must not be kernel-IPC bound (segments {} vs kernel messages {})",
-        telemetry.tcp.segments_out,
+        telemetry.tcp_shards[0].segments_out,
         kernel.messages
     );
     stack.shutdown();
