@@ -33,9 +33,11 @@
 //! side accumulates locally and *stores* (not read-modify-writes) the shared
 //! counter, so statistics add zero atomic RMW operations to the fast path.
 //!
-//! A [`WakeWord`] is embedded in every queue so that a consumer that went
+//! Every queue writes a [`WakeWord`] on enqueue so that a consumer that went
 //! idle (the `MWAIT` path) is woken by the producer's enqueue without any
-//! kernel involvement.
+//! kernel involvement.  [`channel`] gives the queue a word of its own;
+//! [`channel_waking`] takes a word the *consumer* owns, so a server that
+//! drains many queues parks on one word all of them write.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -72,7 +74,9 @@ struct Shared<T> {
     tail: CacheAligned<AtomicUsize>,
     sender_alive: AtomicBool,
     receiver_alive: AtomicBool,
-    wake: WakeWord,
+    /// The word every enqueue writes; possibly shared with the consumer's
+    /// other inbound queues.
+    wake: Arc<WakeWord>,
     /// Producer-written counters (plain stores), padded onto their own
     /// cache line so flushing them never bounces a line the consumer
     /// writes.
@@ -226,6 +230,32 @@ impl<T> std::fmt::Debug for Receiver<T> {
 /// assert_eq!(rx.try_recv().unwrap(), 7);
 /// ```
 pub fn channel<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
+    channel_waking(capacity, Arc::new(WakeWord::new()))
+}
+
+/// Like [`channel`], but every enqueue writes `wake` — a word owned by the
+/// consumer and shared by all of its inbound queues (and its other sources
+/// of work), so it can park on that one word while idle.
+///
+/// # Panics
+///
+/// Panics if `capacity` is zero.
+///
+/// # Examples
+///
+/// ```
+/// use std::sync::Arc;
+/// use newt_channels::spsc;
+/// use newt_channels::wake::WakeWord;
+///
+/// let word = Arc::new(WakeWord::new());
+/// let (mut a, _rx_a) = spsc::channel_waking::<u32>(8, Arc::clone(&word));
+/// let (mut b, _rx_b) = spsc::channel_waking::<u32>(8, Arc::clone(&word));
+/// a.try_send(1).unwrap();
+/// b.try_send(2).unwrap();
+/// assert_eq!(word.value(), 2);
+/// ```
+pub fn channel_waking<T>(capacity: usize, wake: Arc<WakeWord>) -> (Sender<T>, Receiver<T>) {
     assert!(capacity > 0, "queue capacity must be non-zero");
     let cap = capacity.next_power_of_two();
     let buf: Box<[UnsafeCell<MaybeUninit<T>>]> = (0..cap)
@@ -238,7 +268,7 @@ pub fn channel<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
         tail: CacheAligned(AtomicUsize::new(0)),
         sender_alive: AtomicBool::new(true),
         receiver_alive: AtomicBool::new(true),
-        wake: WakeWord::new(),
+        wake,
         produced: CacheAligned(ProducerCounters::default()),
         dequeued: CacheAligned(AtomicU64::new(0)),
     });

@@ -11,6 +11,25 @@
 //! ("this fact encourages more aggressive polling to avoid halting the core
 //! if the gap between requests is short") is implemented by
 //! [`IdleMonitor`].
+//!
+//! # Where the word is used
+//!
+//! Every SPSC queue writes a wake word on enqueue ([`crate::spsc`]); a queue
+//! made with [`crate::spsc::channel_waking`] writes a word its *consumer*
+//! owns, so all inbound queues of one server hit the same word.  The stack
+//! gives each service (one row of its placement table, i.e. one core) one
+//! such word that outlives the service's incarnations.  Everything that can
+//! bring the service work writes it — its fabric lanes, its socket-buffer
+//! doorbell, its submission rings, the kernel-IPC mailbox it polls, the link
+//! its NIC hangs off, the crash notice board and the reincarnation server's
+//! control flags — and the service loop is
+//!
+//! ```text
+//! seen = word.value(); work = poll(); if work == 0 { word.mwait(seen, next deadline) }
+//! ```
+//!
+//! Reading the word *before* polling is what makes the park safe: a write
+//! that lands after the read makes `mwait` return at once.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -23,7 +42,8 @@ use parking_lot::{Condvar, Mutex};
 /// wake-up.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WakeStats {
-    /// Number of writes to the monitored word.
+    /// Number of writes to the monitored word (its current value: every
+    /// write bumps it by one).
     pub writes: u64,
     /// Number of times a sleeping waiter had to be woken through the slow
     /// (condvar) path.
@@ -34,6 +54,20 @@ pub struct WakeStats {
     /// never slept.
     pub polled_hits: u64,
 }
+
+/// Spin iterations [`WakeWord::mwait`] polls the word for before it halts.
+const SPIN_ROUNDS: u32 = 64;
+
+/// How late a host wakes a timed sleeper, near enough: the timer slack of a
+/// stock Linux thread.  A wait no longer than this is polled out, a longer
+/// one sleeps until this much of it is left.
+pub const SLEEP_GRANULARITY: Duration = Duration::from_micros(50);
+
+/// The longest an event loop with no nearer deadline parks before it looks
+/// at its sources again.  Every source of work writes the word, so this is
+/// not what bounds wake-up latency; it bounds what a source that forgot to
+/// would cost.
+pub const MAX_PARK: Duration = Duration::from_millis(100);
 
 /// A monitored memory word shared between one or more producers and a single
 /// idle consumer.
@@ -57,7 +91,6 @@ pub struct WakeStats {
 pub struct WakeWord {
     value: AtomicU64,
     sleepers: AtomicUsize,
-    writes: AtomicU64,
     slow_wakeups: AtomicU64,
     sleeps: AtomicU64,
     polled_hits: AtomicU64,
@@ -77,7 +110,6 @@ impl WakeWord {
         WakeWord {
             value: AtomicU64::new(0),
             sleepers: AtomicUsize::new(0),
-            writes: AtomicU64::new(0),
             slow_wakeups: AtomicU64::new(0),
             sleeps: AtomicU64::new(0),
             polled_hits: AtomicU64::new(0),
@@ -88,7 +120,7 @@ impl WakeWord {
 
     /// Returns the current value of the monitored word.
     pub fn value(&self) -> u64 {
-        self.value.load(Ordering::Acquire)
+        self.value.load(Ordering::SeqCst)
     }
 
     /// The producer-side "memory write": bumps the word and wakes a sleeping
@@ -98,9 +130,14 @@ impl WakeWord {
     /// busy polling, the cost is a single atomic increment; only when the
     /// consumer has halted does the slow wake-up path run.
     pub fn write(&self) -> u64 {
-        let v = self.value.fetch_add(1, Ordering::AcqRel) + 1;
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        if self.sleepers.load(Ordering::Acquire) > 0 {
+        // Store-buffering handshake with `mwait`: the writer bumps `value`
+        // then reads `sleepers`; the sleeper bumps `sleepers` then reads
+        // `value`.  All four are `SeqCst`, so in the single total order at
+        // least one side sees the other: either the writer finds the sleeper
+        // (and notifies under the lock the sleeper holds until it waits) or
+        // the sleeper finds the new value (and does not wait).
+        let v = self.value.fetch_add(1, Ordering::SeqCst) + 1;
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
             let _guard = self.lock.lock();
             self.slow_wakeups.fetch_add(1, Ordering::Relaxed);
             self.condvar.notify_all();
@@ -112,11 +149,16 @@ impl WakeWord {
     /// `last_seen` or `timeout` expires.  Returns the freshest value.
     ///
     /// A short spin phase precedes the sleep so that closely spaced requests
-    /// never pay the halt/wake latency.
+    /// never pay the halt/wake latency.  The sleep itself is asked to end
+    /// [`SLEEP_GRANULARITY`] early — a host wakes a timed sleeper about that
+    /// late — and whatever is then left of the timeout (all of it, when it
+    /// was shorter than that to begin with) is polled out: the paper's
+    /// "more aggressive polling if the gap is short", and a deadline that
+    /// is met instead of overshot.
     pub fn mwait(&self, last_seen: u64, timeout: Duration) -> u64 {
         // Polling phase: absorb short gaps without halting the core.
-        for _ in 0..256 {
-            let v = self.value.load(Ordering::Acquire);
+        for _ in 0..SPIN_ROUNDS {
+            let v = self.value.load(Ordering::SeqCst);
             if v != last_seen {
                 self.polled_hits.fetch_add(1, Ordering::Relaxed);
                 return v;
@@ -125,28 +167,49 @@ impl WakeWord {
         }
 
         let deadline = Instant::now() + timeout;
-        let mut guard = self.lock.lock();
-        self.sleepers.fetch_add(1, Ordering::AcqRel);
-        self.sleeps.fetch_add(1, Ordering::Relaxed);
-        loop {
-            let v = self.value.load(Ordering::Acquire);
+        if timeout > SLEEP_GRANULARITY {
+            let v = self.halt(last_seen, deadline - SLEEP_GRANULARITY);
             if v != last_seen {
-                self.sleepers.fetch_sub(1, Ordering::AcqRel);
                 return v;
+            }
+        }
+        loop {
+            let v = self.value.load(Ordering::SeqCst);
+            if v != last_seen {
+                self.polled_hits.fetch_add(1, Ordering::Relaxed);
+                return v;
+            }
+            if Instant::now() >= deadline {
+                return v;
+            }
+            std::hint::spin_loop();
+        }
+    }
+
+    /// Sleeps until the word differs from `last_seen` or `until` has come.
+    fn halt(&self, last_seen: u64, until: Instant) -> u64 {
+        let mut guard = self.lock.lock();
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        self.sleeps.fetch_add(1, Ordering::Relaxed);
+        let v = loop {
+            let v = self.value.load(Ordering::SeqCst);
+            if v != last_seen {
+                break v;
             }
             let now = Instant::now();
-            if now >= deadline {
-                self.sleepers.fetch_sub(1, Ordering::AcqRel);
-                return v;
+            if now >= until {
+                break v;
             }
-            self.condvar.wait_for(&mut guard, deadline - now);
-        }
+            self.condvar.wait_for(&mut guard, until - now);
+        };
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        v
     }
 
     /// Returns a snapshot of the wake statistics.
     pub fn stats(&self) -> WakeStats {
         WakeStats {
-            writes: self.writes.load(Ordering::Relaxed),
+            writes: self.value.load(Ordering::Relaxed),
             slow_wakeups: self.slow_wakeups.load(Ordering::Relaxed),
             sleeps: self.sleeps.load(Ordering::Relaxed),
             polled_hits: self.polled_hits.load(Ordering::Relaxed),
@@ -318,5 +381,56 @@ mod tests {
         }
         assert_eq!(w.value(), 4000);
         assert_eq!(w.stats().writes, 4000);
+    }
+
+    /// The lost-wake-up stress: four producers write while the consumer
+    /// parks anew after every value it has seen.  A write that slipped
+    /// between the consumer's last look and its park would leave it asleep
+    /// until the (absurdly long) timeout — which must never happen.
+    #[test]
+    fn no_write_slips_between_the_last_look_and_the_park() {
+        const PRODUCERS: u64 = 4;
+        const WRITES: u64 = 100_000;
+        let w = Arc::new(WakeWord::new());
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let w = Arc::clone(&w);
+                thread::spawn(move || {
+                    for i in 0..WRITES {
+                        w.write();
+                        // Uneven gaps, so the consumer is caught spinning,
+                        // taking the lock and already parked in turn.
+                        for _ in 0..(i * 7 + p * 13) % 97 {
+                            std::hint::spin_loop();
+                        }
+                    }
+                })
+            })
+            .collect();
+        let mut seen = 0;
+        while seen < PRODUCERS * WRITES {
+            let parked = Instant::now();
+            let now = w.mwait(seen, Duration::from_secs(10));
+            assert!(
+                now != seen && parked.elapsed() < Duration::from_secs(10),
+                "slept through a write at generation {seen}"
+            );
+            seen = now;
+        }
+        for producer in producers {
+            producer.join().unwrap();
+        }
+        let stats = w.stats();
+        assert_eq!(stats.writes, PRODUCERS * WRITES);
+        assert!(stats.slow_wakeups <= stats.writes);
+    }
+
+    #[test]
+    fn a_gap_below_the_sleep_granularity_is_polled_not_slept() {
+        let w = WakeWord::new();
+        let start = Instant::now();
+        assert_eq!(w.mwait(0, SLEEP_GRANULARITY / 2), 0);
+        assert!(start.elapsed() >= SLEEP_GRANULARITY / 2);
+        assert_eq!(w.stats().sleeps, 0);
     }
 }

@@ -17,12 +17,13 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
 use newt_channels::endpoint::Endpoint;
+use newt_channels::wake::WakeWord;
 
 use crate::cost::{CostModel, CycleAccount};
 
@@ -119,6 +120,9 @@ struct Mailbox {
     /// Whether the owner is currently blocked in `receive` (i.e. its core is
     /// idle and a message needs an IPI to wake it).
     idle: AtomicBool,
+    /// The wake word of an owner that polls this mailbox from an event loop
+    /// (`try_receive`) and parks on the word while idle.
+    wake: OnceLock<Arc<WakeWord>>,
 }
 
 struct KernelInner {
@@ -229,6 +233,18 @@ impl KernelIpc {
         mailbox.alive.store(true, Ordering::Release);
     }
 
+    /// Makes every message delivered to `endpoint` also write `wake`: the
+    /// owner polls its mailbox with [`KernelIpc::try_receive`] from an event
+    /// loop that parks on that word, so a delivery must wake it.  The first
+    /// word attached stays for the life of the mailbox (it belongs to the
+    /// service, not to one of its incarnations).
+    pub fn attach_wake(&self, endpoint: Endpoint, wake: Arc<WakeWord>) {
+        self.attach(endpoint);
+        if let Ok(mailbox) = self.mailbox(endpoint) {
+            let _ = mailbox.wake.set(wake);
+        }
+    }
+
     /// Discards every message queued for `endpoint` (used when a restarted
     /// server explicitly wants to start from a clean mailbox).
     pub fn clear_mailbox(&self, endpoint: Endpoint) {
@@ -289,6 +305,9 @@ impl KernelIpc {
                 self.charge(self.inner.model.ipi);
             }
             mailbox.condvar.notify_all();
+        }
+        if let Some(wake) = mailbox.wake.get() {
+            wake.write();
         }
         self.inner.messages.fetch_add(1, Ordering::Relaxed);
         Ok(())

@@ -44,9 +44,13 @@
 //!     };
 //!     sockets.push(53);
 //!     storage_for_service.store("udp", "sockets", &sockets);
-//!     while !rt.should_stop() {
+//!     loop {
+//!         let seen = rt.wake_word().value();
+//!         if rt.should_stop() {
+//!             return;
+//!         }
 //!         rt.heartbeat();
-//!         std::thread::sleep(Duration::from_millis(1));
+//!         rt.park(seen, None);
 //!     }
 //! });
 //!

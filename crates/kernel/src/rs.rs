@@ -14,6 +14,13 @@
 //! heartbeats, learns its start mode and observes injected faults (the hook
 //! used by the `newt-faults` crate to reproduce the paper's SWIFI
 //! experiments).
+//!
+//! Each service owns one [`WakeWord`] that outlives its incarnations
+//! ([`ServiceRuntime::wake_word`]).  An idle body parks on it; every control
+//! signal the reincarnation server raises — stop, live update, an armed
+//! fault, a reap — is followed by a write to the word, so a parked service
+//! reacts at once.  A parked body must still wake to heartbeat within its
+//! timeout.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -25,6 +32,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use newt_channels::endpoint::{Endpoint, Generation};
+use newt_channels::wake::{WakeWord, MAX_PARK};
 
 use crate::clock::SimClock;
 
@@ -205,7 +213,11 @@ struct ServiceShared {
     start_mode: Mutex<StartMode>,
     fault: Mutex<FaultAction>,
     last_heartbeat: Mutex<Duration>,
+    /// Virtual time without a heartbeat after which the watchdog reaps.
+    heartbeat_timeout: Duration,
     clock: SimClock,
+    /// Written after every control signal above changes.
+    wake: Arc<WakeWord>,
 }
 
 /// Handle handed to a service body, used to heartbeat and observe control
@@ -224,6 +236,31 @@ impl ServiceRuntime {
     /// Returns the service endpoint.
     pub fn endpoint(&self) -> Endpoint {
         self.shared.endpoint
+    }
+
+    /// Returns the service's wake word: the word an idle body parks on, and
+    /// the one the reincarnation server writes after raising any control
+    /// signal.  It is the same word for every incarnation of the service.
+    pub fn wake_word(&self) -> &Arc<WakeWord> {
+        &self.shared.wake
+    }
+
+    /// Parks an idle body on the service's wake word until the word moves
+    /// on from `seen` (read *before* the body last looked for work, so a
+    /// write since then ends the park at once), the stack-clock time
+    /// `until` comes, or the next heartbeat is due — a quarter of the
+    /// heartbeat timeout, so a parked service is never mistaken for a hung
+    /// one.  Returns `true` if a write ended the park.  The caller
+    /// heartbeats and looks for work again either way.
+    pub fn park(&self, seen: u64, until: Option<Duration>) -> bool {
+        let clock = &self.shared.clock;
+        let heartbeat = clock
+            .to_real(self.shared.heartbeat_timeout / 4)
+            .min(MAX_PARK);
+        let timeout = until.map_or(heartbeat, |at| {
+            clock.to_real(at.saturating_sub(clock.now())).min(heartbeat)
+        });
+        self.shared.wake.mwait(seen, timeout) != seen
     }
 
     /// Returns the start mode of this incarnation.
@@ -350,7 +387,7 @@ struct ManagedService {
 }
 
 impl ManagedService {
-    fn spawn_incarnation(&mut self) {
+    fn spawn_incarnation(&mut self, exits: &Arc<WakeWord>) {
         self.exited = Arc::new(AtomicBool::new(false));
         self.panicked = Arc::new(AtomicBool::new(false));
         self.shared.reap.store(false, Ordering::Release);
@@ -360,6 +397,7 @@ impl ManagedService {
         let exited = Arc::clone(&self.exited);
         let panicked = Arc::clone(&self.panicked);
         let name = self.config.name.clone();
+        let exits = Arc::clone(exits);
         let handle = std::thread::Builder::new()
             .name(format!("newtos-{name}"))
             .spawn(move || {
@@ -369,6 +407,7 @@ impl ManagedService {
                     panicked.store(true, Ordering::Release);
                 }
                 exited.store(true, Ordering::Release);
+                exits.write();
             })
             .expect("spawning a service thread");
         self.thread = Some(handle);
@@ -382,6 +421,10 @@ struct RsInner {
     listeners: Mutex<Vec<CrashListener>>,
     crash_log: Mutex<Vec<CrashEvent>>,
     shutdown: AtomicBool,
+    /// The watchdog's wake word, written by every exiting incarnation (so a
+    /// crash is detected when it happens, not at the next watchdog period)
+    /// and by shutdown.
+    exits: Arc<WakeWord>,
 }
 
 /// The reincarnation server: registers services, watches them and restarts
@@ -401,9 +444,16 @@ struct RsInner {
 /// let starts_in_body = Arc::clone(&starts);
 /// let ep = rs.register(ServiceConfig::new("demo"), move |rt| {
 ///     starts_in_body.fetch_add(1, Ordering::SeqCst);
-///     while !rt.should_stop() {
+///     loop {
+///         // Read the wake word, look at the control flags (and for work),
+///         // then park on the word: a signal raised in between ends the
+///         // park at once.
+///         let seen = rt.wake_word().value();
+///         if rt.should_stop() {
+///             return;
+///         }
 ///         rt.heartbeat();
-///         std::thread::sleep(Duration::from_millis(1));
+///         rt.park(seen, None);
 ///     }
 /// });
 /// // Crash it once: the reincarnation server restarts it automatically.
@@ -439,6 +489,7 @@ impl ReincarnationServer {
             listeners: Mutex::new(Vec::new()),
             crash_log: Mutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
+            exits: Arc::new(WakeWord::new()),
         });
         let watchdog_inner = Arc::clone(&inner);
         let watchdog = std::thread::Builder::new()
@@ -457,7 +508,12 @@ impl ReincarnationServer {
     where
         F: Fn(ServiceRuntime) + Send + Sync + 'static,
     {
-        self.register_with_endpoint(config, Endpoint::from_raw(self.next_endpoint_raw()), body)
+        self.register_with_endpoint(
+            config,
+            Endpoint::from_raw(self.next_endpoint_raw()),
+            Arc::new(WakeWord::new()),
+            body,
+        )
     }
 
     fn next_endpoint_raw(&self) -> u32 {
@@ -468,12 +524,15 @@ impl ReincarnationServer {
         NEXT.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Registers a service under a caller-chosen endpoint (used by the stack
-    /// so that servers keep well-known endpoints across restarts).
+    /// Registers a service under a caller-chosen endpoint and wake word
+    /// (used by the stack so that servers keep well-known endpoints across
+    /// restarts, and so that the queues built before the service starts
+    /// already write the word it parks on).
     pub fn register_with_endpoint<F>(
         &self,
         config: ServiceConfig,
         endpoint: Endpoint,
+        wake: Arc<WakeWord>,
         body: F,
     ) -> Endpoint
     where
@@ -490,7 +549,9 @@ impl ReincarnationServer {
             start_mode: Mutex::new(StartMode::Fresh),
             fault: Mutex::new(FaultAction::None),
             last_heartbeat: Mutex::new(self.inner.clock.now()),
+            heartbeat_timeout: config.heartbeat_timeout,
             clock: self.inner.clock.clone(),
+            wake,
         });
         let mut service = ManagedService {
             config,
@@ -503,7 +564,7 @@ impl ReincarnationServer {
             panicked: Arc::new(AtomicBool::new(false)),
             last_recovery: None,
         };
-        service.spawn_incarnation();
+        service.spawn_incarnation(&self.inner.exits);
         self.inner.services.lock().insert(endpoint, service);
         endpoint
     }
@@ -561,6 +622,7 @@ impl ReincarnationServer {
     pub fn inject_fault(&self, endpoint: Endpoint, fault: FaultAction) {
         if let Some(service) = self.inner.services.lock().get(&endpoint) {
             *service.shared.fault.lock() = fault;
+            service.shared.wake.write();
         }
     }
 
@@ -604,6 +666,7 @@ impl ReincarnationServer {
             service.shared.snapshot.lock().take();
             service.shared.update.store(update, Ordering::Release);
             service.shared.stop.store(true, Ordering::Release);
+            service.shared.wake.write();
             // Marked `Stopped` (not `Restarting`) so the watchdog does not
             // race with this manual restart while the old incarnation winds
             // down.
@@ -628,7 +691,7 @@ impl ReincarnationServer {
         };
         *shared.fault.lock() = FaultAction::None;
         service.restarts += 1;
-        service.spawn_incarnation();
+        service.spawn_incarnation(&self.inner.exits);
         service.last_recovery = Some(RecoveryStamp {
             detected_at,
             respawned_at: self.inner.clock.now(),
@@ -645,6 +708,7 @@ impl ReincarnationServer {
                 return;
             };
             service.shared.stop.store(true, Ordering::Release);
+            service.shared.wake.write();
             service.status = ServiceStatus::Stopped;
             service.thread.take()
         };
@@ -692,6 +756,7 @@ impl ReincarnationServer {
     /// Stops every service and the watchdog.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::Release);
+        self.inner.exits.write();
         let endpoints: Vec<Endpoint> = self.inner.services.lock().keys().copied().collect();
         for ep in endpoints {
             self.stop(ep);
@@ -708,25 +773,24 @@ impl Drop for ReincarnationServer {
     }
 }
 
+/// How often the watchdog checks heartbeats when no incarnation exits.
+const WATCHDOG_PERIOD: Duration = Duration::from_millis(5);
+
 fn watchdog_loop(inner: Arc<RsInner>) {
+    let mut seen = inner.exits.value();
     while !inner.shutdown.load(Ordering::Acquire) {
-        std::thread::sleep(Duration::from_millis(5));
-        let mut events: Vec<CrashEvent> = Vec::new();
+        seen = inner.exits.mwait(seen, WATCHDOG_PERIOD);
+        let mut crashed: Vec<(Endpoint, CrashEvent)> = Vec::new();
         {
             let mut services = inner.services.lock();
-            for service in services.values_mut() {
+            for (endpoint, service) in services.iter_mut() {
                 match service.status {
                     ServiceStatus::Running => {}
                     ServiceStatus::Restarting => {
                         // Waiting for a reaped incarnation to exit.
                         if service.exited.load(Ordering::Acquire) {
-                            if let Some(event) = restart_service(
-                                &inner.clock,
-                                service,
-                                CrashReason::HeartbeatTimeout,
-                            ) {
-                                events.push(event);
-                            }
+                            let event = bury(&inner.clock, service, CrashReason::HeartbeatTimeout);
+                            crashed.push((*endpoint, event));
                         }
                         continue;
                     }
@@ -742,9 +806,7 @@ fn watchdog_loop(inner: Arc<RsInner>) {
                     } else {
                         CrashReason::ExitedUnexpectedly
                     };
-                    if let Some(event) = restart_service(&inner.clock, service, reason) {
-                        events.push(event);
-                    }
+                    crashed.push((*endpoint, bury(&inner.clock, service, reason)));
                     continue;
                 }
                 // Heartbeat check (virtual time).
@@ -754,47 +816,69 @@ fn watchdog_loop(inner: Arc<RsInner>) {
                     // Reap the hung incarnation; the restart happens once the
                     // thread actually exits.
                     service.shared.reap.store(true, Ordering::Release);
+                    service.shared.wake.write();
                     service.status = ServiceStatus::Restarting;
                 }
             }
         }
-        if !events.is_empty() {
+        if crashed.is_empty() {
+            continue;
+        }
+        // Publish before respawning: a neighbour looks at its crash notices
+        // before its queues, so it has cleaned up after the dead
+        // incarnation by the time it reads the replacement's first message.
+        {
             let listeners = inner.listeners.lock();
-            for event in &events {
+            for (_, event) in &crashed {
                 for listener in listeners.iter() {
                     listener(event);
                 }
             }
-            inner.crash_log.lock().extend(events);
         }
+        let mut services = inner.services.lock();
+        for (endpoint, event) in &crashed {
+            if let Some(service) = services.get_mut(endpoint) {
+                respawn(&inner, service, event.at);
+            }
+        }
+        drop(services);
+        inner
+            .crash_log
+            .lock()
+            .extend(crashed.into_iter().map(|(_, event)| event));
     }
 }
 
-/// Restarts a crashed incarnation (or marks the service failed when the
-/// restart budget is exhausted) and returns the crash event to publish.
-fn restart_service(
-    clock: &SimClock,
-    service: &mut ManagedService,
-    reason: CrashReason,
-) -> Option<CrashEvent> {
-    let detected_at = clock.now();
-    let old_generation = Generation::from_raw(service.shared.generation.load(Ordering::Acquire));
+/// Buries a dead incarnation — joins its thread and settles whether the
+/// service gets another one (`Restarting`) or has used up its restart budget
+/// (`Failed`) — and returns the crash event to publish.
+fn bury(clock: &SimClock, service: &mut ManagedService, reason: CrashReason) -> CrashEvent {
+    let generation = Generation::from_raw(service.shared.generation.load(Ordering::Acquire));
     // Collect the incarnation's thread so it does not leak.
     if let Some(handle) = service.thread.take() {
         let _ = handle.join();
     }
     let restarting = service.restarts < service.config.max_restarts;
-    let event = CrashEvent {
+    service.status = if restarting {
+        ServiceStatus::Restarting
+    } else {
+        ServiceStatus::Failed
+    };
+    CrashEvent {
         name: service.config.name.clone(),
         endpoint: service.shared.endpoint,
-        generation: old_generation,
+        generation,
         reason,
         restarting,
-        at: detected_at,
-    };
-    if !restarting {
-        service.status = ServiceStatus::Failed;
-        return Some(event);
+        at: clock.now(),
+    }
+}
+
+/// Starts the replacement of an incarnation [`bury`] marked `Restarting`
+/// (unless the service was stopped in between).
+fn respawn(inner: &RsInner, service: &mut ManagedService, detected_at: Duration) {
+    if service.status != ServiceStatus::Restarting || inner.shutdown.load(Ordering::Acquire) {
+        return;
     }
     service.restarts += 1;
     service.shared.generation.fetch_add(1, Ordering::AcqRel);
@@ -804,13 +888,12 @@ fn restart_service(
     service.shared.update.store(false, Ordering::Release);
     // A crash invalidates any snapshot a previous live update left behind.
     service.shared.snapshot.lock().take();
-    service.spawn_incarnation();
+    service.spawn_incarnation(&inner.exits);
     service.last_recovery = Some(RecoveryStamp {
         detected_at,
-        respawned_at: clock.now(),
+        respawned_at: inner.clock.now(),
         requested: false,
     });
-    Some(event)
 }
 
 #[cfg(test)]
@@ -921,6 +1004,49 @@ mod tests {
             "heartbeat timeout was not recorded in the crash log"
         );
         rs.shutdown();
+    }
+
+    /// A body that idles the way the stack's service loop does: park on the
+    /// service's wake word, for far longer than the test may take.
+    fn parking_service(counter: Arc<AtomicU32>) -> impl Fn(ServiceRuntime) + Send + Sync {
+        move |rt: ServiceRuntime| {
+            counter.fetch_add(1, Ordering::SeqCst);
+            loop {
+                let seen = rt.wake_word().value();
+                if rt.should_stop() {
+                    return;
+                }
+                rt.heartbeat();
+                rt.wake_word().mwait(seen, Duration::from_secs(60));
+            }
+        }
+    }
+
+    #[test]
+    fn control_signals_wake_a_parked_service() {
+        let rs = ReincarnationServer::new(SimClock::realtime());
+        let starts = Arc::new(AtomicU32::new(0));
+        let config = ServiceConfig::new("parked").heartbeat_timeout(Duration::from_secs(600));
+        let ep = rs.register(config, parking_service(Arc::clone(&starts)));
+        assert!(rs.wait_until_running(ep, Duration::from_secs(2)));
+        let begun = std::time::Instant::now();
+        let wait_for_start = |n: u32| {
+            while starts.load(Ordering::SeqCst) < n {
+                assert!(begun.elapsed() < Duration::from_secs(30), "start {n}");
+                std::thread::yield_now();
+            }
+        };
+        // Each of these would otherwise wait out the 60 s park.
+        rs.inject_fault(ep, FaultAction::Crash);
+        wait_for_start(2);
+        assert!(rs.wait_until_running(ep, Duration::from_secs(2)));
+        assert!(rs.live_update(ep));
+        wait_for_start(3);
+        assert!(rs.force_restart(ep));
+        wait_for_start(4);
+        rs.stop(ep);
+        rs.shutdown();
+        assert!(begun.elapsed() < Duration::from_secs(30));
     }
 
     #[test]

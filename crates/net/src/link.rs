@@ -16,7 +16,7 @@
 //! [`Netem`] and [`LinkConfig::impaired`].
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -25,6 +25,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use newt_channels::wake::WakeWord;
 use newt_kernel::clock::SimClock;
 
 use crate::trace::TraceCapture;
@@ -272,6 +273,9 @@ struct LinkInner {
     rng: Mutex<StdRng>,
     trace_a: Mutex<Option<TraceCapture>>,
     trace_b: Mutex<Option<TraceCapture>>,
+    /// The wake word of whoever receives at each end, once attached.
+    wake_a: OnceLock<Arc<WakeWord>>,
+    wake_b: OnceLock<Arc<WakeWord>>,
 }
 
 impl LinkInner {
@@ -286,6 +290,13 @@ impl LinkInner {
         match side {
             LinkSide::A => &self.trace_a,
             LinkSide::B => &self.trace_b,
+        }
+    }
+
+    fn wake_for_receiver(&self, side: LinkSide) -> &OnceLock<Arc<WakeWord>> {
+        match side {
+            LinkSide::A => &self.wake_a,
+            LinkSide::B => &self.wake_b,
         }
     }
 }
@@ -307,6 +318,8 @@ impl Link {
             rng: Mutex::new(StdRng::seed_from_u64(0x6e6574)),
             trace_a: Mutex::new(None),
             trace_b: Mutex::new(None),
+            wake_a: OnceLock::new(),
+            wake_b: OnceLock::new(),
         });
         let link = Link {
             inner: Arc::clone(&inner),
@@ -351,6 +364,15 @@ impl LinkPort {
     /// Returns which side of the link this port is.
     pub fn side(&self) -> LinkSide {
         self.side
+    }
+
+    /// Attaches the wake word of whoever receives at this port: from now on
+    /// every frame accepted *towards* this port writes it, so a receiver
+    /// parked on the word learns that [`LinkPort::next_arrival`] changed.
+    /// The first attachment stays for the life of the link (the word
+    /// belongs to a service, not to one of its incarnations).
+    pub fn attach_wake(&self, wake: Arc<WakeWord>) {
+        let _ = self.inner.wake_for_receiver(self.side).set(wake);
     }
 
     /// Submits a frame for transmission.  Returns `false` if the frame was
@@ -439,7 +461,19 @@ impl LinkPort {
             dir.enqueue_sorted(arrival, frame.clone());
         }
         dir.enqueue_sorted(arrival, frame);
+        drop(dir);
+        if let Some(wake) = inner.wake_for_receiver(self.side.other()).get() {
+            wake.write();
+        }
         true
+    }
+
+    /// Returns the virtual time at which the next frame in flight towards
+    /// this port arrives (possibly already in the past), or `None` when
+    /// nothing is in flight — the receiver's next clock-driven deadline.
+    pub fn next_arrival(&self) -> Option<Duration> {
+        let dir = self.inner.direction(self.side.other()).lock();
+        dir.queue.front().map(|(arrival, _)| *arrival)
     }
 
     /// Returns the next frame that has fully arrived at this port, if any.
@@ -574,6 +608,26 @@ mod tests {
         assert_eq!(stats.drops, 0);
         assert_eq!(stats.duplicated, 0);
         assert_eq!(stats.reordered, 0);
+    }
+
+    #[test]
+    fn transmit_writes_the_receivers_word_and_exposes_the_arrival_time() {
+        let clock = SimClock::realtime();
+        let config = LinkConfig::unshaped().propagation(Duration::from_secs(10));
+        let (_link, a, b) = Link::new(config, clock.clone());
+        let word = Arc::new(WakeWord::new());
+        b.attach_wake(Arc::clone(&word));
+        assert_eq!(b.next_arrival(), None);
+        let before = clock.now();
+        assert!(a.transmit(vec![1]));
+        assert!(a.transmit(vec![2]));
+        // Both frames wrote B's word; A has no word and nothing in flight.
+        assert_eq!(word.value(), 2);
+        let arrival = b.next_arrival().expect("a frame is in flight");
+        assert!(arrival >= before + Duration::from_secs(10));
+        assert_eq!(a.next_arrival(), None);
+        assert!(b.transmit(vec![3]));
+        assert_eq!(word.value(), 2);
     }
 
     #[test]

@@ -329,6 +329,18 @@ impl Nic {
         }
     }
 
+    /// Returns the virtual time of the adapter's next clock-driven event —
+    /// the link coming back up after a reset, else the arrival of the next
+    /// frame in flight towards it (possibly already past) — or `None` when
+    /// only a transmit request can give [`Nic::poll`] something to do.
+    pub fn next_event(&self) -> Option<Duration> {
+        if self.is_link_up() {
+            self.port.next_arrival()
+        } else {
+            Some(self.link_up_at)
+        }
+    }
+
     /// Pops the next received frame from the lowest-numbered non-empty RX
     /// ring (single-queue compatibility wrapper; multi-queue drivers use
     /// [`Nic::receive_on`]).

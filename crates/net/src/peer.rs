@@ -38,6 +38,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
+use newt_channels::wake::{WakeWord, MAX_PARK};
 use newt_kernel::clock::SimClock;
 
 use crate::link::LinkPort;
@@ -261,6 +262,10 @@ pub struct RemotePeer {
     clock: SimClock,
     port: LinkPort,
     state: Mutex<PeerState>,
+    /// What the background thread parks on: written by the link when a
+    /// frame is sent towards the peer, and by every call that can arm a
+    /// client timer.
+    wake: Arc<WakeWord>,
 }
 
 impl RemotePeer {
@@ -277,6 +282,7 @@ impl RemotePeer {
                 next_client_timer: None,
                 stats: PeerStats::default(),
             }),
+            wake: Arc::new(WakeWord::new()),
         }
     }
 
@@ -327,24 +333,42 @@ impl RemotePeer {
         handled + self.tick()
     }
 
+    /// The virtual time of the peer's next clock-driven work: the arrival of
+    /// the next frame in flight towards it or the earliest client timer.
+    fn next_deadline(&self) -> Option<Duration> {
+        let timer = self.state.lock().next_client_timer;
+        match (self.port.next_arrival(), timer) {
+            (Some(arrival), Some(timer)) => Some(arrival.min(timer)),
+            (arrival, timer) => arrival.or(timer),
+        }
+    }
+
     /// Runs the peer in a background thread until the returned handle is
-    /// stopped.
+    /// stopped.  The thread polls while there is work and otherwise parks on
+    /// the peer's wake word until the next frame arrival or client timer.
     pub fn spawn(self: Arc<Self>) -> PeerHandle {
+        self.port.attach_wake(Arc::clone(&self.wake));
         let stop = Arc::new(AtomicBool::new(false));
         let stop_thread = Arc::clone(&stop);
         let peer = Arc::clone(&self);
         let thread = std::thread::Builder::new()
             .name("newtos-remote-peer".to_string())
-            .spawn(move || {
-                while !stop_thread.load(Ordering::Acquire) {
-                    if peer.poll_once() == 0 {
-                        std::thread::sleep(Duration::from_micros(200));
-                    }
+            .spawn(move || loop {
+                let seen = peer.wake.value();
+                if stop_thread.load(Ordering::Acquire) {
+                    return;
+                }
+                if peer.poll_once() == 0 {
+                    let park = peer.next_deadline().map_or(MAX_PARK, |at| {
+                        peer.clock.to_real(at.saturating_sub(peer.clock.now()))
+                    });
+                    peer.wake.mwait(seen, park.min(MAX_PARK));
                 }
             })
             .expect("spawning the remote peer thread");
         PeerHandle {
             stop,
+            wake: Arc::clone(&self.wake),
             thread: Some(thread),
         }
     }
@@ -699,6 +723,7 @@ impl RemotePeer {
             Some((mac, ip, syn)) => self.send_tcp(mac, ip, syn.as_view()),
             None => self.send_arp_request(dst_ip),
         }
+        self.wake.write();
     }
 
     /// Queues `data` for transmission on the client flow bound to
@@ -717,6 +742,7 @@ impl RemotePeer {
         };
         if ok {
             self.flush_client(src_port);
+            self.wake.write();
         }
         ok
     }
@@ -762,6 +788,7 @@ impl RemotePeer {
         if let Some((mac, ip, rst)) = rst {
             self.send_tcp(mac, ip, rst.as_view());
         }
+        self.wake.write();
     }
 
     /// Number of client flows currently established.
@@ -1109,22 +1136,21 @@ impl RemotePeer {
 #[derive(Debug)]
 pub struct PeerHandle {
     stop: Arc<AtomicBool>,
+    wake: Arc<WakeWord>,
     thread: Option<JoinHandle<()>>,
 }
 
 impl PeerHandle {
     /// Stops the peer thread and waits for it to finish.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
+    pub fn stop(self) {
+        drop(self);
     }
 }
 
 impl Drop for PeerHandle {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
+        self.wake.write();
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }

@@ -11,6 +11,18 @@
 //! the topology only decides which servers share a service), and the
 //! SYSCALL front end applications talk to through [`NetClient`].
 //!
+//! # Idle and wake-up
+//!
+//! Every service owns one [`WakeWord`] that outlives its incarnations.
+//! Whatever can bring the service work writes that word — its inbound
+//! fabric lanes, its socket-buffer doorbell, its submission rings, the
+//! SYSCALL mailbox, the link a driver's NIC hangs off, the crash board and
+//! the reincarnation server's control flags — and the service loop polls
+//! while there is work and otherwise parks on the word (the paper's
+//! `MONITOR`/`MWAIT` idle) until the members' next clock-driven deadline or
+//! the next heartbeat is due.  `docs/ARCHITECTURE.md`, "Idle and wake-up",
+//! has the table of writers and deadlines.
+//!
 //! # Receive-side scaling (`shards`)
 //!
 //! [`StackConfig::shards`] replicates the ip/tcp/udp server trio `n` times
@@ -29,7 +41,7 @@
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,6 +50,7 @@ use parking_lot::Mutex;
 use newt_channels::endpoint::Endpoint;
 use newt_channels::pool::Pool;
 use newt_channels::registry::Registry;
+use newt_channels::wake::WakeWord;
 use newt_kernel::clock::SimClock;
 use newt_kernel::cost::CostModel;
 use newt_kernel::ipc::{KernelIpc, KernelStats};
@@ -259,6 +272,61 @@ pub struct FabricStats {
     pub full_rejections: u64,
 }
 
+/// How one service's loop spent its rounds: the counts behind "is this
+/// server idling on its wake word or spinning?".  A service of several
+/// members reports the same counters under each of them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IdleStats {
+    /// Poll rounds run (every member polled once per round).
+    pub rounds: u64,
+    /// Rounds that found no work and parked on the service's wake word.
+    pub parks: u64,
+    /// Parks ended by a write to the word (some source brought work or a
+    /// control signal).
+    pub woken_by_write: u64,
+    /// Parks that lasted until their deadline (a member's timer, a frame
+    /// arrival time or the heartbeat interval).
+    pub woken_by_deadline: u64,
+}
+
+/// The idle counters of every service, looked up by a component it hosts.
+#[derive(Debug, Clone, Copy)]
+pub struct IdleTelemetry {
+    slots: [IdleStats; 1 + 5 * MAX_SHARDS],
+}
+
+impl Default for IdleTelemetry {
+    fn default() -> Self {
+        IdleTelemetry {
+            slots: [IdleStats::default(); 1 + 5 * MAX_SHARDS],
+        }
+    }
+}
+
+impl IdleTelemetry {
+    fn slot(component: Component) -> usize {
+        let (kind, index) = match component {
+            Component::PacketFilter => return 0,
+            Component::Syscall => (0, 0),
+            Component::SyscallShard(s) => (0, s),
+            Component::Tcp => (1, 0),
+            Component::TcpShard(s) => (1, s),
+            Component::Udp => (2, 0),
+            Component::UdpShard(s) => (2, s),
+            Component::Ip => (3, 0),
+            Component::IpShard(s) => (3, s),
+            Component::Driver(i) => (4, i),
+        };
+        1 + kind * MAX_SHARDS + index
+    }
+
+    /// Returns the idle counters of the service hosting `component` (zeros
+    /// for a component this stack does not run).
+    pub fn of(&self, component: Component) -> IdleStats {
+        self.slots[Self::slot(component)]
+    }
+}
+
 /// Aggregated per-component statistics sampled from the running servers.
 ///
 /// The singletons have one field each; the `*_shards` and `drivers` arrays
@@ -280,6 +348,8 @@ pub struct Telemetry {
     pub drivers: [DriverStats; MAX_SHARDS],
     /// Per-shard fabric message counters (all lanes of the shard).
     pub fabric_shards: [FabricStats; MAX_SHARDS],
+    /// Per-service idle counters (rounds, parks and what ended them).
+    pub idle: IdleTelemetry,
 }
 
 impl Telemetry {
@@ -369,12 +439,19 @@ impl std::fmt::Debug for NewtStack {
 }
 
 /// The one contract every server of the stack implements: drain the queues
-/// and do the work, publish counters, hand hot state over on a live update.
-/// [`serve`] drives any group of them.
+/// and do the work, say when the clock next brings work, publish counters,
+/// hand hot state over on a live update.  [`serve`] drives any group of
+/// them.
 pub(crate) trait Server {
     /// Runs one iteration of the server's event loop; returns the amount of
     /// work done (0 means the core may idle).
     fn poll(&mut self) -> usize;
+    /// The stack-clock time at which the server next has work that no
+    /// message announces (a timer, a frame arriving off the link); `None`
+    /// for a server only its wake word's writers can give work.
+    fn next_deadline(&self) -> Option<Duration> {
+        None
+    }
     /// Copies the server's counters into its slot of the shared telemetry.
     fn publish(&self, telemetry: &mut Telemetry);
     /// Serializes the server's hot state for a live-update hand-over.
@@ -384,11 +461,14 @@ pub(crate) trait Server {
 /// Implements [`Server`] on top of a server's inherent `poll` /
 /// `export_state`; the closure names the telemetry slot the server owns.
 macro_rules! server {
-    ($server:ty => |$s:ident, $t:ident| $publish:expr) => {
+    ($server:ty => |$s:ident, $t:ident| $publish:expr $(, deadline: $deadline:expr)?) => {
         impl Server for $server {
             fn poll(&mut self) -> usize {
                 <$server>::poll(self)
             }
+            $(fn next_deadline(&self) -> Option<Duration> {
+                $deadline(self)
+            })?
             fn publish(&self, $t: &mut Telemetry) {
                 let $s = self;
                 $publish
@@ -400,11 +480,15 @@ macro_rules! server {
     };
 }
 
-server!(TcpServer => |s, t| t.tcp_shards[s.shard().index] = s.stats());
+// IP, PF, UDP and SYSCALL have no clock-driven work: their crash
+// resubmission is driven by the crash board, which writes their wake words.
+server!(TcpServer => |s, t| t.tcp_shards[s.shard().index] = s.stats(),
+    deadline: TcpServer::next_deadline);
 server!(UdpServer => |s, t| t.udp_shards[s.shard().index] = s.stats());
 server!(IpServer => |s, t| t.ip_shards[s.shard().index] = s.stats());
 server!(PacketFilterServer => |s, t| t.pf = s.stats());
-server!(DriverServer => |s, t| t.drivers[s.index()] = s.stats());
+server!(DriverServer => |s, t| t.drivers[s.index()] = s.stats(),
+    deadline: DriverServer::next_deadline);
 server!(SyscallServer => |s, t| t.syscall = s.stats());
 server!(SyscallReplica => |_s, _t| ());
 
@@ -432,34 +516,47 @@ struct ShardLanes {
     /// One transmit/completion lane pair per NIC.
     ip_to_drv: Vec<Chan<IpToDrv>>,
     drv_to_ip: Vec<Chan<DrvToIp>>,
-    /// Rung by this shard's TCP socket buffers when the application queues
-    /// work; owned by the fabric (like the lanes) so it survives TCP
-    /// restarts.
+    /// Rung by this shard's TCP (UDP) socket buffers when the application
+    /// queues work; owned by the fabric (like the lanes) so they survive
+    /// the transports' restarts.
     tcp_doorbell: Arc<Doorbell>,
+    udp_doorbell: Arc<Doorbell>,
 }
 
 impl ShardLanes {
-    fn new(nics: usize) -> Self {
+    /// Builds the lanes of `shard`.  Every lane (and doorbell) writes the
+    /// wake word of the service that drains it, which `word_of` looks up by
+    /// the consumer's endpoint.
+    fn new(shard: Shard, nics: usize, word_of: impl Fn(Endpoint) -> Arc<WakeWord>) -> Self {
+        let tcp = || word_of(shard.tcp());
+        let udp = || word_of(shard.udp());
+        let ip = || word_of(shard.ip());
+        let pf = || word_of(endpoints::PF);
+        let syscall = || word_of(endpoints::SYSCALL);
+        let ring_pump = || word_of(endpoints::syscall_shard(shard.index));
         ShardLanes {
-            tcp_to_ip: Chan::new(4096),
-            ip_to_tcp: Chan::new(4096),
-            udp_to_ip: Chan::new(1024),
-            ip_to_udp: Chan::new(1024),
-            ip_to_pf: Chan::new(4096),
-            pf_to_ip: Chan::new(4096),
-            pf_to_tcp: Chan::new(16),
-            tcp_to_pf: Chan::new(16),
-            pf_to_udp: Chan::new(16),
-            udp_to_pf: Chan::new(16),
-            sys_to_tcp: Chan::new(256),
-            tcp_to_sys: Chan::new(256),
-            sys_to_udp: Chan::new(256),
-            udp_to_sys: Chan::new(256),
-            ring_to_tcp: Chan::new(1024),
-            tcp_to_ring: Chan::new(4096),
-            ip_to_drv: (0..nics).map(|_| Chan::new(2048)).collect(),
-            drv_to_ip: (0..nics).map(|_| Chan::new(2048)).collect(),
-            tcp_doorbell: Doorbell::new(),
+            tcp_to_ip: Chan::waking(4096, ip()),
+            ip_to_tcp: Chan::waking(4096, tcp()),
+            udp_to_ip: Chan::waking(1024, ip()),
+            ip_to_udp: Chan::waking(1024, udp()),
+            ip_to_pf: Chan::waking(4096, pf()),
+            pf_to_ip: Chan::waking(4096, ip()),
+            pf_to_tcp: Chan::waking(16, tcp()),
+            tcp_to_pf: Chan::waking(16, pf()),
+            pf_to_udp: Chan::waking(16, udp()),
+            udp_to_pf: Chan::waking(16, pf()),
+            sys_to_tcp: Chan::waking(256, tcp()),
+            tcp_to_sys: Chan::waking(256, syscall()),
+            sys_to_udp: Chan::waking(256, udp()),
+            udp_to_sys: Chan::waking(256, syscall()),
+            ring_to_tcp: Chan::waking(1024, tcp()),
+            tcp_to_ring: Chan::waking(4096, ring_pump()),
+            ip_to_drv: (0..nics)
+                .map(|i| Chan::waking(2048, word_of(endpoints::driver(i))))
+                .collect(),
+            drv_to_ip: (0..nics).map(|_| Chan::waking(2048, ip())).collect(),
+            tcp_doorbell: Doorbell::waking(tcp()),
+            udp_doorbell: Doorbell::waking(udp()),
         }
     }
 
@@ -626,6 +723,49 @@ struct Wiring {
     rings: Arc<RingTable>,
     nics: Vec<Arc<Mutex<Nic>>>,
     telemetry: Mutex<Telemetry>,
+    /// What each placement row keeps across its incarnations, in placement
+    /// order.
+    services: Vec<Service>,
+}
+
+/// The part of a service that outlives its incarnations: who runs in it,
+/// the wake word everything that brings it work writes, and how its loop
+/// has been spending its rounds.
+struct Service {
+    members: Vec<Component>,
+    word: Arc<WakeWord>,
+    idle: IdleCounters,
+}
+
+/// A service loop's [`IdleStats`], stored by the loop (its only writer) and
+/// read live by [`NewtStack::telemetry`] — an idle loop never takes the
+/// telemetry mutex.
+#[derive(Default)]
+struct IdleCounters {
+    rounds: AtomicU64,
+    parks: AtomicU64,
+    woken_by_write: AtomicU64,
+    woken_by_deadline: AtomicU64,
+}
+
+impl IdleCounters {
+    fn store(&self, stats: IdleStats) {
+        self.rounds.store(stats.rounds, Ordering::Relaxed);
+        self.parks.store(stats.parks, Ordering::Relaxed);
+        self.woken_by_write
+            .store(stats.woken_by_write, Ordering::Relaxed);
+        self.woken_by_deadline
+            .store(stats.woken_by_deadline, Ordering::Relaxed);
+    }
+
+    fn load(&self) -> IdleStats {
+        IdleStats {
+            rounds: self.rounds.load(Ordering::Relaxed),
+            parks: self.parks.load(Ordering::Relaxed),
+            woken_by_write: self.woken_by_write.load(Ordering::Relaxed),
+            woken_by_deadline: self.woken_by_deadline.load(Ordering::Relaxed),
+        }
+    }
 }
 
 impl Wiring {
@@ -680,6 +820,7 @@ impl Wiring {
                 lane.pf_to_udp.rx(),
                 lane.udp_to_pf.tx(),
                 self.crash_board.clone(),
+                Arc::clone(&lane.udp_doorbell),
                 rt.take_snapshot(),
             )),
             Component::Ip | Component::IpShard(_) => Box::new(IpServer::new(
@@ -780,13 +921,28 @@ impl NewtStack {
         config.nics = placed(&services, |c| matches!(c, Component::Driver(_)));
         let shards = config.shards;
 
+        // One wake word per service, made before anything that writes one:
+        // every queue, doorbell, ring and link port below is built onto the
+        // word of the service that consumes it.
+        let words: Vec<Arc<WakeWord>> = services.iter().map(|_| Arc::default()).collect();
+        let by_endpoint: HashMap<Endpoint, Arc<WakeWord>> = services
+            .iter()
+            .zip(&words)
+            .flat_map(|((_, _, members), word)| {
+                members.iter().map(|c| (c.endpoint(), Arc::clone(word)))
+            })
+            .collect();
+        // A consumer that is not placed (the packet filter when disabled)
+        // gets a word nobody parks on.
+        let word_of = |endpoint: Endpoint| by_endpoint.get(&endpoint).cloned().unwrap_or_default();
+
         let clock = SimClock::with_speedup(config.clock_speedup);
         let kernel = if config.emulate_kernel_costs {
             KernelIpc::with_cost_emulation(config.cost_model)
         } else {
             KernelIpc::new(config.cost_model)
         };
-        let crash_board = CrashBoard::new();
+        let crash_board = CrashBoard::waking(words.clone());
         let pools = PoolTable::new();
         let rs = ReincarnationServer::new(clock.clone());
         {
@@ -802,6 +958,8 @@ impl NewtStack {
         let mut peer_traces = Vec::new();
         for i in 0..config.nics {
             let (link, local_port, peer_port) = Link::new(config.link.clone(), clock.clone());
+            // A frame sent towards the NIC changes its driver's deadline.
+            local_port.attach_wake(word_of(endpoints::driver(i)));
             let trace = TraceCapture::new();
             link.attach_trace(LinkSide::B, trace.clone());
             let mut nic_config = NicConfig::new(i as u8);
@@ -839,11 +997,18 @@ impl NewtStack {
                 pools.register(pool);
             }
         }
-        let lanes: Vec<ShardLanes> = (0..shards).map(|_| ShardLanes::new(config.nics)).collect();
+        let lanes: Vec<ShardLanes> = (0..shards)
+            .map(|s| ShardLanes::new(Shard::new(s, shards), config.nics, word_of))
+            .collect();
+        let rings = RingTable::waking(
+            (0..shards)
+                .map(|s| word_of(endpoints::syscall_shard(s)))
+                .collect(),
+        );
 
         // Attach the SYSCALL mailbox before any service or client runs so
         // that applications started right after boot can already queue calls.
-        kernel.attach(endpoints::SYSCALL);
+        kernel.attach_wake(endpoints::SYSCALL, word_of(endpoints::SYSCALL));
 
         let wiring = Arc::new(Wiring {
             clock,
@@ -857,9 +1022,18 @@ impl NewtStack {
             pools,
             shard_pools,
             lanes,
-            rings: Arc::new(RingTable::new()),
+            rings: Arc::new(rings),
             nics,
             telemetry: Mutex::new(Telemetry::default()),
+            services: services
+                .iter()
+                .zip(words)
+                .map(|((_, _, members), word)| Service {
+                    members: members.clone(),
+                    word,
+                    idle: IdleCounters::default(),
+                })
+                .collect(),
             config,
         });
 
@@ -870,16 +1044,21 @@ impl NewtStack {
         let ipc_toll = (services.len() == 1 && wiring.config.emulate_kernel_costs)
             .then_some(wiring.config.cost_model);
         let mut component_services: HashMap<Component, Endpoint> = HashMap::new();
-        for (name, endpoint, members) in &services {
+        for (row, (name, endpoint, members)) in services.iter().enumerate() {
             component_services.extend(members.iter().map(|&c| (c, *endpoint)));
             let wiring = Arc::clone(&wiring);
-            let members = members.clone();
             rs.register_with_endpoint(
                 ServiceConfig::new(name).heartbeat_timeout(wiring.config.heartbeat_timeout),
                 *endpoint,
+                Arc::clone(&wiring.services[row].word),
                 move |rt| {
-                    let servers = members.iter().map(|&c| wiring.build(c, &rt)).collect();
-                    serve(&rt, servers, &wiring.telemetry, ipc_toll);
+                    let service = &wiring.services[row];
+                    let servers = service
+                        .members
+                        .iter()
+                        .map(|&c| wiring.build(c, &rt))
+                        .collect();
+                    serve(&rt, servers, &wiring.telemetry, &service.idle, ipc_toll);
                 },
             );
         }
@@ -1119,6 +1298,12 @@ impl NewtStack {
             }
             snapshot.fabric_shards[shard] = fabric;
         }
+        for service in &self.wiring.services {
+            let idle = service.idle.load();
+            for &member in &service.members {
+                snapshot.idle.slots[IdleTelemetry::slot(member)] = idle;
+            }
+        }
         snapshot
     }
 
@@ -1179,14 +1364,21 @@ impl Drop for NewtStack {
     }
 }
 
-/// The service loop every placement row runs: poll the members, heartbeat,
-/// idle briefly when there is no work, exit when asked to stop or to hand
-/// over for a live update.
+/// The service loop every placement row runs: poll the members while there
+/// is work; with none, park on the service's wake word until a write brings
+/// some, a member's next deadline comes or a heartbeat is due; exit when
+/// asked to stop or to hand over for a live update.
+///
+/// The word is read *before* the control flags and the members are looked
+/// at, so whatever is written after that — a message, a doorbell, a frame on
+/// the link, a control signal — ends the park that follows at once: no
+/// source of work is waited for on a timer.
 ///
 /// Stats are published on working rounds only (and once at startup), so
-/// idle spins never touch the shared telemetry mutex.  With an `ipc_toll`
-/// every unit of work additionally spins for two kernel traps and a context
-/// switch — the synchronous single-core baseline.
+/// idle rounds never touch the shared telemetry mutex; the loop's own idle
+/// counters go to `idle` with plain stores.  With an `ipc_toll` every unit
+/// of work additionally spins for two kernel traps and a context switch —
+/// the synchronous single-core baseline.
 ///
 /// On a live-update request the loop *quiesces* before returning: it runs a
 /// few more poll rounds to drain the fabric batches already parked in the
@@ -1200,6 +1392,7 @@ fn serve(
     rt: &ServiceRuntime,
     mut members: Vec<Box<dyn Server>>,
     telemetry: &Mutex<Telemetry>,
+    idle: &IdleCounters,
     ipc_toll: Option<CostModel>,
 ) {
     let mut published = false;
@@ -1218,8 +1411,10 @@ fn serve(
         }
         work
     };
-    let mut idle_rounds = 0u32;
+    // Counted across incarnations: the counters describe the service.
+    let mut stats = idle.load();
     loop {
+        let seen = rt.wake_word().value();
         // A live update raises the update flag before the stop flag, so
         // reading them in the opposite order never sees a stop without the
         // update intent that came with it.
@@ -1241,19 +1436,18 @@ fn serve(
             return;
         }
         rt.heartbeat();
-        let work = round(&mut members);
-        if work == 0 {
-            idle_rounds = idle_rounds.saturating_add(1);
-            if idle_rounds > 16 {
-                // The MWAIT-style idle: sleep briefly instead of burning the
-                // core.  Wake-up latency is bounded by this sleep.
-                std::thread::sleep(Duration::from_micros(200));
+        stats.rounds += 1;
+        if round(&mut members) == 0 {
+            let deadline = members.iter().filter_map(|m| m.next_deadline()).min();
+            stats.parks += 1;
+            idle.store(stats);
+            if rt.park(seen, deadline) {
+                stats.woken_by_write += 1;
             } else {
-                std::thread::yield_now();
+                stats.woken_by_deadline += 1;
             }
-        } else {
-            idle_rounds = 0;
         }
+        idle.store(stats);
     }
 }
 
@@ -1402,9 +1596,10 @@ mod tests {
             .expect("send before crash");
 
         assert!(stack.inject_fault(Component::PacketFilter, FaultAction::Crash));
+        wait_until("the filter to be replaced", || {
+            stack.restart_count(Component::PacketFilter) >= 1
+        });
         assert!(stack.wait_component_running(Component::PacketFilter, Duration::from_secs(10)));
-        // Give the restarted filter a moment to resync.
-        std::thread::sleep(Duration::from_millis(100));
 
         // The same connection keeps working after the filter restart.
         socket
@@ -1441,8 +1636,10 @@ mod tests {
         let _ = socket.recv_from().expect("answer before crash");
 
         assert!(stack.inject_fault(Component::Udp, FaultAction::Crash));
+        wait_until("the udp server to be replaced", || {
+            stack.restart_count(Component::Udp) >= 1
+        });
         assert!(stack.wait_component_running(Component::Udp, Duration::from_secs(10)));
-        std::thread::sleep(Duration::from_millis(100));
 
         // The same socket, same shared buffer, keeps working: the restarted
         // UDP server recovered the socket table from the storage server.
@@ -1713,52 +1910,121 @@ mod tests {
     /// it and returns the log plus what the replacement incarnation saw.
     fn serve_group(group: usize) -> (Arc<FakeLog>, StartMode, Option<StateSnapshot>) {
         let log = Arc::new(FakeLog::default());
+        let idle = Arc::new(IdleCounters::default());
         let replacement = Arc::new(Mutex::new(None));
         let rs = ReincarnationServer::new(SimClock::realtime());
+        let word = Arc::new(WakeWord::new());
         let service = {
             let log = Arc::clone(&log);
+            let idle = Arc::clone(&idle);
             let replacement = Arc::clone(&replacement);
-            rs.register(ServiceConfig::new("fake"), move |rt| {
-                if rt.generation() != newt_channels::endpoint::Generation::FIRST {
-                    *replacement.lock() = Some((rt.start_mode(), rt.take_snapshot()));
-                    // Stay up, or the watchdog would restart the service
-                    // and overwrite the record.
-                    while !rt.should_stop() {
-                        rt.heartbeat();
-                        std::thread::yield_now();
+            rs.register_with_endpoint(
+                ServiceConfig::new("fake"),
+                Endpoint::from_raw(0x2000 + group as u32),
+                Arc::clone(&word),
+                move |rt| {
+                    if rt.generation() != newt_channels::endpoint::Generation::FIRST {
+                        *replacement.lock() = Some((rt.start_mode(), rt.take_snapshot()));
+                        // Stay up, or the watchdog would restart the service
+                        // and overwrite the record.
+                        loop {
+                            let seen = rt.wake_word().value();
+                            if rt.should_stop() {
+                                return;
+                            }
+                            rt.heartbeat();
+                            rt.park(seen, None);
+                        }
                     }
-                    return;
-                }
-                let members = (0..group)
-                    .map(|_| {
-                        Box::new(FakeServer {
-                            rt: rt.clone(),
-                            log: Arc::clone(&log),
-                        }) as Box<dyn Server>
-                    })
-                    .collect();
-                serve(&rt, members, &Mutex::new(Telemetry::default()), None);
-            })
+                    let members = (0..group)
+                        .map(|_| {
+                            Box::new(FakeServer {
+                                rt: rt.clone(),
+                                log: Arc::clone(&log),
+                            }) as Box<dyn Server>
+                        })
+                        .collect();
+                    serve(&rt, members, &Mutex::new(Telemetry::default()), &idle, None);
+                },
+            )
         };
 
-        // Idle rounds publish once, at startup, and never again.
-        let polls = |n: usize| log.polls.load(Ordering::SeqCst) >= n;
-        wait_until("idle rounds", || polls(40 * group));
+        // The first round publishes; the idle rounds after it park and
+        // never publish again.
+        wait_until("the loop to park", || idle.load().parks >= 2);
         assert_eq!(log.publishes.load(Ordering::SeqCst), group);
-        // A working round publishes every member.
-        log.work.store(1, Ordering::SeqCst);
-        wait_until("the working round", || {
-            log.publishes.load(Ordering::SeqCst) == 2 * group
+
+        // A write to the word gets the members polled — by the write, not
+        // by a deadline running out.  (The heartbeat deadline can by chance
+        // fall into the same instant; then the observation is repeated.)
+        let parked = || {
+            let idle = idle.load();
+            idle.parks == idle.woken_by_write + idle.woken_by_deadline + 1
+        };
+        let woken_by_the_write = (0..10).any(|_| {
+            wait_until("the loop to park again", parked);
+            let before = idle.load();
+            log.work.store(1, Ordering::SeqCst);
+            word.write();
+            wait_until("the working round", || log.work.load(Ordering::SeqCst) == 0);
+            wait_until("the loop to park after the work", parked);
+            let after = idle.load();
+            after.woken_by_deadline == before.woken_by_deadline
+                && after.woken_by_write > before.woken_by_write
         });
-        let before = log.polls.load(Ordering::SeqCst);
-        wait_until("more idle rounds", || polls(before + 40 * group));
-        assert_eq!(log.publishes.load(Ordering::SeqCst), 2 * group);
+        assert!(woken_by_the_write, "{:?}", idle.load());
+        // A working round publishes every member; the idle ones after it
+        // still do not.
+        let published = log.publishes.load(Ordering::SeqCst);
+        assert!(published >= 2 * group && published % group == 0);
+        let parks = idle.load().parks;
+        wait_until("more idle rounds", || idle.load().parks >= parks + 2);
+        assert_eq!(log.publishes.load(Ordering::SeqCst), published);
 
         assert!(rs.live_update(service));
         wait_until("the replacement", || replacement.lock().is_some());
         rs.shutdown();
         let (mode, snapshot) = replacement.lock().take().expect("replacement ran");
         (log, mode, snapshot)
+    }
+
+    /// A parked service must not look hung: with nothing to do it still
+    /// wakes on its heartbeat deadline, a few times per timeout.
+    #[test]
+    fn a_parked_service_heartbeats_on_its_deadline() {
+        let log = Arc::new(FakeLog::default());
+        let idle = Arc::new(IdleCounters::default());
+        let rs = ReincarnationServer::new(SimClock::realtime());
+        let service = {
+            let (log, idle) = (Arc::clone(&log), Arc::clone(&idle));
+            rs.register(
+                ServiceConfig::new("idle").heartbeat_timeout(Duration::from_millis(200)),
+                move |rt| {
+                    let member = Box::new(FakeServer {
+                        rt: rt.clone(),
+                        log: Arc::clone(&log),
+                    });
+                    serve(
+                        &rt,
+                        vec![member],
+                        &Mutex::new(Telemetry::default()),
+                        &idle,
+                        None,
+                    );
+                },
+            )
+        };
+        std::thread::sleep(Duration::from_secs(1));
+        assert_eq!(rs.status(service), Some(ServiceStatus::Running));
+        assert_eq!(rs.restart_count(service), Some(0));
+        assert!(rs.crash_log().is_empty());
+        // Nothing wrote the word: every park ran to the heartbeat deadline,
+        // at least once per timeout and nowhere near once per 200 µs.
+        let idle = idle.load();
+        assert_eq!(idle.woken_by_write, 0, "{idle:?}");
+        assert!((4..=200).contains(&idle.woken_by_deadline), "{idle:?}");
+        assert!(log.polls.load(Ordering::SeqCst) as u64 >= idle.rounds);
+        rs.shutdown();
     }
 
     #[test]

@@ -126,6 +126,8 @@ pub struct DriverServer {
     gro: Option<GroEngine>,
     /// Scratch buffer of GRO output frames, reused across poll rounds.
     gro_scratch: Vec<Bytes>,
+    /// Scratch buffer for a transmit chain's resolved parts.
+    parts_scratch: Vec<Bytes>,
 }
 
 impl DriverServer {
@@ -169,6 +171,7 @@ impl DriverServer {
             rx_batches: (0..shards).map(|_| Vec::new()).collect(),
             gro: (gro_max_payload > 0).then(|| GroEngine::new(gro_max_payload)),
             gro_scratch: Vec::new(),
+            parts_scratch: Vec::new(),
         }
     }
 
@@ -194,6 +197,14 @@ impl DriverServer {
     /// Returns the driver's activity counters.
     pub fn stats(&self) -> DriverStats {
         self.stats
+    }
+
+    /// Returns the stack-clock time of the driver's next clock-driven work:
+    /// the arrival of the next frame in flight on the link, or the link
+    /// coming back up after a reset.  `None` means only a message can bring
+    /// work.
+    pub fn next_deadline(&self) -> Option<std::time::Duration> {
+        self.nic.lock().next_event()
     }
 
     /// Runs one iteration of the driver's event loop and returns the amount
@@ -323,27 +334,29 @@ impl DriverServer {
         // views — the driver never flattens a frame into a local buffer
         // (§V-D, "Drivers"); assembling multi-chunk frames is the NIC's
         // gather-DMA job.
-        let ok = match self.pools.parts(&chain) {
-            Some(parts) => {
-                let mut nic = self.nic.lock();
-                match nic.transmit_scattered(shard, &parts) {
-                    // The ring is full of frames queued earlier in this
-                    // very batch (a round can carry more transmits than
-                    // the ring has descriptors — a reaper tick's burst of
-                    // RSTs does): let the device put them on the wire and
-                    // retry.  A ring still full after that is real
-                    // back-pressure and fails the request.
-                    Err(NicError::TxRingFull) => {
-                        nic.poll();
-                        nic.transmit_scattered(shard, &parts).is_ok()
-                    }
-                    result => result.is_ok(),
+        let mut parts = std::mem::take(&mut self.parts_scratch);
+        let ok = if self.pools.parts_into(&chain, &mut parts) {
+            let mut nic = self.nic.lock();
+            match nic.transmit_scattered(shard, &parts) {
+                // The ring is full of frames queued earlier in this
+                // very batch (a round can carry more transmits than
+                // the ring has descriptors — a reaper tick's burst of
+                // RSTs does): let the device put them on the wire and
+                // retry.  A ring still full after that is real
+                // back-pressure and fails the request.
+                Err(NicError::TxRingFull) => {
+                    nic.poll();
+                    nic.transmit_scattered(shard, &parts).is_ok()
                 }
+                result => result.is_ok(),
             }
+        } else {
             // A stale chain (its owner crashed and invalidated the pool)
             // cannot be sent; report failure so the owner can clean up.
-            None => false,
+            false
         };
+        parts.clear();
+        self.parts_scratch = parts;
         if !ok {
             self.stats.tx_failures += 1;
         }

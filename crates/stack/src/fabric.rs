@@ -44,6 +44,7 @@ use parking_lot::{Mutex, RwLock};
 use newt_channels::pool::{Pool, PoolReader};
 use newt_channels::rich::{PoolId, RichChain};
 use newt_channels::spsc::{self, Receiver, Sender};
+use newt_channels::wake::WakeWord;
 use newt_kernel::rs::CrashEvent;
 
 /// A parking slot holding a channel endpoint between acquisitions.
@@ -238,7 +239,13 @@ impl<T> Clone for Chan<T> {
 impl<T: Send + 'static> Chan<T> {
     /// Creates a channel with room for `capacity` messages.
     pub fn new(capacity: usize) -> Self {
-        let (tx, rx) = spsc::channel(capacity);
+        Self::waking(capacity, Arc::new(WakeWord::new()))
+    }
+
+    /// Creates a channel whose every send writes `wake`, the word the
+    /// consuming server parks on while idle (see [`newt_channels::wake`]).
+    pub fn waking(capacity: usize, wake: Arc<WakeWord>) -> Self {
+        let (tx, rx) = spsc::channel_waking(capacity, wake);
         let stats = tx.stats_handle();
         Chan {
             tx_slot: Slot::new(tx),
@@ -289,6 +296,37 @@ pub fn drain_into<T>(rx: &Rx<T>, buf: &mut Vec<T>) -> usize {
     rx.drain_into(buf)
 }
 
+/// Emptied batch vectors kept for refilling.  A server that is sent batches
+/// of `T` and sends batches of `T` itself (IP turns the drivers' completion
+/// batches into the transports', TCP hands delivered chunks back as done)
+/// stages its next outgoing batch in a vector it was sent, so those messages
+/// cost no allocation however few entries each carries.
+#[derive(Debug)]
+pub(crate) struct Spares<T>(Vec<Vec<T>>);
+
+impl<T> Spares<T> {
+    /// More spares than a round stages batches of one type are never used.
+    const KEEP: usize = 4;
+
+    pub(crate) fn new() -> Self {
+        Spares(Vec::with_capacity(Self::KEEP))
+    }
+
+    /// Keeps a vector the caller has drained.
+    pub(crate) fn put(&mut self, emptied: Vec<T>) {
+        debug_assert!(emptied.is_empty());
+        if self.0.len() < Self::KEEP {
+            self.0.push(emptied);
+        }
+    }
+
+    /// Takes the batch staged in `staged`, leaving a spare (or a new empty
+    /// vector) in its place.
+    pub(crate) fn take(&mut self, staged: &mut Vec<T>) -> Vec<T> {
+        std::mem::replace(staged, self.0.pop().unwrap_or_default())
+    }
+}
+
 /// Directory of every shared pool in the system, keyed by pool id, so any
 /// server holding a rich pointer can resolve it to a read-only view.
 #[derive(Debug, Clone, Default)]
@@ -337,19 +375,23 @@ impl PoolTable {
         Some(out.freeze())
     }
 
-    /// Resolves every part of a chain to its zero-copy pool view.  Unlike
+    /// Resolves every part of a chain to its zero-copy pool view, into
+    /// `out` (a caller-owned scratch buffer, cleared first).  Unlike
     /// [`PoolTable::gather`], no contiguous buffer is ever built: a
     /// multi-part chain stays scattered, which is exactly what the driver
     /// hands to the NIC's gather DMA on the transmit fast path.  Returns
-    /// `None` if any part is stale or unknown — the caller drops the
+    /// `false` if any part is stale or unknown — the caller drops the
     /// packet, as it must when a producer crashed and invalidated its pool.
-    pub fn parts(&self, chain: &RichChain) -> Option<Vec<Bytes>> {
+    pub fn parts_into(&self, chain: &RichChain, out: &mut Vec<Bytes>) -> bool {
+        out.clear();
         let readers = self.readers.read();
-        let mut out = Vec::with_capacity(chain.parts().len());
         for part in chain.iter() {
-            out.push(readers.get(&part.pool)?.read(part).ok()?);
+            match readers.get(&part.pool).and_then(|r| r.read(part).ok()) {
+                Some(bytes) => out.push(bytes),
+                None => return false,
+            }
         }
-        Some(out)
+        true
     }
 
     /// Returns the number of registered pools.
@@ -369,18 +411,33 @@ impl PoolTable {
 #[derive(Debug, Clone, Default)]
 pub struct CrashBoard {
     events: Arc<RwLock<Vec<CrashEvent>>>,
+    /// The wake words of the servers reading the board, written on every
+    /// push so a parked reader comes and looks.
+    readers: Arc<Vec<Arc<WakeWord>>>,
 }
 
 impl CrashBoard {
-    /// Creates an empty board.
+    /// Creates an empty board whose readers poll it on their own.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty board that writes every word of `readers` on each
+    /// push.
+    pub fn waking(readers: Vec<Arc<WakeWord>>) -> Self {
+        CrashBoard {
+            events: Arc::default(),
+            readers: Arc::new(readers),
+        }
     }
 
     /// Appends a crash event (called from the reincarnation server's crash
     /// listener).
     pub fn push(&self, event: CrashEvent) {
         self.events.write().push(event);
+        for reader in self.readers.iter() {
+            reader.write();
+        }
     }
 
     /// Returns the events recorded after `cursor`, advancing the cursor.
@@ -515,13 +572,14 @@ mod tests {
         let a = pool.publish(b"head-").unwrap();
         let b = pool.publish(b"tail").unwrap();
         let chain: RichChain = [a, b].into_iter().collect();
-        let parts = table.parts(&chain).unwrap();
+        let mut parts = Vec::new();
+        assert!(table.parts_into(&chain, &mut parts));
         assert_eq!(parts.len(), 2);
         assert_eq!(&parts[0][..], b"head-");
         assert_eq!(&parts[1][..], b"tail");
         // A stale part fails the whole resolution, like `gather`.
         pool.free(&a).unwrap();
-        assert!(table.parts(&chain).is_none());
+        assert!(!table.parts_into(&chain, &mut parts));
     }
 
     #[test]

@@ -36,7 +36,7 @@ use std::sync::Arc;
 use crate::endpoints;
 #[cfg(test)]
 use crate::fabric::drain;
-use crate::fabric::{send, CrashBoard, PoolTable, Rx, Tx};
+use crate::fabric::{send, CrashBoard, PoolTable, Rx, Spares, Tx};
 use crate::msg::{
     Direction, DrvToIp, IpToDrv, IpToPf, IpToTransport, PacketMeta, PfToIp, TransportToIp,
 };
@@ -227,6 +227,12 @@ pub struct IpServer {
     send_done_tcp: Vec<(RequestId, bool)>,
     /// Send completions bound for UDP this round.
     send_done_udp: Vec<(RequestId, bool)>,
+    /// Drained chunk batches (from the drivers and the transports), refilled
+    /// as [`IpToTransport::DeliverBatch`].
+    spare_ptrs: Spares<RichPtr>,
+    /// Drained completion and verdict batches, refilled as
+    /// [`IpToTransport::SendDoneBatch`].
+    spare_dones: Spares<(RequestId, bool)>,
 }
 
 impl IpServer {
@@ -314,6 +320,8 @@ impl IpServer {
             deliver_udp: Vec::new(),
             send_done_tcp: Vec::new(),
             send_done_udp: Vec::new(),
+            spare_ptrs: Spares::new(),
+            spare_dones: Spares::new(),
         };
         if matches!(mode, StartMode::LiveUpdate) {
             let restored = snapshot
@@ -440,10 +448,11 @@ impl IpServer {
         self.from_pf.drain_into(&mut verdicts);
         for msg in verdicts.drain(..) {
             work += 1;
-            let PfToIp::VerdictBatch(batch) = msg;
-            for (req, pass) in batch {
+            let PfToIp::VerdictBatch(mut batch) = msg;
+            for (req, pass) in batch.drain(..) {
                 self.handle_verdict(req, pass);
             }
+            self.spare_dones.put(batch);
         }
         self.pf_scratch = verdicts;
 
@@ -454,15 +463,17 @@ impl IpServer {
             for msg in from_drivers.drain(..) {
                 work += 1;
                 match msg {
-                    DrvToIp::TransmitDoneBatch(batch) => {
-                        for (req, ok) in batch {
+                    DrvToIp::TransmitDoneBatch(mut batch) => {
+                        for (req, ok) in batch.drain(..) {
                             self.handle_transmit_done(req, ok);
                         }
+                        self.spare_dones.put(batch);
                     }
-                    DrvToIp::ReceivedBatch { nic, ptrs } => {
-                        for ptr in ptrs {
+                    DrvToIp::ReceivedBatch { nic, mut ptrs } => {
+                        for ptr in ptrs.drain(..) {
                             self.handle_received(nic, ptr);
                         }
+                        self.spare_ptrs.put(ptrs);
                     }
                 }
             }
@@ -526,7 +537,7 @@ impl IpServer {
             if staged.is_empty() {
                 continue;
             }
-            let ptrs = std::mem::take(staged);
+            let ptrs = self.spare_ptrs.take(staged);
             let count = ptrs.len() as u64;
             match lane.send(IpToTransport::DeliverBatch(ptrs)) {
                 Ok(()) => self.stats.packets_in += count,
@@ -543,11 +554,11 @@ impl IpServer {
             }
         }
         if !self.send_done_tcp.is_empty() {
-            let batch = std::mem::take(&mut self.send_done_tcp);
+            let batch = self.spare_dones.take(&mut self.send_done_tcp);
             send(&self.to_tcp, IpToTransport::SendDoneBatch(batch));
         }
         if !self.send_done_udp.is_empty() {
-            let batch = std::mem::take(&mut self.send_done_udp);
+            let batch = self.spare_dones.take(&mut self.send_done_udp);
             send(&self.to_udp, IpToTransport::SendDoneBatch(batch));
         }
     }
@@ -582,10 +593,11 @@ impl IpServer {
                 };
                 self.stage_filter_outbound(pkt);
             }
-            TransportToIp::RxDoneBatch(ptrs) => {
-                for ptr in ptrs {
+            TransportToIp::RxDoneBatch(mut ptrs) => {
+                for ptr in ptrs.drain(..) {
                     self.release_rx(ptr);
                 }
+                self.spare_ptrs.put(ptrs);
             }
         }
     }
@@ -691,7 +703,7 @@ impl IpServer {
 
     fn stage_emit(&mut self, pkt: OutPacket, iface: usize, dst_mac: MacAddr) {
         let iface_cfg = self.config.interfaces[iface];
-        let mut transport_header = pkt.transport_header.clone();
+        let mut transport_header = pkt.transport_header;
         let total_len = IPV4_HEADER_LEN + transport_header.len() + pkt.payload.total_len();
 
         if !self.config.checksum_offload

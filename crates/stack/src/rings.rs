@@ -43,6 +43,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use newt_channels::reqdb::RequestId;
+use newt_channels::wake::WakeWord;
 use parking_lot::{Condvar, Mutex};
 
 use crate::msg::{SockId, SockRequest};
@@ -422,6 +423,8 @@ pub struct SubmissionRing {
     shard: usize,
     inner: Mutex<SqInner>,
     cq: Arc<CompletionQueue>,
+    /// The wake word of the SYSCALL replica pumping this ring, if it parks.
+    wake: Option<Arc<WakeWord>>,
 }
 
 impl std::fmt::Debug for SubmissionRing {
@@ -433,8 +436,15 @@ impl std::fmt::Debug for SubmissionRing {
 }
 
 impl SubmissionRing {
-    /// Creates a submission ring for `shard`, completing into `cq`.
-    pub fn new(shard: usize, capacity: usize, cq: Arc<CompletionQueue>) -> Self {
+    /// Creates a submission ring for `shard`, completing into `cq`.  Every
+    /// submission also writes `wake` (the word the shard's ring pump parks
+    /// on), when one is given.
+    pub fn new(
+        shard: usize,
+        capacity: usize,
+        cq: Arc<CompletionQueue>,
+        wake: Option<Arc<WakeWord>>,
+    ) -> Self {
         SubmissionRing {
             shard,
             inner: Mutex::new(SqInner {
@@ -444,6 +454,7 @@ impl SubmissionRing {
                 next_seq: 0,
             }),
             cq,
+            wake,
         }
     }
 
@@ -462,8 +473,15 @@ impl SubmissionRing {
     /// [`SockError::WouldBlock`] and the caller retries after draining
     /// completions.
     pub fn submit(&self, sqe: Sqe) -> Result<(), SockError> {
-        let mut inner = self.inner.lock();
-        inner.ring.push(sqe).map_err(|_| SockError::WouldBlock)
+        self.inner
+            .lock()
+            .ring
+            .push(sqe)
+            .map_err(|_| SockError::WouldBlock)?;
+        if let Some(wake) = &self.wake {
+            wake.write();
+        }
+        Ok(())
     }
 
     /// Number of submissions waiting to be consumed.
@@ -582,11 +600,19 @@ pub struct RingGroup {
 
 impl RingGroup {
     /// Creates a group with `shards` submission rings and default
-    /// capacities.
-    pub fn new(shards: usize) -> Self {
+    /// capacities; ring `s` writes `pumps[s]` on every submission, if there
+    /// is such a word.
+    pub fn new(shards: usize, pumps: &[Arc<WakeWord>]) -> Self {
         let cq = Arc::new(CompletionQueue::new(CQ_CAPACITY));
         let sqs = (0..shards)
-            .map(|s| Arc::new(SubmissionRing::new(s, SQ_CAPACITY, Arc::clone(&cq))))
+            .map(|s| {
+                Arc::new(SubmissionRing::new(
+                    s,
+                    SQ_CAPACITY,
+                    Arc::clone(&cq),
+                    pumps.get(s).cloned(),
+                ))
+            })
             .collect();
         RingGroup { cq, sqs }
     }
@@ -600,12 +626,23 @@ impl RingGroup {
 pub struct RingTable {
     groups: Mutex<HashMap<u32, Arc<RingGroup>>>,
     version: AtomicU64,
+    /// The wake word of each shard's ring pump (empty: the pumps poll).
+    pumps: Vec<Arc<WakeWord>>,
 }
 
 impl RingTable {
-    /// Creates an empty table.
+    /// Creates an empty table whose ring pumps poll on their own.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty table whose submission rings towards shard `s`
+    /// write `pumps[s]`, the word that shard's ring pump parks on.
+    pub fn waking(pumps: Vec<Arc<WakeWord>>) -> Self {
+        RingTable {
+            pumps,
+            ..Self::default()
+        }
     }
 
     /// Returns the ring group for `app`, creating it (with `shards`
@@ -616,7 +653,7 @@ impl RingTable {
         if let Some(group) = groups.get(&app) {
             return (Arc::clone(group), false);
         }
-        let group = Arc::new(RingGroup::new(shards));
+        let group = Arc::new(RingGroup::new(shards, &self.pumps));
         groups.insert(app, Arc::clone(&group));
         self.version.fetch_add(1, Ordering::Relaxed);
         (group, true)
@@ -692,7 +729,7 @@ mod tests {
     #[test]
     fn submission_ring_rejects_when_full_and_recovers() {
         let cq = Arc::new(CompletionQueue::new(8));
-        let sq = SubmissionRing::new(0, 2, cq);
+        let sq = SubmissionRing::new(0, 2, cq, None);
         let sqe = |tag| Sqe {
             user_data: tag,
             op: SqeOp::Close { sock: tag },
@@ -714,7 +751,7 @@ mod tests {
     #[test]
     fn multishot_inflight_survives_non_terminal_resolves() {
         let cq = Arc::new(CompletionQueue::new(8));
-        let sq = SubmissionRing::new(0, 8, cq);
+        let sq = SubmissionRing::new(0, 8, cq, None);
         sq.submit(Sqe {
             user_data: 42,
             op: SqeOp::AcceptArm { listener: 7 },

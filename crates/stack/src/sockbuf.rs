@@ -29,6 +29,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
+use newt_channels::wake::WakeWord;
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 
@@ -50,17 +51,31 @@ use crate::rings::{interest_bits, CompletionQueue, CqValue, Cqe};
 #[derive(Debug, Default)]
 pub struct Doorbell {
     rung: Mutex<Vec<u64>>,
+    /// The wake word of the server that drains this doorbell, if it parks.
+    wake: Option<Arc<WakeWord>>,
 }
 
 impl Doorbell {
-    /// Creates an empty doorbell.
+    /// Creates an empty doorbell for a server that polls it on its own.
     pub fn new() -> Arc<Self> {
         Arc::new(Self::default())
+    }
+
+    /// Creates an empty doorbell whose every ring also writes `wake`, the
+    /// word the draining server parks on while idle.
+    pub fn waking(wake: Arc<WakeWord>) -> Arc<Self> {
+        Arc::new(Doorbell {
+            rung: Mutex::default(),
+            wake: Some(wake),
+        })
     }
 
     /// Records that socket `id` has application-side work.
     pub fn ring(&self, id: u64) {
         self.rung.lock().push(id);
+        if let Some(wake) = &self.wake {
+            wake.write();
+        }
     }
 
     /// Moves every rung socket id into `out` (a reused scratch buffer) and

@@ -164,7 +164,10 @@ impl RingPump {
             self.stats.forwarded += sent as u64;
             if !batch.is_empty() {
                 // Lane full: park the rest; they go out before anything
-                // new next round, preserving submission order.
+                // new next round, preserving submission order.  They are
+                // work still to do — nothing will write the pump's wake
+                // word when the lane drains — so the pump must not idle.
+                work += batch.len();
                 sq.push_pending_forward(&mut batch);
             }
         }

@@ -38,7 +38,7 @@ use newt_net::wire::{EthernetView, IpProtocol, Ipv4View, TcpFlags, TcpSegment, T
 use crate::endpoints;
 #[cfg(test)]
 use crate::fabric::drain;
-use crate::fabric::{send, CrashBoard, PoolTable, Rx, Tx};
+use crate::fabric::{send, CrashBoard, PoolTable, Rx, Spares, Tx};
 use crate::msg::{
     FlowTuple, IpToTransport, PfToTransport, SockId, SockReply, SockRequest, TransportToIp,
     TransportToPf,
@@ -143,6 +143,15 @@ impl TimerWheel {
             }
         }
         self.cursor = now_tick;
+    }
+
+    /// The time at which the next non-empty bucket is scanned, i.e. the
+    /// earliest moment [`TimerWheel::expire`] can hand anything out.
+    fn next_expiry(&self) -> Option<Duration> {
+        (1..=WHEEL_SLOTS as u64)
+            .map(|offset| self.cursor + offset)
+            .find(|tick| !self.slots[(tick % WHEEL_SLOTS as u64) as usize].is_empty())
+            .map(|tick| Duration::from_nanos(tick * WHEEL_TICK.as_nanos() as u64))
     }
 }
 
@@ -693,12 +702,15 @@ pub struct TcpServer {
     ip_scratch: Vec<IpToTransport>,
     pf_scratch: Vec<PfToTransport>,
 
-    /// Sockets with work to do this round — fed by incoming segments,
-    /// socket-buffer doorbells, fired timers and syscall requests, so the
-    /// data pump touches only them instead of scanning the whole table.
     /// RX chunks finished with this poll round, returned to IP as one
     /// [`TransportToIp::RxDoneBatch`] per round.
     rxdone_batch: Vec<RichPtr>,
+    /// Drained [`IpToTransport::DeliverBatch`] vectors, refilled as
+    /// [`TransportToIp::RxDoneBatch`].
+    spare_ptrs: Spares<RichPtr>,
+    /// Sockets with work to do this round — fed by incoming segments,
+    /// socket-buffer doorbells, fired timers and syscall requests, so the
+    /// data pump touches only them instead of scanning the whole table.
     ready: VecDeque<SockId>,
     /// Demux indices so an inbound segment finds its socket in O(1)
     /// instead of scanning the table — the scan is O(population), which
@@ -788,6 +800,7 @@ impl TcpServer {
             ip_scratch: Vec::new(),
             pf_scratch: Vec::new(),
             rxdone_batch: Vec::new(),
+            spare_ptrs: Spares::new(),
             ready: VecDeque::new(),
             flow_index: HashMap::new(),
             listen_index: HashMap::new(),
@@ -1188,10 +1201,11 @@ impl TcpServer {
         for msg in from_ip.drain(..) {
             work += 1;
             match msg {
-                IpToTransport::DeliverBatch(ptrs) => {
-                    for ptr in ptrs {
+                IpToTransport::DeliverBatch(mut ptrs) => {
+                    for ptr in ptrs.drain(..) {
                         self.handle_deliver(ptr);
                     }
+                    self.spare_ptrs.put(ptrs);
                 }
                 IpToTransport::SendDoneBatch(dones) => {
                     for (req, ok) in dones {
@@ -1213,13 +1227,20 @@ impl TcpServer {
         self.pf_scratch = from_pf;
 
         if !self.rxdone_batch.is_empty() {
-            let batch = std::mem::take(&mut self.rxdone_batch);
+            let batch = self.spare_ptrs.take(&mut self.rxdone_batch);
             send(&self.to_ip, TransportToIp::RxDoneBatch(batch));
         }
 
         work += self.expire_timers();
         work += self.pump_ready();
         work
+    }
+
+    /// Returns the stack-clock time of the server's next clock-driven work
+    /// (the next timer-wheel bucket holding an entry), or `None` when only
+    /// a message or a doorbell can bring work.
+    pub fn next_deadline(&self) -> Option<Duration> {
+        self.wheel.next_expiry()
     }
 
     // ---- O(active) scheduling --------------------------------------------------
@@ -1863,7 +1884,7 @@ impl TcpServer {
                 src_port: segment.src_port,
                 dst_port,
                 transport_header: header,
-                payload: chain.clone(),
+                payload: chain,
                 is_connection_start,
             },
         );
@@ -2990,6 +3011,28 @@ fn route_reply(to_syscall: &Tx<SockReply>, to_ring: &Tx<SockReply>, reply: SockR
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_wheel_names_the_tick_its_next_entry_fires_at() {
+        let tick = |n: u64| WHEEL_TICK * n as u32;
+        let mut wheel = TimerWheel::new(tick(10));
+        assert_eq!(wheel.next_expiry(), None);
+        // A deadline inside tick 12 sits in bucket 13, scanned once the
+        // clock reaches tick 13.
+        wheel.insert(7, TimerKind::Rto, tick(12) + Duration::from_millis(1));
+        assert_eq!(wheel.next_expiry(), Some(tick(13)));
+        // An earlier timer moves the expiry forward; an overdue one lands in
+        // the very next bucket.
+        wheel.insert(8, TimerKind::DelayedAck, tick(10));
+        assert_eq!(wheel.next_expiry(), Some(tick(11)));
+        let mut due = Vec::new();
+        wheel.expire(tick(11), &mut due);
+        assert_eq!(due.len(), 1);
+        assert_eq!(wheel.next_expiry(), Some(tick(13)));
+        wheel.expire(tick(13), &mut due);
+        assert_eq!(due.len(), 2);
+        assert_eq!(wheel.next_expiry(), None);
+    }
     use crate::fabric::Chan;
     use newt_net::wire::{EthernetFrame, Ipv4Packet};
 

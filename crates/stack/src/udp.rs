@@ -36,7 +36,7 @@ use crate::msg::{
     FlowTuple, IpToTransport, PfToTransport, SockId, SockReply, SockRequest, TransportToIp,
     TransportToPf,
 };
-use crate::sockbuf::{SockError, SocketBuffer};
+use crate::sockbuf::{Doorbell, SockError, SocketBuffer};
 
 /// A decoded datagram record: source address, source port, payload.
 pub type DecodedDatagram = (Ipv4Addr, u16, Vec<u8>);
@@ -179,6 +179,10 @@ pub struct UdpServer {
     syscall_scratch: Vec<SockRequest>,
     ip_scratch: Vec<IpToTransport>,
     pf_scratch: Vec<PfToTransport>,
+    /// Rung by this shard's UDP socket buffers when the application queues
+    /// a datagram; owned by the fabric so it survives restarts.
+    doorbell: Arc<Doorbell>,
+    doorbell_scratch: Vec<SockId>,
 }
 
 impl UdpServer {
@@ -201,6 +205,7 @@ impl UdpServer {
         from_pf: Rx<PfToTransport>,
         to_pf: Tx<TransportToPf>,
         crash_board: CrashBoard,
+        doorbell: Arc<Doorbell>,
         snapshot: Option<StateSnapshot>,
     ) -> Self {
         let crash_cursor = crash_board.len();
@@ -233,6 +238,8 @@ impl UdpServer {
             syscall_scratch: Vec::new(),
             ip_scratch: Vec::new(),
             pf_scratch: Vec::new(),
+            doorbell,
+            doorbell_scratch: Vec::new(),
         };
         match mode {
             StartMode::Fresh => server.persist(),
@@ -303,16 +310,13 @@ impl UdpServer {
                 .registry
                 .attach_shared(self.endpoint, &Self::buffer_name(h.id))
                 .unwrap_or_else(|_| Arc::new(SocketBuffer::with_defaults()));
-            self.sockets.insert(
-                h.id,
-                UdpSock {
-                    id: h.id,
-                    local_port: h.local_port,
-                    remote: h.remote.map(|(a, p)| (Ipv4Addr::from(a), p)),
-                    buffer,
-                    pending_send: h.pending_send,
-                },
-            );
+            self.adopt(UdpSock {
+                id: h.id,
+                local_port: h.local_port,
+                remote: h.remote.map(|(a, p)| (Ipv4Addr::from(a), p)),
+                buffer,
+                pending_send: h.pending_send,
+            });
         }
         for (id, chain) in hot.in_flight {
             self.ip_reqs
@@ -324,6 +328,15 @@ impl UdpServer {
 
     fn buffer_name(id: SockId) -> String {
         format!("sockbuf/udp/{id}")
+    }
+
+    /// Enters a socket into the table and points its buffer's doorbell at
+    /// this incarnation (which rings once, so anything the application
+    /// queued while no server was listening is found).
+    fn adopt(&mut self, sock: UdpSock) {
+        sock.buffer
+            .attach_doorbell(Arc::clone(&self.doorbell), sock.id);
+        self.sockets.insert(sock.id, sock);
     }
 
     fn persist(&self) {
@@ -353,16 +366,13 @@ impl UdpServer {
                 .registry
                 .attach_shared(self.endpoint, &Self::buffer_name(state.id))
                 .unwrap_or_else(|_| Arc::new(SocketBuffer::with_defaults()));
-            self.sockets.insert(
-                state.id,
-                UdpSock {
-                    id: state.id,
-                    local_port: state.local_port,
-                    remote: state.remote.map(|(a, p)| (Ipv4Addr::from(a), p)),
-                    buffer,
-                    pending_send: Vec::new(),
-                },
-            );
+            self.adopt(UdpSock {
+                id: state.id,
+                local_port: state.local_port,
+                remote: state.remote.map(|(a, p)| (Ipv4Addr::from(a), p)),
+                buffer,
+                pending_send: Vec::new(),
+            });
             self.stats.recovered_sockets += 1;
         }
     }
@@ -497,16 +507,13 @@ impl UdpServer {
                     Access::Public,
                     Arc::clone(&buffer),
                 );
-                self.sockets.insert(
+                self.adopt(UdpSock {
                     id,
-                    UdpSock {
-                        id,
-                        local_port: 0,
-                        remote: None,
-                        buffer,
-                        pending_send: Vec::new(),
-                    },
-                );
+                    local_port: 0,
+                    remote: None,
+                    buffer,
+                    pending_send: Vec::new(),
+                });
                 self.persist();
                 send(&self.to_syscall, SockReply::Opened { req, sock: id });
             }
@@ -665,10 +672,19 @@ impl UdpServer {
     }
 
     /// Drains application send queues and hands datagrams to IP.
+    /// Sends what the applications queued on the sockets whose buffers rang
+    /// the doorbell since the last round.
     fn pump_sockets(&mut self) -> usize {
         let mut work = 0;
-        let ids: Vec<SockId> = self.sockets.keys().copied().collect();
-        for id in ids {
+        let mut rung = std::mem::take(&mut self.doorbell_scratch);
+        self.doorbell.drain_into(&mut rung);
+        for id in rung.drain(..) {
+            match self.sockets.get(&id) {
+                // Re-arm *before* draining so a write racing the drain
+                // re-rings instead of being lost.
+                Some(sock) => sock.buffer.rearm_doorbell(),
+                None => continue,
+            }
             loop {
                 let record = {
                     let Some(sock) = self.sockets.get_mut(&id) else {
@@ -692,6 +708,7 @@ impl UdpServer {
                 self.send_datagram(id, addr, port, &payload);
             }
         }
+        self.doorbell_scratch = rung;
         work
     }
 
@@ -838,6 +855,7 @@ mod tests {
             pf_udp.rx(),
             udp_pf.tx(),
             CrashBoard::new(),
+            Doorbell::new(),
             snapshot,
         );
         Rig {

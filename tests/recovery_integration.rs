@@ -19,7 +19,6 @@ fn crash_and_wait(stack: &NewtStack, component: Component) {
         "{component} was never restarted"
     );
     assert!(stack.wait_component_running(component, Duration::from_secs(30)));
-    std::thread::sleep(Duration::from_millis(300));
 }
 
 #[test]
@@ -65,7 +64,7 @@ fn ip_crash_resets_the_nic_and_traffic_recovers() {
     // (`nic_stats`/`rx_queue` are the accessors that stay meaningful on
     // multi-queue adapters; a sharded stack would only reset one queue).
     assert!(
-        stack.nic_stats(0).resets >= 1,
+        wait_for(|| stack.nic_stats(0).resets >= 1, Duration::from_secs(10)),
         "ip crash must reset the adapter"
     );
 
@@ -230,7 +229,6 @@ fn live_update_of_every_component_leaves_requested_stamps_and_no_crash_log() {
         );
         assert!(stamp.respawned_at >= stamp.detected_at);
     }
-    std::thread::sleep(Duration::from_millis(300));
 
     // The same sockets, now served entirely by replacement incarnations.
     udp.send_to(b"post-roll", StackConfig::peer_addr(0), DNS_PORT)
@@ -264,7 +262,6 @@ fn live_update_is_not_recorded_as_a_crash() {
 
     assert!(stack.live_update(Component::Udp));
     assert!(stack.wait_component_running(Component::Udp, Duration::from_secs(30)));
-    std::thread::sleep(Duration::from_millis(300));
 
     socket
         .send_to(b"post", StackConfig::peer_addr(0), DNS_PORT)

@@ -5,8 +5,10 @@ use std::net::Ipv4Addr;
 use std::time::Duration;
 
 use newtos::net::link::LinkConfig;
+use newtos::net::peer::IPERF_PORT;
 use newtos::net::rss::{FlowKey, RssKey, RssSteering, MAX_QUEUES};
 use newtos::{Component, FaultAction, NewtStack, StackConfig};
+use newtos_suite::wait_for;
 
 fn quick_config(shards: usize) -> StackConfig {
     StackConfig::newtos()
@@ -110,11 +112,19 @@ fn flow_keeps_its_shard_across_ip_shard_reincarnation() {
     // Crash shard 1's IP server; the driver resets only queue pair 1.
     assert!(stack.inject_fault(Component::IpShard(1), FaultAction::Crash));
     assert!(stack.wait_component_running(Component::IpShard(1), Duration::from_secs(10)));
-    std::thread::sleep(Duration::from_millis(100));
-
-    let nic = stack.nic_stats(0);
-    assert_eq!(nic.resets, 0, "a shard crash must not reset the device");
-    assert!(nic.queue_resets >= 1, "the shard's queue pair is cleared");
+    // The driver clears the queue pair when it reads the crash event.
+    assert!(
+        wait_for(
+            || stack.nic_stats(0).queue_resets >= 1,
+            Duration::from_secs(10)
+        ),
+        "the shard's queue pair is cleared"
+    );
+    assert_eq!(
+        stack.nic_stats(0).resets,
+        0,
+        "a shard crash must not reset the device"
+    );
 
     // The same socket — same 4-tuple — keeps working on the same shard.
     sock1
@@ -156,10 +166,10 @@ fn tcp_shard_crash_only_stalls_its_own_flows() {
     let victim_shard = NewtStack::shard_of_socket(victim.id());
     assert_ne!(NewtStack::shard_of_socket(survivor.id()), victim_shard);
     survivor
-        .connect(StackConfig::peer_addr(0), newtos::net::peer::IPERF_PORT)
+        .connect(StackConfig::peer_addr(0), IPERF_PORT)
         .expect("survivor connect");
     victim
-        .connect(StackConfig::peer_addr(1), newtos::net::peer::IPERF_PORT)
+        .connect(StackConfig::peer_addr(1), IPERF_PORT)
         .expect("victim connect");
 
     let data = vec![0x42u8; 96 * 1024];
@@ -170,33 +180,23 @@ fn tcp_shard_crash_only_stalls_its_own_flows() {
     // The victim pushes a transfer far too large to finish before the
     // crash lands mid-air.
     let victim_thread = std::thread::spawn(move || victim.send_all(&vec![7u8; 8 << 20]).is_ok());
-    let deadline = std::time::Instant::now() + Duration::from_secs(20);
-    while stack
-        .peer(1)
-        .bytes_received_on(newtos::net::peer::IPERF_PORT)
-        < 32 * 1024
-    {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "victim flow never started"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    assert!(
+        wait_for(
+            || stack.peer(1).bytes_received_on(IPERF_PORT) >= 32 * 1024,
+            Duration::from_secs(20)
+        ),
+        "victim flow never started"
+    );
     assert!(stack.inject_fault(Component::TcpShard(victim_shard), FaultAction::Crash));
 
     // The survivor's transfer completes in full.
-    let deadline = std::time::Instant::now() + Duration::from_secs(20);
-    while stack
-        .peer(0)
-        .bytes_received_on(newtos::net::peer::IPERF_PORT)
-        < data.len() as u64
-    {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "survivor stalled after sibling-shard crash"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    assert!(
+        wait_for(
+            || stack.peer(0).bytes_received_on(IPERF_PORT) >= data.len() as u64,
+            Duration::from_secs(20)
+        ),
+        "survivor stalled after sibling-shard crash"
+    );
     assert!(survivor_thread.join().expect("survivor thread"));
     // The victim's connection was reset (TCP recovery drops established
     // connections) — its send must NOT have completed successfully.

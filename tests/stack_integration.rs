@@ -174,3 +174,28 @@ fn telemetry_and_kernel_stats_reflect_traffic() {
     );
     stack.shutdown();
 }
+
+/// An idle stack idles: every service parks on its wake word and is polled a
+/// few times per heartbeat interval — the old executor polled each service
+/// every ~280 µs, about a thousand rounds in this window.
+#[test]
+fn an_idle_stack_parks_instead_of_polling() {
+    let stack = NewtStack::start(StackConfig::newtos().clock_speedup(1.0));
+    let before = stack.telemetry().idle;
+    std::thread::sleep(Duration::from_millis(300));
+    let after = stack.telemetry().idle;
+    for component in stack.components() {
+        let (before, after) = (before.of(component), after.of(component));
+        let rounds = after.rounds - before.rounds;
+        assert!(
+            rounds <= 200,
+            "{component} polled {rounds} times while idle: {after:?}"
+        );
+        // And what rounds it ran ended in a park, not in more polling.
+        assert!(
+            after.parks - before.parks + 1 >= rounds,
+            "{component}: {before:?} -> {after:?}"
+        );
+    }
+    stack.shutdown();
+}

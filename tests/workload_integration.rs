@@ -573,3 +573,50 @@ fn nonblocking_timeout_semantics_are_explicit() {
     );
     stack.shutdown();
 }
+
+/// One request wakes every service on its path by a write to that
+/// service's word (a frame on the link, a fabric message, a doorbell) —
+/// none of them has to wait for a timer to find the work.
+#[test]
+fn one_request_wakes_every_service_on_its_path_by_a_write() {
+    let stack = NewtStack::start(workload_config().clock_speedup(1.0));
+    let server =
+        Httpd::spawn(stack.client(), stack.shards(), HttpdConfig::default()).expect("http server");
+    let path = [
+        Component::Driver(0),
+        Component::Ip,
+        Component::PacketFilter,
+        Component::Tcp,
+    ];
+    // Boot traffic (the listener set-up) has settled once everyone parks.
+    let parked = |component| {
+        let idle = stack.telemetry().idle.of(component);
+        idle.parks == idle.woken_by_write + idle.woken_by_deadline + 1
+    };
+    assert!(wait_for(
+        || path.iter().all(|&c| parked(c)),
+        Duration::from_secs(10)
+    ));
+    let before = stack.telemetry().idle;
+
+    let report = run_http_load(
+        &stack,
+        &LoadConfig {
+            connections: 1,
+            requests_per_connection: 1,
+            ..LoadConfig::default()
+        },
+    );
+    assert_eq!(report.completed, 1, "{report:?}");
+    let after = stack.telemetry().idle;
+    for component in path {
+        assert!(
+            after.of(component).woken_by_write > before.of(component).woken_by_write,
+            "{component} was not woken by a write: {:?} -> {:?}",
+            before.of(component),
+            after.of(component)
+        );
+    }
+    server.stop();
+    stack.shutdown();
+}
