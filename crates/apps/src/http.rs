@@ -58,12 +58,12 @@ pub fn parse_request(buf: &[u8]) -> ParseOutcome {
         let Some((name, value)) = line.split_once(':') else {
             continue;
         };
-        let name = name.trim().to_ascii_lowercase();
+        let name = name.trim();
         let value = value.trim();
-        match name.as_str() {
-            "connection" => keep_alive = !value.eq_ignore_ascii_case("close"),
-            "content-length" if value != "0" => return ParseOutcome::Bad,
-            _ => {}
+        if name.eq_ignore_ascii_case("connection") {
+            keep_alive = !value.eq_ignore_ascii_case("close");
+        } else if name.eq_ignore_ascii_case("content-length") && value != "0" {
+            return ParseOutcome::Bad;
         }
     }
     ParseOutcome::Request(

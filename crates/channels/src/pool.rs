@@ -54,6 +54,31 @@ pub struct PoolStats {
 struct Slot {
     generation: u32,
     data: Option<Bytes>,
+    /// Whether `data` was written through a [`ChunkWriter`] — storage the
+    /// pool owns and keeps when the chunk is freed — rather than published
+    /// by reference, which the pool merely borrows.
+    written: bool,
+    /// Storage of the slot's previous written chunk, for its next writer.
+    spare: BytesMut,
+}
+
+impl Slot {
+    /// Invalidates the chunk: bumps the generation and drops the data,
+    /// keeping written storage nobody else still reads as the spare.
+    /// Returns whether there was data.
+    fn invalidate(&mut self) -> bool {
+        self.generation = self.generation.wrapping_add(1);
+        let Some(data) = self.data.take() else {
+            return false;
+        };
+        if self.written {
+            if let Ok(mut storage) = data.try_into_mut() {
+                storage.clear();
+                self.spare = storage;
+            }
+        }
+        true
+    }
 }
 
 #[derive(Debug)]
@@ -85,23 +110,40 @@ impl PoolInner {
         Ok(())
     }
 
-    /// Takes a slot off the free list; returns it with its generation.
-    fn take_slot(&self) -> Result<(u32, u32), PoolError> {
+    /// Takes a slot off the free list; returns it with its generation and,
+    /// for a writer (`for_writing`), the storage its last written chunk
+    /// left behind.
+    fn take_slot(&self, for_writing: bool) -> Result<(u32, u32, BytesMut), PoolError> {
         let Some(slot) = self.free_list.lock().pop() else {
             self.exhausted_rejections.fetch_add(1, Ordering::Relaxed);
             return Err(PoolError::Exhausted);
         };
         self.in_use.fetch_add(1, Ordering::Relaxed);
         self.allocations.fetch_add(1, Ordering::Relaxed);
-        let generation = self.slots[slot as usize].lock().generation;
-        Ok((slot, generation))
+        let mut entry = self.slots[slot as usize].lock();
+        let spare = if for_writing {
+            std::mem::take(&mut entry.spare)
+        } else {
+            BytesMut::new()
+        };
+        Ok((slot, entry.generation, spare))
+    }
+
+    /// Returns a taken slot nothing was stored in to the free list.
+    fn return_slot(&self, slot: u32) {
+        self.free_list.lock().push(slot);
+        self.in_use.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Makes `data` the contents of a taken slot and returns the rich
-    /// pointer to all of it.
-    fn store(&self, slot: u32, generation: u32, data: Bytes) -> RichPtr {
+    /// pointer to all of it.  `written` says the pool owns the storage.
+    fn store(&self, slot: u32, generation: u32, data: Bytes, written: bool) -> RichPtr {
         let len = data.len() as u32;
-        self.slots[slot as usize].lock().data = Some(data);
+        {
+            let mut entry = self.slots[slot as usize].lock();
+            entry.data = Some(data);
+            entry.written = written;
+        }
         RichPtr {
             pool: self.id,
             slot,
@@ -253,26 +295,28 @@ impl Pool {
         self.inner.in_use.load(Ordering::Relaxed)
     }
 
-    /// Allocates a chunk for writing.  The writer's storage grows with
-    /// what is written into it; taking the slot itself allocates nothing.
+    /// Allocates a chunk for writing.  The writer starts with the storage
+    /// the slot's previous written chunk left behind (none on first use) and
+    /// grows it with what is written; taking the slot itself allocates
+    /// nothing.
     ///
     /// # Errors
     ///
     /// Returns [`PoolError::Exhausted`] when every chunk is in use — the
     /// caller decides what to do, e.g. the network stack drops the packet.
     pub fn alloc(&self) -> Result<ChunkWriter, PoolError> {
-        let (slot, generation) = self.inner.take_slot()?;
+        let (slot, generation, buf) = self.inner.take_slot(true)?;
         Ok(ChunkWriter {
             inner: Arc::clone(&self.inner),
             slot,
             generation,
-            buf: BytesMut::new(),
+            buf,
             published: false,
         })
     }
 
-    /// Convenience: copies `data` into a chunk sized to it and publishes
-    /// it.
+    /// Convenience: copies `data` into a chunk (sized to it, unless the
+    /// slot has storage to reuse) and publishes it.
     ///
     /// # Errors
     ///
@@ -280,10 +324,9 @@ impl Pool {
     /// [`PoolError::OutOfRange`] if `data` does not fit into one chunk.
     pub fn publish(&self, data: &[u8]) -> Result<RichPtr, PoolError> {
         self.inner.fits(data.len())?;
-        let (slot, generation) = self.inner.take_slot()?;
-        Ok(self
-            .inner
-            .store(slot, generation, Bytes::copy_from_slice(data)))
+        let mut chunk = self.alloc()?;
+        chunk.write(data);
+        Ok(chunk.publish())
     }
 
     /// Publishes an already reference-counted buffer as a chunk **without
@@ -300,8 +343,8 @@ impl Pool {
     /// [`PoolError::OutOfRange`] if `data` does not fit into one chunk.
     pub fn publish_bytes(&self, data: Bytes) -> Result<RichPtr, PoolError> {
         self.inner.fits(data.len())?;
-        let (slot, generation) = self.inner.take_slot()?;
-        Ok(self.inner.store(slot, generation, data))
+        let (slot, generation, _) = self.inner.take_slot(false)?;
+        Ok(self.inner.store(slot, generation, data, false))
     }
 
     /// Reads the region described by `ptr`.
@@ -314,7 +357,9 @@ impl Pool {
     }
 
     /// Frees the chunk referenced by `ptr`, invalidating every rich pointer
-    /// to it.
+    /// to it.  Storage the chunk was written into (as opposed to published
+    /// by reference) stays with the slot for its next writer, unless a
+    /// reader still holds a view of it.
     ///
     /// # Errors
     ///
@@ -334,11 +379,9 @@ impl Pool {
             if slot.data.is_none() {
                 return Err(PoolError::NotPublished);
             }
-            slot.generation = slot.generation.wrapping_add(1);
-            slot.data = None;
+            slot.invalidate();
         }
-        self.inner.free_list.lock().push(ptr.slot);
-        self.inner.in_use.fetch_sub(1, Ordering::Relaxed);
+        self.inner.return_slot(ptr.slot);
         self.inner.frees.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -364,12 +407,9 @@ impl Pool {
     pub fn reset(&self) {
         let mut freed = 0usize;
         for slot in &self.inner.slots {
-            let mut slot = slot.lock();
-            if slot.data.is_some() {
+            if slot.lock().invalidate() {
                 freed += 1;
             }
-            slot.generation = slot.generation.wrapping_add(1);
-            slot.data = None;
         }
         let mut free = self.inner.free_list.lock();
         free.clear();
@@ -481,20 +521,21 @@ impl ChunkWriter {
     pub fn publish(mut self) -> RichPtr {
         let data = std::mem::take(&mut self.buf).freeze();
         self.published = true;
-        self.inner.store(self.slot, self.generation, data)
+        self.inner.store(self.slot, self.generation, data, true)
     }
 }
 
 impl Drop for ChunkWriter {
     fn drop(&mut self) {
         if !self.published {
-            // Return the never-published chunk to the free list.
+            // Return the never-published chunk, and its storage, to the
+            // free list.
+            self.buf.clear();
             let mut slot = self.inner.slots[self.slot as usize].lock();
-            slot.generation = slot.generation.wrapping_add(1);
-            slot.data = None;
+            slot.invalidate();
+            slot.spare = std::mem::take(&mut self.buf);
             drop(slot);
-            self.inner.free_list.lock().push(self.slot);
-            self.inner.in_use.fetch_sub(1, Ordering::Relaxed);
+            self.inner.return_slot(self.slot);
         }
     }
 }

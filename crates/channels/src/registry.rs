@@ -171,11 +171,19 @@ impl Registry {
         }
     }
 
-    fn notify(&self, event: ChannelEvent) {
+    /// Queues an event for every subscriber whose prefix matches `name`;
+    /// with nobody listening (the per-socket publications of the data
+    /// path) nothing is built.
+    fn notify(&self, name: &str, creator: Endpoint, generation: Generation, kind: EventKind) {
         let mut subs = self.inner.subscribers.lock();
         for sub in subs.iter_mut() {
-            if event.name.starts_with(&sub.prefix) {
-                sub.queue.push(event.clone());
+            if name.starts_with(&sub.prefix) {
+                sub.queue.push(ChannelEvent {
+                    name: name.to_string(),
+                    creator,
+                    generation,
+                    kind,
+                });
             }
         }
     }
@@ -197,15 +205,10 @@ impl Registry {
                     return Err(RegistryError::AlreadyPublished(name.to_string()));
                 }
                 // The creator restarted: revoke the stale incarnation first.
-                let revoked = ChannelEvent {
-                    name: name.to_string(),
-                    creator: existing.creator,
-                    generation: existing.generation,
-                    kind: EventKind::Revoked,
-                };
+                let (old_creator, old_generation) = (existing.creator, existing.generation);
                 entries.remove(name);
                 drop(entries);
-                self.notify(revoked);
+                self.notify(name, old_creator, old_generation, EventKind::Revoked);
                 let mut entries = self.inner.entries.lock();
                 entries.insert(
                     name.to_string(),
@@ -228,12 +231,7 @@ impl Registry {
                 );
             }
         }
-        self.notify(ChannelEvent {
-            name: name.to_string(),
-            creator,
-            generation,
-            kind: EventKind::Published,
-        });
+        self.notify(name, creator, generation, EventKind::Published);
         Ok(())
     }
 
@@ -387,7 +385,7 @@ impl Registry {
     /// Returns [`RegistryError::UnknownName`] or
     /// [`RegistryError::PermissionDenied`].
     pub fn revoke(&self, revoker: Endpoint, name: &str) -> Result<(), RegistryError> {
-        let event = {
+        let generation = {
             let mut entries = self.inner.entries.lock();
             let entry = entries
                 .get(name)
@@ -398,16 +396,11 @@ impl Registry {
                     requester: revoker,
                 });
             }
-            let event = ChannelEvent {
-                name: name.to_string(),
-                creator: entry.creator,
-                generation: entry.generation,
-                kind: EventKind::Revoked,
-            };
+            let generation = entry.generation;
             entries.remove(name);
-            event
+            generation
         };
-        self.notify(event);
+        self.notify(name, revoker, generation, EventKind::Revoked);
         Ok(())
     }
 
@@ -415,7 +408,7 @@ impl Registry {
     /// reincarnation server when it reaps a crashed component).  Returns the
     /// names that were withdrawn.
     pub fn revoke_all_from(&self, creator: Endpoint) -> Vec<String> {
-        let events: Vec<ChannelEvent> = {
+        let revoked: Vec<(String, Generation)> = {
             let mut entries = self.inner.entries.lock();
             let names: Vec<String> = entries
                 .iter()
@@ -426,20 +419,14 @@ impl Registry {
                 .into_iter()
                 .map(|name| {
                     let entry = entries.remove(&name).expect("name collected above");
-                    ChannelEvent {
-                        name,
-                        creator: entry.creator,
-                        generation: entry.generation,
-                        kind: EventKind::Revoked,
-                    }
+                    (name, entry.generation)
                 })
                 .collect()
         };
-        let names = events.iter().map(|e| e.name.clone()).collect();
-        for event in events {
-            self.notify(event);
+        for (name, generation) in &revoked {
+            self.notify(name, creator, *generation, EventKind::Revoked);
         }
-        names
+        revoked.into_iter().map(|(name, _)| name).collect()
     }
 
     /// Returns `true` if something is currently published under `name`.

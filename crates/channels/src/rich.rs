@@ -89,8 +89,37 @@ impl RichPtr {
     }
 }
 
+/// Parts a chain stores inline before it spills to the heap: Ethernet/IP/
+/// transport header chunk plus up to three payload loans covers every frame
+/// the steady state sends.
+const INLINE_PARTS: usize = 4;
+
+/// Filler for the unused inline entries.
+const NO_PART: RichPtr = RichPtr {
+    pool: PoolId(0),
+    slot: 0,
+    generation: 0,
+    offset: 0,
+    len: 0,
+};
+
+#[derive(Clone)]
+enum Parts {
+    /// `parts[..len]` are the chain.
+    Inline {
+        len: u8,
+        parts: [RichPtr; INLINE_PARTS],
+    },
+    Heap(Vec<RichPtr>),
+}
+
 /// An ordered chain of rich pointers describing one logical buffer (for
 /// example one network packet scattered over header and payload chunks).
+///
+/// Up to four parts live inside the chain itself, so building, extending,
+/// cloning and sending the chains of the packet path are plain copies; only
+/// longer chains (a retransmission gathered from many small writes) own
+/// heap storage.
 ///
 /// # Examples
 ///
@@ -103,35 +132,57 @@ impl RichPtr {
 /// assert_eq!(chain.total_len(), 1500);
 /// assert_eq!(chain.parts().len(), 2);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct RichChain {
-    parts: Vec<RichPtr>,
+    parts: Parts,
 }
 
 impl RichChain {
     /// Creates an empty chain.
-    pub fn new() -> Self {
-        RichChain { parts: Vec::new() }
+    pub const fn new() -> Self {
+        RichChain {
+            parts: Parts::Inline {
+                len: 0,
+                parts: [NO_PART; INLINE_PARTS],
+            },
+        }
     }
 
     /// Creates a chain holding a single region.
     pub fn single(ptr: RichPtr) -> Self {
-        RichChain { parts: vec![ptr] }
+        let mut chain = RichChain::new();
+        chain.push(ptr);
+        chain
     }
 
     /// Appends a region to the end of the chain.
     pub fn push(&mut self, ptr: RichPtr) {
-        self.parts.push(ptr);
+        match &mut self.parts {
+            Parts::Inline { len, parts } if (*len as usize) < INLINE_PARTS => {
+                parts[*len as usize] = ptr;
+                *len += 1;
+            }
+            Parts::Inline { parts, .. } => {
+                let mut spilled = Vec::with_capacity(2 * INLINE_PARTS);
+                spilled.extend_from_slice(parts);
+                spilled.push(ptr);
+                self.parts = Parts::Heap(spilled);
+            }
+            Parts::Heap(parts) => parts.push(ptr),
+        }
     }
 
     /// Returns the regions of the chain in order.
     pub fn parts(&self) -> &[RichPtr] {
-        &self.parts
+        match &self.parts {
+            Parts::Inline { len, parts } => &parts[..*len as usize],
+            Parts::Heap(parts) => parts,
+        }
     }
 
     /// Returns the total number of bytes described by the chain.
     pub fn total_len(&self) -> usize {
-        self.parts.iter().map(|p| p.len()).sum()
+        self.parts().iter().map(|p| p.len()).sum()
     }
 
     /// Returns `true` if the chain describes no bytes.
@@ -141,43 +192,114 @@ impl RichChain {
 
     /// Returns the number of regions (scatter-gather elements).
     pub fn segment_count(&self) -> usize {
-        self.parts.len()
+        self.parts().len()
     }
 
     /// Iterates over the regions.
     pub fn iter(&self) -> impl Iterator<Item = &RichPtr> {
-        self.parts.iter()
+        self.parts().iter()
     }
 
     /// Returns the distinct pools referenced by the chain.
     pub fn referenced_pools(&self) -> Vec<PoolId> {
-        let mut pools: Vec<PoolId> = self.parts.iter().map(|p| p.pool).collect();
+        let mut pools: Vec<PoolId> = self.iter().map(|p| p.pool).collect();
         pools.sort();
         pools.dedup();
         pools
     }
 }
 
+impl Default for RichChain {
+    fn default() -> Self {
+        RichChain::new()
+    }
+}
+
+impl std::fmt::Debug for RichChain {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RichChain")
+            .field("parts", &self.parts())
+            .finish()
+    }
+}
+
+impl PartialEq for RichChain {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for RichChain {}
+
+/// The encoded shape of a chain — a struct named `RichChain` with one
+/// sequence field `parts` — is what it was when the parts lived in a `Vec`:
+/// live-update snapshots carry chains.
+mod encoded {
+    use super::RichPtr;
+
+    #[derive(serde::Deserialize)]
+    pub(super) struct RichChain {
+        pub(super) parts: Vec<RichPtr>,
+    }
+}
+
+impl Serialize for RichChain {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        use serde::ser::SerializeStruct;
+        let mut state = serializer.serialize_struct("RichChain", 1)?;
+        state.serialize_field("parts", self.parts())?;
+        state.end()
+    }
+}
+
+impl<'de> Deserialize<'de> for RichChain {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        encoded::RichChain::deserialize(deserializer).map(|chain| chain.parts.into_iter().collect())
+    }
+}
+
 impl FromIterator<RichPtr> for RichChain {
     fn from_iter<I: IntoIterator<Item = RichPtr>>(iter: I) -> Self {
-        RichChain {
-            parts: iter.into_iter().collect(),
-        }
+        let mut chain = RichChain::new();
+        chain.extend(iter);
+        chain
     }
 }
 
 impl Extend<RichPtr> for RichChain {
     fn extend<I: IntoIterator<Item = RichPtr>>(&mut self, iter: I) {
-        self.parts.extend(iter);
+        for ptr in iter {
+            self.push(ptr);
+        }
+    }
+}
+
+/// Owning iterator over a chain's regions.
+#[derive(Debug)]
+pub struct IntoIter {
+    chain: RichChain,
+    next: usize,
+}
+
+impl Iterator for IntoIter {
+    type Item = RichPtr;
+
+    fn next(&mut self) -> Option<RichPtr> {
+        let ptr = self.chain.parts().get(self.next).copied()?;
+        self.next += 1;
+        Some(ptr)
     }
 }
 
 impl IntoIterator for RichChain {
     type Item = RichPtr;
-    type IntoIter = std::vec::IntoIter<RichPtr>;
+    type IntoIter = IntoIter;
 
-    fn into_iter(self) -> Self::IntoIter {
-        self.parts.into_iter()
+    fn into_iter(self) -> IntoIter {
+        IntoIter {
+            chain: self,
+            next: 0,
+        }
     }
 }
 

@@ -6,39 +6,125 @@
 //! be frozen into a `Bytes` without copying.  `Bytes::try_into_mut` recovers
 //! a mutable buffer without copying when the reference is unique — the
 //! property the zero-copy frame path relies on to patch checksums in place.
+//!
+//! # One allocation per buffer
+//!
+//! A buffer is **one** heap block: a small header (reference count,
+//! capacity, frozen length) followed by the data.  `BytesMut` owns the block
+//! exclusively; [`BytesMut::freeze`] and [`Bytes::try_into_mut`] only change
+//! which handle type points at it, [`Bytes::slice`] and `clone` bump the
+//! count, and an empty buffer of either type owns no block at all.  So a
+//! buffer built through `BytesMut` costs exactly one allocation over its
+//! whole life, however often it is frozen, sliced, shared and thawed.
 
+use std::alloc::{self, Layout};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, DerefMut, RangeBounds};
-use std::sync::Arc;
+use std::ptr::NonNull;
+use std::sync::atomic::{self, AtomicUsize, Ordering};
 
-/// A cheaply cloneable, immutable view of a reference-counted byte buffer.
-#[derive(Clone, Default)]
-pub struct Bytes {
-    data: Arc<Vec<u8>>,
-    start: usize,
-    end: usize,
+/// Head of every buffer block; the data bytes follow it directly.
+struct Header {
+    /// Handles (`Bytes` views, or the one `BytesMut`) pointing at the block.
+    refs: AtomicUsize,
+    /// Data bytes the block has room for.
+    cap: usize,
+    /// Initialised data bytes, recorded by `freeze` for `try_into_mut`'s
+    /// covers-everything test.  Unused while a `BytesMut` owns the block.
+    len: usize,
 }
 
+fn block_layout(cap: usize) -> Layout {
+    let size = std::mem::size_of::<Header>()
+        .checked_add(cap)
+        .expect("buffer capacity overflow");
+    Layout::from_size_align(size, std::mem::align_of::<Header>()).expect("buffer capacity overflow")
+}
+
+/// Allocates a block with room for `cap > 0` data bytes and one reference.
+fn alloc_block(cap: usize) -> NonNull<Header> {
+    let layout = block_layout(cap);
+    // SAFETY: the layout has non-zero size (it includes the header).
+    let raw = unsafe { alloc::alloc(layout) }.cast::<Header>();
+    let Some(block) = NonNull::new(raw) else {
+        alloc::handle_alloc_error(layout)
+    };
+    // SAFETY: `block` is a fresh allocation sized and aligned for a `Header`.
+    unsafe {
+        block.as_ptr().write(Header {
+            refs: AtomicUsize::new(1),
+            cap,
+            len: 0,
+        });
+    }
+    block
+}
+
+/// Returns the first data byte of `block`.
+///
+/// # Safety
+///
+/// `block` must point at a live block from [`alloc_block`].
+unsafe fn data_of(block: NonNull<Header>) -> *mut u8 {
+    // SAFETY: per the contract the block extends past its header.
+    unsafe { block.as_ptr().add(1).cast::<u8>() }
+}
+
+/// Frees `block`.
+///
+/// # Safety
+///
+/// `block` must come from [`alloc_block`] and no handle may use it again.
+unsafe fn free_block(block: NonNull<Header>) {
+    // SAFETY: per the contract the header is live and `cap` is the capacity
+    // the block was (re)allocated with.
+    unsafe {
+        let layout = block_layout((*block.as_ptr()).cap);
+        alloc::dealloc(block.as_ptr().cast::<u8>(), layout);
+    }
+}
+
+/// A cheaply cloneable, immutable view of a reference-counted byte buffer.
+pub struct Bytes {
+    /// First byte of the view (dangling when the view is empty).
+    ptr: *const u8,
+    len: usize,
+    /// The block the view keeps alive; `None` for an empty view.
+    block: Option<NonNull<Header>>,
+}
+
+// SAFETY: the bytes behind a `Bytes` are never written while any view exists
+// (only `try_into_mut` hands out write access, and only to the last holder),
+// and the reference count is atomic, so views may move to and be shared
+// between threads.
+unsafe impl Send for Bytes {}
+// SAFETY: see `Send`.
+unsafe impl Sync for Bytes {}
+
 impl Bytes {
-    /// Creates an empty `Bytes`.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty `Bytes`.  Allocates nothing.
+    pub const fn new() -> Self {
+        Bytes {
+            ptr: NonNull::<u8>::dangling().as_ptr(),
+            len: 0,
+            block: None,
+        }
     }
 
-    /// Copies `data` into a new buffer.
+    /// Copies `data` into a new buffer (one allocation).
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes::from(data.to_vec())
+        BytesMut::from(data).freeze()
     }
 
     /// Returns the number of bytes in the view.
     pub fn len(&self) -> usize {
-        self.end - self.start
+        self.len
     }
 
     /// Returns `true` if the view is empty.
     pub fn is_empty(&self) -> bool {
-        self.start == self.end
+        self.len == 0
     }
 
     /// Returns a zero-copy sub-view.  `range` is relative to this view.
@@ -60,11 +146,16 @@ impl Bytes {
         };
         assert!(begin <= end, "slice starts after it ends: {begin} > {end}");
         assert!(end <= len, "slice out of bounds: {end} > {len}");
-        Bytes {
-            data: Arc::clone(&self.data),
-            start: self.start + begin,
-            end: self.start + end,
+        if begin == end {
+            // An empty view pins nothing.
+            return Bytes::new();
         }
+        let mut view = self.clone();
+        // SAFETY: `begin < end <= len`, so the sub-view stays inside the
+        // bytes this view covers.
+        view.ptr = unsafe { self.ptr.add(begin) };
+        view.len = end - begin;
+        view
     }
 
     /// Returns the zero-copy sub-view that covers `subset`, a slice borrowed
@@ -91,26 +182,77 @@ impl Bytes {
     /// the only reference to the underlying allocation and the view covers
     /// it entirely; otherwise hands `self` back.
     pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
-        if self.start == 0 && self.end == self.data.len() {
-            match Arc::try_unwrap(self.data) {
-                Ok(vec) => return Ok(BytesMut { vec }),
-                Err(data) => {
-                    return Err(Bytes {
-                        start: 0,
-                        end: data.len(),
-                        data,
-                    })
-                }
-            }
+        let Some(block) = self.block else {
+            return Ok(BytesMut::new());
+        };
+        // SAFETY: this view holds a reference, so the block is live.
+        let (header, data) = unsafe { (block.as_ref(), data_of(block)) };
+        // A count of one cannot rise concurrently: cloning needs a view,
+        // and this is the only one.  `Acquire` pairs with the `Release`
+        // decrement of every view dropped before.
+        if self.ptr == data.cast_const()
+            && self.len == header.len
+            && header.refs.load(Ordering::Acquire) == 1
+        {
+            let len = self.len;
+            std::mem::forget(self);
+            return Ok(BytesMut {
+                block: Some(block),
+                len,
+            });
         }
         Err(self)
+    }
+}
+
+impl Default for Bytes {
+    fn default() -> Self {
+        Bytes::new()
+    }
+}
+
+impl Clone for Bytes {
+    fn clone(&self) -> Self {
+        if let Some(block) = self.block {
+            // SAFETY: this view holds a reference, so the block is live.
+            // `Relaxed` suffices to add a reference through an existing one
+            // (as in `Arc`).
+            unsafe { block.as_ref() }
+                .refs
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        Bytes {
+            ptr: self.ptr,
+            len: self.len,
+            block: self.block,
+        }
+    }
+}
+
+impl Drop for Bytes {
+    fn drop(&mut self) {
+        let Some(block) = self.block else { return };
+        // SAFETY: this view holds a reference, so the block is live.
+        if unsafe { block.as_ref() }
+            .refs
+            .fetch_sub(1, Ordering::Release)
+            == 1
+        {
+            // Pairs with the `Release` decrements of the other views: their
+            // reads of the data happen before the block is freed.
+            atomic::fence(Ordering::Acquire);
+            // SAFETY: the count reached zero; no handle is left.
+            unsafe { free_block(block) };
+        }
     }
 }
 
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        // SAFETY: `ptr..ptr + len` lies inside the initialised part of a
+        // block this view keeps alive (or is the empty dangling slice).
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 }
 
@@ -121,34 +263,28 @@ impl AsRef<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Copies the vector into a one-block buffer.  Data paths build in a
+    /// [`BytesMut`] instead and never come through here.
     fn from(vec: Vec<u8>) -> Self {
-        let end = vec.len();
-        Bytes {
-            data: Arc::new(vec),
-            start: 0,
-            end,
-        }
+        Bytes::copy_from_slice(&vec)
     }
 }
 
 impl From<&[u8]> for Bytes {
     fn from(slice: &[u8]) -> Self {
-        Bytes::from(slice.to_vec())
+        Bytes::copy_from_slice(slice)
     }
 }
 
 impl<const N: usize> From<[u8; N]> for Bytes {
     fn from(array: [u8; N]) -> Self {
-        Bytes::from(array.to_vec())
+        Bytes::copy_from_slice(&array)
     }
 }
 
 impl From<Bytes> for Vec<u8> {
     fn from(bytes: Bytes) -> Self {
-        match bytes.try_into_mut() {
-            Ok(m) => m.vec,
-            Err(b) => b.to_vec(),
-        }
+        bytes.to_vec()
     }
 }
 
@@ -215,92 +351,214 @@ impl Hash for Bytes {
 }
 
 /// A growable byte buffer that can be frozen into [`Bytes`] without copying.
-#[derive(Default, Clone, PartialEq, Eq)]
 pub struct BytesMut {
-    vec: Vec<u8>,
+    /// The block this buffer owns exclusively (its count stays 1); `None`
+    /// while the buffer has no capacity.
+    block: Option<NonNull<Header>>,
+    len: usize,
 }
 
+// SAFETY: a `BytesMut` is the only handle to its block, like a `Vec<u8>`.
+unsafe impl Send for BytesMut {}
+// SAFETY: see `Send`; `&BytesMut` only reads.
+unsafe impl Sync for BytesMut {}
+
 impl BytesMut {
-    /// Creates an empty buffer.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty buffer.  Allocates nothing.
+    pub const fn new() -> Self {
+        BytesMut {
+            block: None,
+            len: 0,
+        }
     }
 
     /// Creates an empty buffer with room for `capacity` bytes.
     pub fn with_capacity(capacity: usize) -> Self {
         BytesMut {
-            vec: Vec::with_capacity(capacity),
+            block: (capacity > 0).then(|| alloc_block(capacity)),
+            len: 0,
         }
     }
 
     /// Returns the number of bytes in the buffer.
     pub fn len(&self) -> usize {
-        self.vec.len()
+        self.len
     }
 
     /// Returns `true` if the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.vec.is_empty()
+        self.len == 0
     }
 
     /// Returns the buffer's capacity.
     pub fn capacity(&self) -> usize {
-        self.vec.capacity()
+        // SAFETY: a block this buffer points at is live.
+        self.block.map_or(0, |block| unsafe { block.as_ref() }.cap)
+    }
+
+    /// First data byte (dangling while there is no block).
+    fn data(&self) -> *mut u8 {
+        match self.block {
+            // SAFETY: a block this buffer points at is live.
+            Some(block) => unsafe { data_of(block) },
+            None => NonNull::<u8>::dangling().as_ptr(),
+        }
     }
 
     /// Appends `data` to the buffer.
     pub fn extend_from_slice(&mut self, data: &[u8]) {
-        self.vec.extend_from_slice(data);
+        self.reserve(data.len());
+        // SAFETY: `reserve` made room for `data.len()` bytes past `len`, and
+        // `data` cannot overlap a block this buffer owns exclusively.
+        unsafe {
+            std::ptr::copy_nonoverlapping(data.as_ptr(), self.data().add(self.len), data.len());
+        }
+        self.len += data.len();
     }
 
-    /// Reserves room for at least `additional` more bytes.
+    /// Reserves room for at least `additional` more bytes.  Growth is
+    /// amortised (at least doubling), like `Vec`.
     pub fn reserve(&mut self, additional: usize) {
-        self.vec.reserve(additional);
+        let cap = self.capacity();
+        let needed = self
+            .len
+            .checked_add(additional)
+            .expect("buffer capacity overflow");
+        if needed <= cap {
+            return;
+        }
+        let new_cap = needed.max(cap.saturating_mul(2)).max(8);
+        let block = match self.block {
+            None => alloc_block(new_cap),
+            Some(old) => {
+                let new_layout = block_layout(new_cap);
+                // SAFETY: `old` was allocated with `block_layout(cap)` and
+                // the new size is a valid layout of the same alignment.
+                let raw = unsafe {
+                    alloc::realloc(
+                        old.as_ptr().cast::<u8>(),
+                        block_layout(cap),
+                        new_layout.size(),
+                    )
+                }
+                .cast::<Header>();
+                let Some(mut block) = NonNull::new(raw) else {
+                    alloc::handle_alloc_error(new_layout)
+                };
+                // SAFETY: `realloc` moved the header along; this buffer is
+                // the block's only handle.
+                unsafe { block.as_mut() }.cap = new_cap;
+                block
+            }
+        };
+        self.block = Some(block);
     }
 
     /// Resizes the buffer, filling new space with `value`.
     pub fn resize(&mut self, new_len: usize, value: u8) {
-        self.vec.resize(new_len, value);
+        if new_len > self.len {
+            let grow = new_len - self.len;
+            self.reserve(grow);
+            // SAFETY: `reserve` made room for `grow` bytes past `len`.
+            unsafe { std::ptr::write_bytes(self.data().add(self.len), value, grow) };
+        }
+        self.len = new_len;
     }
 
-    /// Clears the buffer.
+    /// Clears the buffer, keeping its capacity.
     pub fn clear(&mut self) {
-        self.vec.clear();
+        self.len = 0;
     }
 
     /// Splits the buffer into two at `at`: returns a buffer holding
     /// `[0, at)` and leaves `[at, len)` in `self`.  The returned front
-    /// keeps its allocation; only the tail moves, so draining a send
-    /// queue to (or near) empty costs nothing.
+    /// keeps the allocation; only the tail moves, so draining a send
+    /// queue to (or near) empty costs nothing — and neither does taking
+    /// nothing (`at == 0` returns an empty buffer and leaves `self` alone).
     ///
     /// # Panics
     ///
     /// Panics if `at > len`.
     pub fn split_to(&mut self, at: usize) -> BytesMut {
-        assert!(at <= self.vec.len(), "split_to out of bounds: {at}");
-        let tail = self.vec.split_off(at);
-        BytesMut {
-            vec: std::mem::replace(&mut self.vec, tail),
+        assert!(at <= self.len, "split_to out of bounds: {at}");
+        if at == 0 {
+            return BytesMut::new();
         }
+        let tail = BytesMut::from(&self[at..]);
+        let mut front = std::mem::replace(self, tail);
+        front.len = at;
+        front
     }
 
     /// Freezes the buffer into an immutable, cheaply cloneable [`Bytes`]
-    /// without copying.
+    /// without copying or allocating.
     pub fn freeze(self) -> Bytes {
-        Bytes::from(self.vec)
+        let Some(mut block) = self.block else {
+            return Bytes::new();
+        };
+        let len = self.len;
+        std::mem::forget(self);
+        if len == 0 {
+            // An empty view pins nothing: release the unused capacity.
+            // SAFETY: this buffer was the block's only handle.
+            unsafe { free_block(block) };
+            return Bytes::new();
+        }
+        // SAFETY: this buffer is the block's only handle until the `Bytes`
+        // below takes its reference over.
+        unsafe {
+            block.as_mut().len = len;
+            Bytes {
+                ptr: data_of(block),
+                len,
+                block: Some(block),
+            }
+        }
     }
 }
+
+impl Default for BytesMut {
+    fn default() -> Self {
+        BytesMut::new()
+    }
+}
+
+impl Drop for BytesMut {
+    fn drop(&mut self) {
+        if let Some(block) = self.block {
+            // SAFETY: this buffer is the block's only handle.
+            unsafe { free_block(block) };
+        }
+    }
+}
+
+impl Clone for BytesMut {
+    fn clone(&self) -> Self {
+        BytesMut::from(&self[..])
+    }
+}
+
+impl PartialEq for BytesMut {
+    fn eq(&self, other: &Self) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl Eq for BytesMut {}
 
 impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.vec
+        // SAFETY: the first `len` data bytes are initialised.
+        unsafe { std::slice::from_raw_parts(self.data(), self.len) }
     }
 }
 
 impl DerefMut for BytesMut {
     fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.vec
+        // SAFETY: the first `len` data bytes are initialised and this buffer
+        // is the block's only handle.
+        unsafe { std::slice::from_raw_parts_mut(self.data(), self.len) }
     }
 }
 
@@ -318,15 +576,16 @@ impl AsMut<[u8]> for BytesMut {
 
 impl From<Vec<u8>> for BytesMut {
     fn from(vec: Vec<u8>) -> Self {
-        BytesMut { vec }
+        BytesMut::from(&vec[..])
     }
 }
 
 impl From<&[u8]> for BytesMut {
+    /// Copies `slice` into a buffer of exactly its size.
     fn from(slice: &[u8]) -> Self {
-        BytesMut {
-            vec: slice.to_vec(),
-        }
+        let mut buf = BytesMut::with_capacity(slice.len());
+        buf.extend_from_slice(slice);
+        buf
     }
 }
 
@@ -340,6 +599,13 @@ impl fmt::Debug for BytesMut {
 mod tests {
     use super::*;
 
+    fn refs(b: &Bytes) -> usize {
+        // SAFETY: `b` keeps its block alive.
+        unsafe { b.block.expect("non-empty view").as_ref() }
+            .refs
+            .load(Ordering::Relaxed)
+    }
+
     #[test]
     fn slice_is_zero_copy_and_relative() {
         let b = Bytes::from(b"0123456789".to_vec());
@@ -347,7 +613,8 @@ mod tests {
         assert_eq!(&mid[..], b"234567");
         let sub = mid.slice(1..3);
         assert_eq!(&sub[..], b"34");
-        assert_eq!(Arc::strong_count(&b.data), 3);
+        assert_eq!(refs(&b), 3);
+        assert_eq!(sub.as_ptr(), b[3..].as_ptr());
     }
 
     #[test]
@@ -373,9 +640,13 @@ mod tests {
     fn freeze_then_try_into_mut_round_trip() {
         let mut m = BytesMut::with_capacity(8);
         m.extend_from_slice(b"abc");
+        let at = m.as_ptr();
         let b = m.freeze();
+        assert_eq!(b.as_ptr(), at);
         // Unique reference: recovered without copy.
         let mut m = b.try_into_mut().expect("unique");
+        assert_eq!(m.as_ptr(), at);
+        assert_eq!(m.capacity(), 8);
         m[0] = b'x';
         let b = m.freeze();
         assert_eq!(&b[..], b"xbc");
@@ -383,6 +654,8 @@ mod tests {
         let b2 = b.clone();
         assert!(b.try_into_mut().is_err());
         assert_eq!(&b2[..], b"xbc");
+        // Unique again once the other view is gone.
+        assert!(b2.try_into_mut().is_ok());
     }
 
     #[test]
@@ -391,21 +664,88 @@ mod tests {
         let s = b.slice(1..4);
         drop(b);
         assert!(s.try_into_mut().is_err());
+        let b = Bytes::from(b"hello".to_vec());
+        let prefix = b.slice(..4);
+        drop(b);
+        assert!(prefix.try_into_mut().is_err());
+    }
+
+    #[test]
+    fn empty_views_pin_nothing() {
+        let b = Bytes::from(b"hello".to_vec());
+        let empty = b.slice(2..2);
+        assert!(empty.is_empty());
+        assert_eq!(refs(&b), 1);
+        assert!(BytesMut::with_capacity(64).freeze().block.is_none());
+        assert!(Bytes::new().try_into_mut().expect("empty").is_empty());
     }
 
     #[test]
     fn split_to_keeps_front_allocation_and_leaves_tail() {
         let mut m = BytesMut::new();
         m.extend_from_slice(b"abcdef");
+        let at = m.as_ptr();
         let front = m.split_to(4);
         assert_eq!(&front[..], b"abcd");
+        assert_eq!(front.as_ptr(), at);
         assert_eq!(&m[..], b"ef");
         m.extend_from_slice(b"gh");
         assert_eq!(&m[..], b"efgh");
         // Full drain: tail is empty, nothing is copied.
+        let at = m.as_ptr();
         let rest = m.split_to(4);
         assert_eq!(&rest[..], b"efgh");
+        assert_eq!(rest.as_ptr(), at);
         assert!(m.is_empty());
+        assert_eq!(m.capacity(), 0);
+        // Taking nothing leaves the buffer alone.
+        m.extend_from_slice(b"ij");
+        let at = m.as_ptr();
+        assert!(m.split_to(0).is_empty());
+        assert_eq!(m.as_ptr(), at);
+        assert_eq!(&m[..], b"ij");
+    }
+
+    #[test]
+    fn growth_preserves_contents_and_resize_fills() {
+        let mut m = BytesMut::new();
+        for i in 0..1000u32 {
+            m.extend_from_slice(&i.to_be_bytes());
+        }
+        assert_eq!(m.len(), 4000);
+        assert!(m.capacity() >= 4000);
+        for i in 0..1000u32 {
+            let at = i as usize * 4;
+            assert_eq!(m[at..at + 4], i.to_be_bytes());
+        }
+        m.resize(4004, 0xee);
+        assert_eq!(m[4000..], [0xee; 4]);
+        m.resize(2, 0);
+        assert_eq!(&m[..], &[0, 0]);
+        let copy = m.clone();
+        assert_eq!(copy, m);
+        assert_ne!(copy.as_ptr(), m.as_ptr());
+        m.clear();
+        assert!(m.is_empty());
+        assert!(m.capacity() >= 4000);
+    }
+
+    #[test]
+    fn views_are_shared_across_threads() {
+        let b = Bytes::from((0..=255u8).collect::<Vec<u8>>());
+        std::thread::scope(|scope| {
+            for t in 0..4usize {
+                let view = b.slice(t * 64..(t + 1) * 64);
+                scope.spawn(move || {
+                    for _ in 0..1000 {
+                        let again = view.clone();
+                        assert_eq!(again[0], (t * 64) as u8);
+                    }
+                });
+            }
+        });
+        assert_eq!(refs(&b), 1);
+        assert!(b.try_into_mut().is_ok());
     }
 
     #[test]

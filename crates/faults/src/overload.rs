@@ -43,6 +43,9 @@ use crate::dependability::availability_from;
 const CHURN_PORT_BASE: u16 = 45_000;
 /// First source port of the slow-loris flows.
 const LORIS_PORT_BASE: u16 = 52_000;
+/// Burst gaps a churn wave is held open at most while the server has not
+/// yet shed or paused on it.
+const CHURN_HOLD_GAPS: u32 = 200;
 
 /// The attack a cell launches against the serving stack mid-run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -397,7 +400,13 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadRecord {
     let mut last_burst_at = Duration::ZERO;
     let mut attack_events = 0u64;
     let mut churn_cycle = 0u16;
-    let mut churn_open: Option<(u16, usize)> = None;
+    // The open wave: first port, flows, the server's shed + pause count when
+    // it was opened, burst gaps held so far.
+    let mut churn_open: Option<(u16, usize, u64, u32)> = None;
+    let admission_events = || {
+        let stats = httpd.stats();
+        stats.shed_503 + stats.accept_paused
+    };
     let mut loris_ports: Vec<u16> = Vec::new();
     let mut drip_cursor = 0usize;
     let total_bursts =
@@ -457,15 +466,28 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadRecord {
                         peer.malformed_flood(server, per_burst, config.seed ^ bursts) as u64;
                 }
                 AttackKind::ConnectionChurn => {
-                    // Alternate bursts: slam a wave open, slam it shut.
-                    if let Some((base, flows)) = churn_open.take() {
-                        peer.abort_wave(base, flows);
-                    } else {
-                        let base = CHURN_PORT_BASE + churn_cycle * config.attack_volume as u16;
-                        peer.churn_wave(base, config.attack_volume, server, load.port);
-                        attack_events += config.attack_volume as u64;
-                        churn_open = Some((base, config.attack_volume));
-                        churn_cycle += 1;
+                    // Alternate bursts: slam a wave open, slam it shut —
+                    // once the server has met it.  On a loaded host a wave
+                    // aborted after a fixed gap can be gone before the
+                    // server accepted a single flow of it, and then attacks
+                    // nothing; so the wave is held until admission control
+                    // has reacted to it (or, bounded, was never going to).
+                    match churn_open.take() {
+                        Some((base, flows, seen, held))
+                            if admission_events() == seen && held < CHURN_HOLD_GAPS =>
+                        {
+                            churn_open = Some((base, flows, seen, held + 1));
+                            return;
+                        }
+                        Some((base, flows, ..)) => peer.abort_wave(base, flows),
+                        None => {
+                            let base = CHURN_PORT_BASE + churn_cycle * config.attack_volume as u16;
+                            let seen = admission_events();
+                            peer.churn_wave(base, config.attack_volume, server, load.port);
+                            attack_events += config.attack_volume as u64;
+                            churn_open = Some((base, config.attack_volume, seen, 0));
+                            churn_cycle += 1;
+                        }
                     }
                 }
                 AttackKind::SlowLoris => {} // drips above are the events
@@ -476,7 +498,7 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadRecord {
 
     // Abort any wave the window left open, then give the SYN-RECEIVED
     // reaper and the loris sweep their windows before sampling.
-    if let Some((base, flows)) = churn_open {
+    if let Some((base, flows, ..)) = churn_open {
         peer.abort_wave(base, flows);
     }
     stack.clock().sleep(config.drain);

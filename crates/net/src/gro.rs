@@ -25,7 +25,7 @@
 //!   frame's acknowledgement number and window, the OR of the PSH flags,
 //!   and freshly computed IPv4 and TCP checksums.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 use crate::wire::{
     internet_checksum, pseudo_header_checksum, EtherType, IpProtocol, ETHERNET_HEADER_LEN,
@@ -280,7 +280,7 @@ impl GroEngine {
         // The first frame up to its payload end, then every absorbed
         // payload, in a buffer sized to the result.
         let head = &pending.first[..info.payload_at + info.payload_len];
-        let mut merged = Vec::with_capacity(info.payload_at + pending.payload_len);
+        let mut merged = BytesMut::with_capacity(info.payload_at + pending.payload_len);
         merged.extend_from_slice(head);
         for payload in self.absorbed.drain(..) {
             merged.extend_from_slice(&payload);
@@ -305,7 +305,7 @@ impl GroEngine {
             pseudo_header_checksum(info.src, info.dst, IpProtocol::Tcp.as_u8(), &bytes[tcp..]);
         bytes[tcp + 16..tcp + 18].copy_from_slice(&tcp_csum.to_be_bytes());
         self.stats.merged_out += 1;
-        out.push(Bytes::from(merged));
+        out.push(merged.freeze());
     }
 }
 

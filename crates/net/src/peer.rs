@@ -36,6 +36,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 
 use newt_channels::wake::{WakeWord, MAX_PARK};
@@ -244,6 +245,9 @@ struct PeerState {
     /// run early after a timer is cancelled (stale minimum); never
     /// late.
     next_client_timer: Option<Duration>,
+    /// The vector [`RemotePeer::flush_client`] collects a flow's frames in
+    /// before it transmits them outside the lock, kept between calls.
+    frame_scratch: Vec<Bytes>,
     stats: PeerStats,
 }
 
@@ -280,6 +284,7 @@ impl RemotePeer {
                 clients: HashMap::new(),
                 arp_cache: HashMap::new(),
                 next_client_timer: None,
+                frame_scratch: Vec::new(),
                 stats: PeerStats::default(),
             }),
             wake: Arc::new(WakeWord::new()),
@@ -373,38 +378,34 @@ impl RemotePeer {
         }
     }
 
-    fn send_frame(&self, dst_mac: MacAddr, ethertype: EtherType, payload: Vec<u8>) {
-        let frame = EthernetFrame::new(dst_mac, self.config.mac, ethertype, payload);
-        self.port.transmit(frame.build());
+    fn send_frame(&self, dst_mac: MacAddr, ethertype: EtherType, payload: &[u8]) {
+        let mut frame = BytesMut::with_capacity(ETHERNET_HEADER_LEN + payload.len());
+        EthernetFrame::write_header(dst_mac, self.config.mac, ethertype, &mut frame);
+        frame.extend_from_slice(payload);
+        self.port.transmit(frame.freeze());
     }
 
     /// Starts a frame towards `dst_ip`: one buffer sized for the whole
-    /// frame, Ethernet and IPv4 headers written, ready for `l4_len` bytes
-    /// of transport segment.
+    /// frame — the allocation it crosses the link in — Ethernet and IPv4
+    /// headers written, ready for `l4_len` bytes of transport segment.
     fn ipv4_frame(
         &self,
         dst_mac: MacAddr,
         dst_ip: Ipv4Addr,
         protocol: IpProtocol,
         l4_len: usize,
-    ) -> Vec<u8> {
-        let mut frame = Vec::with_capacity(ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + l4_len);
+    ) -> BytesMut {
+        let mut frame = BytesMut::with_capacity(ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + l4_len);
         EthernetFrame::write_header(dst_mac, self.config.mac, EtherType::Ipv4, &mut frame);
         Ipv4Packet::new(self.config.ip, dst_ip, protocol, Vec::new())
             .write_header(l4_len, &mut frame);
         frame
     }
 
-    fn send_ipv4(
-        &self,
-        dst_mac: MacAddr,
-        dst_ip: Ipv4Addr,
-        protocol: IpProtocol,
-        payload: Vec<u8>,
-    ) {
+    fn send_ipv4(&self, dst_mac: MacAddr, dst_ip: Ipv4Addr, protocol: IpProtocol, payload: &[u8]) {
         let mut frame = self.ipv4_frame(dst_mac, dst_ip, protocol, payload.len());
-        frame.extend_from_slice(&payload);
-        self.port.transmit(frame);
+        frame.extend_from_slice(payload);
+        self.port.transmit(frame.freeze());
     }
 
     fn handle_frame(&self, bytes: &[u8]) {
@@ -428,7 +429,7 @@ impl RemotePeer {
         };
         if arp.operation == ArpOperation::Request && arp.target_ip == self.config.ip {
             let reply = ArpPacket::reply_to(&arp, self.config.mac, self.config.ip);
-            self.send_frame(arp.sender_mac, EtherType::Arp, reply.build());
+            self.send_frame(arp.sender_mac, EtherType::Arp, &reply.build());
         }
         // Learn the sender's mapping from requests and replies alike, and
         // kick any client flows that were waiting for it.
@@ -480,7 +481,7 @@ impl RemotePeer {
         if icmp.icmp_type == IcmpType::EchoRequest {
             self.state.lock().stats.pings_answered += 1;
             let reply = IcmpMessage::reply_to(icmp);
-            self.send_ipv4(frame.src, packet.src, IpProtocol::Icmp, reply.build());
+            self.send_ipv4(frame.src, packet.src, IpProtocol::Icmp, &reply.build());
         }
     }
 
@@ -505,7 +506,7 @@ impl RemotePeer {
                 frame.src,
                 packet.src,
                 IpProtocol::Udp,
-                reply.build(self.config.ip, packet.src),
+                &reply.build(self.config.ip, packet.src),
             );
         }
     }
@@ -667,10 +668,10 @@ impl RemotePeer {
     /// Builds the whole frame carrying `segment` in one buffer: headers
     /// written in place, the payload copied once, the checksum taken over
     /// the final bytes.
-    fn tcp_frame(&self, dst_mac: MacAddr, dst_ip: Ipv4Addr, segment: TcpView<'_>) -> Vec<u8> {
+    fn tcp_frame(&self, dst_mac: MacAddr, dst_ip: Ipv4Addr, segment: TcpView<'_>) -> Bytes {
         let mut frame = self.ipv4_frame(dst_mac, dst_ip, IpProtocol::Tcp, segment.wire_len());
         segment.write(self.config.ip, dst_ip, &mut frame);
-        frame
+        frame.freeze()
     }
 
     fn send_tcp(&self, dst_mac: MacAddr, dst_ip: Ipv4Addr, segment: TcpView<'_>) {
@@ -747,10 +748,17 @@ impl RemotePeer {
         ok
     }
 
-    /// Takes every response byte the client flow has received so far.
+    /// Takes every response byte the client flow has received so far.  When
+    /// several segments had collected (a bulk response between two takes),
+    /// the flow's next bytes collect in a buffer of the same size: growing
+    /// to it by doubling each time would allocate several times the bytes.
     pub fn client_take(&self, src_port: u16) -> Vec<u8> {
         let mut state = self.state.lock();
         match state.clients.get_mut(&src_port) {
+            Some(conn) if conn.received.len() > CLIENT_MSS => {
+                let next = Vec::with_capacity(conn.received.len());
+                std::mem::replace(&mut conn.received, next)
+            }
             Some(conn) => std::mem::take(&mut conn.received),
             None => Vec::new(),
         }
@@ -843,7 +851,7 @@ impl RemotePeer {
             syn.mss = Some(1460);
             syn.window = u16::MAX;
             let packet = Ipv4Packet::new(src, dst_ip, IpProtocol::Tcp, syn.build(src, dst_ip));
-            self.send_frame(mac, EtherType::Ipv4, packet.build());
+            self.send_frame(mac, EtherType::Ipv4, &packet.build());
         }
         count
     }
@@ -896,17 +904,21 @@ impl RemotePeer {
 
     fn send_arp_request(&self, target: Ipv4Addr) {
         let req = ArpPacket::request(self.config.mac, self.config.ip, target);
-        self.send_frame(MacAddr::BROADCAST, EtherType::Arp, req.build());
+        self.send_frame(MacAddr::BROADCAST, EtherType::Arp, &req.build());
     }
 
     /// Moves backlog bytes into the window and transmits them, each data
     /// frame built once, straight from the send queue.
     fn flush_client(&self, src_port: u16) {
         let now = self.clock.now();
-        let mut frames = Vec::new();
-        {
+        let mut frames = {
             let mut state = self.state.lock();
-            let Some(conn) = state.clients.get_mut(&src_port) else {
+            let PeerState {
+                clients,
+                frame_scratch,
+                ..
+            } = &mut *state;
+            let Some(conn) = clients.get_mut(&src_port) else {
                 return;
             };
             if conn.status != ClientStatus::Established {
@@ -930,22 +942,23 @@ impl RemotePeer {
                     mss: None,
                     payload: conn.tx.send(take),
                 };
-                frames.push(self.tcp_frame(mac, conn.dst_ip, segment));
+                frame_scratch.push(self.tcp_frame(mac, conn.dst_ip, segment));
             }
-            let armed = if !frames.is_empty() && conn.rto_deadline.is_none() {
+            if frame_scratch.is_empty() {
+                return;
+            }
+            let frames = std::mem::take(frame_scratch);
+            if conn.rto_deadline.is_none() {
                 let due = now + conn.rto;
                 conn.rto_deadline = Some(due);
-                Some(due)
-            } else {
-                None
-            };
-            if let Some(due) = armed {
                 state.note_client_timer(due);
             }
-        }
-        for frame in frames {
+            frames
+        };
+        for frame in frames.drain(..) {
             self.port.transmit(frame);
         }
+        self.state.lock().frame_scratch = frames;
     }
 
     /// Handles an inbound segment belonging to a client flow.

@@ -1,6 +1,6 @@
 //! Ethernet II framing.
 
-use super::{MacAddr, WireError};
+use super::{MacAddr, WireBuf, WireError};
 
 /// Length of an Ethernet II header (two addresses plus the EtherType).
 pub const ETHERNET_HEADER_LEN: usize = 14;
@@ -64,10 +64,10 @@ impl EthernetFrame {
 
     /// Appends an Ethernet II header to `out` — for senders that assemble a
     /// whole frame in one buffer.
-    pub fn write_header(dst: MacAddr, src: MacAddr, ethertype: EtherType, out: &mut Vec<u8>) {
-        out.extend_from_slice(&dst.octets());
-        out.extend_from_slice(&src.octets());
-        out.extend_from_slice(&ethertype.as_u16().to_be_bytes());
+    pub fn write_header(dst: MacAddr, src: MacAddr, ethertype: EtherType, out: &mut impl WireBuf) {
+        out.put(&dst.octets());
+        out.put(&src.octets());
+        out.put(&ethertype.as_u16().to_be_bytes());
     }
 
     /// Serialises the frame into wire bytes.

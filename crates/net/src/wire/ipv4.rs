@@ -3,7 +3,7 @@
 use std::net::Ipv4Addr;
 
 use super::checksum::internet_checksum;
-use super::WireError;
+use super::{WireBuf, WireError};
 
 /// Length of an IPv4 header without options.
 pub const IPV4_HEADER_LEN: usize = 20;
@@ -79,19 +79,17 @@ impl Ipv4Packet {
     /// Appends this packet's options-less header, checksum included, for a
     /// payload of `payload_len` bytes to `out` — for senders that assemble
     /// a whole frame in one buffer (the payload field is not read).
-    pub fn write_header(&self, payload_len: usize, out: &mut Vec<u8>) {
+    pub fn write_header(&self, payload_len: usize, out: &mut impl WireBuf) {
         let start = out.len();
         let total_len = (IPV4_HEADER_LEN + payload_len) as u16;
-        out.push(0x45); // version 4, IHL 5
-        out.push(0); // DSCP/ECN
-        out.extend_from_slice(&total_len.to_be_bytes());
-        out.extend_from_slice(&self.identification.to_be_bytes());
-        out.extend_from_slice(&0x4000u16.to_be_bytes()); // flags: don't fragment
-        out.push(self.ttl);
-        out.push(self.protocol.as_u8());
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&self.src.octets());
-        out.extend_from_slice(&self.dst.octets());
+        out.put(&[0x45, 0]); // version 4, IHL 5; DSCP/ECN
+        out.put(&total_len.to_be_bytes());
+        out.put(&self.identification.to_be_bytes());
+        out.put(&0x4000u16.to_be_bytes()); // flags: don't fragment
+        out.put(&[self.ttl, self.protocol.as_u8()]);
+        out.put(&[0, 0]); // checksum placeholder
+        out.put(&self.src.octets());
+        out.put(&self.dst.octets());
         let csum = internet_checksum(&out[start..]);
         out[start + 10..start + 12].copy_from_slice(&csum.to_be_bytes());
     }

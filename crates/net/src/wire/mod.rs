@@ -31,8 +31,121 @@ pub use tcp::{TcpFlags, TcpSegment, TcpView, TCP_HEADER_LEN};
 pub use udp::{UdpDatagram, UdpView, UDP_HEADER_LEN};
 
 use std::fmt;
+use std::ops::DerefMut;
 
+use bytes::BytesMut;
 use serde::{Deserialize, Serialize};
+
+/// A growable byte buffer the serialisers append to: a `Vec<u8>` for the
+/// owning `build`s, a [`BytesMut`] for senders that put the finished frame
+/// on the link as the one allocation it was built in.
+pub trait WireBuf: DerefMut<Target = [u8]> {
+    /// Appends `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl WireBuf for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+impl WireBuf for BytesMut {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// Longest transport header: a TCP header with every option byte in use.
+pub const MAX_TRANSPORT_HEADER: usize = 60;
+
+/// A serialised transport header (TCP, at most [`MAX_TRANSPORT_HEADER`]
+/// bytes; UDP and ICMP, 8) stored inline, so it rides inside fabric
+/// messages and request contexts without heap storage of its own.
+#[derive(Clone, Copy)]
+pub struct HeaderBuf {
+    len: u8,
+    bytes: [u8; MAX_TRANSPORT_HEADER],
+}
+
+impl HeaderBuf {
+    /// Creates an empty header.
+    pub const fn new() -> Self {
+        HeaderBuf {
+            len: 0,
+            bytes: [0; MAX_TRANSPORT_HEADER],
+        }
+    }
+
+    /// Copies `header`; `None` if it is longer than a transport header can
+    /// be.
+    pub fn from_slice(header: &[u8]) -> Option<Self> {
+        (header.len() <= MAX_TRANSPORT_HEADER).then(|| {
+            let mut buf = HeaderBuf::new();
+            buf.put(header);
+            buf
+        })
+    }
+}
+
+impl Default for HeaderBuf {
+    fn default() -> Self {
+        HeaderBuf::new()
+    }
+}
+
+impl std::ops::Deref for HeaderBuf {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
+    }
+}
+
+impl DerefMut for HeaderBuf {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.bytes[..self.len as usize]
+    }
+}
+
+impl WireBuf for HeaderBuf {
+    /// # Panics
+    ///
+    /// Panics if the header would exceed [`MAX_TRANSPORT_HEADER`] bytes.
+    fn put(&mut self, bytes: &[u8]) {
+        let end = self.len as usize + bytes.len();
+        self.bytes[self.len as usize..end].copy_from_slice(bytes);
+        self.len = end as u8;
+    }
+}
+
+impl fmt::Debug for HeaderBuf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("HeaderBuf").field(&&self[..]).finish()
+    }
+}
+
+impl PartialEq for HeaderBuf {
+    fn eq(&self, other: &Self) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl Eq for HeaderBuf {}
+
+/// Encoded as the byte sequence a `Vec<u8>` header was.
+impl Serialize for HeaderBuf {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        self[..].serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for HeaderBuf {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let bytes = Vec::<u8>::deserialize(deserializer)?;
+        HeaderBuf::from_slice(&bytes)
+            .ok_or_else(|| serde::de::Error::custom("transport header longer than 60 bytes"))
+    }
+}
 
 /// The standard Ethernet maximum transmission unit used throughout the
 /// evaluation (the paper uses a standard 1500-byte MTU in all

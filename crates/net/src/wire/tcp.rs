@@ -3,7 +3,7 @@
 use std::net::Ipv4Addr;
 
 use super::checksum::pseudo_header_checksum;
-use super::{IpProtocol, WireError};
+use super::{IpProtocol, WireBuf, WireError};
 
 /// Length of a TCP header without options.
 pub const TCP_HEADER_LEN: usize = 20;
@@ -261,27 +261,32 @@ impl<'a> TcpView<'a> {
         })
     }
 
+    /// Appends the header and options to `out` with the checksum field left
+    /// zero — what a sender hands to checksum offload, or completes itself
+    /// once the payload is in place.
+    pub fn write_header(&self, out: &mut impl WireBuf) {
+        let header_len = self.wire_len() - self.payload.len();
+        out.put(&self.src_port.to_be_bytes());
+        out.put(&self.dst_port.to_be_bytes());
+        out.put(&self.seq.to_be_bytes());
+        out.put(&self.ack.to_be_bytes());
+        out.put(&[((header_len / 4) as u8) << 4, self.flags.as_u8()]);
+        out.put(&self.window.to_be_bytes());
+        out.put(&[0, 0]); // checksum placeholder
+        out.put(&[0, 0]); // urgent pointer
+        if let Some(mss) = self.mss {
+            out.put(&[2, 4]); // kind: MSS, length
+            out.put(&mss.to_be_bytes());
+        }
+    }
+
     /// Appends the serialised segment to `out` — the payload is copied
     /// once, straight to its place in the frame — computing the checksum
     /// over the pseudo header for `src`/`dst`.
-    pub fn write(&self, src: Ipv4Addr, dst: Ipv4Addr, out: &mut Vec<u8>) {
+    pub fn write(&self, src: Ipv4Addr, dst: Ipv4Addr, out: &mut impl WireBuf) {
         let start = out.len();
-        let header_len = self.wire_len() - self.payload.len();
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&self.ack.to_be_bytes());
-        out.push(((header_len / 4) as u8) << 4);
-        out.push(self.flags.as_u8());
-        out.extend_from_slice(&self.window.to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&[0, 0]); // urgent pointer
-        if let Some(mss) = self.mss {
-            out.push(2); // kind: MSS
-            out.push(4); // length
-            out.extend_from_slice(&mss.to_be_bytes());
-        }
-        out.extend_from_slice(self.payload);
+        self.write_header(out);
+        out.put(self.payload);
         let csum = pseudo_header_checksum(src, dst, IpProtocol::Tcp.as_u8(), &out[start..]);
         out[start + 16..start + 18].copy_from_slice(&csum.to_be_bytes());
     }

@@ -229,13 +229,20 @@ impl DriverServer {
             self.inboxes[shard].drain_into(&mut requests);
             for request in requests.drain(..) {
                 work += 1;
-                let IpToDrv::TransmitBatch(batch) = request;
-                for (req, chain) in batch {
+                let IpToDrv::TransmitBatch(mut batch) = request;
+                for (req, chain) in batch.drain(..) {
                     self.handle_transmit(shard, req, chain);
                 }
+                self.inboxes[shard].recycle(IpToDrv::TransmitBatch(batch));
             }
             if !self.ack_batches[shard].is_empty() {
-                let batch = std::mem::take(&mut self.ack_batches[shard]);
+                let batch =
+                    self.outboxes[shard].take_batch(&mut self.ack_batches[shard], |returned| {
+                        match returned {
+                            DrvToIp::TransmitDoneBatch(v) => Some(v),
+                            _ => None,
+                        }
+                    });
                 // An acknowledgement batch that does not fit is dropped,
                 // never blocked on (IP resubmits transmits it believes were
                 // lost).
@@ -299,7 +306,12 @@ impl DriverServer {
             if self.rx_batches[shard].is_empty() {
                 continue;
             }
-            let ptrs = std::mem::take(&mut self.rx_batches[shard]);
+            let ptrs = self.outboxes[shard].take_batch(&mut self.rx_batches[shard], |returned| {
+                match returned {
+                    DrvToIp::ReceivedBatch { ptrs, .. } => Some(ptrs),
+                    _ => None,
+                }
+            });
             let count = ptrs.len() as u64;
             let batch = DrvToIp::ReceivedBatch {
                 nic: self.index,

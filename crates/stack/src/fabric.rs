@@ -130,17 +130,56 @@ impl<E> Drop for Handle<E> {
     }
 }
 
+/// Emptied messages a lane holds on their way back to the producer; more
+/// than a round or two of batches are never in flight.
+const RETURN_DEPTH: usize = 8;
+
+/// The producer's end of a lane: the queue it sends on, the queue its
+/// emptied messages come back on, and the returned messages
+/// [`Tx::take_batch`] has looked at and not used yet (a lane can carry
+/// batches of more than one kind).
+#[derive(Debug)]
+struct TxEnd<T> {
+    queue: Sender<T>,
+    returned: Receiver<T>,
+    held: Vec<T>,
+}
+
+impl<T> TxEnd<T> {
+    /// The vector of the first returned message `vector_in` finds one in.
+    fn spare<V>(&mut self, vector_in: impl Fn(&mut T) -> Option<&mut Vec<V>>) -> Option<Vec<V>> {
+        if let Some(at) = self.held.iter_mut().position(|m| vector_in(m).is_some()) {
+            return vector_in(&mut self.held.swap_remove(at)).map(std::mem::take);
+        }
+        while let Ok(mut message) = self.returned.try_recv() {
+            match vector_in(&mut message) {
+                Some(vector) => return Some(std::mem::take(vector)),
+                None if self.held.len() < RETURN_DEPTH => self.held.push(message),
+                None => {}
+            }
+        }
+        None
+    }
+}
+
+/// The consumer's end of a lane.
+#[derive(Debug)]
+struct RxEnd<T> {
+    queue: Receiver<T>,
+    returns: Sender<T>,
+}
+
 /// A restart-safe handle to the sending half of an inter-server queue (see
 /// the module docs for the acquisition protocol).
 #[derive(Clone)]
 pub struct Tx<T> {
-    handle: Handle<Sender<T>>,
+    handle: Handle<TxEnd<T>>,
 }
 
 /// A restart-safe handle to the receiving half of an inter-server queue.
 #[derive(Clone)]
 pub struct Rx<T> {
-    handle: Handle<Receiver<T>>,
+    handle: Handle<RxEnd<T>>,
 }
 
 impl<T> std::fmt::Debug for Tx<T> {
@@ -166,20 +205,36 @@ impl<T> Tx<T> {
     /// means.
     pub fn send(&self, message: T) -> Result<(), T> {
         let mut undelivered = Some(message);
-        self.handle.with((), |sender| {
+        self.handle.with((), |end| {
             let message = undelivered.take().expect("set above");
-            if let Err(refused) = sender.try_send(message) {
+            if let Err(refused) = end.queue.try_send(message) {
                 undelivered = Some(refused.into_inner());
             }
         });
         undelivered.map_or(Ok(()), Err)
     }
 
+    /// Takes the batch staged in `staged` for sending, and leaves in its
+    /// place a vector the consumer has emptied and handed back
+    /// ([`Rx::recycle`]) — a new one only until the first come back — so a
+    /// batch message costs no allocation however few entries it carries.
+    /// `vector_in` points at the vector of a returned message of the staged
+    /// kind; messages of another kind the lane keeps for the call that
+    /// stages theirs.
+    pub fn take_batch<V>(
+        &self,
+        staged: &mut Vec<V>,
+        vector_in: impl Fn(&mut T) -> Option<&mut Vec<V>>,
+    ) -> Vec<V> {
+        let spare = self.handle.with(None, |end| end.spare(vector_in));
+        std::mem::replace(staged, spare.unwrap_or_default())
+    }
+
     /// Bulk-enqueues from the front of `items` (removing what was sent) and
     /// returns how many messages were accepted.  The queue indices, wake
     /// word and statistics are published once for the whole batch.
     pub fn send_batch(&self, items: &mut Vec<T>) -> usize {
-        self.handle.with(0, |sender| sender.send_batch(items))
+        self.handle.with(0, |end| end.queue.send_batch(items))
     }
 
     /// Parks the endpoint back into the slot so another handle (e.g. a
@@ -194,13 +249,12 @@ impl<T> Rx<T> {
     /// buffer, reused across poll rounds on the hot path) and returns how
     /// many arrived.
     pub fn drain_into(&self, buf: &mut Vec<T>) -> usize {
-        self.handle.with(0, |receiver| receiver.drain_into(buf))
+        self.handle.with(0, |end| end.queue.drain_into(buf))
     }
 
     /// Dequeues at most `max` messages into `buf`.
     pub fn recv_batch(&self, buf: &mut Vec<T>, max: usize) -> usize {
-        self.handle
-            .with(0, |receiver| receiver.recv_batch(buf, max))
+        self.handle.with(0, |end| end.queue.recv_batch(buf, max))
     }
 
     /// Drains every queued message into a fresh `Vec` (convenience for
@@ -209,6 +263,15 @@ impl<T> Rx<T> {
         let mut out = Vec::new();
         self.drain_into(&mut out);
         out
+    }
+
+    /// Hands a drained message — its batch vector emptied, capacity kept —
+    /// back to the producer for refilling ([`Tx::take_batch`]).  One that does
+    /// not fit the return queue is simply dropped.
+    pub fn recycle(&self, emptied: T) {
+        self.handle.with((), |end| {
+            let _ = end.returns.try_send(emptied);
+        });
     }
 
     /// Parks the endpoint back into the slot (see [`Tx::release`]).
@@ -221,8 +284,8 @@ impl<T> Rx<T> {
 /// the respective server bodies (and re-acquired after a restart).
 #[derive(Debug)]
 pub struct Chan<T> {
-    tx_slot: Arc<Slot<Sender<T>>>,
-    rx_slot: Arc<Slot<Receiver<T>>>,
+    tx_slot: Arc<Slot<TxEnd<T>>>,
+    rx_slot: Arc<Slot<RxEnd<T>>>,
     stats: spsc::StatsHandle,
 }
 
@@ -245,11 +308,21 @@ impl<T: Send + 'static> Chan<T> {
     /// Creates a channel whose every send writes `wake`, the word the
     /// consuming server parks on while idle (see [`newt_channels::wake`]).
     pub fn waking(capacity: usize, wake: Arc<WakeWord>) -> Self {
-        let (tx, rx) = spsc::channel_waking(capacity, wake);
-        let stats = tx.stats_handle();
+        let (queue_tx, queue_rx) = spsc::channel_waking(capacity, wake);
+        // Returned empties bring no work: their queue wakes nobody and is
+        // not part of the lane's traffic counters.
+        let (returns, returned) = spsc::channel(RETURN_DEPTH);
+        let stats = queue_tx.stats_handle();
         Chan {
-            tx_slot: Slot::new(tx),
-            rx_slot: Slot::new(rx),
+            tx_slot: Slot::new(TxEnd {
+                queue: queue_tx,
+                returned,
+                held: Vec::new(),
+            }),
+            rx_slot: Slot::new(RxEnd {
+                queue: queue_rx,
+                returns,
+            }),
             stats,
         }
     }
@@ -294,37 +367,6 @@ pub fn drain<T>(rx: &Rx<T>) -> Vec<T> {
 /// caller-owned scratch buffer; returns how many arrived.
 pub fn drain_into<T>(rx: &Rx<T>, buf: &mut Vec<T>) -> usize {
     rx.drain_into(buf)
-}
-
-/// Emptied batch vectors kept for refilling.  A server that is sent batches
-/// of `T` and sends batches of `T` itself (IP turns the drivers' completion
-/// batches into the transports', TCP hands delivered chunks back as done)
-/// stages its next outgoing batch in a vector it was sent, so those messages
-/// cost no allocation however few entries each carries.
-#[derive(Debug)]
-pub(crate) struct Spares<T>(Vec<Vec<T>>);
-
-impl<T> Spares<T> {
-    /// More spares than a round stages batches of one type are never used.
-    const KEEP: usize = 4;
-
-    pub(crate) fn new() -> Self {
-        Spares(Vec::with_capacity(Self::KEEP))
-    }
-
-    /// Keeps a vector the caller has drained.
-    pub(crate) fn put(&mut self, emptied: Vec<T>) {
-        debug_assert!(emptied.is_empty());
-        if self.0.len() < Self::KEEP {
-            self.0.push(emptied);
-        }
-    }
-
-    /// Takes the batch staged in `staged`, leaving a spare (or a new empty
-    /// vector) in its place.
-    pub(crate) fn take(&mut self, staged: &mut Vec<T>) -> Vec<T> {
-        std::mem::replace(staged, self.0.pop().unwrap_or_default())
-    }
 }
 
 /// Directory of every shared pool in the system, keyed by pool id, so any
@@ -500,6 +542,64 @@ mod tests {
         assert_eq!(scratch, vec![1, 2, 3, 4, 5]);
         scratch.clear();
         assert_eq!(drain_into(&rx, &mut scratch), 0);
+    }
+
+    /// A lane carrying batches of two kinds: each kind's next batch is
+    /// staged in the very vector the consumer emptied and handed back,
+    /// whichever order they come back in.
+    #[test]
+    fn a_recycled_batch_vector_carries_the_next_batch_of_its_kind() {
+        #[derive(Debug)]
+        enum Msg {
+            Words(Vec<u32>),
+            Bytes(Vec<u8>),
+        }
+        fn words(message: &mut Msg) -> Option<&mut Vec<u32>> {
+            match message {
+                Msg::Words(v) => Some(v),
+                Msg::Bytes(_) => None,
+            }
+        }
+        fn bytes(message: &mut Msg) -> Option<&mut Vec<u8>> {
+            match message {
+                Msg::Bytes(v) => Some(v),
+                Msg::Words(_) => None,
+            }
+        }
+        let chan: Chan<Msg> = Chan::new(8);
+        let (tx, rx) = (chan.tx(), chan.rx());
+        let mut staged_words = Vec::with_capacity(16);
+        let mut staged_bytes = Vec::with_capacity(32);
+        let (words_at, bytes_at) = (staged_words.as_ptr(), staged_bytes.as_ptr());
+        staged_words.push(7);
+        staged_bytes.push(9);
+        // Nothing has come back yet: the staged vectors go out, new ones
+        // take their place.
+        assert!(send(
+            &tx,
+            Msg::Words(tx.take_batch(&mut staged_words, words))
+        ));
+        assert!(send(
+            &tx,
+            Msg::Bytes(tx.take_batch(&mut staged_bytes, bytes))
+        ));
+        assert_eq!((staged_words.capacity(), staged_bytes.capacity()), (0, 0));
+        for mut message in drain(&rx) {
+            match &mut message {
+                Msg::Words(v) => assert!(v.drain(..).eq([7])),
+                Msg::Bytes(v) => assert!(v.drain(..).eq([9])),
+            }
+            rx.recycle(message);
+        }
+        // Asked for in the other order than they came back in.
+        let _ = tx.take_batch(&mut staged_bytes, bytes);
+        let _ = tx.take_batch(&mut staged_words, words);
+        assert_eq!(staged_bytes.as_ptr(), bytes_at);
+        assert_eq!(staged_words.as_ptr(), words_at);
+        assert!(staged_bytes.is_empty() && staged_words.is_empty());
+        // And nothing is left to hand out.
+        let _ = tx.take_batch(&mut staged_words, words);
+        assert_eq!(staged_words.capacity(), 0);
     }
 
     #[test]

@@ -28,15 +28,15 @@ use newt_kernel::rs::{CrashEvent, StartMode, StateSnapshot};
 use newt_kernel::storage::{codec, StorageServer};
 use newt_net::wire::{
     internet_checksum, pseudo_header_checksum, ArpOperation, ArpPacket, EtherType, EthernetFrame,
-    EthernetView, IcmpMessage, IcmpType, IcmpView, IpProtocol, Ipv4View, MacAddr, TcpSegment,
-    ETHERNET_HEADER_LEN, IPV4_HEADER_LEN,
+    EthernetView, HeaderBuf, IcmpMessage, IcmpType, IcmpView, IpProtocol, Ipv4View, MacAddr,
+    ETHERNET_HEADER_LEN, IPV4_HEADER_LEN, MAX_TRANSPORT_HEADER,
 };
 use std::sync::Arc;
 
 use crate::endpoints;
 #[cfg(test)]
 use crate::fabric::drain;
-use crate::fabric::{send, CrashBoard, PoolTable, Rx, Spares, Tx};
+use crate::fabric::{send, CrashBoard, PoolTable, Rx, Tx};
 use crate::msg::{
     Direction, DrvToIp, IpToDrv, IpToPf, IpToTransport, PacketMeta, PfToIp, TransportToIp,
 };
@@ -117,7 +117,7 @@ struct OutPacket {
     dst: Ipv4Addr,
     src_port: u16,
     dst_port: u16,
-    transport_header: Vec<u8>,
+    transport_header: HeaderBuf,
     payload: RichChain,
     is_connection_start: bool,
 }
@@ -227,12 +227,6 @@ pub struct IpServer {
     send_done_tcp: Vec<(RequestId, bool)>,
     /// Send completions bound for UDP this round.
     send_done_udp: Vec<(RequestId, bool)>,
-    /// Drained chunk batches (from the drivers and the transports), refilled
-    /// as [`IpToTransport::DeliverBatch`].
-    spare_ptrs: Spares<RichPtr>,
-    /// Drained completion and verdict batches, refilled as
-    /// [`IpToTransport::SendDoneBatch`].
-    spare_dones: Spares<(RequestId, bool)>,
 }
 
 impl IpServer {
@@ -320,8 +314,6 @@ impl IpServer {
             deliver_udp: Vec::new(),
             send_done_tcp: Vec::new(),
             send_done_udp: Vec::new(),
-            spare_ptrs: Spares::new(),
-            spare_dones: Spares::new(),
         };
         if matches!(mode, StartMode::LiveUpdate) {
             let restored = snapshot
@@ -452,7 +444,7 @@ impl IpServer {
             for (req, pass) in batch.drain(..) {
                 self.handle_verdict(req, pass);
             }
-            self.spare_dones.put(batch);
+            self.from_pf.recycle(PfToIp::VerdictBatch(batch));
         }
         self.pf_scratch = verdicts;
 
@@ -467,13 +459,13 @@ impl IpServer {
                         for (req, ok) in batch.drain(..) {
                             self.handle_transmit_done(req, ok);
                         }
-                        self.spare_dones.put(batch);
+                        self.from_drv[iface].recycle(DrvToIp::TransmitDoneBatch(batch));
                     }
                     DrvToIp::ReceivedBatch { nic, mut ptrs } => {
                         for ptr in ptrs.drain(..) {
                             self.handle_received(nic, ptr);
                         }
-                        self.spare_ptrs.put(ptrs);
+                        self.from_drv[iface].recycle(DrvToIp::ReceivedBatch { nic, ptrs });
                     }
                 }
             }
@@ -499,7 +491,9 @@ impl IpServer {
         if self.check_batch.is_empty() {
             return;
         }
-        let batch = std::mem::take(&mut self.check_batch);
+        let batch = self
+            .to_pf
+            .take_batch(&mut self.check_batch, |IpToPf::CheckBatch(v)| Some(v));
         send(&self.to_pf, IpToPf::CheckBatch(batch));
     }
 
@@ -513,7 +507,10 @@ impl IpServer {
             if self.tx_batch[iface].is_empty() {
                 continue;
             }
-            let batch = std::mem::take(&mut self.tx_batch[iface]);
+            let batch = self.to_drv[iface]
+                .take_batch(&mut self.tx_batch[iface], |IpToDrv::TransmitBatch(v)| {
+                    Some(v)
+                });
             if let Err(IpToDrv::TransmitBatch(batch)) =
                 self.to_drv[iface].send(IpToDrv::TransmitBatch(batch))
             {
@@ -530,6 +527,13 @@ impl IpServer {
     /// Sends this round's accumulated deliveries and send completions as
     /// one batch message per transport and direction.
     fn flush_transport_batches(&mut self) {
+        if self.deliver_tcp.is_empty()
+            && self.deliver_udp.is_empty()
+            && self.send_done_tcp.is_empty()
+            && self.send_done_udp.is_empty()
+        {
+            return;
+        }
         for (lane, staged) in [
             (&self.to_tcp, &mut self.deliver_tcp),
             (&self.to_udp, &mut self.deliver_udp),
@@ -537,7 +541,10 @@ impl IpServer {
             if staged.is_empty() {
                 continue;
             }
-            let ptrs = self.spare_ptrs.take(staged);
+            let ptrs = lane.take_batch(staged, |returned| match returned {
+                IpToTransport::DeliverBatch(v) => Some(v),
+                _ => None,
+            });
             let count = ptrs.len() as u64;
             match lane.send(IpToTransport::DeliverBatch(ptrs)) {
                 Ok(()) => self.stats.packets_in += count,
@@ -553,13 +560,18 @@ impl IpServer {
                 }
             }
         }
-        if !self.send_done_tcp.is_empty() {
-            let batch = self.spare_dones.take(&mut self.send_done_tcp);
-            send(&self.to_tcp, IpToTransport::SendDoneBatch(batch));
-        }
-        if !self.send_done_udp.is_empty() {
-            let batch = self.spare_dones.take(&mut self.send_done_udp);
-            send(&self.to_udp, IpToTransport::SendDoneBatch(batch));
+        for (lane, staged) in [
+            (&self.to_tcp, &mut self.send_done_tcp),
+            (&self.to_udp, &mut self.send_done_udp),
+        ] {
+            if staged.is_empty() {
+                continue;
+            }
+            let dones = lane.take_batch(staged, |returned| match returned {
+                IpToTransport::SendDoneBatch(v) => Some(v),
+                _ => None,
+            });
+            send(lane, IpToTransport::SendDoneBatch(dones));
         }
     }
 
@@ -597,7 +609,11 @@ impl IpServer {
                 for ptr in ptrs.drain(..) {
                     self.release_rx(ptr);
                 }
-                self.spare_ptrs.put(ptrs);
+                let lane = match who {
+                    LentTo::Tcp => &self.from_tcp,
+                    LentTo::Udp => &self.from_udp,
+                };
+                lane.recycle(TransportToIp::RxDoneBatch(ptrs));
             }
         }
     }
@@ -692,7 +708,7 @@ impl IpServer {
                     || (queue_len == 0 && dest_count >= Self::ARP_WAITING_DESTS)
                 {
                     self.stats.arp_overflow += 1;
-                    self.notify_send_done(pkt.origin, false);
+                    self.drop_outbound(&pkt.payload, pkt.origin);
                     return;
                 }
                 self.send_arp_request(pkt.dst, iface);
@@ -712,7 +728,7 @@ impl IpServer {
             // Software checksum: gather the payload and compute over the
             // pseudo header + transport header + payload.
             let payload_bytes = self.pools.gather(&pkt.payload).unwrap_or_default();
-            let mut segment = transport_header.clone();
+            let mut segment = transport_header.to_vec();
             segment.extend_from_slice(&payload_bytes);
             let offset = match pkt.protocol {
                 IpProtocol::Tcp => 16,
@@ -728,40 +744,38 @@ impl IpServer {
             }
         }
 
-        // Build the combined Ethernet + IP (+ transport) header chunk.
-        let mut header =
-            Vec::with_capacity(ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + transport_header.len());
-        header.extend_from_slice(&dst_mac.octets());
-        header.extend_from_slice(&iface_cfg.mac.octets());
-        header.extend_from_slice(&EtherType::Ipv4.as_u16().to_be_bytes());
+        // The Ethernet and IP headers, then the combined header chunk:
+        // written once, into the storage the slot kept from its last use.
+        const IP: usize = ETHERNET_HEADER_LEN;
+        let mut l2l3 = [0u8; IP + IPV4_HEADER_LEN];
+        l2l3[0..6].copy_from_slice(&dst_mac.octets());
+        l2l3[6..12].copy_from_slice(&iface_cfg.mac.octets());
+        l2l3[12..14].copy_from_slice(&EtherType::Ipv4.as_u16().to_be_bytes());
         let ident = self.ip_ident;
         self.ip_ident = self.ip_ident.wrapping_add(1);
-        header.push(0x45);
-        header.push(0);
-        header.extend_from_slice(&(total_len as u16).to_be_bytes());
-        header.extend_from_slice(&ident.to_be_bytes());
-        header.extend_from_slice(&0x4000u16.to_be_bytes());
-        header.push(64);
-        header.push(pkt.protocol.as_u8());
-        header.extend_from_slice(&[0, 0]); // header checksum (filled below or by the NIC)
-        header.extend_from_slice(&iface_cfg.addr.octets());
-        header.extend_from_slice(&pkt.dst.octets());
+        l2l3[IP] = 0x45;
+        l2l3[IP + 2..IP + 4].copy_from_slice(&(total_len as u16).to_be_bytes());
+        l2l3[IP + 4..IP + 6].copy_from_slice(&ident.to_be_bytes());
+        l2l3[IP + 6..IP + 8].copy_from_slice(&0x4000u16.to_be_bytes());
+        l2l3[IP + 8] = 64;
+        l2l3[IP + 9] = pkt.protocol.as_u8();
+        // [IP + 10..IP + 12]: header checksum (filled below or by the NIC).
+        l2l3[IP + 12..IP + 16].copy_from_slice(&iface_cfg.addr.octets());
+        l2l3[IP + 16..IP + 20].copy_from_slice(&pkt.dst.octets());
         if !self.config.checksum_offload {
-            let csum = internet_checksum(
-                &header[ETHERNET_HEADER_LEN..ETHERNET_HEADER_LEN + IPV4_HEADER_LEN],
-            );
-            header[ETHERNET_HEADER_LEN + 10..ETHERNET_HEADER_LEN + 12]
-                .copy_from_slice(&csum.to_be_bytes());
+            let csum = internet_checksum(&l2l3[IP..]);
+            l2l3[IP + 10..IP + 12].copy_from_slice(&csum.to_be_bytes());
         }
-        header.extend_from_slice(&transport_header);
 
-        let Ok(header_ptr) = self.header_pool.publish(&header) else {
+        let Ok(mut header) = self.header_pool.alloc() else {
             // Header pool exhausted: drop the packet, the transport's
             // retransmission machinery recovers.
-            self.notify_send_done(pkt.origin, false);
+            self.drop_outbound(&pkt.payload, pkt.origin);
             return;
         };
-        let mut chain = RichChain::single(header_ptr);
+        header.write(&l2l3);
+        header.write(&transport_header);
+        let mut chain = RichChain::single(header.publish());
         chain.extend(pkt.payload.iter().copied());
 
         let req = self.drv_reqs.submit(
@@ -777,6 +791,15 @@ impl IpServer {
         // queue is handled at flush time.
         self.tx_batch[iface].push((req, chain));
         self.stats.packets_out += 1;
+    }
+
+    /// Gives up on an outbound packet before it was staged: frees what IP
+    /// itself put into the payload (an ICMP reply's body lives in the header
+    /// pool; a transport's payload is the transport's to free) and completes
+    /// the send unsuccessfully.
+    fn drop_outbound(&mut self, payload: &RichChain, origin: Origin) {
+        self.header_pool.free_chain(payload);
+        self.notify_send_done(origin, false);
     }
 
     fn handle_transmit_done(&mut self, req: RequestId, ok: bool) {
@@ -900,17 +923,7 @@ impl IpServer {
                     Some(Ok(icmp)) => {
                         if icmp.icmp_type == IcmpType::EchoRequest {
                             self.stats.icmp_replies += 1;
-                            let pkt = OutPacket {
-                                origin: Origin::Local,
-                                protocol: IpProtocol::Icmp,
-                                dst: src,
-                                src_port: 0,
-                                dst_port: 0,
-                                transport_header: IcmpMessage::reply_to(icmp).build(),
-                                payload: RichChain::new(),
-                                is_connection_start: false,
-                            };
-                            self.stage_route(pkt);
+                            self.stage_icmp(src, &IcmpMessage::reply_to(icmp).build());
                         }
                     }
                     _ => self.stats.parse_errors += 1,
@@ -928,6 +941,30 @@ impl IpServer {
                 self.deliver_udp.push(ptr);
             }
         }
+    }
+
+    /// Stages a locally generated ICMP message: what fits rides inline like
+    /// a transport's header, whatever follows goes into a header-pool chunk
+    /// as the payload.
+    fn stage_icmp(&mut self, dst: Ipv4Addr, message: &[u8]) {
+        let (header, body) = message.split_at(message.len().min(MAX_TRANSPORT_HEADER));
+        let mut payload = RichChain::new();
+        if !body.is_empty() {
+            let Ok(ptr) = self.header_pool.publish(body) else {
+                return;
+            };
+            payload.push(ptr);
+        }
+        self.stage_route(OutPacket {
+            origin: Origin::Local,
+            protocol: IpProtocol::Icmp,
+            dst,
+            src_port: 0,
+            dst_port: 0,
+            transport_header: HeaderBuf::from_slice(header).expect("split to fit"),
+            payload,
+            is_connection_start: false,
+        });
     }
 
     // ---- ARP ---------------------------------------------------------------
@@ -1088,21 +1125,6 @@ impl IpServer {
             }
         }
     }
-
-    /// Builds the transport header for an outgoing TCP segment with the
-    /// checksum left zero (filled in by IP software checksumming or by the
-    /// NIC's offload).
-    pub fn build_tcp_header(seg: &TcpSegment) -> Vec<u8> {
-        // Build against a zeroed pseudo header; the checksum field ends up
-        // zero and is corrected later (software or offload).
-        let mut bytes = seg.build(Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED);
-        bytes.truncate(bytes.len() - seg.payload.len());
-        bytes[16] = 0;
-        bytes[17] = 0;
-        // The payload-less header only: callers append the payload through
-        // the shared pools.
-        bytes
-    }
 }
 
 #[cfg(test)]
@@ -1110,7 +1132,7 @@ mod tests {
     use super::*;
     use crate::fabric::Chan;
     use newt_channels::endpoint::Endpoint;
-    use newt_net::wire::{Ipv4Packet, TcpFlags, UdpDatagram};
+    use newt_net::wire::{Ipv4Packet, TcpFlags, TcpSegment, UdpDatagram};
 
     fn config(with_pf: bool) -> IpConfig {
         IpConfig {
@@ -1276,9 +1298,17 @@ mod tests {
         rig.ip.poll();
     }
 
+    /// The header TCP would hand over for a SYN: checksum left zero.
+    fn syn_header() -> HeaderBuf {
+        let mut header = HeaderBuf::new();
+        TcpSegment::control(40000, 5001, 0, 0, TcpFlags::SYN)
+            .as_view()
+            .write_header(&mut header);
+        header
+    }
+
     fn send_packet_request(rig: &mut Rig, payload: &[u8]) -> RequestId {
-        let seg = TcpSegment::control(40000, 5001, 0, 0, TcpFlags::SYN);
-        let header = IpServer::build_tcp_header(&seg);
+        let header = syn_header();
         let ptr = rig.tx_pool.publish(payload).unwrap();
         let req = RequestId::from_raw(99);
         send(
@@ -1349,8 +1379,7 @@ mod tests {
     /// Queues a payload-less SYN towards an unresolved peer so the packet
     /// parks on the ARP table with an ARP request in flight.
     fn park_syn_on_arp(rig: &mut Rig) -> RequestId {
-        let seg = TcpSegment::control(40000, 5001, 0, 0, TcpFlags::SYN);
-        let header = IpServer::build_tcp_header(&seg);
+        let header = syn_header();
         let req = RequestId::from_raw(99);
         send(
             &rig.tcp_to_ip,
@@ -1791,7 +1820,7 @@ mod tests {
                 dst: peer_ip(),
                 src_port: 5353,
                 dst_port: 53,
-                transport_header: header,
+                transport_header: HeaderBuf::from_slice(&header).expect("a udp header"),
                 payload: RichChain::single(ptr),
                 is_connection_start: false,
             },

@@ -10,7 +10,7 @@ use std::net::Ipv4Addr;
 
 use newt_channels::reqdb::RequestId;
 use newt_channels::rich::{RichChain, RichPtr};
-use newt_net::wire::IpProtocol;
+use newt_net::wire::{HeaderBuf, IpProtocol};
 use serde::{Deserialize, Serialize};
 
 use crate::sockbuf::SockError;
@@ -108,8 +108,8 @@ pub enum TransportToIp {
         /// Destination port.
         dst_port: u16,
         /// Serialized transport header (TCP or UDP header, checksum left to
-        /// offload when enabled).
-        transport_header: Vec<u8>,
+        /// offload when enabled), inline in the message.
+        transport_header: HeaderBuf,
         /// Payload chunks in the transport's TX pool.
         payload: RichChain,
         /// Whether this packet opens a new connection (outbound SYN).
@@ -452,5 +452,80 @@ mod tests {
     fn addr_word_round_trip() {
         let addr = Ipv4Addr::new(192, 168, 7, 42);
         assert_eq!(word_to_addr(addr_to_word(addr)), addr);
+    }
+
+    /// Live-update snapshots carry chains and transport headers (TCP's
+    /// sends in flight, IP's packets parked on ARP or awaiting a verdict):
+    /// moving both inline must not change a byte of their encoding, or a
+    /// snapshot written by the previous version would be misread.
+    #[test]
+    fn inline_chains_and_headers_encode_like_the_vectors_they_replaced() {
+        use newt_channels::rich::PoolId;
+        use newt_kernel::storage::codec;
+        use newt_net::wire::{HeaderBuf, WireBuf};
+
+        #[derive(Serialize, Deserialize)]
+        struct OldChain {
+            parts: Vec<RichPtr>,
+        }
+        #[derive(Serialize, Deserialize)]
+        struct OldPending {
+            chain: OldChain,
+            port: u16,
+            transport_header: Vec<u8>,
+            start: bool,
+        }
+        #[derive(Debug, PartialEq, Serialize, Deserialize)]
+        struct NewPending {
+            chain: RichChain,
+            port: u16,
+            transport_header: HeaderBuf,
+            start: bool,
+        }
+
+        // Inline (0–4 parts) and spilled (5+) chains; empty, TCP-sized and
+        // full-length headers.
+        for (parts, header_len) in [(0u32, 0usize), (1, 8), (2, 20), (4, 24), (5, 60), (9, 44)] {
+            let ptrs: Vec<RichPtr> = (0..parts)
+                .map(|i| RichPtr {
+                    pool: PoolId::from_raw(3 + i as u64),
+                    slot: i,
+                    generation: 7 * i,
+                    offset: i,
+                    len: 1460 - i,
+                })
+                .collect();
+            let header: Vec<u8> = (0..header_len as u8).collect();
+            let old = OldPending {
+                chain: OldChain {
+                    parts: ptrs.clone(),
+                },
+                port: 443,
+                transport_header: header.clone(),
+                start: parts % 2 == 0,
+            };
+            let mut inline_header = HeaderBuf::new();
+            inline_header.put(&header);
+            let new = NewPending {
+                chain: ptrs.iter().copied().collect(),
+                port: 443,
+                transport_header: inline_header,
+                start: parts % 2 == 0,
+            };
+            let encoded = codec::encode(&new);
+            assert_eq!(encoded, codec::encode(&old), "{parts} parts");
+            let decoded: NewPending = codec::decode(&encoded).expect("decodes");
+            assert_eq!(decoded, new);
+            assert_eq!(decoded.chain.parts(), &ptrs[..]);
+            assert_eq!(&decoded.transport_header[..], &header[..]);
+        }
+        // A header longer than any transport's is refused, not truncated.
+        let oversized = OldPending {
+            chain: OldChain { parts: Vec::new() },
+            port: 1,
+            transport_header: vec![0; 61],
+            start: false,
+        };
+        assert!(codec::decode::<NewPending>(&codec::encode(&oversized)).is_none());
     }
 }

@@ -14,6 +14,17 @@
 //! * connection-tracking state — dynamic, recovered after a restart by
 //!   querying the TCP and UDP servers for their open flows, so that a
 //!   "block inbound" policy does not cut established outgoing connections.
+//!
+//! The same query keeps the tracking table from growing with every
+//! connection ever made: the filter sees flows begin (their first outbound
+//! packet) but not end, so whenever the table has doubled it asks the TCP
+//! replicas what is still open and forgets the TCP flows that are neither in
+//! the answers nor sending meanwhile (a *sweep*).  The table therefore stays
+//! proportional to the open connections.  A sweep needs the answer of
+//! *every* replica, each to this sweep's question; when one cannot be asked
+//! or still owes an earlier answer, nothing is forgotten and the next
+//! doubling tries again.  UDP entries are kept: an unconnected socket's
+//! exchanges are not flows its server could list.
 
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
@@ -27,7 +38,15 @@ use std::sync::Arc;
 #[cfg(test)]
 use crate::fabric::drain;
 use crate::fabric::{send, Rx, Tx};
-use crate::msg::{Direction, FlowTuple, IpToPf, PacketMeta, PfToIp, PfToTransport, TransportToPf};
+use crate::msg::{Direction, IpToPf, PacketMeta, PfToIp, PfToTransport, TransportToPf};
+use newt_channels::reqdb::RequestId;
+use newt_net::wire::IpProtocol;
+
+/// A tracked flow: protocol, local port, remote address, remote port.
+type Flow = (u8, u16, Ipv4Addr, u16);
+
+/// Smallest table size that starts a sweep.
+const SWEEP_MIN: usize = 64;
 
 /// What a matching rule does with the packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -179,7 +198,15 @@ pub struct PfStats {
 #[derive(Debug)]
 pub struct PacketFilterServer {
     rules: Vec<FilterRule>,
-    tracked: HashSet<(u8, u16, Ipv4Addr, u16)>,
+    tracked: HashSet<Flow>,
+    /// Table size at which the next sweep starts.
+    sweep_at: usize,
+    /// A sweep in progress: every TCP replica was asked what is open; the
+    /// flows they answer with, and those that send before the last answer
+    /// is in, collect here and survive.
+    sweep: Option<HashSet<Flow>>,
+    /// Queries each TCP replica has accepted and not yet answered.
+    unanswered: Vec<u32>,
     storage: Arc<StorageServer>,
     /// Check lane from each stack shard's IP server.
     inboxes: Vec<Rx<IpToPf>>,
@@ -196,6 +223,8 @@ pub struct PacketFilterServer {
     /// allocation on the message path).
     inbox_scratch: Vec<IpToPf>,
     transport_scratch: Vec<TransportToPf>,
+    /// The verdicts of the check batch being answered.
+    verdicts: Vec<(RequestId, bool)>,
 }
 
 impl PacketFilterServer {
@@ -254,8 +283,11 @@ impl PacketFilterServer {
                 (rules, HashSet::new())
             }
         };
-        let server = PacketFilterServer {
+        let mut server = PacketFilterServer {
             rules,
+            sweep_at: SWEEP_MIN.max(2 * tracked.len()),
+            sweep: None,
+            unanswered: vec![0; to_tcp.len()],
             tracked,
             storage,
             inboxes,
@@ -268,11 +300,13 @@ impl PacketFilterServer {
             blocked: 0,
             inbox_scratch: Vec::new(),
             transport_scratch: Vec::new(),
+            verdicts: Vec::new(),
         };
         if mode == StartMode::Restart || (mode == StartMode::LiveUpdate && !restored) {
             // Rebuild connection tracking by asking every transport replica
             // what is open.
-            for lane in server.to_tcp.iter().chain(server.to_udp.iter()) {
+            server.query_tcp();
+            for lane in &server.to_udp {
                 send(lane, PfToTransport::QueryConnections);
             }
         }
@@ -313,7 +347,7 @@ impl PacketFilterServer {
         // Track outbound flows so that stateful inbound blocking lets the
         // return traffic through.
         if meta.direction == Direction::Outbound {
-            self.tracked.insert((
+            self.track((
                 meta.protocol.as_u8(),
                 meta.src_port,
                 meta.dst,
@@ -345,19 +379,32 @@ impl PacketFilterServer {
     pub fn poll(&mut self) -> usize {
         let mut work = 0;
 
-        // Answers from the transports while rebuilding connection tracking.
+        // Answers from the transports: to the query a restarted filter
+        // rebuilds its table with, or to a sweep's.
         let mut replies = std::mem::take(&mut self.transport_scratch);
-        for lane in self.from_tcp.iter().chain(self.from_udp.iter()) {
+        for lane in &self.from_udp {
             lane.drain_into(&mut replies);
+        }
+        let mut answered = replies.len();
+        for replica in 0..self.from_tcp.len() {
+            self.from_tcp[replica].drain_into(&mut replies);
+            let answers = replies.len() - answered;
+            answered = replies.len();
+            self.unanswered[replica] = self.unanswered[replica].saturating_sub(answers as u32);
         }
         for reply in replies.drain(..) {
             work += 1;
             let TransportToPf::Connections(flows) = reply;
             for flow in flows {
-                self.track_flow(&flow);
+                if let Some((addr, port)) = flow.remote {
+                    self.track((flow.protocol, flow.local_port, addr, port));
+                }
             }
         }
         self.transport_scratch = replies;
+        if self.unanswered.iter().all(|&owed| owed == 0) {
+            self.finish_sweep();
+        }
 
         // Checks from each shard's IP server, drained in one batch per
         // lane; the verdicts go back as one batch on the *same* shard's
@@ -369,17 +416,19 @@ impl PacketFilterServer {
                 work += 1;
                 // A whole burst of packets in one message; the verdicts
                 // go back as one message too.
-                let IpToPf::CheckBatch(batch) = request;
-                let mut verdicts = Vec::with_capacity(batch.len());
-                for (req, meta) in batch {
+                let IpToPf::CheckBatch(mut batch) = request;
+                for (req, meta) in batch.drain(..) {
                     work += 1;
                     self.checked += 1;
                     let pass = self.verdict(&meta);
                     if !pass {
                         self.blocked += 1;
                     }
-                    verdicts.push((req, pass));
+                    self.verdicts.push((req, pass));
                 }
+                let verdicts = self.outboxes[shard]
+                    .take_batch(&mut self.verdicts, |PfToIp::VerdictBatch(v)| Some(v));
+                self.inboxes[shard].recycle(IpToPf::CheckBatch(batch));
                 // Verdicts that do not fit are dropped, never blocked on
                 // (IP resubmits outstanding checks when the filter appears
                 // unresponsive).
@@ -387,14 +436,64 @@ impl PacketFilterServer {
             }
         }
         self.inbox_scratch = checks;
+
+        if self.tracked.len() >= self.sweep_at {
+            self.start_sweep();
+        }
         work
     }
 
-    fn track_flow(&mut self, flow: &FlowTuple) {
-        if let Some((addr, port)) = flow.remote {
-            self.tracked
-                .insert((flow.protocol, flow.local_port, addr, port));
+    /// Enters a flow into the table (and among the survivors of a sweep in
+    /// progress).
+    fn track(&mut self, flow: Flow) {
+        if let Some(live) = &mut self.sweep {
+            if flow.0 == IpProtocol::Tcp.as_u8() {
+                live.insert(flow);
+            }
         }
+        self.tracked.insert(flow);
+    }
+
+    /// Asks every TCP replica what is open; returns whether all of them
+    /// took the question.
+    fn query_tcp(&mut self) -> bool {
+        let mut all = true;
+        for (lane, owed) in self.to_tcp.iter().zip(&mut self.unanswered) {
+            if send(lane, PfToTransport::QueryConnections) {
+                *owed += 1;
+            } else {
+                all = false;
+            }
+        }
+        all
+    }
+
+    /// Starts a sweep, if every replica can be asked and every answer that
+    /// comes back will be to this question: with an earlier query still
+    /// unanswered, or a replica's lane full, a sweep would end without that
+    /// replica's flows and forget them — an idle connection waiting for
+    /// inbound data would be cut under a stateful inbound block.  So the
+    /// table is left alone and the next threshold tries again.
+    fn start_sweep(&mut self) {
+        self.sweep_at = 2 * self.tracked.len();
+        if self.unanswered.iter().any(|&owed| owed > 0) {
+            return;
+        }
+        if !self.to_tcp.is_empty() && self.query_tcp() {
+            self.sweep = Some(HashSet::new());
+        }
+    }
+
+    /// With every replica's answer in, forgets the TCP flows nobody vouched
+    /// for.
+    fn finish_sweep(&mut self) {
+        let Some(live) = self.sweep.take() else {
+            return;
+        };
+        let tcp = IpProtocol::Tcp.as_u8();
+        self.tracked
+            .retain(|flow| flow.0 != tcp || live.contains(flow));
+        self.sweep_at = SWEEP_MIN.max(2 * self.tracked.len());
     }
 }
 
@@ -402,8 +501,7 @@ impl PacketFilterServer {
 mod tests {
     use super::*;
     use crate::fabric::Chan;
-    use newt_channels::reqdb::RequestId;
-    use newt_net::wire::IpProtocol;
+    use crate::msg::FlowTuple;
 
     struct Rig {
         pf: PacketFilterServer,
@@ -424,20 +522,37 @@ mod tests {
         storage: Arc<StorageServer>,
         snapshot: Option<StateSnapshot>,
     ) -> Rig {
+        build_replicated(mode, rules, storage, snapshot, None)
+    }
+
+    /// A rig whose filter serves, besides the TCP replica the rig's own
+    /// lanes stand for, the one behind `second_tcp`.
+    fn build_replicated(
+        mode: StartMode,
+        rules: Vec<FilterRule>,
+        storage: Arc<StorageServer>,
+        snapshot: Option<StateSnapshot>,
+        second_tcp: Option<(Tx<PfToTransport>, Rx<TransportToPf>)>,
+    ) -> Rig {
         let ip_to_pf: Chan<IpToPf> = Chan::new(64);
         let pf_to_ip: Chan<PfToIp> = Chan::new(64);
         let pf_to_tcp: Chan<PfToTransport> = Chan::new(8);
         let tcp_to_pf: Chan<TransportToPf> = Chan::new(8);
         let pf_to_udp: Chan<PfToTransport> = Chan::new(8);
         let udp_to_pf: Chan<TransportToPf> = Chan::new(8);
+        let (mut to_tcp, mut from_tcp) = (vec![pf_to_tcp.tx()], vec![tcp_to_pf.rx()]);
+        if let Some((query, reply)) = second_tcp {
+            to_tcp.push(query);
+            from_tcp.push(reply);
+        }
         let pf = PacketFilterServer::new_sharded(
             mode,
             rules,
             Arc::clone(&storage),
             vec![ip_to_pf.rx()],
             vec![pf_to_ip.tx()],
-            vec![pf_to_tcp.tx()],
-            vec![tcp_to_pf.rx()],
+            to_tcp,
+            from_tcp,
             vec![pf_to_udp.tx()],
             vec![udp_to_pf.rx()],
             snapshot,
@@ -659,6 +774,135 @@ mod tests {
         rig.pf.poll();
         assert!(check(&mut rig, 2, meta(Direction::Inbound, 5001, 40000)));
         assert!(!check(&mut rig, 3, meta(Direction::Inbound, 5001, 40001)));
+    }
+
+    /// The table follows the open connections, not the connections ever
+    /// made: ten thousand flows come and go (one stays open throughout), the
+    /// table never holds more than a few sweeps' worth, and the open flow's
+    /// return traffic passes a blanket inbound block before, during and
+    /// after every sweep.
+    #[test]
+    fn tracking_is_swept_against_the_transports_open_flows() {
+        let rules = vec![FilterRule::block_inbound()];
+        let mut rig = build(StartMode::Fresh, rules, Arc::new(StorageServer::new()));
+        let peer = Ipv4Addr::new(10, 0, 0, 1);
+        let held = FlowTuple {
+            protocol: 6,
+            local_port: 80,
+            remote: Some((peer, 999)),
+        };
+        // `meta` sends from 10.0.0.2 to 10.0.0.1: outbound, that is local
+        // port `src_port` towards the peer's `dst_port`.
+        assert!(check(&mut rig, 0, meta(Direction::Outbound, 80, 999)));
+        let mut sweeps = 0;
+        let mut largest = 0;
+        for flow in 0..10_000u16 {
+            assert!(check(
+                &mut rig,
+                1,
+                meta(Direction::Outbound, 80, 1000 + flow)
+            ));
+            // TCP answers a sweep's query with what is open right now: the
+            // held flow and the newest one.
+            for PfToTransport::QueryConnections in drain(&rig.tcp_query) {
+                sweeps += 1;
+                let newest = FlowTuple {
+                    remote: Some((peer, 1000 + flow)),
+                    ..held
+                };
+                send(
+                    &rig.tcp_reply,
+                    TransportToPf::Connections(vec![held, newest]),
+                );
+            }
+            largest = largest.max(rig.pf.stats().tracked_flows);
+            let mut inbound = meta(Direction::Inbound, 999, 80);
+            (inbound.src, inbound.dst) = (peer, Ipv4Addr::new(10, 0, 0, 2));
+            assert!(check(&mut rig, 2, inbound), "held flow cut at {flow}");
+        }
+        assert!(sweeps > 50, "{sweeps} sweeps");
+        assert!(largest <= 2 * SWEEP_MIN, "table grew to {largest}");
+        // A flow that closed long ago is forgotten.
+        let mut stale = meta(Direction::Inbound, 1000, 80);
+        (stale.src, stale.dst) = (peer, Ipv4Addr::new(10, 0, 0, 2));
+        assert!(!check(&mut rig, 3, stale));
+    }
+
+    /// A sweep forgets only with every replica's answer in hand: while one
+    /// replica cannot be asked (its lane is full) or has not answered yet,
+    /// its idle connection — nothing outbound to re-track it — keeps
+    /// receiving through a blanket inbound block.
+    #[test]
+    fn a_sweep_waits_for_every_replica() {
+        let b_query: Chan<PfToTransport> = Chan::new(1);
+        let b_reply: Chan<TransportToPf> = Chan::new(8);
+        // Replica B has not got round to an earlier message: its lane is
+        // full when the first sweep comes due.
+        assert!(send(&b_query.tx(), PfToTransport::QueryConnections));
+        let mut rig = build_replicated(
+            StartMode::Fresh,
+            vec![FilterRule::block_inbound()],
+            Arc::new(StorageServer::new()),
+            None,
+            Some((b_query.tx(), b_reply.rx())),
+        );
+        let (b_query, b_reply) = (b_query.rx(), b_reply.tx());
+        let peer = Ipv4Addr::new(10, 0, 0, 1);
+        // B's connection: local port 81, established, then idle.
+        let idle = FlowTuple {
+            protocol: 6,
+            local_port: 81,
+            remote: Some((peer, 999)),
+        };
+        assert!(check(&mut rig, 0, meta(Direction::Outbound, 81, 999)));
+        let idle_still_receives = |rig: &mut Rig| {
+            let mut inbound = meta(Direction::Inbound, 999, 81);
+            (inbound.src, inbound.dst) = (peer, Ipv4Addr::new(10, 0, 0, 2));
+            check(rig, 1, inbound)
+        };
+        // Replica A's connections come and go; it answers every query at
+        // once, with nothing open.
+        let mut a_queries = 0;
+        let mut churn = |rig: &mut Rig, flows: std::ops::Range<u16>| {
+            for flow in flows {
+                assert!(check(rig, 2, meta(Direction::Outbound, 80, 1000 + flow)));
+                for PfToTransport::QueryConnections in drain(&rig.tcp_query) {
+                    a_queries += 1;
+                    send(&rig.tcp_reply, TransportToPf::Connections(vec![]));
+                }
+            }
+            a_queries
+        };
+
+        // First threshold: A is asked and answers, B's lane refuses.
+        assert_eq!(churn(&mut rig, 0..SWEEP_MIN as u16), 1);
+        assert!(
+            rig.pf.stats().tracked_flows > SWEEP_MIN,
+            "nothing forgotten"
+        );
+        assert!(idle_still_receives(&mut rig));
+
+        // B drains its lane.  Second threshold: both are asked; A answers,
+        // B takes its time — still nothing is forgotten.
+        assert_eq!(drain(&b_query).len(), 1);
+        assert_eq!(churn(&mut rig, 100..100 + 2 * SWEEP_MIN as u16), 2);
+        assert_eq!(drain(&b_query).len(), 1);
+        assert!(rig.pf.stats().tracked_flows > 3 * SWEEP_MIN);
+        assert!(idle_still_receives(&mut rig));
+        // A further threshold passes while B still owes its answer: no new
+        // question is put, so no answer can be mistaken for another's.
+        assert_eq!(churn(&mut rig, 1000..1000 + 4 * SWEEP_MIN as u16), 2);
+        assert!(drain(&b_query).is_empty());
+
+        // B answers: A's flows from before the question go, B's idle
+        // connection stays.
+        let before = rig.pf.stats().tracked_flows;
+        send(&b_reply, TransportToPf::Connections(vec![idle]));
+        assert!(idle_still_receives(&mut rig));
+        assert!(rig.pf.stats().tracked_flows <= before - SWEEP_MIN, "swept");
+        let mut stale = meta(Direction::Inbound, 1000, 80);
+        (stale.src, stale.dst) = (peer, Ipv4Addr::new(10, 0, 0, 2));
+        assert!(!check(&mut rig, 3, stale));
     }
 
     #[test]

@@ -57,7 +57,7 @@ use newt_net::wire::IpProtocol;
 use crate::endpoints;
 use crate::msg::{addr_to_word, decode_sock_error, syscalls, SockId};
 use crate::rings::{self, CompletionQueue, CqValue, Cqe, Sqe, SqeOp, SubmissionRing};
-use crate::sockbuf::{Readiness, ReadyWatch, SockError, SocketBuffer};
+use crate::sockbuf::{BufferName, Readiness, ReadyWatch, SockError, SocketBuffer};
 use crate::udp::{decode_datagram, encode_datagram};
 
 /// Fallback real-time bound for *control* calls (socket, bind, listen,
@@ -215,7 +215,7 @@ impl NetClient {
 
     fn attach_buffer(&self, proto: &str, sock: SockId) -> Result<Arc<SocketBuffer>, SockError> {
         self.registry
-            .attach_shared(self.app, &format!("sockbuf/{proto}/{sock}"))
+            .attach_shared(self.app, &BufferName::new(proto, sock))
             .map_err(|_| SockError::ServerUnavailable)
     }
 

@@ -197,9 +197,61 @@ impl std::fmt::Debug for ReadyWatch {
     }
 }
 
+/// The registry name a socket's shared buffer is published under,
+/// `sockbuf/<proto>/<sock>`, built on the stack: publishing, attaching and
+/// revoking a buffer look it up by a borrowed key.
+#[derive(Clone, Copy)]
+pub struct BufferName {
+    len: usize,
+    bytes: [u8; Self::MAX],
+}
+
+impl BufferName {
+    /// `sockbuf/` + a three-letter protocol + `/` + a 20-digit id.
+    const MAX: usize = 32;
+
+    /// Names the buffer of socket `sock` of transport `proto` (`"tcp"`,
+    /// `"udp"`).
+    pub fn new(proto: &str, sock: u64) -> Self {
+        use std::fmt::Write;
+        let mut name = BufferName {
+            len: 0,
+            bytes: [0; Self::MAX],
+        };
+        write!(name, "sockbuf/{proto}/{sock}").expect("a transport's name is three letters");
+        name
+    }
+}
+
+impl std::fmt::Write for BufferName {
+    fn write_str(&mut self, part: &str) -> std::fmt::Result {
+        let end = self.len + part.len();
+        self.bytes
+            .get_mut(self.len..end)
+            .ok_or(std::fmt::Error)?
+            .copy_from_slice(part.as_bytes());
+        self.len = end;
+        Ok(())
+    }
+}
+
+impl std::fmt::Debug for BufferName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("BufferName").field(&&**self).finish()
+    }
+}
+
+impl std::ops::Deref for BufferName {
+    type Target = str;
+    fn deref(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..self.len]).expect("written from whole strs")
+    }
+}
+
 /// Heap bytes one queued receive chunk costs besides the buffer it
-/// references: its queue entry plus the refcount block of the allocation.
-const CHUNK_OVERHEAD: usize = std::mem::size_of::<(Bytes, usize)>() + 40;
+/// references: its queue entry plus the header (reference count, capacity,
+/// length) the buffer's allocation starts with.
+const CHUNK_OVERHEAD: usize = std::mem::size_of::<(Bytes, usize)>() + 24;
 
 /// Size at which the receive queue's copy tail is sealed into a chunk, so
 /// bytes the application has read are returned a few KiB at a time instead
@@ -235,7 +287,7 @@ struct RecvQueue {
     chunks: VecDeque<(Bytes, usize)>,
     /// Copied bytes, logically after every chunk; `tail[tail_pos..]` is
     /// unread.
-    tail: Vec<u8>,
+    tail: BytesMut,
     tail_pos: usize,
     /// Unread bytes in `chunks` and `tail` together.
     len: usize,
@@ -249,7 +301,7 @@ impl RecvQueue {
         if self.tail_pos < self.tail.len() {
             let tail = std::mem::take(&mut self.tail);
             let pinned = tail.capacity() + CHUNK_OVERHEAD;
-            let unread = Bytes::from(tail).slice(self.tail_pos..);
+            let unread = tail.freeze().slice(self.tail_pos..);
             self.pinned += pinned;
             self.chunks.push_back((unread, pinned));
         }
@@ -583,21 +635,20 @@ impl SocketBuffer {
     /// immutable loan of the region the application wrote, which the
     /// transport publishes straight into the shared TX pool and keeps for
     /// retransmission.  Later application writes extend fresh memory and
-    /// never mutate an outstanding loan.
+    /// never mutate an outstanding loan.  An empty queue is left untouched.
     pub fn drain_send_bytes(&self, max: usize) -> Bytes {
         let out = {
             let mut inner = self.inner.lock();
             let n = max.min(inner.send.len());
-            let out = inner.send.split_to(n).freeze();
-            if !out.is_empty() {
-                self.writable.notify_all();
+            if n == 0 {
+                return Bytes::new();
             }
+            let out = inner.send.split_to(n).freeze();
+            self.writable.notify_all();
             out
         };
-        if !out.is_empty() {
-            // Send space freed: a write-interested watch can fire.
-            self.maybe_fire_watch();
-        }
+        // Send space freed: a write-interested watch can fire.
+        self.maybe_fire_watch();
         out
     }
 

@@ -33,18 +33,20 @@ use newt_kernel::clock::SimClock;
 use newt_kernel::rs::{CrashEvent, StartMode, StateSnapshot};
 use newt_kernel::storage::{codec, StorageServer};
 use newt_net::rss::{FlowKey, RssKey, RssSteering};
-use newt_net::wire::{EthernetView, IpProtocol, Ipv4View, TcpFlags, TcpSegment, TcpView};
+use newt_net::wire::{
+    EthernetView, HeaderBuf, IpProtocol, Ipv4View, TcpFlags, TcpSegment, TcpView,
+};
 
 use crate::endpoints;
 #[cfg(test)]
 use crate::fabric::drain;
-use crate::fabric::{send, CrashBoard, PoolTable, Rx, Spares, Tx};
+use crate::fabric::{send, CrashBoard, PoolTable, Rx, Tx};
 use crate::msg::{
     FlowTuple, IpToTransport, PfToTransport, SockId, SockReply, SockRequest, TransportToIp,
     TransportToPf,
 };
 use crate::rings;
-use crate::sockbuf::{Doorbell, SockError, SocketBuffer};
+use crate::sockbuf::{BufferName, Doorbell, SockError, SocketBuffer};
 
 /// Number of slots in the hashed retransmission/ACK timer wheel.
 const WHEEL_SLOTS: usize = 64;
@@ -88,7 +90,9 @@ struct TimerEntry {
 /// and re-arms when the deadline moved (an ACK pushing the RTO out does not
 /// touch the wheel at all).  An entry whose deadline lies further than one
 /// wheel revolution away simply stays in its bucket and is examined once
-/// per revolution.
+/// per revolution — and dropped there once its socket is gone, so the wheel
+/// holds the timers of the sockets that exist, not one idle timer per
+/// connection served in the last idle timeout.
 #[derive(Debug)]
 struct TimerWheel {
     slots: Vec<Vec<TimerEntry>>,
@@ -122,27 +126,40 @@ impl TimerWheel {
     }
 
     /// Moves every entry that is due at `now` into `due`, scanning only the
-    /// buckets between the previous call and `now`.
-    fn expire(&mut self, now: Duration, due: &mut Vec<TimerEntry>) {
+    /// buckets between the previous call and `now`; entries met there that
+    /// are not due and whose socket `alive` disowns are forgotten.
+    fn expire(&mut self, now: Duration, due: &mut Vec<TimerEntry>, alive: impl Fn(SockId) -> bool) {
         let now_tick = Self::tick_of(now);
         if now_tick <= self.cursor {
             return;
         }
         let span = (now_tick - self.cursor).min(WHEEL_SLOTS as u64);
+        let mut emptied_a_bucket = false;
         for offset in 1..=span {
             let slot = ((self.cursor + offset) % WHEEL_SLOTS as u64) as usize;
             let entries = &mut self.slots[slot];
+            if entries.is_empty() {
+                continue;
+            }
             let mut i = 0;
             while i < entries.len() {
                 if entries[i].deadline <= now {
                     due.push(entries.swap_remove(i));
+                } else if !alive(entries[i].sock) {
+                    entries.swap_remove(i);
                 } else {
                     // More than one revolution away: stays for a later pass.
                     i += 1;
                 }
             }
+            emptied_a_bucket |= entries.is_empty();
         }
         self.cursor = now_tick;
+        // A wheel with no timer left holds no storage: how large the buckets
+        // had to grow depends on how deadlines happened to fall together.
+        if emptied_a_bucket && self.slots.iter().all(Vec::is_empty) {
+            self.slots.fill_with(Vec::new);
+        }
     }
 
     /// The time at which the next non-empty bucket is scanned, i.e. the
@@ -588,7 +605,7 @@ struct PendingSend {
     dst: Ipv4Addr,
     src_port: u16,
     dst_port: u16,
-    transport_header: Vec<u8>,
+    transport_header: HeaderBuf,
     is_connection_start: bool,
 }
 
@@ -705,9 +722,6 @@ pub struct TcpServer {
     /// RX chunks finished with this poll round, returned to IP as one
     /// [`TransportToIp::RxDoneBatch`] per round.
     rxdone_batch: Vec<RichPtr>,
-    /// Drained [`IpToTransport::DeliverBatch`] vectors, refilled as
-    /// [`TransportToIp::RxDoneBatch`].
-    spare_ptrs: Spares<RichPtr>,
     /// Sockets with work to do this round — fed by incoming segments,
     /// socket-buffer doorbells, fired timers and syscall requests, so the
     /// data pump touches only them instead of scanning the whole table.
@@ -800,7 +814,6 @@ impl TcpServer {
             ip_scratch: Vec::new(),
             pf_scratch: Vec::new(),
             rxdone_batch: Vec::new(),
-            spare_ptrs: Spares::new(),
             ready: VecDeque::new(),
             flow_index: HashMap::new(),
             listen_index: HashMap::new(),
@@ -1125,8 +1138,8 @@ impl TcpServer {
         self.storage.store(&self.storage_ns, "sockets", &summaries);
     }
 
-    fn buffer_name(id: SockId) -> String {
-        format!("sockbuf/tcp/{id}")
+    fn buffer_name(id: SockId) -> BufferName {
+        BufferName::new("tcp", id)
     }
 
     fn blank_socket(&self, id: SockId, buffer: Arc<SocketBuffer>) -> TcpSock {
@@ -1205,12 +1218,13 @@ impl TcpServer {
                     for ptr in ptrs.drain(..) {
                         self.handle_deliver(ptr);
                     }
-                    self.spare_ptrs.put(ptrs);
+                    self.from_ip.recycle(IpToTransport::DeliverBatch(ptrs));
                 }
-                IpToTransport::SendDoneBatch(dones) => {
-                    for (req, ok) in dones {
+                IpToTransport::SendDoneBatch(mut dones) => {
+                    for (req, ok) in dones.drain(..) {
                         self.handle_send_done(req, ok);
                     }
+                    self.from_ip.recycle(IpToTransport::SendDoneBatch(dones));
                 }
             }
         }
@@ -1227,7 +1241,12 @@ impl TcpServer {
         self.pf_scratch = from_pf;
 
         if !self.rxdone_batch.is_empty() {
-            let batch = self.spare_ptrs.take(&mut self.rxdone_batch);
+            let batch = self
+                .to_ip
+                .take_batch(&mut self.rxdone_batch, |returned| match returned {
+                    TransportToIp::RxDoneBatch(v) => Some(v),
+                    _ => None,
+                });
             send(&self.to_ip, TransportToIp::RxDoneBatch(batch));
         }
 
@@ -1278,7 +1297,9 @@ impl TcpServer {
     fn expire_timers(&mut self) -> usize {
         let now = self.clock.now();
         let mut due = std::mem::take(&mut self.timer_scratch);
-        self.wheel.expire(now, &mut due);
+        let sockets = &self.sockets;
+        self.wheel
+            .expire(now, &mut due, |sock| sockets.contains_key(&sock));
         let mut work = 0;
         for entry in due.drain(..) {
             match entry.kind {
@@ -1831,12 +1852,11 @@ impl TcpServer {
         } else {
             s.buffer.recv_space().min(65_535) as u16
         };
-        // Build the header bytes with a zero checksum (software checksumming
-        // happens in IP, hardware checksumming in the NIC); the payload is
-        // not embedded, so `build` yields exactly the header + options.
-        let mut header = segment.build(Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED);
-        header[16] = 0;
-        header[17] = 0;
+        // The header bytes with a zero checksum (software checksumming
+        // happens in IP, hardware checksumming in the NIC), written once,
+        // inline in the message to IP.
+        let mut header = HeaderBuf::new();
+        segment.as_view().write_header(&mut header);
 
         let mut chain = RichChain::new();
         for chunk in payload {
@@ -1869,7 +1889,7 @@ impl TcpServer {
             dst,
             src_port: segment.src_port,
             dst_port,
-            transport_header: header.clone(),
+            transport_header: header,
             is_connection_start,
         };
         let req = self
@@ -1912,15 +1932,14 @@ impl TcpServer {
     /// socket buffer would advertise.
     fn emit_stateless(&mut self, dst: Ipv4Addr, mut segment: TcpSegment, window: u16) {
         segment.window = window;
-        let mut header = segment.build(Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED);
-        header[16] = 0;
-        header[17] = 0;
+        let mut header = HeaderBuf::new();
+        segment.as_view().write_header(&mut header);
         let pending = PendingSend {
             chain: RichChain::new(),
             dst,
             src_port: segment.src_port,
             dst_port: segment.dst_port,
-            transport_header: header.clone(),
+            transport_header: header,
             is_connection_start: false,
         };
         let req = self
@@ -3026,12 +3045,33 @@ mod tests {
         wheel.insert(8, TimerKind::DelayedAck, tick(10));
         assert_eq!(wheel.next_expiry(), Some(tick(11)));
         let mut due = Vec::new();
-        wheel.expire(tick(11), &mut due);
+        wheel.expire(tick(11), &mut due, |_| true);
         assert_eq!(due.len(), 1);
         assert_eq!(wheel.next_expiry(), Some(tick(13)));
-        wheel.expire(tick(13), &mut due);
+        wheel.expire(tick(13), &mut due, |_| true);
         assert_eq!(due.len(), 2);
         assert_eq!(wheel.next_expiry(), None);
+    }
+
+    #[test]
+    fn timer_wheel_forgets_the_far_timers_of_sockets_that_are_gone() {
+        let tick = |n: u64| WHEEL_TICK * n as u32;
+        let revolution = WHEEL_SLOTS as u64;
+        let mut wheel = TimerWheel::new(Duration::ZERO);
+        // Two idle timers many revolutions away, in the same bucket.
+        let far = tick(10 * revolution + 3);
+        wheel.insert(1, TimerKind::IdleReap, far);
+        wheel.insert(2, TimerKind::IdleReap, far);
+        let mut due = Vec::new();
+        // Socket 2 closes; the next pass over the bucket drops its entry
+        // and keeps the other's.
+        wheel.expire(tick(revolution), &mut due, |sock| sock == 1);
+        assert!(due.is_empty());
+        let held: usize = wheel.slots.iter().map(Vec::len).sum();
+        assert_eq!(held, 1);
+        wheel.expire(far + tick(1), &mut due, |sock| sock == 1);
+        assert_eq!(due.len(), 1);
+        assert_eq!(due[0].sock, 1);
     }
     use crate::fabric::Chan;
     use newt_net::wire::{EthernetFrame, Ipv4Packet};
@@ -3188,7 +3228,7 @@ mod tests {
                 ..
             } = msg
             {
-                let mut bytes = transport_header;
+                let mut bytes = transport_header.to_vec();
                 if let Some(data) = rig.pools.gather(&payload) {
                     bytes.extend_from_slice(&data);
                 }

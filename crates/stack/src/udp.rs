@@ -26,7 +26,9 @@ use newt_channels::reqdb::{AbortPolicy, RequestDb};
 use newt_channels::rich::{RichChain, RichPtr};
 use newt_kernel::rs::{CrashEvent, StartMode, StateSnapshot};
 use newt_kernel::storage::{codec, StorageServer};
-use newt_net::wire::{EthernetView, IpProtocol, Ipv4View, UdpView, UDP_HEADER_LEN};
+use newt_net::wire::{
+    EthernetView, HeaderBuf, IpProtocol, Ipv4View, UdpView, WireBuf, UDP_HEADER_LEN,
+};
 
 use crate::endpoints;
 #[cfg(test)]
@@ -36,7 +38,7 @@ use crate::msg::{
     FlowTuple, IpToTransport, PfToTransport, SockId, SockReply, SockRequest, TransportToIp,
     TransportToPf,
 };
-use crate::sockbuf::{Doorbell, SockError, SocketBuffer};
+use crate::sockbuf::{BufferName, Doorbell, SockError, SocketBuffer};
 
 /// A decoded datagram record: source address, source port, payload.
 pub type DecodedDatagram = (Ipv4Addr, u16, Vec<u8>);
@@ -326,8 +328,8 @@ impl UdpServer {
         true
     }
 
-    fn buffer_name(id: SockId) -> String {
-        format!("sockbuf/udp/{id}")
+    fn buffer_name(id: SockId) -> BufferName {
+        BufferName::new("udp", id)
     }
 
     /// Enters a socket into the table and points its buffer's doorbell at
@@ -458,17 +460,19 @@ impl UdpServer {
         for msg in from_ip.drain(..) {
             work += 1;
             match msg {
-                IpToTransport::DeliverBatch(ptrs) => {
-                    for ptr in ptrs {
+                IpToTransport::DeliverBatch(mut ptrs) => {
+                    for ptr in ptrs.drain(..) {
                         self.handle_deliver(ptr);
                     }
+                    self.from_ip.recycle(IpToTransport::DeliverBatch(ptrs));
                 }
-                IpToTransport::SendDoneBatch(dones) => {
-                    for (req, _) in dones {
+                IpToTransport::SendDoneBatch(mut dones) => {
+                    for (req, _) in dones.drain(..) {
                         if let Some(chain) = self.ip_reqs.complete(req) {
                             self.tx_pool.free_chain(&chain);
                         }
                     }
+                    self.from_ip.recycle(IpToTransport::SendDoneBatch(dones));
                 }
             }
         }
@@ -485,7 +489,12 @@ impl UdpServer {
         self.pf_scratch = from_pf;
 
         if !self.rxdone_batch.is_empty() {
-            let batch = std::mem::take(&mut self.rxdone_batch);
+            let batch = self
+                .to_ip
+                .take_batch(&mut self.rxdone_batch, |returned| match returned {
+                    TransportToIp::RxDoneBatch(v) => Some(v),
+                    _ => None,
+                });
             send(&self.to_ip, TransportToIp::RxDoneBatch(batch));
         }
 
@@ -751,11 +760,11 @@ impl UdpServer {
 
         // Build the UDP header with a zero checksum (software checksum in IP
         // or hardware offload fills it in).
-        let mut header = Vec::with_capacity(UDP_HEADER_LEN);
-        header.extend_from_slice(&local_port.to_be_bytes());
-        header.extend_from_slice(&dst_port.to_be_bytes());
-        header.extend_from_slice(&((UDP_HEADER_LEN + payload.len()) as u16).to_be_bytes());
-        header.extend_from_slice(&[0, 0]);
+        let mut header = HeaderBuf::new();
+        header.put(&local_port.to_be_bytes());
+        header.put(&dst_port.to_be_bytes());
+        header.put(&((UDP_HEADER_LEN + payload.len()) as u16).to_be_bytes());
+        header.put(&[0, 0]);
 
         let mut chain = RichChain::new();
         if !payload.is_empty() {
@@ -776,7 +785,7 @@ impl UdpServer {
                 src_port: local_port,
                 dst_port,
                 transport_header: header,
-                payload: chain.clone(),
+                payload: chain,
                 is_connection_start: false,
             },
         );

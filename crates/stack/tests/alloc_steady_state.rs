@@ -1,0 +1,564 @@
+//! Heap behaviour of the whole stack, counted with a test allocator.
+//!
+//! One shard is assembled from the layers' public constructors — exactly as
+//! the benchmark's stepped world and `NewtStack::start` assemble it — and
+//! stepped from this thread in the order peer → driver → ip → pf → tcp →
+//! syscall → app, so every allocation can be charged to the layer whose
+//! `poll` made it:
+//!
+//! * a keep-alive request costs driver + ip + pf + tcp together at most
+//!   three allocations (the wire frames);
+//! * the heap a stack holds does not grow with the connections it has
+//!   served;
+//! * a threaded stack gives its memory back on `shutdown()`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use parking_lot::Mutex;
+
+use newt_channels::endpoint::Generation;
+use newt_channels::pool::Pool;
+use newt_channels::registry::Registry;
+use newt_kernel::clock::SimClock;
+use newt_kernel::cost::CostModel;
+use newt_kernel::ipc::KernelIpc;
+use newt_kernel::rs::StartMode;
+use newt_kernel::storage::StorageServer;
+use newt_net::link::{Link, LinkConfig};
+use newt_net::nic::{Nic, NicConfig};
+use newt_net::peer::{ClientStatus, PeerConfig, RemotePeer, IPERF_PORT};
+use newt_net::wire::MacAddr;
+use newt_stack::builder::{NewtStack, StackConfig};
+use newt_stack::driver::{DriverServer, GRO_MAX_PAYLOAD, RX_POOL_CHUNK};
+use newt_stack::endpoints::{self, Shard};
+use newt_stack::fabric::{Chan, CrashBoard, PoolTable};
+use newt_stack::ip::{IfaceConfig, IpConfig, IpServer};
+use newt_stack::pf::PacketFilterServer;
+use newt_stack::posix::{NetClient, RingHandle};
+use newt_stack::rings::{interest_bits, CqValue, Cqe, RingTable, Sqe, SqeOp};
+use newt_stack::sockbuf::{Doorbell, SockError};
+use newt_stack::syscall::SyscallServer;
+use newt_stack::tcp::{TcpConfig, TcpServer};
+
+// ---- the counting allocator ------------------------------------------------
+
+thread_local! {
+    /// Allocations (reallocations included) made by this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Bytes currently allocated by the whole process.
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the additions are a thread-local counter with a
+// `const` initialiser and a relaxed atomic, which neither allocate nor fail.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are exactly `System::alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        LIVE.fetch_add(
+            new_size as isize - layout.size() as isize,
+            Ordering::Relaxed,
+        );
+        // SAFETY: the caller's obligations are exactly `System::realloc`'s.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+fn live_bytes() -> isize {
+    LIVE.load(Ordering::Relaxed)
+}
+
+/// The live-bytes tests read a process-wide counter: one test at a time.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+// ---- one shard, stepped ----------------------------------------------------
+
+const PORT: u16 = 80;
+const CLIENT_PORT_BASE: u16 = 20_000;
+const REQUEST: &[u8; 64] = &[b'q'; 64];
+const RESPONSE: &[u8; 256] = &[b'r'; 256];
+const ACCEPT_TAG: u64 = 1 << 62;
+const CLOSE_TAG: u64 = 1 << 61;
+
+/// Allocations charged to each stack layer's `poll`.
+#[derive(Debug, Default, Clone, Copy)]
+struct LayerAllocs {
+    driver: u64,
+    ip: u64,
+    pf: u64,
+    tcp: u64,
+}
+
+impl LayerAllocs {
+    fn total(&self) -> u64 {
+        self.driver + self.ip + self.pf + self.tcp
+    }
+}
+
+struct World {
+    peer: RemotePeer,
+    driver: DriverServer,
+    ip: IpServer,
+    pf: PacketFilterServer,
+    tcp: TcpServer,
+    syscall: SyscallServer,
+    ring: Arc<RingHandle>,
+    /// Request bytes received per accepted socket.
+    conns: HashMap<u64, usize>,
+    cqes: Vec<Cqe>,
+    /// Whether the server closes a connection after its first response.
+    close_after_response: bool,
+    charged: LayerAllocs,
+    _link: Link,
+}
+
+fn charge(counter: &mut u64, poll: impl FnOnce() -> usize) {
+    let before = allocs();
+    poll();
+    *counter += allocs() - before;
+}
+
+impl World {
+    /// The wiring of `benchmark/src/wiring.rs` and `NewtStack::start`: same
+    /// pools, lane capacities and configuration defaults.
+    fn new(close_after_response: bool) -> World {
+        let clock = SimClock::realtime();
+        let shard = Shard::new(0, 1);
+        let kernel = KernelIpc::new(CostModel::default());
+        let registry = Registry::with_capacity(64);
+        let storage = Arc::new(StorageServer::new());
+        let crash_board = CrashBoard::new();
+        let pools = PoolTable::new();
+        let tcp_config = TcpConfig {
+            fin_wait_timeout: Duration::from_millis(20),
+            ..TcpConfig::default()
+        };
+
+        let (link, local_port, peer_port) = Link::new(LinkConfig::unshaped(), clock.clone());
+        let mut nic_config = NicConfig::new(0);
+        nic_config.rss_key = tcp_config.rss_key;
+        let nic = Arc::new(Mutex::new(Nic::new(nic_config, clock.clone(), local_port)));
+        let peer = RemotePeer::new(
+            PeerConfig {
+                mac: MacAddr::from_index(200),
+                ip: StackConfig::peer_addr(0),
+                tcp_window: u16::MAX,
+                tcp_services: Vec::new(),
+            },
+            clock.clone(),
+            peer_port,
+        );
+
+        let rx_pool = Pool::new("ip.rx", shard.ip(), RX_POOL_CHUNK, 2048);
+        let header_pool = Pool::new("ip.hdr", shard.ip(), 2048, 4096);
+        let tcp_tx_pool = Pool::new(
+            "tcp.tx",
+            shard.tcp(),
+            tcp_config.tso_segment.max(2048),
+            2048,
+        );
+        for pool in [&rx_pool, &header_pool, &tcp_tx_pool] {
+            pools.register(pool);
+        }
+
+        let tcp_to_ip = Chan::new(4096);
+        let ip_to_tcp = Chan::new(4096);
+        let udp_to_ip = Chan::new(1024);
+        let ip_to_udp = Chan::new(1024);
+        let ip_to_pf = Chan::new(4096);
+        let pf_to_ip = Chan::new(4096);
+        let pf_to_tcp = Chan::new(16);
+        let tcp_to_pf = Chan::new(16);
+        let pf_to_udp = Chan::new(16);
+        let udp_to_pf = Chan::new(16);
+        let sys_to_tcp = Chan::new(256);
+        let tcp_to_sys = Chan::new(256);
+        let sys_to_udp = Chan::new(256);
+        let udp_to_sys = Chan::new(256);
+        let ring_to_tcp = Chan::new(1024);
+        let tcp_to_ring = Chan::new(4096);
+        let ip_to_drv = Chan::new(2048);
+        let drv_to_ip = Chan::new(2048);
+
+        let driver = DriverServer::with_gro(
+            0,
+            Arc::clone(&nic),
+            vec![rx_pool.clone()],
+            pools.clone(),
+            vec![ip_to_drv.rx()],
+            vec![drv_to_ip.tx()],
+            crash_board.clone(),
+            GRO_MAX_PAYLOAD,
+        );
+        let ip = IpServer::new(
+            StartMode::Fresh,
+            shard,
+            IpConfig {
+                interfaces: vec![IfaceConfig {
+                    mac: MacAddr::from_index(0),
+                    addr: StackConfig::local_addr(0),
+                    prefix_len: 24,
+                }],
+                with_pf: true,
+                checksum_offload: true,
+            },
+            Arc::clone(&storage),
+            rx_pool,
+            header_pool,
+            pools.clone(),
+            tcp_to_ip.rx(),
+            ip_to_tcp.tx(),
+            udp_to_ip.rx(),
+            ip_to_udp.tx(),
+            ip_to_pf.tx(),
+            pf_to_ip.rx(),
+            vec![ip_to_drv.tx()],
+            vec![drv_to_ip.rx()],
+            crash_board.clone(),
+            None,
+        );
+        let pf = PacketFilterServer::new_sharded(
+            StartMode::Fresh,
+            Vec::new(),
+            Arc::clone(&storage),
+            vec![ip_to_pf.rx()],
+            vec![pf_to_ip.tx()],
+            vec![pf_to_tcp.tx()],
+            vec![tcp_to_pf.rx()],
+            vec![pf_to_udp.tx()],
+            vec![udp_to_pf.rx()],
+            None,
+        );
+        let mut tcp = TcpServer::new(
+            StartMode::Fresh,
+            Generation::FIRST,
+            shard,
+            tcp_config,
+            clock,
+            Arc::clone(&storage),
+            registry.clone(),
+            tcp_tx_pool,
+            pools,
+            sys_to_tcp.rx(),
+            tcp_to_sys.tx(),
+            ring_to_tcp.rx(),
+            tcp_to_ring.tx(),
+            tcp_to_ip.tx(),
+            ip_to_tcp.rx(),
+            pf_to_tcp.rx(),
+            tcp_to_pf.tx(),
+            crash_board.clone(),
+            Doorbell::new(),
+            None,
+        );
+        let mut syscall = SyscallServer::new_sharded(
+            kernel.clone(),
+            registry.clone(),
+            Generation::FIRST,
+            Arc::new(RingTable::new()),
+            vec![sys_to_tcp.tx()],
+            vec![tcp_to_sys.rx()],
+            vec![sys_to_udp.tx()],
+            vec![udp_to_sys.rx()],
+            ring_to_tcp.tx(),
+            tcp_to_ring.rx(),
+            crash_board,
+            None,
+        );
+
+        // The control calls block on kernel IPC: they run on a helper thread
+        // while this one serves them.
+        let client = NetClient::new(kernel, registry, endpoints::application(0));
+        let helper = std::thread::spawn(move || -> Result<_, SockError> {
+            let listener = client.tcp_socket()?;
+            listener.bind(PORT)?;
+            listener.listen_with_caps(64, false, 16 * 1024, 0)?;
+            Ok((listener.id(), client.ring()?))
+        });
+        while !helper.is_finished() {
+            tcp.poll();
+            syscall.poll();
+        }
+        let (listener, ring) = helper
+            .join()
+            .expect("the set-up thread panicked")
+            .expect("opening the listener");
+        ring.submit(Sqe {
+            user_data: ACCEPT_TAG,
+            op: SqeOp::AcceptArm { listener },
+        })
+        .expect("arming the listener");
+
+        World {
+            peer,
+            driver,
+            ip,
+            pf,
+            tcp,
+            syscall,
+            ring,
+            conns: HashMap::new(),
+            cqes: Vec::new(),
+            close_after_response,
+            charged: LayerAllocs::default(),
+            _link: link,
+        }
+    }
+
+    /// One poll round.
+    fn round(&mut self) {
+        self.peer.poll_once();
+        charge(&mut self.charged.driver, || self.driver.poll());
+        charge(&mut self.charged.ip, || self.ip.poll());
+        charge(&mut self.charged.pf, || self.pf.poll());
+        charge(&mut self.charged.tcp, || self.tcp.poll());
+        self.syscall.poll();
+        self.serve();
+    }
+
+    /// The application: answers every [`REQUEST`] with a [`RESPONSE`].
+    fn serve(&mut self) {
+        let mut cqes = std::mem::take(&mut self.cqes);
+        self.ring.drain(&mut cqes);
+        for cqe in cqes.drain(..) {
+            let sock = match (cqe.user_data, cqe.result) {
+                (ACCEPT_TAG, Ok(CqValue::Accepted { sock, .. })) => {
+                    self.conns.insert(sock, 0);
+                    sock
+                }
+                (ACCEPT_TAG, other) => panic!("accept failed: {other:?}"),
+                (tag, _) if tag & CLOSE_TAG != 0 => continue,
+                (sock, _) => sock,
+            };
+            let Some(received) = self.conns.get_mut(&sock) else {
+                continue;
+            };
+            let mut buf = [0u8; 1024];
+            let mut open = true;
+            loop {
+                match self.ring.recv(sock, &mut buf) {
+                    Ok(0) => {
+                        open = false;
+                        break;
+                    }
+                    Ok(n) => *received += n,
+                    Err(SockError::WouldBlock) => break,
+                    Err(_) => {
+                        open = false;
+                        break;
+                    }
+                }
+            }
+            while open && *received >= REQUEST.len() {
+                *received -= REQUEST.len();
+                let sent = self
+                    .ring
+                    .send(sock, RESPONSE)
+                    .expect("send buffer has room");
+                assert_eq!(sent, RESPONSE.len());
+                open = !self.close_after_response;
+            }
+            if open {
+                self.ring
+                    .poll_arm(sock, interest_bits::READ, sock)
+                    .expect("arming a readiness watch");
+            } else {
+                self.conns.remove(&sock);
+                self.ring
+                    .submit(Sqe {
+                        user_data: CLOSE_TAG | sock,
+                        op: SqeOp::Close { sock },
+                    })
+                    .expect("submitting a close");
+            }
+        }
+        self.cqes = cqes;
+    }
+
+    /// Steps until `done` or a generous deadline.
+    fn run_until(&mut self, what: &str, mut done: impl FnMut(&mut World) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !done(self) {
+            self.round();
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        }
+    }
+
+    fn connect(&mut self, port: u16) {
+        self.peer
+            .client_connect(port, StackConfig::local_addr(0), PORT);
+        self.run_until("a client flow to connect", |world| {
+            world.peer.client_status(port) == Some(ClientStatus::Established)
+        });
+    }
+
+    /// One request on the flow bound to `port`, to the verified response.
+    fn request(&mut self, port: u16) {
+        assert!(self.peer.client_send(port, REQUEST));
+        let mut got = 0;
+        self.run_until("a response", |world| {
+            let data = world.peer.client_take(port);
+            assert!(data.iter().all(|&b| b == b'r'));
+            got += data.len();
+            got >= RESPONSE.len()
+        });
+        assert_eq!(got, RESPONSE.len());
+    }
+}
+
+#[test]
+fn a_keep_alive_request_costs_the_stack_layers_at_most_three_allocations() {
+    let _guard = ONE_AT_A_TIME.lock();
+    const FLOWS: u16 = 8;
+    let mut world = World::new(false);
+    for flow in 0..FLOWS {
+        world.connect(CLIENT_PORT_BASE + flow);
+    }
+    // Warm-up: header-pool slots get their storage, batch vectors their
+    // capacity, every lane its spares.
+    for i in 0..2_000u16 {
+        world.request(CLIENT_PORT_BASE + i % FLOWS);
+    }
+    const REQUESTS: u16 = 5_000;
+    world.charged = LayerAllocs::default();
+    for i in 0..REQUESTS {
+        world.request(CLIENT_PORT_BASE + i % FLOWS);
+    }
+    let charged = world.charged;
+    let per_request = |n: u64| n as f64 / REQUESTS as f64;
+    println!(
+        "allocations per request: driver {:.2} ip {:.2} pf {:.2} tcp {:.2}",
+        per_request(charged.driver),
+        per_request(charged.ip),
+        per_request(charged.pf),
+        per_request(charged.tcp),
+    );
+    assert!(
+        per_request(charged.total()) <= 3.0,
+        "driver + ip + pf + tcp allocate {:.2} times per request: {charged:?}",
+        per_request(charged.total())
+    );
+    // What is left is the driver's: one buffer per wire frame.
+    assert!(
+        per_request(charged.ip + charged.pf + charged.tcp) <= 0.01,
+        "{charged:?}"
+    );
+}
+
+#[test]
+fn live_bytes_do_not_grow_with_the_connections_served() {
+    let _guard = ONE_AT_A_TIME.lock();
+    let mut world = World::new(true);
+    // A wave of connections, each one: connect, request, response, the
+    // server closes, the client sees the FIN and lets go.  The peer's client
+    // flows never answer a FIN with their own, so the server's sockets
+    // finish through the FIN-WAIT reaper; the wave is over when the last is
+    // gone.  Every wave holds the same number of sockets, so no table's
+    // size depends on the host's speed.
+    const WAVE: u16 = 50;
+    let wave = |world: &mut World, first_port: u16| {
+        for port in first_port..first_port + WAVE {
+            world.connect(port);
+            world.request(port);
+            world.run_until("the server's FIN", |world| {
+                world.peer.client_status(port) == Some(ClientStatus::Closed)
+            });
+            world.peer.client_close(port);
+        }
+        world.run_until("the wave's connections to be reaped", |world| {
+            world.tcp.socket_count() == 1
+        });
+    };
+    // Two revolutions of TCP's timer wheel (64 buckets of 5 ms): what the
+    // closed connections left in it has been passed over and dropped.
+    let quiesce = |world: &mut World| {
+        let until = Instant::now() + Duration::from_millis(700);
+        while Instant::now() < until {
+            world.round();
+        }
+    };
+    let first_port = |wave: u16| CLIENT_PORT_BASE + wave % 400 * WAVE;
+    for n in 0..40 {
+        wave(&mut world, first_port(n));
+    }
+    quiesce(&mut world);
+    let baseline = live_bytes();
+    for n in 40..240 {
+        wave(&mut world, first_port(n));
+    }
+    quiesce(&mut world);
+    let grown = live_bytes() - baseline;
+    // Not to the byte: how far a scratch vector had to grow, and whether a
+    // hash table under churn rehashed in place or doubled, depends on how
+    // many timers fired in one round.  Six bytes per connection is a third
+    // of what the filter's tracking table alone used to keep, and a
+    // fourteenth of what the timer wheel did.
+    assert!(
+        grown.abs() <= 64 * 1024,
+        "10 000 connections left {grown} B behind ({} B per connection)",
+        grown as f64 / 10_000.0
+    );
+}
+
+#[test]
+fn a_stack_that_was_shut_down_has_returned_its_memory() {
+    let _guard = ONE_AT_A_TIME.lock();
+    let run = || {
+        let stack = NewtStack::start(
+            StackConfig::newtos()
+                .link(LinkConfig::unshaped())
+                .clock_speedup(50.0),
+        );
+        let socket = stack.client().tcp_socket().expect("tcp socket");
+        socket
+            .connect(StackConfig::peer_addr(0), IPERF_PORT)
+            .expect("connect");
+        socket.send_all(&[7u8; 64 * 1024]).expect("send");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while stack.peer(0).bytes_received_on(IPERF_PORT) < 64 * 1024 {
+            assert!(Instant::now() < deadline, "the transfer stalled");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        socket.close().expect("close");
+        stack.shutdown();
+    };
+    // The first run pays what a process pays once (thread-local state of
+    // the runtime, lazily initialised statics); the second must give back
+    // everything it took.
+    run();
+    let baseline = live_bytes();
+    run();
+    let left = live_bytes() - baseline;
+    assert!(
+        left.abs() <= 1024,
+        "a stack that was shut down left {left} B allocated"
+    );
+}
