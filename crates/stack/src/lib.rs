@@ -62,7 +62,7 @@ pub use builder::{NewtStack, StackConfig, Telemetry, Topology};
 pub use endpoints::Component;
 pub use newt_kernel::clock::SimClock;
 pub use pf::{FilterAction, FilterRule};
-pub use posix::{Interest, NetClient, PollFd, RingHandle, TcpSocket, UdpSocket};
+pub use posix::{NetClient, RingHandle, TcpSocket, UdpSocket};
 pub use rings::{CqValue, Cqe, Sqe, SqeOp};
 pub use sockbuf::Readiness;
 pub use sockbuf::{SockError, SocketBuffer};

@@ -25,21 +25,19 @@
 //! timeout ([`NetClient::with_timeout`]).  A **zero** timeout puts the
 //! client in non-blocking mode: data operations return
 //! [`SockError::WouldBlock`] instead of waiting, and [`TcpSocket::accept`]
-//! degrades to the non-blocking [`TcpSocket::accept_nb`].  On top of that
-//! the library offers a `poll(2)`-style readiness API so one thread can
-//! multiplex hundreds of sockets:
+//! degrades to the non-blocking [`TcpSocket::accept_nb`].  Readiness can be
+//! asked for without blocking:
 //!
 //! * [`TcpSocket::readiness`] — recv-buffer data, send-buffer space,
 //!   hang-up and pending errors, read **locally** from the shared buffer
 //!   (no SYSCALL round trip, like the data path itself);
 //! * [`TcpSocket::accept_ready`] — listen-backlog readiness, answered
-//!   locally from the ring's multishot accept completions;
-//! * [`NetClient::poll`] — waits on a set of sockets until any is ready.
+//!   locally from the ring's multishot accept completions.
 //!
-//! Applications that need more than hundreds of sockets (the `newt-apps`
-//! HTTP server holds 100 000) skip the shims and drive the
-//! [`RingHandle`] directly: arm readiness watches, drain the completion
-//! queue, touch only the sockets that completed.
+//! Applications that multiplex many sockets (the `newt-apps` HTTP server
+//! holds 100 000) drive the [`RingHandle`] directly: arm readiness
+//! watches, drain the completion queue, touch only the sockets that
+//! completed.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -500,76 +498,6 @@ impl NetClient {
         }
         Ok(group)
     }
-
-    /// Waits until at least one entry of `fds` is ready, filling in the
-    /// observed readiness (`poll(2)` semantics: `fds` are the pollfds,
-    /// the return value counts ready entries).  `timeout` is real time; a
-    /// zero timeout performs a single non-blocking scan.
-    ///
-    /// Every scan (~250 µs apart) is local: data readiness is read from
-    /// the shared socket buffers, accept readiness from the ring's
-    /// multishot accept completions.  An idle poll loop costs no kernel
-    /// IPC and no fabric messages at all.
-    ///
-    /// # Errors
-    ///
-    /// Never fails today (per-socket problems are reported through each
-    /// entry's [`Readiness::error`]); the `Result` leaves room for
-    /// catastrophic failures.
-    ///
-    /// # Example: a poll-driven accept loop
-    ///
-    /// ```
-    /// use std::time::Duration;
-    /// use newt_net::link::LinkConfig;
-    /// use newt_stack::builder::{NewtStack, StackConfig};
-    /// use newt_stack::posix::{Interest, PollFd};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let stack = NewtStack::start(
-    ///     StackConfig::newtos()
-    ///         .link(LinkConfig::unshaped())
-    ///         .clock_speedup(50.0),
-    /// );
-    /// let client = stack.client().nonblocking();
-    ///
-    /// // One listener per shard (one shard here), like SO_REUSEPORT.
-    /// let listeners = client.listen_sharded(8080, 16, stack.shards())?;
-    ///
-    /// // Nothing pending yet: a zero-timeout scan reports no readiness.
-    /// let mut fds: Vec<PollFd> =
-    ///     listeners.iter().map(|l| PollFd::new(l, Interest::Accept)).collect();
-    /// assert_eq!(client.poll(&mut fds, Duration::ZERO)?, 0);
-    ///
-    /// // The remote peer connects in; poll reports the listener readable
-    /// // and the non-blocking accept yields the connection.
-    /// stack.peer(0).client_connect(49_152, StackConfig::local_addr(0), 8080);
-    /// let ready = client.poll(&mut fds, Duration::from_secs(10))?;
-    /// assert_eq!(ready, 1);
-    /// let (conn, peer_addr, _peer_port) =
-    ///     listeners[0].accept_nb()?.expect("backlog was ready");
-    /// assert_eq!(peer_addr, StackConfig::peer_addr(0));
-    /// assert!(conn.readiness().writable);
-    /// stack.shutdown();
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn poll(&self, fds: &mut [PollFd<'_>], timeout: Duration) -> Result<usize, SockError> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let mut ready = 0;
-            for fd in fds.iter_mut() {
-                fd.update();
-                if fd.is_ready() {
-                    ready += 1;
-                }
-            }
-            if ready > 0 || std::time::Instant::now() >= deadline {
-                return Ok(ready);
-            }
-            std::thread::sleep(Duration::from_micros(250));
-        }
-    }
 }
 
 /// Book-keeping for the library's internal accept shims: which listeners
@@ -914,78 +842,6 @@ impl RingHandle {
     /// Consumes the terminal error of `listener`'s accept arm, if any.
     fn take_accept_error(&self, listener: SockId) -> Option<SockError> {
         self.shim.lock().errors.remove(&listener)
-    }
-}
-
-/// What a [`PollFd`] waits for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Interest {
-    /// Data to read (or EOF, or an error).
-    Readable,
-    /// Send-buffer space.
-    Writable,
-    /// Either direction.
-    ReadWrite,
-    /// A connection waiting in the listen backlog.
-    Accept,
-}
-
-/// One entry of a [`NetClient::poll`] set — a socket plus the events the
-/// caller cares about, with the observed readiness filled in by `poll`.
-#[derive(Debug)]
-pub struct PollFd<'a> {
-    socket: &'a TcpSocket,
-    interest: Interest,
-    revents: Readiness,
-}
-
-impl<'a> PollFd<'a> {
-    /// Creates an entry waiting for `interest` on `socket`.
-    pub fn new(socket: &'a TcpSocket, interest: Interest) -> Self {
-        PollFd {
-            socket,
-            interest,
-            revents: Readiness::default(),
-        }
-    }
-
-    /// The readiness observed by the last [`NetClient::poll`] scan.
-    pub fn revents(&self) -> Readiness {
-        self.revents
-    }
-
-    fn update(&mut self) {
-        match self.interest {
-            Interest::Accept => {
-                self.revents = match self.socket.accept_ready() {
-                    Ok(ready) => Readiness {
-                        readable: ready,
-                        ..Readiness::default()
-                    },
-                    // A restarting server is "not ready", not fatal; the
-                    // error is surfaced so the caller can distinguish,
-                    // but it does NOT count as readiness — otherwise a
-                    // poll loop would busy-spin for the whole restart.
-                    Err(error) => Readiness {
-                        error: Some(error),
-                        ..Readiness::default()
-                    },
-                };
-            }
-            _ => self.revents = self.socket.readiness(),
-        }
-    }
-
-    fn is_ready(&self) -> bool {
-        let r = self.revents;
-        match self.interest {
-            // Listener problems (e.g. ServerUnavailable mid-restart) are
-            // recorded but never "ready" — there is nothing to accept.
-            Interest::Accept => r.readable,
-            Interest::Readable => r.readable || r.hung_up || r.error.is_some(),
-            Interest::Writable => r.writable || r.hung_up || r.error.is_some(),
-            Interest::ReadWrite => r.readable || r.writable || r.hung_up || r.error.is_some(),
-        }
     }
 }
 

@@ -449,10 +449,12 @@ fn a_keep_alive_request_costs_the_stack_layers_at_most_three_allocations() {
     }
     const REQUESTS: u16 = 5_000;
     world.charged = LayerAllocs::default();
+    let before = world.tcp.stats();
     for i in 0..REQUESTS {
         world.request(CLIENT_PORT_BASE + i % FLOWS);
     }
     let charged = world.charged;
+    let after = world.tcp.stats();
     let per_request = |n: u64| n as f64 / REQUESTS as f64;
     println!(
         "allocations per request: driver {:.2} ip {:.2} pf {:.2} tcp {:.2}",
@@ -467,9 +469,14 @@ fn a_keep_alive_request_costs_the_stack_layers_at_most_three_allocations() {
         per_request(charged.total())
     );
     // What is left is the driver's: one buffer per wire frame.
+    // Should this fail, the TCP counters over the measured window say what
+    // TCP was doing beyond answering requests (a host stall firing timers).
     assert!(
         per_request(charged.ip + charged.pf + charged.tcp) <= 0.01,
-        "{charged:?}"
+        "{charged:?}; over the window: retransmissions {}, fast_retransmits {}, pure_acks_out {}",
+        after.retransmissions - before.retransmissions,
+        after.fast_retransmits - before.fast_retransmits,
+        after.pure_acks_out - before.pure_acks_out,
     );
 }
 
