@@ -10,12 +10,21 @@
 //! # One allocation per buffer
 //!
 //! A buffer is **one** heap block: a small header (reference count,
-//! capacity, frozen length) followed by the data.  `BytesMut` owns the block
+//! capacity, frozen length, home shelf) followed by the data.  `BytesMut` owns the block
 //! exclusively; [`BytesMut::freeze`] and [`Bytes::try_into_mut`] only change
 //! which handle type points at it, [`Bytes::slice`] and `clone` bump the
 //! count, and an empty buffer of either type owns no block at all.  So a
 //! buffer built through `BytesMut` costs exactly one allocation over its
 //! whole life, however often it is frozen, sliced, shared and thawed.
+//!
+//! …and none when it has an owner: a buffer taken from a [`Shelf`] is a
+//! spare block of that shelf whenever one is there, and goes back to it —
+//! not to the allocator — when its last handle is dropped, wherever that
+//! happens.  See [`Shelf`].
+
+mod shelf;
+
+pub use shelf::Shelf;
 
 use std::alloc::{self, Layout};
 use std::fmt;
@@ -31,8 +40,13 @@ struct Header {
     /// Data bytes the block has room for.
     cap: usize,
     /// Initialised data bytes, recorded by `freeze` for `try_into_mut`'s
-    /// covers-everything test.  Unused while a `BytesMut` owns the block.
+    /// covers-everything test (`usize::MAX`, which no view covers, in an
+    /// [`Appender`]'s block).  Unused while a `BytesMut` owns the block.
     len: usize,
+    /// The shelf the block returns to when its last handle is dropped (a
+    /// `Weak` turned raw, owned by the block); null for a block that is
+    /// simply freed.
+    home: *const shelf::Shared,
 }
 
 fn block_layout(cap: usize) -> Layout {
@@ -56,9 +70,31 @@ fn alloc_block(cap: usize) -> NonNull<Header> {
             refs: AtomicUsize::new(1),
             cap,
             len: 0,
+            home: std::ptr::null(),
         });
     }
     block
+}
+
+/// Gives up one counted reference to `block`, letting go of the block with
+/// the last.
+///
+/// # Safety
+///
+/// The caller must hold a counted reference to `block` and not use it again.
+unsafe fn drop_ref(block: NonNull<Header>) {
+    // SAFETY: the caller's reference keeps the block live.
+    if unsafe { block.as_ref() }
+        .refs
+        .fetch_sub(1, Ordering::Release)
+        == 1
+    {
+        // Pairs with the `Release` decrements of the other holders: their
+        // reads of the data happen before the block is reused or freed.
+        atomic::fence(Ordering::Acquire);
+        // SAFETY: the count reached zero; no handle is left.
+        unsafe { release_block(block) };
+    }
 }
 
 /// Returns the first data byte of `block`.
@@ -71,17 +107,37 @@ unsafe fn data_of(block: NonNull<Header>) -> *mut u8 {
     unsafe { block.as_ptr().add(1).cast::<u8>() }
 }
 
-/// Frees `block`.
+/// Frees `block`, and with it its tie to a shelf.
 ///
 /// # Safety
 ///
 /// `block` must come from [`alloc_block`] and no handle may use it again.
 unsafe fn free_block(block: NonNull<Header>) {
-    // SAFETY: per the contract the header is live and `cap` is the capacity
-    // the block was (re)allocated with.
+    // SAFETY: per the contract the header is live, the caller is the only
+    // one who can reach it, and `cap` is the capacity the block was
+    // (re)allocated with.
     unsafe {
+        shelf::disown(block);
         let layout = block_layout((*block.as_ptr()).cap);
         alloc::dealloc(block.as_ptr().cast::<u8>(), layout);
+    }
+}
+
+/// Lets go of `block` after its last handle: home to its shelf if it has
+/// one, freed otherwise.
+///
+/// # Safety
+///
+/// `block` must come from [`alloc_block`] and no handle may use it again.
+unsafe fn release_block(block: NonNull<Header>) {
+    // SAFETY: per the contract the header is live and nobody else can reach
+    // the block, which is what both callees ask for.
+    unsafe {
+        if (*block.as_ptr()).home.is_null() {
+            free_block(block);
+        } else {
+            shelf::come_home(block);
+        }
     }
 }
 
@@ -94,10 +150,12 @@ pub struct Bytes {
     block: Option<NonNull<Header>>,
 }
 
-// SAFETY: the bytes behind a `Bytes` are never written while any view exists
-// (only `try_into_mut` hands out write access, and only to the last holder),
-// and the reference count is atomic, so views may move to and be shared
-// between threads.
+// SAFETY: the bytes a `Bytes` covers are never written while it exists (only
+// `try_into_mut` hands out write access, and only to the last holder; an
+// `Appender` writes behind every view of its block, never under one),
+// the reference count is atomic, and the header's `home` is read only by
+// the last holder and names a shelf whose shared part is `Sync` (every
+// list behind a mutex), so views may move to and be shared between threads.
 unsafe impl Send for Bytes {}
 // SAFETY: see `Send`.
 unsafe impl Sync for Bytes {}
@@ -125,6 +183,14 @@ impl Bytes {
     /// Returns `true` if the view is empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Data capacity of the block this view keeps allocated, however
+    /// little of it the view covers (a 60-byte frame from a [`Shelf`] sits
+    /// in a class-sized block).  Zero for an empty view.
+    pub fn block_capacity(&self) -> usize {
+        // SAFETY: this view holds a reference, so the block is live.
+        self.block.map_or(0, |block| unsafe { block.as_ref() }.cap)
     }
 
     /// Returns a zero-copy sub-view.  `range` is relative to this view.
@@ -231,18 +297,9 @@ impl Clone for Bytes {
 
 impl Drop for Bytes {
     fn drop(&mut self) {
-        let Some(block) = self.block else { return };
-        // SAFETY: this view holds a reference, so the block is live.
-        if unsafe { block.as_ref() }
-            .refs
-            .fetch_sub(1, Ordering::Release)
-            == 1
-        {
-            // Pairs with the `Release` decrements of the other views: their
-            // reads of the data happen before the block is freed.
-            atomic::fence(Ordering::Acquire);
-            // SAFETY: the count reached zero; no handle is left.
-            unsafe { free_block(block) };
+        if let Some(block) = self.block {
+            // SAFETY: this view holds one reference and is gone after this.
+            unsafe { drop_ref(block) };
         }
     }
 }
@@ -358,7 +415,8 @@ pub struct BytesMut {
     len: usize,
 }
 
-// SAFETY: a `BytesMut` is the only handle to its block, like a `Vec<u8>`.
+// SAFETY: a `BytesMut` is the only handle to its block, like a `Vec<u8>`; the
+// shelf its block may return to accepts blocks from any thread (see `Bytes`).
 unsafe impl Send for BytesMut {}
 // SAFETY: see `Send`; `&BytesMut` only reads.
 unsafe impl Sync for BytesMut {}
@@ -432,6 +490,9 @@ impl BytesMut {
             None => alloc_block(new_cap),
             Some(old) => {
                 let new_layout = block_layout(new_cap);
+                // A block that outgrows its class has no shelf to go back to.
+                // SAFETY: this buffer is the block's only handle.
+                unsafe { shelf::disown(old) };
                 // SAFETY: `old` was allocated with `block_layout(cap)` and
                 // the new size is a valid layout of the same alignment.
                 let raw = unsafe {
@@ -470,26 +531,6 @@ impl BytesMut {
         self.len = 0;
     }
 
-    /// Splits the buffer into two at `at`: returns a buffer holding
-    /// `[0, at)` and leaves `[at, len)` in `self`.  The returned front
-    /// keeps the allocation; only the tail moves, so draining a send
-    /// queue to (or near) empty costs nothing — and neither does taking
-    /// nothing (`at == 0` returns an empty buffer and leaves `self` alone).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at > len`.
-    pub fn split_to(&mut self, at: usize) -> BytesMut {
-        assert!(at <= self.len, "split_to out of bounds: {at}");
-        if at == 0 {
-            return BytesMut::new();
-        }
-        let tail = BytesMut::from(&self[at..]);
-        let mut front = std::mem::replace(self, tail);
-        front.len = at;
-        front
-    }
-
     /// Freezes the buffer into an immutable, cheaply cloneable [`Bytes`]
     /// without copying or allocating.
     pub fn freeze(self) -> Bytes {
@@ -501,7 +542,7 @@ impl BytesMut {
         if len == 0 {
             // An empty view pins nothing: release the unused capacity.
             // SAFETY: this buffer was the block's only handle.
-            unsafe { free_block(block) };
+            unsafe { release_block(block) };
             return Bytes::new();
         }
         // SAFETY: this buffer is the block's only handle until the `Bytes`
@@ -527,7 +568,7 @@ impl Drop for BytesMut {
     fn drop(&mut self) {
         if let Some(block) = self.block {
             // SAFETY: this buffer is the block's only handle.
-            unsafe { free_block(block) };
+            unsafe { release_block(block) };
         }
     }
 }
@@ -592,6 +633,157 @@ impl From<&[u8]> for BytesMut {
 impl fmt::Debug for BytesMut {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "BytesMut(len={})", self.len())
+    }
+}
+
+/// An append-only buffer that lends out views of what it has written while
+/// it keeps writing behind them — a send queue's tail: the transport holds
+/// views of the bytes it has drained, the application's next write lands in
+/// the same block right after them, and a later drain is one contiguous
+/// view of both.
+///
+/// It never moves or rewrites a byte it has written and never reallocates,
+/// so a view stays valid and bit-stable for as long as it lives; no view of
+/// its block can be thawed ([`Bytes::try_into_mut`]), during the appender's
+/// life or after.
+pub struct Appender {
+    /// The block appended to, on which this appender holds one reference;
+    /// `None` while it has no capacity.
+    block: Option<NonNull<Header>>,
+    /// Bytes written: `[0, len)` is initialised and frozen, `[len, cap)` is
+    /// this appender's alone.
+    len: usize,
+}
+
+// SAFETY: the appender is the only writer of its block and writes only
+// bytes no view covers; the count it shares with the views is atomic, and
+// the block's shelf accepts it from any thread (see `Bytes`).
+unsafe impl Send for Appender {}
+// SAFETY: see `Send`; `&Appender` only reads frozen bytes and adds views.
+unsafe impl Sync for Appender {}
+
+impl Appender {
+    /// Creates an appender without capacity.  Allocates nothing.
+    pub const fn new() -> Self {
+        Appender {
+            block: None,
+            len: 0,
+        }
+    }
+
+    /// Returns the number of bytes written.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Returns `true` if nothing was written.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Returns the capacity of the block (fixed: an appender never grows).
+    pub fn capacity(&self) -> usize {
+        // SAFETY: this appender holds a reference, so the block is live.
+        self.block.map_or(0, |block| unsafe { block.as_ref() }.cap)
+    }
+
+    /// Returns how many more bytes fit.
+    pub fn room(&self) -> usize {
+        self.capacity() - self.len
+    }
+
+    /// Appends `data`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is longer than [`Appender::room`].
+    pub fn append(&mut self, data: &[u8]) {
+        assert!(data.len() <= self.room(), "append beyond the block");
+        let Some(block) = self.block else { return };
+        // SAFETY: `[len, len + data.len())` lies inside the block (checked
+        // above), no view covers it (views end at `len` at the latest) and
+        // this appender is the block's only writer, so the bytes are
+        // exclusively ours whatever the reference count; `data` cannot
+        // overlap them for the same reason.
+        unsafe {
+            std::ptr::copy_nonoverlapping(data.as_ptr(), data_of(block).add(self.len), data.len());
+        }
+        self.len += data.len();
+    }
+
+    /// Returns a zero-copy view of written bytes; appending goes on behind
+    /// it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches beyond the bytes written.
+    pub fn view(&self, range: std::ops::Range<usize>) -> Bytes {
+        assert!(range.start <= range.end && range.end <= self.len);
+        let Some(block) = self.block.filter(|_| !range.is_empty()) else {
+            return Bytes::new();
+        };
+        // SAFETY: this appender holds a reference, so the block is live; as
+        // in `Bytes::clone`, `Relaxed` suffices to add one through it.
+        unsafe { block.as_ref() }
+            .refs
+            .fetch_add(1, Ordering::Relaxed);
+        Bytes {
+            // SAFETY: the range lies inside the written part of the block.
+            ptr: unsafe { data_of(block).add(range.start) },
+            len: range.len(),
+            block: Some(block),
+        }
+    }
+}
+
+impl Default for Appender {
+    fn default() -> Self {
+        Appender::new()
+    }
+}
+
+impl From<BytesMut> for Appender {
+    /// Takes the buffer's block over, appending after what it holds.
+    fn from(buf: BytesMut) -> Self {
+        let appender = Appender {
+            block: buf.block,
+            len: buf.len,
+        };
+        std::mem::forget(buf);
+        if let Some(mut block) = appender.block {
+            // SAFETY: the buffer was the block's only handle, and no view
+            // exists before this appender makes one.
+            unsafe { block.as_mut() }.len = usize::MAX;
+        }
+        appender
+    }
+}
+
+impl Drop for Appender {
+    fn drop(&mut self) {
+        if let Some(block) = self.block {
+            // SAFETY: this appender holds one reference and is gone after
+            // this.
+            unsafe { drop_ref(block) };
+        }
+    }
+}
+
+impl Deref for Appender {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        match self.block {
+            // SAFETY: the first `len` data bytes are initialised and never
+            // written again.
+            Some(block) => unsafe { std::slice::from_raw_parts(data_of(block), self.len) },
+            None => &[],
+        }
+    }
+}
+
+impl fmt::Debug for Appender {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Appender(len={})", self.len())
     }
 }
 
@@ -678,32 +870,6 @@ mod tests {
         assert_eq!(refs(&b), 1);
         assert!(BytesMut::with_capacity(64).freeze().block.is_none());
         assert!(Bytes::new().try_into_mut().expect("empty").is_empty());
-    }
-
-    #[test]
-    fn split_to_keeps_front_allocation_and_leaves_tail() {
-        let mut m = BytesMut::new();
-        m.extend_from_slice(b"abcdef");
-        let at = m.as_ptr();
-        let front = m.split_to(4);
-        assert_eq!(&front[..], b"abcd");
-        assert_eq!(front.as_ptr(), at);
-        assert_eq!(&m[..], b"ef");
-        m.extend_from_slice(b"gh");
-        assert_eq!(&m[..], b"efgh");
-        // Full drain: tail is empty, nothing is copied.
-        let at = m.as_ptr();
-        let rest = m.split_to(4);
-        assert_eq!(&rest[..], b"efgh");
-        assert_eq!(rest.as_ptr(), at);
-        assert!(m.is_empty());
-        assert_eq!(m.capacity(), 0);
-        // Taking nothing leaves the buffer alone.
-        m.extend_from_slice(b"ij");
-        let at = m.as_ptr();
-        assert!(m.split_to(0).is_empty());
-        assert_eq!(m.as_ptr(), at);
-        assert_eq!(&m[..], b"ij");
     }
 
     #[test]

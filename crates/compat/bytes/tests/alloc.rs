@@ -1,15 +1,19 @@
 //! Heap behaviour of the buffer types, counted with a test allocator: a
 //! buffer is one allocation for its whole life, and freezing, thawing,
-//! slicing, sharing and empty buffers cost none.
+//! slicing, sharing and empty buffers cost none; a buffer taken from a
+//! shelf goes back to it with its last handle and costs none the next time.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::mpsc;
 
-use bytes::{Bytes, BytesMut};
+use bytes::{Appender, Bytes, BytesMut, Shelf};
 
 thread_local! {
     /// Allocations (including reallocations) made by this thread.
     static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus bytes it freed.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -20,17 +24,20 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
+        LIVE.with(|n| n.set(n.get() + layout.size() as isize));
         // SAFETY: the caller's obligations are exactly `System::alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.with(|n| n.set(n.get() - layout.size() as isize));
         // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
+        LIVE.with(|n| n.set(n.get() + new_size as isize - layout.size() as isize));
         // SAFETY: the caller's obligations are exactly `System::realloc`'s.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -45,6 +52,11 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, usize) {
     let before = ALLOCS.with(Cell::get);
     let result = f();
     (result, ALLOCS.with(Cell::get) - before)
+}
+
+/// Bytes this thread holds allocated.
+fn live() -> isize {
+    LIVE.with(Cell::get)
 }
 
 #[test]
@@ -90,29 +102,278 @@ fn empty_buffers_allocate_nothing() {
         assert!(Bytes::default().clone().is_empty());
         assert!(BytesMut::new().freeze().is_empty());
         assert!(Bytes::copy_from_slice(&[]).is_empty());
-        // Draining an empty send queue, and taking nothing from a full one.
-        assert!(BytesMut::new().split_to(0).freeze().is_empty());
     });
     assert_eq!(allocs, 0);
-    let mut queue = BytesMut::from(&b"pending"[..]);
-    let (taken, allocs) = counted(|| queue.split_to(0).freeze());
-    assert_eq!(allocs, 0);
-    assert!(taken.is_empty());
-    assert_eq!(&queue[..], b"pending");
+}
+
+/// Every order in which four handles can be dropped.
+fn orders_of_four() -> Vec<[usize; 4]> {
+    let mut orders = Vec::new();
+    for a in 0..4 {
+        for b in (0..4).filter(|&b| b != a) {
+            for c in (0..4).filter(|&c| c != a && c != b) {
+                orders.push([a, b, c, 6 - a - b - c]);
+            }
+        }
+    }
+    orders
 }
 
 #[test]
-fn a_full_drain_hands_the_allocation_over() {
-    let mut queue = BytesMut::new();
-    queue.extend_from_slice(&[1u8; 300]);
-    let at = queue.as_ptr();
-    let (loan, allocs) = counted(|| queue.split_to(300).freeze());
-    assert_eq!(allocs, 0, "the drained queue keeps no storage");
-    assert_eq!(loan.as_ptr(), at);
-    assert_eq!(queue.capacity(), 0);
-    // A partial drain moves only the tail, into storage of its size.
-    queue.extend_from_slice(&[2u8; 300]);
-    let (front, allocs) = counted(|| queue.split_to(100));
+fn a_shelved_buffer_comes_home_with_its_last_view_in_any_drop_order() {
+    let shelf = Shelf::new();
+    // Warm-up: the block is allocated once.
+    let (first, allocs) = counted(|| shelf.take(1514));
     assert_eq!(allocs, 1);
-    assert_eq!((front.len(), queue.len()), (100, 200));
+    let home = first.as_ptr();
+    drop(first);
+    let orders = orders_of_four();
+    assert_eq!(orders.len(), 24);
+    for order in orders {
+        let ((), allocs) = counted(|| {
+            let mut buf = shelf.take(1514);
+            assert_eq!(buf.as_ptr(), home, "the spare is handed out again");
+            assert!(buf.is_empty(), "a recycled block carries no bytes");
+            buf.extend_from_slice(&[order[0] as u8; 1514]);
+            let frame = buf.freeze();
+            let mut handles = [
+                Some(frame.slice(..14)),
+                Some(frame.slice(14..54)),
+                Some(frame.slice(54..)),
+                Some(frame),
+            ];
+            for at in order {
+                // While any view is left the block is not on the shelf.
+                assert_ne!(shelf.take(1514).as_ptr(), home);
+                handles[at] = None;
+            }
+        });
+        // The probes inside the loop allocated their own block once (it is
+        // a spare of its own from then on); the cycle itself costs nothing.
+        assert!(allocs <= 1, "order {order:?}: {allocs} allocations");
+    }
+    let ((), allocs) = counted(|| {
+        for _ in 0..1000 {
+            let mut buf = shelf.take(60);
+            buf.extend_from_slice(&[1; 54]);
+            let ack = buf.freeze();
+            let copy = ack.clone();
+            drop(ack);
+            drop(copy);
+        }
+    });
+    assert_eq!(allocs, 1, "one block for the small class, then none");
+}
+
+#[test]
+fn a_request_gets_the_smallest_class_that_holds_it() {
+    let baseline = live();
+    let shelf = Shelf::new();
+    for (i, &(cap, _)) in Shelf::CLASSES.iter().enumerate() {
+        assert_eq!(shelf.take(cap - 1).capacity(), cap);
+        assert_eq!(shelf.take(cap).capacity(), cap);
+        match Shelf::CLASSES.get(i + 1) {
+            Some(&(next, _)) => assert_eq!(shelf.take(cap + 1).capacity(), next),
+            None => assert_eq!(cap, Shelf::MAX_BLOCK),
+        }
+    }
+    // Beyond the largest class: an ordinary buffer of exactly that size,
+    // allocated every time and freed when dropped.
+    for _ in 0..3 {
+        let (big, allocs) = counted(|| shelf.take(Shelf::MAX_BLOCK + 1));
+        assert_eq!(allocs, 1);
+        assert_eq!(big.capacity(), Shelf::MAX_BLOCK + 1);
+    }
+    drop(shelf);
+    assert_eq!(live(), baseline);
+}
+
+#[test]
+fn a_block_that_outgrows_its_class_is_an_ordinary_buffer() {
+    let shelf = Shelf::new();
+    let mut buf = shelf.take(100);
+    buf.extend_from_slice(&[7; 128]);
+    let ((), allocs) = counted(|| buf.extend_from_slice(&[8; 128]));
+    assert_eq!(allocs, 1, "growth reallocates");
+    assert_eq!(buf[127..129], [7, 8]);
+    drop(buf);
+    // It did not come back: the next take of the class allocates.
+    let (next, allocs) = counted(|| shelf.take(100));
+    assert_eq!(allocs, 1);
+    assert_eq!(next.capacity(), 128);
+}
+
+#[test]
+fn a_unique_shelved_frame_is_still_patched_in_place() {
+    let shelf = Shelf::new();
+    let mut buf = shelf.take(200);
+    buf.extend_from_slice(&[0; 200]);
+    let at = buf.as_ptr();
+    let frame = buf.freeze();
+    let view = frame.slice(54..);
+    let frame = frame.try_into_mut().expect_err("a view is out");
+    drop(view);
+    let mut unique = frame
+        .try_into_mut()
+        .expect("last holder of the whole buffer");
+    unique[16] = 0xff;
+    assert_eq!(unique.as_ptr(), at);
+    assert_eq!(unique.capacity(), 1536);
+    let frame = unique.freeze();
+    assert_eq!(frame[16], 0xff);
+    assert_eq!(frame.slice(54..).block_capacity(), 1536);
+    // An empty freeze hands the block straight back.
+    drop(frame);
+    let ((), allocs) = counted(|| {
+        assert!(shelf.take(200).freeze().is_empty());
+        assert_eq!(shelf.take(200).as_ptr(), at);
+    });
+    assert_eq!(allocs, 0);
+}
+
+#[test]
+fn an_appender_lends_views_of_what_it_wrote_and_keeps_writing_behind_them() {
+    let shelf = Shelf::new();
+    let mut tail = Appender::from(shelf.take(100));
+    let at = tail.as_ptr();
+    let ((), allocs) = counted(|| {
+        assert_eq!((tail.len(), tail.room()), (0, 128));
+        tail.append(b"hello");
+        let first = tail.view(0..3);
+        tail.append(b" world");
+        // One contiguous view across both writes; the earlier loan is
+        // untouched by the later write.
+        let rest = tail.view(3..tail.len());
+        assert_eq!((&first[..], &rest[..]), (&b"hel"[..], &b"lo world"[..]));
+        assert_eq!(rest.as_ptr(), at.wrapping_add(3));
+        assert!(tail.view(4..4).is_empty());
+        // No view is thawed behind the appender's back, nor after it.
+        let whole = tail.view(0..tail.len());
+        drop((first, rest));
+        let whole = whole.try_into_mut().expect_err("the appender still writes");
+        tail.append(&[b'!'; 117]);
+        assert_eq!(tail.room(), 0);
+        assert_eq!(&whole[..], b"hello world");
+        let all = tail.view(0..128);
+        drop((tail, whole));
+        assert!(all.try_into_mut().is_err(), "an appender's block");
+    });
+    assert_eq!(allocs, 0);
+    // The block went home with its last view.
+    let mut again = Appender::from(shelf.take(100));
+    assert_eq!(again.as_ptr(), at);
+    assert!(again.is_empty());
+    again.append(b"abc");
+    assert_eq!(&again.view(0..3)[..], b"abc");
+    drop(again);
+    // As an ordinary buffer again, the block is thawed like any other.
+    let mut plain = shelf.take(100);
+    assert_eq!(plain.as_ptr(), at);
+    plain.extend_from_slice(b"xyz");
+    assert_eq!(
+        plain.freeze().try_into_mut().expect("unique").capacity(),
+        128
+    );
+    assert_eq!(Appender::new().room(), 0);
+}
+
+#[test]
+#[should_panic(expected = "append beyond the block")]
+fn an_appender_never_grows() {
+    let mut tail = Appender::from(BytesMut::with_capacity(4));
+    tail.append(b"12345");
+}
+
+#[test]
+fn a_full_shelf_and_a_dropped_shelf_deallocate() {
+    let baseline = live();
+    let shelf = Shelf::new();
+    let empty_shelf = live();
+    let mut spares = 0;
+    for &(cap, depth) in &Shelf::CLASSES {
+        // More blocks out than the class keeps: the surplus is freed as it
+        // comes home.
+        let mut out = Vec::with_capacity(depth + 3);
+        let before = live();
+        out.extend((0..depth + 3).map(|_| shelf.take(cap)));
+        let block = (live() - before) as usize / (depth + 3);
+        assert!((cap..cap + 64).contains(&block), "{block} for {cap}");
+        out.clear();
+        spares += depth * block;
+        assert_eq!((live() - before) as usize, depth * block);
+        // Those spares serve the next takes.
+        let ((), allocs) = counted(|| out.extend((0..depth).map(|_| shelf.take(cap))));
+        assert_eq!(allocs, 0);
+    }
+    assert_eq!((live() - empty_shelf) as usize, spares);
+    // A block that is still out when the shelf is dropped is freed by its
+    // last holder; the spares by the shelf.
+    let straggler = {
+        let mut buf = shelf.take(300);
+        buf.extend_from_slice(b"still out");
+        buf.freeze()
+    };
+    drop(shelf);
+    assert_eq!(&straggler[..], b"still out");
+    assert!(live() > baseline);
+    drop(straggler);
+    assert_eq!(
+        live(),
+        baseline,
+        "nothing outlives the shelf, nothing leaks"
+    );
+}
+
+#[test]
+fn blocks_cross_threads_and_come_home_with_every_byte_intact() {
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 100_000;
+    fn pattern(seed: u8, at: usize) -> u8 {
+        seed.wrapping_add((at as u8).wrapping_mul(31))
+    }
+    let shelf = Shelf::new();
+    let (senders, receivers): (Vec<_>, Vec<_>) =
+        (0..THREADS).map(|_| mpsc::channel::<(Bytes, u8)>()).unzip();
+    let verify = |(view, seed): (Bytes, u8)| {
+        assert!(view
+            .iter()
+            .enumerate()
+            .all(|(at, &b)| b == pattern(seed, at)));
+    };
+    std::thread::scope(|scope| {
+        for (t, inbox) in receivers.into_iter().enumerate() {
+            // Each thread builds on the one shelf and hands every buffer to
+            // its neighbour, which is as often as not the last to drop it.
+            let outbox = senders[(t + 1) % THREADS].clone();
+            let (shelf, verify) = (&shelf, &verify);
+            scope.spawn(move || {
+                for i in 0..ROUNDS {
+                    let seed = (t * 64 + i) as u8;
+                    let len = if i % 64 == 0 {
+                        1 + i % 20_000
+                    } else {
+                        1 + i % 180
+                    };
+                    let mut buf = shelf.take(len);
+                    assert!(buf.is_empty());
+                    buf.resize(len, 0);
+                    buf.iter_mut()
+                        .enumerate()
+                        .for_each(|(at, b)| *b = pattern(seed, at));
+                    let frame = buf.freeze();
+                    outbox
+                        .send((frame.slice(len / 2..), pattern(seed, len / 2)))
+                        .expect("the neighbour outlives its inbox");
+                    if i % 2 == 0 {
+                        // Keep ours past the neighbour's, sometimes.
+                        inbox.try_iter().for_each(verify);
+                    }
+                    verify((frame, seed));
+                }
+                drop(outbox);
+                inbox.iter().for_each(verify);
+            });
+        }
+        drop(senders);
+    });
 }

@@ -25,7 +25,7 @@
 //!   frame's acknowledgement number and window, the OR of the PSH flags,
 //!   and freshly computed IPv4 and TCP checksums.
 
-use bytes::{Bytes, BytesMut};
+use bytes::{Bytes, Shelf};
 
 use crate::wire::{
     internet_checksum, pseudo_header_checksum, EtherType, IpProtocol, ETHERNET_HEADER_LEN,
@@ -146,7 +146,7 @@ fn seq_gt(a: u32, b: u32) -> bool {
 /// merges with — keeps the original [`Bytes`] untouched and flushes it
 /// zero-copy; frames that join are held by reference
 /// ([`GroEngine::absorbed`]) and the super-segment is materialized once, at
-/// flush, into a buffer of exactly its size — the one copy receive
+/// flush, into a buffer of the engine's shelf — the one copy receive
 /// coalescing costs.
 #[derive(Debug)]
 struct Pending {
@@ -172,6 +172,9 @@ pub struct GroEngine {
     /// Payloads of the frames absorbed into the pending merge after its
     /// first, as views of the frames they arrived in; reused across merges.
     absorbed: Vec<Bytes>,
+    /// Owner of the merge buffers: one comes back when the application has
+    /// read the last byte of the super-segment built in it.
+    merges: Shelf,
     /// Upper bound on a merged segment's payload (keeps the super-frame
     /// within whatever buffer the receive path can hold).
     max_payload: usize,
@@ -185,6 +188,7 @@ impl GroEngine {
         GroEngine {
             pending: None,
             absorbed: Vec::new(),
+            merges: Shelf::new(),
             max_payload,
             stats: GroStats::default(),
         }
@@ -278,9 +282,9 @@ impl GroEngine {
         let ip = info.ip_at;
         let tcp = info.tcp_at;
         // The first frame up to its payload end, then every absorbed
-        // payload, in a buffer sized to the result.
+        // payload, in a buffer of the smallest class that holds the result.
         let head = &pending.first[..info.payload_at + info.payload_len];
-        let mut merged = BytesMut::with_capacity(info.payload_at + pending.payload_len);
+        let mut merged = self.merges.take(info.payload_at + pending.payload_len);
         merged.extend_from_slice(head);
         for payload in self.absorbed.drain(..) {
             merged.extend_from_slice(&payload);
@@ -498,5 +502,34 @@ mod tests {
         let (pkt, seg) = reparse(&out[0]);
         assert_eq!(pkt.wire_len(), 20 + 20 + 2000);
         assert_eq!(seg.payload.len(), 2000);
+    }
+
+    #[test]
+    fn merges_built_in_recycled_buffers_are_byte_identical() {
+        // Bursts of shrinking size with different bytes: a merge of the one
+        // engine is built in a buffer an earlier, longer one used, so a
+        // byte that buffer kept would show against a fresh engine's output.
+        let burst = |round: u8| -> Vec<Bytes> {
+            let frames = 9 - round as usize;
+            (0..frames)
+                .map(|i| {
+                    let payload = vec![round.wrapping_mul(37).wrapping_add(i as u8); 400];
+                    tcp_frame(5000, 1000 + 400 * i as u32, 7, payload, i + 1 == frames)
+                })
+                .collect()
+        };
+        let mut recycling = GroEngine::new(64 * 1024);
+        let mut buffers = Vec::new();
+        for round in 0..8u8 {
+            let out = run(&mut recycling, burst(round));
+            let fresh = run(&mut GroEngine::new(64 * 1024), burst(round));
+            assert_eq!(out.len(), 1);
+            assert_eq!(out, fresh, "round {round}");
+            buffers.push(out[0].as_ptr());
+            // `out` is dropped here: its buffer goes back to the engine.
+        }
+        buffers.sort_unstable();
+        buffers.dedup();
+        assert!(buffers.len() < 8, "no merge buffer was ever reused");
     }
 }

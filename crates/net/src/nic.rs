@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
-use bytes::{Bytes, BytesMut};
+use bytes::{Bytes, Shelf};
 
 use newt_kernel::clock::SimClock;
 
@@ -164,6 +164,9 @@ pub struct Nic {
     port: LinkPort,
     rx_rings: Vec<VecDeque<Bytes>>,
     tx_rings: Vec<VecDeque<Bytes>>,
+    /// Owner of every wire frame the adapter builds: the buffer comes back
+    /// here when the far end of the link (or whoever held it last) drops it.
+    frames: Shelf,
     steering: RssSteering,
     link_up_at: Duration,
     stats: NicStats,
@@ -181,6 +184,7 @@ impl Nic {
             port,
             rx_rings: (0..queues).map(|_| VecDeque::new()).collect(),
             tx_rings: (0..queues).map(|_| VecDeque::new()).collect(),
+            frames: Shelf::new(),
             steering,
             link_up_at: Duration::ZERO,
             stats: NicStats::default(),
@@ -243,7 +247,7 @@ impl Nic {
         let queue = self.admit(queue, frame.len(), 1)?;
         self.steering.note_transmit(&frame, queue);
         let out = if self.config.checksum_offload {
-            patch_checksums(frame)
+            patch_checksums(frame, &self.frames)
         } else {
             frame
         };
@@ -298,14 +302,14 @@ impl Nic {
             // The checksum offload (always on for TSO hardware) runs on each
             // frame as it is cut.
             let ring = &mut self.tx_rings[queue];
-            plan.cut(parts, |frame| ring.push_back(frame));
+            plan.cut(parts, &self.frames, |frame| ring.push_back(frame));
             return Ok(());
         }
         if let [single] = parts {
             return self.transmit_on(queue, single.clone());
         }
         let queue = self.admit(queue, len, 1)?;
-        let mut frame = BytesMut::with_capacity(len);
+        let mut frame = self.frames.take(len);
         for part in parts {
             frame.extend_from_slice(part);
         }
@@ -419,16 +423,17 @@ impl Nic {
 
 /// Applies checksum offload to a frame, mutating in place when the buffer
 /// is uniquely owned (the common case for gathered multi-chunk frames) and
-/// copying only when the buffer is shared, e.g. a zero-copy view of a pool
-/// chunk that other holders may still read.
-fn patch_checksums(frame: Bytes) -> Bytes {
+/// copying (into a buffer of `frames`) only when the buffer is shared, e.g.
+/// a zero-copy view of a pool chunk that other holders may still read.
+fn patch_checksums(frame: Bytes, frames: &Shelf) -> Bytes {
     match frame.try_into_mut() {
         Ok(mut unique) => {
             offload_checksums(&mut unique);
             unique.freeze()
         }
         Err(shared) => {
-            let mut copy = BytesMut::from(&shared[..]);
+            let mut copy = frames.take(shared.len());
+            copy.extend_from_slice(&shared);
             offload_checksums(&mut copy);
             copy.freeze()
         }
@@ -580,10 +585,9 @@ impl TsoPlan {
     }
 
     /// Cuts the MSS-sized frames straight from the scatter list — each
-    /// built once, in a buffer of its final size — adjusting IP length,
-    /// sequence number, flags and checksums, and hands them to `emit` in
-    /// order.
-    fn cut(&self, parts: &[Bytes], mut emit: impl FnMut(Bytes)) {
+    /// built once, in a buffer of `frames` — adjusting IP length, sequence
+    /// number, flags and checksums, and hands them to `emit` in order.
+    fn cut(&self, parts: &[Bytes], frames: &Shelf, mut emit: impl FnMut(Bytes)) {
         let ip = ETHERNET_HEADER_LEN;
         let transport = ip + self.ihl;
         let headers = &self.headers[..self.payload_start];
@@ -600,7 +604,7 @@ impl TsoPlan {
         while offset < self.payload_len {
             let chunk = (self.payload_len - offset).min(self.mss);
             let last = offset + chunk >= self.payload_len;
-            let mut seg = BytesMut::with_capacity(self.payload_start + chunk);
+            let mut seg = frames.take(self.payload_start + chunk);
             seg.extend_from_slice(headers);
             payload.take(chunk, |run| seg.extend_from_slice(run));
             // Patch IP total length.
@@ -694,12 +698,12 @@ mod tests {
     }
 
     /// The wire frames TSO cuts the frame scattered over `parts` into (none
-    /// if it is not TCP that needs cutting).
-    fn cut_tso(parts: &[Bytes]) -> Vec<Bytes> {
+    /// if it is not TCP that needs cutting), built in buffers of `shelf`.
+    fn cut_tso(parts: &[Bytes], shelf: &Shelf) -> Vec<Bytes> {
         let len = parts.iter().map(Bytes::len).sum();
         let mut frames = Vec::new();
         if let Some(plan) = TsoPlan::of(parts, len) {
-            plan.cut(parts, |frame| frames.push(frame));
+            plan.cut(parts, shelf, |frame| frames.push(frame));
             assert_eq!(frames.len(), plan.frames());
         }
         frames
@@ -863,10 +867,13 @@ mod tests {
             // Split the frame at a random point: the cut must not care
             // where the scatter parts end.
             let split = rand() as usize % frame.len();
-            let segments = cut_tso(&[
-                Bytes::copy_from_slice(&frame[..split]),
-                Bytes::copy_from_slice(&frame[split..]),
-            ]);
+            let segments = cut_tso(
+                &[
+                    Bytes::copy_from_slice(&frame[..split]),
+                    Bytes::copy_from_slice(&frame[split..]),
+                ],
+                &Shelf::new(),
+            );
             if payload_len + 40 + if seg.mss.is_some() { 4 } else { 0 } <= MTU {
                 assert!(segments.is_empty(), "case {case}: an in-MTU frame was cut");
                 continue;
@@ -918,10 +925,19 @@ mod tests {
     /// shapes (IP options, TCP options), payload sizes around every MSS
     /// multiple (exact, one short, one over — the odd last segment), every
     /// FIN/PSH combination, sequence numbers that wrap, and parts split at
-    /// random places including inside the headers.
+    /// random places including inside the headers.  Two passes with
+    /// different payload bytes cut into the buffers of one shelf: a byte a
+    /// recycled buffer kept from an earlier frame would differ.
     #[test]
     fn tso_from_scatter_parts_matches_the_gathered_reference() {
-        let mut state: u64 = 0x0dd1_a575_e900_0001;
+        let shelf = Shelf::new();
+        for pass in 0..2u64 {
+            tso_cases_match_the_reference(0x0dd1_a575_e900_0001 ^ pass << 32, &shelf);
+        }
+    }
+
+    fn tso_cases_match_the_reference(seed: u64, shelf: &Shelf) {
+        let mut state = seed;
         let mut rand = move || {
             state = state
                 .wrapping_mul(6364136223846793005)
@@ -986,7 +1002,7 @@ mod tests {
                 parts.push(Bytes::copy_from_slice(&frame[from..cut]));
                 from = cut;
             }
-            let got = cut_tso(&parts);
+            let got = cut_tso(&parts, shelf);
             assert_eq!(got.len(), expected.len(), "case {case}: frame count");
             for (i, (got, expected)) in got.iter().zip(&expected).enumerate() {
                 assert_eq!(got, expected, "case {case}: frame {i} differs");

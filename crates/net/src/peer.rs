@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use bytes::{Bytes, BytesMut};
+use bytes::{Bytes, BytesMut, Shelf};
 use parking_lot::Mutex;
 
 use newt_channels::wake::{WakeWord, MAX_PARK};
@@ -265,6 +265,11 @@ pub struct RemotePeer {
     config: PeerConfig,
     clock: SimClock,
     port: LinkPort,
+    /// Owner of every frame the peer sends: the buffer comes back here when
+    /// the stack drops its last view of it (IP freeing the receive chunk,
+    /// the GRO engine after a merge, or the application reading the payload
+    /// out of its socket buffer).
+    frames: Shelf,
     state: Mutex<PeerState>,
     /// What the background thread parks on: written by the link when a
     /// frame is sent towards the peer, and by every call that can arm a
@@ -279,6 +284,7 @@ impl RemotePeer {
             config,
             clock,
             port,
+            frames: Shelf::new(),
             state: Mutex::new(PeerState {
                 conns: HashMap::new(),
                 clients: HashMap::new(),
@@ -379,15 +385,16 @@ impl RemotePeer {
     }
 
     fn send_frame(&self, dst_mac: MacAddr, ethertype: EtherType, payload: &[u8]) {
-        let mut frame = BytesMut::with_capacity(ETHERNET_HEADER_LEN + payload.len());
+        let mut frame = self.frames.take(ETHERNET_HEADER_LEN + payload.len());
         EthernetFrame::write_header(dst_mac, self.config.mac, ethertype, &mut frame);
         frame.extend_from_slice(payload);
         self.port.transmit(frame.freeze());
     }
 
-    /// Starts a frame towards `dst_ip`: one buffer sized for the whole
-    /// frame — the allocation it crosses the link in — Ethernet and IPv4
-    /// headers written, ready for `l4_len` bytes of transport segment.
+    /// Starts a frame towards `dst_ip`: one buffer of the peer's shelf with
+    /// room for the whole frame — the buffer it crosses the link in —
+    /// Ethernet and IPv4 headers written, ready for `l4_len` bytes of
+    /// transport segment.
     fn ipv4_frame(
         &self,
         dst_mac: MacAddr,
@@ -395,7 +402,9 @@ impl RemotePeer {
         protocol: IpProtocol,
         l4_len: usize,
     ) -> BytesMut {
-        let mut frame = BytesMut::with_capacity(ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + l4_len);
+        let mut frame = self
+            .frames
+            .take(ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + l4_len);
         EthernetFrame::write_header(dst_mac, self.config.mac, EtherType::Ipv4, &mut frame);
         Ipv4Packet::new(self.config.ip, dst_ip, protocol, Vec::new())
             .write_header(l4_len, &mut frame);
@@ -541,7 +550,12 @@ impl RemotePeer {
             .find(|(p, _)| *p == seg.dst_port)
             .copied();
 
-        let mut replies: Vec<TcpSegment> = Vec::new();
+        // Replies are built where they are decided, each once, in the frame
+        // it crosses the link in, and transmitted outside the lock.
+        let mut replies: Vec<Bytes> = Vec::new();
+        let mut reply = |segment: TcpView<'_>| {
+            replies.push(self.tcp_frame(frame.src, packet.src, segment));
+        };
         {
             let mut state = self.state.lock();
             let PeerState { conns, stats, .. } = &mut *state;
@@ -560,11 +574,8 @@ impl RemotePeer {
                         TcpFlags::RST,
                     );
                     rst.window = 0;
-                    replies.push(rst);
                     drop(state);
-                    for r in replies {
-                        self.send_tcp(frame.src, packet.src, r.as_view());
-                    }
+                    self.send_tcp(frame.src, packet.src, rst.as_view());
                     return;
                 };
                 let isn = 0x7000_0000u32.wrapping_add(seg.seq);
@@ -587,7 +598,7 @@ impl RemotePeer {
                 syn_ack.window = self.config.tcp_window;
                 syn_ack.mss = Some((MTU - 40) as u16);
                 conns.insert(key, conn);
-                replies.push(syn_ack);
+                reply(syn_ack.as_view());
             } else if let Some(conn) = conns.get_mut(&key) {
                 if conn.state == ConnState::SynReceived && seg.flags.ack {
                     conn.state = ConnState::Established;
@@ -619,7 +630,7 @@ impl RemotePeer {
                     );
                     fin_ack.window = self.config.tcp_window;
                     conn.snd_nxt = conn.snd_nxt.wrapping_add(1);
-                    replies.push(fin_ack);
+                    reply(fin_ack.as_view());
                     ack_due = false;
                 }
                 if ack_due {
@@ -632,36 +643,37 @@ impl RemotePeer {
                         TcpFlags::ACK,
                     );
                     ack.window = self.config.tcp_window;
-                    replies.push(ack);
+                    reply(ack.as_view());
                 }
-                // Flush echo data (the SSH-like service answering the client).
+                // Flush echo data (the SSH-like service answering the
+                // client), each frame cut straight from the backlog.
                 let conn = conns.get_mut(&key).expect("present");
-                if conn.state == ConnState::Established && !conn.echo_backlog.is_empty() {
-                    let data: Vec<u8> = conn.echo_backlog.drain(..).collect();
-                    for chunk in data.chunks(MTU - 40) {
-                        let mut reply = TcpSegment::control(
-                            seg.dst_port,
-                            seg.src_port,
-                            conn.snd_nxt,
-                            conn.rcv_nxt,
-                            TcpFlags::PSH_ACK,
-                        );
-                        reply.window = self.config.tcp_window;
-                        reply.payload = chunk.to_vec();
+                if conn.state == ConnState::Established {
+                    for chunk in conn.echo_backlog.chunks(MTU - 40) {
+                        reply(TcpView {
+                            src_port: seg.dst_port,
+                            dst_port: seg.src_port,
+                            seq: conn.snd_nxt,
+                            ack: conn.rcv_nxt,
+                            flags: TcpFlags::PSH_ACK,
+                            window: self.config.tcp_window,
+                            mss: None,
+                            payload: chunk,
+                        });
                         conn.snd_nxt = conn.snd_nxt.wrapping_add(chunk.len() as u32);
-                        replies.push(reply);
                     }
+                    conn.echo_backlog.clear();
                 }
             } else if seg.flags.ack && !seg.flags.syn {
                 // Segment for a connection we do not know (e.g. the stack
                 // kept a connection across our restart) — reset it.
                 let rst =
                     TcpSegment::control(seg.dst_port, seg.src_port, seg.ack, 0, TcpFlags::RST);
-                replies.push(rst);
+                reply(rst.as_view());
             }
         }
-        for reply in replies {
-            self.send_tcp(frame.src, packet.src, reply.as_view());
+        for built in replies {
+            self.port.transmit(built);
         }
     }
 
@@ -1069,7 +1081,7 @@ impl RemotePeer {
     pub fn tick(&self) -> usize {
         let now = self.clock.now();
         let mut arps: Vec<Ipv4Addr> = Vec::new();
-        let mut segs: Vec<(MacAddr, Ipv4Addr, TcpSegment)> = Vec::new();
+        let mut frames: Vec<Bytes> = Vec::new();
         {
             let mut state = self.state.lock();
             // Earliest-deadline gate: skip the O(clients) scan unless some
@@ -1100,22 +1112,26 @@ impl RemotePeer {
                     ClientStatus::Resolving => arps.push(conn.dst_ip),
                     ClientStatus::Connecting => {
                         if let Some(mac) = conn.dst_mac {
-                            segs.push((mac, conn.dst_ip, Self::client_syn(conn)));
+                            let syn = Self::client_syn(conn);
+                            frames.push(self.tcp_frame(mac, conn.dst_ip, syn.as_view()));
                         }
                     }
                     ClientStatus::Established if conn.tx.in_flight > 0 => {
                         if let Some(mac) = conn.dst_mac {
+                            // Like the first transmission: built once,
+                            // straight from the send queue.
                             let len = conn.tx.in_flight.min(CLIENT_MSS);
-                            let mut seg = TcpSegment::control(
-                                conn.src_port,
-                                conn.dst_port,
-                                conn.snd_una,
-                                conn.rcv_nxt,
-                                TcpFlags::PSH_ACK,
-                            );
-                            seg.window = u16::MAX;
-                            seg.payload = conn.tx.unacked()[..len].to_vec();
-                            segs.push((mac, conn.dst_ip, seg));
+                            let segment = TcpView {
+                                src_port: conn.src_port,
+                                dst_port: conn.dst_port,
+                                seq: conn.snd_una,
+                                ack: conn.rcv_nxt,
+                                flags: TcpFlags::PSH_ACK,
+                                window: u16::MAX,
+                                mss: None,
+                                payload: &conn.tx.unacked()[..len],
+                            };
+                            frames.push(self.tcp_frame(mac, conn.dst_ip, segment));
                         }
                     }
                     _ => {
@@ -1128,12 +1144,12 @@ impl RemotePeer {
             }
             state.next_client_timer = next;
         }
-        let work = arps.len() + segs.len();
+        let work = arps.len() + frames.len();
         for target in arps {
             self.send_arp_request(target);
         }
-        for (mac, ip, seg) in segs {
-            self.send_tcp(mac, ip, seg.as_view());
+        for frame in frames {
+            self.port.transmit(frame);
         }
         work
     }

@@ -23,10 +23,17 @@
 //! proportional to the open connections.  A sweep needs the answer of
 //! *every* replica, each to this sweep's question; when one cannot be asked
 //! or still owes an earlier answer, nothing is forgotten and the next
-//! doubling tries again.  UDP entries are kept: an unconnected socket's
-//! exchanges are not flows its server could list.
+//! doubling tries again.  An unconnected UDP socket's exchanges are not
+//! flows its server could list, so UDP entries age instead, and need
+//! nobody's answer to: each carries the number of the interval it last sent
+//! in, and every doubling — whether or not TCP can be asked — forgets those
+//! that did not send in the interval it ends; an exchange outlives its last
+//! packet by one whole interval at least.  (The filter has no clock; an
+//! interval is one doubling of the table, so a reply under a blanket
+//! inbound block must come within the next 64 or more new flows of its
+//! request.)
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
 use serde::{Deserialize, Serialize};
@@ -198,7 +205,10 @@ pub struct PfStats {
 #[derive(Debug)]
 pub struct PacketFilterServer {
     rules: Vec<FilterRule>,
-    tracked: HashSet<Flow>,
+    /// The tracked flows, each with the interval it last sent in.
+    tracked: HashMap<Flow, u32>,
+    /// The current interval: how often the table has reached `sweep_at`.
+    interval: u32,
     /// Table size at which the next sweep starts.
     sweep_at: usize,
     /// A sweep in progress: every TCP replica was asked what is open; the
@@ -266,7 +276,7 @@ impl PacketFilterServer {
                 hot.tracked
                     .into_iter()
                     .map(|(proto, lport, raddr, rport)| {
-                        (proto, lport, Ipv4Addr::from(raddr), rport)
+                        ((proto, lport, Ipv4Addr::from(raddr), rport), 0)
                     })
                     .collect(),
             ),
@@ -280,11 +290,12 @@ impl PacketFilterServer {
                         .retrieve::<Vec<FilterRule>>("pf", "rules")
                         .unwrap_or(configured_rules),
                 };
-                (rules, HashSet::new())
+                (rules, HashMap::new())
             }
         };
         let mut server = PacketFilterServer {
             rules,
+            interval: 0,
             sweep_at: SWEEP_MIN.max(2 * tracked.len()),
             sweep: None,
             unanswered: vec![0; to_tcp.len()],
@@ -319,7 +330,7 @@ impl PacketFilterServer {
             rules: self.rules.clone(),
             tracked: self
                 .tracked
-                .iter()
+                .keys()
                 .map(|&(proto, lport, raddr, rport)| (proto, lport, u32::from(raddr), rport))
                 .collect(),
         };
@@ -361,7 +372,7 @@ impl PacketFilterServer {
         };
         if !pass
             && meta.direction == Direction::Inbound
-            && self.tracked.contains(&(
+            && self.tracked.contains_key(&(
                 meta.protocol.as_u8(),
                 meta.dst_port,
                 meta.src,
@@ -451,7 +462,7 @@ impl PacketFilterServer {
                 live.insert(flow);
             }
         }
-        self.tracked.insert(flow);
+        self.tracked.insert(flow, self.interval);
     }
 
     /// Asks every TCP replica what is open; returns whether all of them
@@ -468,14 +479,20 @@ impl PacketFilterServer {
         all
     }
 
-    /// Starts a sweep, if every replica can be asked and every answer that
-    /// comes back will be to this question: with an earlier query still
+    /// The table has doubled: ends the interval, forgetting the non-TCP
+    /// (UDP) flows that did not send in it, and starts a sweep of the TCP
+    /// ones — if every replica can be asked and every answer that comes
+    /// back will be to this question: with an earlier query still
     /// unanswered, or a replica's lane full, a sweep would end without that
     /// replica's flows and forget them — an idle connection waiting for
-    /// inbound data would be cut under a stateful inbound block.  So the
-    /// table is left alone and the next threshold tries again.
+    /// inbound data would be cut under a stateful inbound block.  So the TCP
+    /// flows are left alone and the next threshold tries again.
     fn start_sweep(&mut self) {
-        self.sweep_at = 2 * self.tracked.len();
+        let (tcp, interval) = (IpProtocol::Tcp.as_u8(), self.interval);
+        self.tracked
+            .retain(|flow, sent| flow.0 == tcp || *sent == interval);
+        self.interval += 1;
+        self.sweep_at = SWEEP_MIN.max(2 * self.tracked.len());
         if self.unanswered.iter().any(|&owed| owed > 0) {
             return;
         }
@@ -492,7 +509,7 @@ impl PacketFilterServer {
         };
         let tcp = IpProtocol::Tcp.as_u8();
         self.tracked
-            .retain(|flow| flow.0 != tcp || live.contains(flow));
+            .retain(|flow, _| flow.0 != tcp || live.contains(flow));
         self.sweep_at = SWEEP_MIN.max(2 * self.tracked.len());
     }
 }
@@ -794,6 +811,12 @@ mod tests {
         // `meta` sends from 10.0.0.2 to 10.0.0.1: outbound, that is local
         // port `src_port` towards the peer's `dst_port`.
         assert!(check(&mut rig, 0, meta(Direction::Outbound, 80, 999)));
+        // A UDP exchange that keeps sending, and a wave of one-shot ones
+        // (the resolver's queries): no transport vouches for those.
+        let udp = |direction, src_port, dst_port| PacketMeta {
+            protocol: IpProtocol::Udp,
+            ..meta(direction, src_port, dst_port)
+        };
         let mut sweeps = 0;
         let mut largest = 0;
         for flow in 0..10_000u16 {
@@ -802,6 +825,17 @@ mod tests {
                 1,
                 meta(Direction::Outbound, 80, 1000 + flow)
             ));
+            assert!(check(
+                &mut rig,
+                4,
+                udp(Direction::Outbound, 20_000 + flow, 53)
+            ));
+            if flow % 16 == 0 {
+                assert!(check(&mut rig, 5, udp(Direction::Outbound, 5353, 5353)));
+            }
+            let mut reply = udp(Direction::Inbound, 5353, 5353);
+            (reply.src, reply.dst) = (peer, Ipv4Addr::new(10, 0, 0, 2));
+            assert!(check(&mut rig, 6, reply), "live UDP exchange cut at {flow}");
             // TCP answers a sweep's query with what is open right now: the
             // held flow and the newest one.
             for PfToTransport::QueryConnections in drain(&rig.tcp_query) {
@@ -821,11 +855,17 @@ mod tests {
             assert!(check(&mut rig, 2, inbound), "held flow cut at {flow}");
         }
         assert!(sweeps > 50, "{sweeps} sweeps");
-        assert!(largest <= 2 * SWEEP_MIN, "table grew to {largest}");
-        // A flow that closed long ago is forgotten.
+        assert!(largest <= 3 * SWEEP_MIN, "table grew to {largest}");
+        // A flow that closed long ago is forgotten, TCP or UDP; a recent
+        // query's answer still gets in.
         let mut stale = meta(Direction::Inbound, 1000, 80);
         (stale.src, stale.dst) = (peer, Ipv4Addr::new(10, 0, 0, 2));
         assert!(!check(&mut rig, 3, stale));
+        let mut answer = udp(Direction::Inbound, 53, 20_000);
+        (answer.src, answer.dst) = (peer, Ipv4Addr::new(10, 0, 0, 2));
+        assert!(!check(&mut rig, 7, answer));
+        answer.dst_port = 29_999;
+        assert!(check(&mut rig, 8, answer));
     }
 
     /// A sweep forgets only with every replica's answer in hand: while one
@@ -855,6 +895,23 @@ mod tests {
             remote: Some((peer, 999)),
         };
         assert!(check(&mut rig, 0, meta(Direction::Outbound, 81, 999)));
+        // A one-shot UDP exchange: its ageing waits for no replica.
+        let query = PacketMeta {
+            protocol: IpProtocol::Udp,
+            ..meta(Direction::Outbound, 20_000, 53)
+        };
+        assert!(check(&mut rig, 4, query));
+        let answer_gets_in = |rig: &mut Rig| {
+            let answer = PacketMeta {
+                direction: Direction::Inbound,
+                src: query.dst,
+                dst: query.src,
+                src_port: query.dst_port,
+                dst_port: query.src_port,
+                ..query
+            };
+            check(rig, 5, answer)
+        };
         let idle_still_receives = |rig: &mut Rig| {
             let mut inbound = meta(Direction::Inbound, 999, 81);
             (inbound.src, inbound.dst) = (peer, Ipv4Addr::new(10, 0, 0, 2));
@@ -881,6 +938,7 @@ mod tests {
             "nothing forgotten"
         );
         assert!(idle_still_receives(&mut rig));
+        assert!(answer_gets_in(&mut rig), "one whole interval at least");
 
         // B drains its lane.  Second threshold: both are asked; A answers,
         // B takes its time — still nothing is forgotten.
@@ -889,6 +947,7 @@ mod tests {
         assert_eq!(drain(&b_query).len(), 1);
         assert!(rig.pf.stats().tracked_flows > 3 * SWEEP_MIN);
         assert!(idle_still_receives(&mut rig));
+        assert!(!answer_gets_in(&mut rig), "silent for an interval");
         // A further threshold passes while B still owes its answer: no new
         // question is put, so no answer can be mistaken for another's.
         assert_eq!(churn(&mut rig, 1000..1000 + 4 * SWEEP_MIN as u16), 2);

@@ -516,6 +516,9 @@ struct ShimState {
     /// Application completions drained from the CQ while looking for
     /// shim completions; handed out by [`RingHandle::drain`]/`wait`.
     user: Vec<Cqe>,
+    /// The vector [`RingHandle::service`] drains the CQ into, kept between
+    /// calls (taken out while in use, so a wait does not hold the lock).
+    scratch: Vec<Cqe>,
 }
 
 /// An application's view of its syscall rings: the per-shard submission
@@ -761,16 +764,13 @@ impl RingHandle {
     /// application completions go to the stash for
     /// [`RingHandle::drain`]/[`RingHandle::wait`].
     fn service(&self, wait: Option<Duration>) {
-        let mut scratch = Vec::new();
+        let mut scratch = std::mem::take(&mut self.shim.lock().scratch);
         match wait {
             None => self.cq.drain_into(&mut scratch),
             Some(timeout) => self.cq.wait(&mut scratch, timeout),
         };
-        if scratch.is_empty() {
-            return;
-        }
         let mut shim = self.shim.lock();
-        for cqe in scratch {
+        for cqe in scratch.drain(..) {
             if cqe.user_data & SHIM_USER_BIT == 0 {
                 shim.user.push(cqe);
                 continue;
@@ -796,6 +796,7 @@ impl RingHandle {
                 Ok(_) => {}
             }
         }
+        shim.scratch = scratch;
     }
 
     /// Ensures `listener` has a live multishot accept arm, submitting one

@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::{Bytes, BytesMut};
+use bytes::{Appender, Bytes, BytesMut, Shelf};
 use newt_channels::wake::WakeWord;
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
@@ -48,11 +48,18 @@ use crate::rings::{interest_bits, CompletionQueue, CqValue, Cqe};
 /// survives server restarts; each [`SocketBuffer`] rings at most once per
 /// service round (a `wake_pending` flag suppresses repeats until the server
 /// re-arms by draining).
+///
+/// Being the one fabric object every socket buffer of a shard is attached
+/// to, it is also the owner of their send-queue chunks: a chunk the
+/// application wrote goes back to `send_chunks` when the transport drops
+/// its last view of it (the ACK that releases it from the retransmission
+/// buffer), and serves the shard's next write.
 #[derive(Debug, Default)]
 pub struct Doorbell {
     rung: Mutex<Vec<u64>>,
     /// The wake word of the server that drains this doorbell, if it parks.
     wake: Option<Arc<WakeWord>>,
+    send_chunks: Shelf,
 }
 
 impl Doorbell {
@@ -65,8 +72,8 @@ impl Doorbell {
     /// word the draining server parks on while idle.
     pub fn waking(wake: Arc<WakeWord>) -> Arc<Self> {
         Arc::new(Doorbell {
-            rung: Mutex::default(),
             wake: Some(wake),
+            ..Doorbell::default()
         })
     }
 
@@ -250,8 +257,14 @@ impl std::ops::Deref for BufferName {
 
 /// Heap bytes one queued receive chunk costs besides the buffer it
 /// references: its queue entry plus the header (reference count, capacity,
-/// length) the buffer's allocation starts with.
-const CHUNK_OVERHEAD: usize = std::mem::size_of::<(Bytes, usize)>() + 24;
+/// length, home shelf) the buffer's allocation starts with.
+const CHUNK_OVERHEAD: usize = std::mem::size_of::<(Bytes, usize)>() + 32;
+
+/// Capacity of a full send-queue chunk: the shelf's largest block, which
+/// holds the transport's largest draw (a 60 KiB TSO segment) — so a draw
+/// that meets a chunk edge finds the rest of what it wants in the next
+/// chunk.
+const SEND_CHUNK: usize = Shelf::MAX_BLOCK;
 
 /// Size at which the receive queue's copy tail is sealed into a chunk, so
 /// bytes the application has read are returned a few KiB at a time instead
@@ -364,13 +377,96 @@ impl RecvQueue {
     }
 }
 
+/// The send queue, the mirror of [`RecvQueue`]: sealed chunks the protocol
+/// server drains as reference-counted views
+/// ([`SocketBuffer::drain_send_bytes`] — the start of the transmit path's
+/// zero-copy chain) and one tail the application's writes are copied into,
+/// which is drained by view too while the writes go on behind the views.
+///
+/// A drain never moves what stays: it is a view of the front chunk, which
+/// ends at the chunk's edge at the latest.  The blocks come from the
+/// shard's shelf and go back to it when the transport lets go of the last
+/// view.  The one copy left is growth: a tail that fills up below
+/// [`SEND_CHUNK`] (small writes outrunning the drain) has its undrained
+/// bytes copied into a block at least twice the size — what a `Vec` does
+/// when it grows, and as rare (never on the benchmark's workloads) — so
+/// every sealed chunk is a full send chunk and a draw of up to
+/// [`SEND_CHUNK`] bytes lies in two chunks at most.  An empty queue holds
+/// no block at all.
+#[derive(Debug, Default)]
+struct SendQueue {
+    /// The undrained rests of full blocks, oldest first.
+    chunks: VecDeque<Bytes>,
+    /// Written bytes after every chunk; `tail[tail_pos..]` is undrained.
+    tail: Appender,
+    tail_pos: usize,
+    /// Undrained bytes in `chunks` and `tail` together.
+    len: usize,
+}
+
+impl SendQueue {
+    /// Appends `data`, in blocks from `new_block(capacity wanted)`.
+    fn push(&mut self, mut data: &[u8], new_block: impl Fn(usize) -> BytesMut) {
+        self.len += data.len();
+        while !data.is_empty() {
+            if self.tail.room() == 0 {
+                let full = std::mem::take(&mut self.tail);
+                let undrained = std::mem::take(&mut self.tail_pos)..full.len();
+                let keep = if full.capacity() < SEND_CHUNK {
+                    &full[undrained]
+                } else {
+                    if !undrained.is_empty() {
+                        self.chunks.push_back(full.view(undrained));
+                    }
+                    &[]
+                };
+                let want = (keep.len() + data.len()).max(2 * full.capacity());
+                let mut block = new_block(want.min(SEND_CHUNK));
+                block.extend_from_slice(keep);
+                self.tail = block.into();
+            }
+            let n = data.len().min(self.tail.room());
+            self.tail.append(&data[..n]);
+            data = &data[n..];
+        }
+    }
+
+    /// Takes a view of up to `max` bytes off the front; it stops at the
+    /// front chunk's edge.
+    fn drain(&mut self, max: usize) -> Bytes {
+        let out = match self.chunks.front_mut() {
+            Some(front) if max < front.len() => {
+                let out = front.slice(..max);
+                *front = front.slice(max..);
+                out
+            }
+            Some(_) => self.chunks.pop_front().expect("there is a front"),
+            None => {
+                let end = self.tail.len().min(self.tail_pos + max);
+                let out = self.tail.view(self.tail_pos..end);
+                self.tail_pos = end;
+                out
+            }
+        };
+        self.len -= out.len();
+        if self.len == 0 {
+            // Drained dry: the tail's block lives on in the views of it.
+            self.tail = Appender::new();
+            self.tail_pos = 0;
+        }
+        out
+    }
+
+    /// Heap bytes the queue holds or pins.
+    fn mem_bytes(&self) -> usize {
+        let chunks: usize = self.chunks.iter().map(Bytes::block_capacity).sum();
+        chunks + self.tail.capacity() + self.chunks.capacity() * std::mem::size_of::<Bytes>()
+    }
+}
+
 #[derive(Debug, Default)]
 struct BufInner {
-    /// The send queue is a `BytesMut` rather than a ring of bytes so the
-    /// protocol server can *loan* regions out as reference-counted
-    /// [`Bytes`] views ([`SocketBuffer::drain_send_bytes`]) — the start of
-    /// the transmit path's zero-copy chain.
-    send: BytesMut,
+    send: SendQueue,
     recv: RecvQueue,
     recv_eof: bool,
     error: Option<SockError>,
@@ -457,14 +553,14 @@ impl SocketBuffer {
         }
     }
 
-    /// Bytes of heap memory this buffer currently holds (the send queue's
-    /// allocation, everything the receive queue owns or pins by reference,
-    /// plus the fixed structure), the figure behind the
+    /// Bytes of heap memory this buffer currently holds (everything the
+    /// send and receive queues own or pin by reference, plus the fixed
+    /// structure), the figure behind the
     /// per-connection-memory benchmark gate.  The receive side stays within
     /// `4 * recv_capacity` plus a fixed 16 KiB whatever the peer sends.
     pub fn mem_bytes(&self) -> usize {
         let inner = self.inner.lock();
-        inner.send.capacity() + inner.recv.mem_bytes() + std::mem::size_of::<SocketBuffer>()
+        inner.send.mem_bytes() + inner.recv.mem_bytes() + std::mem::size_of::<SocketBuffer>()
     }
 
     /// The configured send and receive capacities, in bytes.
@@ -486,6 +582,15 @@ impl SocketBuffer {
     /// (it re-rings after the drain instead).
     pub fn rearm_doorbell(&self) {
         self.wake_pending.store(false, Ordering::Release);
+    }
+
+    /// A block for the send queue's tail: from the shard's shelf once a
+    /// server has attached its doorbell, an ordinary buffer before.
+    fn send_block(&self, capacity: usize) -> BytesMut {
+        match self.notify.lock().as_ref() {
+            Some(target) => target.doorbell.send_chunks.take(capacity),
+            None => BytesMut::with_capacity(capacity),
+        }
     }
 
     fn ring_doorbell(&self) {
@@ -524,10 +629,12 @@ impl SocketBuffer {
             if let Some(err) = inner.error {
                 return Err(err);
             }
-            let space = self.send_capacity.saturating_sub(inner.send.len());
+            let space = self.send_capacity.saturating_sub(inner.send.len);
             if space > 0 {
                 let n = space.min(data.len());
-                inner.send.extend_from_slice(&data[..n]);
+                inner
+                    .send
+                    .push(&data[..n], |capacity| self.send_block(capacity));
                 self.readable.notify_all();
                 drop(inner);
                 self.ring_doorbell();
@@ -590,7 +697,7 @@ impl SocketBuffer {
     /// (how much [`SocketBuffer::write`] would accept without blocking).
     pub fn send_space(&self) -> usize {
         let inner = self.inner.lock();
-        self.send_capacity.saturating_sub(inner.send.len())
+        self.send_capacity.saturating_sub(inner.send.len)
     }
 
     /// Snapshot of the buffer's readiness, computed locally from shared
@@ -602,7 +709,7 @@ impl SocketBuffer {
         let eof = inner.recv_eof;
         Readiness {
             readable: inner.recv.len > 0 || eof || error.is_some(),
-            writable: self.send_capacity.saturating_sub(inner.send.len()) > 0 && error.is_none(),
+            writable: self.send_capacity.saturating_sub(inner.send.len) > 0 && error.is_none(),
             hung_up: eof,
             error,
         }
@@ -627,23 +734,34 @@ impl SocketBuffer {
     /// wrote and the server should transmit) as a copy.  Hot paths use
     /// [`SocketBuffer::drain_send_bytes`] instead.
     pub fn drain_send(&self, max: usize) -> Vec<u8> {
-        self.drain_send_bytes(max).to_vec()
+        let mut out = Vec::new();
+        loop {
+            // A view stops at a chunk edge; an empty one ends the queue
+            // (or `max`).
+            let more = self.drain_send_bytes(max - out.len());
+            if more.is_empty() {
+                return out;
+            }
+            out.extend_from_slice(&more);
+        }
     }
 
     /// Takes up to `max` bytes from the send queue as a reference-counted
-    /// [`Bytes`] view — no copy is made; the returned handle is an
-    /// immutable loan of the region the application wrote, which the
-    /// transport publishes straight into the shared TX pool and keeps for
-    /// retransmission.  Later application writes extend fresh memory and
-    /// never mutate an outstanding loan.  An empty queue is left untouched.
+    /// [`Bytes`] view — no copy is made and nothing that stays in the queue
+    /// moves; the returned handle is an immutable loan of the region the
+    /// application wrote, which the transport publishes straight into the
+    /// shared TX pool and keeps for retransmission.  Later application
+    /// writes go to memory no loan covers.  The view may be shorter than
+    /// both `max` and the queue: it ends where the chunk it lies in ends,
+    /// and the next call continues from there.  An empty queue is left
+    /// untouched.
     pub fn drain_send_bytes(&self, max: usize) -> Bytes {
         let out = {
             let mut inner = self.inner.lock();
-            let n = max.min(inner.send.len());
-            if n == 0 {
+            if max.min(inner.send.len) == 0 {
                 return Bytes::new();
             }
-            let out = inner.send.split_to(n).freeze();
+            let out = inner.send.drain(max);
             self.writable.notify_all();
             out
         };
@@ -654,14 +772,14 @@ impl SocketBuffer {
 
     /// Returns the number of bytes waiting in the send queue.
     pub fn send_pending(&self) -> usize {
-        self.inner.lock().send.len()
+        self.inner.lock().send.len
     }
 
     /// Returns `true` once the application has closed the socket and the
     /// send queue is fully drained.
     pub fn app_closed_and_drained(&self) -> bool {
         let inner = self.inner.lock();
-        inner.closed_by_app && inner.send.is_empty()
+        inner.closed_by_app && inner.send.len == 0
     }
 
     /// Returns `true` if the application has closed the socket.
@@ -678,11 +796,12 @@ impl SocketBuffer {
 
     /// Appends received, in-order data that sits inside a reference-counted
     /// buffer of `backing` bytes (the received frame `payload` is a slice
-    /// of).  The payload is queued by reference — no copy until the
-    /// application reads it — unless it is so small a part of the buffer
-    /// that pinning the whole buffer for it would break the receive
-    /// queue's memory bound; then it is copied like
-    /// [`SocketBuffer::push_recv`] does.
+    /// of — its [`Bytes::block_capacity`], not its length: a short frame
+    /// may sit in a class-sized block of its sender's shelf).  The payload
+    /// is queued by reference — no copy until the application reads it —
+    /// unless it is so small a part of the buffer that pinning the whole
+    /// buffer for it would break the receive queue's memory bound; then it
+    /// is copied like [`SocketBuffer::push_recv`] does.
     pub fn push_recv_bytes(&self, payload: Bytes, backing: usize) -> RecvPush {
         let pinned = backing + CHUNK_OVERHEAD;
         let mut copied = false;
@@ -784,6 +903,100 @@ mod tests {
         assert_eq!(&first[..], b"hel");
         assert_eq!(buf.send_pending(), 0);
         assert!(buf.drain_send_bytes(8).is_empty());
+    }
+
+    /// `len` bytes of a stream whose byte `i` is `i % 251`, from `from` on.
+    fn stream(from: usize, len: usize) -> Vec<u8> {
+        (from..from + len).map(|i| (i % 251) as u8).collect()
+    }
+
+    #[test]
+    fn a_drain_stops_at_a_chunk_edge_and_the_next_one_continues() {
+        assert!(SEND_CHUNK >= crate::tcp::TcpConfig::default().tso_segment);
+        let buf = SocketBuffer::new(3 * SEND_CHUNK, 16);
+        let total = SEND_CHUNK + 1000;
+        assert_eq!(buf.write(&stream(0, total), T), Ok(total));
+        assert_eq!(buf.send_space(), 3 * SEND_CHUNK - total);
+        let first = buf.drain_send_bytes(SEND_CHUNK - 500);
+        assert_eq!(first[..], stream(0, SEND_CHUNK - 500)[..]);
+        // 1500 bytes are left, 500 of them before the edge.
+        let short = buf.drain_send_bytes(2000);
+        assert_eq!(short[..], stream(SEND_CHUNK - 500, 500)[..]);
+        assert_eq!(buf.send_pending(), 1000);
+        assert!(!buf.app_closed_and_drained());
+        // A write in between lands behind what the next drain continues with.
+        assert_eq!(buf.write(&stream(total, 300), T), Ok(300));
+        let rest = buf.drain_send_bytes(2000);
+        assert_eq!(rest[..], stream(SEND_CHUNK, 1300)[..]);
+        assert_eq!(buf.send_pending(), 0);
+        // The copying drain gathers across the edge.
+        assert_eq!(buf.write(&stream(0, total), T), Ok(total));
+        assert_eq!(buf.drain_send(total + 1), stream(0, total));
+    }
+
+    #[test]
+    fn loaned_views_are_bit_stable_across_writes_drains_and_chunk_reuse() {
+        const CAP: usize = 2 * SEND_CHUNK + 999;
+        let buf = SocketBuffer::new(CAP, 16);
+        buf.attach_doorbell(Doorbell::new(), 1);
+        let (mut written, mut drained) = (0usize, 0usize);
+        // Some loans are kept for a while (the retransmission buffer), the
+        // others dropped at once, so blocks come home and are written again
+        // while older and younger views are still out.
+        let mut loans: VecDeque<(usize, Bytes)> = VecDeque::new();
+        for round in 0..400usize {
+            let offered = 1 + (round * 7919) % 40_000;
+            let space = buf.send_space();
+            match buf.write(&stream(written, offered), Duration::ZERO) {
+                Ok(n) => {
+                    assert_eq!(n, offered.min(space));
+                    written += n;
+                }
+                Err(error) => assert_eq!((error, space), (SockError::WouldBlock, 0)),
+            }
+            let view = buf.drain_send_bytes(1 + (round * 104_729) % 70_000);
+            assert_eq!(view[..], stream(drained, view.len())[..], "round {round}");
+            if round % 3 == 0 {
+                loans.push_back((drained, view.clone()));
+            }
+            drained += view.len();
+            assert_eq!(buf.send_pending(), written - drained);
+            assert_eq!(buf.send_space(), CAP - (written - drained));
+            assert_eq!(buf.readiness().writable, written - drained < CAP);
+            if loans.len() > 6 {
+                loans.pop_front();
+            }
+            for (at, loan) in &loans {
+                assert_eq!(loan[..], stream(*at, loan.len())[..], "round {round}");
+            }
+        }
+        assert!(written > 40 * SEND_CHUNK);
+        // Drained dry, the queue holds no block.
+        let idle = SocketBuffer::new(CAP, 16).mem_bytes();
+        let _ = buf.drain_send(CAP);
+        assert!(buf.mem_bytes() < idle + 1024);
+    }
+
+    #[test]
+    fn a_released_chunk_serves_the_next_write() {
+        let doorbell = Doorbell::new();
+        let buf = SocketBuffer::new(4096, 16);
+        buf.attach_doorbell(doorbell, 1);
+        buf.write(b"response one", T).unwrap();
+        let loan = buf.drain_send_bytes(64);
+        let at = loan.as_ptr();
+        // Still on loan: the next write gets another block.
+        buf.write(b"response two", T).unwrap();
+        let second = buf.drain_send_bytes(64);
+        assert_ne!(second.as_ptr(), at);
+        // Acknowledged: the block is back for the write after that, and
+        // what it held cannot be read through the new loan.
+        drop(loan);
+        buf.write(b"three", T).unwrap();
+        let third = buf.drain_send_bytes(64);
+        assert_eq!(third.as_ptr(), at);
+        assert_eq!(&third[..], b"three");
+        assert_eq!(&second[..], b"response two");
     }
 
     #[test]

@@ -362,7 +362,7 @@ impl Connection {
                     // the first and only copy.
                     let push = self
                         .buffer
-                        .push_recv_bytes(frame.slice_ref(segment.payload), frame.len());
+                        .push_recv_bytes(frame.slice_ref(segment.payload), frame.block_capacity());
                     stats.rx_copies += push.copied as u64;
                     let offered = segment.payload.len();
                     let immediate = self.rd.received(push.accepted, offered, self.cm.mss());
@@ -417,7 +417,7 @@ impl Connection {
         share: u32,
         config: &TcpConfig,
         stats: &mut TcpStats,
-    ) -> Option<(Header, Bytes)> {
+    ) -> Option<(Header, [Bytes; 2])> {
         if !self.cm.can_send() {
             return None;
         }
@@ -430,11 +430,20 @@ impl Connection {
             .max(mss as u32);
         let room = window.saturating_sub(self.rd.flight()) as usize;
         let seg_size = if config.tso { config.tso_segment } else { mss };
-        let data = match room {
-            0 => Bytes::new(),
-            _ => self.buffer.drain_send_bytes(room.min(seg_size)),
-        };
-        let (seq, flags) = if !data.is_empty() {
+        // A draw that meets a chunk edge of the send queue takes the rest
+        // from the next chunk (a chunk holds the largest draw, so two views
+        // cover it): the segment ends where it would have ended had the
+        // queue been contiguous.
+        let mut data = [Bytes::new(), Bytes::new()];
+        let mut want = room.min(seg_size);
+        for part in &mut data {
+            *part = self.buffer.drain_send_bytes(want);
+            want -= part.len();
+            if part.is_empty() || want == 0 {
+                break;
+            }
+        }
+        let (seq, flags) = if !data[0].is_empty() {
             (self.rd.send(&data, now), TcpFlags::PSH_ACK)
         } else if self.cm.fin_wanted()
             && self.rd.unacked().is_empty()

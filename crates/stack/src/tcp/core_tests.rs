@@ -112,7 +112,7 @@ impl Rig {
             self.conn
                 .pump(self.now, share, &self.config, &mut self.stats)
         {
-            out.push((header, data.to_vec()));
+            out.push((header, [&data[0][..], &data[1][..]].concat()));
         }
         out
     }

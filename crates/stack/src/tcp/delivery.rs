@@ -171,11 +171,13 @@ impl Reliable {
         seq
     }
 
-    /// New data leaves; the retransmission buffer keeps a second refcount
-    /// on the same loan — no copy.  Returns its sequence number.
-    pub(crate) fn send(&mut self, data: &Bytes, now: Duration) -> u32 {
-        self.unacked.push(data.clone());
-        self.take_seq(data.len() as u32, now)
+    /// New data leaves, as the views it was drawn in; the retransmission
+    /// buffer keeps a second refcount on the same loans — no copy.  Returns
+    /// its sequence number.
+    pub(crate) fn send(&mut self, data: &[Bytes], now: Duration) -> u32 {
+        let before = self.unacked.len();
+        data.iter().for_each(|part| self.unacked.push(part.clone()));
+        self.take_seq((self.unacked.len() - before) as u32, now)
     }
 
     /// Our FIN leaves; returns its sequence number.

@@ -1176,7 +1176,7 @@ impl TcpServer {
             {
                 work += 1;
                 self.egress
-                    .emit(dst, &segment, Some(data), false, &mut self.stats);
+                    .emit(dst, &segment, data, false, &mut self.stats);
             }
             Self::sync_rto(&mut self.wheel, id, entry);
             if entry.conn.state() != before {
