@@ -501,6 +501,13 @@ impl ChunkWriter {
         self.buf.extend_from_slice(data);
     }
 
+    /// Returns the index of the chunk inside the pool — the
+    /// [`RichPtr::slot`] the chunk will be published under, and while it is
+    /// being written a number no other chunk of the pool has.
+    pub fn slot(&self) -> u32 {
+        self.slot
+    }
+
     /// Returns the number of bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -633,7 +640,10 @@ mod tests {
         chunk.write(b"payload");
         assert_eq!(chunk.len(), 14);
         assert_eq!(chunk.remaining(), 256 - 14);
+        let slot = chunk.slot();
+        assert!((slot as usize) < pool.capacity());
         let ptr = chunk.publish();
+        assert_eq!(ptr.slot, slot);
         assert_eq!(&pool.read(&ptr).unwrap()[..], b"header|payload");
     }
 

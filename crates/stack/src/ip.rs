@@ -12,17 +12,21 @@
 //! routes — which is why the paper classifies IP as "easy to restore"
 //! (Table I).  What *is* intricate is the bookkeeping of in-flight requests:
 //! frames handed to a driver but not yet acknowledged, checks submitted to
-//! the packet filter, receive chunks lent to the transports.  All of that
-//! lives in request databases so that a neighbour's crash translates into a
-//! well-defined abort-and-resubmit action (paper §V-D).
+//! the packet filter, receive chunks lent to the transports.  Every one of
+//! them is about a frame that owns a slot of one of IP's two pools, so the
+//! request database (paper §IV) is two tables indexed by pool slot: a
+//! request's identifier is its slot plus a per-submission tag, a reply finds
+//! its record without a search, and a neighbour's crash translates into a
+//! scan for the records waiting on it — a well-defined abort-and-resubmit
+//! action (paper §V-D).
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use serde::{Deserialize, Serialize};
 
-use newt_channels::pool::Pool;
-use newt_channels::reqdb::{AbortPolicy, RequestDb, RequestId};
+use newt_channels::pool::{ChunkWriter, Pool};
+use newt_channels::reqdb::RequestId;
 use newt_channels::rich::{RichChain, RichPtr};
 use newt_kernel::rs::{CrashEvent, StartMode, StateSnapshot};
 use newt_kernel::storage::{codec, StorageServer};
@@ -115,6 +119,8 @@ struct OutPacket {
     origin: Origin,
     protocol: IpProtocol,
     dst: Ipv4Addr,
+    /// The interface the packet leaves through, routed once on arrival.
+    iface: usize,
     src_port: u16,
     dst_port: u16,
     transport_header: HeaderBuf,
@@ -129,20 +135,6 @@ struct PendingTx {
     iface: usize,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum PendingCheck {
-    Outbound(OutPacket),
-    /// A received frame waiting for its verdict, with what the first parse
-    /// learned so the frame is not parsed again once the verdict arrives.
-    Inbound {
-        ptr: RichPtr,
-        nic: usize,
-        protocol: IpProtocol,
-        src: Ipv4Addr,
-        src_mac: MacAddr,
-    },
-}
-
 /// Which transport a lent receive chunk went to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 enum LentTo {
@@ -150,24 +142,107 @@ enum LentTo {
     Udp,
 }
 
+/// What IP has in flight about the frame in one receive-pool slot.  The
+/// driver publishes a frame and IP frees it; in between the record says who
+/// IP is waiting for.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+enum RxSlot {
+    /// Nothing in flight: the slot is free, or the frame in it is being
+    /// handled within one poll round.
+    Free,
+    /// The frame waits for the filter's verdict, with what the first parse
+    /// learned so it is not parsed again once the verdict arrives.
+    AwaitingVerdict {
+        tag: u32,
+        ptr: RichPtr,
+        nic: usize,
+        protocol: IpProtocol,
+        src: Ipv4Addr,
+        src_mac: MacAddr,
+    },
+    /// The frame is with a transport until its `RxDone` (or its crash).
+    Lent { to: LentTo, ptr: RichPtr },
+}
+
+/// What IP has in flight about the packet whose combined header lives in
+/// one header-pool slot.  The slot is taken when the packet arrives from
+/// its transport and freed when the driver is done with the frame.
+#[derive(Debug)]
+enum TxSlot {
+    Free,
+    /// The packet waits for the filter's verdict; its header chunk is taken
+    /// but not written yet.
+    AwaitingVerdict {
+        tag: u32,
+        pkt: OutPacket,
+        header: ChunkWriter,
+    },
+    /// The frame — the published header chunk, head of `tx.chain`, plus the
+    /// transport's payload — is with a driver.
+    AwaitingDriver {
+        tag: u32,
+        tx: PendingTx,
+    },
+}
+
+/// Set in the identifier of a filter check about an outbound packet (a
+/// header-pool slot); clear for a received frame (a receive-pool slot).
+const OUTBOUND_CHECK: u64 = 1 << 63;
+
+/// The identifier of a request about the frame in `slot`: unique among the
+/// requests in flight because the slot is, and different from every earlier
+/// request about the same slot because the tag is.
+fn request_id(slot: u32, tag: u32) -> RequestId {
+    RequestId::from_raw(u64::from(slot) << 32 | u64::from(tag))
+}
+
+/// The identifier of a filter check about the outbound packet holding
+/// header-pool `slot`.
+fn outbound_check_id(slot: u32, tag: u32) -> RequestId {
+    RequestId::from_raw(OUTBOUND_CHECK | request_id(slot, tag).as_raw())
+}
+
+/// The slot and tag of an identifier [`request_id`] made.
+fn slot_and_tag(req: RequestId) -> (usize, u32) {
+    let raw = req.as_raw() & !OUTBOUND_CHECK;
+    ((raw >> 32) as usize, raw as u32)
+}
+
+/// What the ARP cache knows about one address.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct ArpEntry {
+    mac: MacAddr,
+    /// Whether an ARP packet said so; `false` for a MAC merely read off a
+    /// packet's source fields, which anyone can forge.
+    confirmed: bool,
+}
+
 /// Version tag of the IP live-update snapshot payload.  Version 2 added
-/// the first-parse results to pending inbound filter checks.
-pub const IP_STATE_VERSION: u32 = 2;
+/// the first-parse results to pending inbound filter checks; version 3
+/// carries the slot records instead of two request databases and a map.
+pub const IP_STATE_VERSION: u32 = 3;
 
 /// Everything an IP incarnation hands over on live update: the ARP cache
-/// and packets parked on unresolved ARP entries, the IP identification
-/// counter, every receive chunk currently lent to a transport, and the
-/// requests still in flight towards the drivers and the packet filter.
+/// and packets parked on unresolved ARP entries, the IP identification and
+/// request-tag counters, and every record of the two slot tables.
 /// The rx/header pools are *not* reset on this path, so every rich pointer
-/// in here stays valid across the hand-over.
+/// in here stays valid across the hand-over, and with it every identifier
+/// the drivers and the filter hold — a record's slot is its pointer's.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct IpHotState {
-    arp_cache: Vec<(u32, MacAddr)>,
+    arp_cache: Vec<(u32, ArpEntry)>,
     arp_waiting: Vec<(u32, Vec<OutPacket>)>,
-    lent_rx: Vec<(RichPtr, LentTo)>,
     ip_ident: u16,
-    drv_in_flight: Vec<(RequestId, PendingTx)>,
-    pf_in_flight: Vec<(RequestId, PendingCheck)>,
+    next_tag: u32,
+    /// The receive-slot records that are not free.
+    rx_slots: Vec<RxSlot>,
+    /// Frames the drivers have not acknowledged, with their tags.
+    drv_in_flight: Vec<(u32, PendingTx)>,
+    /// Outbound packets the filter has not answered for, oldest first.  The
+    /// header chunk such a packet holds is unwritten and goes back to the
+    /// pool with the old incarnation, so the new one takes a slot of its
+    /// own and asks again, under that slot's identifier.
+    pf_outbound: Vec<OutPacket>,
 }
 
 /// One incarnation of the IP/ICMP/ARP server.
@@ -197,11 +272,21 @@ pub struct IpServer {
     crash_board: CrashBoard,
     crash_cursor: usize,
 
-    arp_cache: HashMap<Ipv4Addr, MacAddr>,
+    /// At most [`Self::ARP_CACHE_ENTRIES`] addresses.
+    arp_cache: HashMap<Ipv4Addr, ArpEntry>,
+    /// The destination resolved last, with its interface and MAC: a flow
+    /// whose next hop does not change never reaches `route()` or the cache.
+    next_hop: Option<(Ipv4Addr, usize, MacAddr)>,
     arp_waiting: HashMap<Ipv4Addr, Vec<OutPacket>>,
-    drv_reqs: RequestDb<PendingTx>,
-    pf_reqs: RequestDb<PendingCheck>,
-    lent_rx: HashMap<RichPtr, LentTo>,
+    /// One record per receive-pool slot, indexed by [`RichPtr::slot`].
+    rx_slots: Vec<RxSlot>,
+    /// One record per header-pool slot.  The storage for all of them is
+    /// reserved in `new`; the table is as long as the highest slot used so
+    /// far (the pool hands out low slots first), so — like the pool's own
+    /// chunks — a record costs memory from the first use of its slot on.
+    tx_slots: Vec<TxSlot>,
+    /// The tag of the next request; see [`request_id`].
+    next_tag: u32,
     ip_ident: u16,
     stats: IpStats,
     /// Scratch buffers reused across poll rounds (zero steady-state
@@ -280,6 +365,8 @@ impl IpServer {
         };
         let crash_cursor = crash_board.len();
         let drivers = to_drv.len();
+        let rx_slots = vec![RxSlot::Free; rx_pool.capacity()];
+        let tx_slots = Vec::with_capacity(header_pool.capacity());
         let mut server = IpServer {
             config,
             shard,
@@ -298,11 +385,15 @@ impl IpServer {
             from_drv,
             crash_board,
             crash_cursor,
-            arp_cache: HashMap::new(),
+            // Twice the bound: a table that runs out of unused buckets while
+            // at most half full rehashes in place, so the cache allocates
+            // here and never again.
+            arp_cache: HashMap::with_capacity(2 * Self::ARP_CACHE_ENTRIES),
+            next_hop: None,
             arp_waiting: HashMap::new(),
-            drv_reqs: RequestDb::new(),
-            pf_reqs: RequestDb::new(),
-            lent_rx: HashMap::new(),
+            rx_slots,
+            tx_slots,
+            next_tag: 1,
             ip_ident: 1,
             stats: IpStats::default(),
             transport_scratch: Vec::new(),
@@ -333,28 +424,39 @@ impl IpServer {
     /// Nothing is freed or aborted — the pool chains and lent chunks stay
     /// live and transfer to the replacement.
     pub fn export_state(&mut self) -> (u32, Vec<u8>) {
+        let mut pf_outbound = Vec::new();
+        let mut drv_in_flight = Vec::new();
+        for record in &self.tx_slots {
+            match record {
+                TxSlot::Free => {}
+                TxSlot::AwaitingVerdict { tag, pkt, .. } => pf_outbound.push((*tag, pkt)),
+                TxSlot::AwaitingDriver { tag, tx } => drv_in_flight.push((*tag, tx.clone())),
+            }
+        }
+        pf_outbound.sort_unstable_by_key(|(tag, _)| self.age_of(*tag));
         let hot = IpHotState {
             arp_cache: self
                 .arp_cache
                 .iter()
-                .map(|(ip, mac)| (u32::from(*ip), *mac))
+                .map(|(ip, entry)| (u32::from(*ip), *entry))
                 .collect(),
             arp_waiting: self
                 .arp_waiting
                 .iter()
                 .map(|(ip, pkts)| (u32::from(*ip), pkts.clone()))
                 .collect(),
-            lent_rx: self.lent_rx.iter().map(|(p, l)| (*p, *l)).collect(),
             ip_ident: self.ip_ident,
-            drv_in_flight: self
-                .drv_reqs
-                .iter_pending()
-                .map(|(id, _, _, tx)| (id, tx.clone()))
+            next_tag: self.next_tag,
+            rx_slots: self
+                .rx_slots
+                .iter()
+                .filter(|record| !matches!(record, RxSlot::Free))
+                .copied()
                 .collect(),
-            pf_in_flight: self
-                .pf_reqs
-                .iter_pending()
-                .map(|(id, _, _, check)| (id, check.clone()))
+            drv_in_flight,
+            pf_outbound: pf_outbound
+                .into_iter()
+                .map(|(_, pkt)| pkt.clone())
                 .collect(),
         };
         (IP_STATE_VERSION, codec::encode(&hot))
@@ -370,25 +472,35 @@ impl IpServer {
         let Some(hot) = codec::decode::<IpHotState>(&snapshot.payload) else {
             return false;
         };
-        self.arp_cache = hot
-            .arp_cache
-            .into_iter()
-            .map(|(ip, mac)| (Ipv4Addr::from(ip), mac))
-            .collect();
+        self.arp_cache.extend(
+            hot.arp_cache
+                .into_iter()
+                .take(Self::ARP_CACHE_ENTRIES)
+                .map(|(ip, entry)| (Ipv4Addr::from(ip), entry)),
+        );
         self.arp_waiting = hot
             .arp_waiting
             .into_iter()
             .map(|(ip, pkts)| (Ipv4Addr::from(ip), pkts))
             .collect();
-        self.lent_rx = hot.lent_rx.into_iter().collect();
         self.ip_ident = hot.ip_ident;
-        for (id, tx) in hot.drv_in_flight {
-            let to = endpoints::driver(tx.iface);
-            self.drv_reqs.restore(id, to, AbortPolicy::Resubmit, tx);
+        self.next_tag = hot.next_tag;
+        for record in hot.rx_slots {
+            let (RxSlot::AwaitingVerdict { ptr, .. } | RxSlot::Lent { ptr, .. }) = record else {
+                continue;
+            };
+            if let Some(slot) = self.rx_slots.get_mut(ptr.slot as usize) {
+                *slot = record;
+            }
         }
-        for (id, check) in hot.pf_in_flight {
-            self.pf_reqs
-                .restore(id, endpoints::PF, AbortPolicy::Resubmit, check);
+        for (tag, tx) in hot.drv_in_flight {
+            let head = tx.chain.parts().first().map(|head| head.slot);
+            if let Some(slot) = head.filter(|slot| (*slot as usize) < self.tx_slots.capacity()) {
+                *self.tx_record(slot) = TxSlot::AwaitingDriver { tag, tx };
+            }
+        }
+        for pkt in hot.pf_outbound {
+            self.accept_outbound(pkt);
         }
         true
     }
@@ -478,15 +590,33 @@ impl IpServer {
         work
     }
 
-    /// Queues a filter check for this poll round's batch.
-    fn queue_check(&mut self, req: RequestId, meta: PacketMeta) {
-        self.check_batch.push((req, meta));
+    /// The record of header-pool `slot`, for a packet that just took the
+    /// slot; the table grows into its reserved storage to reach it.
+    fn tx_record(&mut self, slot: u32) -> &mut TxSlot {
+        let slot = slot as usize;
+        if slot >= self.tx_slots.len() {
+            self.tx_slots.resize_with(slot + 1, || TxSlot::Free);
+        }
+        &mut self.tx_slots[slot]
+    }
+
+    /// The tag of the next request.
+    fn fresh_tag(&mut self) -> u32 {
+        let tag = self.next_tag;
+        self.next_tag = tag.wrapping_add(1);
+        tag
+    }
+
+    /// Sorts requests oldest first by the tags they were submitted under,
+    /// whatever the counter has wrapped past since.
+    fn age_of(&self, tag: u32) -> u32 {
+        tag.wrapping_sub(self.next_tag)
     }
 
     /// Sends every check queued this round as one message.  On failure (the
-    /// filter's queue is full or the filter is gone) the checks stay pending
-    /// in the request database and are resubmitted when the filter's crash
-    /// event aborts them — exactly the per-check behaviour before batching.
+    /// filter's queue is full or the filter is gone) the checks stay in
+    /// their slot records and are resubmitted when the filter's crash event
+    /// aborts them — exactly the per-check behaviour before batching.
     fn flush_checks(&mut self) {
         if self.check_batch.is_empty() {
             return;
@@ -515,10 +645,7 @@ impl IpServer {
                 self.to_drv[iface].send(IpToDrv::TransmitBatch(batch))
             {
                 for (req, _) in batch {
-                    if let Some(pending) = self.drv_reqs.complete(req) {
-                        self.header_pool.free_chain(&pending.chain);
-                        self.notify_send_done(pending.origin, false);
-                    }
+                    self.handle_transmit_done(req, false);
                 }
             }
         }
@@ -553,7 +680,7 @@ impl IpServer {
                 Err(refused) => {
                     if let IpToTransport::DeliverBatch(ptrs) = refused {
                         for ptr in ptrs {
-                            self.lent_rx.remove(&ptr);
+                            self.rx_slots[ptr.slot as usize] = RxSlot::Free;
                             let _ = self.rx_pool.free(&ptr);
                         }
                     }
@@ -593,17 +720,17 @@ impl IpServer {
                     LentTo::Tcp => Origin::Tcp(req),
                     LentTo::Udp => Origin::Udp(req),
                 };
-                let pkt = OutPacket {
+                self.accept_outbound(OutPacket {
                     origin,
                     protocol,
                     dst,
+                    iface: self.iface_towards(dst),
                     src_port,
                     dst_port,
                     transport_header,
                     payload,
                     is_connection_start,
-                };
-                self.stage_filter_outbound(pkt);
+                });
             }
             TransportToIp::RxDoneBatch(mut ptrs) => {
                 for ptr in ptrs.drain(..) {
@@ -618,63 +745,104 @@ impl IpServer {
         }
     }
 
+    /// Frees a chunk its transport is done with — if it is one IP lent.
     fn release_rx(&mut self, ptr: RichPtr) {
-        self.lent_rx.remove(&ptr);
+        let Some(record) = self.rx_slots.get_mut(ptr.slot as usize) else {
+            return;
+        };
+        if !matches!(record, RxSlot::Lent { ptr: lent, .. } if *lent == ptr) {
+            return;
+        }
+        *record = RxSlot::Free;
         if self.rx_pool.free(&ptr).is_ok() {
             self.stats.rx_freed += 1;
         }
     }
 
-    fn stage_filter_outbound(&mut self, pkt: OutPacket) {
+    /// Takes the header slot of a packet a transport (or a previous
+    /// incarnation) handed over and sends the packet on its way: to the
+    /// filter if there is one, towards its next hop otherwise.
+    fn accept_outbound(&mut self, pkt: OutPacket) {
+        let Ok(header) = self.header_pool.alloc() else {
+            // Header pool exhausted: drop the packet, the transport's
+            // retransmission machinery recovers.
+            self.drop_outbound(&pkt.payload, pkt.origin);
+            return;
+        };
         if !self.config.with_pf {
-            self.stage_route(pkt);
+            self.stage_route(pkt, header);
             return;
         }
-        let iface = self.route(pkt.dst);
-        let meta = PacketMeta {
+        let slot = header.slot();
+        let tag = self.fresh_tag();
+        self.check_batch.push((
+            outbound_check_id(slot, tag),
+            Self::meta_for_outbound(&self.config, &pkt),
+        ));
+        *self.tx_record(slot) = TxSlot::AwaitingVerdict { tag, pkt, header };
+    }
+
+    fn meta_for_outbound(config: &IpConfig, pkt: &OutPacket) -> PacketMeta {
+        PacketMeta {
             direction: Direction::Outbound,
-            src: self.config.interfaces[iface].addr,
+            src: config.interfaces[pkt.iface].addr,
             dst: pkt.dst,
             protocol: pkt.protocol,
             src_port: pkt.src_port,
             dst_port: pkt.dst_port,
             len: IPV4_HEADER_LEN + pkt.transport_header.len() + pkt.payload.total_len(),
             is_connection_start: pkt.is_connection_start,
-        };
-        let req = self.pf_reqs.submit(
-            endpoints::PF,
-            AbortPolicy::Resubmit,
-            PendingCheck::Outbound(pkt),
-        );
-        self.queue_check(req, meta);
+        }
     }
 
+    /// Matches a verdict to the record it is about.  One whose slot is free,
+    /// waits for something else or was resubmitted under a newer tag (a
+    /// late or duplicate reply) changes nothing.
     fn handle_verdict(&mut self, req: RequestId, pass: bool) {
-        let Some(pending) = self.pf_reqs.complete(req) else {
-            return;
-        };
-        match pending {
-            PendingCheck::Outbound(pkt) => {
-                if pass {
-                    self.stage_route(pkt);
-                } else {
-                    self.stats.filtered += 1;
-                    self.notify_send_done(pkt.origin, false);
+        let (slot, tag) = slot_and_tag(req);
+        if req.as_raw() & OUTBOUND_CHECK != 0 {
+            let Some(record) = self.tx_slots.get_mut(slot) else {
+                return;
+            };
+            match std::mem::replace(record, TxSlot::Free) {
+                TxSlot::AwaitingVerdict {
+                    tag: at,
+                    pkt,
+                    header,
+                } if at == tag => {
+                    if pass {
+                        self.stage_route(pkt, header);
+                    } else {
+                        self.stats.filtered += 1;
+                        self.notify_send_done(pkt.origin, false);
+                    }
                 }
+                other => *record = other,
             }
-            PendingCheck::Inbound {
+        } else {
+            let Some(record) = self.rx_slots.get_mut(slot) else {
+                return;
+            };
+            let RxSlot::AwaitingVerdict {
+                tag: at,
                 ptr,
                 protocol,
                 src,
                 src_mac,
                 ..
-            } => {
-                if pass {
-                    self.continue_inbound(ptr, protocol, src, src_mac);
-                } else {
-                    self.stats.filtered += 1;
-                    let _ = self.rx_pool.free(&ptr);
-                }
+            } = *record
+            else {
+                return;
+            };
+            if at != tag {
+                return;
+            }
+            *record = RxSlot::Free;
+            if pass {
+                self.continue_inbound(ptr, protocol, src, src_mac);
+            } else {
+                self.stats.filtered += 1;
+                let _ = self.rx_pool.free(&ptr);
             }
         }
     }
@@ -687,21 +855,86 @@ impl IpServer {
             .unwrap_or(0)
     }
 
+    /// The interface towards `dst`: the memo's for the destination
+    /// resolved last, the routing table's otherwise.
+    fn iface_towards(&self, dst: Ipv4Addr) -> usize {
+        match self.next_hop {
+            Some((known, iface, _)) if known == dst => iface,
+            _ => self.route(dst),
+        }
+    }
+
+    /// The MAC to address frames for `dst` to, if it is known.
+    fn resolve(&mut self, dst: Ipv4Addr, iface: usize) -> Option<MacAddr> {
+        if let Some((known, _, mac)) = self.next_hop {
+            if known == dst {
+                return Some(mac);
+            }
+        }
+        let mac = self.arp_cache.get(&dst)?.mac;
+        self.next_hop = Some((dst, iface, mac));
+        Some(mac)
+    }
+
+    /// Most addresses the ARP cache holds.  The key is attacker-controlled
+    /// (a spoofed-source flood offers one new address per packet), so the
+    /// cache is sized once and stays that size.
+    const ARP_CACHE_ENTRIES: usize = 512;
+
+    /// Records that `ip` is at `mac` — because an ARP packet said so
+    /// (`from_arp`) or because a packet IP accepted came from there.  An
+    /// overheard address never changes or displaces what ARP said; when the
+    /// cache is full it forgets the overheard addresses, which the next
+    /// packet of a live peer teaches again, and ARP's own only to make room
+    /// for another of ARP's.
+    fn learn(&mut self, ip: Ipv4Addr, mac: MacAddr, from_arp: bool) {
+        if let Some(entry) = self.arp_cache.get_mut(&ip) {
+            if entry.confirmed && !from_arp {
+                return;
+            }
+            entry.confirmed = from_arp;
+            if entry.mac != mac {
+                entry.mac = mac;
+                if self.next_hop.is_some_and(|(known, ..)| known == ip) {
+                    self.next_hop = None;
+                }
+            }
+            return;
+        }
+        if self.arp_cache.len() >= Self::ARP_CACHE_ENTRIES {
+            self.arp_cache.retain(|_, entry| entry.confirmed);
+            self.next_hop = None;
+            if self.arp_cache.len() >= Self::ARP_CACHE_ENTRIES {
+                if !from_arp {
+                    return;
+                }
+                self.arp_cache.clear();
+            }
+        }
+        self.arp_cache.insert(
+            ip,
+            ArpEntry {
+                mac,
+                confirmed: from_arp,
+            },
+        );
+    }
+
     /// Most distinct unresolved destinations packets may wait behind.
     const ARP_WAITING_DESTS: usize = 32;
     /// Most packets parked per unresolved destination.
     const ARP_WAITING_PKTS: usize = 16;
 
-    fn stage_route(&mut self, pkt: OutPacket) {
-        let iface = self.route(pkt.dst);
-        match self.arp_cache.get(&pkt.dst).copied() {
-            Some(mac) => self.stage_emit(pkt, iface, mac),
+    fn stage_route(&mut self, pkt: OutPacket, header: ChunkWriter) {
+        match self.resolve(pkt.dst, pkt.iface) {
+            Some(mac) => self.stage_emit(pkt, header, mac),
             None => {
-                // Resolve the MAC first; the packet waits — but only
-                // behind a bounded queue.  Replies to spoofed-source
-                // floods target addresses that never resolve; without
-                // the cap they would pile up here for the attacker,
-                // one allocation per forged SYN.
+                // Resolve the MAC first; the packet waits — without its
+                // header slot, and only behind a bounded queue.  Replies to
+                // spoofed-source floods target addresses that never
+                // resolve; without the cap they would pile up here for the
+                // attacker, one allocation per forged SYN.
+                drop(header);
                 let dest_count = self.arp_waiting.len();
                 let queue_len = self.arp_waiting.get(&pkt.dst).map_or(0, Vec::len);
                 if queue_len >= Self::ARP_WAITING_PKTS
@@ -711,14 +944,16 @@ impl IpServer {
                     self.drop_outbound(&pkt.payload, pkt.origin);
                     return;
                 }
-                self.send_arp_request(pkt.dst, iface);
+                self.send_arp_request(pkt.dst, pkt.iface);
                 self.arp_waiting.entry(pkt.dst).or_default().push(pkt);
             }
         }
     }
 
-    fn stage_emit(&mut self, pkt: OutPacket, iface: usize, dst_mac: MacAddr) {
-        let iface_cfg = self.config.interfaces[iface];
+    /// Writes the frame's combined header into the slot the packet has held
+    /// since it arrived and stages the frame for its driver.
+    fn stage_emit(&mut self, pkt: OutPacket, mut header: ChunkWriter, dst_mac: MacAddr) {
+        let iface_cfg = self.config.interfaces[pkt.iface];
         let mut transport_header = pkt.transport_header;
         let total_len = IPV4_HEADER_LEN + transport_header.len() + pkt.payload.total_len();
 
@@ -767,30 +1002,30 @@ impl IpServer {
             l2l3[IP + 10..IP + 12].copy_from_slice(&csum.to_be_bytes());
         }
 
-        let Ok(mut header) = self.header_pool.alloc() else {
-            // Header pool exhausted: drop the packet, the transport's
-            // retransmission machinery recovers.
-            self.drop_outbound(&pkt.payload, pkt.origin);
-            return;
-        };
         header.write(&l2l3);
         header.write(&transport_header);
         let mut chain = RichChain::single(header.publish());
         chain.extend(pkt.payload.iter().copied());
+        self.submit_transmit(pkt.origin, chain, pkt.iface);
+        self.stats.packets_out += 1;
+    }
 
-        let req = self.drv_reqs.submit(
-            endpoints::driver(iface),
-            AbortPolicy::Resubmit,
-            PendingTx {
-                origin: pkt.origin,
-                chain: chain.clone(),
+    /// Records a frame as with its driver — in the record of the slot its
+    /// head chunk lives in — and stages it for this round's
+    /// [`IpToDrv::TransmitBatch`]; a full driver queue is handled at flush
+    /// time.
+    fn submit_transmit(&mut self, origin: Origin, chain: RichChain, iface: usize) {
+        let slot = chain.parts()[0].slot;
+        let tag = self.fresh_tag();
+        self.tx_batch[iface].push((request_id(slot, tag), chain.clone()));
+        *self.tx_record(slot) = TxSlot::AwaitingDriver {
+            tag,
+            tx: PendingTx {
+                origin,
+                chain,
                 iface,
             },
-        );
-        // Staged for this round's [`IpToDrv::TransmitBatch`]; a full driver
-        // queue is handled at flush time.
-        self.tx_batch[iface].push((req, chain));
-        self.stats.packets_out += 1;
+        };
     }
 
     /// Gives up on an outbound packet before it was staged: frees what IP
@@ -802,12 +1037,20 @@ impl IpServer {
         self.notify_send_done(origin, false);
     }
 
+    /// Completes the transmit request `req` names; a late or duplicate
+    /// completion (free slot, newer tag) changes nothing.
     fn handle_transmit_done(&mut self, req: RequestId, ok: bool) {
-        let Some(pending) = self.drv_reqs.complete(req) else {
+        let (slot, tag) = slot_and_tag(req);
+        let Some(record) = self.tx_slots.get_mut(slot) else {
             return;
         };
-        self.header_pool.free_chain(&pending.chain);
-        self.notify_send_done(pending.origin, ok);
+        match std::mem::replace(record, TxSlot::Free) {
+            TxSlot::AwaitingDriver { tag: at, tx } if at == tag => {
+                self.header_pool.free_chain(&tx.chain);
+                self.notify_send_done(tx.origin, ok);
+            }
+            other => *record = other,
+        }
     }
 
     fn notify_send_done(&mut self, origin: Origin, ok: bool) {
@@ -851,19 +1094,18 @@ impl IpServer {
                     return;
                 }
                 if self.config.with_pf {
-                    let meta = Self::meta_for_inbound(&packet);
-                    let req = self.pf_reqs.submit(
-                        endpoints::PF,
-                        AbortPolicy::Resubmit,
-                        PendingCheck::Inbound {
-                            ptr,
-                            nic,
-                            protocol: packet.protocol,
-                            src: packet.src,
-                            src_mac: frame.src,
-                        },
-                    );
-                    self.queue_check(req, meta);
+                    let tag = self.fresh_tag();
+                    self.check_batch
+                        .push((request_id(ptr.slot, tag), Self::meta_for_inbound(&packet)));
+                    // `read` vouched for the slot.
+                    self.rx_slots[ptr.slot as usize] = RxSlot::AwaitingVerdict {
+                        tag,
+                        ptr,
+                        nic,
+                        protocol: packet.protocol,
+                        src: packet.src,
+                        src_mac: frame.src,
+                    };
                 } else {
                     self.continue_inbound(ptr, packet.protocol, packet.src, frame.src);
                 }
@@ -912,8 +1154,11 @@ impl IpServer {
         src: Ipv4Addr,
         src_mac: MacAddr,
     ) {
-        // Opportunistically learn the sender's MAC (gratuitous ARP-like).
-        self.arp_cache.insert(src, src_mac);
+        // Opportunistically learn the sender's MAC (gratuitous ARP-like) —
+        // unless it is the next hop the memo already says.
+        if self.next_hop.map(|(known, _, mac)| (known, mac)) != Some((src, src_mac)) {
+            self.learn(src, src_mac, false);
+        }
         match protocol {
             IpProtocol::Icmp => {
                 let Ok(frame) = self.rx_pool.read(&ptr) else {
@@ -930,16 +1175,19 @@ impl IpServer {
                 }
                 let _ = self.rx_pool.free(&ptr);
             }
-            IpProtocol::Tcp => {
-                // Staged for this round's [`IpToTransport::DeliverBatch`];
-                // a full transport queue is handled at flush time.
-                self.lent_rx.insert(ptr, LentTo::Tcp);
-                self.deliver_tcp.push(ptr);
-            }
-            IpProtocol::Udp => {
-                self.lent_rx.insert(ptr, LentTo::Udp);
-                self.deliver_udp.push(ptr);
-            }
+            IpProtocol::Tcp => self.lend(ptr, LentTo::Tcp),
+            IpProtocol::Udp => self.lend(ptr, LentTo::Udp),
+        }
+    }
+
+    /// Records a frame as lent and stages it for this round's
+    /// [`IpToTransport::DeliverBatch`]; a full transport queue is handled at
+    /// flush time.
+    fn lend(&mut self, ptr: RichPtr, to: LentTo) {
+        self.rx_slots[ptr.slot as usize] = RxSlot::Lent { to, ptr };
+        match to {
+            LentTo::Tcp => self.deliver_tcp.push(ptr),
+            LentTo::Udp => self.deliver_udp.push(ptr),
         }
     }
 
@@ -955,16 +1203,21 @@ impl IpServer {
             };
             payload.push(ptr);
         }
-        self.stage_route(OutPacket {
+        let pkt = OutPacket {
             origin: Origin::Local,
             protocol: IpProtocol::Icmp,
             dst,
+            iface: self.iface_towards(dst),
             src_port: 0,
             dst_port: 0,
             transport_header: HeaderBuf::from_slice(header).expect("split to fit"),
             payload,
             is_connection_start: false,
-        });
+        };
+        match self.header_pool.alloc() {
+            Ok(header) => self.stage_route(pkt, header),
+            Err(_) => self.drop_outbound(&pkt.payload, pkt.origin),
+        }
     }
 
     // ---- ARP ---------------------------------------------------------------
@@ -975,7 +1228,7 @@ impl IpServer {
             return;
         };
         self.stats.arp_handled += 1;
-        self.arp_cache.insert(arp.sender_ip, arp.sender_mac);
+        self.learn(arp.sender_ip, arp.sender_mac, true);
         match arp.operation {
             ArpOperation::Request => {
                 // Requests are broadcast to every replica so each can warm
@@ -1002,11 +1255,14 @@ impl IpServer {
                 }
             }
             ArpOperation::Reply => {
-                // Flush packets that were waiting for this resolution.
+                // Flush packets that were waiting for this resolution; each
+                // takes a header slot again now that it can be written.
                 if let Some(waiting) = self.arp_waiting.remove(&arp.sender_ip) {
                     for pkt in waiting {
-                        let iface = self.route(pkt.dst);
-                        self.stage_emit(pkt, iface, arp.sender_mac);
+                        match self.header_pool.alloc() {
+                            Ok(header) => self.stage_emit(pkt, header, arp.sender_mac),
+                            Err(_) => self.drop_outbound(&pkt.payload, pkt.origin),
+                        }
                     }
                 }
             }
@@ -1031,97 +1287,123 @@ impl IpServer {
         let Ok(ptr) = self.header_pool.publish(&frame) else {
             return;
         };
-        let chain = RichChain::single(ptr);
-        let req = self.drv_reqs.submit(
-            endpoints::driver(iface),
-            AbortPolicy::Resubmit,
-            PendingTx {
-                origin: Origin::Local,
-                chain: chain.clone(),
-                iface,
-            },
-        );
-        self.tx_batch[iface].push((req, chain));
+        self.submit_transmit(Origin::Local, RichChain::single(ptr), iface);
     }
 
     // ---- crash recovery ------------------------------------------------------
 
-    /// Reacts to a crash of another component (paper §V-D).
+    /// Reacts to a crash of another component (paper §V-D): scans the slot
+    /// tables for the records that waited on it.
     pub fn handle_crash(&mut self, event: &CrashEvent) {
-        if event.name.starts_with("e1000.") {
+        if let Some(index) = event.name.strip_prefix("e1000.") {
             // A driver crashed: resubmit every transmit request it had not
-            // acknowledged.  We prefer possible duplicates over silent loss.
-            let index: usize = event.name.trim_start_matches("e1000.").parse().unwrap_or(0);
-            let aborted = self.drv_reqs.abort_all_to(endpoints::driver(index));
-            for aborted_req in aborted {
-                let pending = aborted_req.context;
-                let req = self.drv_reqs.submit(
-                    endpoints::driver(pending.iface),
-                    AbortPolicy::Resubmit,
-                    pending.clone(),
-                );
+            // acknowledged, oldest first and each under a fresh identifier,
+            // so an acknowledgement the dead incarnation still got out
+            // completes nothing twice.  We prefer possible duplicates over
+            // silent loss.
+            let Ok(index) = index.parse::<usize>() else {
+                return;
+            };
+            let of_that_driver = |(slot, record): (usize, &TxSlot)| match record {
+                TxSlot::AwaitingDriver { tag, tx } if tx.iface == index => {
+                    Some((self.age_of(*tag), slot))
+                }
+                _ => None,
+            };
+            let mut aborted: Vec<(u32, usize)> = self
+                .tx_slots
+                .iter()
+                .enumerate()
+                .filter_map(of_that_driver)
+                .collect();
+            aborted.sort_unstable();
+            for (_, slot) in aborted {
+                let fresh = self.fresh_tag();
+                let TxSlot::AwaitingDriver { tag, tx } = &mut self.tx_slots[slot] else {
+                    continue;
+                };
+                *tag = fresh;
                 self.stats.resubmitted_tx += 1;
                 // Staged like first-time transmits: the whole resubmission
                 // goes out as one batch at the end of this poll round.
-                self.tx_batch[pending.iface].push((req, pending.chain));
+                self.tx_batch[index].push((request_id(slot as u32, fresh), tx.chain.clone()));
             }
         } else if event.name == "pf" {
             // The filter crashed: it never saw (or never answered) these
-            // checks, so resubmitting them loses nothing.
-            let aborted = self.pf_reqs.abort_all_to(endpoints::PF);
-            for aborted_req in aborted {
-                let pending = aborted_req.context;
-                let meta = match &pending {
-                    PendingCheck::Outbound(pkt) => {
-                        let iface = self.route(pkt.dst);
-                        PacketMeta {
-                            direction: Direction::Outbound,
-                            src: self.config.interfaces[iface].addr,
-                            dst: pkt.dst,
-                            protocol: pkt.protocol,
-                            src_port: pkt.src_port,
-                            dst_port: pkt.dst_port,
-                            len: IPV4_HEADER_LEN
-                                + pkt.transport_header.len()
-                                + pkt.payload.total_len(),
-                            is_connection_start: pkt.is_connection_start,
-                        }
-                    }
-                    PendingCheck::Inbound { ptr, .. } => {
-                        let Ok(frame) = self.rx_pool.read(ptr) else {
-                            continue;
-                        };
-                        let Some(packet) = Self::ipv4_view(&frame) else {
-                            continue;
-                        };
-                        Self::meta_for_inbound(&packet)
-                    }
+            // checks, so resubmitting them loses nothing.  Tags come from
+            // one counter, so their order is the order the packets came in,
+            // whichever table they are in.
+            let outbound = self
+                .tx_slots
+                .iter()
+                .enumerate()
+                .filter_map(|(slot, record)| {
+                    let TxSlot::AwaitingVerdict { tag, .. } = record else {
+                        return None;
+                    };
+                    Some((self.age_of(*tag), true, slot))
+                });
+            let inbound = self
+                .rx_slots
+                .iter()
+                .enumerate()
+                .filter_map(|(slot, record)| {
+                    let RxSlot::AwaitingVerdict { tag, .. } = record else {
+                        return None;
+                    };
+                    Some((self.age_of(*tag), false, slot))
+                });
+            let mut aborted: Vec<(u32, bool, usize)> = outbound.chain(inbound).collect();
+            aborted.sort_unstable();
+            for (_, is_outbound, slot) in aborted {
+                let fresh = self.fresh_tag();
+                let check = if is_outbound {
+                    let TxSlot::AwaitingVerdict { tag, pkt, .. } = &mut self.tx_slots[slot] else {
+                        continue;
+                    };
+                    *tag = fresh;
+                    (
+                        outbound_check_id(slot as u32, fresh),
+                        Self::meta_for_outbound(&self.config, pkt),
+                    )
+                } else {
+                    let RxSlot::AwaitingVerdict { tag, ptr, .. } = &mut self.rx_slots[slot] else {
+                        continue;
+                    };
+                    *tag = fresh;
+                    let ptr = *ptr;
+                    let meta = self.rx_pool.read(&ptr).ok().and_then(|frame| {
+                        Self::ipv4_view(&frame).map(|packet| Self::meta_for_inbound(&packet))
+                    });
+                    let Some(meta) = meta else {
+                        // The frame is gone or unreadable: nothing to ask
+                        // the filter about.
+                        self.rx_slots[slot] = RxSlot::Free;
+                        let _ = self.rx_pool.free(&ptr);
+                        continue;
+                    };
+                    (request_id(slot as u32, fresh), meta)
                 };
-                let req = self
-                    .pf_reqs
-                    .submit(endpoints::PF, AbortPolicy::Resubmit, pending);
                 self.stats.resubmitted_checks += 1;
                 // Queued like first-time checks: the whole resubmission goes
                 // out as one batch at the end of this poll round.
-                self.queue_check(req, meta);
+                self.check_batch.push(check);
             }
         } else if event.name == self.tcp_name || event.name == self.udp_name {
             // The transport will never send RxDone for the chunks it was
-            // lent; free them.
+            // lent; free them — and only them.
             let who = if event.name == self.tcp_name {
                 LentTo::Tcp
             } else {
                 LentTo::Udp
             };
-            let lent: Vec<RichPtr> = self
-                .lent_rx
-                .iter()
-                .filter(|(_, to)| **to == who)
-                .map(|(ptr, _)| *ptr)
-                .collect();
-            for ptr in lent {
-                self.lent_rx.remove(&ptr);
-                let _ = self.rx_pool.free(&ptr);
+            for record in &mut self.rx_slots {
+                if let RxSlot::Lent { to, ptr } = *record {
+                    if to == who {
+                        *record = RxSlot::Free;
+                        let _ = self.rx_pool.free(&ptr);
+                    }
+                }
             }
         }
     }
@@ -1241,6 +1523,14 @@ mod tests {
         let rx_pool = Pool::new("ip.rx", endpoints::IP, 2048, 128);
         let header_pool = Pool::new("ip.hdr", endpoints::IP, 2048, 128);
         rig_with(StartMode::Fresh, with_pf, storage, rx_pool, header_pool)
+    }
+
+    /// How many frames `ip` has with its drivers.
+    fn transmits_in_flight(ip: &IpServer) -> usize {
+        ip.tx_slots
+            .iter()
+            .filter(|record| matches!(record, TxSlot::AwaitingDriver { .. }))
+            .count()
     }
 
     fn peer_mac() -> MacAddr {
@@ -1414,7 +1704,7 @@ mod tests {
             park_syn_on_arp(&mut rig);
             // The ARP request went out; the SYN is parked awaiting the reply.
             assert_eq!(drain(&rig.ip_to_drv).len(), 1);
-            assert_eq!(rig.ip.drv_reqs.len(), 1);
+            assert_eq!(transmits_in_flight(&rig.ip), 1);
             rig.ip.export_state()
         };
         assert_eq!(version, IP_STATE_VERSION);
@@ -1429,7 +1719,7 @@ mod tests {
         // The in-flight ARP transmit transferred, and when the reply lands
         // at the *replacement*, the parked SYN goes out — resolution that
         // started before the upgrade completes after it.
-        assert_eq!(rig.ip.drv_reqs.len(), 1);
+        assert_eq!(transmits_in_flight(&rig.ip), 1);
         let reply = ArpPacket {
             operation: ArpOperation::Reply,
             sender_mac: peer_mac(),
@@ -1484,7 +1774,7 @@ mod tests {
         );
         // Incompatible snapshot: the replacement starts crash-style — no
         // transferred requests, parked packet gone, pools reset.
-        assert_eq!(rig.ip.drv_reqs.len(), 0);
+        assert_eq!(transmits_in_flight(&rig.ip), 0);
         let reply = ArpPacket {
             operation: ArpOperation::Reply,
             sender_mac: peer_mac(),
@@ -1836,5 +2126,615 @@ mod tests {
         let parsed = UdpDatagram::parse(&ip.payload, ip.src, ip.dst).unwrap();
         assert_eq!(parsed.payload, payload);
         let _ = drain(&rig.ip_to_udp);
+    }
+
+    // ---- the slot tables ----------------------------------------------------
+
+    fn local_ip() -> Ipv4Addr {
+        Ipv4Addr::new(10, 0, 0, 1)
+    }
+
+    /// An ARP reply from `ip` at `mac`, as a frame addressed to us.
+    fn arp_reply_from(ip: Ipv4Addr, mac: MacAddr) -> Vec<u8> {
+        let reply = ArpPacket {
+            operation: ArpOperation::Reply,
+            sender_mac: mac,
+            sender_ip: ip,
+            target_mac: MacAddr::from_index(1),
+            target_ip: local_ip(),
+        };
+        EthernetFrame::new(MacAddr::from_index(1), mac, EtherType::Arp, reply.build()).build()
+    }
+
+    /// A TCP ACK from `src` at `src_mac`, as a frame addressed to us.
+    fn tcp_frame_from(src: Ipv4Addr, src_mac: MacAddr) -> Vec<u8> {
+        let seg = TcpSegment::control(5001, 40000, 1, 1, TcpFlags::ACK);
+        let packet = Ipv4Packet::new(src, local_ip(), IpProtocol::Tcp, seg.build(src, local_ip()));
+        EthernetFrame::new(
+            MacAddr::from_index(1),
+            src_mac,
+            EtherType::Ipv4,
+            packet.build(),
+        )
+        .build()
+    }
+
+    /// A datagram from the peer, as a frame addressed to us.
+    fn udp_frame() -> Vec<u8> {
+        let dgram = UdpDatagram::new(53, 5353, b"answer".to_vec());
+        let packet = Ipv4Packet::new(
+            peer_ip(),
+            local_ip(),
+            IpProtocol::Udp,
+            dgram.build(peer_ip(), local_ip()),
+        );
+        EthernetFrame::new(
+            MacAddr::from_index(1),
+            peer_mac(),
+            EtherType::Ipv4,
+            packet.build(),
+        )
+        .build()
+    }
+
+    /// Queues a payload-less TCP packet for `dst` under the transport's
+    /// request number `req`; the next poll picks it up.
+    fn queue_packet(rig: &Rig, req: u64, dst: Ipv4Addr) {
+        send(
+            &rig.tcp_to_ip,
+            TransportToIp::SendPacket {
+                req: RequestId::from_raw(req),
+                protocol: IpProtocol::Tcp,
+                dst,
+                src_port: 40000,
+                dst_port: 5001,
+                transport_header: syn_header(),
+                payload: RichChain::new(),
+                is_connection_start: true,
+            },
+        );
+    }
+
+    fn crash_of(name: &str) -> CrashEvent {
+        CrashEvent {
+            name: name.to_string(),
+            endpoint: endpoints::PF,
+            generation: newt_channels::endpoint::Generation::FIRST,
+            reason: newt_kernel::rs::CrashReason::Panicked,
+            restarting: true,
+            at: std::time::Duration::ZERO,
+        }
+    }
+
+    /// The same request with its tag moved on: what a reply to an earlier
+    /// submission about the same slot carries.
+    fn with_other_tag(req: RequestId) -> RequestId {
+        RequestId::from_raw(req.as_raw() ^ 0x4000_0000)
+    }
+
+    /// Everything a reply that matches nothing must leave alone.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Observed {
+        rx_in_use: usize,
+        header_in_use: usize,
+        stats: IpStats,
+        busy_rx_slots: usize,
+        busy_tx_slots: usize,
+    }
+
+    fn observe(rig: &Rig) -> Observed {
+        Observed {
+            rx_in_use: rig.rx_pool.in_use(),
+            header_in_use: rig.ip.header_pool.in_use(),
+            stats: rig.ip.stats(),
+            busy_rx_slots: rig
+                .ip
+                .rx_slots
+                .iter()
+                .filter(|record| !matches!(record, RxSlot::Free))
+                .count(),
+            busy_tx_slots: rig
+                .ip
+                .tx_slots
+                .iter()
+                .filter(|record| !matches!(record, TxSlot::Free))
+                .count(),
+        }
+    }
+
+    fn assert_lanes_silent(rig: &Rig) {
+        assert!(drain(&rig.ip_to_drv).is_empty(), "nothing for the driver");
+        assert!(drain(&rig.ip_to_pf).is_empty(), "nothing for the filter");
+        assert!(drain(&rig.ip_to_tcp).is_empty(), "nothing for tcp");
+        assert!(drain(&rig.ip_to_udp).is_empty(), "nothing for udp");
+    }
+
+    #[test]
+    fn replies_with_a_stale_tag_or_a_free_slot_change_nothing() {
+        let mut rig = rig(true);
+        inject_frame(&mut rig, arp_reply_from(peer_ip(), peer_mac()));
+        // One packet and one frame waiting for their verdicts.
+        queue_packet(&rig, 1, peer_ip());
+        inject_frame(&mut rig, tcp_frame_from(peer_ip(), peer_mac()));
+        let checks = checks_in(&drain(&rig.ip_to_pf));
+        let (out_check, in_check) = match &checks[..] {
+            [(a, am), (b, bm)] => {
+                assert_eq!(am.direction, Direction::Outbound);
+                assert_eq!(bm.direction, Direction::Inbound);
+                (*a, *b)
+            }
+            other => panic!("expected two checks, got {other:?}"),
+        };
+        let before = observe(&rig);
+        assert_eq!((before.busy_tx_slots, before.busy_rx_slots), (1, 1));
+
+        let free_slot = request_id(100, 7);
+        let free_out_slot = RequestId::from_raw(OUTBOUND_CHECK | free_slot.as_raw());
+        let beyond_the_table = RequestId::from_raw(u64::MAX);
+        send(
+            &rig.pf_to_ip,
+            PfToIp::VerdictBatch(vec![
+                (with_other_tag(out_check), true),
+                (with_other_tag(in_check), true),
+                (with_other_tag(in_check), false),
+                (free_slot, true),
+                (free_out_slot, false),
+                (beyond_the_table, true),
+                // The other table's record under the same slot number.
+                (
+                    RequestId::from_raw(out_check.as_raw() & !OUTBOUND_CHECK),
+                    true,
+                ),
+            ]),
+        );
+        // Completions for a packet that is not with a driver, a free slot
+        // and no slot at all.
+        send(
+            &rig.drv_to_ip,
+            DrvToIp::TransmitDoneBatch(vec![
+                (
+                    RequestId::from_raw(out_check.as_raw() & !OUTBOUND_CHECK),
+                    true,
+                ),
+                (free_slot, false),
+                (beyond_the_table, true),
+            ]),
+        );
+        rig.ip.poll();
+        assert_lanes_silent(&rig);
+        assert_eq!(observe(&rig), before);
+
+        // The real verdicts still find their records.
+        send(
+            &rig.pf_to_ip,
+            PfToIp::VerdictBatch(vec![(out_check, true), (in_check, true)]),
+        );
+        rig.ip.poll();
+        let to_driver = transmits_in(&drain(&rig.ip_to_drv));
+        assert_eq!(to_driver.len(), 1);
+        let delivered = deliveries_in(&drain(&rig.ip_to_tcp));
+        assert_eq!(delivered.len(), 1);
+
+        // A completion under an earlier tag of the slot, then the real one,
+        // then the real one again: one send completes, once.
+        let (transmit, _) = to_driver[0];
+        let before = observe(&rig);
+        send(
+            &rig.drv_to_ip,
+            DrvToIp::TransmitDoneBatch(vec![(with_other_tag(transmit), true)]),
+        );
+        rig.ip.poll();
+        assert_lanes_silent(&rig);
+        assert_eq!(observe(&rig), before);
+        send(
+            &rig.drv_to_ip,
+            DrvToIp::TransmitDoneBatch(vec![(transmit, true), (transmit, true)]),
+        );
+        // A chunk nobody was lent, and one lent under an older generation.
+        let stale = RichPtr {
+            generation: delivered[0].generation.wrapping_sub(1),
+            ..delivered[0]
+        };
+        let never_lent = RichPtr {
+            slot: 77,
+            ..delivered[0]
+        };
+        send(
+            &rig.tcp_to_ip,
+            TransportToIp::RxDoneBatch(vec![stale, never_lent]),
+        );
+        rig.ip.poll();
+        assert_eq!(
+            send_dones_in(&drain(&rig.ip_to_tcp)),
+            vec![(RequestId::from_raw(1), true)]
+        );
+        assert_eq!(rig.ip.header_pool.in_use(), 0);
+        assert_eq!(rig.rx_pool.in_use(), 1, "the lent frame is still lent");
+        assert_eq!(rig.ip.stats().rx_freed, 0);
+    }
+
+    #[test]
+    fn completions_and_verdicts_arrive_in_any_order() {
+        let mut rig = rig(true);
+        inject_frame(&mut rig, arp_reply_from(peer_ip(), peer_mac()));
+        for req in 1..=3 {
+            queue_packet(&rig, req, peer_ip());
+        }
+        rig.ip.poll();
+        let checks = checks_in(&drain(&rig.ip_to_pf));
+        assert_eq!(checks.len(), 3);
+        // Verdicts come back 3, 1, 2 — and so the frames go out.
+        for at in [2, 0, 1] {
+            send(
+                &rig.pf_to_ip,
+                PfToIp::VerdictBatch(vec![(checks[at].0, true)]),
+            );
+            rig.ip.poll();
+        }
+        let to_driver = transmits_in(&drain(&rig.ip_to_drv));
+        assert_eq!(to_driver.len(), 3);
+        assert_eq!(rig.ip.header_pool.in_use(), 3);
+        // The driver finishes the second frame it got first, and fails it.
+        send(
+            &rig.drv_to_ip,
+            DrvToIp::TransmitDoneBatch(vec![(to_driver[1].0, false)]),
+        );
+        rig.ip.poll();
+        send(
+            &rig.drv_to_ip,
+            DrvToIp::TransmitDoneBatch(vec![(to_driver[2].0, true), (to_driver[0].0, true)]),
+        );
+        rig.ip.poll();
+        let raw = RequestId::from_raw;
+        assert_eq!(
+            send_dones_in(&drain(&rig.ip_to_tcp)),
+            vec![(raw(1), false), (raw(2), true), (raw(3), true)]
+        );
+        assert_eq!(rig.ip.header_pool.in_use(), 0);
+        assert_eq!(transmits_in_flight(&rig.ip), 0);
+    }
+
+    #[test]
+    fn duplicate_verdict_after_a_pf_crash_completes_the_packet_once() {
+        let mut rig = rig(true);
+        inject_frame(&mut rig, arp_reply_from(peer_ip(), peer_mac()));
+        queue_packet(&rig, 1, peer_ip());
+        inject_frame(&mut rig, tcp_frame_from(peer_ip(), peer_mac()));
+        let first = checks_in(&drain(&rig.ip_to_pf));
+        assert_eq!(first.len(), 2);
+
+        rig.crash_board.push(crash_of("pf"));
+        rig.ip.poll();
+        let again = checks_in(&drain(&rig.ip_to_pf));
+        assert_eq!(rig.ip.stats().resubmitted_checks, 2);
+        // Same packets, in the order they came in, under new identifiers.
+        assert_eq!(
+            again.iter().map(|(_, meta)| *meta).collect::<Vec<_>>(),
+            first.iter().map(|(_, meta)| *meta).collect::<Vec<_>>()
+        );
+        for (old, _) in &first {
+            assert!(again.iter().all(|(new, _)| new != old));
+        }
+
+        // The new incarnation answers; what the dead one still got out
+        // arrives late, and the answer once more for good measure.
+        let verdicts: Vec<_> = again
+            .iter()
+            .chain(&first)
+            .chain(&again)
+            .map(|(req, _)| (*req, true))
+            .collect();
+        send(&rig.pf_to_ip, PfToIp::VerdictBatch(verdicts));
+        rig.ip.poll();
+        assert_eq!(transmits_in(&drain(&rig.ip_to_drv)).len(), 1);
+        assert_eq!(deliveries_in(&drain(&rig.ip_to_tcp)).len(), 1);
+        assert_eq!(rig.ip.stats().packets_out, 1);
+        assert_eq!(rig.ip.header_pool.in_use(), 1);
+        assert_eq!(rig.rx_pool.in_use(), 1);
+    }
+
+    #[test]
+    fn driver_crash_resubmits_in_order_under_new_identifiers() {
+        let mut rig = rig(false);
+        inject_frame(&mut rig, arp_reply_from(peer_ip(), peer_mac()));
+        for req in 1..=3 {
+            queue_packet(&rig, req, peer_ip());
+        }
+        rig.ip.poll();
+        let first = transmits_in(&drain(&rig.ip_to_drv));
+        assert_eq!(first.len(), 3);
+
+        // Not a driver IP knows the number of: nothing is resubmitted.
+        rig.crash_board.push(crash_of("e1000."));
+        rig.crash_board.push(crash_of("e1000.zero"));
+        rig.crash_board.push(crash_of("e1000.1"));
+        rig.ip.poll();
+        assert!(drain(&rig.ip_to_drv).is_empty());
+        assert_eq!(rig.ip.stats().resubmitted_tx, 0);
+
+        rig.crash_board.push(crash_of("e1000.0"));
+        rig.ip.poll();
+        let again = transmits_in(&drain(&rig.ip_to_drv));
+        assert_eq!(rig.ip.stats().resubmitted_tx, 3);
+        assert_eq!(
+            again.iter().map(|(_, chain)| chain).collect::<Vec<_>>(),
+            first.iter().map(|(_, chain)| chain).collect::<Vec<_>>()
+        );
+        let mut ids: Vec<_> = first.iter().chain(&again).map(|(req, _)| *req).collect();
+        ids.sort();
+        ids.dedup();
+        assert_eq!(ids.len(), 6, "three new identifiers");
+
+        // The dead incarnation's acknowledgements complete nothing; the new
+        // one's complete each send once.
+        let dones: Vec<_> = first.iter().map(|(req, _)| (*req, true)).collect();
+        send(&rig.drv_to_ip, DrvToIp::TransmitDoneBatch(dones));
+        rig.ip.poll();
+        assert!(drain(&rig.ip_to_tcp).is_empty());
+        assert_eq!(rig.ip.header_pool.in_use(), 3);
+        let dones: Vec<_> = again.iter().map(|(req, _)| (*req, true)).collect();
+        send(&rig.drv_to_ip, DrvToIp::TransmitDoneBatch(dones));
+        rig.ip.poll();
+        assert_eq!(send_dones_in(&drain(&rig.ip_to_tcp)).len(), 3);
+        assert_eq!(rig.ip.header_pool.in_use(), 0);
+    }
+
+    #[test]
+    fn tcp_crash_frees_tcps_chunks_and_leaves_udps_lent() {
+        let mut rig = rig(false);
+        inject_frame(&mut rig, tcp_frame_from(peer_ip(), peer_mac()));
+        inject_frame(&mut rig, udp_frame());
+        inject_frame(&mut rig, tcp_frame_from(peer_ip(), peer_mac()));
+        let to_tcp = deliveries_in(&drain(&rig.ip_to_tcp));
+        let to_udp = deliveries_in(&drain(&rig.ip_to_udp));
+        assert_eq!((to_tcp.len(), to_udp.len()), (2, 1));
+        assert_eq!(rig.rx_pool.in_use(), 3);
+
+        rig.crash_board.push(crash_of("tcp"));
+        rig.ip.poll();
+        assert_eq!(rig.rx_pool.in_use(), 1);
+        assert!(rig.rx_pool.read(&to_udp[0]).is_ok(), "udp's frame survives");
+        // What the dead TCP had queued arrives late and frees nothing twice.
+        send(&rig.tcp_to_ip, TransportToIp::RxDoneBatch(to_tcp));
+        rig.ip.poll();
+        assert_eq!(rig.ip.stats().rx_freed, 0);
+
+        send(&rig.udp_to_ip, TransportToIp::RxDoneBatch(to_udp));
+        rig.ip.poll();
+        assert_eq!(rig.rx_pool.in_use(), 0);
+        assert_eq!(rig.ip.stats().rx_freed, 1);
+    }
+
+    #[test]
+    fn live_update_hands_over_a_record_in_every_state() {
+        let storage = Arc::new(StorageServer::new());
+        let rx_pool = Pool::new("ip.rx", endpoints::IP, 2048, 128);
+        let header_pool = Pool::new("ip.hdr", endpoints::IP, 2048, 128);
+        let unresolved = Ipv4Addr::new(10, 0, 0, 9);
+        let pass = |rig: &mut Rig, req: RequestId| {
+            send(&rig.pf_to_ip, PfToIp::VerdictBatch(vec![(req, true)]));
+            rig.ip.poll();
+        };
+        let only_check = |rig: &Rig| match &checks_in(&drain(&rig.ip_to_pf))[..] {
+            [(req, _)] => *req,
+            other => panic!("expected one check, got {other:?}"),
+        };
+
+        let mut old = rig_with(
+            StartMode::Fresh,
+            true,
+            Arc::clone(&storage),
+            rx_pool.clone(),
+            header_pool.clone(),
+        );
+        inject_frame(&mut old, arp_reply_from(peer_ip(), peer_mac()));
+        // A frame lent to TCP.
+        inject_frame(&mut old, tcp_frame_from(peer_ip(), peer_mac()));
+        let check = only_check(&old);
+        pass(&mut old, check);
+        let lent = deliveries_in(&drain(&old.ip_to_tcp))[0];
+        // A frame waiting for its verdict.
+        inject_frame(&mut old, tcp_frame_from(peer_ip(), peer_mac()));
+        let inbound_check = only_check(&old);
+        // A packet with the driver.
+        queue_packet(&old, 1, peer_ip());
+        old.ip.poll();
+        let check = only_check(&old);
+        pass(&mut old, check);
+        let (with_driver, _) = transmits_in(&drain(&old.ip_to_drv))[0];
+        // A packet parked on ARP resolution, its ARP request with the driver.
+        queue_packet(&old, 3, unresolved);
+        old.ip.poll();
+        let check = only_check(&old);
+        pass(&mut old, check);
+        let (arp_request, _) = transmits_in(&drain(&old.ip_to_drv))[0];
+        // A packet waiting for its verdict.
+        queue_packet(&old, 2, peer_ip());
+        old.ip.poll();
+        let old_outbound_check = only_check(&old);
+
+        let (version, payload) = old.ip.export_state();
+        assert_eq!(version, IP_STATE_VERSION);
+        drop(old);
+        assert_eq!(rx_pool.in_use(), 2);
+        assert_eq!(header_pool.in_use(), 2, "the unwritten header went back");
+
+        let mut new = rig_with_snapshot(
+            StartMode::LiveUpdate,
+            true,
+            storage,
+            rx_pool.clone(),
+            header_pool.clone(),
+            Some(snapshot_from(version, payload)),
+        );
+        assert_eq!(transmits_in_flight(&new.ip), 2);
+        // The packet that waited for its verdict took a slot of the new
+        // incarnation and asks again; the old question's answer is late.
+        new.ip.poll();
+        let outbound_check = only_check(&new);
+        assert_ne!(outbound_check, old_outbound_check);
+        pass(&mut new, old_outbound_check);
+        assert!(drain(&new.ip_to_drv).is_empty());
+        pass(&mut new, outbound_check);
+        let (second, _) = transmits_in(&drain(&new.ip_to_drv))[0];
+        // The identifiers the filter and the driver hold still work.
+        pass(&mut new, inbound_check);
+        let delivered = deliveries_in(&drain(&new.ip_to_tcp));
+        assert_eq!(delivered.len(), 1);
+        send(
+            &new.drv_to_ip,
+            DrvToIp::TransmitDoneBatch(vec![
+                (with_driver, true),
+                (arp_request, true),
+                (second, true),
+            ]),
+        );
+        send(
+            &new.tcp_to_ip,
+            TransportToIp::RxDoneBatch(vec![lent, delivered[0]]),
+        );
+        new.ip.poll();
+        let raw = RequestId::from_raw;
+        assert_eq!(
+            send_dones_in(&drain(&new.ip_to_tcp)),
+            vec![(raw(1), true), (raw(2), true)]
+        );
+        assert_eq!(new.ip.stats().rx_freed, 2);
+        assert_eq!(rx_pool.in_use(), 0);
+        assert_eq!(header_pool.in_use(), 0);
+        // And the address resolves: the parked packet goes out.
+        inject_frame(
+            &mut new,
+            arp_reply_from(unresolved, MacAddr::from_index(209)),
+        );
+        let (parked, chain) = transmits_in(&drain(&new.ip_to_drv))[0].clone();
+        let frame = new.pools.gather(&chain).unwrap();
+        assert_eq!(
+            EthernetFrame::parse(&frame).unwrap().dst,
+            MacAddr::from_index(209)
+        );
+        send(
+            &new.drv_to_ip,
+            DrvToIp::TransmitDoneBatch(vec![(parked, true)]),
+        );
+        new.ip.poll();
+        assert_eq!(send_dones_in(&drain(&new.ip_to_tcp)), vec![(raw(3), true)]);
+        assert_eq!(header_pool.in_use(), 0);
+        assert!(new.ip.tx_slots.iter().all(|r| matches!(r, TxSlot::Free)));
+        assert!(new.ip.rx_slots.iter().all(|r| matches!(r, RxSlot::Free)));
+    }
+
+    #[test]
+    fn a_version_2_snapshot_falls_back_to_pool_reset() {
+        let storage = Arc::new(StorageServer::new());
+        let rx_pool = Pool::new("ip.rx", endpoints::IP, 2048, 128);
+        let header_pool = Pool::new("ip.hdr", endpoints::IP, 2048, 128);
+        let payload = {
+            let mut old = rig_with(
+                StartMode::Fresh,
+                false,
+                Arc::clone(&storage),
+                rx_pool.clone(),
+                header_pool.clone(),
+            );
+            inject_frame(&mut old, tcp_frame_from(peer_ip(), peer_mac()));
+            park_syn_on_arp(&mut old);
+            old.ip.export_state().1
+        };
+        assert_eq!((rx_pool.in_use(), header_pool.in_use()), (1, 1));
+        let new = rig_with_snapshot(
+            StartMode::LiveUpdate,
+            false,
+            storage,
+            rx_pool.clone(),
+            header_pool.clone(),
+            Some(snapshot_from(2, payload)),
+        );
+        assert_eq!((rx_pool.in_use(), header_pool.in_use()), (0, 0));
+        assert_eq!(transmits_in_flight(&new.ip), 0);
+        assert!(new.ip.rx_slots.iter().all(|r| matches!(r, RxSlot::Free)));
+        assert!(new.ip.arp_waiting.is_empty() && new.ip.arp_cache.is_empty());
+    }
+
+    // ---- the ARP cache --------------------------------------------------------
+
+    /// Sends a packet to the peer and returns the MAC its frame went to, or
+    /// `None` if IP asked ARP first.
+    fn mac_a_packet_to_the_peer_goes_to(rig: &mut Rig) -> Option<MacAddr> {
+        queue_packet(rig, 1, peer_ip());
+        rig.ip.poll();
+        let to_driver = transmits_in(&drain(&rig.ip_to_drv));
+        let (_, chain) = &to_driver[0];
+        let eth = EthernetFrame::parse(&rig.pools.gather(chain).unwrap()).unwrap();
+        (eth.ethertype == EtherType::Ipv4).then_some(eth.dst)
+    }
+
+    #[test]
+    fn forged_sources_do_not_grow_the_arp_cache() {
+        let mut rig = rig(false);
+        inject_frame(&mut rig, arp_reply_from(peer_ip(), peer_mac()));
+        let capacity = rig.ip.arp_cache.capacity();
+        assert!(capacity >= IpServer::ARP_CACHE_ENTRIES);
+        for forged in 0..10_000u32 {
+            let src = Ipv4Addr::from(0xAC10_0000 + forged);
+            inject_frame(
+                &mut rig,
+                tcp_frame_from(src, MacAddr::from_index((forged % 100) as u8 + 100)),
+            );
+            let lent = deliveries_in(&drain(&rig.ip_to_tcp));
+            send(&rig.tcp_to_ip, TransportToIp::RxDoneBatch(lent));
+            assert!(rig.ip.arp_cache.len() <= IpServer::ARP_CACHE_ENTRIES);
+        }
+        // Someone else's frame claiming the peer's address teaches nothing.
+        inject_frame(&mut rig, tcp_frame_from(peer_ip(), MacAddr::from_index(66)));
+        // The hash table is still the one `new` allocated: a table that
+        // grows grows its capacity (removals can only lower it).
+        assert!(rig.ip.arp_cache.capacity() <= capacity);
+        assert!(rig.ip.arp_cache.len() > 1, "overheard addresses are kept");
+        assert_eq!(mac_a_packet_to_the_peer_goes_to(&mut rig), Some(peer_mac()));
+    }
+
+    #[test]
+    fn an_arp_reply_gets_into_a_full_cache() {
+        let mut rig = rig(false);
+        // A cache full of what ARP itself said, the peer among it.
+        inject_frame(&mut rig, arp_reply_from(peer_ip(), peer_mac()));
+        for host in 1..IpServer::ARP_CACHE_ENTRIES as u32 {
+            let ip = Ipv4Addr::from(0x0A00_0100 + host);
+            inject_frame(
+                &mut rig,
+                arp_reply_from(ip, MacAddr::from_index((host % 100) as u8 + 100)),
+            );
+        }
+        assert_eq!(rig.ip.arp_cache.len(), IpServer::ARP_CACHE_ENTRIES);
+        let capacity = rig.ip.arp_cache.capacity();
+        // An overheard address does not displace any of it …
+        inject_frame(
+            &mut rig,
+            tcp_frame_from(Ipv4Addr::new(172, 16, 0, 1), MacAddr::from_index(99)),
+        );
+        assert_eq!(rig.ip.arp_cache.len(), IpServer::ARP_CACHE_ENTRIES);
+        assert_eq!(mac_a_packet_to_the_peer_goes_to(&mut rig), Some(peer_mac()));
+        // … one more ARP reply does, and the peer is asked for again.
+        let newcomer = Ipv4Addr::new(10, 0, 0, 77);
+        inject_frame(&mut rig, arp_reply_from(newcomer, MacAddr::from_index(77)));
+        assert!(rig.ip.arp_cache.contains_key(&newcomer));
+        assert!(rig.ip.arp_cache.len() <= IpServer::ARP_CACHE_ENTRIES);
+        assert!(rig.ip.arp_cache.capacity() <= capacity);
+        assert_eq!(mac_a_packet_to_the_peer_goes_to(&mut rig), None);
+        inject_frame(&mut rig, arp_reply_from(peer_ip(), peer_mac()));
+        let to_driver = transmits_in(&drain(&rig.ip_to_drv));
+        assert_eq!(to_driver.len(), 1, "the parked packet goes out");
+    }
+
+    #[test]
+    fn a_changed_mac_replaces_the_next_hop_memo() {
+        let mut rig = rig(false);
+        inject_frame(&mut rig, arp_reply_from(peer_ip(), peer_mac()));
+        assert_eq!(mac_a_packet_to_the_peer_goes_to(&mut rig), Some(peer_mac()));
+        assert_eq!(mac_a_packet_to_the_peer_goes_to(&mut rig), Some(peer_mac()));
+        let moved = MacAddr::from_index(201);
+        inject_frame(&mut rig, arp_reply_from(peer_ip(), moved));
+        assert_eq!(mac_a_packet_to_the_peer_goes_to(&mut rig), Some(moved));
     }
 }

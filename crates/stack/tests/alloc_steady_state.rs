@@ -7,7 +7,9 @@
 //! `poll` made it:
 //!
 //! * a keep-alive request costs driver + ip + pf + tcp together no
-//!   allocation, a bulk transfer at most twenty per MiB either way;
+//!   allocation, a bulk transfer at most twenty per MiB either way — and IP
+//!   none, however many frames it has in flight, nor for any number of
+//!   forged source addresses;
 //! * the heap a stack holds does not grow with the connections it has
 //!   served, TCP or UDP;
 //! * a threaded stack gives its memory back on `shutdown()`.
@@ -15,6 +17,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -34,13 +37,16 @@ use newt_kernel::storage::StorageServer;
 use newt_net::link::{Link, LinkConfig};
 use newt_net::nic::{Nic, NicConfig};
 use newt_net::peer::{ClientStatus, PeerConfig, RemotePeer, IPERF_PORT};
-use newt_net::wire::{HeaderBuf, IpProtocol, MacAddr, WireBuf};
+use newt_net::wire::{
+    EtherType, EthernetFrame, HeaderBuf, IpProtocol, Ipv4Packet, MacAddr, TcpFlags, TcpSegment,
+    WireBuf,
+};
 use newt_stack::builder::{NewtStack, StackConfig};
 use newt_stack::driver::{DriverServer, GRO_MAX_PAYLOAD, RX_POOL_CHUNK};
 use newt_stack::endpoints::{self, Shard};
 use newt_stack::fabric::{send, Chan, CrashBoard, PoolTable, Rx, Tx};
 use newt_stack::ip::{IfaceConfig, IpConfig, IpServer};
-use newt_stack::msg::{IpToTransport, TransportToIp};
+use newt_stack::msg::{DrvToIp, IpToTransport, TransportToIp};
 use newt_stack::pf::PacketFilterServer;
 use newt_stack::posix::{NetClient, RingHandle};
 use newt_stack::rings::{interest_bits, CqValue, Cqe, RingTable, Sqe, SqeOp};
@@ -150,6 +156,9 @@ struct World {
     ip_to_udp: Rx<IpToTransport>,
     udp_requests: u64,
     charged: LayerAllocs,
+    /// IP's receive and header pools: a chunk in use is a frame IP has in
+    /// flight, inbound or outbound.
+    ip_pools: [Pool; 2],
     _link: Link,
 }
 
@@ -202,6 +211,7 @@ impl World {
         for pool in [&rx_pool, &header_pool, &tcp_tx_pool] {
             pools.register(pool);
         }
+        let ip_pools = [rx_pool.clone(), header_pool.clone()];
 
         let tcp_to_ip = Chan::new(4096);
         let ip_to_tcp = Chan::new(4096);
@@ -347,6 +357,7 @@ impl World {
             ip_to_udp: ip_to_udp.rx(),
             udp_requests: 0,
             charged: LayerAllocs::default(),
+            ip_pools,
             _link: link,
         }
     }
@@ -450,16 +461,30 @@ impl World {
 
     /// One request on the flow bound to `port`, to the verified response.
     fn request(&mut self, port: u16) {
+        self.request_on_all(&[port]);
+    }
+
+    /// One request on each of `ports` at once, to the verified responses.
+    /// Returns the most frames IP had in flight after a round.
+    fn request_on_all(&mut self, ports: &[u16]) -> usize {
         let (request, response) = self.exchange;
-        assert!(self.peer.client_send(port, &QS[..request]));
-        let mut got = 0;
-        self.run_until("a response", |world| {
-            let data = world.peer.client_take(port);
-            assert!(data.iter().all(|&b| b == b'r'));
-            got += data.len();
-            got >= response
+        for &port in ports {
+            assert!(self.peer.client_send(port, &QS[..request]));
+        }
+        let mut got = vec![0; ports.len()];
+        let mut most_in_flight = 0;
+        self.run_until("the responses", |world| {
+            let in_flight = world.ip_pools.iter().map(Pool::in_use).sum();
+            most_in_flight = most_in_flight.max(in_flight);
+            for (got, &port) in got.iter_mut().zip(ports) {
+                let data = world.peer.client_take(port);
+                assert!(data.iter().all(|&b| b == b'r'));
+                *got += data.len();
+            }
+            got.iter().all(|&got| got >= response)
         });
-        assert_eq!(got, response);
+        assert!(got.iter().all(|&got| got == response));
+        most_in_flight
     }
 
     /// One datagram from local `src_port` to a port the peer does not
@@ -557,6 +582,157 @@ fn a_bulk_mebibyte_costs_the_stack_layers_at_most_twenty_allocations() {
         println!("allocations per MiB {what}: {per_mib:.2} ({charged:?})");
         assert!(per_mib <= 20.0, "per MiB {what}: {charged:?}");
     }
+}
+
+/// The cell above moves one transfer at a time and IP never has more than
+/// a handful of frames in flight.  Four at once put a burst of segments and
+/// the acknowledgements of one in front of IP every round (sending, the
+/// judge's `step_bulk_tx` shape doubled: the peer's 64 KiB window bounds a
+/// connection's share); what IP remembers about each frame lives in the
+/// record of the frame's pool slot, so it allocates nothing for any number
+/// of them.  Receiving, GRO hands IP few frames however many connections
+/// send; the cell holds that way to the same zero.
+#[test]
+fn ip_allocates_nothing_with_many_frames_in_flight() {
+    let _guard = ONE_AT_A_TIME.lock();
+    const PORTS: [u16; 4] = [
+        CLIENT_PORT_BASE,
+        CLIENT_PORT_BASE + 1,
+        CLIENT_PORT_BASE + 2,
+        CLIENT_PORT_BASE + 3,
+    ];
+    const ROUNDS: usize = 3;
+    for (what, exchange, frames) in [
+        ("sent", (REQUEST, MIB), 64),
+        ("received", (MIB, RESPONSE), 16),
+    ] {
+        let mut world = World::new(false, 1024 * 1024, exchange);
+        for port in PORTS {
+            world.connect(port);
+        }
+        // Warm-up: every batch vector IP and its lanes pass around has seen
+        // the largest burst.
+        for _ in 0..ROUNDS {
+            world.request_on_all(&PORTS);
+        }
+        world.charged = LayerAllocs::default();
+        let mut in_flight = 0;
+        for _ in 0..ROUNDS {
+            in_flight = in_flight.max(world.request_on_all(&PORTS));
+        }
+        let charged = world.charged;
+        println!(
+            "four transfers at once, {} MiB {what}: {charged:?}; \
+             at most {in_flight} frames in flight through ip",
+            ROUNDS * PORTS.len()
+        );
+        assert!(
+            in_flight >= frames,
+            "the cell is about many frames in flight; {what}, there were {in_flight} at most"
+        );
+        assert_eq!(charged.ip, 0, "{what}: {charged:?}");
+    }
+}
+
+/// A spoofed-source flood offers IP one new address per packet.  The ARP
+/// cache learns from accepted packets, so it is bounded — and sized once:
+/// ten thousand forged sources cost IP no allocation once its scratch
+/// vectors have their capacity.
+#[test]
+fn forged_source_addresses_cost_ip_no_allocation() {
+    let _guard = ONE_AT_A_TIME.lock();
+    let shard = Shard::new(0, 1);
+    let pools = PoolTable::new();
+    let rx_pool = Pool::new("ip.rx", shard.ip(), RX_POOL_CHUNK, 256);
+    let header_pool = Pool::new("ip.hdr", shard.ip(), 2048, 256);
+    pools.register(&rx_pool);
+    pools.register(&header_pool);
+    let tcp_to_ip: Chan<TransportToIp> = Chan::new(64);
+    let ip_to_tcp: Chan<IpToTransport> = Chan::new(64);
+    let udp_to_ip = Chan::new(64);
+    let ip_to_udp = Chan::new(64);
+    let ip_to_pf = Chan::new(64);
+    let pf_to_ip = Chan::new(64);
+    let ip_to_drv = Chan::new(64);
+    let drv_to_ip = Chan::new(64);
+    let local = StackConfig::local_addr(0);
+    let mut ip = IpServer::new(
+        StartMode::Fresh,
+        shard,
+        IpConfig {
+            interfaces: vec![IfaceConfig {
+                mac: MacAddr::from_index(0),
+                addr: local,
+                prefix_len: 24,
+            }],
+            with_pf: false,
+            checksum_offload: true,
+        },
+        Arc::new(StorageServer::new()),
+        rx_pool.clone(),
+        header_pool,
+        pools,
+        tcp_to_ip.rx(),
+        ip_to_tcp.tx(),
+        udp_to_ip.rx(),
+        ip_to_udp.tx(),
+        ip_to_pf.tx(),
+        pf_to_ip.rx(),
+        vec![ip_to_drv.tx()],
+        vec![drv_to_ip.rx()],
+        CrashBoard::new(),
+        None,
+    );
+    let (from_driver, to_tcp, from_tcp) = (drv_to_ip.tx(), ip_to_tcp.rx(), tcp_to_ip.tx());
+
+    // A bare ACK from `source`, the driver's and TCP's part played by hand:
+    // published, announced, delivered, handed back.
+    let flood = |ip: &mut IpServer, source: u32| -> u64 {
+        let src = Ipv4Addr::from(source);
+        let segment = TcpSegment::control(4000, PORT, 1, 1, TcpFlags::ACK);
+        let packet = Ipv4Packet::new(src, local, IpProtocol::Tcp, segment.build(src, local));
+        let frame = EthernetFrame::new(
+            MacAddr::from_index(0),
+            MacAddr::from_index(source as u8),
+            EtherType::Ipv4,
+            packet.build(),
+        );
+        let ptr = rx_pool.publish(&frame.build()).expect("a free rx chunk");
+        assert!(send(
+            &from_driver,
+            DrvToIp::ReceivedBatch {
+                nic: 0,
+                ptrs: vec![ptr],
+            },
+        ));
+        let before = allocs();
+        ip.poll();
+        let mut counted = allocs() - before;
+        for delivery in to_tcp.drain() {
+            let IpToTransport::DeliverBatch(mut ptrs) = delivery else {
+                panic!("nothing was sent");
+            };
+            assert_eq!(ptrs, [ptr]);
+            assert!(send(&from_tcp, TransportToIp::RxDoneBatch(ptrs.clone())));
+            ptrs.clear();
+            to_tcp.recycle(IpToTransport::DeliverBatch(ptrs));
+        }
+        let before = allocs();
+        ip.poll();
+        counted += allocs() - before;
+        counted
+    };
+    // Twice the cache's bound: every scratch vector has its capacity and
+    // the cache has been full once.
+    for source in 0..1_100 {
+        flood(&mut ip, 0xAC10_0000 + source);
+    }
+    let counted: u64 = (0..10_000)
+        .map(|source| flood(&mut ip, 0xC0A8_0000 + source))
+        .sum();
+    assert_eq!(ip.stats().packets_in, 11_100);
+    assert_eq!(ip.stats().rx_freed, 11_100);
+    assert_eq!(counted, 0, "10 000 forged sources allocated in ip");
 }
 
 #[test]
