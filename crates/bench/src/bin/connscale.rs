@@ -95,8 +95,9 @@ fn main() {
 
     // Ring-lane traffic vs completed socket ops: the server's CQ counts
     // every inline op and every queued completion of its ring group; the
-    // ring lanes carry everything the SYSCALL pump forwarded on its
-    // behalf (accept arms, closes, and their completions).
+    // ring lanes (`ring⇄tcp`, `ring⇄udp`) carry everything the shards'
+    // ring pumps forwarded on its behalf (opens, binds, listens, accept
+    // arms, closes, and their completions).
     let lane_names = stack.fabric_lane_names();
     let ring_lanes: Vec<usize> = lane_names
         .iter()

@@ -76,7 +76,7 @@ use crate::pf::{FilterRule, PacketFilterServer, PfStats};
 use crate::posix::NetClient;
 use crate::rings::RingTable;
 use crate::sockbuf::Doorbell;
-use crate::syscall::{SyscallReplica, SyscallServer, SyscallStats};
+use crate::syscall::{RingPump, SyscallReplica, SyscallServer, SyscallStats};
 use crate::tcp::{TcpConfig, TcpServer, TcpStats};
 use crate::udp::{UdpServer, UdpStats};
 
@@ -336,7 +336,7 @@ impl IdleTelemetry {
 pub struct Telemetry {
     /// Packet filter counters.
     pub pf: PfStats,
-    /// SYSCALL server counters (including per-shard routing counts).
+    /// SYSCALL server counters (ring set-ups).
     pub syscall: SyscallStats,
     /// Per-shard TCP counters.
     pub tcp_shards: [TcpStats; MAX_SHARDS],
@@ -505,14 +505,12 @@ struct ShardLanes {
     tcp_to_pf: Chan<TransportToPf>,
     pf_to_udp: Chan<PfToTransport>,
     udp_to_pf: Chan<TransportToPf>,
-    sys_to_tcp: Chan<SockRequest>,
-    tcp_to_sys: Chan<SockReply>,
-    sys_to_udp: Chan<SockRequest>,
-    udp_to_sys: Chan<SockReply>,
     /// The ring lanes: batched submissions from this shard's ring pump to
-    /// its TCP server, and the pump-addressed replies back.
+    /// its TCP and UDP servers, and the replies back.
     ring_to_tcp: Chan<SockRequest>,
     tcp_to_ring: Chan<SockReply>,
+    ring_to_udp: Chan<SockRequest>,
+    udp_to_ring: Chan<SockReply>,
     /// One transmit/completion lane pair per NIC.
     ip_to_drv: Vec<Chan<IpToDrv>>,
     drv_to_ip: Vec<Chan<DrvToIp>>,
@@ -532,7 +530,6 @@ impl ShardLanes {
         let udp = || word_of(shard.udp());
         let ip = || word_of(shard.ip());
         let pf = || word_of(endpoints::PF);
-        let syscall = || word_of(endpoints::SYSCALL);
         let ring_pump = || word_of(endpoints::syscall_shard(shard.index));
         ShardLanes {
             tcp_to_ip: Chan::waking(4096, ip()),
@@ -545,12 +542,10 @@ impl ShardLanes {
             tcp_to_pf: Chan::waking(16, pf()),
             pf_to_udp: Chan::waking(16, udp()),
             udp_to_pf: Chan::waking(16, pf()),
-            sys_to_tcp: Chan::waking(256, tcp()),
-            tcp_to_sys: Chan::waking(256, syscall()),
-            sys_to_udp: Chan::waking(256, udp()),
-            udp_to_sys: Chan::waking(256, syscall()),
             ring_to_tcp: Chan::waking(1024, tcp()),
             tcp_to_ring: Chan::waking(4096, ring_pump()),
+            ring_to_udp: Chan::waking(256, udp()),
+            udp_to_ring: Chan::waking(256, ring_pump()),
             ip_to_drv: (0..nics)
                 .map(|i| Chan::waking(2048, word_of(endpoints::driver(i))))
                 .collect(),
@@ -560,10 +555,30 @@ impl ShardLanes {
         }
     }
 
+    /// The names of the per-shard lanes that exist whatever the NIC count,
+    /// in the order of [`ShardLanes::stats_handles`] (whose array is typed
+    /// by this one's length, so the two cannot drift apart).
+    const FIXED_LANE_NAMES: [&str; 14] = [
+        "tcp→ip",
+        "ip→tcp",
+        "udp→ip",
+        "ip→udp",
+        "ip→pf",
+        "pf→ip",
+        "pf→tcp",
+        "tcp→pf",
+        "pf→udp",
+        "udp→pf",
+        "ring→tcp",
+        "tcp→ring",
+        "ring→udp",
+        "udp→ring",
+    ];
+
     /// Observer handles onto every lane of this shard, in a stable order,
     /// for the fabric message accounting.
     fn stats_handles(&self) -> Vec<newt_channels::spsc::StatsHandle> {
-        let mut handles = vec![
+        let fixed: [_; Self::FIXED_LANE_NAMES.len()] = [
             self.tcp_to_ip.stats_handle(),
             self.ip_to_tcp.stats_handle(),
             self.udp_to_ip.stats_handle(),
@@ -574,13 +589,12 @@ impl ShardLanes {
             self.tcp_to_pf.stats_handle(),
             self.pf_to_udp.stats_handle(),
             self.udp_to_pf.stats_handle(),
-            self.sys_to_tcp.stats_handle(),
-            self.tcp_to_sys.stats_handle(),
-            self.sys_to_udp.stats_handle(),
-            self.udp_to_sys.stats_handle(),
             self.ring_to_tcp.stats_handle(),
             self.tcp_to_ring.stats_handle(),
+            self.ring_to_udp.stats_handle(),
+            self.udp_to_ring.stats_handle(),
         ];
+        let mut handles = Vec::from(fixed);
         for lane in &self.ip_to_drv {
             handles.push(lane.stats_handle());
         }
@@ -769,6 +783,17 @@ impl IdleCounters {
 }
 
 impl Wiring {
+    /// The ring pump of `shard`, on that shard's lanes to its transports.
+    fn ring_pump(&self, shard: Shard, lane: &ShardLanes) -> RingPump {
+        RingPump::new(
+            shard,
+            Arc::clone(&self.rings),
+            (lane.ring_to_tcp.tx(), lane.tcp_to_ring.rx()),
+            (lane.ring_to_udp.tx(), lane.udp_to_ring.rx()),
+            self.crash_board.clone(),
+        )
+    }
+
     /// Builds one incarnation of `component` on the lanes, pools and tables
     /// it owns.  The reincarnation server runs this once per incarnation.
     fn build(&self, component: Component, rt: &ServiceRuntime) -> Box<dyn Server> {
@@ -783,7 +808,7 @@ impl Wiring {
         let lane = &self.lanes[index];
         let pool = &self.shard_pools[index];
         match component {
-            Component::Tcp | Component::TcpShard(_) => Box::new(TcpServer::new(
+            Component::Tcp | Component::TcpShard(_) => Box::new(TcpServer::with_ring_lanes(
                 rt.start_mode(),
                 rt.generation(),
                 shard,
@@ -793,8 +818,6 @@ impl Wiring {
                 self.registry.clone(),
                 pool.tcp_tx.clone(),
                 self.pools.clone(),
-                lane.sys_to_tcp.rx(),
-                lane.tcp_to_sys.tx(),
                 lane.ring_to_tcp.rx(),
                 lane.tcp_to_ring.tx(),
                 lane.tcp_to_ip.tx(),
@@ -813,8 +836,8 @@ impl Wiring {
                 self.registry.clone(),
                 pool.udp_tx.clone(),
                 self.pools.clone(),
-                lane.sys_to_udp.rx(),
-                lane.udp_to_sys.tx(),
+                lane.ring_to_udp.rx(),
+                lane.udp_to_ring.tx(),
                 lane.udp_to_ip.tx(),
                 lane.ip_to_udp.rx(),
                 lane.pf_to_udp.rx(),
@@ -865,31 +888,19 @@ impl Wiring {
                 self.lanes.iter().map(|l| l.udp_to_pf.rx()).collect(),
                 rt.take_snapshot(),
             )),
-            // The SYSCALL server is a singleton that routes every kernel
-            // call to the owning shard and pumps shard 0's rings.
-            Component::Syscall => Box::new(SyscallServer::new_sharded(
+            // The SYSCALL server is a singleton: it answers `RING_SETUP`
+            // and pumps shard 0's rings.
+            Component::Syscall => Box::new(SyscallServer::new(
                 self.kernel.clone(),
                 self.registry.clone(),
                 rt.generation(),
-                Arc::clone(&self.rings),
-                self.lanes.iter().map(|l| l.sys_to_tcp.tx()).collect(),
-                self.lanes.iter().map(|l| l.tcp_to_sys.rx()).collect(),
-                self.lanes.iter().map(|l| l.sys_to_udp.tx()).collect(),
-                self.lanes.iter().map(|l| l.udp_to_sys.rx()).collect(),
-                lane.ring_to_tcp.tx(),
-                lane.tcp_to_ring.rx(),
-                self.crash_board.clone(),
-                rt.take_snapshot(),
+                self.ring_pump(shard, lane),
             )),
             // One ring pump per further stack shard, so submission
             // processing scales with the stack.
-            Component::SyscallShard(k) => Box::new(SyscallReplica::new(
-                k,
-                Arc::clone(&self.rings),
-                lane.ring_to_tcp.tx(),
-                lane.tcp_to_ring.rx(),
-                self.crash_board.clone(),
-            )),
+            Component::SyscallShard(_) => {
+                Box::new(SyscallReplica::new(self.ring_pump(shard, lane)))
+            }
             // Driver `i` serves NIC `i` with one queue-pair lane per shard.
             Component::Driver(i) => Box::new(DriverServer::with_gro(
                 i,
@@ -1254,27 +1265,10 @@ impl NewtStack {
 
     /// Returns the lane names matching [`NewtStack::fabric_lane_stats`].
     pub fn fabric_lane_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = [
-            "tcp→ip",
-            "ip→tcp",
-            "udp→ip",
-            "ip→udp",
-            "ip→pf",
-            "pf→ip",
-            "pf→tcp",
-            "tcp→pf",
-            "pf→udp",
-            "udp→pf",
-            "sys→tcp",
-            "tcp→sys",
-            "sys→udp",
-            "udp→sys",
-            "ring→tcp",
-            "tcp→ring",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        let mut names: Vec<String> = ShardLanes::FIXED_LANE_NAMES
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
         for i in 0..self.wiring.config.nics {
             names.push(format!("ip→drv{i}"));
         }
@@ -1513,6 +1507,32 @@ mod tests {
         assert_eq!(from, StackConfig::peer_addr(0));
         assert_eq!(port, newt_net::peer::DNS_PORT);
         assert_eq!(payload, b"answer:www.example.org");
+        stack.shutdown();
+    }
+
+    /// A lane picked by name is the lane that carried the traffic: two UDP
+    /// control calls show up under `ring→udp` / `udp→ring` of the socket's
+    /// shard and under no lane named after TCP's ring pair.
+    #[test]
+    fn lane_names_line_up_with_lane_stats() {
+        let stack = NewtStack::start(StackConfig {
+            nics: 2,
+            ..quick_config()
+        });
+        let socket = stack.client().udp_socket().expect("udp socket");
+        socket.bind(0).expect("bind");
+        let names = stack.fabric_lane_names();
+        let stats = stack.fabric_lane_stats(endpoints::sock_shard(socket.id()));
+        assert_eq!(names.len(), stats.len());
+        assert_eq!(names.len(), ShardLanes::FIXED_LANE_NAMES.len() + 2 * 2);
+        let enqueued = |name: &str| {
+            let lane = names.iter().position(|n| n == name).expect(name);
+            stats[lane].enqueued
+        };
+        assert_eq!(enqueued("ring→udp"), 2);
+        assert_eq!(enqueued("udp→ring"), 2);
+        assert_eq!(enqueued("ring→tcp"), 0);
+        assert_eq!(enqueued("tcp→ring"), 0);
         stack.shutdown();
     }
 

@@ -87,20 +87,65 @@ pub fn ip_shard(shard: usize) -> Endpoint {
     }
 }
 
-/// Socket identifiers carry the shard that owns them in their upper bits,
-/// so the SYSCALL server can route a call from the id alone and sockbuf
-/// registry names stay globally unique across replicas.
+/// The two transports a socket can belong to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Transport {
+    /// The TCP server of a shard.
+    Tcp,
+    /// The UDP server of a shard.
+    Udp,
+}
+
+impl Transport {
+    /// Both transports, in [`Transport::index`] order.
+    pub const ALL: [Transport; 2] = [Transport::Tcp, Transport::Udp];
+
+    /// `"tcp"` / `"udp"`: the base of the transport's service names
+    /// ([`Shard::service_name`]) and of its sockbuf registry names.
+    pub fn name(self) -> &'static str {
+        match self {
+            Transport::Tcp => "tcp",
+            Transport::Udp => "udp",
+        }
+    }
+
+    /// Position of this transport in a per-transport pair.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+}
+
+/// Socket identifiers carry the shard that owns them in bits 32..40 and
+/// the transport that minted them in the bit beside those, so a submission
+/// is routed from the id alone and sockbuf registry names stay globally
+/// unique across replicas.
 pub const SOCK_SHARD_SHIFT: u32 = 32;
 
-/// Returns the first socket id minted by a transport on `shard` (ids grow
+/// Set in every socket id a UDP server mints; clear in TCP's.
+pub const SOCK_UDP_BIT: u64 = 1 << 40;
+
+/// Returns the first socket id minted by `transport` on `shard` (ids grow
 /// upwards from here).
-pub fn sock_id_base(shard: usize) -> u64 {
-    (shard as u64) << SOCK_SHARD_SHIFT
+pub fn sock_id_base(transport: Transport, shard: usize) -> u64 {
+    let udp = match transport {
+        Transport::Tcp => 0,
+        Transport::Udp => SOCK_UDP_BIT,
+    };
+    udp | (shard as u64) << SOCK_SHARD_SHIFT
 }
 
 /// Returns the shard that minted a socket id.
 pub fn sock_shard(sock: u64) -> usize {
-    (sock >> SOCK_SHARD_SHIFT) as usize
+    (sock >> SOCK_SHARD_SHIFT) as usize & 0xff
+}
+
+/// Returns the transport that minted a socket id.
+pub fn sock_transport(sock: u64) -> Transport {
+    if sock & SOCK_UDP_BIT == 0 {
+        Transport::Tcp
+    } else {
+        Transport::Udp
+    }
 }
 
 /// The identity of one stack shard: its index and how many replicas run in
@@ -157,9 +202,9 @@ impl Shard {
         ip_shard(self.index)
     }
 
-    /// Returns the first socket id transports on this shard mint.
-    pub fn sock_id_base(&self) -> u64 {
-        sock_id_base(self.index)
+    /// Returns the first socket id `transport` mints on this shard.
+    pub fn sock_id_base(&self, transport: Transport) -> u64 {
+        sock_id_base(transport, self.index)
     }
 
     /// Returns this shard's slice of an ephemeral port range: the
@@ -335,9 +380,16 @@ mod tests {
 
     #[test]
     fn sock_ids_encode_their_shard() {
-        assert_eq!(sock_shard(sock_id_base(0) + 1), 0);
-        assert_eq!(sock_shard(sock_id_base(3) + 42), 3);
-        assert_eq!(Shard::new(5, 8).sock_id_base(), 5u64 << SOCK_SHARD_SHIFT);
+        assert_eq!(sock_shard(sock_id_base(Transport::Tcp, 0) + 1), 0);
+        for transport in Transport::ALL {
+            let id = sock_id_base(transport, 3) + 42;
+            assert_eq!(sock_shard(id), 3);
+            assert_eq!(sock_transport(id), transport);
+        }
+        let tcp_base = Shard::new(5, 8).sock_id_base(Transport::Tcp);
+        assert_eq!(tcp_base, 5u64 << SOCK_SHARD_SHIFT);
+        // The two transports of a shard never mint the same id.
+        assert_ne!(Shard::new(5, 8).sock_id_base(Transport::Udp), tcp_base);
     }
 
     #[test]

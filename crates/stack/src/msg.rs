@@ -177,13 +177,13 @@ pub enum TransportToPf {
     Connections(Vec<FlowTuple>),
 }
 
-/// Socket-API requests from the SYSCALL server to a transport server.
+/// Socket-API requests from a SYSCALL ring pump to a transport server.
 #[derive(Debug, Clone)]
 pub enum SockRequest {
     /// Create a socket.  The transport replies with the socket id and
     /// publishes its shared buffer in the registry.
     Open {
-        /// Request identifier assigned by the SYSCALL server.
+        /// Request identifier (ring-encoded, see [`crate::rings`]).
         req: RequestId,
     },
     /// Bind the socket to a local port (0 = pick an ephemeral port).
@@ -215,7 +215,7 @@ pub enum SockRequest {
         /// (0 = the transport's default).
         recv_cap: u32,
     },
-    /// Arm a *multishot* accept on a listening socket (the ring path):
+    /// Arm a *multishot* accept on a listening socket:
     /// every connection entering the backlog is answered immediately
     /// with [`SockReply::Accepted`] carrying this request id, until the
     /// listener closes (a terminal [`SockReply::Error`]).  Re-arming an
@@ -223,7 +223,7 @@ pub enum SockRequest {
     /// is idempotent, which lets a SYSCALL replica blindly re-forward
     /// arms after a transport crash.
     AcceptArm {
-        /// Request identifier (ring-encoded, see [`crate::rings`]).
+        /// Request identifier.
         req: RequestId,
         /// The listening socket.
         sock: SockId,
@@ -275,7 +275,7 @@ impl SockRequest {
     }
 }
 
-/// Replies from a transport server to the SYSCALL server.
+/// Replies from a transport server to its shard's SYSCALL ring pump.
 #[derive(Debug, Clone)]
 pub enum SockReply {
     /// A socket was created; its shared buffer is published under
@@ -315,6 +315,14 @@ pub enum SockReply {
 }
 
 impl SockReply {
+    /// The reply to a request that yields the socket's local port or fails.
+    pub fn from_result(req: RequestId, result: Result<u16, SockError>) -> Self {
+        match result {
+            Ok(port) => SockReply::Ok { req, port },
+            Err(error) => SockReply::Error { req, error },
+        }
+    }
+
     /// Returns the request identifier this reply answers.
     pub fn req(&self) -> RequestId {
         match self {
@@ -327,72 +335,18 @@ impl SockReply {
 }
 
 /// Kernel-IPC message types used between applications and the SYSCALL
-/// server (the POSIX layer of §V-B).
+/// server.  One call is left: every socket operation is a ring entry
+/// ([`crate::rings`]), so the trap is paid once per application (§V-B).
 pub mod syscalls {
-    /// socket(proto) — word0: protocol number (6 or 17).
-    pub const SOCKET: u32 = 1;
-    /// bind(sock, port) — word0: socket, word1: port.
-    pub const BIND: u32 = 2;
-    /// listen(sock, backlog) — word0: socket, word1: backlog.
-    pub const LISTEN: u32 = 3;
-    /// connect(sock, addr, port) — word0: socket, word1: address, word2: port.
-    pub const CONNECT: u32 = 5;
-    /// close(sock) — word0: socket.
-    pub const CLOSE: u32 = 6;
     /// Set up the application's submission/completion rings — replies
     /// with the stack's shard count in word0, after which the rings are
     /// attachable from the registry under `ring/<app>/...`.  Idempotent:
     /// calling again for the same application returns the same rings.
-    /// (Message types 7/8 were the retired per-call `POLL`/`ACCEPT_NB`
-    /// round trips, now served by the rings.)
     pub const RING_SETUP: u32 = 9;
-    /// listen() flag (word2): `SO_REUSEPORT`-style sharded listener.
-    pub const LISTEN_FLAG_SHARDED: u64 = 1;
     /// Successful reply; word0 carries the primary result.
     pub const REPLY_OK: u32 = 100;
-    /// Failed reply; word0 carries the encoded error.
+    /// Failed reply (a message type the server does not know).
     pub const REPLY_ERR: u32 = 101;
-    /// Every request carries the protocol number in word 7.
-    pub const PROTO_WORD: usize = 7;
-}
-
-/// Encodes a [`SockError`] into a kernel-IPC payload word.
-pub fn encode_sock_error(error: SockError) -> u64 {
-    match error {
-        SockError::ConnectionReset => 1,
-        SockError::TimedOut => 2,
-        SockError::ConnectionRefused => 3,
-        SockError::InvalidState => 4,
-        SockError::AddressInUse => 5,
-        SockError::ServerUnavailable => 6,
-        SockError::Filtered => 7,
-        SockError::WouldBlock => 8,
-    }
-}
-
-/// Decodes a [`SockError`] from a kernel-IPC payload word.
-pub fn decode_sock_error(word: u64) -> SockError {
-    match word {
-        1 => SockError::ConnectionReset,
-        2 => SockError::TimedOut,
-        3 => SockError::ConnectionRefused,
-        5 => SockError::AddressInUse,
-        6 => SockError::ServerUnavailable,
-        7 => SockError::Filtered,
-        8 => SockError::WouldBlock,
-        4 => SockError::InvalidState,
-        _ => SockError::InvalidState,
-    }
-}
-
-/// Converts an [`Ipv4Addr`] to a payload word.
-pub fn addr_to_word(addr: Ipv4Addr) -> u64 {
-    u32::from(addr) as u64
-}
-
-/// Converts a payload word back to an [`Ipv4Addr`].
-pub fn word_to_addr(word: u64) -> Ipv4Addr {
-    Ipv4Addr::from(word as u32)
 }
 
 #[cfg(test)]
@@ -430,28 +384,6 @@ mod tests {
             peer_port: 5001,
         };
         assert_eq!(accepted.req(), RequestId::from_raw(4));
-    }
-
-    #[test]
-    fn sock_error_round_trip() {
-        for error in [
-            SockError::ConnectionReset,
-            SockError::TimedOut,
-            SockError::ConnectionRefused,
-            SockError::InvalidState,
-            SockError::AddressInUse,
-            SockError::ServerUnavailable,
-            SockError::Filtered,
-            SockError::WouldBlock,
-        ] {
-            assert_eq!(decode_sock_error(encode_sock_error(error)), error);
-        }
-    }
-
-    #[test]
-    fn addr_word_round_trip() {
-        let addr = Ipv4Addr::new(192, 168, 7, 42);
-        assert_eq!(word_to_addr(addr_to_word(addr)), addr);
     }
 
     /// Live-update snapshots carry chains and transport headers (TCP's

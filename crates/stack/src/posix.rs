@@ -3,21 +3,21 @@
 //! The app↔stack boundary is built on **syscall rings**: each application
 //! owns one submission queue per stack shard plus a single completion
 //! queue, shared with the SYSCALL servers through the registry (see
-//! [`crate::rings`]).  Socket operations are ring entries, not kernel
-//! round trips:
+//! [`crate::rings`]).  Every socket operation is a ring entry:
 //!
 //! * `Send`/`Recv`/`PollArm` complete **inline** on the client side
 //!   against the shared [`SocketBuffer`] — zero fabric messages;
-//! * `AcceptArm` is **multishot**: one submission yields a completion per
-//!   accepted connection for the lifetime of the listener;
-//! * `Close` is forwarded to the owning TCP shard in batches by the
-//!   SYSCALL server's ring pump.
+//! * `Open`/`Bind`/`Listen`/`Connect`/`Close` are forwarded in batches to
+//!   the owning shard's TCP or UDP server by that shard's ring pump;
+//! * `AcceptArm` is forwarded too and is **multishot**: one submission
+//!   yields a completion per accepted connection for the lifetime of the
+//!   listener.
 //!
 //! The raw ring interface is [`RingHandle`] (obtained from
-//! [`NetClient::ring`]); the classic POSIX calls below are retained as
-//! thin shims over it.  Only *control* calls that create or dismantle
-//! kernel-visible state (socket, bind, listen, connect, close) still
-//! travel as synchronous kernel IPC to the SYSCALL server.
+//! [`NetClient::ring`]); the classic POSIX calls below are thin shims over
+//! it — a control call submits its entry under a library-owned tag and
+//! waits for that tag on the completion queue.  The one kernel call left
+//! is the `RING_SETUP` that hands an application its rings.
 //!
 //! # Blocking, non-blocking and polling
 //!
@@ -28,9 +28,10 @@
 //! degrades to the non-blocking [`TcpSocket::accept_nb`].  Readiness can be
 //! asked for without blocking:
 //!
-//! * [`TcpSocket::readiness`] — recv-buffer data, send-buffer space,
-//!   hang-up and pending errors, read **locally** from the shared buffer
-//!   (no SYSCALL round trip, like the data path itself);
+//! * [`RingHandle::poll_arm`] — a one-shot watch on recv-buffer data,
+//!   send-buffer space, hang-up and pending errors, evaluated **locally**
+//!   against the shared buffer (no server round trip, like the data path
+//!   itself);
 //! * [`TcpSocket::accept_ready`] — listen-backlog readiness, answered
 //!   locally from the ring's multishot accept completions.
 //!
@@ -42,34 +43,39 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use newt_channels::endpoint::Endpoint;
 use newt_channels::registry::Registry;
 use newt_kernel::ipc::{IpcError, KernelIpc, Message};
-use newt_net::wire::IpProtocol;
 
-use crate::endpoints;
-use crate::msg::{addr_to_word, decode_sock_error, syscalls, SockId};
+use crate::endpoints::{self, Transport};
+use crate::msg::{syscalls, SockId};
 use crate::rings::{self, CompletionQueue, CqValue, Cqe, Sqe, SqeOp, SubmissionRing};
-use crate::sockbuf::{BufferName, Readiness, ReadyWatch, SockError, SocketBuffer};
+use crate::sockbuf::{BufferName, ReadyWatch, SockError, SocketBuffer};
 use crate::udp::{decode_datagram, encode_datagram};
 
-/// Fallback real-time bound for *control* calls (socket, bind, listen,
-/// connect, close, ring setup) when the client is in non-blocking mode:
-/// the kernel round trip itself can never be zero-timeout, only the
-/// data-plane waits can.
-const CONTROL_TIMEOUT_FLOOR: Duration = Duration::from_secs(10);
+/// The real-time bound on blocking operations of a fresh client, and on
+/// the *control* calls (ring set-up, open, bind, listen, connect, close) of
+/// a non-blocking one: those wait for their completion whatever the mode,
+/// only the data-plane waits can be zero-timeout.
+const DEFAULT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// The `user_data` bit reserved for the library's internal shims (the
-/// multishot accept arms behind [`TcpSocket::accept`]).  [`RingHandle`]
-/// rejects application submissions whose tag carries this bit with
-/// [`SockError::InvalidState`], so shim completions can never be
-/// confused with application completions.
+/// multishot accept arms behind [`TcpSocket::accept`] and the control
+/// calls).  [`RingHandle`] rejects application submissions whose tag
+/// carries this bit with [`SockError::InvalidState`], so shim completions
+/// can never be confused with application completions.
 pub const SHIM_USER_BIT: u64 = 1 << 63;
+
+/// Set beside [`SHIM_USER_BIT`] in the tag of a control call (the rest of
+/// the tag is the call's sequence number); clear in an accept arm's tag
+/// (the rest is the listener's id).
+const SHIM_CALL_BIT: u64 = 1 << 62;
 
 /// Handle through which an application process uses the networking stack.
 ///
@@ -126,7 +132,7 @@ impl NetClient {
             kernel,
             registry,
             app,
-            op_timeout: Duration::from_secs(10),
+            op_timeout: DEFAULT_TIMEOUT,
             ring: Arc::new(Mutex::new(None)),
         }
     }
@@ -146,10 +152,9 @@ impl NetClient {
     /// * **zero** ([`Duration::ZERO`]) — the client is **non-blocking**:
     ///   data operations return [`SockError::WouldBlock`] immediately when
     ///   they cannot make progress, and [`TcpSocket::accept`] behaves like
-    ///   [`TcpSocket::accept_nb`].  Control calls that inherently need a
-    ///   kernel round trip (socket creation, bind, connect, close) still
-    ///   wait for their reply, bounded by a 10 s floor — the *reply* is
-    ///   immediate, only delivery takes a moment.
+    ///   [`TcpSocket::accept_nb`].  Control calls (socket creation, bind,
+    ///   listen, connect, close) still wait for their completion, bounded
+    ///   by the default 10 s.
     #[must_use]
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
         self.op_timeout = timeout;
@@ -167,66 +172,66 @@ impl NetClient {
         self.op_timeout.is_zero()
     }
 
-    /// The bound applied to kernel round trips: the op timeout, floored so
-    /// a non-blocking client can still complete control calls.
+    /// The bound applied to control calls: the op timeout, or the default
+    /// for a non-blocking client.
     fn control_timeout(&self) -> Duration {
         if self.op_timeout.is_zero() {
-            CONTROL_TIMEOUT_FLOOR
+            DEFAULT_TIMEOUT
         } else {
             self.op_timeout
         }
     }
 
-    fn call(
-        &self,
-        mtype: u32,
-        words: &[(usize, u64)],
-        proto: IpProtocol,
-    ) -> Result<Message, SockError> {
-        let mut message = Message::new(mtype).with_word(syscalls::PROTO_WORD, proto.as_u8() as u64);
-        for (index, value) in words {
-            message = message.with_word(*index, *value);
-        }
+    /// The one kernel call: asks the SYSCALL server for this application's
+    /// rings and returns the stack's shard count.
+    fn ring_setup(&self) -> Result<usize, SockError> {
         // The SYSCALL server may be booting or restarting; retry the
         // synchronous call until it is reachable or the timeout expires.
         let timeout = self.control_timeout();
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = Instant::now() + timeout;
         let reply = loop {
+            let call = Message::new(syscalls::RING_SETUP);
             match self
                 .kernel
-                .sendrec(self.app, endpoints::SYSCALL, message, timeout)
+                .sendrec(self.app, endpoints::SYSCALL, call, timeout)
             {
                 Ok(reply) => break reply,
                 Err(IpcError::Timeout) => return Err(SockError::TimedOut),
-                Err(_) if std::time::Instant::now() < deadline => {
+                Err(_) if Instant::now() < deadline => {
                     std::thread::sleep(Duration::from_millis(1));
                 }
                 Err(_) => return Err(SockError::ServerUnavailable),
             }
         };
         match reply.mtype {
-            syscalls::REPLY_OK => Ok(reply),
-            syscalls::REPLY_ERR => Err(decode_sock_error(reply.word(0))),
+            syscalls::REPLY_OK => Ok((reply.word(0) as usize).max(1)),
             _ => Err(SockError::InvalidState),
         }
     }
 
-    fn attach_buffer(&self, proto: &str, sock: SockId) -> Result<Arc<SocketBuffer>, SockError> {
-        self.registry
-            .attach_shared(self.app, &BufferName::new(proto, sock))
-            .map_err(|_| SockError::ServerUnavailable)
+    /// The one path of every control call: submits `op` on this
+    /// application's rings and waits for its completion.
+    fn control(&self, op: SqeOp) -> Result<CqValue, SockError> {
+        self.ring()?.call(op, self.control_timeout())
     }
 
-    /// Creates a TCP socket.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SockError::ServerUnavailable`] when the SYSCALL or TCP
-    /// server cannot be reached.
-    pub fn tcp_socket(&self) -> Result<TcpSocket, SockError> {
-        let reply = self.call(syscalls::SOCKET, &[], IpProtocol::Tcp)?;
-        let sock = reply.word(0);
-        let buffer = self.attach_buffer("tcp", sock)?;
+    /// Opens a socket of `transport` on `shard` (`None`: the next shard of
+    /// this client's round-robin) and attaches its shared buffer.
+    fn open(
+        &self,
+        transport: Transport,
+        shard: Option<usize>,
+    ) -> Result<(SockId, Arc<SocketBuffer>), SockError> {
+        let ring = self.ring()?;
+        let shard = shard.unwrap_or_else(|| ring.next_shard());
+        match ring.call(SqeOp::Open { transport, shard }, self.control_timeout())? {
+            CqValue::Opened { sock } => Ok((sock, ring.attach_buffer(sock)?)),
+            _ => Err(SockError::InvalidState),
+        }
+    }
+
+    fn tcp_socket_on(&self, shard: Option<usize>) -> Result<TcpSocket, SockError> {
+        let (sock, buffer) = self.open(Transport::Tcp, shard)?;
         Ok(TcpSocket {
             client: self.clone(),
             sock,
@@ -234,16 +239,35 @@ impl NetClient {
         })
     }
 
-    /// Creates a UDP socket.
+    /// `bind`, `listen` and `connect` all complete with the socket's local
+    /// port.
+    fn bound_port(&self, op: SqeOp) -> Result<u16, SockError> {
+        match self.control(op)? {
+            CqValue::Bound { port } => Ok(port),
+            _ => Err(SockError::InvalidState),
+        }
+    }
+
+    /// Creates a TCP socket, on the next stack shard of this client's
+    /// round-robin.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SockError::ServerUnavailable`] when the SYSCALL or TCP
+    /// server cannot be reached.
+    pub fn tcp_socket(&self) -> Result<TcpSocket, SockError> {
+        self.tcp_socket_on(None)
+    }
+
+    /// Creates a UDP socket, on the next stack shard of this client's
+    /// round-robin.
     ///
     /// # Errors
     ///
     /// Returns [`SockError::ServerUnavailable`] when the SYSCALL or UDP
     /// server cannot be reached.
     pub fn udp_socket(&self) -> Result<UdpSocket, SockError> {
-        let reply = self.call(syscalls::SOCKET, &[], IpProtocol::Udp)?;
-        let sock = reply.word(0);
-        let buffer = self.attach_buffer("udp", sock)?;
+        let (sock, buffer) = self.open(Transport::Udp, None)?;
         Ok(UdpSocket {
             client: self.clone(),
             sock,
@@ -316,8 +340,7 @@ impl NetClient {
                 return Ok(Arc::clone(ring));
             }
         }
-        let reply = self.call(syscalls::RING_SETUP, &[], IpProtocol::Tcp)?;
-        let shards = (reply.word(0) as usize).max(1);
+        let shards = self.ring_setup()?;
         let app = endpoints::app_index(self.app);
         let cq: Arc<CompletionQueue> = self
             .registry
@@ -332,9 +355,11 @@ impl NetClient {
             );
         }
         let handle = Arc::new(RingHandle {
-            client: self.clone(),
+            registry: self.registry.clone(),
+            app: self.app,
             cq,
             sqs,
+            next_shard: AtomicUsize::new(app as usize % shards),
             buffers: Mutex::new(HashMap::new()),
             shim: Mutex::new(ShimState::default()),
         });
@@ -356,10 +381,8 @@ impl NetClient {
     /// (which answers every connection-opening SYN wherever it lands, so
     /// it works on any stack).
     ///
-    /// New sockets are placed round-robin over the shards, so the group is
-    /// assembled by opening sockets until every shard holds exactly one;
-    /// superfluous sockets (possible when other threads open sockets
-    /// concurrently) are closed again.
+    /// A group member is opened on the shard it is for, so exactly one
+    /// socket per shard is ever created.
     ///
     /// # Errors
     ///
@@ -367,8 +390,9 @@ impl NetClient {
     /// listener on `port`; [`SockError::InvalidState`] when `shards > 1`
     /// disagrees with the stack's real shard count in either direction
     /// (an under-counted *sharded* group would silently blackhole the
-    /// flows hashing to the uncovered shards, an over-counted one can
-    /// never assemble); and whatever [`NetClient::tcp_socket`] can
+    /// flows hashing to the uncovered shards, an over-counted one names
+    /// shards that do not exist) — checked before anything is opened; and
+    /// whatever [`NetClient::tcp_socket`] can
     /// return.  On any error every socket opened so far is closed again,
     /// so a failed call never leaves the port half-claimed.
     pub fn listen_sharded(
@@ -398,112 +422,37 @@ impl NetClient {
         send_cap: u32,
         recv_cap: u32,
     ) -> Result<Vec<TcpSocket>, SockError> {
-        match self.try_listen_sharded(port, backlog, shards.max(1), send_cap, recv_cap) {
-            Ok(group) => Ok(group),
-            Err((error, opened)) => {
-                for socket in opened {
-                    let _ = socket.close();
-                }
-                Err(error)
-            }
+        let shards = shards.max(1);
+        let sharded = shards > 1;
+        // A single exclusive listener answers every broadcast SYN, so its
+        // placement does not matter; a *sharded* group must cover every
+        // real shard or the uncovered ones would silently blackhole their
+        // share of the flows.  Fail loudly instead.
+        if sharded && self.ring()?.shards() != shards {
+            return Err(SockError::InvalidState);
         }
-    }
-
-    /// The fallible body of [`NetClient::listen_sharded`]; on failure the
-    /// sockets opened so far ride along in the error for cleanup.
-    #[allow(clippy::type_complexity)]
-    fn try_listen_sharded(
-        &self,
-        port: u16,
-        backlog: usize,
-        shards: usize,
-        send_cap: u32,
-        recv_cap: u32,
-    ) -> Result<Vec<TcpSocket>, (SockError, Vec<TcpSocket>)> {
-        let mut listeners: Vec<Option<TcpSocket>> = (0..shards).map(|_| None).collect();
-        let mut missing = shards;
-        let opened = |listeners: Vec<Option<TcpSocket>>| -> Vec<TcpSocket> {
-            listeners.into_iter().flatten().collect()
-        };
-        // Round-robin placement fills every slot within `shards` opens when
-        // this client is the only opener; the cap keeps the loop finite
-        // under concurrent openers.  A whole round-robin cycle without
-        // filling a slot means the remaining slots can never fill —
-        // `shards` over-counts the stack — so stop churning and report the
-        // mismatch rather than a server failure.
-        let mut opens_without_progress = 0;
-        for _ in 0..shards * 8 {
-            if missing == 0 {
-                break;
+        let mut group: Vec<TcpSocket> = Vec::with_capacity(shards);
+        let assembled = (0..shards).try_for_each(|shard| {
+            group.push(self.tcp_socket_on(sharded.then_some(shard))?);
+            let listener = &group[shard];
+            listener.bind(port)?;
+            listener.listen_with_caps(backlog, sharded, send_cap, recv_cap)
+        });
+        if let Err(error) = assembled {
+            for listener in group {
+                let _ = listener.close();
             }
-            if opens_without_progress > shards {
-                return Err((SockError::InvalidState, opened(listeners)));
-            }
-            let socket = match self.tcp_socket() {
-                Ok(socket) => socket,
-                Err(error) => return Err((error, opened(listeners))),
-            };
-            // A single exclusive listener answers every broadcast SYN, so
-            // its shard placement does not matter; a *sharded* group must
-            // cover every real shard or the uncovered ones would silently
-            // blackhole their share of the flows.  Fail loudly instead.
-            let shard = if shards == 1 {
-                0
-            } else {
-                endpoints::sock_shard(socket.id())
-            };
-            if shard >= shards {
-                let _ = socket.close();
-                return Err((SockError::InvalidState, opened(listeners)));
-            }
-            if listeners[shard].is_none() {
-                listeners[shard] = Some(socket);
-                missing -= 1;
-                opens_without_progress = 0;
-            } else {
-                let _ = socket.close();
-                opens_without_progress += 1;
-            }
-        }
-        if missing > 0 {
-            return Err((SockError::InvalidState, opened(listeners)));
-        }
-        if shards > 1 {
-            // The slots fill from the round-robin cursor, so a group that
-            // under-counts the stack's shards fills before ever seeing a
-            // socket from an uncovered shard.  Probe with one extra open:
-            // on a fully covered stack it lands on a covered shard, on an
-            // under-counted one it exposes a shard this group would
-            // silently blackhole.
-            match self.tcp_socket() {
-                Ok(probe) => {
-                    let shard = endpoints::sock_shard(probe.id());
-                    let _ = probe.close();
-                    if shard >= shards {
-                        return Err((SockError::InvalidState, opened(listeners)));
-                    }
-                }
-                Err(error) => return Err((error, opened(listeners))),
-            }
-        }
-        let group: Vec<TcpSocket> = listeners.into_iter().map(|s| s.expect("filled")).collect();
-        for index in 0..group.len() {
-            let listener = &group[index];
-            if let Err(error) = listener
-                .bind(port)
-                .and_then(|_| listener.listen_with_caps(backlog, shards > 1, send_cap, recv_cap))
-            {
-                return Err((error, group));
-            }
+            return Err(error);
         }
         Ok(group)
     }
 }
 
-/// Book-keeping for the library's internal accept shims: which listeners
-/// hold a multishot arm, the connections those arms have delivered, the
-/// terminal errors they ended with, and the stash of *application*
-/// completions set aside while servicing shim completions.
+/// Book-keeping for the library's internal shims: which listeners hold a
+/// multishot accept arm, the connections those arms have delivered, the
+/// terminal errors they ended with, the control calls awaiting their
+/// completion, and the stash of *application* completions set aside while
+/// servicing shim completions.
 #[derive(Debug, Default)]
 struct ShimState {
     /// Listeners with a live multishot accept arm.
@@ -513,11 +462,17 @@ struct ShimState {
     /// Terminal error of a listener's arm (consumed on read, so a
     /// re-listen can re-arm).
     errors: HashMap<SockId, SockError>,
+    /// Control calls in progress, by tag: `None` until the completion
+    /// arrives.  A completion whose tag is not here (its caller timed
+    /// out) is dropped.
+    calls: HashMap<u64, Option<Result<CqValue, SockError>>>,
+    /// Sequence number of the last control call.
+    next_call: u64,
     /// Application completions drained from the CQ while looking for
     /// shim completions; handed out by [`RingHandle::drain`]/`wait`.
     user: Vec<Cqe>,
     /// The vector [`RingHandle::service`] drains the CQ into, kept between
-    /// calls (taken out while in use, so a wait does not hold the lock).
+    /// calls.
     scratch: Vec<Cqe>,
 }
 
@@ -535,9 +490,10 @@ struct ShimState {
 /// * [`RingHandle::send`], [`RingHandle::recv`], [`RingHandle::poll_arm`]
 ///   and their [`Sqe`] forms complete **inline** against the shared
 ///   socket buffer — no fabric message, no kernel IPC;
-/// * `AcceptArm` and `Close` submissions are batched over the fabric to
-///   the owning TCP shard by the SYSCALL server's ring pump, and their
-///   completions arrive asynchronously on the CQ.
+/// * `Open`, `Bind`, `Listen`, `Connect`, `AcceptArm` and `Close`
+///   submissions are batched over the fabric to the owning shard's TCP or
+///   UDP server by that shard's ring pump, and their completions arrive
+///   asynchronously on the CQ.
 ///
 /// # Backpressure
 ///
@@ -547,10 +503,15 @@ struct ShimState {
 /// never drops entries (it spills to an overflow list), so completions
 /// cannot be lost to a slow reader.
 pub struct RingHandle {
-    /// A clone of the owning client, for buffer attach (registry + app).
-    client: NetClient,
+    /// Where, and as whom, socket buffers are attached.
+    registry: Registry,
+    app: Endpoint,
     cq: Arc<CompletionQueue>,
     sqs: Vec<Arc<SubmissionRing>>,
+    /// The shard the next socket opened without a placement goes to:
+    /// round-robin, starting at `app_index % shards` so applications
+    /// that open one socket each still spread over the stack.
+    next_shard: AtomicUsize,
     /// Socket buffers attached for inline execution, keyed by socket id;
     /// evicted when a `Close` for the socket is submitted.
     buffers: Mutex<HashMap<SockId, Arc<SocketBuffer>>>,
@@ -560,7 +521,7 @@ pub struct RingHandle {
 impl fmt::Debug for RingHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RingHandle")
-            .field("app", &self.client.app)
+            .field("app", &self.app)
             .field("shards", &self.sqs.len())
             .field("cq", &self.cq)
             .finish_non_exhaustive()
@@ -585,12 +546,26 @@ impl RingHandle {
         &self.sqs[shard]
     }
 
-    /// The shared buffer of `sock`, attached on first use.
+    /// Takes the next shard of the round-robin socket placement.
+    fn next_shard(&self) -> usize {
+        self.next_shard.fetch_add(1, Ordering::Relaxed) % self.sqs.len()
+    }
+
+    /// Attaches the shared buffer its transport published for `sock`.
+    fn attach_buffer(&self, sock: SockId) -> Result<Arc<SocketBuffer>, SockError> {
+        let transport = endpoints::sock_transport(sock).name();
+        self.registry
+            .attach_shared(self.app, &BufferName::new(transport, sock))
+            .map_err(|_| SockError::ServerUnavailable)
+    }
+
+    /// The shared buffer of `sock`, attached on first use and kept for
+    /// inline execution.
     fn buffer(&self, sock: SockId) -> Result<Arc<SocketBuffer>, SockError> {
         if let Some(buffer) = self.buffers.lock().get(&sock) {
             return Ok(Arc::clone(buffer));
         }
-        let buffer = self.client.attach_buffer("tcp", sock)?;
+        let buffer = self.attach_buffer(sock)?;
         self.buffers
             .lock()
             .entry(sock)
@@ -599,15 +574,17 @@ impl RingHandle {
     }
 
     /// Submits one ring entry.  `Send`/`Recv`/`PollArm` execute inline
-    /// and post their completion immediately; `AcceptArm`/`Close` are
-    /// queued towards the owning shard's SYSCALL pump.
+    /// and post their completion immediately; every other operation is
+    /// queued towards the ring pump of the shard that owns its socket (an
+    /// `Open` names its shard itself).
     ///
     /// # Errors
     ///
     /// Returns [`SockError::WouldBlock`] when the target submission queue
     /// is full (backpressure: retry after draining completions) and
     /// [`SockError::InvalidState`] when `user_data` carries the reserved
-    /// [`SHIM_USER_BIT`].
+    /// [`SHIM_USER_BIT`] or an `Open` names a shard the stack does not
+    /// have.
     pub fn submit(&self, sqe: Sqe) -> Result<(), SockError> {
         if sqe.user_data & SHIM_USER_BIT != 0 {
             return Err(SockError::InvalidState);
@@ -620,16 +597,19 @@ impl RingHandle {
     fn submit_raw(&self, sqe: Sqe) -> Result<(), SockError> {
         let Sqe { user_data, op } = sqe;
         match op {
-            SqeOp::AcceptArm { listener } => self.sq_for(listener).submit(Sqe {
-                user_data,
-                op: SqeOp::AcceptArm { listener },
-            }),
+            SqeOp::Open { shard, .. } => match self.sqs.get(shard) {
+                Some(sq) => sq.submit(Sqe { user_data, op }),
+                None => Err(SockError::InvalidState),
+            },
+            SqeOp::Bind { sock, .. }
+            | SqeOp::Listen { sock, .. }
+            | SqeOp::Connect { sock, .. }
+            | SqeOp::AcceptArm { listener: sock } => {
+                self.sq_for(sock).submit(Sqe { user_data, op })
+            }
             SqeOp::Close { sock } => {
                 self.buffers.lock().remove(&sock);
-                self.sq_for(sock).submit(Sqe {
-                    user_data,
-                    op: SqeOp::Close { sock },
-                })
+                self.sq_for(sock).submit(Sqe { user_data, op })
             }
             SqeOp::Send { sock, data } => {
                 let result = self
@@ -719,23 +699,14 @@ impl RingHandle {
         Ok(())
     }
 
-    /// Snapshot of `sock`'s data readiness, read locally from its shared
-    /// buffer.
-    ///
-    /// # Errors
-    ///
-    /// [`SockError::ServerUnavailable`] when the buffer cannot be
-    /// attached.
-    pub fn readiness(&self, sock: SockId) -> Result<Readiness, SockError> {
-        Ok(self.buffer(sock)?.readiness())
-    }
-
     /// Drains every pending *application* completion into `out` without
     /// blocking; returns how many arrived.  Shim completions (the
-    /// library's accept arms) are absorbed internally.
+    /// library's accept arms and control calls) are absorbed internally.
     pub fn drain(&self, out: &mut Vec<Cqe>) -> usize {
-        self.service(None);
-        self.hand_out(out)
+        let mut shim = self.service();
+        let n = shim.user.len();
+        out.append(&mut shim.user);
+        n
     }
 
     /// Waits up to `timeout` for a completion, then drains every pending
@@ -744,35 +715,32 @@ impl RingHandle {
     /// shim completion (spurious-wakeup semantics: re-call to keep
     /// waiting).
     pub fn wait(&self, out: &mut Vec<Cqe>, timeout: Duration) -> usize {
-        self.service(None);
-        if self.shim.lock().user.is_empty() {
-            self.service(Some(timeout));
+        let seen = self.cq.posted();
+        if self.service().user.is_empty() {
+            self.cq.wait(seen, timeout);
         }
-        self.hand_out(out)
+        self.drain(out)
     }
 
-    /// Moves the stashed application completions into `out`.
-    fn hand_out(&self, out: &mut Vec<Cqe>) -> usize {
+    /// Drains the CQ and dispatches what arrived: shim completions update
+    /// the accept and control-call book-keeping, application completions
+    /// go to the stash for [`RingHandle::drain`]/[`RingHandle::wait`].
+    /// Draining and dispatching happen under the shim lock, which is
+    /// returned: whatever thread drains a completion, the thread it is
+    /// for finds it in the state behind this guard.
+    fn service(&self) -> MutexGuard<'_, ShimState> {
         let mut shim = self.shim.lock();
-        let n = shim.user.len();
-        out.append(&mut shim.user);
-        n
-    }
-
-    /// Drains the CQ (optionally waiting first) and dispatches what
-    /// arrived: shim completions update the accept book-keeping,
-    /// application completions go to the stash for
-    /// [`RingHandle::drain`]/[`RingHandle::wait`].
-    fn service(&self, wait: Option<Duration>) {
-        let mut scratch = std::mem::take(&mut self.shim.lock().scratch);
-        match wait {
-            None => self.cq.drain_into(&mut scratch),
-            Some(timeout) => self.cq.wait(&mut scratch, timeout),
-        };
-        let mut shim = self.shim.lock();
+        let mut scratch = std::mem::take(&mut shim.scratch);
+        self.cq.drain_into(&mut scratch);
         for cqe in scratch.drain(..) {
             if cqe.user_data & SHIM_USER_BIT == 0 {
                 shim.user.push(cqe);
+                continue;
+            }
+            if cqe.user_data & SHIM_CALL_BIT != 0 {
+                if let Some(slot) = shim.calls.get_mut(&cqe.user_data) {
+                    *slot = Some(cqe.result);
+                }
                 continue;
             }
             let listener = cqe.user_data & !SHIM_USER_BIT;
@@ -797,6 +765,52 @@ impl RingHandle {
             }
         }
         shim.scratch = scratch;
+        shim
+    }
+
+    /// Services the CQ until `check` finds what it is waiting for in the
+    /// shim state or `deadline` passes.
+    fn await_shim<T>(
+        &self,
+        deadline: Instant,
+        mut check: impl FnMut(&mut ShimState) -> Option<T>,
+    ) -> Option<T> {
+        loop {
+            let seen = self.cq.posted();
+            if let Some(found) = check(&mut self.service()) {
+                return Some(found);
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return None;
+            }
+            self.cq.wait(seen, deadline - now);
+        }
+    }
+
+    /// A control call: submits `op` under a fresh shim tag and waits up to
+    /// `timeout` for the completion carrying that tag.
+    ///
+    /// # Errors
+    ///
+    /// [`SockError::WouldBlock`] when the submission queue is full,
+    /// [`SockError::TimedOut`] when no completion arrives in time (a late
+    /// one is dropped), or the error the operation completed with.
+    fn call(&self, op: SqeOp, timeout: Duration) -> Result<CqValue, SockError> {
+        let tag = {
+            let mut shim = self.shim.lock();
+            shim.next_call += 1;
+            let tag = SHIM_USER_BIT | SHIM_CALL_BIT | shim.next_call;
+            shim.calls.insert(tag, None);
+            tag
+        };
+        let deadline = Instant::now() + timeout;
+        let result = self.submit_raw(Sqe { user_data: tag, op }).and_then(|()| {
+            self.await_shim(deadline, |shim| shim.calls.get_mut(&tag)?.take())
+                .unwrap_or(Err(SockError::TimedOut))
+        });
+        self.shim.lock().calls.remove(&tag);
+        result
     }
 
     /// Ensures `listener` has a live multishot accept arm, submitting one
@@ -826,23 +840,18 @@ impl RingHandle {
         Ok(())
     }
 
-    /// Pops the oldest connection accepted on `listener`, if any.
-    fn pop_accepted(&self, listener: SockId) -> Option<(SockId, Ipv4Addr, u16)> {
-        self.shim.lock().accepted.get_mut(&listener)?.pop_front()
-    }
-
-    /// Returns `true` when a connection accepted on `listener` waits.
-    fn has_accepted(&self, listener: SockId) -> bool {
-        self.shim
-            .lock()
-            .accepted
-            .get(&listener)
-            .is_some_and(|queue| !queue.is_empty())
-    }
-
-    /// Consumes the terminal error of `listener`'s accept arm, if any.
-    fn take_accept_error(&self, listener: SockId) -> Option<SockError> {
-        self.shim.lock().errors.remove(&listener)
+    /// What [`TcpSocket::accept`] waits for: the oldest connection
+    /// accepted on `listener`, or the terminal error of its arm (consumed,
+    /// so a re-listen can re-arm).
+    fn accept_outcome(
+        shim: &mut ShimState,
+        listener: SockId,
+    ) -> Option<Result<(SockId, Ipv4Addr, u16), SockError>> {
+        let accepted = shim.accepted.get_mut(&listener);
+        if let Some(conn) = accepted.and_then(VecDeque::pop_front) {
+            return Some(Ok(conn));
+        }
+        shim.errors.remove(&listener).map(Err)
     }
 }
 
@@ -868,12 +877,8 @@ impl TcpSocket {
     /// Returns [`SockError::AddressInUse`] if another listening socket owns
     /// the port.
     pub fn bind(&self, port: u16) -> Result<u16, SockError> {
-        let reply = self.client.call(
-            syscalls::BIND,
-            &[(0, self.sock), (1, port as u64)],
-            IpProtocol::Tcp,
-        )?;
-        Ok(reply.word(0) as u16)
+        let sock = self.sock;
+        self.client.bound_port(SqeOp::Bind { sock, port })
     }
 
     /// Starts listening with the given backlog.
@@ -882,23 +887,14 @@ impl TcpSocket {
     ///
     /// Returns [`SockError::InvalidState`] when the socket is not bound.
     pub fn listen(&self, backlog: usize) -> Result<(), SockError> {
-        self.listen_with(backlog, false)
+        self.listen_with_caps(backlog, false, 0, 0)
     }
 
-    /// Starts listening, optionally as part of an `SO_REUSEPORT`-style
-    /// sharded group (see [`NetClient::listen_sharded`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`TcpSocket::listen`].
-    pub fn listen_with(&self, backlog: usize, sharded: bool) -> Result<(), SockError> {
-        self.listen_with_caps(backlog, sharded, 0, 0)
-    }
-
-    /// Starts listening with explicit per-connection socket buffer
-    /// capacities: connections accepted from this listener get a
-    /// `send_cap`-byte send buffer and a `recv_cap`-byte receive buffer
-    /// (0 = the server default).  See
+    /// Starts listening — optionally as part of an `SO_REUSEPORT`-style
+    /// sharded group (see [`NetClient::listen_sharded`]) — with explicit
+    /// per-connection socket buffer capacities: connections accepted from
+    /// this listener get a `send_cap`-byte send buffer and a
+    /// `recv_cap`-byte receive buffer (0 = the server default).  See
     /// [`NetClient::listen_sharded_with_caps`].
     ///
     /// # Errors
@@ -911,23 +907,15 @@ impl TcpSocket {
         send_cap: u32,
         recv_cap: u32,
     ) -> Result<(), SockError> {
-        let flags = if sharded {
-            syscalls::LISTEN_FLAG_SHARDED
-        } else {
-            0
-        };
-        self.client.call(
-            syscalls::LISTEN,
-            &[
-                (0, self.sock),
-                (1, backlog as u64),
-                (2, flags),
-                (3, send_cap as u64),
-                (4, recv_cap as u64),
-            ],
-            IpProtocol::Tcp,
-        )?;
-        Ok(())
+        self.client
+            .bound_port(SqeOp::Listen {
+                sock: self.sock,
+                backlog,
+                sharded,
+                send_cap,
+                recv_cap,
+            })
+            .map(drop)
     }
 
     /// Accepts one connection through the ring's multishot accept arm.
@@ -944,23 +932,13 @@ impl TcpSocket {
     pub fn accept(&self) -> Result<(TcpSocket, Ipv4Addr, u16), SockError> {
         let ring = self.client.ring()?;
         ring.ensure_accept_arm(self.sock)?;
-        let deadline = std::time::Instant::now() + self.client.op_timeout;
-        loop {
-            ring.service(None);
-            if let Some((child, addr, port)) = ring.pop_accepted(self.sock) {
-                return self.adopt(child, addr, port);
-            }
-            if let Some(error) = ring.take_accept_error(self.sock) {
-                return Err(error);
-            }
-            if self.client.is_nonblocking() {
-                return Err(SockError::WouldBlock);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Err(SockError::TimedOut);
-            }
-            ring.service(Some(deadline - now));
+        let deadline = Instant::now() + self.client.op_timeout;
+        let outcome = |shim: &mut ShimState| RingHandle::accept_outcome(shim, self.sock);
+        match ring.await_shim(deadline, outcome) {
+            Some(Ok((child, addr, port))) => self.adopt(&ring, child, addr, port),
+            Some(Err(error)) => Err(error),
+            None if self.client.is_nonblocking() => Err(SockError::WouldBlock),
+            None => Err(SockError::TimedOut),
         }
     }
 
@@ -974,24 +952,23 @@ impl TcpSocket {
     pub fn accept_nb(&self) -> Result<Option<(TcpSocket, Ipv4Addr, u16)>, SockError> {
         let ring = self.client.ring()?;
         ring.ensure_accept_arm(self.sock)?;
-        ring.service(None);
-        if let Some((child, addr, port)) = ring.pop_accepted(self.sock) {
-            return Ok(Some(self.adopt(child, addr, port)?));
+        let outcome = RingHandle::accept_outcome(&mut ring.service(), self.sock);
+        match outcome {
+            Some(Ok((child, addr, port))) => self.adopt(&ring, child, addr, port).map(Some),
+            Some(Err(error)) => Err(error),
+            None => Ok(None),
         }
-        if let Some(error) = ring.take_accept_error(self.sock) {
-            return Err(error);
-        }
-        Ok(None)
     }
 
     /// Wraps an accepted connection in a [`TcpSocket`].
     fn adopt(
         &self,
+        ring: &RingHandle,
         child: SockId,
         addr: Ipv4Addr,
         port: u16,
     ) -> Result<(TcpSocket, Ipv4Addr, u16), SockError> {
-        let buffer = self.client.attach_buffer("tcp", child)?;
+        let buffer = ring.attach_buffer(child)?;
         Ok((
             TcpSocket {
                 client: self.client.clone(),
@@ -1016,20 +993,12 @@ impl TcpSocket {
     pub fn accept_ready(&self) -> Result<bool, SockError> {
         let ring = self.client.ring()?;
         ring.ensure_accept_arm(self.sock)?;
-        ring.service(None);
-        if ring.has_accepted(self.sock) {
+        let mut shim = ring.service();
+        let waiting = shim.accepted.get(&self.sock);
+        if waiting.is_some_and(|queue| !queue.is_empty()) {
             return Ok(true);
         }
-        if let Some(error) = ring.take_accept_error(self.sock) {
-            return Err(error);
-        }
-        Ok(false)
-    }
-
-    /// Snapshot of this socket's data readiness, read locally from the
-    /// shared buffer — no kernel or server round trip.
-    pub fn readiness(&self) -> Readiness {
-        self.buffer.readiness()
+        shim.errors.remove(&self.sock).map_or(Ok(false), Err)
     }
 
     /// Connects to `addr:port`, blocking until the handshake completes.
@@ -1039,12 +1008,10 @@ impl TcpSocket {
     /// Returns [`SockError::ConnectionRefused`] if the peer resets the
     /// attempt and [`SockError::ServerUnavailable`] on timeouts.
     pub fn connect(&self, addr: Ipv4Addr, port: u16) -> Result<(), SockError> {
-        self.client.call(
-            syscalls::CONNECT,
-            &[(0, self.sock), (1, addr_to_word(addr)), (2, port as u64)],
-            IpProtocol::Tcp,
-        )?;
-        Ok(())
+        let sock = self.sock;
+        self.client
+            .bound_port(SqeOp::Connect { sock, addr, port })
+            .map(drop)
     }
 
     /// Writes as much of `data` as currently fits into the send buffer and
@@ -1058,16 +1025,6 @@ impl TcpSocket {
     /// [`SockError::TimedOut`].
     pub fn send(&self, data: &[u8]) -> Result<usize, SockError> {
         self.buffer.write(data, self.client.op_timeout)
-    }
-
-    /// Non-blocking write regardless of the client's timeout mode.
-    ///
-    /// # Errors
-    ///
-    /// [`SockError::WouldBlock`] when the send buffer is full, or the
-    /// pending socket error.
-    pub fn try_send(&self, data: &[u8]) -> Result<usize, SockError> {
-        self.buffer.write(data, Duration::ZERO)
     }
 
     /// Writes all of `data`, blocking as needed.
@@ -1094,17 +1051,6 @@ impl TcpSocket {
         self.buffer.read(buf, self.client.op_timeout)
     }
 
-    /// Non-blocking read regardless of the client's timeout mode; returns
-    /// 0 at end-of-stream.
-    ///
-    /// # Errors
-    ///
-    /// [`SockError::WouldBlock`] when nothing is buffered, or the pending
-    /// socket error.
-    pub fn try_recv(&self, buf: &mut [u8]) -> Result<usize, SockError> {
-        self.buffer.read(buf, Duration::ZERO)
-    }
-
     /// Reads exactly `buf.len()` bytes.
     ///
     /// # Errors
@@ -1125,11 +1071,6 @@ impl TcpSocket {
         Ok(())
     }
 
-    /// Returns the number of bytes immediately available for reading.
-    pub fn available(&self) -> usize {
-        self.buffer.recv_available()
-    }
-
     /// Closes the socket.
     ///
     /// # Errors
@@ -1137,9 +1078,8 @@ impl TcpSocket {
     /// Returns [`SockError::ServerUnavailable`] if the TCP server cannot be
     /// reached (the socket is abandoned in that case).
     pub fn close(self) -> Result<(), SockError> {
-        self.client
-            .call(syscalls::CLOSE, &[(0, self.sock)], IpProtocol::Tcp)?;
-        Ok(())
+        let sock = self.sock;
+        self.client.control(SqeOp::Close { sock }).map(drop)
     }
 }
 
@@ -1165,12 +1105,8 @@ impl UdpSocket {
     ///
     /// Returns [`SockError::AddressInUse`] when the port is taken.
     pub fn bind(&self, port: u16) -> Result<u16, SockError> {
-        let reply = self.client.call(
-            syscalls::BIND,
-            &[(0, self.sock), (1, port as u64)],
-            IpProtocol::Udp,
-        )?;
-        Ok(reply.word(0) as u16)
+        let sock = self.sock;
+        self.client.bound_port(SqeOp::Bind { sock, port })
     }
 
     /// Sets the default remote address used by [`UdpSocket::send`].
@@ -1180,12 +1116,10 @@ impl UdpSocket {
     /// Returns [`SockError::ServerUnavailable`] when the UDP server is
     /// unreachable.
     pub fn connect(&self, addr: Ipv4Addr, port: u16) -> Result<(), SockError> {
-        self.client.call(
-            syscalls::CONNECT,
-            &[(0, self.sock), (1, addr_to_word(addr)), (2, port as u64)],
-            IpProtocol::Udp,
-        )?;
-        Ok(())
+        let sock = self.sock;
+        self.client
+            .bound_port(SqeOp::Connect { sock, addr, port })
+            .map(drop)
     }
 
     /// Sends one datagram to `addr:port`.
@@ -1249,15 +1183,6 @@ impl UdpSocket {
         }
     }
 
-    /// Snapshot of this socket's readiness, read locally from the shared
-    /// buffer.  `readable` means raw datagram bytes are queued (a whole
-    /// datagram may still be in flight).
-    pub fn readiness(&self) -> Readiness {
-        let mut readiness = self.buffer.readiness();
-        readiness.readable = readiness.readable || !self.pending.lock().is_empty();
-        readiness
-    }
-
     /// Closes the socket.
     ///
     /// # Errors
@@ -1265,8 +1190,213 @@ impl UdpSocket {
     /// Returns [`SockError::ServerUnavailable`] if the UDP server cannot be
     /// reached.
     pub fn close(self) -> Result<(), SockError> {
-        self.client
-            .call(syscalls::CLOSE, &[(0, self.sock)], IpProtocol::Udp)?;
-        Ok(())
+        let sock = self.sock;
+        self.client.control(SqeOp::Close { sock }).map(drop)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The control calls against a stepped four-shard control plane: the
+    //! SYSCALL server, three replicas and four TCP servers are polled from
+    //! the test's thread while the blocking calls run on a helper, so the
+    //! servers can be inspected between calls.
+
+    use super::*;
+    use crate::endpoints::Shard;
+    use crate::fabric::{Chan, CrashBoard, PoolTable};
+    use crate::rings::RingTable;
+    use crate::sockbuf::Doorbell;
+    use crate::syscall::{RingPump, RingPumpStats, SyscallReplica, SyscallServer};
+    use crate::tcp::{TcpConfig, TcpServer};
+    use newt_channels::endpoint::Generation;
+    use newt_channels::pool::Pool;
+    use newt_kernel::clock::SimClock;
+    use newt_kernel::cost::CostModel;
+    use newt_kernel::rs::StartMode;
+    use newt_kernel::storage::StorageServer;
+
+    const SHARDS: usize = 4;
+
+    struct Plane {
+        syscall: SyscallServer,
+        replicas: Vec<SyscallReplica>,
+        tcps: Vec<TcpServer>,
+        client: NetClient,
+    }
+
+    impl Plane {
+        /// Boots the control plane.  The lanes towards IP, PF and UDP end
+        /// nowhere: no test here sends a segment or opens a UDP socket.
+        fn new() -> Self {
+            let kernel = KernelIpc::new(CostModel::default());
+            let registry = Registry::new();
+            let rings = Arc::new(RingTable::new());
+            let crash_board = CrashBoard::new();
+            let storage = Arc::new(StorageServer::new());
+            let mut pumps = Vec::new();
+            let mut tcps = Vec::new();
+            for index in 0..SHARDS {
+                let shard = Shard::new(index, SHARDS);
+                let (ring_tcp, tcp_ring) = (Chan::new(64), Chan::new(64));
+                let (ring_udp, udp_ring) = (Chan::new(64), Chan::new(64));
+                pumps.push(RingPump::new(
+                    shard,
+                    Arc::clone(&rings),
+                    (ring_tcp.tx(), tcp_ring.rx()),
+                    (ring_udp.tx(), udp_ring.rx()),
+                    crash_board.clone(),
+                ));
+                tcps.push(TcpServer::with_ring_lanes(
+                    StartMode::Fresh,
+                    Generation::FIRST,
+                    shard,
+                    TcpConfig::default(),
+                    SimClock::with_speedup(50.0),
+                    Arc::clone(&storage),
+                    registry.clone(),
+                    Pool::new("tcp.tx", shard.tcp(), 2048, 16),
+                    PoolTable::new(),
+                    ring_tcp.rx(),
+                    tcp_ring.tx(),
+                    Chan::new(16).tx(),
+                    Chan::new(16).rx(),
+                    Chan::new(16).rx(),
+                    Chan::new(16).tx(),
+                    crash_board.clone(),
+                    Doorbell::new(),
+                    None,
+                ));
+            }
+            let mut pumps = pumps.into_iter();
+            let first = pumps.next().expect("shard 0's pump");
+            Plane {
+                syscall: SyscallServer::new(
+                    kernel.clone(),
+                    registry.clone(),
+                    Generation::FIRST,
+                    first,
+                ),
+                replicas: pumps.map(SyscallReplica::new).collect(),
+                tcps,
+                client: NetClient::new(kernel, registry, endpoints::application(0)),
+            }
+        }
+
+        /// Runs `calls` on a helper thread, polling every server until it
+        /// returns.
+        fn serve<T: Send>(&mut self, calls: impl FnOnce(NetClient) -> T + Send) -> T {
+            let client = self.client.clone();
+            std::thread::scope(|scope| {
+                let helper = scope.spawn(move || calls(client));
+                while !helper.is_finished() {
+                    self.syscall.poll();
+                    for replica in &mut self.replicas {
+                        replica.poll();
+                    }
+                    for tcp in &mut self.tcps {
+                        tcp.poll();
+                    }
+                }
+                helper.join().expect("the helper thread panicked")
+            })
+        }
+
+        fn pump_stats(&self) -> Vec<RingPumpStats> {
+            std::iter::once(self.syscall.ring_stats())
+                .chain(self.replicas.iter().map(SyscallReplica::stats))
+                .collect()
+        }
+
+        fn socket_counts(&self) -> Vec<usize> {
+            self.tcps.iter().map(TcpServer::socket_count).collect()
+        }
+    }
+
+    #[test]
+    fn open_lands_on_the_shard_it_was_submitted_to() {
+        let mut plane = Plane::new();
+        for shard in 0..SHARDS {
+            let sock = plane.serve(|client| {
+                let ring = client.ring().expect("ring set-up");
+                let open = SqeOp::Open {
+                    transport: Transport::Tcp,
+                    shard,
+                };
+                match ring.call(open, DEFAULT_TIMEOUT) {
+                    Ok(CqValue::Opened { sock }) => sock,
+                    other => panic!("unexpected {other:?}"),
+                }
+            });
+            assert_eq!(endpoints::sock_shard(sock), shard);
+            assert_eq!(endpoints::sock_transport(sock), Transport::Tcp);
+            let mut expected = vec![0; SHARDS];
+            expected[..=shard].fill(1);
+            assert_eq!(plane.socket_counts(), expected);
+            assert_eq!(plane.pump_stats()[shard].forwarded, 1);
+        }
+        // A shard the stack does not have is refused before anything is
+        // queued.
+        let ring = plane.client.ring().expect("the ring is set up");
+        let nowhere = SqeOp::Open {
+            transport: Transport::Tcp,
+            shard: SHARDS,
+        };
+        assert_eq!(
+            ring.submit(Sqe {
+                user_data: 1,
+                op: nowhere
+            }),
+            Err(SockError::InvalidState)
+        );
+    }
+
+    #[test]
+    fn a_miscounted_listener_group_opens_no_socket() {
+        let mut plane = Plane::new();
+        for miscount in [2, 8] {
+            let group = plane.serve(|client| client.listen_sharded(8080, 4, miscount));
+            assert!(matches!(group, Err(SockError::InvalidState)));
+        }
+        assert_eq!(plane.socket_counts(), vec![0; SHARDS]);
+        assert!(plane.pump_stats().iter().all(|pump| pump.forwarded == 0));
+
+        // The right count opens exactly one socket per shard, each on the
+        // shard it listens for: open + bind + listen, three submissions.
+        let group = plane
+            .serve(|client| client.listen_sharded(8080, 4, SHARDS))
+            .expect("full group");
+        let shards: Vec<usize> = group
+            .iter()
+            .map(|listener| endpoints::sock_shard(listener.id()))
+            .collect();
+        assert_eq!(shards, vec![0, 1, 2, 3]);
+        assert_eq!(plane.socket_counts(), vec![1; SHARDS]);
+        assert!(plane.pump_stats().iter().all(|pump| pump.forwarded == 3));
+
+        // A second group on the taken port fails and leaves nothing behind.
+        let again = plane.serve(|client| client.listen_sharded(8080, 4, SHARDS));
+        assert!(matches!(again, Err(SockError::AddressInUse)));
+        assert_eq!(plane.socket_counts(), vec![1; SHARDS]);
+    }
+
+    #[test]
+    fn sockets_opened_without_a_placement_go_round_the_shards() {
+        let mut plane = Plane::new();
+        let shards = plane.serve(|client| {
+            let socks: Vec<TcpSocket> = (0..2 * SHARDS)
+                .map(|_| client.tcp_socket().expect("open"))
+                .collect();
+            let shards: Vec<usize> = socks
+                .iter()
+                .map(|sock| endpoints::sock_shard(sock.id()))
+                .collect();
+            for sock in socks {
+                sock.close().expect("close");
+            }
+            shards
+        });
+        assert_eq!(shards, vec![0, 1, 2, 3, 0, 1, 2, 3]);
+        assert_eq!(plane.socket_counts(), vec![0; SHARDS]);
     }
 }

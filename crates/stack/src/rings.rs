@@ -1,11 +1,12 @@
 //! Submission/completion rings: the asynchronous app↔stack boundary.
 //!
-//! Every socket operation used to be a synchronous kernel-IPC round trip
-//! through the SYSCALL server.  The rings replace that with the same
+//! Every socket operation is a ring entry, handled with the same
 //! asynchronous, never-blocking discipline the paper applies between the
 //! stack's own servers (§IV): an application enqueues *submission queue
 //! entries* ([`Sqe`]) and harvests *completion queue entries* ([`Cqe`]),
-//! with a condvar doorbell instead of a per-operation round trip.
+//! with a condvar doorbell instead of a per-operation round trip.  The one
+//! kernel call an application ever makes is `RING_SETUP`, which hands it
+//! its rings — the trap is paid once (§V-B).
 //!
 //! # Topology
 //!
@@ -21,8 +22,10 @@
 //!
 //! Data already moves through shared socket buffers, so `Send`, `Recv`
 //! and `PollArm` complete *inline* on the application side — zero fabric
-//! messages.  Only `AcceptArm` (multishot: one submission, a completion
-//! per accepted connection) and `Close` are forwarded to the transport,
+//! messages.  The six operations that create, change or dismantle
+//! server-side state — `Open`, `Bind`, `Listen`, `Connect`, `AcceptArm`
+//! (multishot: one submission, a completion per accepted connection) and
+//! `Close` — are forwarded to the owning shard's TCP or UDP server,
 //! batched onto the per-shard SPSC lanes via `send_batch`/`drain_into`.
 //! This is what makes the amortized fabric-message count per socket
 //! operation fall below one.
@@ -46,6 +49,7 @@ use newt_channels::reqdb::RequestId;
 use newt_channels::wake::WakeWord;
 use parking_lot::{Condvar, Mutex};
 
+use crate::endpoints::{self, Transport};
 use crate::msg::{SockId, SockRequest};
 use crate::sockbuf::{Readiness, SockError};
 
@@ -55,25 +59,15 @@ pub const SQ_CAPACITY: usize = 1024;
 /// into the overflow list.
 pub const CQ_CAPACITY: usize = 4096;
 
-/// Bit set in a [`RequestId`] to mark it as ring-originated, so the
-/// transport can route the reply to the ring lane instead of the kernel
-/// IPC path without any per-request table.
-pub const RING_REQ_BIT: u64 = 1 << 63;
-
 /// Builds the request id for ring submission `seq` of application `app`:
-/// `RING_REQ_BIT | app << 32 | seq`.
+/// `app << 32 | seq`.
 pub fn ring_req(app: u32, seq: u32) -> RequestId {
-    RequestId::from_raw(RING_REQ_BIT | ((app as u64) << 32) | seq as u64)
-}
-
-/// Returns `true` if the request id was minted by [`ring_req`].
-pub fn is_ring_req(req: RequestId) -> bool {
-    req.as_raw() & RING_REQ_BIT != 0
+    RequestId::from_raw(((app as u64) << 32) | seq as u64)
 }
 
 /// Extracts the application index from a ring request id.
 pub fn ring_req_app(req: RequestId) -> u32 {
-    ((req.as_raw() >> 32) & 0x7fff_ffff) as u32
+    (req.as_raw() >> 32) as u32
 }
 
 /// Extracts the submission sequence number from a ring request id.
@@ -114,6 +108,49 @@ pub struct Sqe {
 /// The operations expressible on the submission queue.
 #[derive(Debug, Clone)]
 pub enum SqeOp {
+    /// Create a socket on stack shard `shard`.  Forwarded to that shard's
+    /// `transport` server; completes with [`CqValue::Opened`] once the
+    /// socket's shared buffer is attachable from the registry.
+    Open {
+        /// Which of the shard's transports mints the socket.
+        transport: Transport,
+        /// The shard to place the socket on.
+        shard: usize,
+    },
+    /// Bind a socket to a local port (0 picks an ephemeral one).
+    /// Forwarded; completes with [`CqValue::Bound`].
+    Bind {
+        /// The socket to bind.
+        sock: SockId,
+        /// Requested local port.
+        port: u16,
+    },
+    /// Put a bound TCP socket into the listening state.  Forwarded;
+    /// completes with [`CqValue::Bound`].
+    Listen {
+        /// The socket to listen on.
+        sock: SockId,
+        /// Maximum accept backlog.
+        backlog: usize,
+        /// `SO_REUSEPORT`-style group member: answer only the
+        /// connection-opening SYNs whose RSS hash steers to this shard.
+        sharded: bool,
+        /// Send-buffer capacity of accepted connections (0 = default).
+        send_cap: u32,
+        /// Receive-buffer capacity of accepted connections (0 = default).
+        recv_cap: u32,
+    },
+    /// Connect a socket (TCP: three-way handshake; UDP: set the default
+    /// destination).  Forwarded; completes with [`CqValue::Bound`] when
+    /// the connection is established.
+    Connect {
+        /// The socket to connect.
+        sock: SockId,
+        /// Remote address.
+        addr: Ipv4Addr,
+        /// Remote port.
+        port: u16,
+    },
     /// Arm a *multishot* accept on a listening socket: one submission
     /// yields an [`CqValue::Accepted`] completion for every connection
     /// the listener accepts, until the listener closes (which completes
@@ -162,6 +199,17 @@ pub enum SqeOp {
 /// The successful payload of a completion.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CqValue {
+    /// The socket an `Open` created.
+    Opened {
+        /// The new socket's id (it names its shard and transport).
+        sock: SockId,
+    },
+    /// A `Bind`, `Listen` or `Connect` finished.
+    Bound {
+        /// The local port the socket is bound to (a `Connect` binds an
+        /// ephemeral one when the socket had none).
+        port: u16,
+    },
     /// Bytes accepted into the send buffer by a `Send`.
     Sent(usize),
     /// Bytes returned by a `Recv` (empty = clean EOF).
@@ -328,8 +376,10 @@ impl CompletionQueue {
                 inner.overflow.push_back(cqe);
                 inner.overflowed += 1;
             }
+            // Counted under the lock: a waiter comparing `posted` under
+            // it either sees this entry or is parked before the notify.
+            self.posted.fetch_add(1, Ordering::Relaxed);
         }
-        self.posted.fetch_add(1, Ordering::Relaxed);
         self.ops.fetch_add(1, Ordering::Relaxed);
         self.avail.notify_all();
     }
@@ -350,16 +400,15 @@ impl CompletionQueue {
         n
     }
 
-    /// Waits up to `timeout` for at least one completion, then drains
-    /// everything pending into `out`; returns how many arrived.
-    pub fn wait(&self, out: &mut Vec<Cqe>, timeout: Duration) -> usize {
-        {
-            let mut inner = self.inner.lock();
-            if inner.ring.is_empty() && inner.overflow.is_empty() {
-                self.avail.wait_for(&mut inner, timeout);
-            }
+    /// Blocks until [`CompletionQueue::posted`] has moved past `seen` or
+    /// `timeout` expires.  A consumer reads `posted`, drains, and waits on
+    /// the value it read: whichever thread drains an entry posted in
+    /// between, the wait returns at once instead of sleeping through it.
+    pub fn wait(&self, seen: u64, timeout: Duration) {
+        let mut inner = self.inner.lock();
+        if self.posted.load(Ordering::Relaxed) == seen {
+            self.avail.wait_for(&mut inner, timeout);
         }
-        self.drain_into(out)
     }
 
     /// Total completions ever posted to this queue.
@@ -394,6 +443,8 @@ impl CompletionQueue {
 pub struct Inflight {
     /// The submitter's tag, echoed on every completion.
     pub user_data: u64,
+    /// The transport the request was forwarded to.
+    pub transport: Transport,
     /// The forwarded request, kept so a replica can re-forward it after
     /// the transport shard crashed and recovered.
     pub request: SockRequest,
@@ -402,11 +453,20 @@ pub struct Inflight {
     pub multishot: bool,
 }
 
+/// Requests on their way to a shard's two transports, indexed by
+/// [`Transport::index`].
+pub type Forward = [Vec<SockRequest>; 2];
+
 struct SqInner {
     ring: RingQueue<Sqe>,
     inflight: HashMap<u32, Inflight>,
-    pending_forward: Vec<SockRequest>,
+    pending_forward: Forward,
     next_seq: u32,
+}
+
+/// A request naming `sock`, paired with the transport that owns the socket.
+fn on(sock: SockId, request: SockRequest) -> (Transport, SockRequest) {
+    (endpoints::sock_transport(sock), request)
 }
 
 /// One application's submission ring towards one stack shard, plus the
@@ -450,7 +510,7 @@ impl SubmissionRing {
             inner: Mutex::new(SqInner {
                 ring: RingQueue::with_capacity(capacity),
                 inflight: HashMap::new(),
-                pending_forward: Vec::new(),
+                pending_forward: Forward::default(),
                 next_seq: 0,
             }),
             cq,
@@ -489,26 +549,57 @@ impl SubmissionRing {
         self.inner.lock().ring.len()
     }
 
-    /// Server side: pops up to `budget` submissions for application
-    /// `app`, records their in-flight entries and appends the forwarded
-    /// requests to `out`.  Returns how many were consumed.
-    pub fn take_submissions(&self, app: u32, budget: usize, out: &mut Vec<SockRequest>) -> usize {
+    /// Server side: moves the requests stashed by
+    /// [`SubmissionRing::push_pending_forward`] into `out` (they hold
+    /// earlier sequence numbers), then pops up to `budget` submissions for
+    /// application `app`, records their in-flight entries and appends the
+    /// forwarded requests to the transport they belong to in `out`.
+    /// Returns how many submissions were consumed.
+    pub fn take_submissions(&self, app: u32, budget: usize, out: &mut Forward) -> usize {
         let mut inner = self.inner.lock();
+        for (pending, out) in inner.pending_forward.iter_mut().zip(out.iter_mut()) {
+            out.append(pending);
+        }
         let mut taken = 0;
         while taken < budget {
             let Some(sqe) = inner.ring.pop() else { break };
+            taken += 1;
             let seq = inner.next_seq;
             inner.next_seq = inner.next_seq.wrapping_add(1);
             let req = ring_req(app, seq);
-            let (request, multishot) = match sqe.op {
-                SqeOp::AcceptArm { listener } => (
-                    SockRequest::AcceptArm {
+            let (transport, request) = match sqe.op {
+                SqeOp::Open { transport, .. } => (transport, SockRequest::Open { req }),
+                SqeOp::Bind { sock, port } => on(sock, SockRequest::Bind { req, sock, port }),
+                SqeOp::Listen {
+                    sock,
+                    backlog,
+                    sharded,
+                    send_cap,
+                    recv_cap,
+                } => on(
+                    sock,
+                    SockRequest::Listen {
                         req,
-                        sock: listener,
+                        sock,
+                        backlog,
+                        sharded,
+                        send_cap,
+                        recv_cap,
                     },
-                    true,
                 ),
-                SqeOp::Close { sock } => (SockRequest::Close { req, sock }, false),
+                SqeOp::Connect { sock, addr, port } => on(
+                    sock,
+                    SockRequest::Connect {
+                        req,
+                        sock,
+                        addr,
+                        port,
+                    },
+                ),
+                SqeOp::AcceptArm { listener: sock } => {
+                    on(sock, SockRequest::AcceptArm { req, sock })
+                }
+                SqeOp::Close { sock } => on(sock, SockRequest::Close { req, sock }),
                 // Inline operations never reach the submission ring; the
                 // client completes them against the shared buffer.  If
                 // one slips through, complete it with an error rather
@@ -520,7 +611,6 @@ impl SubmissionRing {
                         result: Err(SockError::InvalidState),
                     });
                     inner = self.inner.lock();
-                    taken += 1;
                     continue;
                 }
             };
@@ -528,31 +618,24 @@ impl SubmissionRing {
                 seq,
                 Inflight {
                     user_data: sqe.user_data,
+                    transport,
+                    multishot: matches!(request, SockRequest::AcceptArm { .. }),
                     request: request.clone(),
-                    multishot,
                 },
             );
-            out.push(request);
-            taken += 1;
+            out[transport.index()].push(request);
         }
         taken
     }
 
-    /// Server side: stashes requests that did not fit on the fabric lane
-    /// this round; they are retried before new submissions next round.
-    pub fn push_pending_forward(&self, leftovers: &mut Vec<SockRequest>) {
+    /// Server side: stashes requests that did not fit on `transport`'s
+    /// fabric lane this round; they are retried before new submissions
+    /// next round.
+    pub fn push_pending_forward(&self, transport: Transport, leftovers: &mut Vec<SockRequest>) {
         if leftovers.is_empty() {
             return;
         }
-        self.inner.lock().pending_forward.append(leftovers);
-    }
-
-    /// Server side: moves the stashed unforwarded requests into `out`.
-    pub fn take_pending_forward(&self, out: &mut Vec<SockRequest>) -> usize {
-        let mut inner = self.inner.lock();
-        let n = inner.pending_forward.len();
-        out.append(&mut inner.pending_forward);
-        n
+        self.inner.lock().pending_forward[transport.index()].append(leftovers);
     }
 
     /// Server side: resolves a reply's sequence number to its in-flight
@@ -570,16 +653,37 @@ impl SubmissionRing {
         }
     }
 
-    /// Server side: drains every in-flight entry (crash handling —
-    /// re-forward the multishot arms, fail the rest).
-    pub fn take_inflight(&self) -> Vec<(u32, Inflight)> {
-        self.inner.lock().inflight.drain().collect()
-    }
-
-    /// Server side: restores an in-flight entry taken by
-    /// [`SubmissionRing::take_inflight`].
-    pub fn restore_inflight(&self, seq: u32, entry: Inflight) {
-        self.inner.lock().inflight.insert(seq, entry);
+    /// Server side: `transport` crashed, so nothing in flight towards it
+    /// will be answered.  Multishot arms stay in flight and are stashed
+    /// for re-forwarding (arming is idempotent, and the recovered listener
+    /// lost its arm); one-shot entries are removed — including those still
+    /// parked behind a full lane, which must not reach the recovered
+    /// transport once their submitter has been told they failed (an `Open`
+    /// would mint a socket nobody hears of).  Returns how many arms were
+    /// stashed and the tags of the removed entries, for the caller to fail.
+    pub fn transport_crashed(&self, transport: Transport) -> (usize, Vec<u64>) {
+        let mut inner = self.inner.lock();
+        let SqInner {
+            inflight,
+            pending_forward,
+            ..
+        } = &mut *inner;
+        // Everything parked has an in-flight entry: the arms among them are
+        // stashed again below, once each.
+        let reforward = &mut pending_forward[transport.index()];
+        reforward.clear();
+        let mut failed = Vec::new();
+        inflight.retain(|_, entry| {
+            if entry.transport == transport {
+                if entry.multishot {
+                    reforward.push(entry.request.clone());
+                } else {
+                    failed.push(entry.user_data);
+                }
+            }
+            entry.transport != transport || entry.multishot
+        });
+        (reforward.len(), failed)
     }
 
     /// Number of fabric operations currently awaiting replies.
@@ -739,11 +843,11 @@ mod tests {
         // Ring full: backpressure, not a drop.
         assert_eq!(sq.submit(sqe(3)), Err(SockError::WouldBlock));
         // The server consumes; submitting works again.
-        let mut out = Vec::new();
+        let mut out = Forward::default();
         assert_eq!(sq.take_submissions(5, 16, &mut out), 2);
-        assert_eq!(out.len(), 2);
-        assert!(is_ring_req(out[0].req()));
-        assert_eq!(ring_req_app(out[0].req()), 5);
+        let [tcp, udp] = &out;
+        assert_eq!((tcp.len(), udp.len()), (2, 0));
+        assert_eq!(ring_req_app(tcp[0].req()), 5);
         sq.submit(sqe(3)).unwrap();
         assert_eq!(sq.inflight_len(), 2);
     }
@@ -757,9 +861,9 @@ mod tests {
             op: SqeOp::AcceptArm { listener: 7 },
         })
         .unwrap();
-        let mut out = Vec::new();
+        let mut out = Forward::default();
         sq.take_submissions(1, 16, &mut out);
-        let seq = ring_req_seq(out[0].req());
+        let seq = ring_req_seq(out[0][0].req());
         // Each accepted connection resolves the same entry...
         assert_eq!(sq.resolve(seq, false).unwrap().user_data, 42);
         assert_eq!(sq.resolve(seq, false).unwrap().user_data, 42);
@@ -797,10 +901,21 @@ mod tests {
             });
         });
         let mut out = Vec::new();
-        let n = cq.wait(&mut out, Duration::from_secs(5));
+        cq.wait(cq.posted(), Duration::from_secs(5));
         t.join().unwrap();
-        assert_eq!(n, 1);
+        assert_eq!(cq.drain_into(&mut out), 1);
         assert_eq!(out[0].user_data, 9);
+        // A post that landed since `posted` was read ends the wait at
+        // once, whoever drained the entry meanwhile.
+        let seen = cq.posted();
+        cq.post(Cqe {
+            user_data: 10,
+            result: Ok(CqValue::Closed),
+        });
+        cq.drain_into(&mut out);
+        let started = std::time::Instant::now();
+        cq.wait(seen, Duration::from_secs(5));
+        assert!(started.elapsed() < Duration::from_secs(1));
     }
 
     #[test]
@@ -820,10 +935,8 @@ mod tests {
 
     #[test]
     fn req_id_encoding_round_trips() {
-        let req = ring_req(0x7fff_0001, 0xdead_beef);
-        assert!(is_ring_req(req));
-        assert_eq!(ring_req_app(req), 0x7fff_0001);
+        let req = ring_req(0xffff_0001, 0xdead_beef);
+        assert_eq!(ring_req_app(req), 0xffff_0001);
         assert_eq!(ring_req_seq(req), 0xdead_beef);
-        assert!(!is_ring_req(RequestId::from_raw(12)));
     }
 }

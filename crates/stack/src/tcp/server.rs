@@ -35,7 +35,6 @@ use crate::msg::{
     FlowTuple, IpToTransport, PfToTransport, SockId, SockReply, SockRequest, TransportToIp,
     TransportToPf,
 };
-use crate::rings;
 use crate::sockbuf::{BufferName, Doorbell, SockError, SocketBuffer};
 
 /// Wire-format version of the TCP live-update snapshot.  Bumped whenever
@@ -257,29 +256,13 @@ impl Egress {
     }
 }
 
-/// The two lanes replies travel back on.
+/// The lane replies travel back on, to this shard's ring pump.
 #[derive(Debug)]
-struct ReplyLanes {
-    to_syscall: Tx<SockReply>,
-    to_ring: Tx<SockReply>,
-}
+struct Replies(Tx<SockReply>);
 
-impl ReplyLanes {
-    /// Routes a reply to the lane its request came in on: the ring lane if
-    /// the ring bit is set in its id, else the legacy syscall lane.
-    fn route(&self, reply: SockReply) {
-        if rings::is_ring_req(reply.req()) {
-            send(&self.to_ring, reply);
-        } else {
-            send(&self.to_syscall, reply);
-        }
-    }
-
+impl Replies {
     fn result(&self, req: RequestId, result: Result<u16, SockError>) {
-        self.route(match result {
-            Ok(port) => SockReply::Ok { req, port },
-            Err(error) => SockReply::Error { req, error },
-        });
+        send(&self.0, SockReply::from_result(req, result));
     }
 
     /// Answers the listener's multishot arm once per waiting connection;
@@ -287,12 +270,15 @@ impl ReplyLanes {
     fn complete_accepts(&self, listener: &mut Listener, accept_watch: Option<RequestId>) {
         let Some(req) = accept_watch else { return };
         while let Some((sock, peer_addr, peer_port)) = listener.pop_backlog() {
-            self.route(SockReply::Accepted {
-                req,
-                sock,
-                peer_addr,
-                peer_port,
-            });
+            send(
+                &self.0,
+                SockReply::Accepted {
+                    req,
+                    sock,
+                    peer_addr,
+                    peer_port,
+                },
+            );
         }
     }
 }
@@ -315,11 +301,10 @@ pub struct TcpServer {
     storage: Arc<StorageServer>,
     registry: Registry,
     pools: PoolTable,
-    from_syscall: Rx<SockRequest>,
-    /// Submissions forwarded from the ring pumps (accept arms, closes); the
-    /// server itself stays stateless about rings.
+    /// Submissions forwarded by this shard's ring pump; the server itself
+    /// stays stateless about rings.
     from_ring: Rx<SockRequest>,
-    replies: ReplyLanes,
+    replies: Replies,
     pub(super) egress: Egress,
     from_ip: Rx<IpToTransport>,
     from_pf: Rx<PfToTransport>,
@@ -372,7 +357,9 @@ pub struct TcpServer {
 }
 
 impl TcpServer {
-    /// Creates a TCP server incarnation.
+    /// [`TcpServer::with_ring_lanes`] under the signature
+    /// `benchmark/src/wiring.rs` calls: the lane pair that carried
+    /// kernel-IPC socket calls is dropped.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         mode: StartMode,
@@ -384,8 +371,53 @@ impl TcpServer {
         registry: Registry,
         tx_pool: Pool,
         pools: PoolTable,
-        from_syscall: Rx<SockRequest>,
-        to_syscall: Tx<SockReply>,
+        _from_syscall: Rx<SockRequest>,
+        _to_syscall: Tx<SockReply>,
+        from_ring: Rx<SockRequest>,
+        to_ring: Tx<SockReply>,
+        to_ip: Tx<TransportToIp>,
+        from_ip: Rx<IpToTransport>,
+        from_pf: Rx<PfToTransport>,
+        to_pf: Tx<TransportToPf>,
+        crash_board: CrashBoard,
+        doorbell: Arc<Doorbell>,
+        snapshot: Option<StateSnapshot>,
+    ) -> Self {
+        Self::with_ring_lanes(
+            mode,
+            generation,
+            shard,
+            config,
+            clock,
+            storage,
+            registry,
+            tx_pool,
+            pools,
+            from_ring,
+            to_ring,
+            to_ip,
+            from_ip,
+            from_pf,
+            to_pf,
+            crash_board,
+            doorbell,
+            snapshot,
+        )
+    }
+
+    /// Creates a TCP server incarnation taking socket requests from, and
+    /// answering to, its shard's ring pump.
+    #[allow(clippy::too_many_arguments)]
+    pub fn with_ring_lanes(
+        mode: StartMode,
+        generation: Generation,
+        shard: endpoints::Shard,
+        config: TcpConfig,
+        clock: SimClock,
+        storage: Arc<StorageServer>,
+        registry: Registry,
+        tx_pool: Pool,
+        pools: PoolTable,
         from_ring: Rx<SockRequest>,
         to_ring: Tx<SockReply>,
         to_ip: Tx<TransportToIp>,
@@ -410,12 +442,8 @@ impl TcpServer {
             storage,
             registry,
             pools,
-            from_syscall,
             from_ring,
-            replies: ReplyLanes {
-                to_syscall,
-                to_ring,
-            },
+            replies: Replies(to_ring),
             egress: Egress {
                 tx_pool,
                 to_ip,
@@ -428,7 +456,7 @@ impl TcpServer {
             crash_board,
             crash_cursor,
             sockets: HashMap::new(),
-            next_sock: shard.sock_id_base() + 1,
+            next_sock: shard.sock_id_base(endpoints::Transport::Tcp) + 1,
             next_ephemeral: shard.ephemeral_range(40_000).0,
             isn_counter: 0x1000_0000,
             rss: RssSteering::new(rss_key, shard.count),
@@ -716,9 +744,6 @@ impl TcpServer {
         }
 
         let mut requests = std::mem::take(&mut self.syscall_scratch);
-        self.from_syscall.drain_into(&mut requests);
-        // Ring submissions ride the same handler; their replies route back
-        // to the ring lane by the ring bit in the request id.
         self.from_ring.drain_into(&mut requests);
         for request in requests.drain(..) {
             work += 1;
@@ -931,7 +956,7 @@ impl TcpServer {
                     buffer,
                 };
                 self.sockets.insert(id, sock);
-                self.replies.route(SockReply::Opened { req, sock: id });
+                send(&self.replies.0, SockReply::Opened { req, sock: id });
             }
             SockRequest::Bind { sock, port, .. } => {
                 let result = self.bind(sock, port, now);

@@ -82,10 +82,9 @@ fn timer_wheel_forgets_the_far_timers_of_sockets_that_are_gone() {
 
 struct Rig {
     tcp: TcpServer,
+    /// The ring pump's ends of the lane pair socket requests arrive on.
     syscall_tx: Tx<SockRequest>,
     syscall_rx: Rx<SockReply>,
-    ring_tx: Tx<SockRequest>,
-    ring_rx: Rx<SockReply>,
     ip_rx: Rx<TransportToIp>,
     ip_tx: Tx<IpToTransport>,
     pf_tx: Tx<PfToTransport>,
@@ -148,8 +147,6 @@ fn rig_full(
     pools.register(&tx_pool);
     pools.register(&rx_pool);
 
-    let sys_tcp: Chan<SockRequest> = Chan::new(64);
-    let tcp_sys: Chan<SockReply> = Chan::new(64);
     let ring_tcp: Chan<SockRequest> = Chan::new(64);
     let tcp_ring: Chan<SockReply> = Chan::new(64);
     let tcp_ip: Chan<TransportToIp> = Chan::new(256);
@@ -157,7 +154,7 @@ fn rig_full(
     let pf_tcp: Chan<PfToTransport> = Chan::new(8);
     let tcp_pf: Chan<TransportToPf> = Chan::new(8);
 
-    let tcp = TcpServer::new(
+    let tcp = TcpServer::with_ring_lanes(
         mode,
         Generation::FIRST,
         endpoints::Shard::singleton(),
@@ -167,8 +164,6 @@ fn rig_full(
         registry.clone(),
         tx_pool,
         pools.clone(),
-        sys_tcp.rx(),
-        tcp_sys.tx(),
         ring_tcp.rx(),
         tcp_ring.tx(),
         tcp_ip.tx(),
@@ -181,10 +176,8 @@ fn rig_full(
     );
     Rig {
         tcp,
-        syscall_tx: sys_tcp.tx(),
-        syscall_rx: tcp_sys.rx(),
-        ring_tx: ring_tcp.tx(),
-        ring_rx: tcp_ring.rx(),
+        syscall_tx: ring_tcp.tx(),
+        syscall_rx: tcp_ring.rx(),
         ip_rx: tcp_ip.rx(),
         ip_tx: ip_tcp.tx(),
         pf_tx: pf_tcp.tx(),
@@ -899,19 +892,18 @@ fn accept_arm_is_multishot_and_replies_on_the_ring_lane() {
     let listener = listening_socket(&mut rig, 22, false);
     let arm = rings::ring_req(1, 0);
     send(
-        &rig.ring_tx,
+        &rig.syscall_tx,
         SockRequest::AcceptArm {
             req: arm,
             sock: listener,
         },
     );
     rig.tcp.poll();
-    assert!(drain(&rig.ring_rx).is_empty(), "no connection waits yet");
-    // Two connections arrive: one arm, two completions — and none of
-    // them leaks onto the legacy syscall lane.
+    assert!(drain(&rig.syscall_rx).is_empty(), "no connection waits yet");
+    // Two connections arrive: one arm, two completions.
     handshake_in(&mut rig, 50_000);
     handshake_in(&mut rig, 50_001);
-    let replies = drain(&rig.ring_rx);
+    let replies = drain(&rig.syscall_rx);
     let peers: Vec<u16> = replies
         .iter()
         .map(|r| match r {
@@ -920,13 +912,12 @@ fn accept_arm_is_multishot_and_replies_on_the_ring_lane() {
         })
         .collect();
     assert_eq!(peers, vec![50_000, 50_001]);
-    assert!(drain(&rig.syscall_rx).is_empty());
 
     // Re-arming is idempotent (a ring pump blindly re-forwards after a
     // TCP reincarnation): the new arm simply replaces the old one.
     let rearm = rings::ring_req(1, 7);
     send(
-        &rig.ring_tx,
+        &rig.syscall_tx,
         SockRequest::AcceptArm {
             req: rearm,
             sock: listener,
@@ -934,7 +925,7 @@ fn accept_arm_is_multishot_and_replies_on_the_ring_lane() {
     );
     rig.tcp.poll();
     handshake_in(&mut rig, 50_002);
-    let replies = drain(&rig.ring_rx);
+    let replies = drain(&rig.syscall_rx);
     assert!(
         matches!(&replies[..], [SockReply::Accepted { req, .. }] if *req == rearm),
         "re-armed accept must answer under the new id, got {replies:?}"
@@ -942,14 +933,14 @@ fn accept_arm_is_multishot_and_replies_on_the_ring_lane() {
 
     // Closing the listener terminates the arm with a terminal error.
     send(
-        &rig.ring_tx,
+        &rig.syscall_tx,
         SockRequest::Close {
             req: rings::ring_req(1, 8),
             sock: listener,
         },
     );
     rig.tcp.poll();
-    let replies = drain(&rig.ring_rx);
+    let replies = drain(&rig.syscall_rx);
     assert!(
         replies.iter().any(
             |r| matches!(r, SockReply::Error { req, error: SockError::InvalidState } if *req == rearm)
@@ -958,14 +949,14 @@ fn accept_arm_is_multishot_and_replies_on_the_ring_lane() {
     );
     // Arming a non-listener fails outright.
     send(
-        &rig.ring_tx,
+        &rig.syscall_tx,
         SockRequest::AcceptArm {
             req: rings::ring_req(1, 9),
             sock: 999_999,
         },
     );
     rig.tcp.poll();
-    let replies = drain(&rig.ring_rx);
+    let replies = drain(&rig.syscall_rx);
     assert!(matches!(
         replies[..],
         [SockReply::Error {
@@ -1001,10 +992,10 @@ fn listener_caps_size_accepted_children() {
     rig.tcp.poll();
     drain(&rig.syscall_rx);
     let arm = rings::ring_req(2, 0);
-    send(&rig.ring_tx, SockRequest::AcceptArm { req: arm, sock });
+    send(&rig.syscall_tx, SockRequest::AcceptArm { req: arm, sock });
     rig.tcp.poll();
     handshake_in(&mut rig, 50_000);
-    let child = match drain(&rig.ring_rx).pop() {
+    let child = match drain(&rig.syscall_rx).pop() {
         Some(SockReply::Accepted { sock, .. }) => sock,
         other => panic!("expected Accepted, got {other:?}"),
     };

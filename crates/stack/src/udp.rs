@@ -154,8 +154,8 @@ pub struct UdpServer {
     tx_pool: Pool,
     pools: PoolTable,
 
-    from_syscall: Rx<SockRequest>,
-    to_syscall: Tx<SockReply>,
+    from_ring: Rx<SockRequest>,
+    to_ring: Tx<SockReply>,
     to_ip: Tx<TransportToIp>,
     from_ip: Rx<IpToTransport>,
     from_pf: Rx<PfToTransport>,
@@ -200,8 +200,8 @@ impl UdpServer {
         registry: Registry,
         tx_pool: Pool,
         pools: PoolTable,
-        from_syscall: Rx<SockRequest>,
-        to_syscall: Tx<SockReply>,
+        from_ring: Rx<SockRequest>,
+        to_ring: Tx<SockReply>,
         to_ip: Tx<TransportToIp>,
         from_ip: Rx<IpToTransport>,
         from_pf: Rx<PfToTransport>,
@@ -222,8 +222,8 @@ impl UdpServer {
             registry,
             tx_pool,
             pools,
-            from_syscall,
-            to_syscall,
+            from_ring,
+            to_ring,
             to_ip,
             from_ip,
             from_pf,
@@ -232,7 +232,7 @@ impl UdpServer {
             crash_cursor,
             sockets: HashMap::new(),
             ports_in_use: HashSet::new(),
-            next_sock: shard.sock_id_base() + 1,
+            next_sock: shard.sock_id_base(endpoints::Transport::Udp) + 1,
             next_ephemeral: shard.ephemeral_range(50_000).0,
             ip_reqs: RequestDb::new(),
             stats: UdpStats::default(),
@@ -448,7 +448,7 @@ impl UdpServer {
         }
 
         let mut requests = std::mem::take(&mut self.syscall_scratch);
-        self.from_syscall.drain_into(&mut requests);
+        self.from_ring.drain_into(&mut requests);
         for request in requests.drain(..) {
             work += 1;
             self.handle_sock_request(request);
@@ -524,7 +524,7 @@ impl UdpServer {
                     pending_send: Vec::new(),
                 });
                 self.persist();
-                send(&self.to_syscall, SockReply::Opened { req, sock: id });
+                send(&self.to_ring, SockReply::Opened { req, sock: id });
             }
             SockRequest::Bind { sock, port, .. } => {
                 let requested = if port == 0 {
@@ -532,7 +532,7 @@ impl UdpServer {
                         Some(p) => p,
                         None => {
                             send(
-                                &self.to_syscall,
+                                &self.to_ring,
                                 SockReply::Error {
                                     req,
                                     error: SockError::AddressInUse,
@@ -566,7 +566,7 @@ impl UdpServer {
                     }
                 };
                 self.persist();
-                send(&self.to_syscall, reply);
+                send(&self.to_ring, reply);
             }
             SockRequest::Connect {
                 sock, addr, port, ..
@@ -577,7 +577,7 @@ impl UdpServer {
                         Some(p) => Some(p),
                         None => {
                             send(
-                                &self.to_syscall,
+                                &self.to_ring,
                                 SockReply::Error {
                                     req,
                                     error: SockError::AddressInUse,
@@ -606,7 +606,7 @@ impl UdpServer {
                     }
                 };
                 self.persist();
-                send(&self.to_syscall, reply);
+                send(&self.to_ring, reply);
             }
             SockRequest::Close { sock, .. } => {
                 let removed = self.sockets.remove(&sock);
@@ -630,11 +630,11 @@ impl UdpServer {
                         error: SockError::InvalidState,
                     }
                 };
-                send(&self.to_syscall, reply);
+                send(&self.to_ring, reply);
             }
             SockRequest::Listen { .. } | SockRequest::AcceptArm { .. } => {
                 send(
-                    &self.to_syscall,
+                    &self.to_ring,
                     SockReply::Error {
                         req,
                         error: SockError::InvalidState,

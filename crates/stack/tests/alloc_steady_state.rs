@@ -51,7 +51,7 @@ use newt_stack::pf::PacketFilterServer;
 use newt_stack::posix::{NetClient, RingHandle};
 use newt_stack::rings::{interest_bits, CqValue, Cqe, RingTable, Sqe, SqeOp};
 use newt_stack::sockbuf::{Doorbell, SockError};
-use newt_stack::syscall::SyscallServer;
+use newt_stack::syscall::{RingPump, SyscallServer};
 use newt_stack::tcp::{TcpConfig, TcpServer};
 
 // ---- the counting allocator ------------------------------------------------
@@ -223,12 +223,10 @@ impl World {
         let tcp_to_pf = Chan::new(16);
         let pf_to_udp = Chan::new(16);
         let udp_to_pf = Chan::new(16);
-        let sys_to_tcp = Chan::new(256);
-        let tcp_to_sys = Chan::new(256);
-        let sys_to_udp = Chan::new(256);
-        let udp_to_sys = Chan::new(256);
         let ring_to_tcp = Chan::new(1024);
         let tcp_to_ring = Chan::new(4096);
+        let ring_to_udp = Chan::new(256);
+        let udp_to_ring = Chan::new(256);
         let ip_to_drv = Chan::new(2048);
         let drv_to_ip = Chan::new(2048);
 
@@ -281,7 +279,7 @@ impl World {
             vec![udp_to_pf.rx()],
             None,
         );
-        let mut tcp = TcpServer::new(
+        let mut tcp = TcpServer::with_ring_lanes(
             StartMode::Fresh,
             Generation::FIRST,
             shard,
@@ -291,8 +289,6 @@ impl World {
             registry.clone(),
             tcp_tx_pool,
             pools,
-            sys_to_tcp.rx(),
-            tcp_to_sys.tx(),
             ring_to_tcp.rx(),
             tcp_to_ring.tx(),
             tcp_to_ip.tx(),
@@ -303,23 +299,21 @@ impl World {
             Doorbell::new(),
             None,
         );
-        let mut syscall = SyscallServer::new_sharded(
+        let mut syscall = SyscallServer::new(
             kernel.clone(),
             registry.clone(),
             Generation::FIRST,
-            Arc::new(RingTable::new()),
-            vec![sys_to_tcp.tx()],
-            vec![tcp_to_sys.rx()],
-            vec![sys_to_udp.tx()],
-            vec![udp_to_sys.rx()],
-            ring_to_tcp.tx(),
-            tcp_to_ring.rx(),
-            crash_board,
-            None,
+            RingPump::new(
+                shard,
+                Arc::new(RingTable::new()),
+                (ring_to_tcp.tx(), tcp_to_ring.rx()),
+                (ring_to_udp.tx(), udp_to_ring.rx()),
+                crash_board,
+            ),
         );
 
-        // The control calls block on kernel IPC: they run on a helper thread
-        // while this one serves them.
+        // The control calls block on the completion queue: they run on a
+        // helper thread while this one serves them.
         let client = NetClient::new(kernel, registry, endpoints::application(0));
         let helper = std::thread::spawn(move || -> Result<_, SockError> {
             let listener = client.tcp_socket()?;

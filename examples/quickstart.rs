@@ -30,11 +30,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     // Open a TCP connection to the SSH-like echo service of the peer host.
     let client = stack.client();
     let socket = client.tcp_socket()?;
-    println!(
-        "socket {} lives on shard {}",
-        socket.id(),
-        NewtStack::shard_of_socket(socket.id())
-    );
+    let tcp_shard = NewtStack::shard_of_socket(socket.id());
+    println!("socket {} lives on shard {tcp_shard}", socket.id());
     socket.connect(StackConfig::peer_addr(0), SSH_PORT)?;
     println!("connected to {}:{}", StackConfig::peer_addr(0), SSH_PORT);
 
@@ -73,24 +70,32 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!();
     println!("server activity:");
     println!(
-        "  tcp     : {} segments out, {} segments in (all shards: {} out)",
-        telemetry.tcp_shards[0].segments_out,
-        telemetry.tcp_shards[0].segments_in,
+        "  tcp     : {} segments out, {} segments in on shard {tcp_shard} (all shards: {} out)",
+        telemetry.tcp_shards[tcp_shard].segments_out,
+        telemetry.tcp_shards[tcp_shard].segments_in,
         telemetry.segments_out_total()
     );
+    // The client places its sockets round-robin over the shards, so each
+    // socket's counters are read from the shard its id names.
+    let udp_shard = NewtStack::shard_of_socket(udp.id());
     println!(
-        "  udp     : {} datagrams out, {} in",
-        telemetry.udp_shards[0].datagrams_out, telemetry.udp_shards[0].datagrams_in
+        "  udp     : {} datagrams out, {} in on shard {udp_shard}",
+        telemetry.udp_shards[udp_shard].datagrams_out, telemetry.udp_shards[udp_shard].datagrams_in
     );
+    let ip = &telemetry.ip_shards;
     println!(
-        "  ip      : {} packets out, {} in",
-        telemetry.ip_shards[0].packets_out, telemetry.ip_shards[0].packets_in
+        "  ip      : {} packets out, {} in (all shards)",
+        ip.iter().map(|s| s.packets_out).sum::<u64>(),
+        ip.iter().map(|s| s.packets_in).sum::<u64>()
     );
     println!(
         "  pf      : {} packets checked, {} blocked",
         telemetry.pf.checked, telemetry.pf.blocked
     );
-    println!("  syscall : {} calls handled", telemetry.syscall.calls);
+    println!(
+        "  syscall : {} ring set-ups (the only kernel calls)",
+        telemetry.syscall.ring_setups
+    );
     println!("  kernel  : {:?}", stack.kernel_stats());
 
     stack.shutdown();

@@ -158,13 +158,14 @@ fn telemetry_and_kernel_stats_reflect_traffic() {
         || stack.peer(0).bytes_received_on(IPERF_PORT) >= 64 * 1024,
         Duration::from_secs(60)
     ));
-    // The synchronous POSIX calls went through the kernel (socket + connect),
-    // but the data path did not: far fewer kernel messages than TCP segments.
+    // The trap was paid once — the `RING_SETUP` call and its reply; socket,
+    // connect and the data path all went over the rings and shared buffers.
     let kernel = stack.kernel_stats();
     let telemetry = stack.telemetry();
-    assert!(
-        kernel.messages >= 4,
-        "socket/connect calls must use kernel IPC"
+    assert_eq!(
+        (kernel.messages, telemetry.syscall.ring_setups),
+        (2, 1),
+        "ring set-up is the only kernel call"
     );
     assert!(
         telemetry.tcp_shards[0].segments_out > kernel.messages,
