@@ -59,20 +59,6 @@ fn bench_kernel_ipc(c: &mut Criterion) {
         handle.join().unwrap();
     });
 
-    group.bench_function("send_with_emulated_trap_costs", |b| {
-        // With cost emulation every trap spins for its modelled duration —
-        // this is what makes the MINIX-3-like baseline measurably slower.
-        let kernel = KernelIpc::with_cost_emulation(CostModel::default());
-        let a = Endpoint::from_raw(1);
-        let srv = Endpoint::from_raw(2);
-        kernel.attach(a);
-        kernel.attach(srv);
-        b.iter(|| {
-            kernel.send(a, srv, Message::new(1)).unwrap();
-            criterion::black_box(kernel.try_receive(srv).unwrap());
-        });
-    });
-
     group.finish();
 }
 

@@ -1,99 +1,86 @@
-//! Table II — peak performance of outgoing TCP in various setups.
+//! Table II — peak performance of outgoing TCP in various setups, measured
+//! on this stack (see [`newt_bench::table2`]).
 //!
-//! Two complementary reproductions are printed:
-//!
-//! 1. the **analytic model** of `newt-sim`, calibrated with the paper's cycle
-//!    costs, which reproduces the shape and magnitudes of the table;
-//! 2. a **measured comparison** of the executable stack in three of the
-//!    configurations (synchronous single-core baseline, split stack, split
-//!    stack + TSO) on an unshaped link.  Absolute numbers depend entirely on
-//!    the machine running this binary (the reference host has a single CPU
-//!    core, so "dedicated cores" time-share); the expected observation is the
-//!    *ordering* — the synchronous baseline is slowest and TSO helps.
+//! `cargo run --release -p newt-bench --bin table2 -- [MiB per transfer]`
+//! prints the seven rows, each labelled measured, modelled or quoted, and
+//! the CPU µs per MiB of every service behind them.  It exits non-zero
+//! when a configuration fails to deliver every byte.
 
-use std::time::{Duration, Instant};
-
+use newt_bench::table2::{self, Source};
 use newt_bench::{arg_or, header};
 use newt_kernel::cost::CostModel;
-use newt_net::link::LinkConfig;
-use newt_net::peer::IPERF_PORT;
-use newt_sim::table2;
-use newt_stack::builder::{NewtStack, StackConfig, Topology};
 
-fn measured_mbps(config: StackConfig, bytes: usize) -> f64 {
-    let stack = NewtStack::start(config);
-    let client = stack.client().with_timeout(Duration::from_secs(30));
-    let socket = client.tcp_socket().expect("tcp socket");
-    socket
-        .connect(StackConfig::peer_addr(0), IPERF_PORT)
-        .expect("connect");
-    let chunk = vec![0u8; 64 * 1024];
-    let start = Instant::now();
-    let mut sent = 0usize;
-    while sent < bytes {
-        let n = chunk.len().min(bytes - sent);
-        socket.send_all(&chunk[..n]).expect("send");
-        sent += n;
+/// `3.2 Gbps` or `120 Mbps`.
+fn rate(mbps: f64) -> String {
+    if mbps >= 1000.0 {
+        format!("{:.1} Gbps", mbps / 1000.0)
+    } else {
+        format!("{mbps:.0} Mbps")
     }
-    // Wait for the peer to have received everything.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while stack.peer(0).bytes_received_on(IPERF_PORT) < bytes as u64 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let elapsed = start.elapsed();
-    let received = stack.peer(0).bytes_received_on(IPERF_PORT);
-    stack.shutdown();
-    received as f64 * 8.0 / elapsed.as_secs_f64() / 1e6
+}
+
+/// One line of the table: row, source, paper, five measured cells, name.
+fn print(row: &str, source: &str, paper: &str, cells: [&str; 5], name: &str) {
+    let [bound, bottleneck, wall, msgs, tso] = cells;
+    println!(
+        "{row:<2} {source:<8} {paper:>9} {bound:>9} {bottleneck:<10} {wall:>9} {msgs:>8} {tso:>7}  {name}"
+    );
 }
 
 fn main() {
     header("Table II — peak performance of outgoing TCP", "Table II");
-
-    // Part 1: the analytic model.
-    let rows = table2::run(&CostModel::default());
-    println!("{}", table2::render(&rows));
-
-    // Part 2: measured ordering on this machine.
-    let megabytes = arg_or(1, 8);
-    let bytes = megabytes * 1024 * 1024;
-    println!(
-        "Measured on this host (one {}-MiB transfer per configuration, unshaped link):",
-        megabytes
-    );
-    let configs: Vec<(&str, StackConfig)> = vec![
-        (
-            "synchronous single-core baseline (MINIX-3-like)",
-            StackConfig::minix_like()
-                .link(LinkConfig::unshaped())
-                .clock_speedup(50.0),
-        ),
-        (
-            "split stack, channels, no TSO",
-            StackConfig::newtos()
-                .tso(false)
-                .link(LinkConfig::unshaped())
-                .clock_speedup(50.0),
-        ),
-        (
-            "split stack, channels, TSO",
-            StackConfig::newtos()
-                .link(LinkConfig::unshaped())
-                .clock_speedup(50.0),
-        ),
-        (
-            "single-server stack, channels, TSO",
-            StackConfig::newtos()
-                .topology(Topology::SingleServer)
-                .link(LinkConfig::unshaped())
-                .clock_speedup(50.0),
-        ),
-    ];
-    println!("{:<50} {:>14}", "configuration", "measured Mbps");
-    for (name, config) in configs {
-        let mbps = measured_mbps(config, bytes);
-        println!("{:<50} {:>14.0}", name, mbps);
+    let mib = arg_or(1, 1024);
+    println!("on this host, one {mib}-MiB transfer per configuration");
+    println!("bound: 8 Mbit ÷ the slowest service's CPU µs per MiB (a dedicated core each)");
+    println!();
+    let columns = ["bound", "bottleneck", "wall Mbps", "msgs/MiB", "TSO/MiB"];
+    print("#", "source", "paper", columns, "configuration");
+    let mut cpu_lines = Vec::new();
+    for row in table2::rows() {
+        let mut cells = ["-"; 5].map(String::from);
+        if let Source::Measured(config) | Source::Modelled(config) = &row.source {
+            let m = table2::measure(config.clone(), mib << 20).unwrap_or_else(|e| {
+                eprintln!("row {} ({}): {e}", row.index, row.name);
+                std::process::exit(1);
+            });
+            let mut bottleneck = m.cpu.as_ref().and_then(|cpu| cpu.bottleneck());
+            let mut ipc = String::new();
+            if let (Source::Modelled(_), Some((name, us))) = (&row.source, bottleneck) {
+                let modelled = table2::minix_us_per_mib(us, m.fabric_msgs, &CostModel::default());
+                ipc = format!(" + modelled kernel IPC {:.0}", modelled - us);
+                bottleneck = Some((name, modelled));
+            }
+            let services = m.cpu.as_ref().map_or("n/a".to_string(), |cpu| {
+                let each: Vec<String> = cpu
+                    .services
+                    .iter()
+                    .map(|(name, us)| format!("{name} {us:.0}"))
+                    .collect();
+                let (peer, app) = (cpu.peer, cpu.app);
+                format!("{}{ipc} | peer {peer:.0}, app {app:.0}", each.join(", "))
+            });
+            cpu_lines.push(format!("{:<2} {services}", row.index));
+            cells = [
+                bottleneck.map_or("n/a".to_string(), |(_, us)| rate(table2::mbps(us))),
+                bottleneck.map_or("n/a", |(name, _)| name).to_string(),
+                format!("{:.0}", m.wall_mbps),
+                format!("{:.0}", m.fabric_msgs),
+                format!("{:.0}", m.tso_frames),
+            ];
+        }
+        let paper = rate(row.paper_mbps);
+        let cells = cells.each_ref().map(String::as_str);
+        print(
+            &row.index.to_string(),
+            row.source.label(),
+            &paper,
+            cells,
+            row.name,
+        );
     }
     println!();
-    println!("note: absolute measured numbers reflect this host, not the paper's testbed;");
-    println!("      the analytic model above carries the paper's magnitudes.");
+    println!("CPU µs per MiB, stack services | peer and application:");
+    for line in cpu_lines {
+        println!("{line}");
+    }
 }

@@ -6,20 +6,23 @@
 //! | binary | artefact |
 //! | --- | --- |
 //! | `table1` | kernel-IPC / channel cycle costs → `BENCH_fastpath.json` |
-//! | `table2` | throughput of every stack configuration (analytic model) |
+//! | `table2` | Table II measured: CPU per MiB of every service in each configuration ([`table2`]) |
 //! | `table3`/`table4` | the SWIFI fault-injection campaign |
 //! | `fig4`/`fig5` | bitrate traces across IP / packet-filter crashes |
-//! | `ablation` | design-principle ablation sweep |
 //! | `scaling` | RSS scaling at 1/2/4 shards → `BENCH_scaling.json` |
 //! | `workload` | HTTP rps + p50/p99 over clean/impaired links → `BENCH_workload.json` |
 //! | `dependability` | fault injection into the sharded stack under HTTP load → `BENCH_dependability.json` |
 //!
 //! This library hosts the small amount of code the binaries share, plus
 //! the [`fastpath`] micro-measurement that tracks the inter-server channel
-//! fast path across pull requests.
+//! fast path across pull requests, and the per-thread [`cpu`] sampler
+//! behind [`table2`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+
+pub mod cpu;
+pub mod table2;
 
 /// Returns the first CLI argument parsed as a number, or `default`.
 ///

@@ -15,8 +15,6 @@
 //!   [`NewtStack`]/[`StackConfig`] entry points;
 //! * [`faults`] — the SWIFI fault-injection campaign and the crash-trace
 //!   experiments;
-//! * [`sim`] — the analytic pipeline model reproducing Table II and the
-//!   ablations;
 //! * [`apps`] — the application workload layer: an HTTP/1.1 server on the
 //!   poll-based socket API and the in-process HTTP load generator.
 //!
@@ -53,7 +51,6 @@ pub use newt_channels as channels;
 pub use newt_faults as faults;
 pub use newt_kernel as kernel;
 pub use newt_net as net;
-pub use newt_sim as sim;
 pub use newt_stack as stack;
 
 pub use newt_kernel::cost::CostModel;
@@ -74,6 +71,6 @@ mod tests {
         let config = crate::StackConfig::newtos();
         assert!(config.tso);
         let model = crate::CostModel::default();
-        assert_eq!(model.channel_enqueue, 30);
+        assert_eq!(model.trap_hot, 150);
     }
 }

@@ -5,24 +5,20 @@
 //!
 //! * a void Linux `SYSCALL` with hot caches: **≈150 cycles**;
 //! * the same call with cold caches: **≈3000 cycles**;
-//! * asynchronously enqueueing a message on a channel between two processes
-//!   on different cores while the receiver keeps consuming: **≈30 cycles**;
 //! * kernel IPC to an idle core additionally needs an **inter-processor
 //!   interrupt**;
 //! * kernel IPC on a shared core additionally pays a **context switch**.
 //!
-//! [`CostModel`] packages those numbers so that both the analytic simulator
-//! (`newt-sim`) and the executable kernel-IPC substrate ([`crate::ipc`]) can
-//! charge them consistently.  [`CycleAccount`] accumulates charged cycles per
-//! actor, and can convert them back to seconds at the modelled CPU frequency.
+//! [`CostModel`] packages those numbers.  The kernel-IPC substrate
+//! ([`crate::ipc`]) charges them to a [`CycleAccount`], and the Table II
+//! harness prices the one row it models (MINIX 3's synchronous IPC) with
+//! them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// Cycle costs of the primitive operations of the communication substrate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// CPU clock frequency in GHz (cycles per nanosecond).
     pub cpu_ghz: f64,
@@ -30,17 +26,10 @@ pub struct CostModel {
     pub trap_hot: u64,
     /// Cycles for a kernel trap with cold caches (the paper's ~3000).
     pub trap_cold: u64,
-    /// Cycles to enqueue a message on a user-space channel (the paper's ~30).
-    pub channel_enqueue: u64,
     /// Cycles for a context switch between two processes sharing a core.
     pub context_switch: u64,
     /// Cycles charged for sending and handling an inter-processor interrupt.
     pub ipi: u64,
-    /// Cycles per byte for copying payload data (avoided by zero-copy).
-    pub copy_per_byte: f64,
-    /// Cycles of per-packet protocol work in one server (header building,
-    /// checksum bookkeeping, socket lookup, ...).
-    pub per_packet_work: u64,
     /// Fraction of kernel traps that run with cold caches in steady state.
     pub cold_trap_fraction: f64,
 }
@@ -58,11 +47,8 @@ impl CostModel {
             cpu_ghz: 1.9,
             trap_hot: 150,
             trap_cold: 3000,
-            channel_enqueue: 30,
             context_switch: 1200,
             ipi: 2000,
-            copy_per_byte: 0.5,
-            per_packet_work: 2500,
             cold_trap_fraction: 0.2,
         }
     }
@@ -73,24 +59,9 @@ impl CostModel {
             + self.trap_cold as f64 * self.cold_trap_fraction
     }
 
-    /// Cycles needed to copy `bytes` bytes.
-    pub fn copy_cost(&self, bytes: usize) -> u64 {
-        (self.copy_per_byte * bytes as f64).round() as u64
-    }
-
     /// Converts a cycle count into wall-clock time at the modelled frequency.
     pub fn cycles_to_duration(&self, cycles: u64) -> Duration {
         Duration::from_secs_f64(cycles as f64 / (self.cpu_ghz * 1e9))
-    }
-
-    /// Converts a duration into cycles at the modelled frequency.
-    pub fn duration_to_cycles(&self, duration: Duration) -> u64 {
-        (duration.as_secs_f64() * self.cpu_ghz * 1e9).round() as u64
-    }
-
-    /// Cycles one core can spend per second.
-    pub fn cycles_per_second(&self) -> f64 {
-        self.cpu_ghz * 1e9
     }
 }
 
@@ -98,7 +69,6 @@ impl CostModel {
 #[derive(Debug, Default)]
 pub struct CycleAccount {
     cycles: AtomicU64,
-    charges: AtomicU64,
 }
 
 impl CycleAccount {
@@ -110,28 +80,11 @@ impl CycleAccount {
     /// Adds `cycles` to the account.
     pub fn charge(&self, cycles: u64) {
         self.cycles.fetch_add(cycles, Ordering::Relaxed);
-        self.charges.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Returns the total cycles charged so far.
     pub fn total(&self) -> u64 {
         self.cycles.load(Ordering::Relaxed)
-    }
-
-    /// Returns the number of individual charges recorded.
-    pub fn charges(&self) -> u64 {
-        self.charges.load(Ordering::Relaxed)
-    }
-
-    /// Converts the accumulated cycles into time under `model`.
-    pub fn busy_time(&self, model: &CostModel) -> Duration {
-        model.cycles_to_duration(self.total())
-    }
-
-    /// Resets the account to zero.
-    pub fn reset(&self) {
-        self.cycles.store(0, Ordering::Relaxed);
-        self.charges.store(0, Ordering::Relaxed);
     }
 }
 
@@ -144,10 +97,7 @@ mod tests {
         let m = CostModel::default();
         assert_eq!(m.trap_hot, 150);
         assert_eq!(m.trap_cold, 3000);
-        assert_eq!(m.channel_enqueue, 30);
         assert!((m.cpu_ghz - 1.9).abs() < f64::EPSILON);
-        // The channel enqueue is at least 5x cheaper than even a hot trap.
-        assert!(m.channel_enqueue * 5 <= m.trap_hot);
     }
 
     #[test]
@@ -159,39 +109,26 @@ mod tests {
     }
 
     #[test]
-    fn copy_cost_scales_linearly() {
-        let m = CostModel::default();
-        assert_eq!(m.copy_cost(0), 0);
-        assert_eq!(m.copy_cost(1000), 500);
-        assert_eq!(m.copy_cost(2000), 2 * m.copy_cost(1000));
-    }
-
-    #[test]
     fn cycle_duration_round_trip() {
         let m = CostModel::default();
         let cycles = 1_900_000; // 1 ms at 1.9 GHz
         let d = m.cycles_to_duration(cycles);
         assert!((d.as_secs_f64() - 0.001).abs() < 1e-9);
-        assert_eq!(m.duration_to_cycles(d), cycles);
+        assert_eq!((d.as_secs_f64() * m.cpu_ghz * 1e9).round() as u64, cycles);
     }
 
     #[test]
-    fn account_accumulates_and_resets() {
+    fn account_accumulates() {
         let acct = CycleAccount::new();
         acct.charge(100);
         acct.charge(250);
         assert_eq!(acct.total(), 350);
-        assert_eq!(acct.charges(), 2);
-        let m = CostModel::default();
-        assert!(acct.busy_time(&m) > Duration::ZERO);
-        acct.reset();
-        assert_eq!(acct.total(), 0);
-        assert_eq!(acct.charges(), 0);
     }
 
     #[test]
     fn cycles_per_second_matches_frequency() {
         let m = CostModel::default();
-        assert!((m.cycles_per_second() - 1.9e9).abs() < 1.0);
+        let second = m.cycles_to_duration(1_900_000_000);
+        assert!((second.as_secs_f64() - 1.0).abs() < 1e-9);
     }
 }

@@ -9,11 +9,7 @@
 //! channels avoid.
 //!
 //! [`KernelIpc`] reproduces this primitive between threads.  It charges the
-//! configured [`CostModel`] for every trap, context switch and IPI, and can
-//! optionally *emulate* those costs by spinning for the equivalent time, so
-//! that end-to-end throughput measurements of a kernel-IPC-based stack (the
-//! MINIX-3-like baseline of Table II) physically feel the overhead the paper
-//! describes.
+//! configured [`CostModel`] for every trap and IPI.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -127,7 +123,6 @@ struct Mailbox {
 
 struct KernelInner {
     model: CostModel,
-    emulate_costs: bool,
     mailboxes: Mutex<HashMap<Endpoint, Arc<Mailbox>>>,
     traps: AtomicU64,
     messages: AtomicU64,
@@ -175,22 +170,11 @@ impl std::fmt::Debug for KernelIpc {
 }
 
 impl KernelIpc {
-    /// Creates a kernel that only *accounts* costs (no artificial delays).
+    /// Creates a kernel that accounts its costs under `model`.
     pub fn new(model: CostModel) -> Self {
-        Self::with_options(model, false)
-    }
-
-    /// Creates a kernel that additionally *emulates* the charged costs by
-    /// spinning, so kernel-IPC-heavy configurations measurably slow down.
-    pub fn with_cost_emulation(model: CostModel) -> Self {
-        Self::with_options(model, true)
-    }
-
-    fn with_options(model: CostModel, emulate_costs: bool) -> Self {
         KernelIpc {
             inner: Arc::new(KernelInner {
                 model,
-                emulate_costs,
                 mailboxes: Mutex::new(HashMap::new()),
                 traps: AtomicU64::new(0),
                 messages: AtomicU64::new(0),
@@ -200,25 +184,11 @@ impl KernelIpc {
         }
     }
 
-    /// Returns the cost model used for accounting.
-    pub fn cost_model(&self) -> CostModel {
-        self.inner.model
-    }
-
-    fn charge(&self, cycles: u64) {
-        self.inner.cycles.charge(cycles);
-        if self.inner.emulate_costs {
-            let wait = self.inner.model.cycles_to_duration(cycles);
-            let start = Instant::now();
-            while start.elapsed() < wait {
-                std::hint::spin_loop();
-            }
-        }
-    }
-
     fn charge_trap(&self) {
         self.inner.traps.fetch_add(1, Ordering::Relaxed);
-        self.charge(self.inner.model.trap_expected() as u64);
+        self.inner
+            .cycles
+            .charge(self.inner.model.trap_expected() as u64);
     }
 
     /// Attaches an endpoint, creating its mailbox.  Attaching an endpoint
@@ -302,7 +272,7 @@ impl KernelIpc {
             // Waking an idle destination core requires an IPI.
             if mailbox.idle.load(Ordering::Acquire) {
                 self.inner.ipis.fetch_add(1, Ordering::Relaxed);
-                self.charge(self.inner.model.ipi);
+                self.inner.cycles.charge(self.inner.model.ipi);
             }
             mailbox.condvar.notify_all();
         }
@@ -590,34 +560,5 @@ mod tests {
         // ...unless the new incarnation explicitly clears its mailbox.
         k.clear_mailbox(ep(2));
         assert_eq!(k.pending(ep(2)), 0);
-    }
-
-    #[test]
-    fn cost_emulation_slows_traffic_down() {
-        let model = CostModel {
-            trap_hot: 200_000,
-            trap_cold: 200_000,
-            ..CostModel::default()
-        };
-        let fast = KernelIpc::new(model);
-        let slow = KernelIpc::with_cost_emulation(model);
-        for k in [&fast, &slow] {
-            k.attach(ep(1));
-            k.attach(ep(2));
-        }
-        let time = |k: &KernelIpc| {
-            let start = Instant::now();
-            for _ in 0..50 {
-                k.send(ep(1), ep(2), Message::new(0)).unwrap();
-                k.receive(ep(2), Duration::from_secs(1)).unwrap();
-            }
-            start.elapsed()
-        };
-        let fast_t = time(&fast);
-        let slow_t = time(&slow);
-        assert!(
-            slow_t > fast_t,
-            "emulated kernel should be slower: {fast_t:?} vs {slow_t:?}"
-        );
     }
 }

@@ -11,10 +11,10 @@
 //!   multi-second experiments (link resets, retransmission timers, heartbeat
 //!   periods) finish quickly;
 //! * [`cost`] — the cycle-cost model of the paper's evaluation machine
-//!   (≈150-cycle hot traps, ≈3000-cycle cold traps, ≈30-cycle channel
-//!   enqueues, IPIs, context switches);
-//! * [`ipc`] — synchronous kernel IPC between endpoints with cost accounting
-//!   and optional cost *emulation* for end-to-end baselines;
+//!   (≈150-cycle hot traps, ≈3000-cycle cold traps, IPIs, context
+//!   switches);
+//! * [`ipc`] — synchronous kernel IPC between endpoints with cost
+//!   accounting;
 //! * [`storage`] — the key/value storage server holding recoverable state;
 //! * [`rs`] — the reincarnation server: heartbeats, crash detection,
 //!   restarts with generation bumps, fault-injection hooks.

@@ -3,8 +3,7 @@
 //! [`StackConfig`] selects the configuration axes the paper's evaluation
 //! varies (Table II): how the stack is decomposed ([`Topology`]), whether
 //! TSO and checksum offload are enabled, whether the packet filter is in the
-//! path, how many NICs/links are attached, and whether kernel-IPC costs are
-//! merely accounted or physically emulated.  [`NewtStack::start`] brings the
+//! path and how many NICs/links are attached.  [`NewtStack::start`] brings the
 //! whole system up: the simulated NICs and links, the remote peer hosts, the
 //! reincarnation server with one service per row of the placement table
 //! (every server has the same shape and runs under the same service loop;
@@ -90,9 +89,9 @@ pub enum Topology {
     /// dedicated core; drivers and SYSCALL stay separate — the "1 server
     /// stack" rows of Table II.
     SingleServer,
-    /// Everything, including drivers and the SYSCALL front end, shares a
-    /// single core and every message pays emulated kernel-IPC costs — the
-    /// MINIX-3-like fully synchronous baseline (Table II row 1).
+    /// Everything, including drivers and the SYSCALL front end, runs in one
+    /// service on one core — the placement of the MINIX-3-like baseline
+    /// (Table II row 1).
     SynchronousSingleCore,
 }
 
@@ -123,15 +122,10 @@ pub struct StackConfig {
     pub link: LinkConfig,
     /// Virtual-clock speed-up.
     pub clock_speedup: f64,
-    /// Whether kernel-IPC cycle costs are physically emulated (spinning) in
-    /// addition to being accounted.
-    pub emulate_kernel_costs: bool,
     /// TCP parameters.
     pub tcp: TcpConfig,
     /// Heartbeat timeout for crash detection (virtual time).
     pub heartbeat_timeout: Duration,
-    /// Cycle-cost model used for accounting/emulation.
-    pub cost_model: CostModel,
 }
 
 impl Default for StackConfig {
@@ -147,13 +141,11 @@ impl Default for StackConfig {
             filter_rules: Vec::new(),
             link: LinkConfig::gigabit(),
             clock_speedup: 20.0,
-            emulate_kernel_costs: false,
             tcp: TcpConfig::default(),
             // Generous so that heavily loaded hosts (e.g. running the whole
             // test suite in parallel) never reap healthy services; injected
             // crashes are detected through the exit signal, not heartbeats.
             heartbeat_timeout: Duration::from_secs(120),
-            cost_model: CostModel::default(),
         }
     }
 }
@@ -165,14 +157,13 @@ impl StackConfig {
         Self::default()
     }
 
-    /// The MINIX-3-like baseline: one core, synchronous kernel IPC for every
-    /// message, no offloads.
+    /// The MINIX-3-like baseline: everything in one service on one core, no
+    /// offloads.
     pub fn minix_like() -> Self {
         StackConfig {
             topology: Topology::SynchronousSingleCore,
             checksum_offload: false,
             with_packet_filter: false,
-            emulate_kernel_costs: true,
             ..Self::default()
         }
         // Through the setter, so TCP stops cutting TSO-sized segments the
@@ -948,11 +939,7 @@ impl NewtStack {
         let word_of = |endpoint: Endpoint| by_endpoint.get(&endpoint).cloned().unwrap_or_default();
 
         let clock = SimClock::with_speedup(config.clock_speedup);
-        let kernel = if config.emulate_kernel_costs {
-            KernelIpc::with_cost_emulation(config.cost_model)
-        } else {
-            KernelIpc::new(config.cost_model)
-        };
+        let kernel = KernelIpc::new(CostModel::default());
         let crash_board = CrashBoard::waking(words.clone());
         let pools = PoolTable::new();
         let rs = ReincarnationServer::new(clock.clone());
@@ -1049,11 +1036,6 @@ impl NewtStack {
         });
 
         // --- one service per placement row -------------------------------------
-        // A stack placed on a single core is the synchronous multiserver
-        // baseline: every message there costs kernel traps and a context
-        // switch, which the service loop spins away when emulation is on.
-        let ipc_toll = (services.len() == 1 && wiring.config.emulate_kernel_costs)
-            .then_some(wiring.config.cost_model);
         let mut component_services: HashMap<Component, Endpoint> = HashMap::new();
         for (row, (name, endpoint, members)) in services.iter().enumerate() {
             component_services.extend(members.iter().map(|&c| (c, *endpoint)));
@@ -1069,7 +1051,7 @@ impl NewtStack {
                         .iter()
                         .map(|&c| wiring.build(c, &rt))
                         .collect();
-                    serve(&rt, servers, &wiring.telemetry, &service.idle, ipc_toll);
+                    serve(&rt, servers, &wiring.telemetry, &service.idle);
                 },
             );
         }
@@ -1370,9 +1352,7 @@ impl Drop for NewtStack {
 ///
 /// Stats are published on working rounds only (and once at startup), so
 /// idle rounds never touch the shared telemetry mutex; the loop's own idle
-/// counters go to `idle` with plain stores.  With an `ipc_toll` every unit
-/// of work additionally spins for two kernel traps and a context switch —
-/// the synchronous single-core baseline.
+/// counters go to `idle` with plain stores.
 ///
 /// On a live-update request the loop *quiesces* before returning: it runs a
 /// few more poll rounds to drain the fabric batches already parked in the
@@ -1387,7 +1367,6 @@ fn serve(
     mut members: Vec<Box<dyn Server>>,
     telemetry: &Mutex<Telemetry>,
     idle: &IdleCounters,
-    ipc_toll: Option<CostModel>,
 ) {
     let mut published = false;
     let mut round = |members: &mut [Box<dyn Server>]| {
@@ -1398,10 +1377,6 @@ fn serve(
             for member in members.iter() {
                 member.publish(&mut telemetry);
             }
-        }
-        if let (Some(cost), true) = (ipc_toll, work > 0) {
-            let cycles = work as u64 * (2 * cost.trap_expected() as u64 + cost.context_switch);
-            spin_for(cost.cycles_to_duration(cycles));
         }
         work
     };
@@ -1448,14 +1423,6 @@ fn serve(
 /// Upper bound on extra poll rounds spent quiescing before a live-update
 /// hand-over.
 const QUIESCE_ROUNDS: usize = 32;
-
-/// Spins for approximately `duration` (used to emulate kernel-IPC costs).
-fn spin_for(duration: Duration) {
-    let start = std::time::Instant::now();
-    while start.elapsed() < duration {
-        std::hint::spin_loop();
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -1964,7 +1931,7 @@ mod tests {
                             }) as Box<dyn Server>
                         })
                         .collect();
-                    serve(&rt, members, &Mutex::new(Telemetry::default()), &idle, None);
+                    serve(&rt, members, &Mutex::new(Telemetry::default()), &idle);
                 },
             )
         };
@@ -2024,13 +1991,7 @@ mod tests {
                         rt: rt.clone(),
                         log: Arc::clone(&log),
                     });
-                    serve(
-                        &rt,
-                        vec![member],
-                        &Mutex::new(Telemetry::default()),
-                        &idle,
-                        None,
-                    );
+                    serve(&rt, vec![member], &Mutex::new(Telemetry::default()), &idle);
                 },
             )
         };

@@ -1,40 +1,12 @@
-//! Integration tests of the evaluation harnesses themselves: the Table II
-//! model, a miniature fault-injection campaign and a miniature crash-trace
-//! experiment, exercised exactly as the `newt-bench` binaries drive them.
+//! Integration tests of the evaluation harnesses themselves: a miniature
+//! fault-injection campaign and a miniature crash-trace experiment,
+//! exercised exactly as the `newt-bench` binaries drive them.
 
 use std::time::Duration;
 
 use newtos::faults::campaign::{run_campaign, CampaignConfig};
 use newtos::faults::figures::{run_trace_experiment, TraceExperimentConfig};
-use newtos::sim::{ablation, table2};
 use newtos::Component;
-use newtos::CostModel;
-
-#[test]
-fn table2_model_reproduces_the_paper_shape() {
-    let rows = table2::run(&CostModel::default());
-    assert_eq!(rows.len(), 7);
-    // MINIX baseline orders of magnitude below NewtOS; TSO rows saturate the
-    // five links; Linux 10 GbE on top.
-    assert!(rows[0].model_mbps < 400.0);
-    assert!(rows[1].model_mbps > 2000.0);
-    assert!(rows[4].model_mbps >= 4900.0);
-    assert!(rows[5].model_mbps >= 4900.0);
-    assert!(rows[6].model_mbps > rows[5].model_mbps);
-    let rendered = table2::render(&rows);
-    assert!(rendered.contains("Linux"));
-}
-
-#[test]
-fn ablations_are_monotone_where_the_paper_expects_it() {
-    let model = CostModel::default();
-    let ipc = ablation::ipc_cost_sweep(&model);
-    assert!(ipc.first().unwrap().throughput_mbps >= ipc.last().unwrap().throughput_mbps);
-    let cores = ablation::core_share_sweep(&model);
-    assert!(cores.first().unwrap().throughput_mbps > cores.last().unwrap().throughput_mbps);
-    let kinds = ablation::ipc_kind_comparison(&model);
-    assert!(kinds[0].throughput_mbps > kinds[1].throughput_mbps);
-}
 
 #[test]
 fn miniature_campaign_produces_table3_and_table4() {
