@@ -371,15 +371,6 @@ pub struct ConnScaleReport {
     pub verify_failures: u64,
     /// Connections abandoned and reopened.
     pub retries: u64,
-    /// Virtual time the ramp (connect + first request per connection)
-    /// took.
-    pub ramp_virtual_secs: f64,
-    /// Connections established per virtual second during the ramp.
-    pub connects_per_sec: f64,
-    /// Median ramp request latency (virtual microseconds).
-    pub p50_us: f64,
-    /// 99th-percentile ramp request latency (virtual microseconds).
-    pub p99_us: f64,
     /// 99th-percentile probe latency at full occupancy (virtual
     /// microseconds) — the "p99 intact under 100k connections" figure.
     pub probe_p99_us: f64,
@@ -517,7 +508,6 @@ pub fn run_connection_scale(stack: &NewtStack, config: &ConnScaleConfig) -> Conn
     };
 
     // ---- ramp: open the population in waves, one request each ----------
-    let t0 = clock.now();
     'ramp: for wave_start in (0..config.connections).step_by(config.wave.max(1)) {
         let wave_end = (wave_start + config.wave.max(1)).min(config.connections);
         let mut flights: Vec<ScaleFlight> = (wave_start..wave_end)
@@ -565,7 +555,6 @@ pub fn run_connection_scale(stack: &NewtStack, config: &ConnScaleConfig) -> Conn
             }
         }
     }
-    let ramp_virtual_secs = (clock.now() - t0).as_secs_f64().max(1e-9);
 
     // ---- probes: request latency at full occupancy ---------------------
     if completed_all && !conns.is_empty() {
@@ -616,7 +605,6 @@ pub fn run_connection_scale(stack: &NewtStack, config: &ConnScaleConfig) -> Conn
         })
         .count();
 
-    ramp_latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     probe_latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     let total = (ramp_latencies.len() + probe_latencies.len()) as u64;
     let completed = total - verify_failures.min(total);
@@ -626,10 +614,6 @@ pub fn run_connection_scale(stack: &NewtStack, config: &ConnScaleConfig) -> Conn
         completed,
         verify_failures,
         retries,
-        ramp_virtual_secs,
-        connects_per_sec: conns.len() as f64 / ramp_virtual_secs,
-        p50_us: percentile_us(&ramp_latencies, 0.50),
-        p99_us: percentile_us(&ramp_latencies, 0.99),
         probe_p99_us: percentile_us(&probe_latencies, 0.99),
         completed_all,
     }

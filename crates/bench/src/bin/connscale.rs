@@ -13,10 +13,8 @@
 //! in bounded per-connection memory (the buffers allocate lazily), and a
 //! probe request against the fully-occupied stack must still meet p99.
 //!
-//! Appends/replaces the `"link": "connscale-clean"` row of
-//! `BENCH_workload.json`, preserving the workload bench's own rows (the
-//! workload bench preserves this row symmetrically).  Gates, all absolute
-//! so a reduced `connections` argument still checks the same contract:
+//! Writes `BENCH_connscale.json`.  Gates, all absolute so a reduced
+//! `connections` argument still checks the same contract:
 //!
 //! * every connection must be established and still open at the end, with
 //!   every response byte-verified;
@@ -27,6 +25,7 @@
 
 use newt_apps::httpd::{Httpd, HttpdConfig};
 use newt_apps::loadgen::{run_connection_scale, ConnScaleConfig};
+use newt_bench::record::{Gates, Json};
 use newt_bench::{arg_or, header};
 use newt_net::link::LinkConfig;
 use newt_stack::builder::{NewtStack, StackConfig};
@@ -120,17 +119,8 @@ fn main() {
     stack.shutdown();
 
     println!(
-        "  {} connections: {} established, {} requests ({} retries), ramp {:.2}s virtual = {:.0} conn/s",
-        report.target,
-        report.established,
-        report.completed,
-        report.retries,
-        report.ramp_virtual_secs,
-        report.connects_per_sec,
-    );
-    println!(
-        "  ramp p50 {:.1} us, p99 {:.1} us; probe p99 at full occupancy {:.1} us",
-        report.p50_us, report.p99_us, report.probe_p99_us,
+        "  {} connections: {} established, {} requests ({} retries); probe p99 at full occupancy {:.1} us",
+        report.target, report.established, report.completed, report.retries, report.probe_p99_us,
     );
     println!(
         "  {} socket buffers hold {} bytes = {:.0} bytes/connection (gate {:.0})",
@@ -145,97 +135,52 @@ fn main() {
         stats.connections, stats.requests, stats.ring_cqes, stats.connection_errors,
     );
 
-    // ---- record ------------------------------------------------------------
-    let row = format!(
-        "    {{\"shards\": {SHARDS}, \"link\": \"connscale-clean\", \"connections\": {}, \"established\": {}, \"requests\": {}, \"retries\": {}, \"ramp_virtual_secs\": {:.4}, \"connects_per_sec\": {:.1}, \"rps\": {:.1}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"probe_p99_us\": {:.1}, \"completed_all\": {}, \"verify_failures\": {}, \"bytes_per_connection\": {:.1}, \"ring_fabric_messages\": {}, \"ring_ops\": {}, \"messages_per_sock_op\": {:.4}}}",
-        report.target,
-        report.established,
-        report.completed,
-        report.retries,
-        report.ramp_virtual_secs,
-        report.connects_per_sec,
-        report.completed as f64 / report.ramp_virtual_secs,
-        report.p50_us,
-        report.p99_us,
-        report.probe_p99_us,
-        report.completed_all,
-        report.verify_failures,
-        bytes_per_connection,
-        ring_fabric_messages,
-        ring_ops,
-        messages_per_sock_op,
-    );
-    match rewrite_record(&row) {
-        Ok(()) => println!("\nwrote BENCH_workload.json (connscale-clean row)"),
-        Err(err) => eprintln!("could not write BENCH_workload.json: {err}"),
-    }
+    Json::object()
+        .with(
+            "workload",
+            "keep-alive HTTP connections held over the syscall rings, one request each, then probes at full occupancy; unshaped link",
+        )
+        .with("shards", SHARDS)
+        .with("connections", report.target)
+        .with("established", report.established)
+        .with("requests", report.completed)
+        .with("retries", report.retries)
+        .with("probe_p99_us", Json::Num(report.probe_p99_us, 1))
+        .with("completed_all", report.completed_all)
+        .with("verify_failures", report.verify_failures)
+        .with("bytes_per_connection", Json::Num(bytes_per_connection, 1))
+        .with("ring_fabric_messages", ring_fabric_messages)
+        .with("ring_ops", ring_ops)
+        .with("messages_per_sock_op", Json::Num(messages_per_sock_op, 4))
+        .save("BENCH_connscale.json");
 
-    // ---- gates -------------------------------------------------------------
-    let mut failed = false;
-    if report.established != report.target {
-        eprintln!(
-            "FAIL: only {}/{} connections still established",
-            report.established, report.target
-        );
-        failed = true;
-    }
-    if !report.completed_all || report.verify_failures > 0 {
-        eprintln!(
-            "FAIL: run incomplete or corrupt (completed_all={}, verify_failures={})",
-            report.completed_all, report.verify_failures
-        );
-        failed = true;
-    }
-    if bytes_per_connection > BYTES_PER_CONN_GATE {
-        eprintln!(
-            "FAIL: {bytes_per_connection:.0} bytes/connection exceeds the {BYTES_PER_CONN_GATE:.0}-byte gate"
-        );
-        failed = true;
-    }
-    if report.probe_p99_us > PROBE_P99_GATE_US {
-        eprintln!(
-            "FAIL: probe p99 {:.1} us at full occupancy exceeds the {PROBE_P99_GATE_US:.0} us gate",
-            report.probe_p99_us
-        );
-        failed = true;
-    }
-    if messages_per_sock_op >= MSGS_PER_OP_GATE {
-        eprintln!(
-            "FAIL: {messages_per_sock_op:.4} ring-lane messages per socket op (gate < {MSGS_PER_OP_GATE})"
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!(
-        "PASS: held {} connections with byte-verified traffic, {:.0} bytes/connection, probe p99 {:.1} us, {:.4} fabric msgs/socket op",
-        report.established, bytes_per_connection, report.probe_p99_us, messages_per_sock_op,
-    );
-}
-
-/// Rewrites `BENCH_workload.json` with `row` as its only `connscale` row,
-/// carrying the workload bench's header line and result rows over
-/// verbatim.  Builds a minimal record when the file does not exist yet.
-fn rewrite_record(row: &str) -> std::io::Result<()> {
-    let previous = std::fs::read_to_string("BENCH_workload.json").unwrap_or_default();
-    let mut workload_line =
-        "  \"workload\": \"keep-alive HTTP over the sharded stack\",".to_string();
-    let mut rows: Vec<String> = Vec::new();
-    for line in previous.lines() {
-        let trimmed = line.trim_start();
-        if trimmed.starts_with("\"workload\":") {
-            workload_line = line.to_string();
-        } else if trimmed.starts_with("{\"shards\"") && !line.contains("\"link\": \"connscale") {
-            rows.push(line.trim_end().trim_end_matches(',').to_string());
-        }
-    }
-    rows.push(row.to_string());
-    std::fs::write(
-        "BENCH_workload.json",
+    let mut gates = Gates::default();
+    gates.check(report.established == report.target, || {
         format!(
-            "{{\n{workload_line}\n  \"results\": [\n{}\n  ]\n}}\n",
-            rows.join(",\n")
-        ),
-    )
+            "only {}/{} connections still established",
+            report.established, report.target
+        )
+    });
+    gates.check(report.completed_all && report.verify_failures == 0, || {
+        format!(
+            "run incomplete or corrupt (completed_all={}, verify_failures={})",
+            report.completed_all, report.verify_failures
+        )
+    });
+    gates.check(bytes_per_connection <= BYTES_PER_CONN_GATE, || {
+        format!("{bytes_per_connection:.0} bytes/connection exceeds the {BYTES_PER_CONN_GATE:.0}-byte gate")
+    });
+    gates.check(report.probe_p99_us <= PROBE_P99_GATE_US, || {
+        format!(
+            "probe p99 {:.1} us at full occupancy exceeds the {PROBE_P99_GATE_US:.0} us gate",
+            report.probe_p99_us
+        )
+    });
+    gates.check(messages_per_sock_op < MSGS_PER_OP_GATE, || {
+        format!("{messages_per_sock_op:.4} ring-lane messages per socket op (gate < {MSGS_PER_OP_GATE})")
+    });
+    gates.finish(&format!(
+        "held {} connections with byte-verified traffic, {bytes_per_connection:.0} bytes/connection, probe p99 {:.1} us, {messages_per_sock_op:.4} fabric msgs/socket op",
+        report.established, report.probe_p99_us,
+    ));
 }

@@ -28,6 +28,7 @@
 //!   reconnects, every restart must be stamped *requested*, and no
 //!   per-component service gap may exceed the cell's bound.
 
+use newt_bench::record::{Gates, Json};
 use newt_bench::{arg_or, header};
 use newt_faults::dependability::{
     run_dependability_campaign, run_rolling_upgrade, DependabilityConfig, Outcome,
@@ -57,7 +58,7 @@ fn main() {
                 "running {} fault runs, {} shard(s), {} link, {} conns x {} reqs...",
                 config.runs,
                 shards,
-                if impaired { "impaired" } else { "clean" },
+                link(impaired),
                 config.connections,
                 config.requests_per_connection,
             );
@@ -75,7 +76,7 @@ fn main() {
         println!(
             "\nrolling upgrade: {} components, 4 shards, {} link, {} conns x {} reqs...",
             config.upgrade_targets().len(),
-            if impaired { "impaired" } else { "clean" },
+            link(impaired),
             config.connections,
             config.requests_per_connection,
         );
@@ -92,7 +93,7 @@ fn main() {
         100.0 * transparent_overall
     );
 
-    let rows: Vec<String> = reports
+    let rows: Vec<Json> = reports
         .iter()
         .map(|r| {
             let mut recovery: Vec<f64> = r.runs.iter().map(|run| run.recovery_ms).collect();
@@ -103,81 +104,86 @@ fn main() {
             let outcomes: Vec<String> = r
                 .runs
                 .iter()
-                .map(|run| format!("\"{}: {}\"", run.mode, run.outcome.label()))
+                .map(|run| format!("{}: {}", run.mode, run.outcome.label()))
                 .collect();
-            format!(
-                "    {{\"shards\": {}, \"link\": \"{}\", \"runs\": {}, \"transparent\": {}, \"broken_tcp\": {}, \"manual_restart\": {}, \"reachable_after_restart\": {}, \"reboot\": {}, \"transparent_fraction\": {:.3}, \"availability_mean\": {:.3}, \"recovery_ms_p50\": {:.1}, \"recovery_ms_max\": {:.1}, \"detect_ms_p50\": {:.1}, \"detect_ms_max_crash\": {:.1}, \"detect_ms_max_hang\": {:.1}, \"reconnects\": {}, \"verify_failures\": {}, \"outcomes\": [{}]}}",
-                r.shards,
-                if r.impaired { "impaired" } else { "clean" },
-                r.runs.len(),
-                r.count(Outcome::Transparent),
-                r.count(Outcome::BrokenTcp),
-                r.count(Outcome::ManualRestart),
-                r.count(Outcome::ReachableAfterRestart),
-                r.count(Outcome::Reboot),
-                r.transparent_fraction(),
-                r.availability_mean(),
-                recovery_p50,
-                recovery_max,
-                detect_p50,
-                r.detect_ms_max_for("crash"),
-                r.detect_ms_max_for("hang"),
-                r.reconnects_total(),
-                r.verify_failures_total(),
-                outcomes.join(", "),
-            )
+            Json::object()
+                .with("shards", r.shards)
+                .with("link", link(r.impaired))
+                .with("runs", r.runs.len())
+                .with("transparent", r.count(Outcome::Transparent))
+                .with("broken_tcp", r.count(Outcome::BrokenTcp))
+                .with("manual_restart", r.count(Outcome::ManualRestart))
+                .with(
+                    "reachable_after_restart",
+                    r.count(Outcome::ReachableAfterRestart),
+                )
+                .with("reboot", r.count(Outcome::Reboot))
+                .with(
+                    "transparent_fraction",
+                    Json::Num(r.transparent_fraction(), 3),
+                )
+                .with("availability_mean", Json::Num(r.availability_mean(), 3))
+                .with("recovery_ms_p50", Json::Num(recovery_p50, 1))
+                .with("recovery_ms_max", Json::Num(recovery_max, 1))
+                .with("detect_ms_p50", Json::Num(detect_p50, 1))
+                .with(
+                    "detect_ms_max_crash",
+                    Json::Num(r.detect_ms_max_for("crash"), 1),
+                )
+                .with(
+                    "detect_ms_max_hang",
+                    Json::Num(r.detect_ms_max_for("hang"), 1),
+                )
+                .with("reconnects", r.reconnects_total())
+                .with("verify_failures", r.verify_failures_total())
+                .with("outcomes", outcomes)
         })
         .collect();
-    let upgrade_rows: Vec<String> = upgrades
+    let upgrade_rows: Vec<Json> = upgrades
         .iter()
         .map(|(config, r)| {
             let gaps: Vec<String> = r
                 .records
                 .iter()
-                .map(|rec| format!("\"{}: {:.1}ms\"", rec.component, rec.service_gap_ms))
+                .map(|rec| format!("{}: {:.1}ms", rec.component, rec.service_gap_ms))
                 .collect();
-            format!(
-                "    {{\"shards\": {}, \"link\": \"{}\", \"components\": {}, \"under_load\": {}, \"completed\": {}, \"expected\": {}, \"failed_requests\": {}, \"reconnects\": {}, \"verify_failures\": {}, \"all_requested\": {}, \"max_gap_ms\": {:.1}, \"gap_bound_ms\": {:.1}, \"gaps\": [{}]}}",
-                r.shards,
-                if r.impaired { "impaired" } else { "clean" },
-                r.records.len(),
-                r.upgrades_under_load(),
-                r.completed,
-                r.expected_requests,
-                r.failed_requests(),
-                r.reconnects,
-                r.verify_failures,
-                r.all_requested(),
-                r.max_gap_ms(),
-                config.gap_bound_ms,
-                gaps.join(", "),
-            )
+            Json::object()
+                .with("shards", r.shards)
+                .with("link", link(r.impaired))
+                .with("components", r.records.len())
+                .with("under_load", r.upgrades_under_load())
+                .with("completed", r.completed)
+                .with("expected", r.expected_requests)
+                .with("failed_requests", r.failed_requests())
+                .with("reconnects", r.reconnects)
+                .with("verify_failures", r.verify_failures)
+                .with("all_requested", r.all_requested())
+                .with("max_gap_ms", Json::Num(r.max_gap_ms(), 1))
+                .with("gap_bound_ms", Json::Num(config.gap_bound_ms, 1))
+                .with("gaps", gaps)
         })
         .collect();
-    let json = format!(
-        "{{\n  \"campaign\": \"SWIFI under HTTP load: crash/hang + correlated (same-shard double, driver->ip cascade) faults into the sharded GRO-enabled stack; availability = completions during the recovery window vs steady state; recovery/detect in virtual ms\",\n  \"transparent_fraction_overall\": {:.3},\n  \"results\": [\n{}\n  ],\n  \"rolling_upgrade\": [\n{}\n  ]\n}}\n",
-        transparent_overall,
-        rows.join(",\n"),
-        upgrade_rows.join(",\n"),
-    );
-    match std::fs::write("BENCH_dependability.json", &json) {
-        Ok(()) => println!("wrote BENCH_dependability.json"),
-        Err(err) => eprintln!("could not write BENCH_dependability.json: {err}"),
-    }
+    Json::object()
+        .with(
+            "campaign",
+            "SWIFI under HTTP load: crash/hang + correlated (same-shard double, driver->ip cascade) faults into the sharded GRO-enabled stack; availability = completions during the recovery window vs steady state; recovery/detect in virtual ms",
+        )
+        .with("transparent_fraction_overall", Json::Num(transparent_overall, 3))
+        .with("results", rows)
+        .with("rolling_upgrade", upgrade_rows)
+        .save("BENCH_dependability.json");
 
-    // ---- gates ------------------------------------------------------------
-    let mut failed = false;
+    let mut gates = Gates::default();
     for report in &reports {
-        let link = if report.impaired { "impaired" } else { "clean" };
-        if report.verify_failures_total() > 0 {
-            eprintln!(
-                "FAIL: {} {}-shard cell had {} body verification failures",
+        let link = link(report.impaired);
+        gates.check(report.verify_failures_total() == 0, || {
+            format!(
+                "{} {}-shard cell had {} body verification failures",
                 link,
                 report.shards,
                 report.verify_failures_total()
-            );
-            failed = true;
-        }
+            )
+        });
         for run in &report.runs {
             // A TCP crash breaks that replica's established connections by
             // design; every fault mode with a TCP target is labelled
@@ -187,9 +193,9 @@ fn main() {
                 Outcome::BrokenTcp => run.mode.starts_with("tcp"),
                 Outcome::ManualRestart | Outcome::ReachableAfterRestart | Outcome::Reboot => false,
             };
-            if !accepted {
-                eprintln!(
-                    "FAIL: {} {}-shard run \"{}\" ended {} ({}/{} completed, {} reconnects)",
+            gates.check(accepted, || {
+                format!(
+                    "{} {}-shard run \"{}\" ended {} ({}/{} completed, {} reconnects)",
                     link,
                     report.shards,
                     run.mode,
@@ -197,59 +203,56 @@ fn main() {
                     run.completed,
                     run.expected_requests,
                     run.reconnects
-                );
-                failed = true;
-            }
+                )
+            });
         }
     }
-    // Rolling-upgrade gates — absolute, not baseline-relative: a live
-    // update that drops a request or breaks a connection defeats its
-    // purpose, whatever the previous record said.
+    // Rolling-upgrade gates: a live update that drops a request or breaks
+    // a connection defeats its purpose.
     for (config, report) in &upgrades {
-        let link = if report.impaired { "impaired" } else { "clean" };
-        if report.failed_requests() > 0 {
-            eprintln!(
-                "FAIL: {} rolling upgrade dropped {} requests ({}/{} completed)",
+        let link = link(report.impaired);
+        gates.check(report.failed_requests() == 0, || {
+            format!(
+                "{} rolling upgrade dropped {} requests ({}/{} completed)",
                 link,
                 report.failed_requests(),
                 report.completed,
                 report.expected_requests
-            );
-            failed = true;
-        }
-        if report.reconnects > 0 {
-            eprintln!(
-                "FAIL: {} rolling upgrade forced {} reconnects (must be zero)",
+            )
+        });
+        gates.check(report.reconnects == 0, || {
+            format!(
+                "{} rolling upgrade forced {} reconnects (must be zero)",
                 link, report.reconnects
-            );
-            failed = true;
-        }
-        if report.verify_failures > 0 {
-            eprintln!(
-                "FAIL: {} rolling upgrade had {} body verification failures",
+            )
+        });
+        gates.check(report.verify_failures == 0, || {
+            format!(
+                "{} rolling upgrade had {} body verification failures",
                 link, report.verify_failures
-            );
-            failed = true;
-        }
-        if !report.all_requested() {
-            eprintln!(
-                "FAIL: {} rolling upgrade has a component that was not upgraded via a requested restart",
-                link
-            );
-            failed = true;
-        }
-        if report.max_gap_ms() > config.gap_bound_ms {
-            eprintln!(
-                "FAIL: {} rolling upgrade service gap {:.1}ms exceeds the {:.1}ms bound",
+            )
+        });
+        gates.check(report.all_requested(), || {
+            format!(
+                "{link} rolling upgrade has a component that was not upgraded via a requested restart"
+            )
+        });
+        gates.check(report.max_gap_ms() <= config.gap_bound_ms, || {
+            format!(
+                "{} rolling upgrade service gap {:.1}ms exceeds the {:.1}ms bound",
                 link,
                 report.max_gap_ms(),
                 config.gap_bound_ms
-            );
-            failed = true;
-        }
+            )
+        });
     }
-    if failed {
-        std::process::exit(1);
+    gates.finish("all bodies byte-verified, every non-transparent run a TCP fault's broken connections, rolling upgrade dropped nothing");
+}
+
+fn link(impaired: bool) -> &'static str {
+    if impaired {
+        "impaired"
+    } else {
+        "clean"
     }
-    println!("PASS: all bodies byte-verified, every non-transparent run a TCP fault's broken connections, rolling upgrade dropped nothing");
 }

@@ -22,37 +22,34 @@
 //! steady state, and each attack demonstrably engaged its defense.
 
 use newt_bench::header;
+use newt_bench::record::{Gates, Json};
 use newt_faults::overload::{run_overload, AttackKind, OverloadConfig, OverloadRecord};
 
-fn row(r: &OverloadRecord) -> String {
-    format!(
-        "    {{\"attack\": \"{}\", \"shards\": {}, \"completed\": {}, \"expected\": {}, \"verify_failures\": {}, \"retries\": {}, \"goodput_retained\": {:.3}, \"attack_events\": {}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"half_open_cap\": {}, \"half_open_peak\": {}, \"half_open_after\": {}, \"half_open_drops\": {}, \"half_open_reaped\": {}, \"syn_cookies_sent\": {}, \"syn_cookies_validated\": {}, \"syn_cookies_rejected\": {}, \"rsts_out\": {}, \"rx_malformed\": {}, \"ip_parse_errors\": {}, \"arp_overflow\": {}, \"shed_503\": {}, \"loris_kills\": {}, \"accept_paused\": {}}}",
-        r.attack,
-        r.shards,
-        r.completed,
-        r.expected_requests,
-        r.verify_failures,
-        r.retries,
-        r.goodput_retained,
-        r.attack_events,
-        r.p50_us,
-        r.p99_us,
-        r.half_open_cap,
-        r.half_open_peak,
-        r.half_open_after,
-        r.half_open_drops,
-        r.half_open_reaped,
-        r.syn_cookies_sent,
-        r.syn_cookies_validated,
-        r.syn_cookies_rejected,
-        r.rsts_out,
-        r.rx_malformed,
-        r.ip_parse_errors,
-        r.arp_overflow,
-        r.shed_503,
-        r.loris_kills,
-        r.accept_paused,
-    )
+fn row(r: &OverloadRecord) -> Json {
+    Json::object()
+        .with("attack", r.attack.as_str())
+        .with("shards", r.shards)
+        .with("completed", r.completed)
+        .with("expected", r.expected_requests)
+        .with("verify_failures", r.verify_failures)
+        .with("retries", r.retries)
+        .with("goodput_retained", Json::Num(r.goodput_retained, 3))
+        .with("attack_events", r.attack_events)
+        .with("half_open_cap", r.half_open_cap)
+        .with("half_open_peak", r.half_open_peak)
+        .with("half_open_after", r.half_open_after)
+        .with("half_open_drops", r.half_open_drops)
+        .with("half_open_reaped", r.half_open_reaped)
+        .with("syn_cookies_sent", r.syn_cookies_sent)
+        .with("syn_cookies_validated", r.syn_cookies_validated)
+        .with("syn_cookies_rejected", r.syn_cookies_rejected)
+        .with("rsts_out", r.rsts_out)
+        .with("rx_malformed", r.rx_malformed)
+        .with("ip_parse_errors", r.ip_parse_errors)
+        .with("arp_overflow", r.arp_overflow)
+        .with("shed_503", r.shed_503)
+        .with("loris_kills", r.loris_kills)
+        .with("accept_paused", r.accept_paused)
 }
 
 fn main() {
@@ -79,28 +76,17 @@ fn main() {
         }
     }
 
-    let rows: Vec<String> = records.iter().map(row).collect();
-    let json = format!(
-        "{{\n  \"campaign\": \"hostile traffic vs the serving stack: spoofed SYN flood (half-open cap + SYN cookies + SYN-RECEIVED reaper), slow loris (header-read deadline), connection churn (503 shedding + accept pausing), malformed-frame fuzz (demux hardening); goodput = legitimate completions during the attack window vs steady state\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n"),
-    );
-    match std::fs::write("BENCH_overload.json", &json) {
-        Ok(()) => println!("wrote BENCH_overload.json"),
-        Err(err) => eprintln!("could not write BENCH_overload.json: {err}"),
-    }
+    Json::object()
+        .with(
+            "campaign",
+            "hostile traffic vs the serving stack: spoofed SYN flood (half-open cap + SYN cookies + SYN-RECEIVED reaper), slow loris (header-read deadline), connection churn (503 shedding + accept pausing), malformed-frame fuzz (demux hardening); goodput = legitimate completions during the attack window vs steady state",
+        )
+        .with("results", records.iter().map(row).collect::<Vec<_>>())
+        .save("BENCH_overload.json");
 
-    // ---- gates ------------------------------------------------------------
-    let mut failed = false;
-    for record in &records {
-        for failure in record.gate_failures() {
-            eprintln!("FAIL: {failure}");
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!(
-        "PASS: all bodies byte-verified under attack, goodput within the gate, half-open occupancy bounded and drained, every defense engaged"
+    let mut gates = Gates::default();
+    gates.extend(records.iter().flat_map(OverloadRecord::gate_failures));
+    gates.finish(
+        "all bodies byte-verified under attack, goodput within the gate, half-open occupancy bounded and drained, every defense engaged",
     );
 }

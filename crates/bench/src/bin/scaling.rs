@@ -24,6 +24,7 @@
 use std::time::Duration;
 
 use newt_bench::header;
+use newt_bench::record::{Gates, Json};
 use newt_kernel::rs::FaultAction;
 use newt_net::link::LinkConfig;
 use newt_net::peer::IPERF_PORT;
@@ -41,6 +42,8 @@ const SHARD_BUDGET: usize = 256 * 1024;
 /// throughput at every shard count, so the curve measures the
 /// architecture, not the runner.
 const PROPAGATION: Duration = Duration::from_millis(12);
+/// Aggregate throughput at 4 shards must reach this multiple of 1 shard's.
+const SPEEDUP_GATE: f64 = 2.0;
 
 /// One measured point of the scaling curve.
 struct Sample {
@@ -237,40 +240,45 @@ fn main() {
         crash.victim_shard, crash.victim_stalled, crash.survivor_completed, crash.link_stayed_up
     );
 
-    let results_json: Vec<String> = samples
+    let rows: Vec<Json> = samples
         .iter()
         .map(|s| {
-            format!(
-                "    {{\"shards\": {}, \"virtual_secs\": {:.4}, \"aggregate_gbps\": {:.4}, \"rx_steered\": {:?}}}",
-                s.shards, s.virtual_secs, s.aggregate_gbps, s.rx_steered
-            )
+            Json::object()
+                .with("shards", s.shards)
+                .with("virtual_secs", Json::Num(s.virtual_secs, 4))
+                .with("aggregate_gbps", Json::Num(s.aggregate_gbps, 4))
+                .with("rx_steered", s.rx_steered.clone())
         })
         .collect();
-    let json = format!(
-        "{{\n  \"workload\": \"bulk transfer, {FLOWS} concurrent iperf flows, {FLOWS} NICs, {} MiB/flow\",\n  \"shard_send_budget_bytes\": {SHARD_BUDGET},\n  \"results\": [\n{}\n  ],\n  \"speedup_2_shards\": {speedup_2:.3},\n  \"speedup_4_shards\": {speedup_4:.3},\n  \"crash_isolation\": {{\"victim_shard\": {}, \"victim_flow_stalled\": {}, \"sibling_flow_completed\": {}, \"link_stayed_up\": {}}}\n}}\n",
-        BYTES_PER_FLOW / (1024 * 1024),
-        results_json.join(",\n"),
-        crash.victim_shard,
-        crash.victim_stalled,
-        crash.survivor_completed,
-        crash.link_stayed_up,
-    );
-    match std::fs::write("BENCH_scaling.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_scaling.json"),
-        Err(err) => eprintln!("could not write BENCH_scaling.json: {err}"),
-    }
+    Json::object()
+        .with(
+            "workload",
+            format!(
+                "bulk transfer, {FLOWS} concurrent iperf flows, {FLOWS} NICs, {} MiB/flow",
+                BYTES_PER_FLOW / (1024 * 1024)
+            ),
+        )
+        .with("shard_send_budget_bytes", SHARD_BUDGET)
+        .with("results", rows)
+        .with("speedup_2_shards", Json::Num(speedup_2, 3))
+        .with("speedup_4_shards", Json::Num(speedup_4, 3))
+        .with(
+            "crash_isolation",
+            Json::object()
+                .with("victim_shard", crash.victim_shard)
+                .with("victim_flow_stalled", crash.victim_stalled)
+                .with("sibling_flow_completed", crash.survivor_completed)
+                .with("link_stayed_up", crash.link_stayed_up),
+        )
+        .save("BENCH_scaling.json");
 
-    let mut failed = false;
-    if speedup_4 < 2.0 {
-        eprintln!("FAIL: 4-shard speedup {speedup_4:.2}x is below the 2x gate");
-        failed = true;
-    }
-    if !(crash.victim_stalled && crash.survivor_completed && crash.link_stayed_up) {
-        eprintln!("FAIL: shard crash was not contained to its shard");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("PASS: scaling gate (>= 2x at 4 shards) and crash isolation hold");
+    let mut gates = Gates::default();
+    gates.check(speedup_4 >= SPEEDUP_GATE, || {
+        format!("4-shard speedup {speedup_4:.2}x is below the {SPEEDUP_GATE}x gate")
+    });
+    gates.check(
+        crash.victim_stalled && crash.survivor_completed && crash.link_stayed_up,
+        || "shard crash was not contained to its shard".to_string(),
+    );
+    gates.finish("scaling gate (>= 2x at 4 shards) and crash isolation hold");
 }

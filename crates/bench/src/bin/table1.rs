@@ -122,8 +122,5 @@ fn main() {
     let report = fastpath::measure();
     println!();
     println!("fast path (ns/message): {report}");
-    match fastpath::write_json(&report, "BENCH_fastpath.json") {
-        Ok(path) => println!("wrote {path}"),
-        Err(err) => eprintln!("could not write BENCH_fastpath.json: {err}"),
-    }
+    report.record().save("BENCH_fastpath.json");
 }

@@ -10,18 +10,21 @@
 //! | `table3`/`table4` | the SWIFI fault-injection campaign |
 //! | `fig4`/`fig5` | bitrate traces across IP / packet-filter crashes |
 //! | `scaling` | RSS scaling at 1/2/4 shards → `BENCH_scaling.json` |
-//! | `workload` | HTTP rps + p50/p99 over clean/impaired links → `BENCH_workload.json` |
+//! | `workload` | HTTP messages/request, TSO and copy counts over clean/impaired links → `BENCH_workload.json` |
+//! | `connscale` | 100k held keep-alive connections over the syscall rings → `BENCH_connscale.json` |
 //! | `dependability` | fault injection into the sharded stack under HTTP load → `BENCH_dependability.json` |
+//! | `overload` | hostile traffic against the serving stack → `BENCH_overload.json` |
 //!
-//! This library hosts the small amount of code the binaries share, plus
-//! the [`fastpath`] micro-measurement that tracks the inter-server channel
-//! fast path across pull requests, and the per-thread [`cpu`] sampler
-//! behind [`table2`].
+//! This library hosts the small amount of code the binaries share: the
+//! [`record`] writer and gate collector, the [`fastpath`] micro-measurement
+//! that tracks the inter-server channel fast path across pull requests,
+//! and the per-thread [`cpu`] sampler behind [`table2`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod cpu;
+pub mod record;
 pub mod table2;
 
 /// Returns the first CLI argument parsed as a number, or `default`.
@@ -56,6 +59,8 @@ pub mod fastpath {
 
     use newt_channels::spsc;
 
+    use crate::record::Json;
+
     const MESSAGES: u64 = 400_000;
     const BATCH: usize = 64;
 
@@ -74,6 +79,19 @@ pub mod fastpath {
         /// Speedup of the batched path over the mutex-guarded baseline.
         pub fn speedup_batch_vs_mutex(&self) -> f64 {
             self.mutex_ns / self.batch_ns
+        }
+
+        /// The `BENCH_fastpath.json` record.
+        pub fn record(&self) -> Json {
+            Json::object()
+                .with("single_ns", Json::Num(self.single_ns, 2))
+                .with("batch64_ns", Json::Num(self.batch_ns, 2))
+                .with("mutex_baseline_ns", Json::Num(self.mutex_ns, 2))
+                .with(
+                    "batch_speedup_vs_mutex",
+                    Json::Num(self.speedup_batch_vs_mutex(), 2),
+                )
+                .with("messages", MESSAGES)
         }
     }
 
@@ -133,20 +151,6 @@ pub mod fastpath {
             mutex_ns,
         }
     }
-
-    /// Writes the report as JSON to `path` and returns the path on success.
-    pub fn write_json(report: &FastPathReport, path: &str) -> std::io::Result<String> {
-        let json = format!(
-            "{{\n  \"single_ns\": {:.2},\n  \"batch64_ns\": {:.2},\n  \"mutex_baseline_ns\": {:.2},\n  \"batch_speedup_vs_mutex\": {:.2},\n  \"messages\": {}\n}}\n",
-            report.single_ns,
-            report.batch_ns,
-            report.mutex_ns,
-            report.speedup_batch_vs_mutex(),
-            MESSAGES,
-        );
-        std::fs::write(path, json)?;
-        Ok(path.to_string())
-    }
 }
 
 #[cfg(test)]
@@ -167,6 +171,11 @@ mod tests {
         assert_eq!(report.speedup_batch_vs_mutex(), 4.0);
         let text = format!("{report}");
         assert!(text.contains("4.0x"));
+        assert_eq!(
+            report.record().to_string(),
+            "{\n  \"single_ns\": 10.00,\n  \"batch64_ns\": 5.00,\n  \"mutex_baseline_ns\": 20.00,\n  \
+             \"batch_speedup_vs_mutex\": 4.00,\n  \"messages\": 400000\n}"
+        );
     }
 
     #[test]

@@ -242,10 +242,6 @@ pub struct OverloadRecord {
     /// Attack events emitted (SYNs, fuzz frames, churned flows or loris
     /// drips).
     pub attack_events: u64,
-    /// Median legitimate request latency, virtual µs.
-    pub p50_us: f64,
-    /// 99th-percentile legitimate request latency, virtual µs.
-    pub p99_us: f64,
     /// Per-listener half-open cap the stack ran with.
     pub half_open_cap: u64,
     /// High-water mark of the half-open gauge (worst shard).
@@ -531,8 +527,6 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadRecord {
         completed_all: report.completed_all,
         goodput_retained,
         attack_events,
-        p50_us: report.p50_us,
-        p99_us: report.p99_us,
         half_open_cap: config.stack_config().tcp.max_half_open as u64,
         half_open_peak: tcp.iter().map(|t| t.half_open_peak).max().unwrap_or(0),
         half_open_after: tcp.iter().map(|t| t.half_open).sum(),

@@ -167,7 +167,8 @@ pub struct ServiceConfig {
     /// Virtual-time heartbeat timeout after which the service is considered
     /// hung.
     pub heartbeat_timeout: Duration,
-    /// Maximum number of automatic restarts before giving up.
+    /// Maximum number of crash restarts before giving up.  Requested
+    /// replacements (live updates, forced restarts) do not count.
     pub max_restarts: u32,
 }
 
@@ -379,7 +380,11 @@ struct ManagedService {
     shared: Arc<ServiceShared>,
     body: ServiceBody,
     status: ServiceStatus,
+    /// Every incarnation after the first, requested or not.
     restarts: u32,
+    /// Deaths the watchdog detected and restarted: the budget
+    /// `max_restarts` bounds.
+    crash_restarts: u32,
     thread: Option<JoinHandle<()>>,
     exited: Arc<AtomicBool>,
     panicked: Arc<AtomicBool>,
@@ -559,6 +564,7 @@ impl ReincarnationServer {
             body: Arc::new(body),
             status: ServiceStatus::Running,
             restarts: 0,
+            crash_restarts: 0,
             thread: None,
             exited: Arc::new(AtomicBool::new(false)),
             panicked: Arc::new(AtomicBool::new(false)),
@@ -858,7 +864,7 @@ fn bury(clock: &SimClock, service: &mut ManagedService, reason: CrashReason) -> 
     if let Some(handle) = service.thread.take() {
         let _ = handle.join();
     }
-    let restarting = service.restarts < service.config.max_restarts;
+    let restarting = service.crash_restarts < service.config.max_restarts;
     service.status = if restarting {
         ServiceStatus::Restarting
     } else {
@@ -881,6 +887,7 @@ fn respawn(inner: &RsInner, service: &mut ManagedService, detected_at: Duration)
         return;
     }
     service.restarts += 1;
+    service.crash_restarts += 1;
     service.shared.generation.fetch_add(1, Ordering::AcqRel);
     *service.shared.start_mode.lock() = StartMode::Restart;
     *service.shared.fault.lock() = FaultAction::None;
@@ -1092,6 +1099,39 @@ mod tests {
         let log = rs.crash_log();
         assert_eq!(log.len(), 1);
         assert!(!log[0].restarting);
+        rs.shutdown();
+    }
+
+    #[test]
+    fn live_updates_do_not_spend_the_crash_budget() {
+        let rs = ReincarnationServer::new(SimClock::realtime());
+        let starts = Arc::new(AtomicU32::new(0));
+        let config = ServiceConfig::new("upgraded")
+            .heartbeat_timeout(Duration::from_secs(600))
+            .max_restarts(1);
+        let ep = rs.register(config, parking_service(Arc::clone(&starts)));
+        for _ in 0..40 {
+            assert!(rs.live_update(ep));
+        }
+        // Crashes the current incarnation and waits until the watchdog has
+        // logged the death and settled the service in `status`.
+        let crash = |crashes: usize, status: ServiceStatus| {
+            rs.inject_fault(ep, FaultAction::Crash);
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while (rs.crash_log().len() < crashes || rs.status(ep) != Some(status))
+                && std::time::Instant::now() < deadline
+            {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            assert_eq!(rs.status(ep), Some(status), "after crash {crashes}");
+        };
+        crash(1, ServiceStatus::Running);
+        assert!(rs.wait_until_running(ep, Duration::from_secs(2)));
+        assert_eq!(rs.restart_count(ep), Some(41));
+        assert!(rs.crash_log()[0].restarting);
+        crash(2, ServiceStatus::Failed);
+        assert!(!rs.crash_log()[1].restarting);
+        assert_eq!(starts.load(Ordering::SeqCst), 42);
         rs.shutdown();
     }
 
