@@ -161,6 +161,9 @@ pub enum RegistryError {
     /// A publication already exists under this name for the current
     /// generation of the creator.
     AlreadyPublished(String),
+    /// The name is longer than a registry key holds
+    /// ([`Name::MAX`](crate::registry::Name::MAX) bytes).
+    NameTooLong(String),
 }
 
 impl fmt::Display for RegistryError {
@@ -178,6 +181,9 @@ impl fmt::Display for RegistryError {
             }
             RegistryError::AlreadyPublished(name) => {
                 write!(f, "an object is already published under '{name}'")
+            }
+            RegistryError::NameTooLong(name) => {
+                write!(f, "'{name}' is longer than a registry name may be")
             }
         }
     }

@@ -26,7 +26,10 @@
 //! [`EventKind::Published`] for the new one and must re-attach (paper §IV-D).
 
 use std::any::Any;
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -34,6 +37,88 @@ use parking_lot::Mutex;
 
 use crate::endpoint::{Endpoint, Generation};
 use crate::error::RegistryError;
+
+/// A published name, held inline: the table is keyed by it, so publishing
+/// allocates nothing for the name.  It holds at most [`Name::MAX`] bytes —
+/// the longest name the stack publishes, `sockbuf/<proto>/<u64>`, fits.
+#[derive(Clone, Copy, Default)]
+pub struct Name {
+    len: u8,
+    bytes: [u8; Name::MAX],
+}
+
+impl Name {
+    /// The longest name, in bytes.
+    pub const MAX: usize = 32;
+
+    /// `name` held inline, or `None` if it is longer than [`Name::MAX`].
+    pub fn new(name: &str) -> Option<Self> {
+        let mut inline = Name::default();
+        fmt::Write::write_str(&mut inline, name).ok()?;
+        Some(inline)
+    }
+
+    /// The name.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..self.len as usize]).expect("written from whole strs")
+    }
+}
+
+/// Appends to the name; a part that does not fit leaves it unchanged and
+/// fails.
+impl fmt::Write for Name {
+    fn write_str(&mut self, part: &str) -> fmt::Result {
+        let start = self.len as usize;
+        let end = start + part.len();
+        self.bytes
+            .get_mut(start..end)
+            .ok_or(fmt::Error)?
+            .copy_from_slice(part.as_bytes());
+        self.len = end as u8;
+        Ok(())
+    }
+}
+
+impl std::ops::Deref for Name {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+/// Lookups by a borrowed `&str` find the name: equality, ordering and the
+/// hash are those of the string.
+impl Borrow<str> for Name {
+    fn borrow(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Name {}
+
+impl Hash for Name {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self)
+    }
+}
 
 /// Who may attach to a published object.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,8 +165,8 @@ enum Stored {
     Offered(Option<Box<dyn Any + Send>>),
 }
 
-impl std::fmt::Debug for Stored {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Debug for Stored {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Stored::Shared(_) => write!(f, "Stored::Shared"),
             Stored::Offered(Some(_)) => write!(f, "Stored::Offered(available)"),
@@ -107,7 +192,7 @@ struct SubscriberSlot {
 
 #[derive(Default)]
 struct RegistryInner {
-    entries: Mutex<HashMap<String, Entry>>,
+    entries: Mutex<HashMap<Name, Entry>>,
     subscribers: Mutex<Vec<SubscriberSlot>>,
     next_subscriber: AtomicU64,
 }
@@ -140,8 +225,8 @@ pub struct Registry {
     inner: Arc<RegistryInner>,
 }
 
-impl std::fmt::Debug for Registry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Debug for Registry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let entries = self.inner.entries.lock();
         f.debug_struct("Registry")
             .field("published", &entries.len())
@@ -196,6 +281,13 @@ impl Registry {
         access: Access,
         stored: Stored,
     ) -> Result<(), RegistryError> {
+        let key = Name::new(name).ok_or_else(|| RegistryError::NameTooLong(name.to_string()))?;
+        let entry = Entry {
+            creator,
+            generation,
+            access,
+            stored,
+        };
         {
             let mut entries = self.inner.entries.lock();
             if let Some(existing) = entries.get(name) {
@@ -209,26 +301,9 @@ impl Registry {
                 entries.remove(name);
                 drop(entries);
                 self.notify(name, old_creator, old_generation, EventKind::Revoked);
-                let mut entries = self.inner.entries.lock();
-                entries.insert(
-                    name.to_string(),
-                    Entry {
-                        creator,
-                        generation,
-                        access,
-                        stored,
-                    },
-                );
+                self.inner.entries.lock().insert(key, entry);
             } else {
-                entries.insert(
-                    name.to_string(),
-                    Entry {
-                        creator,
-                        generation,
-                        access,
-                        stored,
-                    },
-                );
+                entries.insert(key, entry);
             }
         }
         self.notify(name, creator, generation, EventKind::Published);
@@ -240,7 +315,9 @@ impl Registry {
     /// # Errors
     ///
     /// Returns [`RegistryError::AlreadyPublished`] if an object of the same
-    /// or a newer generation already exists under this name.
+    /// or a newer generation already exists under this name, and
+    /// [`RegistryError::NameTooLong`] if `name` has more than [`Name::MAX`]
+    /// bytes.
     pub fn publish_shared<T: Send + Sync + 'static>(
         &self,
         creator: Endpoint,
@@ -258,7 +335,9 @@ impl Registry {
     /// # Errors
     ///
     /// Returns [`RegistryError::AlreadyPublished`] if an object of the same
-    /// or a newer generation already exists under this name.
+    /// or a newer generation already exists under this name, and
+    /// [`RegistryError::NameTooLong`] if `name` has more than [`Name::MAX`]
+    /// bytes.
     pub fn offer<T: Send + 'static>(
         &self,
         creator: Endpoint,
@@ -408,12 +487,12 @@ impl Registry {
     /// reincarnation server when it reaps a crashed component).  Returns the
     /// names that were withdrawn.
     pub fn revoke_all_from(&self, creator: Endpoint) -> Vec<String> {
-        let revoked: Vec<(String, Generation)> = {
+        let revoked: Vec<(Name, Generation)> = {
             let mut entries = self.inner.entries.lock();
-            let names: Vec<String> = entries
+            let names: Vec<Name> = entries
                 .iter()
                 .filter(|(_, e)| e.creator == creator)
-                .map(|(n, _)| n.clone())
+                .map(|(n, _)| *n)
                 .collect();
             names
                 .into_iter()
@@ -426,7 +505,7 @@ impl Registry {
         for (name, generation) in &revoked {
             self.notify(name, creator, *generation, EventKind::Revoked);
         }
-        revoked.into_iter().map(|(name, _)| name).collect()
+        revoked.iter().map(|(name, _)| name.to_string()).collect()
     }
 
     /// Returns `true` if something is currently published under `name`.
@@ -440,7 +519,7 @@ impl Registry {
         let mut out: Vec<(String, Endpoint, Generation)> = entries
             .iter()
             .filter(|(name, _)| name.starts_with(prefix))
-            .map(|(name, e)| (name.clone(), e.creator, e.generation))
+            .map(|(name, e)| (name.to_string(), e.creator, e.generation))
             .collect();
         out.sort();
         out
@@ -468,8 +547,8 @@ pub struct Subscription {
     inner: Arc<RegistryInner>,
 }
 
-impl std::fmt::Debug for Subscription {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Debug for Subscription {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Subscription")
             .field("id", &self.id)
             .finish()
@@ -784,5 +863,97 @@ mod tests {
         ));
         reg.revoke(ep(1), "x").unwrap();
         assert!(!reg.exists("x"));
+    }
+
+    #[test]
+    fn a_name_of_the_full_capacity_publishes_and_attaches() {
+        let reg = Registry::new();
+        let name = "sockbuf/tcp/18446744073709551615";
+        assert_eq!(name.len(), Name::MAX);
+        reg.publish_shared(
+            ep(1),
+            Generation::FIRST,
+            name,
+            Access::Public,
+            Arc::new(5u8),
+        )
+        .unwrap();
+        assert_eq!(*reg.attach_shared::<u8>(ep(2), name).unwrap(), 5);
+        reg.revoke(ep(1), name).unwrap();
+        assert!(!reg.exists(name));
+    }
+
+    #[test]
+    fn a_name_beyond_the_capacity_is_refused() {
+        let reg = Registry::new();
+        let name = "sockbuf/tcp/18446744073709551615x";
+        assert_eq!(name.len(), Name::MAX + 1);
+        assert_eq!(
+            reg.publish_shared(
+                ep(1),
+                Generation::FIRST,
+                name,
+                Access::Public,
+                Arc::new(0u8)
+            ),
+            Err(RegistryError::NameTooLong(name.to_string()))
+        );
+        assert!(matches!(
+            reg.offer(ep(1), Generation::FIRST, name, Access::Public, 0u8),
+            Err(RegistryError::NameTooLong(_))
+        ));
+        assert!(!reg.exists(name));
+        assert!(reg.list("").is_empty());
+        assert!(Name::new(name).is_none());
+    }
+
+    #[test]
+    fn borrowed_strs_find_inline_keys() {
+        let reg = Registry::new();
+        let key = Name::new("ring/7/cq").unwrap();
+        assert_eq!(key.as_str(), "ring/7/cq");
+        reg.publish_shared(
+            ep(1),
+            Generation::FIRST,
+            &key,
+            Access::Public,
+            Arc::new(1u8),
+        )
+        .unwrap();
+        // The lookup key is built on the spot, not the one published.
+        let looked_up = format!("ring/{}/cq", 7);
+        assert!(reg.exists(&looked_up));
+        assert!(reg.attach_shared::<u8>(ep(2), &looked_up).is_ok());
+        assert!(!reg.exists("ring/7/c"));
+        assert!(!reg.exists("ring/7/cq/"));
+        reg.revoke(ep(1), &looked_up).unwrap();
+        assert!(!reg.exists(&key));
+    }
+
+    #[test]
+    fn listings_and_events_carry_the_full_name() {
+        let reg = Registry::new();
+        let sub = reg.subscribe("sockbuf/udp/");
+        let name = "sockbuf/udp/18446744073709551615";
+        reg.publish_shared(
+            ep(1),
+            Generation::FIRST,
+            name,
+            Access::Public,
+            Arc::new(0u8),
+        )
+        .unwrap();
+        reg.revoke_all_from(ep(1));
+        let listed: Vec<String> = sub.poll().into_iter().map(|e| e.name).collect();
+        assert_eq!(listed, vec![name.to_string(), name.to_string()]);
+        reg.publish_shared(
+            ep(1),
+            Generation::FIRST,
+            name,
+            Access::Public,
+            Arc::new(0u8),
+        )
+        .unwrap();
+        assert_eq!(reg.list("sockbuf/")[0].0, name);
     }
 }

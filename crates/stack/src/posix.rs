@@ -56,7 +56,7 @@ use newt_kernel::ipc::{IpcError, KernelIpc, Message};
 use crate::endpoints::{self, Transport};
 use crate::msg::{syscalls, SockId};
 use crate::rings::{self, CompletionQueue, CqValue, Cqe, Sqe, SqeOp, SubmissionRing};
-use crate::sockbuf::{BufferName, ReadyWatch, SockError, SocketBuffer};
+use crate::sockbuf::{buffer_name, ReadyWatch, SockError, SocketBuffer};
 use crate::udp::{decode_datagram, encode_datagram};
 
 /// The real-time bound on blocking operations of a fresh client, and on
@@ -555,7 +555,7 @@ impl RingHandle {
     fn attach_buffer(&self, sock: SockId) -> Result<Arc<SocketBuffer>, SockError> {
         let transport = endpoints::sock_transport(sock).name();
         self.registry
-            .attach_shared(self.app, &BufferName::new(transport, sock))
+            .attach_shared(self.app, &buffer_name(transport, sock))
             .map_err(|_| SockError::ServerUnavailable)
     }
 

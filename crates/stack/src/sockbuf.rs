@@ -29,6 +29,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::{Appender, Bytes, BytesMut, Shelf};
+use newt_channels::registry::Name;
 use newt_channels::wake::WakeWord;
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
@@ -50,16 +51,17 @@ use crate::rings::{interest_bits, CompletionQueue, CqValue, Cqe};
 /// re-arms by draining).
 ///
 /// Being the one fabric object every socket buffer of a shard is attached
-/// to, it is also the owner of their send-queue chunks: a chunk the
-/// application wrote goes back to `send_chunks` when the transport drops
-/// its last view of it (the ACK that releases it from the retransmission
-/// buffer), and serves the shard's next write.
+/// to, it is also the owner of their queue blocks.  A send-queue chunk the
+/// application wrote goes back to `blocks` when the transport drops its
+/// last view of it (the ACK that releases it from the retransmission
+/// buffer), and serves the shard's next write; a receive tail goes back
+/// when the application reads its queue dry, and serves the next copy.
 #[derive(Debug, Default)]
 pub struct Doorbell {
     rung: Mutex<Vec<u64>>,
     /// The wake word of the server that drains this doorbell, if it parks.
     wake: Option<Arc<WakeWord>>,
-    send_chunks: Shelf,
+    blocks: Shelf,
 }
 
 impl Doorbell {
@@ -205,54 +207,15 @@ impl std::fmt::Debug for ReadyWatch {
 }
 
 /// The registry name a socket's shared buffer is published under,
-/// `sockbuf/<proto>/<sock>`, built on the stack: publishing, attaching and
-/// revoking a buffer look it up by a borrowed key.
-#[derive(Clone, Copy)]
-pub struct BufferName {
-    len: usize,
-    bytes: [u8; Self::MAX],
-}
-
-impl BufferName {
-    /// `sockbuf/` + a three-letter protocol + `/` + a 20-digit id.
-    const MAX: usize = 32;
-
-    /// Names the buffer of socket `sock` of transport `proto` (`"tcp"`,
-    /// `"udp"`).
-    pub fn new(proto: &str, sock: u64) -> Self {
-        use std::fmt::Write;
-        let mut name = BufferName {
-            len: 0,
-            bytes: [0; Self::MAX],
-        };
-        write!(name, "sockbuf/{proto}/{sock}").expect("a transport's name is three letters");
-        name
-    }
-}
-
-impl std::fmt::Write for BufferName {
-    fn write_str(&mut self, part: &str) -> std::fmt::Result {
-        let end = self.len + part.len();
-        self.bytes
-            .get_mut(self.len..end)
-            .ok_or(std::fmt::Error)?
-            .copy_from_slice(part.as_bytes());
-        self.len = end;
-        Ok(())
-    }
-}
-
-impl std::fmt::Debug for BufferName {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("BufferName").field(&&**self).finish()
-    }
-}
-
-impl std::ops::Deref for BufferName {
-    type Target = str;
-    fn deref(&self) -> &str {
-        std::str::from_utf8(&self.bytes[..self.len]).expect("written from whole strs")
-    }
+/// `sockbuf/<proto>/<sock>` for socket `sock` of transport `proto`
+/// (`"tcp"`, `"udp"`): an inline [`Name`], so publishing, attaching and
+/// revoking a buffer allocate nothing for it.
+pub fn buffer_name(proto: &str, sock: u64) -> Name {
+    use std::fmt::Write;
+    let mut name = Name::default();
+    // `sockbuf/` + a three-letter protocol + `/` + a 20-digit id.
+    write!(name, "sockbuf/{proto}/{sock}").expect("a transport's name is three letters");
+    name
 }
 
 /// Heap bytes one queued receive chunk costs besides the buffer it
@@ -289,11 +252,13 @@ pub struct RecvPush {
 /// received frame, headers included — for as long as the application leaves
 /// it unread, so a payload is queued by reference only when it is at least
 /// half of what doing so pins; smaller ones are copied into the tail.
-/// Unread chunks therefore pin at most twice their bytes (a sealed tail,
-/// grown by doubling, likewise), and beyond that only what the application
-/// has read of the front chunk and of the [`TAIL_SEAL`]-bounded tail stays
-/// allocated: the queue never holds more than `4 * recv_capacity` plus a
-/// fixed 16 KiB, whatever segment sizes a peer chooses.
+/// Unread chunks therefore pin at most twice their bytes (a sealed tail
+/// follows the same rule), and beyond that only what the application has
+/// read of the front chunk stays allocated, plus the tail's one block.
+/// That block comes from the shard's shelf (see [`Doorbell`]) and is at
+/// most the shelf's largest, 64 KiB, for any payload TCP copies: the queue
+/// never holds more than `4 * recv_capacity` plus that block, whatever
+/// segment sizes a peer chooses.
 #[derive(Debug, Default)]
 struct RecvQueue {
     /// Chunks in arrival order, each with the heap bytes it pins.
@@ -310,13 +275,22 @@ struct RecvQueue {
 
 impl RecvQueue {
     /// Moves the unread part of the tail behind the chunks, as a chunk.
+    /// It follows the rule a payload is queued by: by reference when it is
+    /// at least half of what that pins, else as a copy of its own size,
+    /// which lets the block go back to its shelf.
     fn seal_tail(&mut self) {
         if self.tail_pos < self.tail.len() {
             let tail = std::mem::take(&mut self.tail);
-            let pinned = tail.capacity() + CHUNK_OVERHEAD;
-            let unread = tail.freeze().slice(self.tail_pos..);
+            let unread = tail.len() - self.tail_pos;
+            let whole = tail.capacity() + CHUNK_OVERHEAD;
+            let (chunk, pinned) = if 2 * unread >= whole {
+                (tail.freeze().slice(self.tail_pos..), whole)
+            } else {
+                let copy = Bytes::copy_from_slice(&tail[self.tail_pos..]);
+                (copy, unread + CHUNK_OVERHEAD)
+            };
             self.pinned += pinned;
-            self.chunks.push_back((unread, pinned));
+            self.chunks.push_back((chunk, pinned));
         }
         self.tail.clear();
         self.tail_pos = 0;
@@ -331,10 +305,21 @@ impl RecvQueue {
         self.chunks.push_back((chunk, pinned));
     }
 
-    /// Appends `data` by copy.
-    fn push_copy(&mut self, data: &[u8]) {
+    /// Appends `data` by copy, into blocks from `new_block(capacity
+    /// wanted)`.  A tail that has no room left for it moves to a block at
+    /// least twice the size, its unread bytes copied over — what
+    /// `SendQueue::push` does.
+    fn push_copy(&mut self, data: &[u8], new_block: impl Fn(usize) -> BytesMut) {
         if self.tail_pos == self.tail.len() || self.tail.len() + data.len() > TAIL_SEAL {
             self.seal_tail();
+        }
+        if self.tail.capacity() - self.tail.len() < data.len() {
+            let unread = &self.tail[self.tail_pos..];
+            let want = (unread.len() + data.len()).max(2 * self.tail.capacity());
+            let mut block = new_block(want);
+            block.extend_from_slice(unread);
+            self.tail = block;
+            self.tail_pos = 0;
         }
         self.tail.extend_from_slice(data);
         self.len += data.len();
@@ -366,6 +351,12 @@ impl RecvQueue {
             n += take;
         }
         self.len -= n;
+        if self.len == 0 {
+            // Read dry: the tail's block goes back to its shelf, so an idle
+            // connection holds none.
+            self.tail = BytesMut::new();
+            self.tail_pos = 0;
+        }
         n
     }
 
@@ -557,7 +548,7 @@ impl SocketBuffer {
     /// send and receive queues own or pin by reference, plus the fixed
     /// structure), the figure behind the
     /// per-connection-memory benchmark gate.  The receive side stays within
-    /// `4 * recv_capacity` plus a fixed 16 KiB whatever the peer sends.
+    /// `4 * recv_capacity` plus one tail block whatever the peer sends.
     pub fn mem_bytes(&self) -> usize {
         let inner = self.inner.lock();
         inner.send.mem_bytes() + inner.recv.mem_bytes() + std::mem::size_of::<SocketBuffer>()
@@ -584,11 +575,11 @@ impl SocketBuffer {
         self.wake_pending.store(false, Ordering::Release);
     }
 
-    /// A block for the send queue's tail: from the shard's shelf once a
-    /// server has attached its doorbell, an ordinary buffer before.
-    fn send_block(&self, capacity: usize) -> BytesMut {
+    /// A block for a queue's tail: from the shard's shelf once a server
+    /// has attached its doorbell, an ordinary buffer before.
+    fn block(&self, capacity: usize) -> BytesMut {
         match self.notify.lock().as_ref() {
-            Some(target) => target.doorbell.send_chunks.take(capacity),
+            Some(target) => target.doorbell.blocks.take(capacity),
             None => BytesMut::with_capacity(capacity),
         }
     }
@@ -632,9 +623,7 @@ impl SocketBuffer {
             let space = self.send_capacity.saturating_sub(inner.send.len);
             if space > 0 {
                 let n = space.min(data.len());
-                inner
-                    .send
-                    .push(&data[..n], |capacity| self.send_block(capacity));
+                inner.send.push(&data[..n], |capacity| self.block(capacity));
                 self.readable.notify_all();
                 drop(inner);
                 self.ring_doorbell();
@@ -791,7 +780,9 @@ impl SocketBuffer {
     /// Returns the number of bytes accepted (data beyond the receive
     /// capacity is rejected so the advertised window is honoured).
     pub fn push_recv(&self, data: &[u8]) -> usize {
-        self.admit_recv(data.len(), |recv, n| recv.push_copy(&data[..n]))
+        self.admit_recv(data.len(), |recv, n| {
+            recv.push_copy(&data[..n], |capacity| self.block(capacity))
+        })
     }
 
     /// Appends received, in-order data that sits inside a reference-counted
@@ -809,7 +800,7 @@ impl SocketBuffer {
             if 2 * n >= pinned {
                 recv.push_chunk(payload.slice(..n), pinned);
             } else {
-                recv.push_copy(&payload[..n]);
+                recv.push_copy(&payload[..n], |capacity| self.block(capacity));
                 copied = true;
             }
         });

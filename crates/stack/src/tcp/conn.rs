@@ -4,7 +4,6 @@
 //! given the time, and what the world must do about it is the [`Effects`].
 
 use std::net::Ipv4Addr;
-use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -115,22 +114,25 @@ impl Effects {
     }
 }
 
-/// The buffer a socket shares with its application.  It is the fabric's,
-/// not part of the socket's state: a snapshot skips it, and decodes to a
-/// sized-zero placeholder until the owner attaches the real one.
-#[derive(Debug, Clone)]
-pub(crate) struct SharedBuffer(pub(crate) Arc<SocketBuffer>);
+/// The buffer a socket shares with its application, once it has one.  It
+/// is the fabric's, not part of the socket's state: a snapshot skips it
+/// and decodes to none until the owner attaches the real one.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SharedBuffer(Option<Arc<SocketBuffer>>);
 
 impl SharedBuffer {
     pub(crate) fn new(send_capacity: usize, recv_capacity: usize) -> Self {
-        SharedBuffer(Arc::new(SocketBuffer::new(send_capacity, recv_capacity)))
+        SharedBuffer::from(Arc::new(SocketBuffer::new(send_capacity, recv_capacity)))
+    }
+
+    pub(crate) fn get(&self) -> Option<&Arc<SocketBuffer>> {
+        self.0.as_ref()
     }
 }
 
-impl Deref for SharedBuffer {
-    type Target = Arc<SocketBuffer>;
-    fn deref(&self) -> &Self::Target {
-        &self.0
+impl From<Arc<SocketBuffer>> for SharedBuffer {
+    fn from(buffer: Arc<SocketBuffer>) -> Self {
+        SharedBuffer(Some(buffer))
     }
 }
 
@@ -142,7 +144,7 @@ impl Serialize for SharedBuffer {
 
 impl<'de> Deserialize<'de> for SharedBuffer {
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        <()>::deserialize(deserializer).map(|()| SharedBuffer::new(0, 0))
+        <()>::deserialize(deserializer).map(|()| SharedBuffer::default())
     }
 }
 
@@ -151,9 +153,9 @@ impl<'de> Deserialize<'de> for SharedBuffer {
 /// a live-update snapshot.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct Connection {
-    /// Sized zero while half-open: until the handshake completes the peer
-    /// is just a claimed source address, and a SYN flood must not be able
-    /// to buy buffer setup with a single spoofed packet.
+    /// None while half-open: until the handshake completes the peer is
+    /// just a claimed source address, and a SYN flood must not be able to
+    /// buy buffer setup with a single spoofed packet.
     pub(crate) buffer: SharedBuffer,
     pub(crate) cm: ConnMgmt,
     pub(crate) rd: Reliable,
@@ -198,7 +200,7 @@ impl Connection {
         let (remote, state) = ((src, syn.src_port), TcpState::SynReceived);
         let peer_isn = syn.seq.wrapping_add(1);
         Connection {
-            buffer: SharedBuffer::new(0, 0),
+            buffer: SharedBuffer::default(),
             cm: ConnMgmt::new(state, local_port, remote, mss, Some(embryo), now),
             rd: Reliable::new(isn, isn.wrapping_add(1), peer_isn, None, config),
             fc: FlowControl::new(syn.window as u32),
@@ -240,7 +242,7 @@ impl Connection {
     fn segment(&self, seq: u32, flags: TcpFlags) -> Header {
         let window = match self.cm.embryo() {
             Some(embryo) => embryo.recv_cap as usize,
-            None => self.buffer.recv_space(),
+            None => self.buffer.get().map_or(0, |buffer| buffer.recv_space()),
         };
         let (src, dst) = (self.cm.local_port(), self.cm.remote().1);
         TcpView {
@@ -303,7 +305,9 @@ impl Connection {
         self.cm.touch(now);
         if segment.flags.rst {
             fx.handshake = self.abandoned();
-            self.buffer.set_error(SockError::ConnectionReset);
+            if let Some(buffer) = self.buffer.get() {
+                buffer.set_error(SockError::ConnectionReset);
+            }
             self.cm.closed();
             stats.connections_reset += 1;
             fx.remove = true;
@@ -356,23 +360,24 @@ impl Connection {
             // Payload processing (in-order only).
             if !segment.payload.is_empty() {
                 stats.payload_segments_in += 1;
-                if segment.seq == self.rd.rcv_nxt() {
-                    // The payload enters the socket buffer as a slice of
-                    // the chunk it arrived in; the application's read is
-                    // the first and only copy.
-                    let push = self
-                        .buffer
-                        .push_recv_bytes(frame.slice_ref(segment.payload), frame.block_capacity());
-                    stats.rx_copies += push.copied as u64;
-                    let offered = segment.payload.len();
-                    let immediate = self.rd.received(push.accepted, offered, self.cm.mss());
-                    ack_due = Some(ack_due.unwrap_or(false) || immediate);
-                } else {
-                    // Out of order, duplicate or stale: always answer at
-                    // once with the expected sequence number — these
-                    // duplicate ACKs drive the peer's fast retransmit, so
-                    // they are never delayed or collapsed.
-                    ack_due = Some(true);
+                match self.buffer.get() {
+                    Some(buffer) if segment.seq == self.rd.rcv_nxt() => {
+                        // The payload enters the socket buffer as a slice
+                        // of the chunk it arrived in; the application's
+                        // read is the first and only copy.
+                        let chunk = frame.slice_ref(segment.payload);
+                        let push = buffer.push_recv_bytes(chunk, frame.block_capacity());
+                        stats.rx_copies += push.copied as u64;
+                        let offered = segment.payload.len();
+                        let immediate = self.rd.received(push.accepted, offered, self.cm.mss());
+                        ack_due = Some(ack_due.unwrap_or(false) || immediate);
+                    }
+                    // Out of order, duplicate or stale (or early data at a
+                    // half-open child, which has nowhere to put it): always
+                    // answer at once with the expected sequence number —
+                    // these duplicate ACKs drive the peer's fast
+                    // retransmit, so they are never delayed or collapsed.
+                    _ => ack_due = Some(true),
                 }
             }
         }
@@ -381,7 +386,9 @@ impl Connection {
         let fin_seq = segment.seq.wrapping_add(segment.payload.len() as u32);
         if segment.flags.fin && fin_seq == self.rd.rcv_nxt() {
             self.rd.received_fin();
-            self.buffer.set_eof();
+            if let Some(buffer) = self.buffer.get() {
+                buffer.set_eof();
+            }
             let (quarantine, remove) = self.cm.fin_in();
             fx.quarantine = quarantine;
             fx.remove |= remove;
@@ -421,6 +428,8 @@ impl Connection {
         if !self.cm.can_send() {
             return None;
         }
+        // A connection that can send is established and holds its buffer.
+        let buffer = self.buffer.get()?;
         let mss = self.cm.mss();
         let window = self
             .cc
@@ -437,7 +446,7 @@ impl Connection {
         let mut data = [Bytes::new(), Bytes::new()];
         let mut want = room.min(seg_size);
         for part in &mut data {
-            *part = self.buffer.drain_send_bytes(want);
+            *part = buffer.drain_send_bytes(want);
             want -= part.len();
             if part.is_empty() || want == 0 {
                 break;
@@ -445,9 +454,7 @@ impl Connection {
         }
         let (seq, flags) = if !data[0].is_empty() {
             (self.rd.send(&data, now), TcpFlags::PSH_ACK)
-        } else if self.cm.fin_wanted()
-            && self.rd.unacked().is_empty()
-            && self.buffer.send_pending() == 0
+        } else if self.cm.fin_wanted() && self.rd.unacked().is_empty() && buffer.send_pending() == 0
         {
             self.cm.fin_out();
             (self.rd.send_fin(now), TcpFlags::FIN_ACK)
@@ -531,7 +538,9 @@ impl Connection {
                     // while stray segments linger.
                     fx.quarantine = self.state() != TcpState::LastAck;
                 }
-                self.buffer.set_error(SockError::TimedOut);
+                if let Some(buffer) = self.buffer.get() {
+                    buffer.set_error(SockError::TimedOut);
+                }
                 self.cm.closed();
                 stats.connections_reset += 1;
                 stats.rsts_out += 1;
@@ -549,7 +558,9 @@ impl Connection {
     /// buffer has drained (the pump emits it).
     pub(crate) fn close(&mut self) {
         self.cm.close_requested();
-        self.buffer.close();
+        if let Some(buffer) = self.buffer.get() {
+            buffer.close();
+        }
     }
 
     /// The IP server lost what it held: retransmit at the next timer sweep.

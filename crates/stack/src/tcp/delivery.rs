@@ -13,10 +13,15 @@ use super::TcpConfig;
 /// [`Bytes`] views over memory the application wrote into the socket
 /// buffer.  Keeping the loans instead of flattening them lets the first
 /// transmission and every retransmission publish the *same* memory into
-/// the TX pool — the send path never duplicates payload bytes.
+/// the TX pool — the send path never duplicates payload bytes.  The first
+/// view is held inline, so a request-response connection, which has one
+/// view in flight at a time, never grows the deque behind it.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ByteChain {
-    chunks: VecDeque<Bytes>,
+    /// The oldest view; empty only when the whole chain is.
+    head: Bytes,
+    /// The views queued behind `head`.
+    rest: VecDeque<Bytes>,
     len: usize,
 }
 
@@ -31,9 +36,14 @@ impl ByteChain {
 
     /// Appends a view; empty views are dropped.
     fn push(&mut self, chunk: Bytes) {
-        if !chunk.is_empty() {
-            self.len += chunk.len();
-            self.chunks.push_back(chunk);
+        if chunk.is_empty() {
+            return;
+        }
+        self.len += chunk.len();
+        if self.head.is_empty() {
+            self.head = chunk;
+        } else {
+            self.rest.push_back(chunk);
         }
     }
 
@@ -44,22 +54,26 @@ impl ByteChain {
         let mut n = n.min(self.len);
         self.len -= n;
         while n > 0 {
-            let front = self.chunks.front_mut().expect("len accounts for chunks");
-            if n >= front.len() {
-                n -= front.len();
-                self.chunks.pop_front();
+            if n >= self.head.len() {
+                n -= self.head.len();
+                self.head = self.rest.pop_front().unwrap_or_default();
             } else {
-                *front = front.slice(n..);
+                self.head = self.head.slice(n..);
                 n = 0;
             }
         }
+    }
+
+    /// The views, oldest first (an empty chain yields one empty view).
+    fn chunks(&self) -> impl Iterator<Item = &Bytes> {
+        std::iter::once(&self.head).chain(&self.rest)
     }
 
     /// Refcounted views over the first `max` bytes, chunk by chunk — the
     /// zero-copy, allocation-free payload of a retransmission.
     pub(crate) fn views(&self, max: usize) -> impl Iterator<Item = Bytes> + '_ {
         let mut remaining = max;
-        self.chunks.iter().map_while(move |chunk| {
+        self.chunks().map_while(move |chunk| {
             let take = remaining.min(chunk.len());
             remaining -= take;
             (take > 0).then(|| chunk.slice(..take))
@@ -71,7 +85,7 @@ impl ByteChain {
 impl Serialize for ByteChain {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         let mut flat = Vec::with_capacity(self.len);
-        self.chunks.iter().for_each(|c| flat.extend_from_slice(c));
+        self.chunks().for_each(|c| flat.extend_from_slice(c));
         flat.serialize(serializer)
     }
 }
@@ -262,5 +276,32 @@ impl Reliable {
     pub(crate) fn ack_sent(&mut self) -> bool {
         self.segs_since_ack = 0;
         std::mem::take(&mut self.ack_pending)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_first_view_stays_inline_and_later_ones_queue_behind_it() {
+        let data = Bytes::from(b"abcdefghij".to_vec());
+        let mut chain = ByteChain::default();
+        chain.push(data.slice(..4));
+        chain.push(Bytes::new());
+        assert_eq!(chain.rest.capacity(), 0, "one view needs no deque");
+        chain.push(data.slice(4..7));
+        chain.push(data.slice(7..));
+        // All of the head and one byte of the view behind it.
+        chain.advance(5);
+        let views: Vec<Bytes> = chain.views(4).collect();
+        assert_eq!(
+            views.iter().map(|v| &v[..]).collect::<Vec<_>>(),
+            [&b"fg"[..], b"hi"]
+        );
+        assert_eq!(chain.len(), 5);
+        chain.advance(10);
+        assert!(chain.is_empty());
+        assert_eq!(chain.views(10).count(), 0);
     }
 }

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use newt_channels::endpoint::{Endpoint, Generation};
 use newt_channels::pool::Pool;
-use newt_channels::registry::{Access, Registry};
+use newt_channels::registry::{Access, Name, Registry};
 use newt_channels::reqdb::{AbortPolicy, RequestDb, RequestId};
 use newt_channels::rich::{RichChain, RichPtr};
 use newt_kernel::clock::SimClock;
@@ -35,7 +35,7 @@ use crate::msg::{
     FlowTuple, IpToTransport, PfToTransport, SockId, SockReply, SockRequest, TransportToIp,
     TransportToPf,
 };
-use crate::sockbuf::{BufferName, Doorbell, SockError, SocketBuffer};
+use crate::sockbuf::{self, Doorbell, SockError, SocketBuffer};
 
 /// Wire-format version of the TCP live-update snapshot.  Bumped whenever
 /// `TcpHotState` or a core struct changes incompatibly; a replacement that
@@ -517,7 +517,7 @@ impl TcpServer {
             .attach_shared(self.endpoint, &Self::buffer_name(id))
             .unwrap_or_else(|_| Arc::new(SocketBuffer::with_defaults()));
         buffer.attach_doorbell(Arc::clone(&self.doorbell), id);
-        SharedBuffer(buffer)
+        SharedBuffer::from(buffer)
     }
 
     fn recover(&mut self) {
@@ -628,8 +628,8 @@ impl TcpServer {
                     half_open = entry.conn.cm.embryo().is_some();
                 }
             }
-            // A half-open child has no buffer but the placeholder it
-            // decoded with.
+            // A half-open child has no buffer to re-attach: it decoded
+            // with none and gets its own at establishment.
             self.stats.half_open += half_open as u64;
             if !half_open {
                 *sock.buffer_mut() = self.reattach(id);
@@ -664,13 +664,13 @@ impl TcpServer {
         self.storage.store(&self.storage_ns, "sockets", &summaries);
     }
 
-    pub(super) fn buffer_name(id: SockId) -> BufferName {
-        BufferName::new("tcp", id)
+    pub(super) fn buffer_name(id: SockId) -> Name {
+        sockbuf::buffer_name("tcp", id)
     }
 
     /// Makes a socket's buffer reachable: the application finds it in the
     /// registry, its writes ring this server's doorbell.
-    fn publish(&self, id: SockId, buffer: &SharedBuffer) {
+    fn publish(&self, id: SockId, buffer: &Arc<SocketBuffer>) {
         buffer.attach_doorbell(Arc::clone(&self.doorbell), id);
         let _ = self.registry.publish_shared(
             self.endpoint,
@@ -682,10 +682,13 @@ impl TcpServer {
     }
 
     /// Forgets socket `id`: buffer revoked, demux entries dropped (guarded
-    /// by value, so a newer socket that reused the key is left alone).
+    /// by value, so a newer socket that reused the key is left alone).  A
+    /// half-open child never had a buffer to revoke.
     fn forget(&mut self, id: SockId) -> Option<Sock> {
-        let sock = self.sockets.remove(&id)?;
-        let _ = self.registry.revoke(self.endpoint, &Self::buffer_name(id));
+        let mut sock = self.sockets.remove(&id)?;
+        if sock.buffer_mut().get().is_some() {
+            let _ = self.registry.revoke(self.endpoint, &Self::buffer_name(id));
+        }
         match &sock {
             Sock::Idle { .. } => {}
             Sock::Listener { listener, .. } => {
@@ -936,8 +939,12 @@ impl TcpServer {
             .min(u32::MAX as usize) as u32
     }
 
+    /// The open flows, in one allocation (a `collect` through the filter
+    /// would grow the vector from empty).
     pub(super) fn flows(&self) -> Vec<FlowTuple> {
-        self.sockets.values().filter_map(Sock::flow).collect()
+        let mut flows = Vec::with_capacity(self.sockets.len());
+        flows.extend(self.sockets.values().filter_map(Sock::flow));
+        flows
     }
 
     // ---- socket API ----------------------------------------------------------
@@ -949,11 +956,11 @@ impl TcpServer {
                 let id = self.next_sock;
                 self.next_sock += 1;
                 let capacity = self.config.buffer_capacity;
-                let buffer = SharedBuffer::new(capacity, capacity);
+                let buffer = Arc::new(SocketBuffer::new(capacity, capacity));
                 self.publish(id, &buffer);
                 let sock = Sock::Idle {
                     local_port: 0,
-                    buffer,
+                    buffer: SharedBuffer::from(buffer),
                 };
                 self.sockets.insert(id, sock);
                 send(&self.replies.0, SockReply::Opened { req, sock: id });
@@ -985,7 +992,7 @@ impl TcpServer {
                             *slot = Sock::Listener {
                                 listener: Listener::new(spec),
                                 accept_watch: None,
-                                buffer: slot.buffer_mut().clone(),
+                                buffer: std::mem::take(slot.buffer_mut()),
                             };
                             Ok(local_port)
                         }
@@ -1117,7 +1124,7 @@ impl TcpServer {
             return Err(SockError::InvalidState);
         };
         let isn = next_isn(&mut self.isn_counter);
-        let buffer = slot.buffer_mut().clone();
+        let buffer = std::mem::take(slot.buffer_mut());
         let (conn, syn) =
             Connection::connect(buffer, local_port, (addr, port), isn, now, &self.config);
         self.egress.emit(addr, &syn, None, true, &mut self.stats);
@@ -1134,8 +1141,10 @@ impl TcpServer {
         let Some(Sock::Conn(entry)) = self.sockets.get(&child) else {
             return;
         };
-        let peer = entry.conn.cm.remote();
-        self.publish(child, &entry.conn.buffer);
+        let (peer, buffer) = (entry.conn.cm.remote(), entry.conn.buffer.get());
+        if let Some(buffer) = buffer {
+            self.publish(child, buffer);
+        }
         if let Some(Sock::Listener {
             listener,
             accept_watch,
@@ -1177,7 +1186,11 @@ impl TcpServer {
             match self.sockets.get_mut(&id) {
                 Some(Sock::Conn(entry)) => Self::enqueue(&mut self.ready, id, entry),
                 // Nothing to pump: the doorbell is simply re-armed.
-                Some(other) => other.buffer_mut().rearm_doorbell(),
+                Some(other) => {
+                    if let Some(buffer) = other.buffer_mut().get() {
+                        buffer.rearm_doorbell();
+                    }
+                }
                 None => {}
             }
         }
@@ -1194,7 +1207,9 @@ impl TcpServer {
             entry.in_ready = false;
             // Re-arm *before* draining so a write racing the drain
             // re-rings instead of being lost.
-            entry.conn.buffer.rearm_doorbell();
+            if let Some(buffer) = entry.conn.buffer.get() {
+                buffer.rearm_doorbell();
+            }
             let (dst, before) = (entry.conn.cm.remote().0, entry.conn.state());
             while let Some((segment, data)) =
                 entry.conn.pump(now, share, &self.config, &mut self.stats)

@@ -703,7 +703,7 @@ fn bulk_receive(mut gro: Option<newt_net::gro::GroEngine>) -> (Vec<u8>, TcpStats
     const TOTAL: usize = 1 << 20;
     let mut rig = rig();
     let (sock, local_port, snd, rcv) = connect_established(&mut rig);
-    let buffer = Arc::clone(&conn(&rig, sock).buffer);
+    let buffer = Arc::clone(conn(&rig, sock).buffer.get().unwrap());
     let mss = TcpConfig::default().mss;
     let data: Vec<u8> = (0..TOTAL).map(|i| (i * 31 + i / 251) as u8).collect();
     let mut read = Vec::with_capacity(TOTAL);
@@ -776,7 +776,7 @@ fn a_payload_too_small_to_pin_its_frame_is_copied_and_counted() {
     inject(&mut rig, data_segment(local_port, rcv, snd, vec![7u8; 1]));
     assert_eq!(rig.tcp.stats().rx_copies, 1);
     let mut out = [0u8; 4];
-    let buffer = &conn(&rig, sock).buffer;
+    let buffer = conn(&rig, sock).buffer.get().unwrap();
     assert_eq!(buffer.read(&mut out, Duration::ZERO), Ok(1));
     assert_eq!(out[0], 7);
 }
@@ -1307,6 +1307,56 @@ fn live_update_carries_established_connections_across_incarnations() {
         .collect();
     assert_eq!(data.len(), 1);
     assert_eq!(data[0].seq, snd_nxt);
+}
+
+#[test]
+fn a_half_open_child_crosses_a_live_update_and_completes_its_handshake() {
+    let storage = Arc::new(StorageServer::new());
+    let registry = Registry::new();
+    let (listener, syn_ack, version, payload) = {
+        let mut rig = rig_with(StartMode::Fresh, Arc::clone(&storage), registry.clone());
+        let listener = listening_socket(&mut rig, 22, false);
+        let mut syn = TcpSegment::control(50_000, 22, 1_000, 0, TcpFlags::SYN);
+        syn.mss = Some(1460);
+        inject(&mut rig, syn);
+        let syn_ack = outgoing(&mut rig).pop().expect("syn-ack");
+        let (version, payload) = rig.tcp.export_state();
+        (listener, syn_ack, version, payload)
+    };
+    let snapshot = Some(snapshot_from(version, payload));
+    let mut rig = rig_with_snapshot(StartMode::LiveUpdate, storage, registry.clone(), snapshot);
+    assert_eq!(rig.tcp.stats().half_open, 1);
+    // The child came across with no buffer: only the listener's is published.
+    assert_eq!(registry.list("sockbuf/tcp/").len(), 1);
+    let arm = rings::ring_req(1, 0);
+    send(
+        &rig.syscall_tx,
+        SockRequest::AcceptArm {
+            req: arm,
+            sock: listener,
+        },
+    );
+    let ack = TcpSegment::control(
+        50_000,
+        22,
+        1_001,
+        syn_ack.seq.wrapping_add(1),
+        TcpFlags::ACK,
+    );
+    inject(&mut rig, ack);
+    assert_eq!(rig.tcp.stats().half_open, 0);
+    let child = match drain(&rig.syscall_rx)[..] {
+        [SockReply::Accepted { req, sock, .. }] if req == arm => sock,
+        ref other => panic!("expected the child accepted, got {other:?}"),
+    };
+    // Established in the new incarnation: its own buffer, published, with
+    // the capacities the listener gave it.
+    let buffer: Arc<SocketBuffer> = registry
+        .attach_shared(endpoints::SYSCALL, &TcpServer::buffer_name(child))
+        .unwrap();
+    let capacity = TcpConfig::default().buffer_capacity;
+    assert_eq!(buffer.capacities(), (capacity, capacity));
+    assert_eq!(conn(&rig, child).state(), TcpState::Established);
 }
 
 #[test]

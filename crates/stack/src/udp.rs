@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use newt_channels::endpoint::{Endpoint, Generation};
 use newt_channels::pool::Pool;
-use newt_channels::registry::{Access, Registry};
+use newt_channels::registry::{Access, Name, Registry};
 use newt_channels::reqdb::{AbortPolicy, RequestDb};
 use newt_channels::rich::{RichChain, RichPtr};
 use newt_kernel::rs::{CrashEvent, StartMode, StateSnapshot};
@@ -38,7 +38,7 @@ use crate::msg::{
     FlowTuple, IpToTransport, PfToTransport, SockId, SockReply, SockRequest, TransportToIp,
     TransportToPf,
 };
-use crate::sockbuf::{BufferName, Doorbell, SockError, SocketBuffer};
+use crate::sockbuf::{self, Doorbell, SockError, SocketBuffer};
 
 /// A decoded datagram record: source address, source port, payload.
 pub type DecodedDatagram = (Ipv4Addr, u16, Vec<u8>);
@@ -328,8 +328,8 @@ impl UdpServer {
         true
     }
 
-    fn buffer_name(id: SockId) -> BufferName {
-        BufferName::new("udp", id)
+    fn buffer_name(id: SockId) -> Name {
+        sockbuf::buffer_name("udp", id)
     }
 
     /// Enters a socket into the table and points its buffer's doorbell at
