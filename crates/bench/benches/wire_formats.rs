@@ -47,10 +47,22 @@ fn bench_wire(c: &mut Criterion) {
         b.iter(|| criterion::black_box(sample_frame(1460).len()));
     });
 
-    let payload = vec![0u8; 1460];
-    group.bench_function("internet_checksum_1460B", |b| {
-        b.iter(|| criterion::black_box(internet_checksum(criterion::black_box(&payload))));
-    });
+    // An IPv4 header, a TCP header with options, an MSS payload, a GRO
+    // merge, and an MSS payload that starts one byte into its buffer.
+    let bytes: Vec<u8> = (0..64 * 1024 + 1)
+        .map(|i| (i * 7 + i / 256) as u8)
+        .collect();
+    for (name, data) in [
+        ("internet_checksum_20B", &bytes[..20]),
+        ("internet_checksum_40B", &bytes[..40]),
+        ("internet_checksum_1460B", &bytes[..1460]),
+        ("internet_checksum_64KiB", &bytes[..64 * 1024]),
+        ("internet_checksum_1460B_unaligned", &bytes[1..1461]),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| criterion::black_box(internet_checksum(criterion::black_box(data))));
+        });
+    }
 
     group.finish();
 }

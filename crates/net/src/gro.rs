@@ -23,13 +23,24 @@
 //!   retransmit — is preserved frame for frame;
 //! * the merged segment carries the first frame's headers, the last
 //!   frame's acknowledgement number and window, the OR of the PSH flags,
-//!   and freshly computed IPv4 and TCP checksums.
+//!   a freshly computed IPv4 header checksum, and a TCP checksum derived
+//!   from the frames' own.
+//!
+//! The TCP checksum is derived, not recomputed over the merged bytes.  A
+//! frame's checksum field vouches for the sum of its payload: the payload
+//! sums to the complement of what its pseudo header and TCP header (field
+//! included) sum to, which takes O(header) work to compute.  The merge's
+//! checksum is taken over its own pseudo header and header plus those
+//! payload sums, each byte-swapped when its payload lands at an odd offset
+//! (RFC 1071 §2).  No pass over the payload is made, and nothing is
+//! laundered: the merge verifies exactly when the sum of its frames'
+//! verification sums does, so one frame whose checksum is false — a
+//! flipped payload byte or header field — makes the merge's false, and
+//! TCP drops it as it would have dropped the frame.
 
 use bytes::{Bytes, Shelf};
 
-use crate::wire::{
-    internet_checksum, pseudo_header_checksum, EtherType, IpProtocol, ETHERNET_HEADER_LEN,
-};
+use crate::wire::{internet_checksum, Checksum, EtherType, IpProtocol, ETHERNET_HEADER_LEN};
 use std::net::Ipv4Addr;
 
 /// Counters describing a [`GroEngine`]'s activity.
@@ -137,6 +148,22 @@ fn parse(frame: &[u8]) -> Option<TcpInfo> {
     })
 }
 
+/// The sum of a frame's TCP payload as the frame's checksum field vouches
+/// for it: the complement of the sum of its pseudo header and TCP header,
+/// checksum field included.  Equal to the payload's own sum when the
+/// checksum is right, and off by the same error when it is not.
+fn vouched_payload_sum(frame: &[u8], info: &TcpInfo) -> u16 {
+    let mut csum = Checksum::new();
+    csum.add_pseudo_header(
+        info.src,
+        info.dst,
+        IpProtocol::Tcp.as_u8(),
+        info.payload_at - info.tcp_at + info.payload_len,
+    );
+    csum.add(&frame[info.tcp_at..info.payload_at]);
+    csum.finish()
+}
+
 /// `true` when `a` lies strictly after `b` in wrapping sequence space.
 fn seq_gt(a: u32, b: u32) -> bool {
     a != b && a.wrapping_sub(b) & 0x8000_0000 == 0
@@ -155,6 +182,9 @@ struct Pending {
     first: Bytes,
     /// Total payload length accumulated (first frame's included).
     payload_len: usize,
+    /// The vouched payload sums of the frames merged so far, in payload
+    /// order; empty until a second frame joins.
+    payload_sum: Checksum,
     /// Latest acknowledgement number / window seen.
     ack: u32,
     window: u16,
@@ -211,6 +241,14 @@ impl GroEngine {
         let max_payload = self.max_payload;
         if let Some(pending) = self.pending.as_mut() {
             if Self::mergeable(pending, &info, max_payload) {
+                if pending.frames == 1 {
+                    let first = vouched_payload_sum(&pending.first, &pending.info);
+                    pending
+                        .payload_sum
+                        .add_block(first, pending.info.payload_len);
+                }
+                let sum = vouched_payload_sum(&frame, &info);
+                pending.payload_sum.add_block(sum, info.payload_len);
                 if info.payload_len > 0 {
                     self.absorbed
                         .push(frame.slice(info.payload_at..info.payload_at + info.payload_len));
@@ -231,6 +269,7 @@ impl GroEngine {
         self.pending = Some(Pending {
             first: frame,
             payload_len: info.payload_len,
+            payload_sum: Checksum::new(),
             ack: info.ack,
             window: info.window,
             psh: info.psh,
@@ -267,7 +306,8 @@ impl GroEngine {
     }
 
     /// Emits the pending merge, patching lengths, ACK, window, flags and
-    /// checksums when more than one frame was absorbed.
+    /// checksums when more than one frame was absorbed.  Only the headers
+    /// are summed: the TCP checksum is derived from the frames' own.
     pub fn flush(&mut self, out: &mut Vec<Bytes>) {
         let Some(pending) = self.pending.take() else {
             return;
@@ -305,9 +345,18 @@ impl GroEngine {
         }
         bytes[tcp + 16] = 0;
         bytes[tcp + 17] = 0;
-        let tcp_csum =
-            pseudo_header_checksum(info.src, info.dst, IpProtocol::Tcp.as_u8(), &bytes[tcp..]);
-        bytes[tcp + 16..tcp + 18].copy_from_slice(&tcp_csum.to_be_bytes());
+        // The header is a whole number of 32-bit words, so the payload
+        // sums start at an even offset.
+        let mut tcp_csum = Checksum::new();
+        tcp_csum.add_pseudo_header(
+            info.src,
+            info.dst,
+            IpProtocol::Tcp.as_u8(),
+            bytes.len() - tcp,
+        );
+        tcp_csum.add(&bytes[tcp..info.payload_at]);
+        tcp_csum.add_block(pending.payload_sum.sum(), pending.payload_len);
+        bytes[tcp + 16..tcp + 18].copy_from_slice(&tcp_csum.finish().to_be_bytes());
         self.stats.merged_out += 1;
         out.push(merged.freeze());
     }
@@ -316,7 +365,10 @@ impl GroEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{EthernetFrame, Ipv4Packet, MacAddr, TcpFlags, TcpSegment};
+    use crate::wire::{
+        pseudo_header_checksum, EthernetFrame, Ipv4Packet, MacAddr, TcpFlags, TcpSegment, TcpView,
+    };
+    use rand::{Rng, SeedableRng};
 
     const SRC: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
     const DST: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -531,5 +583,94 @@ mod tests {
         buffers.sort_unstable();
         buffers.dedup();
         assert!(buffers.len() < 8, "no merge buffer was ever reused");
+    }
+
+    /// A merge's checksums as a flush that re-reads every byte writes
+    /// them: the IPv4 header checksum and the TCP checksum over pseudo
+    /// header, header and the whole merged payload.
+    fn recomputed(frame: &[u8]) -> Vec<u8> {
+        let mut bytes = frame.to_vec();
+        let info = parse(&bytes).expect("a merge parses");
+        let (ip, tcp) = (info.ip_at, info.tcp_at);
+        bytes[ip + 10..ip + 12].fill(0);
+        let ip_csum = internet_checksum(&bytes[ip..tcp]);
+        bytes[ip + 10..ip + 12].copy_from_slice(&ip_csum.to_be_bytes());
+        bytes[tcp + 16..tcp + 18].fill(0);
+        let tcp_csum =
+            pseudo_header_checksum(info.src, info.dst, IpProtocol::Tcp.as_u8(), &bytes[tcp..]);
+        bytes[tcp + 16..tcp + 18].copy_from_slice(&tcp_csum.to_be_bytes());
+        bytes
+    }
+
+    fn verifies(frame: &[u8]) -> bool {
+        let ip = ETHERNET_HEADER_LEN;
+        let pkt = Ipv4Packet::parse(&frame[ip..]).expect("the IPv4 header verifies");
+        TcpView::parse(&pkt.payload, pkt.src, pkt.dst).is_ok()
+    }
+
+    #[test]
+    fn derived_checksums_equal_a_full_recompute_on_random_bursts() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        let mut merges = 0;
+        for round in 0..1200 {
+            let frames = rng.gen_range(2..7);
+            let mut seq = rng.gen::<u32>();
+            let burst: Vec<Bytes> = (0..frames)
+                .map(|i| {
+                    // Mostly odd lengths, so payloads land at odd offsets.
+                    let len = rng.gen_range(0..700) * 2 + 1 - rng.gen_range(0..4) / 3;
+                    let payload: Vec<u8> = (0..len).map(|_| rng.gen::<u8>()).collect();
+                    let ack = 1000 + i as u32;
+                    let frame = tcp_frame(5000, seq, ack, payload, rng.gen_bool(0.3));
+                    seq = seq.wrapping_add(len as u32);
+                    frame
+                })
+                .collect();
+            let out = run(&mut GroEngine::new(64 * 1024), burst);
+            for frame in &out {
+                assert_eq!(&frame[..], &recomputed(frame)[..], "round {round}");
+                assert!(verifies(frame), "round {round}");
+            }
+            merges += out.len();
+        }
+        assert!(
+            merges < 1200 * 2,
+            "the bursts merged: {merges} segments out"
+        );
+    }
+
+    #[test]
+    fn a_corrupted_frame_makes_the_merge_fail_verification() {
+        let burst = || {
+            vec![
+                tcp_frame(5000, 1000, 7, vec![1u8; 101], false),
+                tcp_frame(5000, 1101, 7, vec![2u8; 333], false),
+                tcp_frame(5000, 1434, 8, vec![3u8; 200], true),
+            ]
+        };
+        let clean = run(&mut GroEngine::new(64 * 1024), burst());
+        assert_eq!(clean.len(), 1);
+        assert!(verifies(&clean[0]));
+        let payload_at = ETHERNET_HEADER_LEN + 40;
+        // A payload byte of each frame in turn, then the last frame's
+        // acknowledgement number (a header field the merge carries).
+        for (frame, at) in [
+            (0, payload_at + 50),
+            (1, payload_at),
+            (1, payload_at + 200),
+            (2, payload_at + 199),
+            (2, ETHERNET_HEADER_LEN + 20 + 11),
+        ] {
+            let mut frames = burst();
+            let mut bytes = frames[frame].to_vec();
+            bytes[at] ^= 0x10;
+            frames[frame] = Bytes::from(bytes);
+            let out = run(&mut GroEngine::new(64 * 1024), frames);
+            assert_eq!(out.len(), 1, "frame {frame}, byte {at}: still one merge");
+            assert!(
+                !verifies(&out[0]),
+                "frame {frame}, byte {at}: the flipped bit was laundered"
+            );
+        }
     }
 }

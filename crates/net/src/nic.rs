@@ -28,7 +28,7 @@ use newt_kernel::clock::SimClock;
 use crate::link::LinkPort;
 use crate::rss::{RssKey, RssSteering, MAX_QUEUES};
 use crate::wire::{
-    internet_checksum, pseudo_header_checksum, EtherType, IpProtocol, MacAddr, ETHERNET_HEADER_LEN,
+    internet_checksum, Checksum, EtherType, IpProtocol, MacAddr, ETHERNET_HEADER_LEN,
     IPV4_HEADER_LEN, MTU, TCP_HEADER_LEN,
 };
 
@@ -490,12 +490,14 @@ fn offload_checksums(frame: &mut [u8]) {
     }
     frame[transport + csum_offset] = 0;
     frame[transport + csum_offset + 1] = 0;
-    let csum = pseudo_header_checksum(
-        src,
-        dst,
-        protocol,
-        &frame[transport..transport + transport_len],
-    );
+    let mut csum = Checksum::new();
+    csum.add_pseudo_header(src, dst, protocol, transport_len);
+    csum.add(&frame[transport..transport + transport_len]);
+    let csum = if protocol == IpProtocol::Udp.as_u8() {
+        csum.finish_udp()
+    } else {
+        csum.finish()
+    };
     frame[transport + csum_offset..transport + csum_offset + 2]
         .copy_from_slice(&csum.to_be_bytes());
 }
@@ -630,7 +632,7 @@ impl TsoPlan {
 mod tests {
     use super::*;
     use crate::link::{Link, LinkConfig};
-    use crate::wire::{EthernetFrame, Ipv4Packet, TcpFlags, TcpSegment};
+    use crate::wire::{EthernetFrame, Ipv4Packet, TcpFlags, TcpSegment, UdpDatagram};
 
     /// The TSO segmenter this module had before frames were cut straight
     /// from the scatter list, kept verbatim as the reference the differential
@@ -1059,6 +1061,38 @@ mod tests {
         let eth = EthernetFrame::parse(&bytes).unwrap();
         let ip = Ipv4Packet::parse(&eth.payload).unwrap();
         assert!(TcpSegment::parse(&ip.payload, ip.src, ip.dst).is_ok());
+    }
+
+    #[test]
+    fn a_udp_checksum_that_computes_to_zero_is_sent_as_ffff() {
+        let (mut nic, peer, _clock) = setup(NicConfig::new(0));
+        let src = Ipv4Addr::new(10, 0, 0, 1);
+        let dst = Ipv4Addr::new(10, 0, 0, 2);
+        // The payload's last word is the checksum of the datagram with
+        // that word zero, so the whole sums to 0xffff and its checksum
+        // computes to 0 — "no checksum" on the wire (RFC 768).
+        let mut dgram = UdpDatagram::new(5353, 53, b"sums to nothing\0\0\0".to_vec());
+        let built = dgram.build(src, dst);
+        let at = dgram.payload.len() - 2;
+        dgram.payload[at..].copy_from_slice(&built[6..8]);
+        let mut udp = dgram.build(src, dst);
+        udp[6..8].fill(0); // left to the offload engine
+        let ip = Ipv4Packet::new(src, dst, IpProtocol::Udp, udp);
+        let frame = EthernetFrame::new(
+            MacAddr::from_index(2),
+            MacAddr::from_index(1),
+            EtherType::Ipv4,
+            ip.build(),
+        )
+        .build();
+        nic.transmit(frame).unwrap();
+        nic.poll();
+        let bytes = peer.poll_receive().unwrap();
+        let eth = EthernetFrame::parse(&bytes).unwrap();
+        let ip = Ipv4Packet::parse(&eth.payload).unwrap();
+        assert_eq!(&ip.payload[6..8], &[0xff, 0xff]);
+        let parsed = UdpDatagram::parse(&ip.payload, ip.src, ip.dst).unwrap();
+        assert_eq!(parsed.payload, dgram.payload);
     }
 
     #[test]

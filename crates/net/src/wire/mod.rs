@@ -23,7 +23,7 @@ mod tcp;
 mod udp;
 
 pub use arp::{ArpOperation, ArpPacket};
-pub use checksum::{internet_checksum, pseudo_header_checksum};
+pub use checksum::{internet_checksum, pseudo_header_checksum, Checksum};
 pub use ethernet::{EtherType, EthernetFrame, EthernetView, ETHERNET_HEADER_LEN};
 pub use icmp::{IcmpMessage, IcmpType, IcmpView};
 pub use ipv4::{IpProtocol, Ipv4Packet, Ipv4View, IPV4_HEADER_LEN};

@@ -2,7 +2,7 @@
 
 use std::net::Ipv4Addr;
 
-use super::checksum::pseudo_header_checksum;
+use super::checksum::{pseudo_header_checksum, Checksum};
 use super::{IpProtocol, WireError};
 
 /// Length of a UDP header.
@@ -39,11 +39,10 @@ impl UdpDatagram {
         out.extend_from_slice(&len.to_be_bytes());
         out.extend_from_slice(&[0, 0]); // checksum placeholder
         out.extend_from_slice(&self.payload);
-        let mut csum = pseudo_header_checksum(src, dst, IpProtocol::Udp.as_u8(), &out);
-        if csum == 0 {
-            csum = 0xffff; // RFC 768: zero is transmitted as all ones
-        }
-        out[6..8].copy_from_slice(&csum.to_be_bytes());
+        let mut csum = Checksum::new();
+        csum.add_pseudo_header(src, dst, IpProtocol::Udp.as_u8(), out.len());
+        csum.add(&out);
+        out[6..8].copy_from_slice(&csum.finish_udp().to_be_bytes());
         out
     }
 

@@ -436,6 +436,21 @@ impl PoolTable {
         true
     }
 
+    /// Hands every part of a chain, as its zero-copy pool view, to `sink`
+    /// in order — what a consumer that only reads the bytes once needs,
+    /// with neither a contiguous copy nor a scratch vector.  Returns
+    /// `false`, having stopped, at a stale or unknown part.
+    pub fn for_each_part(&self, chain: &RichChain, mut sink: impl FnMut(&[u8])) -> bool {
+        let readers = self.readers.read();
+        for part in chain.iter() {
+            match readers.get(&part.pool).and_then(|r| r.read(part).ok()) {
+                Some(bytes) => sink(&bytes),
+                None => return false,
+            }
+        }
+        true
+    }
+
     /// Returns the number of registered pools.
     pub fn len(&self) -> usize {
         self.readers.read().len()

@@ -31,9 +31,9 @@ use newt_channels::rich::{RichChain, RichPtr};
 use newt_kernel::rs::{CrashEvent, StartMode, StateSnapshot};
 use newt_kernel::storage::{codec, StorageServer};
 use newt_net::wire::{
-    internet_checksum, pseudo_header_checksum, ArpOperation, ArpPacket, EtherType, EthernetFrame,
-    EthernetView, HeaderBuf, IcmpMessage, IcmpType, IcmpView, IpProtocol, Ipv4View, MacAddr,
-    ETHERNET_HEADER_LEN, IPV4_HEADER_LEN, MAX_TRANSPORT_HEADER,
+    internet_checksum, ArpOperation, ArpPacket, Checksum, EtherType, EthernetFrame, EthernetView,
+    HeaderBuf, IcmpMessage, IcmpType, IcmpView, IpProtocol, Ipv4View, MacAddr, ETHERNET_HEADER_LEN,
+    IPV4_HEADER_LEN, MAX_TRANSPORT_HEADER,
 };
 use std::sync::Arc;
 
@@ -960,21 +960,28 @@ impl IpServer {
         if !self.config.checksum_offload
             && matches!(pkt.protocol, IpProtocol::Tcp | IpProtocol::Udp)
         {
-            // Software checksum: gather the payload and compute over the
-            // pseudo header + transport header + payload.
-            let payload_bytes = self.pools.gather(&pkt.payload).unwrap_or_default();
-            let mut segment = transport_header.to_vec();
-            segment.extend_from_slice(&payload_bytes);
+            // Software checksum over the pseudo header, the transport
+            // header and each payload part where it lies in its pool.
             let offset = match pkt.protocol {
                 IpProtocol::Tcp => 16,
                 IpProtocol::Udp => 6,
                 IpProtocol::Icmp => unreachable!("matched above"),
             };
-            if segment.len() >= offset + 2 {
-                segment[offset] = 0;
-                segment[offset + 1] = 0;
-                let csum =
-                    pseudo_header_checksum(iface_cfg.addr, pkt.dst, pkt.protocol.as_u8(), &segment);
+            if transport_header.len() >= offset + 2 {
+                transport_header[offset..offset + 2].fill(0);
+                let segment_len = transport_header.len() + pkt.payload.total_len();
+                let mut csum = Checksum::new();
+                csum.add_pseudo_header(iface_cfg.addr, pkt.dst, pkt.protocol.as_u8(), segment_len);
+                csum.add(&transport_header);
+                // A stale part leaves the sum short, but its frame goes no
+                // further: the driver drops it when it resolves the chain.
+                let _ = self
+                    .pools
+                    .for_each_part(&pkt.payload, |view| csum.add(view));
+                let csum = match pkt.protocol {
+                    IpProtocol::Udp => csum.finish_udp(),
+                    _ => csum.finish(),
+                };
                 transport_header[offset..offset + 2].copy_from_slice(&csum.to_be_bytes());
             }
         }
@@ -2067,8 +2074,9 @@ mod tests {
         assert_eq!(rx_pool.in_use(), 0, "restart must reset the receive pool");
     }
 
-    #[test]
-    fn software_checksum_path_produces_valid_packets() {
+    /// Sends a UDP datagram whose payload is `parts`, one pool chunk each,
+    /// through IP's software checksum path; returns the frame IP staged.
+    fn send_udp_without_offload(parts: &[&[u8]]) -> Vec<u8> {
         let storage = Arc::new(StorageServer::new());
         let rx_pool = Pool::new("ip.rx", endpoints::IP, 2048, 16);
         let header_pool = Pool::new("ip.hdr", endpoints::IP, 2048, 16);
@@ -2080,7 +2088,7 @@ mod tests {
             sender_mac: peer_mac(),
             sender_ip: peer_ip(),
             target_mac: MacAddr::from_index(1),
-            target_ip: Ipv4Addr::new(10, 0, 0, 1),
+            target_ip: local_ip(),
         };
         inject_frame(
             &mut rig,
@@ -2092,16 +2100,13 @@ mod tests {
             )
             .build(),
         );
-        // UDP this time, with a payload that must be covered by the checksum.
-        let dgram = UdpDatagram::new(5353, 53, vec![]);
-        let mut header = dgram.build(Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED);
-        // Zero the checksum and fix the length to include the payload.
-        header[6] = 0;
-        header[7] = 0;
-        let payload = b"dns query body";
-        let len = (8 + payload.len()) as u16;
-        header[4..6].copy_from_slice(&len.to_be_bytes());
-        let ptr = rig.tx_pool.publish(payload).unwrap();
+        let payload_len: usize = parts.iter().map(|part| part.len()).sum();
+        let mut header = udp_header_for(payload_len);
+        header[6..8].fill(0);
+        let mut chain = RichChain::default();
+        for part in parts {
+            chain.push(rig.tx_pool.publish(part).unwrap());
+        }
         send(
             &rig.udp_to_ip,
             TransportToIp::SendPacket {
@@ -2111,21 +2116,57 @@ mod tests {
                 src_port: 5353,
                 dst_port: 53,
                 transport_header: HeaderBuf::from_slice(&header).expect("a udp header"),
-                payload: RichChain::single(ptr),
+                payload: chain,
                 is_connection_start: false,
             },
         );
         rig.ip.poll();
         let to_driver = transmits_in(&drain(&rig.ip_to_drv));
         let (_, chain) = &to_driver[0];
-        let bytes = rig.pools.gather(chain).unwrap();
+        let _ = drain(&rig.ip_to_udp);
+        rig.pools.gather(chain).unwrap().to_vec()
+    }
+
+    /// A UDP header from port 5353 to 53 for `payload_len` bytes.
+    fn udp_header_for(payload_len: usize) -> Vec<u8> {
+        let mut header = UdpDatagram::new(5353, 53, vec![]).build(local_ip(), peer_ip());
+        header[4..6].copy_from_slice(&((8 + payload_len) as u16).to_be_bytes());
+        header
+    }
+
+    #[test]
+    fn software_checksum_path_produces_valid_packets() {
+        // Three chunks, the first of odd length: the second one's bytes
+        // sit at odd offsets of the segment.
+        let parts: [&[u8]; 3] = [b"dns", b" query", b" body"];
+        let bytes = send_udp_without_offload(&parts);
         // The produced frame parses with both checksums intact, without any
         // NIC offload involved.
         let eth = EthernetFrame::parse(&bytes).unwrap();
         let ip = Ipv4Packet::parse(&eth.payload).unwrap();
         let parsed = UdpDatagram::parse(&ip.payload, ip.src, ip.dst).unwrap();
+        assert_eq!(parsed.payload, b"dns query body");
+        assert_ne!(&ip.payload[6..8], &[0, 0], "a checksum was computed");
+    }
+
+    #[test]
+    fn a_udp_checksum_that_computes_to_zero_is_sent_as_ffff() {
+        // A payload whose last word is the checksum of everything before
+        // it: the whole datagram then sums to 0xffff and its checksum to 0,
+        // which on the wire would mean "no checksum" (RFC 768).
+        let mut payload = b"sums to nothing\0\0\0".to_vec();
+        let mut segment = udp_header_for(payload.len());
+        segment[6..8].fill(0);
+        segment.extend_from_slice(&payload);
+        let csum = newt_net::wire::pseudo_header_checksum(local_ip(), peer_ip(), 17, &segment);
+        let at = payload.len() - 2;
+        payload[at..].copy_from_slice(&csum.to_be_bytes());
+        let bytes = send_udp_without_offload(&[&payload[..5], &payload[5..]]);
+        let eth = EthernetFrame::parse(&bytes).unwrap();
+        let ip = Ipv4Packet::parse(&eth.payload).unwrap();
+        assert_eq!(&ip.payload[6..8], &[0xff, 0xff]);
+        let parsed = UdpDatagram::parse(&ip.payload, ip.src, ip.dst).unwrap();
         assert_eq!(parsed.payload, payload);
-        let _ = drain(&rig.ip_to_udp);
     }
 
     // ---- the slot tables ----------------------------------------------------

@@ -698,8 +698,14 @@ fn a_gro_merged_super_segment_counts_as_its_frames_and_acks_immediately() {
 /// Streams 1 MiB of in-order MSS-sized frames into a fresh connection —
 /// each burst through `gro` first when given, exactly as the driver
 /// runs one — with the application reading the socket dry after every
-/// burst.  Returns what the application read and the server's stats.
-fn bulk_receive(mut gro: Option<newt_net::gro::GroEngine>) -> (Vec<u8>, TcpStats) {
+/// burst.  When `flip` names a frame, one payload byte of it is flipped
+/// on the wire and its whole burst sent again, intact, as the sender's
+/// retransmission would.  Returns what the application read and the
+/// server's stats.
+fn bulk_receive(
+    mut gro: Option<newt_net::gro::GroEngine>,
+    flip: Option<usize>,
+) -> (Vec<u8>, TcpStats) {
     const TOTAL: usize = 1 << 20;
     let mut rig = rig();
     let (sock, local_port, snd, rcv) = connect_established(&mut rig);
@@ -708,7 +714,16 @@ fn bulk_receive(mut gro: Option<newt_net::gro::GroEngine>) -> (Vec<u8>, TcpStats
     let data: Vec<u8> = (0..TOTAL).map(|i| (i * 31 + i / 251) as u8).collect();
     let mut read = Vec::with_capacity(TOTAL);
     let mut scratch = vec![0u8; 64 * 1024];
-    for burst in data.chunks(11 * mss) {
+    // The burst holding the flipped frame goes out twice: corrupted, then
+    // intact.
+    let mut bursts = Vec::new();
+    for (i, burst) in data.chunks(11 * mss).enumerate() {
+        if let Some(at) = flip.filter(|at| at / 11 == i) {
+            bursts.push((burst, Some(at)));
+        }
+        bursts.push((burst, None));
+    }
+    for (burst, flipped) in bursts {
         let mut frames = Vec::new();
         for segment in burst.chunks(mss) {
             let offset = segment.as_ptr() as usize - data.as_ptr() as usize;
@@ -718,7 +733,12 @@ fn bulk_receive(mut gro: Option<newt_net::gro::GroEngine>) -> (Vec<u8>, TcpStats
                 snd,
                 segment.to_vec(),
             );
-            let frame = Bytes::from(frame_for(&seg));
+            let mut frame = frame_for(&seg);
+            if flipped == Some(offset / mss) {
+                let last = frame.len() - 1;
+                frame[last - mss / 2] ^= 0x40;
+            }
+            let frame = Bytes::from(frame);
             match gro.as_mut() {
                 Some(engine) => engine.push(frame, &mut frames),
                 None => frames.push(frame),
@@ -751,10 +771,13 @@ fn bulk_receive(mut gro: Option<newt_net::gro::GroEngine>) -> (Vec<u8>, TcpStats
 
 #[test]
 fn in_order_bulk_receive_reaches_the_socket_buffer_by_reference() {
-    let (plain, plain_stats) = bulk_receive(None);
-    let (merged, merged_stats) = bulk_receive(Some(newt_net::gro::GroEngine::new(
-        crate::driver::GRO_MAX_PAYLOAD,
-    )));
+    let (plain, plain_stats) = bulk_receive(None, None);
+    let (merged, merged_stats) = bulk_receive(
+        Some(newt_net::gro::GroEngine::new(
+            crate::driver::GRO_MAX_PAYLOAD,
+        )),
+        None,
+    );
     assert_eq!(plain, merged, "GRO must not change what is delivered");
     // One copy per received byte, and it is the application's read:
     // nothing was copied on the way into the socket buffer, merged or
@@ -767,6 +790,22 @@ fn in_order_bulk_receive_reaches_the_socket_buffer_by_reference() {
         merged_stats.payload_segments_in,
         plain_stats.payload_segments_in
     );
+}
+
+#[test]
+fn a_frame_corrupted_inside_a_gro_merge_costs_the_merge_not_its_bytes() {
+    // Frame 25 sits mid-burst (the third burst holds frames 22..33), so
+    // GRO merges it with its neighbours.  The merge's checksum is derived
+    // from the frames' own, so the flipped byte makes it false: TCP drops
+    // the whole merge, and the resent burst delivers the true bytes
+    // (`bulk_receive` asserts every byte read is the byte sent).
+    let (_, stats) = bulk_receive(
+        Some(newt_net::gro::GroEngine::new(
+            crate::driver::GRO_MAX_PAYLOAD,
+        )),
+        Some(25),
+    );
+    assert_eq!(stats.rx_malformed, 1, "the corrupted merge is dropped");
 }
 
 #[test]
