@@ -1,11 +1,17 @@
 //! Microbenchmarks of packet parsing/building and checksumming — the
-//! per-packet protocol work whose cost the evaluation's cycle model uses.
+//! per-packet protocol work whose cost the evaluation's cycle model uses —
+//! and of the device path under the driver: a frame across the link and
+//! RSS steering.
 
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
+use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
 
+use newt_kernel::clock::SimClock;
+use newt_net::link::{Link, LinkConfig};
+use newt_net::rss::{RssKey, RssSteering};
 use newt_net::wire::{
     internet_checksum, EtherType, EthernetFrame, IpProtocol, Ipv4Packet, MacAddr, TcpFlags,
     TcpSegment,
@@ -67,5 +73,45 @@ fn bench_wire(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_wire);
+fn bench_device(c: &mut Criterion) {
+    let mut group = c.benchmark_group("device");
+    group
+        .sample_size(20)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(1));
+
+    // A frame transmitted on one port and received on the other, on an
+    // unshaped link (it arrives at once): alone, and in a burst of 32 (the
+    // second figure is per burst; divide by 32 for the cost per frame).
+    let (_link, a, b) = Link::new(LinkConfig::unshaped(), SimClock::realtime());
+    let frame = Bytes::from(sample_frame(64));
+    let mut arrived = Vec::with_capacity(32);
+    group.bench_function("link_tx_rx_1_frame", |bench| {
+        bench.iter(|| {
+            a.transmit(frame.clone());
+            b.receive_burst(&mut arrived);
+            arrived.clear();
+        });
+    });
+    group.bench_function("link_tx_rx_burst_of_32", |bench| {
+        bench.iter(|| {
+            a.transmit_burst((0..32).map(|_| frame.clone()));
+            b.receive_burst(&mut arrived);
+            arrived.clear();
+        });
+    });
+
+    // RSS steering of an inbound TCP frame that no flow-director entry
+    // pins: nothing to choose on one queue, the Toeplitz hash on four.
+    for queues in [1, 4] {
+        let steering = RssSteering::new(RssKey::default(), queues);
+        group.bench_function(&format!("steer_frame_{queues}_queues"), |bench| {
+            bench.iter(|| steering.steer_frame(criterion::black_box(&frame)));
+        });
+    }
+
+    group.finish();
+}
+
+criterion_group!(benches, bench_wire, bench_device);
 criterion_main!(benches);

@@ -17,7 +17,7 @@
 //!   indirection table and the flow-director (ATR) exact-match table that
 //!   steer frames to queues;
 //! * [`link`] — bandwidth-shaped, lossy point-to-point links over the
-//!   virtual clock;
+//!   virtual clock, crossed by bursts of frames;
 //! * [`peer`] — the remote host: ARP/ICMP responder, iperf-like TCP sink,
 //!   SSH-like echo service, DNS-like UDP responder;
 //! * [`trace`] — frame capture with per-interval bitrate extraction (the
@@ -49,7 +49,8 @@
 //! clock.sleep(std::time::Duration::from_millis(1));
 //! peer.poll_once();
 //! clock.sleep(std::time::Duration::from_millis(1));
-//! assert!(our_port.poll_receive().is_some());
+//! let mut arrived = Vec::new();
+//! assert_eq!(our_port.receive_burst(&mut arrived), 1);
 //! ```
 
 #![warn(missing_docs)]

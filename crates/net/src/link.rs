@@ -7,6 +7,11 @@
 //! paper's network adapters are 1 Gb/s each), which is what gives the
 //! bitrate-versus-time figures their ceiling.
 //!
+//! Frames cross in bursts: [`LinkPort::transmit_burst`] and
+//! [`LinkPort::receive_burst`] are the two ways across, and a burst costs
+//! one clock read, one lock and one wake of the receiver however many
+//! frames it carries, while each frame meets the wire as if sent alone.
+//!
 //! Beyond the clean gigabit wire, a link can be *impaired* the way Linux
 //! `tc netem` impairs one: uniform random loss, bursty two-state
 //! (Gilbert–Elliott) loss, per-frame jitter, probabilistic reordering and
@@ -237,14 +242,103 @@ struct Direction {
 }
 
 impl Direction {
+    /// Offers one frame to the wire at virtual time `now` and returns
+    /// whether it was accepted.  `rng` is `None` on a link with neither
+    /// loss nor impairments; otherwise it draws, in this order, uniform
+    /// loss, the Gilbert–Elliott transition and loss, jitter, reordering
+    /// and duplication — each draw only when its impairment is on.
+    fn offer(
+        &mut self,
+        config: &LinkConfig,
+        rng: Option<&mut StdRng>,
+        now: Duration,
+        frame: Bytes,
+    ) -> bool {
+        let netem = &config.netem;
+        let (jitter, reordered, duplicate) = match rng {
+            None => (Duration::ZERO, false, false),
+            Some(rng) => {
+                // Loss decisions: uniform loss first, then the two-state
+                // burst model.  The Gilbert–Elliott state advances once per
+                // offered frame, so bad periods span a run of frames — a
+                // burst.
+                if config.loss_probability > 0.0 && rng.gen::<f64>() < config.loss_probability {
+                    self.drops += 1;
+                    return false;
+                }
+                if let Some(ge) = netem.burst_loss {
+                    let flip = if self.ge_bad {
+                        ge.p_exit_bad
+                    } else {
+                        ge.p_enter_bad
+                    };
+                    if rng.gen::<f64>() < flip {
+                        self.ge_bad = !self.ge_bad;
+                    }
+                    let loss = if self.ge_bad {
+                        ge.loss_bad
+                    } else {
+                        ge.loss_good
+                    };
+                    if rng.gen::<f64>() < loss {
+                        self.drops += 1;
+                        return false;
+                    }
+                }
+                let jitter = if netem.jitter.is_zero() {
+                    Duration::ZERO
+                } else {
+                    netem.jitter.mul_f64(rng.gen::<f64>())
+                };
+                let reordered =
+                    netem.reorder_probability > 0.0 && rng.gen::<f64>() < netem.reorder_probability;
+                let duplicate = netem.duplicate_probability > 0.0
+                    && rng.gen::<f64>() < netem.duplicate_probability;
+                (jitter, reordered, duplicate)
+            }
+        };
+
+        if self.queue.len() >= config.queue_limit {
+            self.drops += 1;
+            return false;
+        }
+        let serialisation = if config.bandwidth_bps.is_finite() {
+            Duration::from_secs_f64(frame.len() as f64 * 8.0 / config.bandwidth_bps)
+        } else {
+            Duration::ZERO
+        };
+        let start = self.busy_until.max(now);
+        let done = start + serialisation;
+        self.busy_until = done;
+        let mut arrival = done + config.propagation + jitter;
+        if reordered {
+            arrival += netem.reorder_delay;
+            self.reordered += 1;
+        }
+        self.frames += 1;
+        self.bytes += frame.len() as u64;
+        if duplicate && self.queue.len() + 1 < config.queue_limit {
+            self.duplicated += 1;
+            self.enqueue(arrival, frame.clone());
+        }
+        self.enqueue(arrival, frame);
+        true
+    }
+
     /// Inserts a frame keeping the queue sorted by arrival time, so frames
     /// are *delivered* in arrival order even when jitter or reordering made
-    /// the per-frame delays non-monotonic.
-    fn enqueue_sorted(&mut self, arrival: Duration, frame: Bytes) {
-        let at = self
-            .queue
-            .partition_point(|(existing, _)| *existing <= arrival);
-        self.queue.insert(at, (arrival, frame));
+    /// the per-frame delays non-monotonic.  A frame arriving no earlier
+    /// than the last one queued — every frame of a wire without jitter or
+    /// reordering — is appended without a search.
+    fn enqueue(&mut self, arrival: Duration, frame: Bytes) {
+        if self.queue.back().is_none_or(|(last, _)| *last <= arrival) {
+            self.queue.push_back((arrival, frame));
+        } else {
+            let at = self
+                .queue
+                .partition_point(|(existing, _)| *existing <= arrival);
+            self.queue.insert(at, (arrival, frame));
+        }
     }
 }
 
@@ -367,105 +461,53 @@ impl LinkPort {
     }
 
     /// Attaches the wake word of whoever receives at this port: from now on
-    /// every frame accepted *towards* this port writes it, so a receiver
-    /// parked on the word learns that [`LinkPort::next_arrival`] changed.
-    /// The first attachment stays for the life of the link (the word
-    /// belongs to a service, not to one of its incarnations).
+    /// every burst that puts a frame in flight *towards* this port writes
+    /// it once, so a receiver parked on the word learns that
+    /// [`LinkPort::next_arrival`] changed.  The first attachment stays for
+    /// the life of the link (the word belongs to a service, not to one of
+    /// its incarnations).
     pub fn attach_wake(&self, wake: Arc<WakeWord>) {
         let _ = self.inner.wake_for_receiver(self.side).set(wake);
     }
 
-    /// Submits a frame for transmission.  Returns `false` if the frame was
-    /// dropped (random or bursty loss, or queue overflow) — like a real
-    /// wire, the link never blocks the sender.  Accepts anything
-    /// convertible to [`Bytes`], so zero-copy views and owned buffers both
-    /// work.
+    /// Submits one frame for transmission: a burst of one (see
+    /// [`LinkPort::transmit_burst`]).  Returns `false` if the frame was
+    /// dropped (random or bursty loss, or queue overflow).  Accepts
+    /// anything convertible to [`Bytes`], so zero-copy views and owned
+    /// buffers both work.
     pub fn transmit(&self, frame: impl Into<Bytes>) -> bool {
-        let frame: Bytes = frame.into();
+        self.transmit_burst([frame.into()]) == 1
+    }
+
+    /// Submits a burst of frames for transmission, in order, and returns
+    /// how many the link accepted — like a real wire, it never blocks the
+    /// sender.  Each frame meets the wire as if it had been sent alone: the
+    /// same loss and impairment draws in the same order, serialised behind
+    /// the frame before it.  The burst costs one clock read, one lock of
+    /// the direction (and of the impairment generator on an impaired link)
+    /// and, when a frame was accepted, one write of the receiver's wake
+    /// word.
+    pub fn transmit_burst(&self, frames: impl IntoIterator<Item = Bytes>) -> usize {
         let inner = &*self.inner;
-        let netem = inner.config.netem;
-
-        // Loss decisions: uniform loss first, then the two-state burst
-        // model.  The Gilbert–Elliott state advances once per offered
-        // frame, so bad periods span a run of frames — a burst.
-        if inner.config.loss_probability > 0.0
-            && inner.rng.lock().gen::<f64>() < inner.config.loss_probability
-        {
-            inner.direction(self.side).lock().drops += 1;
-            return false;
-        }
-        if let Some(ge) = netem.burst_loss {
-            let mut rng = inner.rng.lock();
-            let mut dir = inner.direction(self.side).lock();
-            let flip = if dir.ge_bad {
-                ge.p_exit_bad
-            } else {
-                ge.p_enter_bad
-            };
-            if rng.gen::<f64>() < flip {
-                dir.ge_bad = !dir.ge_bad;
-            }
-            let loss = if dir.ge_bad {
-                ge.loss_bad
-            } else {
-                ge.loss_good
-            };
-            if rng.gen::<f64>() < loss {
-                dir.drops += 1;
-                return false;
-            }
-        }
-
+        let config = &inner.config;
+        let impaired = config.loss_probability > 0.0 || !config.netem.is_clean();
         let now = inner.clock.now();
-        // Sample the per-frame impairments before taking the direction
-        // lock; a clean wire skips the rng entirely so the benchmark hot
-        // path pays no extra lock per frame.
-        let (jitter, reordered, duplicate) = if netem.is_clean() {
-            (Duration::ZERO, false, false)
-        } else {
-            let mut rng = inner.rng.lock();
-            let jitter = if netem.jitter.is_zero() {
-                Duration::ZERO
-            } else {
-                netem.jitter.mul_f64(rng.gen::<f64>())
-            };
-            let reordered =
-                netem.reorder_probability > 0.0 && rng.gen::<f64>() < netem.reorder_probability;
-            let duplicate =
-                netem.duplicate_probability > 0.0 && rng.gen::<f64>() < netem.duplicate_probability;
-            (jitter, reordered, duplicate)
-        };
-
+        let mut rng = impaired.then(|| inner.rng.lock());
         let mut dir = inner.direction(self.side).lock();
-        if dir.queue.len() >= inner.config.queue_limit {
-            dir.drops += 1;
-            return false;
+        let mut accepted = 0;
+        for frame in frames {
+            if dir.offer(config, rng.as_deref_mut(), now, frame) {
+                accepted += 1;
+            }
         }
-        let serialisation = if inner.config.bandwidth_bps.is_finite() {
-            Duration::from_secs_f64(frame.len() as f64 * 8.0 / inner.config.bandwidth_bps)
-        } else {
-            Duration::ZERO
-        };
-        let start = dir.busy_until.max(now);
-        let done = start + serialisation;
-        dir.busy_until = done;
-        let mut arrival = done + inner.config.propagation + jitter;
-        if reordered {
-            arrival += netem.reorder_delay;
-            dir.reordered += 1;
-        }
-        dir.frames += 1;
-        dir.bytes += frame.len() as u64;
-        if duplicate && dir.queue.len() + 1 < inner.config.queue_limit {
-            dir.duplicated += 1;
-            dir.enqueue_sorted(arrival, frame.clone());
-        }
-        dir.enqueue_sorted(arrival, frame);
         drop(dir);
-        if let Some(wake) = inner.wake_for_receiver(self.side.other()).get() {
-            wake.write();
+        drop(rng);
+        if accepted > 0 {
+            if let Some(wake) = inner.wake_for_receiver(self.side.other()).get() {
+                wake.write();
+            }
         }
-        true
+        accepted
     }
 
     /// Returns the virtual time at which the next frame in flight towards
@@ -476,31 +518,30 @@ impl LinkPort {
         dir.queue.front().map(|(arrival, _)| *arrival)
     }
 
-    /// Returns the next frame that has fully arrived at this port, if any.
-    pub fn poll_receive(&self) -> Option<Bytes> {
+    /// Moves every frame that has fully arrived at this port onto the end
+    /// of `out`, in arrival order, and returns how many it moved.  The
+    /// burst costs one lock of the direction, plus one clock read when
+    /// anything is in flight and one lock of the trace capture (which
+    /// records each frame) when anything arrived.
+    pub fn receive_burst(&self, out: &mut Vec<Bytes>) -> usize {
         let inner = &*self.inner;
-        let now = inner.clock.now();
         let mut dir = inner.direction(self.side.other()).lock();
-        match dir.queue.front() {
-            Some((arrival, _)) if *arrival <= now => {
-                let (at, frame) = dir.queue.pop_front().expect("front checked above");
-                drop(dir);
-                if let Some(trace) = inner.trace_for_receiver(self.side).lock().as_ref() {
-                    trace.record(at, frame.len());
-                }
-                Some(frame)
+        if dir.queue.is_empty() {
+            return 0;
+        }
+        let now = inner.clock.now();
+        let arrived = dir.queue.partition_point(|(arrival, _)| *arrival <= now);
+        if arrived == 0 {
+            return 0;
+        }
+        let trace = inner.trace_for_receiver(self.side).lock();
+        out.extend(dir.queue.drain(..arrived).map(|(at, frame)| {
+            if let Some(trace) = trace.as_ref() {
+                trace.record(at, frame.len());
             }
-            _ => None,
-        }
-    }
-
-    /// Drains every frame that has arrived at this port.
-    pub fn drain_receive(&self) -> Vec<Bytes> {
-        let mut out = Vec::new();
-        while let Some(frame) = self.poll_receive() {
-            out.push(frame);
-        }
-        out
+            frame
+        }));
+        arrived
     }
 
     /// Returns the number of frames currently in flight towards this port.
@@ -513,16 +554,23 @@ impl LinkPort {
 mod tests {
     use super::*;
 
+    /// Every frame that has arrived at `port`, as one receive burst.
+    fn arrived(port: &LinkPort) -> Vec<Bytes> {
+        let mut out = Vec::new();
+        assert_eq!(port.receive_burst(&mut out), out.len());
+        out
+    }
+
     #[test]
     fn frames_cross_an_unshaped_link_immediately() {
         let clock = SimClock::realtime();
         let (_link, a, b) = Link::new(LinkConfig::unshaped(), clock);
         assert!(a.transmit(vec![1, 2, 3]));
-        assert_eq!(b.poll_receive().as_deref(), Some(&[1u8, 2, 3][..]));
-        assert_eq!(b.poll_receive(), None);
+        assert_eq!(arrived(&b), [Bytes::from(vec![1u8, 2, 3])]);
+        assert!(arrived(&b).is_empty());
         // And in the other direction.
         assert!(b.transmit(vec![9]));
-        assert_eq!(a.poll_receive().as_deref(), Some(&[9u8][..]));
+        assert_eq!(arrived(&a), [Bytes::from(vec![9u8])]);
     }
 
     #[test]
@@ -542,14 +590,14 @@ mod tests {
             assert!(a.transmit(vec![0u8; 12_500]));
         }
         // Immediately, at most one frame can have arrived.
-        let early = b.drain_receive().len();
+        let early = arrived(&b).len();
         assert!(
             early <= 1,
             "delivery was not paced: {early} frames arrived instantly"
         );
         // After 300+ ms everything has arrived.
         clock.sleep(Duration::from_millis(400));
-        let total = early + b.drain_receive().len();
+        let total = early + arrived(&b).len();
         assert_eq!(total, 3);
     }
 
@@ -582,7 +630,7 @@ mod tests {
         for _ in 0..200 {
             a.transmit(vec![0u8; 10]);
         }
-        let delivered = b.drain_receive().len();
+        let delivered = arrived(&b).len();
         let drops = link.stats_from(LinkSide::A).drops as usize;
         assert_eq!(delivered + drops, 200);
         assert!(
@@ -601,7 +649,7 @@ mod tests {
         let (link, a, b) = Link::new(LinkConfig::unshaped(), clock);
         a.transmit(vec![0u8; 100]);
         a.transmit(vec![0u8; 200]);
-        b.drain_receive();
+        arrived(&b);
         let stats = link.stats_from(LinkSide::A);
         assert_eq!(stats.frames, 2);
         assert_eq!(stats.bytes, 300);
@@ -643,7 +691,7 @@ mod tests {
         let (_link, a, b) = Link::new(config, clock);
         a.transmit(vec![0u8; 10]);
         assert_eq!(b.in_flight(), 1);
-        assert_eq!(b.poll_receive(), None);
+        assert!(arrived(&b).is_empty());
     }
 
     #[test]
@@ -665,7 +713,7 @@ mod tests {
             pattern.push(!a.transmit(vec![0u8; 10]));
         }
         let drops = link.stats_from(LinkSide::A).drops as usize;
-        let delivered = b.drain_receive().len();
+        let delivered = arrived(&b).len();
         assert_eq!(drops + delivered, 2_000);
         assert!(drops > 50, "burst model produced almost no loss: {drops}");
         assert!(delivered > 1_000, "burst model lost too much: {delivered}");
@@ -692,7 +740,7 @@ mod tests {
             assert!(a.transmit(vec![i]));
         }
         clock.sleep(Duration::from_millis(100));
-        let order: Vec<u8> = b.drain_receive().iter().map(|f| f[0]).collect();
+        let order: Vec<u8> = arrived(&b).iter().map(|f| f[0]).collect();
         assert_eq!(order.len(), 100, "no frames may be lost by reordering");
         let sorted: Vec<u8> = (0..100).collect();
         assert_ne!(order, sorted, "expected at least one overtake");
@@ -714,7 +762,7 @@ mod tests {
         for i in 0..10u8 {
             assert!(a.transmit(vec![i]));
         }
-        let delivered = b.drain_receive();
+        let delivered = arrived(&b);
         assert_eq!(delivered.len(), 20);
         assert_eq!(link.stats_from(LinkSide::A).duplicated, 10);
         // Stats count offered frames once.
@@ -733,7 +781,7 @@ mod tests {
             assert!(a.transmit(vec![i]));
         }
         clock.sleep(Duration::from_millis(40));
-        let mut delivered: Vec<u8> = b.drain_receive().iter().map(|f| f[0]).collect();
+        let mut delivered: Vec<u8> = arrived(&b).iter().map(|f| f[0]).collect();
         delivered.sort_unstable();
         assert_eq!(delivered, (0..50).collect::<Vec<u8>>());
     }
@@ -744,5 +792,123 @@ mod tests {
         assert!(!Netem::degraded().is_clean());
         assert!(Netem::default().is_clean());
         assert!(LinkConfig::gigabit().netem.is_clean());
+    }
+
+    /// The frames in flight from A to B with their arrival times.
+    fn in_flight_towards_b(link: &Link) -> Vec<(Duration, Bytes)> {
+        link.inner.a_to_b.lock().queue.iter().cloned().collect()
+    }
+
+    /// Sends `frames` over a fresh link once as single transmits and once
+    /// as one burst, on a clock that stands still (a nanosecond of virtual
+    /// time per real second), and asserts the two wires hold the same
+    /// frames in the same order with the same arrival times and counters.
+    fn burst_matches_single_transmits(config: LinkConfig, frames: &[Bytes]) -> LinkStats {
+        let clock = SimClock::with_speedup(1e-9);
+        let (single, a, _b) = Link::new(config.clone(), clock.clone());
+        let accepted_singly = frames.iter().filter(|f| a.transmit((*f).clone())).count();
+        let (burst, a, _b) = Link::new(config, clock);
+        assert_eq!(a.transmit_burst(frames.iter().cloned()), accepted_singly);
+        assert_eq!(in_flight_towards_b(&burst), in_flight_towards_b(&single));
+        let stats = burst.stats_from(LinkSide::A);
+        assert_eq!(stats, single.stats_from(LinkSide::A));
+        stats
+    }
+
+    fn varied_frames(n: usize) -> Vec<Bytes> {
+        (0..n)
+            .map(|i| Bytes::from(vec![i as u8; 60 + (i * 97) % 1455]))
+            .collect()
+    }
+
+    #[test]
+    fn a_burst_meets_an_impaired_wire_like_its_frames_one_by_one() {
+        let stats = burst_matches_single_transmits(LinkConfig::impaired(), &varied_frames(2_000));
+        // Every impairment fired, so every draw was compared.
+        assert!(stats.drops > 0, "{stats:?}");
+        assert!(stats.reordered > 0, "{stats:?}");
+        assert!(stats.duplicated > 0, "{stats:?}");
+    }
+
+    #[test]
+    fn a_burst_on_a_gigabit_wire_arrives_when_its_frames_would() {
+        let frames = varied_frames(300);
+        let stats = burst_matches_single_transmits(LinkConfig::gigabit(), &frames);
+        assert_eq!(stats.frames, 300);
+        // Serialised back to back: the last frame lands after every byte
+        // crossed at 1 Gb/s, plus the propagation delay.
+        let clock = SimClock::with_speedup(1e-9);
+        let (link, a, _b) = Link::new(LinkConfig::gigabit(), clock);
+        a.transmit_burst(frames.iter().cloned());
+        let last = in_flight_towards_b(&link).last().expect("in flight").0;
+        let bits: usize = frames.iter().map(|f| f.len() * 8).sum();
+        let expected = Duration::from_nanos(bits as u64) + Duration::from_micros(100);
+        assert!(last.abs_diff(expected) < Duration::from_micros(1), "{last:?}");
+    }
+
+    #[test]
+    fn receive_burst_takes_only_what_arrived_in_order_and_traces_each() {
+        let clock = SimClock::realtime();
+        let config = LinkConfig::unshaped().netem(Netem {
+            reorder_probability: 0.3,
+            reorder_delay: Duration::from_secs(3600),
+            ..Netem::default()
+        });
+        let (link, a, b) = Link::new(config, clock.clone());
+        let trace = TraceCapture::new();
+        link.attach_trace(LinkSide::B, trace.clone());
+        assert_eq!(a.transmit_burst((0..50u8).map(|i| Bytes::from(vec![i]))), 50);
+        let held = link.stats_from(LinkSide::A).reordered as usize;
+        assert!(held > 0 && held < 50);
+
+        // The burst appends to what the vector already holds.
+        let mut out = vec![Bytes::copy_from_slice(b"kept")];
+        let got = b.receive_burst(&mut out);
+        assert_eq!(got, 50 - held);
+        assert_eq!(out.len(), 1 + got);
+        assert_eq!(&out[0][..], b"kept");
+        // Transmit order among the frames that were not held back.
+        let order: Vec<u8> = out[1..].iter().map(|f| f[0]).collect();
+        assert!(order.windows(2).all(|w| w[0] < w[1]), "{order:?}");
+        // The held-back frames are still in flight, and a second burst
+        // finds nothing.
+        assert_eq!(b.in_flight(), held);
+        assert_eq!(b.receive_burst(&mut out), 0);
+        assert_eq!(out.len(), 1 + got);
+        // One trace record per frame received, none for those in flight.
+        let records = trace.records();
+        assert_eq!(records.len(), got);
+        assert!(records.iter().all(|r| r.len == 1 && r.at <= clock.now()));
+    }
+
+    #[test]
+    fn the_receivers_word_moves_once_per_accepted_burst() {
+        let clock = SimClock::realtime();
+        let config = LinkConfig {
+            queue_limit: 4,
+            ..LinkConfig::unshaped().propagation(Duration::from_secs(10))
+        };
+        let (link, a, b) = Link::new(config, clock.clone());
+        let word = Arc::new(WakeWord::new());
+        b.attach_wake(Arc::clone(&word));
+        let burst = |n: usize| (0..n).map(|_| Bytes::from(vec![0u8; 64]));
+        assert_eq!(a.transmit_burst(burst(3)), 3);
+        assert_eq!(word.value(), 1);
+        // One of three fits under the queue limit: still one write.
+        assert_eq!(a.transmit_burst(burst(3)), 1);
+        assert_eq!(word.value(), 2);
+        // A burst the link drops entirely (tail drop) writes nothing, and
+        // neither does an empty one.
+        assert_eq!(a.transmit_burst(burst(2)), 0);
+        assert_eq!(a.transmit_burst(burst(0)), 0);
+        assert_eq!(word.value(), 2);
+        assert_eq!(link.stats_from(LinkSide::A).drops, 4);
+
+        // Nor does a burst lost on a lossy wire.
+        let (_link, a, b) = Link::new(LinkConfig::unshaped().loss_probability(1.0), clock);
+        let word = Arc::new(WakeWord::new());
+        b.attach_wake(Arc::clone(&word));
+        assert_eq!(a.transmit_burst(burst(5)), 0);
+        assert_eq!(word.value(), 0);
     }
 }

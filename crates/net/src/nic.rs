@@ -168,7 +168,12 @@ pub struct Nic {
     /// here when the far end of the link (or whoever held it last) drops it.
     frames: Shelf,
     steering: RssSteering,
-    link_up_at: Duration,
+    /// When the link comes back up after a reset; `None` once it is up, so
+    /// a running adapter never reads the clock to know it.
+    link_up_at: Option<Duration>,
+    /// The frames of one receive burst between the link and the RX rings,
+    /// kept between polls.
+    arrivals: Vec<Bytes>,
     stats: NicStats,
 }
 
@@ -186,7 +191,8 @@ impl Nic {
             tx_rings: (0..queues).map(|_| VecDeque::new()).collect(),
             frames: Shelf::new(),
             steering,
-            link_up_at: Duration::ZERO,
+            link_up_at: None,
+            arrivals: Vec::new(),
             stats: NicStats::default(),
         }
     }
@@ -198,7 +204,8 @@ impl Nic {
 
     /// Returns `true` while the link is up (not resetting).
     pub fn is_link_up(&self) -> bool {
-        self.clock.now() >= self.link_up_at
+        self.link_up_at
+            .is_none_or(|link_up_at| self.clock.now() >= link_up_at)
     }
 
     /// Returns the adapter configuration.
@@ -321,22 +328,25 @@ impl Nic {
         Ok(())
     }
 
-    /// Services the descriptor rings: pushes queued TX frames onto the link
-    /// and steers arrived frames into the RX rings (RSS hash or
-    /// flow-director match).  Drivers call this from their event loop (it
-    /// stands in for the DMA engine making progress).
+    /// Services the descriptor rings: hands each TX ring to the link as
+    /// one burst, takes what arrived as one burst and steers it into the RX
+    /// rings (RSS hash or flow-director match).  Drivers call this from
+    /// their event loop (it stands in for the DMA engine making progress).
     pub fn poll(&mut self) {
         if !self.is_link_up() {
             return;
         }
-        for ring in self.tx_rings.iter_mut() {
-            while let Some(frame) = ring.pop_front() {
-                self.stats.tx_frames += 1;
-                self.stats.tx_bytes += frame.len() as u64;
-                self.port.transmit(frame);
-            }
+        self.link_up_at = None;
+        for ring in self.tx_rings.iter_mut().filter(|ring| !ring.is_empty()) {
+            self.stats.tx_frames += ring.len() as u64;
+            let tx_bytes = &mut self.stats.tx_bytes;
+            self.port.transmit_burst(ring.drain(..).inspect(|frame| {
+                *tx_bytes += frame.len() as u64;
+            }));
         }
-        while let Some(frame) = self.port.poll_receive() {
+        let mut arrivals = std::mem::take(&mut self.arrivals);
+        self.port.receive_burst(&mut arrivals);
+        for frame in arrivals.drain(..) {
             let (queue, fdir_hit) = self.steering.steer_frame(&frame);
             if self.rx_rings[queue].len() >= self.config.rx_ring {
                 self.stats.rx_drops += 1;
@@ -350,6 +360,7 @@ impl Nic {
             }
             self.rx_rings[queue].push_back(frame);
         }
+        self.arrivals = arrivals;
     }
 
     /// Returns the virtual time of the adapter's next clock-driven event —
@@ -357,10 +368,9 @@ impl Nic {
     /// frame in flight towards it (possibly already past) — or `None` when
     /// only a transmit request can give [`Nic::poll`] something to do.
     pub fn next_event(&self) -> Option<Duration> {
-        if self.is_link_up() {
-            self.port.next_arrival()
-        } else {
-            Some(self.link_up_at)
+        match self.link_up_at {
+            Some(link_up_at) if self.clock.now() < link_up_at => Some(link_up_at),
+            _ => self.port.next_arrival(),
         }
     }
 
@@ -395,7 +405,7 @@ impl Nic {
             ring.clear();
         }
         self.steering.forget_all();
-        self.link_up_at = self.clock.now() + self.config.link_reset_latency;
+        self.link_up_at = Some(self.clock.now() + self.config.link_reset_latency);
         self.stats.resets += 1;
     }
 
@@ -711,6 +721,21 @@ mod tests {
         frames
     }
 
+    /// Every frame that has crossed the link to `peer`, as one burst.
+    fn on_the_wire(peer: &LinkPort) -> Vec<Bytes> {
+        let mut frames = Vec::new();
+        peer.receive_burst(&mut frames);
+        frames
+    }
+
+    /// The one frame that has crossed the link to `peer`.
+    fn only_frame(peer: &LinkPort) -> Bytes {
+        match <[Bytes; 1]>::try_from(on_the_wire(peer)) {
+            Ok([frame]) => frame,
+            Err(frames) => panic!("expected one frame, got {}", frames.len()),
+        }
+    }
+
     fn setup(config: NicConfig) -> (Nic, LinkPort, SimClock) {
         let clock = SimClock::with_speedup(100.0);
         let (_link, a, b) = Link::new(LinkConfig::unshaped(), clock.clone());
@@ -738,7 +763,7 @@ mod tests {
         let frame = tcp_frame(100);
         nic.transmit(frame.clone()).unwrap();
         nic.poll();
-        let got = peer.poll_receive().unwrap();
+        let got = only_frame(&peer);
         assert_eq!(got.len(), frame.len());
         assert_eq!(nic.stats().tx_frames, 1);
     }
@@ -760,7 +785,7 @@ mod tests {
         let frame = tcp_frame(16_000);
         nic.transmit(frame).unwrap();
         nic.poll();
-        let frames = peer.drain_receive();
+        let frames = on_the_wire(&peer);
         assert!(
             frames.len() > 10,
             "expected many MTU-sized segments, got {}",
@@ -803,7 +828,7 @@ mod tests {
         .build();
         nic.transmit(frame).unwrap();
         nic.poll();
-        let frames = peer.drain_receive();
+        let frames = on_the_wire(&peer);
         let fins: Vec<bool> = frames
             .iter()
             .map(|bytes| {
@@ -1013,7 +1038,7 @@ mod tests {
             let (mut nic, peer, _clock) = setup(NicConfig::new(0));
             nic.transmit_scattered(0, &parts).unwrap();
             nic.poll();
-            assert_eq!(peer.drain_receive(), got, "case {case}: on the wire");
+            assert_eq!(on_the_wire(&peer), got, "case {case}: on the wire");
             assert_eq!(nic.stats().tso_frames, expected.len() as u64);
         }
     }
@@ -1026,7 +1051,7 @@ mod tests {
         let parts = [Bytes::copy_from_slice(head), Bytes::copy_from_slice(tail)];
         nic.transmit_scattered(0, &parts).unwrap();
         nic.poll();
-        let got = peer.poll_receive().unwrap();
+        let got = only_frame(&peer);
         assert_eq!(got.len(), frame.len());
         assert_eq!(
             nic.transmit_scattered(0, &[]).unwrap_err(),
@@ -1057,7 +1082,7 @@ mod tests {
         frame[transport + 17] = 0;
         nic.transmit(frame).unwrap();
         nic.poll();
-        let bytes = peer.poll_receive().unwrap();
+        let bytes = only_frame(&peer);
         let eth = EthernetFrame::parse(&bytes).unwrap();
         let ip = Ipv4Packet::parse(&eth.payload).unwrap();
         assert!(TcpSegment::parse(&ip.payload, ip.src, ip.dst).is_ok());
@@ -1087,7 +1112,7 @@ mod tests {
         .build();
         nic.transmit(frame).unwrap();
         nic.poll();
-        let bytes = peer.poll_receive().unwrap();
+        let bytes = only_frame(&peer);
         let eth = EthernetFrame::parse(&bytes).unwrap();
         let ip = Ipv4Packet::parse(&eth.payload).unwrap();
         assert_eq!(&ip.payload[6..8], &[0xff, 0xff]);
@@ -1121,6 +1146,47 @@ mod tests {
         nic.poll();
         assert_eq!(nic.stats().rx_frames, 4);
         assert_eq!(nic.stats().rx_drops, 6);
+    }
+
+    #[test]
+    fn an_arrival_burst_larger_than_the_rx_ring_fills_it_and_drops_the_excess() {
+        let mut config = NicConfig::new(0);
+        config.rx_ring = 4;
+        let (mut nic, peer, _clock) = setup(config);
+        let burst = |from: usize, n: usize| (from..from + n).map(|i| Bytes::from(tcp_frame(i)));
+        assert_eq!(peer.transmit_burst(burst(0, 10)), 10);
+        nic.poll();
+        assert_eq!(nic.rx_queue_depth(0), 4);
+        assert_eq!((nic.stats().rx_frames, nic.stats().rx_drops), (4, 6));
+        // The ring holds the burst's first four frames, in order.
+        let kept: Vec<usize> = std::iter::from_fn(|| nic.receive())
+            .map(|frame| frame.len() - tcp_frame(0).len())
+            .collect();
+        assert_eq!(kept, [0, 1, 2, 3]);
+        // A burst into a ring with one free slot fills it and drops the rest.
+        assert_eq!(peer.transmit_burst(burst(20, 3)), 3);
+        nic.poll();
+        assert_eq!(peer.transmit_burst(burst(30, 5)), 5);
+        nic.poll();
+        assert_eq!(nic.rx_queue_depth(0), 4);
+        assert_eq!((nic.stats().rx_frames, nic.stats().rx_drops), (8, 10));
+    }
+
+    #[test]
+    fn a_running_link_is_up_without_reading_the_clock_until_a_reset() {
+        let (mut nic, _peer, clock) = setup(NicConfig::new(0));
+        assert_eq!(nic.link_up_at, None);
+        assert!(nic.is_link_up());
+        nic.reset();
+        assert!(!nic.is_link_up());
+        assert_eq!(nic.next_event(), nic.link_up_at);
+        clock.sleep(Duration::from_millis(1900));
+        // Up again by the clock; the first poll forgets the deadline.
+        assert!(nic.is_link_up());
+        assert!(nic.link_up_at.is_some());
+        nic.poll();
+        assert_eq!(nic.link_up_at, None);
+        assert_eq!(nic.next_event(), None);
     }
 
     #[test]
@@ -1171,7 +1237,7 @@ mod tests {
         // Transmit the flow on queue 2; the adapter samples it (ATR).
         nic.transmit_on(2, tcp_frame(100)).unwrap();
         nic.poll();
-        assert!(peer.poll_receive().is_some());
+        assert_eq!(on_the_wire(&peer).len(), 1);
         // The reply is steered to queue 2 by the flow director, wherever
         // the Toeplitz hash would have put it.
         peer.transmit(reply_frame(64));

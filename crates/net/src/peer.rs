@@ -245,9 +245,6 @@ struct PeerState {
     /// run early after a timer is cancelled (stale minimum); never
     /// late.
     next_client_timer: Option<Duration>,
-    /// The vector [`RemotePeer::flush_client`] collects a flow's frames in
-    /// before it transmits them outside the lock, kept between calls.
-    frame_scratch: Vec<Bytes>,
     stats: PeerStats,
 }
 
@@ -271,9 +268,18 @@ pub struct RemotePeer {
     /// out of its socket buffer).
     frames: Shelf,
     state: Mutex<PeerState>,
-    /// What the background thread parks on: written by the link when a
-    /// frame is sent towards the peer, and by every call that can arm a
-    /// client timer.
+    /// The receive burst [`RemotePeer::poll_once`] is working through, kept
+    /// between polls; held while it is handled, so frames are handled in
+    /// arrival order whoever polls.
+    arrivals: Mutex<Vec<Bytes>>,
+    /// Every frame the peer builds, in build order, until the public call
+    /// that built it puts them on the wire as one burst.  Frames built
+    /// under `state` are queued under it, so their wire order is the order
+    /// the state machine decided them in, across threads.
+    outbox: Mutex<Vec<Bytes>>,
+    /// What the background thread parks on: written by the link once per
+    /// burst sent towards the peer, and by every call that can arm a client
+    /// timer.
     wake: Arc<WakeWord>,
 }
 
@@ -290,9 +296,10 @@ impl RemotePeer {
                 clients: HashMap::new(),
                 arp_cache: HashMap::new(),
                 next_client_timer: None,
-                frame_scratch: Vec::new(),
                 stats: PeerStats::default(),
             }),
+            arrivals: Mutex::new(Vec::new()),
+            outbox: Mutex::new(Vec::new()),
             wake: Arc::new(WakeWord::new()),
         }
     }
@@ -333,15 +340,37 @@ impl RemotePeer {
             .count()
     }
 
-    /// Processes every frame currently waiting at the peer's link port and
-    /// runs the client-flow timers.  Returns the amount of work done.
+    /// Processes every frame currently waiting at the peer's link port, as
+    /// one receive burst, runs the client-flow timers and transmits what
+    /// they built as one burst.  Returns the amount of work done.
     pub fn poll_once(&self) -> usize {
-        let mut handled = 0;
-        while let Some(frame) = self.port.poll_receive() {
-            handled += 1;
-            self.handle_frame(&frame);
+        let mut arrivals = self.arrivals.lock();
+        let handled = self.port.receive_burst(&mut arrivals);
+        if handled > 0 {
+            self.state.lock().stats.frames += handled as u64;
+            for frame in arrivals.drain(..) {
+                self.handle_frame(&frame);
+            }
         }
-        handled + self.tick()
+        drop(arrivals);
+        let work = handled + self.run_timers();
+        self.transmit_outbox();
+        work
+    }
+
+    /// Queues a frame the peer built for the next burst.
+    fn emit(&self, frame: Bytes) {
+        self.outbox.lock().push(frame);
+    }
+
+    /// Puts every frame built so far on the wire as one burst.  The outbox
+    /// stays locked across the transmit, so a frame built later, on any
+    /// thread, leaves later.
+    fn transmit_outbox(&self) {
+        let mut outbox = self.outbox.lock();
+        if !outbox.is_empty() {
+            self.port.transmit_burst(outbox.drain(..));
+        }
     }
 
     /// The virtual time of the peer's next clock-driven work: the arrival of
@@ -388,7 +417,7 @@ impl RemotePeer {
         let mut frame = self.frames.take(ETHERNET_HEADER_LEN + payload.len());
         EthernetFrame::write_header(dst_mac, self.config.mac, ethertype, &mut frame);
         frame.extend_from_slice(payload);
-        self.port.transmit(frame.freeze());
+        self.emit(frame.freeze());
     }
 
     /// Starts a frame towards `dst_ip`: one buffer of the peer's shelf with
@@ -414,13 +443,10 @@ impl RemotePeer {
     fn send_ipv4(&self, dst_mac: MacAddr, dst_ip: Ipv4Addr, protocol: IpProtocol, payload: &[u8]) {
         let mut frame = self.ipv4_frame(dst_mac, dst_ip, protocol, payload.len());
         frame.extend_from_slice(payload);
-        self.port.transmit(frame.freeze());
+        self.emit(frame.freeze());
     }
 
     fn handle_frame(&self, bytes: &[u8]) {
-        {
-            self.state.lock().stats.frames += 1;
-        }
         let Ok(frame) = EthernetView::parse(bytes) else {
             self.state.lock().stats.parse_errors += 1;
             return;
@@ -442,28 +468,23 @@ impl RemotePeer {
         }
         // Learn the sender's mapping from requests and replies alike, and
         // kick any client flows that were waiting for it.
-        let resolved = {
-            let mut state = self.state.lock();
-            state.arp_cache.insert(arp.sender_ip, arp.sender_mac);
-            let mut syns = Vec::new();
-            for conn in state.clients.values_mut() {
-                if conn.status == ClientStatus::Resolving && conn.dst_ip == arp.sender_ip {
-                    conn.dst_mac = Some(arp.sender_mac);
-                    conn.status = ClientStatus::Connecting;
-                    conn.retries = 0;
-                    conn.rto = CLIENT_RTO_INITIAL;
-                    conn.rto_deadline = Some(self.clock.now() + conn.rto);
-                    syns.push((arp.sender_mac, conn.dst_ip, Self::client_syn(conn)));
-                }
+        let mut state = self.state.lock();
+        state.arp_cache.insert(arp.sender_ip, arp.sender_mac);
+        let mut kicked = None;
+        for conn in state.clients.values_mut() {
+            if conn.status == ClientStatus::Resolving && conn.dst_ip == arp.sender_ip {
+                let now = *kicked.get_or_insert_with(|| self.clock.now());
+                conn.dst_mac = Some(arp.sender_mac);
+                conn.status = ClientStatus::Connecting;
+                conn.retries = 0;
+                conn.rto = CLIENT_RTO_INITIAL;
+                conn.rto_deadline = Some(now + conn.rto);
+                let syn = Self::client_syn(conn);
+                self.emit(self.tcp_frame(arp.sender_mac, conn.dst_ip, syn.as_view()));
             }
-            if !syns.is_empty() {
-                let due = self.clock.now() + CLIENT_RTO_INITIAL;
-                state.note_client_timer(due);
-            }
-            syns
-        };
-        for (mac, ip, syn) in resolved {
-            self.send_tcp(mac, ip, syn.as_view());
+        }
+        if let Some(now) = kicked {
+            state.note_client_timer(now + CLIENT_RTO_INITIAL);
         }
     }
 
@@ -551,10 +572,9 @@ impl RemotePeer {
             .copied();
 
         // Replies are built where they are decided, each once, in the frame
-        // it crosses the link in, and transmitted outside the lock.
-        let mut replies: Vec<Bytes> = Vec::new();
-        let mut reply = |segment: TcpView<'_>| {
-            replies.push(self.tcp_frame(frame.src, packet.src, segment));
+        // it crosses the link in, and queued in the order they are decided.
+        let reply = |segment: TcpView<'_>| {
+            self.emit(self.tcp_frame(frame.src, packet.src, segment));
         };
         {
             let mut state = self.state.lock();
@@ -574,8 +594,7 @@ impl RemotePeer {
                         TcpFlags::RST,
                     );
                     rst.window = 0;
-                    drop(state);
-                    self.send_tcp(frame.src, packet.src, rst.as_view());
+                    reply(rst.as_view());
                     return;
                 };
                 let isn = 0x7000_0000u32.wrapping_add(seg.seq);
@@ -672,9 +691,6 @@ impl RemotePeer {
                 reply(rst.as_view());
             }
         }
-        for built in replies {
-            self.port.transmit(built);
-        }
     }
 
     /// Builds the whole frame carrying `segment` in one buffer: headers
@@ -684,10 +700,6 @@ impl RemotePeer {
         let mut frame = self.ipv4_frame(dst_mac, dst_ip, IpProtocol::Tcp, segment.wire_len());
         segment.write(self.config.ip, dst_ip, &mut frame);
         frame.freeze()
-    }
-
-    fn send_tcp(&self, dst_mac: MacAddr, dst_ip: Ipv4Addr, segment: TcpView<'_>) {
-        self.port.transmit(self.tcp_frame(dst_mac, dst_ip, segment));
     }
 
     // ---- client flows (the load generator's wire side) ----------------------
@@ -718,24 +730,21 @@ impl RemotePeer {
             rto_deadline: Some(now + CLIENT_RTO_INITIAL),
             retries: 0,
         };
-        let cached_mac = self.state.lock().arp_cache.get(&dst_ip).copied();
-        let action = match cached_mac {
-            Some(mac) => {
-                conn.dst_mac = Some(mac);
-                conn.status = ClientStatus::Connecting;
-                Some((mac, dst_ip, Self::client_syn(&conn)))
-            }
-            None => None,
-        };
         {
             let mut state = self.state.lock();
+            match state.arp_cache.get(&dst_ip).copied() {
+                Some(mac) => {
+                    conn.dst_mac = Some(mac);
+                    conn.status = ClientStatus::Connecting;
+                    let syn = Self::client_syn(&conn);
+                    self.emit(self.tcp_frame(mac, dst_ip, syn.as_view()));
+                }
+                None => self.send_arp_request(dst_ip),
+            }
             state.note_client_timer(now + CLIENT_RTO_INITIAL);
             state.clients.insert(src_port, conn);
         }
-        match action {
-            Some((mac, ip, syn)) => self.send_tcp(mac, ip, syn.as_view()),
-            None => self.send_arp_request(dst_ip),
-        }
+        self.transmit_outbox();
         self.wake.write();
     }
 
@@ -743,21 +752,23 @@ impl RemotePeer {
     /// `src_port` and flushes as much as the window allows.  Returns `false`
     /// if no such flow exists or it has failed.
     pub fn client_send(&self, src_port: u16, data: &[u8]) -> bool {
-        let ok = {
+        {
             let mut state = self.state.lock();
-            match state.clients.get_mut(&src_port) {
-                Some(conn) if conn.status != ClientStatus::Failed => {
-                    conn.tx.push(data);
-                    true
-                }
-                _ => false,
+            let Some(conn) = state
+                .clients
+                .get_mut(&src_port)
+                .filter(|conn| conn.status != ClientStatus::Failed)
+            else {
+                return false;
+            };
+            conn.tx.push(data);
+            if let Some(due) = self.send_window(conn) {
+                state.note_client_timer(due);
             }
-        };
-        if ok {
-            self.flush_client(src_port);
-            self.wake.write();
         }
-        ok
+        self.transmit_outbox();
+        self.wake.write();
+        true
     }
 
     /// Takes every response byte the client flow has received so far.  When
@@ -785,29 +796,26 @@ impl RemotePeer {
     /// it.  Load generators use this to recycle connections; an orderly FIN
     /// exchange is not needed for the workloads the peer drives.
     pub fn client_close(&self, src_port: u16) {
-        let rst = {
+        {
             let mut state = self.state.lock();
             let Some(conn) = state.clients.remove(&src_port) else {
                 return;
             };
-            match (conn.dst_mac, conn.status) {
-                (Some(mac), ClientStatus::Established | ClientStatus::Connecting) => {
-                    let mut rst = TcpSegment::control(
-                        conn.src_port,
-                        conn.dst_port,
-                        conn.snd_nxt(),
-                        conn.rcv_nxt,
-                        TcpFlags::RST,
-                    );
-                    rst.window = 0;
-                    Some((mac, conn.dst_ip, rst))
-                }
-                _ => None,
+            if let (Some(mac), ClientStatus::Established | ClientStatus::Connecting) =
+                (conn.dst_mac, conn.status)
+            {
+                let mut rst = TcpSegment::control(
+                    conn.src_port,
+                    conn.dst_port,
+                    conn.snd_nxt(),
+                    conn.rcv_nxt,
+                    TcpFlags::RST,
+                );
+                rst.window = 0;
+                self.emit(self.tcp_frame(mac, conn.dst_ip, rst.as_view()));
             }
-        };
-        if let Some((mac, ip, rst)) = rst {
-            self.send_tcp(mac, ip, rst.as_view());
         }
+        self.transmit_outbox();
         self.wake.write();
     }
 
@@ -865,6 +873,7 @@ impl RemotePeer {
             let packet = Ipv4Packet::new(src, dst_ip, IpProtocol::Tcp, syn.build(src, dst_ip));
             self.send_frame(mac, EtherType::Ipv4, &packet.build());
         }
+        self.transmit_outbox();
         count
     }
 
@@ -881,8 +890,9 @@ impl RemotePeer {
                 self.config.ip.octets(),
                 dst_ip.octets(),
             );
-            self.port.transmit(frame);
+            self.emit(frame.into());
         }
+        self.transmit_outbox();
         count
     }
 
@@ -919,238 +929,216 @@ impl RemotePeer {
         self.send_frame(MacAddr::BROADCAST, EtherType::Arp, &req.build());
     }
 
-    /// Moves backlog bytes into the window and transmits them, each data
-    /// frame built once, straight from the send queue.
-    fn flush_client(&self, src_port: u16) {
-        let now = self.clock.now();
-        let mut frames = {
-            let mut state = self.state.lock();
-            let PeerState {
-                clients,
-                frame_scratch,
-                ..
-            } = &mut *state;
-            let Some(conn) = clients.get_mut(&src_port) else {
-                return;
-            };
-            if conn.status != ClientStatus::Established {
-                return;
-            }
-            let Some(mac) = conn.dst_mac else { return };
-            let window = (conn.peer_window as usize).min(CLIENT_WINDOW);
-            while conn.tx.backlog_len() > 0 && conn.tx.in_flight < window {
-                let take = conn
-                    .tx
-                    .backlog_len()
-                    .min(CLIENT_MSS)
-                    .min(window - conn.tx.in_flight);
-                let segment = TcpView {
-                    src_port: conn.src_port,
-                    dst_port: conn.dst_port,
-                    seq: conn.snd_nxt(),
-                    ack: conn.rcv_nxt,
-                    flags: TcpFlags::PSH_ACK,
-                    window: u16::MAX,
-                    mss: None,
-                    payload: conn.tx.send(take),
-                };
-                frame_scratch.push(self.tcp_frame(mac, conn.dst_ip, segment));
-            }
-            if frame_scratch.is_empty() {
-                return;
-            }
-            let frames = std::mem::take(frame_scratch);
-            if conn.rto_deadline.is_none() {
-                let due = now + conn.rto;
-                conn.rto_deadline = Some(due);
-                state.note_client_timer(due);
-            }
-            frames
-        };
-        for frame in frames.drain(..) {
-            self.port.transmit(frame);
+    /// Moves backlog bytes of an established client flow into the window,
+    /// each data frame built once, straight from the send queue, into the
+    /// outbox.  Returns the retransmission deadline it armed, if any.
+    fn send_window(&self, conn: &mut ClientConn) -> Option<Duration> {
+        if conn.status != ClientStatus::Established {
+            return None;
         }
-        self.state.lock().frame_scratch = frames;
+        let mac = conn.dst_mac?;
+        let window = (conn.peer_window as usize).min(CLIENT_WINDOW);
+        if conn.tx.backlog_len() == 0 || conn.tx.in_flight >= window {
+            return None;
+        }
+        let mut outbox = self.outbox.lock();
+        while conn.tx.backlog_len() > 0 && conn.tx.in_flight < window {
+            let take = conn
+                .tx
+                .backlog_len()
+                .min(CLIENT_MSS)
+                .min(window - conn.tx.in_flight);
+            let segment = TcpView {
+                src_port: conn.src_port,
+                dst_port: conn.dst_port,
+                seq: conn.snd_nxt(),
+                ack: conn.rcv_nxt,
+                flags: TcpFlags::PSH_ACK,
+                window: u16::MAX,
+                mss: None,
+                payload: conn.tx.send(take),
+            };
+            outbox.push(self.tcp_frame(mac, conn.dst_ip, segment));
+        }
+        if conn.rto_deadline.is_some() {
+            return None;
+        }
+        let due = self.clock.now() + conn.rto;
+        conn.rto_deadline = Some(due);
+        Some(due)
     }
 
-    /// Handles an inbound segment belonging to a client flow.
+    /// Handles an inbound segment belonging to a client flow: the ACK it
+    /// calls for goes into the outbox before the data its acknowledgement
+    /// releases.
     fn handle_client_segment(
         &self,
         frame: &EthernetView<'_>,
         packet: &Ipv4View<'_>,
         seg: &TcpView<'_>,
     ) {
-        let mut reply: Option<TcpSegment> = None;
-        let mut flush = false;
-        {
-            let mut state = self.state.lock();
-            let PeerState { clients, stats, .. } = &mut *state;
-            let Some(conn) = clients.get_mut(&seg.dst_port) else {
-                return;
-            };
-            // Refresh the MAC from live traffic (gratuitous resolution).
-            conn.dst_mac = Some(frame.src);
-            conn.peer_window = (seg.window as u32).max(1);
-            if seg.flags.rst {
-                conn.status = ClientStatus::Failed;
-                return;
-            }
-            match conn.status {
-                ClientStatus::Connecting if seg.flags.syn && seg.flags.ack => {
-                    if seg.ack != conn.isn.wrapping_add(1) {
-                        return; // stale SYN-ACK of a dead incarnation
-                    }
-                    conn.rcv_nxt = seg.seq.wrapping_add(1);
-                    conn.status = ClientStatus::Established;
-                    conn.retries = 0;
-                    conn.rto = CLIENT_RTO_INITIAL;
-                    conn.rto_deadline = None;
-                    let mut ack = TcpSegment::control(
-                        conn.src_port,
-                        conn.dst_port,
-                        conn.snd_nxt(),
-                        conn.rcv_nxt,
-                        TcpFlags::ACK,
-                    );
-                    ack.window = u16::MAX;
-                    reply = Some(ack);
-                    flush = true;
+        let mut state = self.state.lock();
+        let PeerState { clients, stats, .. } = &mut *state;
+        let Some(conn) = clients.get_mut(&seg.dst_port) else {
+            return;
+        };
+        // Refresh the MAC from live traffic (gratuitous resolution).
+        conn.dst_mac = Some(frame.src);
+        conn.peer_window = (seg.window as u32).max(1);
+        if seg.flags.rst {
+            conn.status = ClientStatus::Failed;
+            return;
+        }
+        let mut ack_due = false;
+        let mut window_opened = false;
+        match conn.status {
+            ClientStatus::Connecting if seg.flags.syn && seg.flags.ack => {
+                if seg.ack != conn.isn.wrapping_add(1) {
+                    return; // stale SYN-ACK of a dead incarnation
                 }
-                ClientStatus::Established | ClientStatus::Closed => {
-                    let mut ack_due = false;
-                    // ACK processing for our outstanding request data.
-                    if seg.flags.ack {
-                        let acked = seg.ack.wrapping_sub(conn.snd_una);
-                        if acked > 0 && acked as usize <= conn.tx.in_flight {
-                            conn.tx.ack(acked as usize);
-                            conn.snd_una = seg.ack;
-                            conn.retries = 0;
-                            conn.rto = CLIENT_RTO_INITIAL;
-                            conn.rto_deadline = if conn.tx.in_flight == 0 {
-                                None
-                            } else {
-                                Some(self.clock.now() + conn.rto)
-                            };
-                            flush = true;
-                        }
-                    }
-                    // In-order response data is accumulated; anything else
-                    // is re-ACKed so the stack fast-retransmits.
-                    if !seg.payload.is_empty() {
-                        if seg.seq == conn.rcv_nxt {
-                            conn.rcv_nxt = conn.rcv_nxt.wrapping_add(seg.payload.len() as u32);
-                            conn.received.extend_from_slice(seg.payload);
-                            stats.tcp_bytes_received += seg.payload.len() as u64;
+                conn.rcv_nxt = seg.seq.wrapping_add(1);
+                conn.status = ClientStatus::Established;
+                conn.retries = 0;
+                conn.rto = CLIENT_RTO_INITIAL;
+                conn.rto_deadline = None;
+                ack_due = true;
+                window_opened = true;
+            }
+            ClientStatus::Established | ClientStatus::Closed => {
+                // ACK processing for our outstanding request data.
+                if seg.flags.ack {
+                    let acked = seg.ack.wrapping_sub(conn.snd_una);
+                    if acked > 0 && acked as usize <= conn.tx.in_flight {
+                        conn.tx.ack(acked as usize);
+                        conn.snd_una = seg.ack;
+                        conn.retries = 0;
+                        conn.rto = CLIENT_RTO_INITIAL;
+                        conn.rto_deadline = if conn.tx.in_flight == 0 {
+                            None
                         } else {
-                            stats.tcp_out_of_order += 1;
-                        }
-                        ack_due = true;
-                    }
-                    if seg.flags.fin
-                        && seg.seq.wrapping_add(seg.payload.len() as u32) == conn.rcv_nxt
-                    {
-                        conn.rcv_nxt = conn.rcv_nxt.wrapping_add(1);
-                        conn.status = ClientStatus::Closed;
-                        ack_due = true;
-                    }
-                    if ack_due {
-                        let mut ack = TcpSegment::control(
-                            conn.src_port,
-                            conn.dst_port,
-                            conn.snd_nxt(),
-                            conn.rcv_nxt,
-                            TcpFlags::ACK,
-                        );
-                        ack.window = u16::MAX;
-                        reply = Some(ack);
+                            Some(self.clock.now() + conn.rto)
+                        };
+                        window_opened = true;
                     }
                 }
-                _ => {}
+                // In-order response data is accumulated; anything else
+                // is re-ACKed so the stack fast-retransmits.
+                if !seg.payload.is_empty() {
+                    if seg.seq == conn.rcv_nxt {
+                        conn.rcv_nxt = conn.rcv_nxt.wrapping_add(seg.payload.len() as u32);
+                        conn.received.extend_from_slice(seg.payload);
+                        stats.tcp_bytes_received += seg.payload.len() as u64;
+                    } else {
+                        stats.tcp_out_of_order += 1;
+                    }
+                    ack_due = true;
+                }
+                if seg.flags.fin && seg.seq.wrapping_add(seg.payload.len() as u32) == conn.rcv_nxt
+                {
+                    conn.rcv_nxt = conn.rcv_nxt.wrapping_add(1);
+                    conn.status = ClientStatus::Closed;
+                    ack_due = true;
+                }
             }
+            _ => {}
         }
-        if let Some(reply) = reply {
-            self.send_tcp(frame.src, packet.src, reply.as_view());
+        if ack_due {
+            let mut ack = TcpSegment::control(
+                conn.src_port,
+                conn.dst_port,
+                conn.snd_nxt(),
+                conn.rcv_nxt,
+                TcpFlags::ACK,
+            );
+            ack.window = u16::MAX;
+            self.emit(self.tcp_frame(frame.src, packet.src, ack.as_view()));
         }
-        if flush {
-            self.flush_client(seg.dst_port);
+        if window_opened {
+            if let Some(due) = self.send_window(conn) {
+                state.note_client_timer(due);
+            }
         }
     }
 
-    /// Runs the client-flow timers: ARP and SYN retries plus data
-    /// retransmission on a doubling RTO.  Returns the amount of work done.
+    /// Runs the client-flow timers — ARP and SYN retries plus data
+    /// retransmission on a doubling RTO — and transmits what they built as
+    /// one burst.  Returns the amount of work done.
     pub fn tick(&self) -> usize {
+        let work = self.run_timers();
+        self.transmit_outbox();
+        work
+    }
+
+    /// The timers of [`RemotePeer::tick`]: builds every retry that is due
+    /// into the outbox and returns how many it built.
+    fn run_timers(&self) -> usize {
         let now = self.clock.now();
-        let mut arps: Vec<Ipv4Addr> = Vec::new();
-        let mut frames: Vec<Bytes> = Vec::new();
-        {
-            let mut state = self.state.lock();
-            // Earliest-deadline gate: skip the O(clients) scan unless some
-            // armed timer is actually due.  With a large idle keep-alive
-            // population this makes the common tick O(1).
-            match state.next_client_timer {
-                Some(due) if now >= due => {}
-                _ => return 0,
+        let mut state = self.state.lock();
+        // Earliest-deadline gate: skip the O(clients) scan unless some
+        // armed timer is actually due.  With a large idle keep-alive
+        // population this makes the common tick O(1).
+        match state.next_client_timer {
+            Some(due) if now >= due => {}
+            _ => return 0,
+        }
+        let mut work = 0;
+        let mut next: Option<Duration> = None;
+        for conn in state.clients.values_mut() {
+            let Some(deadline) = conn.rto_deadline else {
+                continue;
+            };
+            if now < deadline {
+                next = Some(next.map_or(deadline, |n| n.min(deadline)));
+                continue;
             }
-            let mut next: Option<Duration> = None;
-            for conn in state.clients.values_mut() {
-                let Some(deadline) = conn.rto_deadline else {
-                    continue;
-                };
-                if now < deadline {
-                    next = Some(next.map_or(deadline, |n| n.min(deadline)));
-                    continue;
+            conn.retries += 1;
+            if conn.retries > CLIENT_MAX_RETRIES {
+                conn.status = ClientStatus::Failed;
+                conn.rto_deadline = None;
+                continue;
+            }
+            conn.rto = (conn.rto * 2).min(CLIENT_RTO_MAX);
+            conn.rto_deadline = Some(now + conn.rto);
+            match conn.status {
+                ClientStatus::Resolving => {
+                    self.send_arp_request(conn.dst_ip);
+                    work += 1;
                 }
-                conn.retries += 1;
-                if conn.retries > CLIENT_MAX_RETRIES {
-                    conn.status = ClientStatus::Failed;
+                ClientStatus::Connecting => {
+                    if let Some(mac) = conn.dst_mac {
+                        let syn = Self::client_syn(conn);
+                        self.emit(self.tcp_frame(mac, conn.dst_ip, syn.as_view()));
+                        work += 1;
+                    }
+                }
+                ClientStatus::Established if conn.tx.in_flight > 0 => {
+                    if let Some(mac) = conn.dst_mac {
+                        // Like the first transmission: built once,
+                        // straight from the send queue.
+                        let len = conn.tx.in_flight.min(CLIENT_MSS);
+                        let segment = TcpView {
+                            src_port: conn.src_port,
+                            dst_port: conn.dst_port,
+                            seq: conn.snd_una,
+                            ack: conn.rcv_nxt,
+                            flags: TcpFlags::PSH_ACK,
+                            window: u16::MAX,
+                            mss: None,
+                            payload: &conn.tx.unacked()[..len],
+                        };
+                        self.emit(self.tcp_frame(mac, conn.dst_ip, segment));
+                        work += 1;
+                    }
+                }
+                _ => {
                     conn.rto_deadline = None;
-                    continue;
-                }
-                conn.rto = (conn.rto * 2).min(CLIENT_RTO_MAX);
-                conn.rto_deadline = Some(now + conn.rto);
-                match conn.status {
-                    ClientStatus::Resolving => arps.push(conn.dst_ip),
-                    ClientStatus::Connecting => {
-                        if let Some(mac) = conn.dst_mac {
-                            let syn = Self::client_syn(conn);
-                            frames.push(self.tcp_frame(mac, conn.dst_ip, syn.as_view()));
-                        }
-                    }
-                    ClientStatus::Established if conn.tx.in_flight > 0 => {
-                        if let Some(mac) = conn.dst_mac {
-                            // Like the first transmission: built once,
-                            // straight from the send queue.
-                            let len = conn.tx.in_flight.min(CLIENT_MSS);
-                            let segment = TcpView {
-                                src_port: conn.src_port,
-                                dst_port: conn.dst_port,
-                                seq: conn.snd_una,
-                                ack: conn.rcv_nxt,
-                                flags: TcpFlags::PSH_ACK,
-                                window: u16::MAX,
-                                mss: None,
-                                payload: &conn.tx.unacked()[..len],
-                            };
-                            frames.push(self.tcp_frame(mac, conn.dst_ip, segment));
-                        }
-                    }
-                    _ => {
-                        conn.rto_deadline = None;
-                    }
-                }
-                if let Some(deadline) = conn.rto_deadline {
-                    next = Some(next.map_or(deadline, |n| n.min(deadline)));
                 }
             }
-            state.next_client_timer = next;
+            if let Some(deadline) = conn.rto_deadline {
+                next = Some(next.map_or(deadline, |n| n.min(deadline)));
+            }
         }
-        let work = arps.len() + frames.len();
-        for target in arps {
-            self.send_arp_request(target);
-        }
-        for frame in frames {
-            self.port.transmit(frame);
-        }
+        state.next_client_timer = next;
         work
     }
 
@@ -1190,12 +1178,16 @@ impl Drop for PeerHandle {
 mod tests {
     use super::*;
     use crate::link::{Link, LinkConfig};
+    use std::cell::RefCell;
+    use std::collections::VecDeque;
 
     struct Harness {
         peer: RemotePeer,
         port: LinkPort,
         local_mac: MacAddr,
         local_ip: Ipv4Addr,
+        /// Frames received at `port` and not yet looked at.
+        arrived: RefCell<VecDeque<Bytes>>,
     }
 
     fn setup() -> Harness {
@@ -1207,6 +1199,7 @@ mod tests {
             port: a,
             local_mac: MacAddr::from_index(1),
             local_ip: Ipv4Addr::new(10, 0, 0, 1),
+            arrived: RefCell::default(),
         }
     }
 
@@ -1222,8 +1215,19 @@ mod tests {
             self.port.transmit(frame.build());
         }
 
+        /// The next frame the peer sent, if one has arrived.
+        fn recv(&self) -> Option<Bytes> {
+            let mut arrived = self.arrived.borrow_mut();
+            if arrived.is_empty() {
+                let mut burst = Vec::new();
+                self.port.receive_burst(&mut burst);
+                arrived.extend(burst);
+            }
+            arrived.pop_front()
+        }
+
         fn recv_tcp(&self) -> Option<TcpSegment> {
-            let bytes = self.port.poll_receive()?;
+            let bytes = self.recv()?;
             let eth = EthernetFrame::parse(&bytes).ok()?;
             let ip = Ipv4Packet::parse(&eth.payload).ok()?;
             TcpSegment::parse(&ip.payload, ip.src, ip.dst).ok()
@@ -1262,7 +1266,7 @@ mod tests {
             EthernetFrame::new(MacAddr::BROADCAST, h.local_mac, EtherType::Arp, req.build());
         h.port.transmit(frame.build());
         h.peer.poll_once();
-        let reply_bytes = h.port.poll_receive().expect("arp reply expected");
+        let reply_bytes = h.recv().expect("arp reply expected");
         let reply_frame = EthernetFrame::parse(&reply_bytes).unwrap();
         let reply = ArpPacket::parse(&reply_frame.payload).unwrap();
         assert_eq!(reply.operation, ArpOperation::Reply);
@@ -1276,7 +1280,7 @@ mod tests {
         let ping = IcmpMessage::echo_request(7, 1, b"hello".to_vec());
         h.send_ipv4(IpProtocol::Icmp, ping.build());
         h.peer.poll_once();
-        let bytes = h.port.poll_receive().expect("echo reply expected");
+        let bytes = h.recv().expect("echo reply expected");
         let eth = EthernetFrame::parse(&bytes).unwrap();
         let ip = Ipv4Packet::parse(&eth.payload).unwrap();
         let reply = IcmpMessage::parse(&ip.payload).unwrap();
@@ -1291,7 +1295,7 @@ mod tests {
         let query = UdpDatagram::new(5353, DNS_PORT, b"www.example.org".to_vec());
         h.send_ipv4(IpProtocol::Udp, query.build(h.local_ip, h.peer.ip()));
         h.peer.poll_once();
-        let bytes = h.port.poll_receive().expect("dns answer expected");
+        let bytes = h.recv().expect("dns answer expected");
         let eth = EthernetFrame::parse(&bytes).unwrap();
         let ip = Ipv4Packet::parse(&eth.payload).unwrap();
         let reply = UdpDatagram::parse(&ip.payload, ip.src, ip.dst).unwrap();
@@ -1403,6 +1407,69 @@ mod tests {
     }
 
     #[test]
+    fn an_ack_leaves_before_the_data_it_releases_in_one_burst() {
+        let h = setup();
+        let port = 49_500;
+        let stack_isn = 1_000u32;
+        h.peer.client_connect(port, h.local_ip, 8080);
+        // Resolve: answer the peer's ARP request.
+        let request = h.recv().expect("arp request");
+        let request = ArpPacket::parse(&EthernetFrame::parse(&request).unwrap().payload).unwrap();
+        let reply = ArpPacket::reply_to(&request, h.local_mac, h.local_ip);
+        let reply = EthernetFrame::new(h.peer.mac(), h.local_mac, EtherType::Arp, reply.build());
+        h.port.transmit(reply.build());
+        h.peer.poll_once();
+        let syn = h.recv_tcp().expect("syn");
+        assert!(syn.flags.syn);
+        // Accept with a 2000-byte window, so a long write waits for it.
+        let mut syn_ack =
+            TcpSegment::control(8080, port, stack_isn, syn.seq + 1, TcpFlags::SYN_ACK);
+        syn_ack.window = 2_000;
+        h.send_ipv4(IpProtocol::Tcp, syn_ack.build(h.local_ip, h.peer.ip()));
+        h.peer.poll_once();
+        assert!(h.recv_tcp().expect("handshake ack").payload.is_empty());
+        assert!(h.peer.client_send(port, &[7u8; 10_000]));
+        let first_window: usize = std::iter::from_fn(|| h.recv_tcp())
+            .map(|seg| seg.payload.len())
+            .sum();
+        assert_eq!(first_window, 2_000);
+
+        // One segment carries response bytes and acknowledges the window.
+        let mut response = TcpSegment::control(
+            8080,
+            port,
+            stack_isn + 1,
+            syn.seq + 1 + 2_000,
+            TcpFlags::PSH_ACK,
+        );
+        response.window = 2_000;
+        response.payload = b"response".to_vec();
+        h.send_ipv4(IpProtocol::Tcp, response.build(h.local_ip, h.peer.ip()));
+        h.peer.poll_once();
+        let mut burst = Vec::new();
+        h.port.receive_burst(&mut burst);
+        let segments: Vec<TcpSegment> = burst
+            .iter()
+            .map(|bytes| {
+                let eth = EthernetFrame::parse(bytes).unwrap();
+                let ip = Ipv4Packet::parse(&eth.payload).unwrap();
+                TcpSegment::parse(&ip.payload, ip.src, ip.dst).unwrap()
+            })
+            .collect();
+        // The ACK of the response first, then the data it released, in
+        // sequence order.
+        let (ack, data) = segments.split_first().expect("a burst");
+        assert!(ack.payload.is_empty(), "the ACK must lead: {segments:?}");
+        assert_eq!(ack.ack, stack_isn + 1 + 8);
+        let mut seq = syn.seq + 1 + 2_000;
+        for seg in data {
+            assert_eq!(seg.seq, seq);
+            seq += seg.payload.len() as u32;
+        }
+        assert_eq!(seq, syn.seq + 1 + 4_000);
+    }
+
+    #[test]
     fn corrupted_frames_are_counted_not_crashing() {
         let h = setup();
         let mut seg = TcpSegment::control(1, IPERF_PORT, 0, 0, TcpFlags::SYN);
@@ -1414,7 +1481,7 @@ mod tests {
         h.port.transmit(frame.build());
         h.peer.poll_once();
         assert_eq!(h.peer.stats().parse_errors, 1);
-        assert!(h.port.poll_receive().is_none());
+        assert!(h.recv().is_none());
     }
 
     /// Two peers on one link: `a` originates client flows towards `b`'s
@@ -1523,11 +1590,14 @@ mod tests {
             a.poll_once();
             // Answer ARP (so the failure is the handshake, not resolution)
             // but never the SYN.
-            while let Some(frame) = b.port.poll_receive() {
+            let mut arrived = Vec::new();
+            b.port.receive_burst(&mut arrived);
+            for frame in arrived {
                 if frame.len() >= 14 && frame[12] == 0x08 && frame[13] == 0x06 {
                     b.handle_frame(&frame);
                 }
             }
+            b.transmit_outbox();
             clock.sleep(Duration::from_millis(50));
         }
     }
@@ -1549,9 +1619,10 @@ mod tests {
         );
         a.transmit(frame.build());
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        let mut replies = Vec::new();
         let mut got_reply = false;
         while std::time::Instant::now() < deadline && !got_reply {
-            got_reply = a.poll_receive().is_some();
+            got_reply = a.receive_burst(&mut replies) > 0;
             std::thread::sleep(Duration::from_millis(1));
         }
         handle.stop();

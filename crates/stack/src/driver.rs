@@ -220,6 +220,11 @@ impl DriverServer {
             self.handle_crash(&event);
         }
 
+        // The device is locked once for the whole round: every transmit
+        // chain, the DMA step and the receive rings.
+        let nic_arc = Arc::clone(&self.nic);
+        let mut nic = nic_arc.lock();
+
         // Transmit requests from each shard's IP server, drained in one
         // batch per lane into a reused scratch buffer; the acknowledgements
         // go back as one batch per lane too.  Shard s transmits on TX queue
@@ -231,7 +236,7 @@ impl DriverServer {
                 work += 1;
                 let IpToDrv::TransmitBatch(mut batch) = request;
                 for (req, chain) in batch.drain(..) {
-                    self.handle_transmit(shard, req, chain);
+                    self.handle_transmit(&mut nic, shard, req, chain);
                 }
                 self.inboxes[shard].recycle(IpToDrv::TransmitBatch(batch));
             }
@@ -257,8 +262,6 @@ impl DriverServer {
         // of one connection becomes a single oversized deliver message.
         {
             let shards = self.outboxes.len();
-            let nic_arc = Arc::clone(&self.nic);
-            let mut nic = nic_arc.lock();
             nic.poll();
             let queues = nic.queues();
             for queue in 0..queues {
@@ -300,6 +303,7 @@ impl DriverServer {
                 self.stats.rx_merged = gro_stats.merged_out;
             }
         }
+        drop(nic);
 
         // Hand each shard's received burst to its IP server as one message.
         for shard in 0..self.rx_batches.len() {
@@ -340,7 +344,7 @@ impl DriverServer {
 
     /// Hands one transmit request's chain to the device and queues the
     /// acknowledgement for this round's completion batch.
-    fn handle_transmit(&mut self, shard: usize, req: RequestId, chain: RichChain) {
+    fn handle_transmit(&mut self, nic: &mut Nic, shard: usize, req: RequestId, chain: RichChain) {
         self.stats.tx_requests += 1;
         // The chain is handed to the device as a scatter list of refcounted
         // views — the driver never flattens a frame into a local buffer
@@ -348,7 +352,6 @@ impl DriverServer {
         // gather-DMA job.
         let mut parts = std::mem::take(&mut self.parts_scratch);
         let ok = if self.pools.parts_into(&chain, &mut parts) {
-            let mut nic = self.nic.lock();
             match nic.transmit_scattered(shard, &parts) {
                 // The ring is full of frames queued earlier in this
                 // very batch (a round can carry more transmits than
@@ -445,6 +448,13 @@ mod tests {
         nic: Arc<Mutex<Nic>>,
     }
 
+    /// Every frame that has crossed the link to `port`, as one burst.
+    fn on_the_wire(port: &LinkPort) -> Vec<Bytes> {
+        let mut frames = Vec::new();
+        port.receive_burst(&mut frames);
+        frames
+    }
+
     fn rig() -> Rig {
         let clock = SimClock::with_speedup(100.0);
         let (_link, nic_port, peer_port) = Link::new(LinkConfig::unshaped(), clock.clone());
@@ -524,7 +534,10 @@ mod tests {
         );
         rig.driver.poll();
         // The frame went out on the link...
-        let on_wire = rig.peer_port.poll_receive().expect("frame on the wire");
+        let on_wire = on_the_wire(&rig.peer_port);
+        let [on_wire] = &on_wire[..] else {
+            panic!("expected one frame on the wire, got {}", on_wire.len());
+        };
         assert_eq!(on_wire.len(), frame.len());
         // ...and IP got the acknowledgement — one batch message for the
         // round — so it can free the chain.
@@ -552,7 +565,7 @@ mod tests {
             "the driver must drain the ring, not fail what overflows it"
         );
         assert_eq!(rig.driver.stats().tx_failures, 0);
-        assert_eq!(rig.peer_port.drain_receive().len(), count);
+        assert_eq!(on_the_wire(&rig.peer_port).len(), count);
     }
 
     #[test]
@@ -796,9 +809,12 @@ mod tests {
             IpToDrv::TransmitBatch(vec![(RequestId::from_raw(9), RichChain::single(ptr))]),
         );
         rig.driver.poll();
-        let on_wire = rig.peer_port.poll_receive().expect("datagram on the wire");
+        let on_wire = on_the_wire(&rig.peer_port);
+        let [on_wire] = &on_wire[..] else {
+            panic!("expected one datagram on the wire, got {}", on_wire.len());
+        };
         // The peer answers; the flow director pins the reply to shard 1.
-        rig.peer_port.transmit(reply_to(&on_wire));
+        rig.peer_port.transmit(reply_to(on_wire));
         rig.driver.poll();
         assert!(drain(&rig.from_driver[0]).is_empty());
         // Lane 1 carries the transmit acknowledgement and the steered reply.
