@@ -25,9 +25,9 @@ fn main() {
     let scale = 100.0 / report.total().max(1) as f64;
     println!("{:<10} {:>8} {:>14}", "component", "paper", "measured/100");
     for (label, component, paper) in [
-        ("TCP", Component::Tcp, 25.0),
-        ("UDP", Component::Udp, 10.0),
-        ("IP", Component::Ip, 24.0),
+        ("TCP", Component::TcpShard(0), 25.0),
+        ("UDP", Component::UdpShard(0), 10.0),
+        ("IP", Component::IpShard(0), 24.0),
         ("PF", Component::PacketFilter, 25.0),
         ("Driver", Component::Driver(0), 16.0),
     ] {

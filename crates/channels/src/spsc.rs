@@ -573,12 +573,6 @@ impl<T> Receiver<T> {
         self.shared.sender_alive.load(Ordering::Acquire)
     }
 
-    /// Returns a handle to the queue's wake word (what a producer writes to
-    /// and an idle consumer monitors).
-    pub fn wake_word_value(&self) -> u64 {
-        self.shared.wake.value()
-    }
-
     /// Returns traffic counters for this queue.
     pub fn stats(&self) -> QueueStats {
         self.shared.stats()

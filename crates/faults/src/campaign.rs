@@ -12,6 +12,11 @@
 //! * did the crash break established TCP connections?
 //! * was UDP unaffected?
 //! * was a full reboot of the stack necessary?
+//!
+//! The components it picks from are those of the stack each run boots
+//! ([`StackConfig::components`], the placement table flattened), with one
+//! spelling per component: a one-shard stack is shard 0 of an N-shard one,
+//! so its TCP server is `TcpShard(0)` and reports as `tcp.0`.
 
 use std::time::Duration;
 
@@ -96,7 +101,21 @@ impl CampaignConfig {
     /// five classes (Table III), with the TCP/UDP/IP classes expanded to
     /// one target per configured shard replica.
     pub fn fault_targets(&self) -> Vec<Component> {
-        topology_fault_targets(self.shards, false)
+        injectable(&self.stack_config(), false)
+    }
+
+    /// The stack each run boots.
+    fn stack_config(&self) -> StackConfig {
+        // Hang detection relies on the heartbeat watchdog; use a timeout
+        // short enough (in virtual time) that reaping happens promptly at
+        // this speed-up without risking spurious reaps of healthy services.
+        StackConfig {
+            heartbeat_timeout: Duration::from_secs(20),
+            ..StackConfig::newtos()
+                .shards(self.shards)
+                .link(LinkConfig::unshaped())
+                .clock_speedup(self.clock_speedup)
+        }
     }
 
     /// The weight table actually used for target selection: the explicit
@@ -152,44 +171,33 @@ const CLASS_WEIGHTS: [(u32, &str); 6] = [
     (8, "syscall"),
 ];
 
-/// The injectable components of a `shards`-wide Split topology — the
-/// single spelling both campaigns derive their target lists from (kept in
-/// sync with the booted stack by the integration tests, which compare it
-/// against [`NewtStack::fault_targets`](newt_stack::builder::NewtStack::fault_targets)).
-/// A singleton stack keeps the legacy `Tcp`/`Udp`/`Ip` spellings; the
-/// paper's campaign excludes SYSCALL (Table III never hit it), the
-/// dependability campaign includes it.
-pub fn topology_fault_targets(shards: usize, include_syscall: bool) -> Vec<Component> {
-    let mut targets: Vec<Component> = if shards <= 1 {
-        vec![Component::Tcp, Component::Udp, Component::Ip]
-    } else {
-        (0..shards)
-            .flat_map(|s| {
-                [
-                    Component::TcpShard(s),
-                    Component::UdpShard(s),
-                    Component::IpShard(s),
-                ]
-            })
-            .collect()
-    };
-    targets.push(Component::PacketFilter);
-    targets.push(Component::Driver(0));
-    if include_syscall {
-        targets.push(Component::Syscall);
-    }
-    targets
+/// The components of a stack booted from `stack` that a campaign injects
+/// into, in placement order ([`StackConfig::components`]): every replica
+/// of TCP, UDP and IP, the packet filter and the drivers, plus — if
+/// `include_syscall` — the SYSCALL server.  The ring pumps of shards ≥ 1
+/// are never targets: the paper's campaign excludes SYSCALL (Table III
+/// never hit it), and the dependability campaign's SYSCALL class is the
+/// SYSCALL server alone.
+pub(crate) fn injectable(stack: &StackConfig, include_syscall: bool) -> Vec<Component> {
+    stack
+        .components()
+        .into_iter()
+        .filter(|c| match c {
+            Component::SyscallShard(s) => include_syscall && *s == 0,
+            _ => true,
+        })
+        .collect()
 }
 
 /// Returns the component's class label (the Table III row it belongs to).
 fn class_of(component: Component) -> &'static str {
     match component {
-        Component::Tcp | Component::TcpShard(_) => "tcp",
-        Component::Udp | Component::UdpShard(_) => "udp",
-        Component::Ip | Component::IpShard(_) => "ip",
+        Component::TcpShard(_) => "tcp",
+        Component::UdpShard(_) => "udp",
+        Component::IpShard(_) => "ip",
         Component::PacketFilter => "pf",
         Component::Driver(_) => "driver",
-        Component::Syscall | Component::SyscallShard(_) => "syscall",
+        Component::SyscallShard(_) => "syscall",
     }
 }
 
@@ -323,9 +331,9 @@ impl CampaignReport {
     /// Renders Table III (distribution of crashes over the components).
     pub fn render_table3(&self) -> String {
         let classes = [
-            ("TCP", Component::Tcp),
-            ("UDP", Component::Udp),
-            ("IP", Component::Ip),
+            ("TCP", Component::TcpShard(0)),
+            ("UDP", Component::UdpShard(0)),
+            ("IP", Component::IpShard(0)),
             ("PF", Component::PacketFilter),
             ("Driver", Component::Driver(0)),
         ];
@@ -422,23 +430,15 @@ pub(crate) fn pick_target(weights: &[(Component, u32)], rng: &mut StdRng) -> Com
         }
         pick -= weight;
     }
-    weights.last().map(|(c, _)| *c).unwrap_or(Component::Ip)
+    weights
+        .last()
+        .map(|(c, _)| *c)
+        .unwrap_or(Component::IpShard(0))
 }
 
 /// Runs a single fault-injection experiment against a freshly booted stack.
 pub fn run_one(config: &CampaignConfig, target: Component, kind: FaultKind) -> RunOutcome {
-    let stack_config = StackConfig::newtos()
-        .shards(config.shards)
-        .link(LinkConfig::unshaped())
-        .clock_speedup(config.clock_speedup);
-    // Hang detection relies on the heartbeat watchdog; use a timeout short
-    // enough (in virtual time) that reaping happens promptly at this
-    // speed-up without risking spurious reaps of healthy services.
-    let stack_config = StackConfig {
-        heartbeat_timeout: Duration::from_secs(20),
-        ..stack_config
-    };
-    let stack = NewtStack::start(stack_config);
+    let stack = NewtStack::start(config.stack_config());
     let peer_addr = StackConfig::peer_addr(0);
     let client = stack.client().with_timeout(Duration::from_secs(8));
 
@@ -560,16 +560,16 @@ mod tests {
                 .or_insert(0usize) += 1;
         }
         // Every component is picked, roughly according to its weight.
-        assert!(counts[&Component::Tcp] > counts[&Component::Udp]);
+        assert!(counts[&Component::TcpShard(0)] > counts[&Component::UdpShard(0)]);
         assert!(counts[&Component::PacketFilter] > counts[&Component::Driver(0)]);
         assert_eq!(counts.len(), 5);
     }
 
     #[test]
     fn derived_weights_reach_every_shard_replica() {
-        // The pre-fix table hardcoded the singleton spellings, leaving
-        // replicas 1..n unreachable by injection on a sharded stack; the
-        // derived table must cover all of them.
+        // A table of shard 0's components alone would leave replicas 1..n
+        // unreachable by injection on a sharded stack; the derived table
+        // must cover all of them.
         let config = CampaignConfig {
             shards: 4,
             ..CampaignConfig::default()
@@ -602,7 +602,7 @@ mod tests {
                 .map(|(_, w)| *w)
                 .sum()
         };
-        assert!(class_total(Component::Tcp) > class_total(Component::Udp));
+        assert!(class_total(Component::TcpShard(0)) > class_total(Component::UdpShard(0)));
     }
 
     #[test]
@@ -630,6 +630,57 @@ mod tests {
     }
 
     #[test]
+    fn schedule_is_pinned_at_one_and_four_shards() {
+        // Which faults a seed draws is part of the record: renaming a
+        // component or reordering the placement must not change them.
+        use Component::{
+            Driver, IpShard as Ip, PacketFilter as Pf, TcpShard as Tcp, UdpShard as Udp,
+        };
+        use FaultKind::{Crash, Hang};
+        let schedule = |shards| {
+            CampaignConfig {
+                shards,
+                ..CampaignConfig::quick(12)
+            }
+            .schedule()
+        };
+        assert_eq!(
+            schedule(1),
+            vec![
+                (Tcp(0), Crash),
+                (Driver(0), Crash),
+                (Ip(0), Crash),
+                (Ip(0), Hang),
+                (Ip(0), Crash),
+                (Tcp(0), Crash),
+                (Ip(0), Crash),
+                (Pf, Crash),
+                (Tcp(0), Crash),
+                (Driver(0), Crash),
+                (Driver(0), Crash),
+                (Driver(0), Crash),
+            ]
+        );
+        assert_eq!(
+            schedule(4),
+            vec![
+                (Driver(0), Crash),
+                (Driver(0), Crash),
+                (Pf, Crash),
+                (Ip(2), Hang),
+                (Ip(2), Crash),
+                (Ip(0), Crash),
+                (Tcp(3), Crash),
+                (Ip(3), Crash),
+                (Ip(3), Crash),
+                (Ip(3), Crash),
+                (Pf, Crash),
+                (Udp(3), Crash),
+            ]
+        );
+    }
+
+    #[test]
     fn report_classification_logic() {
         let mut report = CampaignReport::default();
         report.runs.push(RunOutcome {
@@ -643,7 +694,7 @@ mod tests {
             reboot_needed: false,
         });
         report.runs.push(RunOutcome {
-            target: Component::Tcp,
+            target: Component::TcpShard(0),
             kind: FaultKind::Crash,
             recovered_automatically: true,
             tcp_session_survived: false,
@@ -653,7 +704,7 @@ mod tests {
             reboot_needed: false,
         });
         report.runs.push(RunOutcome {
-            target: Component::Ip,
+            target: Component::IpShard(0),
             kind: FaultKind::Hang,
             recovered_automatically: false,
             tcp_session_survived: false,
@@ -668,7 +719,7 @@ mod tests {
         assert_eq!(report.tcp_broken(), 2);
         assert_eq!(report.udp_transparent(), 2);
         assert_eq!(report.reboots(), 1);
-        assert_eq!(report.injected_into(Component::Tcp), 1);
+        assert_eq!(report.injected_into(Component::TcpShard(0)), 1);
         let t3 = report.render_table3();
         assert!(t3.contains("Total"));
         let t4 = report.render_table4();
@@ -704,7 +755,7 @@ mod tests {
             clock_speedup: 50.0,
             ..CampaignConfig::quick(1)
         };
-        let outcome = run_one(&config, Component::Tcp, FaultKind::Crash);
+        let outcome = run_one(&config, Component::TcpShard(0), FaultKind::Crash);
         assert!(
             outcome.recovered_automatically,
             "tcp was not restarted: {outcome:?}"

@@ -52,7 +52,7 @@ use newt_net::link::LinkConfig;
 use newt_stack::builder::{NewtStack, StackConfig};
 use newt_stack::endpoints::Component;
 
-use crate::campaign::{derive_weights, roll_single_fault, FaultKind};
+use crate::campaign::{derive_weights, injectable, roll_single_fault, FaultKind};
 
 /// The injection pattern of one run: a single weighted-random fault, or
 /// one of the correlated multi-fault modes.
@@ -197,11 +197,10 @@ impl DependabilityConfig {
     }
 
     /// Every component a run of this campaign can inject into — the
-    /// per-shard replicas plus the singletons *including* SYSCALL,
-    /// mirroring what [`NewtStack::fault_targets`] reports for the booted
-    /// stack.
+    /// per-shard replicas plus the packet filter, the driver and the
+    /// SYSCALL server, taken from the stack each run boots.
     pub fn fault_targets(&self) -> Vec<Component> {
-        crate::campaign::topology_fault_targets(self.shards, true)
+        injectable(&self.stack_config(), true)
     }
 
     /// The deterministic injection schedule: the same seed yields the same
@@ -742,7 +741,7 @@ impl RollingUpgradeConfig {
     /// per-shard replica plus the singletons including SYSCALL, exactly
     /// the set the fault campaign injects into.
     pub fn upgrade_targets(&self) -> Vec<Component> {
-        crate::campaign::topology_fault_targets(self.shards, true)
+        injectable(&self.stack_config(), true)
     }
 
     fn stack_config(&self) -> StackConfig {
@@ -1034,22 +1033,79 @@ mod tests {
 
     #[test]
     fn fault_targets_cover_every_replica_and_singleton() {
-        let config = DependabilityConfig::cell(4, false);
-        let targets = config.fault_targets();
-        for s in 0..4 {
-            assert!(targets.contains(&Component::TcpShard(s)));
-            assert!(targets.contains(&Component::UdpShard(s)));
-            assert!(targets.contains(&Component::IpShard(s)));
-        }
-        assert!(targets.contains(&Component::PacketFilter));
-        assert!(targets.contains(&Component::Driver(0)));
-        assert!(targets.contains(&Component::Syscall));
-        // Singleton stacks keep the legacy spellings.
-        let singleton = DependabilityConfig::cell(1, false).fault_targets();
-        assert!(singleton.contains(&Component::Tcp));
-        assert!(!singleton
-            .iter()
-            .any(|c| matches!(c, Component::TcpShard(_))));
+        use Component::{Driver, IpShard, PacketFilter, SyscallShard, TcpShard, UdpShard};
+        let targets = DependabilityConfig::cell(4, false).fault_targets();
+        let replicas = (0..4).flat_map(|s| [TcpShard(s), UdpShard(s), IpShard(s)]);
+        let singletons = [PacketFilter, Driver(0), SyscallShard(0)];
+        assert_eq!(targets, replicas.chain(singletons).collect::<Vec<_>>());
+        // A one-shard stack is shard 0 of the same list.
+        assert_eq!(
+            DependabilityConfig::cell(1, false).fault_targets(),
+            [TcpShard(0), UdpShard(0), IpShard(0)]
+                .into_iter()
+                .chain(singletons)
+                .collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn schedule_is_pinned_at_one_and_four_shards() {
+        // Which faults a cell's seed draws is part of the record: renaming
+        // a component or reordering the placement must not change them.
+        use Component::{
+            Driver, IpShard as Ip, PacketFilter as Pf, TcpShard as Tcp, UdpShard as Udp,
+        };
+        use FaultKind::{Crash, Hang};
+        use FaultMode::{DriverIpCascade, SameShardDouble, Single};
+        let schedule = |shards| {
+            DependabilityConfig {
+                runs: 12,
+                ..DependabilityConfig::cell(shards, false)
+            }
+            .schedule()
+        };
+        assert_eq!(
+            schedule(1),
+            vec![
+                SameShardDouble(0),
+                DriverIpCascade {
+                    driver: 0,
+                    shard: 0
+                },
+                Single(Ip(0), Crash),
+                Single(Ip(0), Crash),
+                Single(Udp(0), Hang),
+                Single(Driver(0), Crash),
+                Single(Udp(0), Crash),
+                Single(Driver(0), Crash),
+                Single(Tcp(0), Crash),
+                Single(Tcp(0), Crash),
+                Single(Pf, Crash),
+                Single(Driver(0), Crash),
+            ]
+        );
+        assert_eq!(
+            schedule(4),
+            vec![
+                SameShardDouble(3),
+                DriverIpCascade {
+                    driver: 0,
+                    shard: 3
+                },
+                Single(Driver(0), Crash),
+                Single(Ip(1), Crash),
+                Single(Driver(0), Crash),
+                Single(Pf, Crash),
+                Single(Pf, Crash),
+                Single(Pf, Crash),
+                Single(Pf, Crash),
+                Single(Tcp(0), Crash),
+                Single(Pf, Hang),
+                Single(Pf, Crash),
+            ]
+        );
+        // Labels name the replica, `.0` included on a one-shard stack.
+        assert_eq!(schedule(1)[2].label(), "ip.0 crash");
     }
 
     #[test]

@@ -47,7 +47,7 @@ impl TraceExperimentConfig {
         TraceExperimentConfig {
             duration: Duration::from_secs(10),
             fault_times: vec![Duration::from_secs(4)],
-            target: Component::Ip,
+            target: Component::IpShard(0),
             bucket: Duration::from_millis(250),
             clock_speedup: 4.0,
             filter_rules: 16,
@@ -235,7 +235,7 @@ mod tests {
         let config = TraceExperimentConfig {
             duration: Duration::from_secs(8),
             fault_times: vec![Duration::from_secs(3)],
-            target: Component::Ip,
+            target: Component::IpShard(0),
             bucket: Duration::from_millis(500),
             clock_speedup: 8.0,
             filter_rules: 16,

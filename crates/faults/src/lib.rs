@@ -41,8 +41,7 @@ pub mod figures;
 pub mod overload;
 
 pub use campaign::{
-    derive_weights, run_campaign, run_one, topology_fault_targets, CampaignConfig, CampaignReport,
-    FaultKind, RunOutcome,
+    derive_weights, run_campaign, run_one, CampaignConfig, CampaignReport, FaultKind, RunOutcome,
 };
 pub use dependability::{
     run_dependability_campaign, run_rolling_upgrade, DependabilityConfig, DependabilityReport,

@@ -72,8 +72,6 @@ impl Message {
 pub enum IpcError {
     /// The destination endpoint was never attached to the kernel.
     UnknownEndpoint(Endpoint),
-    /// The destination endpoint has exited or was detached.
-    Dead(Endpoint),
     /// No message arrived before the timeout expired.
     Timeout,
     /// A non-blocking receive found no pending message.
@@ -86,7 +84,6 @@ impl std::fmt::Display for IpcError {
             IpcError::UnknownEndpoint(ep) => {
                 write!(f, "endpoint {ep} is not attached to the kernel")
             }
-            IpcError::Dead(ep) => write!(f, "endpoint {ep} is dead"),
             IpcError::Timeout => write!(f, "timed out waiting for a kernel message"),
             IpcError::WouldBlock => write!(f, "no kernel message pending"),
         }
@@ -112,7 +109,6 @@ pub struct KernelStats {
 struct Mailbox {
     queue: Mutex<VecDeque<Message>>,
     condvar: Condvar,
-    alive: AtomicBool,
     /// Whether the owner is currently blocked in `receive` (i.e. its core is
     /// idle and a message needs an IPI to wake it).
     idle: AtomicBool,
@@ -192,15 +188,15 @@ impl KernelIpc {
     }
 
     /// Attaches an endpoint, creating its mailbox.  Attaching an endpoint
-    /// that already exists simply marks it alive again: messages queued for
-    /// the previous incarnation stay queued, because they are still valid
+    /// that already exists keeps its mailbox: messages queued for the
+    /// previous incarnation stay queued, because they are still valid
     /// requests the new incarnation can serve.
     pub fn attach(&self, endpoint: Endpoint) {
-        let mut boxes = self.inner.mailboxes.lock();
-        let mailbox = boxes
+        self.inner
+            .mailboxes
+            .lock()
             .entry(endpoint)
             .or_insert_with(|| Arc::new(Mailbox::default()));
-        mailbox.alive.store(true, Ordering::Release);
     }
 
     /// Makes every message delivered to `endpoint` also write `wake`: the
@@ -213,34 +209,6 @@ impl KernelIpc {
         if let Ok(mailbox) = self.mailbox(endpoint) {
             let _ = mailbox.wake.set(wake);
         }
-    }
-
-    /// Discards every message queued for `endpoint` (used when a restarted
-    /// server explicitly wants to start from a clean mailbox).
-    pub fn clear_mailbox(&self, endpoint: Endpoint) {
-        if let Some(mailbox) = self.inner.mailboxes.lock().get(&endpoint) {
-            mailbox.queue.lock().clear();
-        }
-    }
-
-    /// Detaches an endpoint (it exited or crashed).  Blocked receivers are
-    /// woken and senders get [`IpcError::Dead`] from now on.
-    pub fn detach(&self, endpoint: Endpoint) {
-        let boxes = self.inner.mailboxes.lock();
-        if let Some(mailbox) = boxes.get(&endpoint) {
-            mailbox.alive.store(false, Ordering::Release);
-            let _guard = mailbox.queue.lock();
-            mailbox.condvar.notify_all();
-        }
-    }
-
-    /// Returns `true` if the endpoint is attached and alive.
-    pub fn is_attached(&self, endpoint: Endpoint) -> bool {
-        self.inner
-            .mailboxes
-            .lock()
-            .get(&endpoint)
-            .is_some_and(|m| m.alive.load(Ordering::Acquire))
     }
 
     fn mailbox(&self, endpoint: Endpoint) -> Result<Arc<Mailbox>, IpcError> {
@@ -257,13 +225,10 @@ impl KernelIpc {
     ///
     /// # Errors
     ///
-    /// Returns [`IpcError::UnknownEndpoint`] or [`IpcError::Dead`] when the
-    /// destination cannot receive.
+    /// Returns [`IpcError::UnknownEndpoint`] when the destination was never
+    /// attached.
     pub fn send(&self, from: Endpoint, to: Endpoint, mut message: Message) -> Result<(), IpcError> {
         let mailbox = self.mailbox(to)?;
-        if !mailbox.alive.load(Ordering::Acquire) {
-            return Err(IpcError::Dead(to));
-        }
         self.charge_trap();
         message.source = from;
         {
@@ -301,7 +266,7 @@ impl KernelIpc {
     /// # Errors
     ///
     /// Returns [`IpcError::Timeout`] if nothing arrives in time, or
-    /// [`IpcError::Dead`] if the endpoint was detached while waiting.
+    /// [`IpcError::UnknownEndpoint`] when `me` was never attached.
     pub fn receive(&self, me: Endpoint, timeout: Duration) -> Result<Message, IpcError> {
         self.receive_matching(me, timeout, |_| true)
     }
@@ -335,9 +300,6 @@ impl KernelIpc {
             if let Some(pos) = queue.iter().position(&matches) {
                 return Ok(queue.remove(pos).expect("position found above"));
             }
-            if !mailbox.alive.load(Ordering::Acquire) {
-                return Err(IpcError::Dead(me));
-            }
             let now = Instant::now();
             if now >= deadline {
                 return Err(IpcError::Timeout);
@@ -369,13 +331,6 @@ impl KernelIpc {
     ) -> Result<Message, IpcError> {
         self.send(from, to, message)?;
         self.receive_from(from, to, timeout)
-    }
-
-    /// Returns the number of messages waiting in `endpoint`'s mailbox.
-    pub fn pending(&self, endpoint: Endpoint) -> usize {
-        self.mailbox(endpoint)
-            .map(|m| m.queue.lock().len())
-            .unwrap_or(0)
     }
 
     /// Returns a snapshot of the kernel involvement counters.
@@ -429,20 +384,17 @@ mod tests {
     }
 
     #[test]
-    fn unknown_and_dead_endpoints_error() {
+    fn unknown_endpoints_error() {
         let k = kernel();
         k.attach(ep(1));
         assert_eq!(
             k.send(ep(1), ep(9), Message::new(0)).unwrap_err(),
             IpcError::UnknownEndpoint(ep(9))
         );
-        k.attach(ep(2));
-        k.detach(ep(2));
         assert_eq!(
-            k.send(ep(1), ep(2), Message::new(0)).unwrap_err(),
-            IpcError::Dead(ep(2))
+            k.try_receive(ep(9)).unwrap_err(),
+            IpcError::UnknownEndpoint(ep(9))
         );
-        assert!(!k.is_attached(ep(2)));
     }
 
     #[test]
@@ -477,9 +429,8 @@ mod tests {
             .unwrap();
         assert_eq!(m.mtype, 2);
         // The other message is still pending.
-        assert_eq!(k.pending(ep(3)), 1);
-        let m = k.receive(ep(3), Duration::from_secs(1)).unwrap();
-        assert_eq!(m.mtype, 1);
+        assert_eq!(k.try_receive(ep(3)).unwrap().mtype, 1);
+        assert_eq!(k.try_receive(ep(3)).unwrap_err(), IpcError::WouldBlock);
     }
 
     #[test]
@@ -537,28 +488,14 @@ mod tests {
     }
 
     #[test]
-    fn detach_wakes_blocked_receiver() {
-        let k = kernel();
-        k.attach(ep(1));
-        let k2 = k.clone();
-        let handle = thread::spawn(move || k2.receive(ep(1), Duration::from_secs(10)));
-        thread::sleep(Duration::from_millis(30));
-        k.detach(ep(1));
-        assert_eq!(handle.join().unwrap().unwrap_err(), IpcError::Dead(ep(1)));
-    }
-
-    #[test]
-    fn reattach_keeps_pending_requests_and_clear_discards_them() {
+    fn reattach_keeps_pending_requests() {
         let k = kernel();
         k.attach(ep(1));
         k.attach(ep(2));
         k.send(ep(1), ep(2), Message::new(1)).unwrap();
         // The server crashes and its new incarnation attaches again: the
-        // queued request is still valid and stays available...
+        // queued request is still valid and stays available.
         k.attach(ep(2));
-        assert_eq!(k.pending(ep(2)), 1);
-        // ...unless the new incarnation explicitly clears its mailbox.
-        k.clear_mailbox(ep(2));
-        assert_eq!(k.pending(ep(2)), 0);
+        assert_eq!(k.try_receive(ep(2)).unwrap().mtype, 1);
     }
 }

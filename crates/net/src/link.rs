@@ -843,7 +843,10 @@ mod tests {
         let last = in_flight_towards_b(&link).last().expect("in flight").0;
         let bits: usize = frames.iter().map(|f| f.len() * 8).sum();
         let expected = Duration::from_nanos(bits as u64) + Duration::from_micros(100);
-        assert!(last.abs_diff(expected) < Duration::from_micros(1), "{last:?}");
+        assert!(
+            last.abs_diff(expected) < Duration::from_micros(1),
+            "{last:?}"
+        );
     }
 
     #[test]
@@ -857,7 +860,10 @@ mod tests {
         let (link, a, b) = Link::new(config, clock.clone());
         let trace = TraceCapture::new();
         link.attach_trace(LinkSide::B, trace.clone());
-        assert_eq!(a.transmit_burst((0..50u8).map(|i| Bytes::from(vec![i]))), 50);
+        assert_eq!(
+            a.transmit_burst((0..50u8).map(|i| Bytes::from(vec![i]))),
+            50
+        );
         let held = link.stats_from(LinkSide::A).reordered as usize;
         assert!(held > 0 && held < 50);
 

@@ -115,13 +115,6 @@ impl NicConfig {
         self.queues = queues.clamp(1, MAX_QUEUES);
         self
     }
-
-    /// Disables checksum offload.
-    #[must_use]
-    pub fn without_checksum_offload(mut self) -> Self {
-        self.checksum_offload = false;
-        self
-    }
 }
 
 /// Traffic counters of a [`Nic`].

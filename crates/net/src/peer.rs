@@ -1033,8 +1033,7 @@ impl RemotePeer {
                     }
                     ack_due = true;
                 }
-                if seg.flags.fin && seg.seq.wrapping_add(seg.payload.len() as u32) == conn.rcv_nxt
-                {
+                if seg.flags.fin && seg.seq.wrapping_add(seg.payload.len() as u32) == conn.rcv_nxt {
                     conn.rcv_nxt = conn.rcv_nxt.wrapping_add(1);
                     conn.status = ClientStatus::Closed;
                     ack_due = true;

@@ -244,6 +244,17 @@ impl StackConfig {
     pub fn peer_addr(i: usize) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, i as u8, 2)
     }
+
+    /// Returns every component this configuration runs, in placement
+    /// order: each shard's TCP, UDP and IP servers, the packet filter (if
+    /// enabled), the drivers, then each shard's SYSCALL server.  Nothing is
+    /// booted.
+    pub fn components(&self) -> Vec<Component> {
+        placement(self)
+            .into_iter()
+            .flat_map(|(_, _, members)| members)
+            .collect()
+    }
 }
 
 /// Per-shard fabric message counters: every message enqueued on and drained
@@ -298,13 +309,9 @@ impl IdleTelemetry {
     fn slot(component: Component) -> usize {
         let (kind, index) = match component {
             Component::PacketFilter => return 0,
-            Component::Syscall => (0, 0),
             Component::SyscallShard(s) => (0, s),
-            Component::Tcp => (1, 0),
             Component::TcpShard(s) => (1, s),
-            Component::Udp => (2, 0),
             Component::UdpShard(s) => (2, s),
-            Component::Ip => (3, 0),
             Component::IpShard(s) => (3, s),
             Component::Driver(i) => (4, i),
         };
@@ -653,19 +660,15 @@ impl ShardPools {
 /// core and keep one of everything.
 fn placement(config: &StackConfig) -> Vec<(String, Endpoint, Vec<Component>)> {
     let protocol = |shards: usize| {
-        let mut members: Vec<Component> = if shards == 1 {
-            vec![Component::Tcp, Component::Udp, Component::Ip]
-        } else {
-            (0..shards)
-                .flat_map(|s| {
-                    [
-                        Component::TcpShard(s),
-                        Component::UdpShard(s),
-                        Component::IpShard(s),
-                    ]
-                })
-                .collect()
-        };
+        let mut members: Vec<Component> = (0..shards)
+            .flat_map(|s| {
+                [
+                    Component::TcpShard(s),
+                    Component::UdpShard(s),
+                    Component::IpShard(s),
+                ]
+            })
+            .collect();
         if config.with_packet_filter {
             members.push(Component::PacketFilter);
         }
@@ -676,10 +679,10 @@ fn placement(config: &StackConfig) -> Vec<(String, Endpoint, Vec<Component>)> {
     let edge = |shards: usize| {
         (0..config.nics.clamp(1, MAX_SHARDS))
             .map(Component::Driver)
-            .chain([Component::Syscall])
-            .chain((1..shards).map(Component::SyscallShard))
+            .chain((0..shards).map(Component::SyscallShard))
     };
-    let alone = |c: Component| (c.name(), c.endpoint(), vec![c]);
+    let alone =
+        |shards: usize| move |c: Component| (service_name(c, shards), c.endpoint(), vec![c]);
     let inet = |members| ("inet".to_string(), endpoints::INET, members);
     match config.topology {
         Topology::Split => {
@@ -687,15 +690,31 @@ fn placement(config: &StackConfig) -> Vec<(String, Endpoint, Vec<Component>)> {
             protocol(shards)
                 .into_iter()
                 .chain(edge(shards))
-                .map(alone)
+                .map(alone(shards))
                 .collect()
         }
         Topology::SingleServer => std::iter::once(inet(protocol(1)))
-            .chain(edge(1).map(alone))
+            .chain(edge(1).map(alone(1)))
             .collect(),
         Topology::SynchronousSingleCore => {
             vec![inet(protocol(1).into_iter().chain(edge(1)).collect())]
         }
+    }
+}
+
+/// The name of the service `c` runs in alone on a `shards`-wide stack: a
+/// replica's is [`Shard::service_name`] (so a one-shard stack's are `tcp`,
+/// `udp`, `ip`), except that shard 0's SYSCALL server is `syscall` at any
+/// shard count.
+fn service_name(c: Component, shards: usize) -> String {
+    let replica = |s, base| Shard::new(s, shards).service_name(base);
+    match c {
+        Component::TcpShard(s) => replica(s, "tcp"),
+        Component::UdpShard(s) => replica(s, "udp"),
+        Component::IpShard(s) => replica(s, "ip"),
+        Component::SyscallShard(0) => "syscall".to_string(),
+        Component::SyscallShard(s) => replica(s, "syscall"),
+        Component::PacketFilter | Component::Driver(_) => c.name(),
     }
 }
 
@@ -799,7 +818,7 @@ impl Wiring {
         let lane = &self.lanes[index];
         let pool = &self.shard_pools[index];
         match component {
-            Component::Tcp | Component::TcpShard(_) => Box::new(TcpServer::with_ring_lanes(
+            Component::TcpShard(_) => Box::new(TcpServer::with_ring_lanes(
                 rt.start_mode(),
                 rt.generation(),
                 shard,
@@ -819,7 +838,7 @@ impl Wiring {
                 Arc::clone(&lane.tcp_doorbell),
                 rt.take_snapshot(),
             )),
-            Component::Udp | Component::UdpShard(_) => Box::new(UdpServer::new(
+            Component::UdpShard(_) => Box::new(UdpServer::new(
                 rt.start_mode(),
                 rt.generation(),
                 shard,
@@ -837,7 +856,7 @@ impl Wiring {
                 Arc::clone(&lane.udp_doorbell),
                 rt.take_snapshot(),
             )),
-            Component::Ip | Component::IpShard(_) => Box::new(IpServer::new(
+            Component::IpShard(_) => Box::new(IpServer::new(
                 rt.start_mode(),
                 shard,
                 IpConfig {
@@ -879,9 +898,9 @@ impl Wiring {
                 self.lanes.iter().map(|l| l.udp_to_pf.rx()).collect(),
                 rt.take_snapshot(),
             )),
-            // The SYSCALL server is a singleton: it answers `RING_SETUP`
-            // and pumps shard 0's rings.
-            Component::Syscall => Box::new(SyscallServer::new(
+            // Shard 0's is the SYSCALL server: it answers `RING_SETUP` and
+            // pumps shard 0's rings.
+            Component::SyscallShard(0) => Box::new(SyscallServer::new(
                 self.kernel.clone(),
                 self.registry.clone(),
                 rt.generation(),
@@ -917,9 +936,7 @@ impl NewtStack {
         // The placement table decides how many pipelines and drivers run;
         // everything below is sized from it.
         let services = placement(&config);
-        config.shards = placed(&services, |c| {
-            matches!(c, Component::Tcp | Component::TcpShard(_))
-        });
+        config.shards = placed(&services, |c| matches!(c, Component::TcpShard(_)));
         config.nics = placed(&services, |c| matches!(c, Component::Driver(_)));
         let shards = config.shards;
 
@@ -1103,22 +1120,9 @@ impl NewtStack {
         Arc::clone(&self.wiring.storage)
     }
 
-    /// Returns the directory of shared pools (useful for diagnostics).
-    pub fn pool_table(&self) -> PoolTable {
-        self.wiring.pools.clone()
-    }
-
     /// Returns the shared-object registry (sockbufs, ring queues, ...).
     pub fn registry(&self) -> Registry {
         self.wiring.registry.clone()
-    }
-
-    /// Returns the table of submission/completion ring groups.  The table is
-    /// owned by the builder — like the fabric lanes — so ring state survives
-    /// every component crash and live update; benches use it to read
-    /// completion-side counters.
-    pub fn ring_table(&self) -> Arc<RingTable> {
-        Arc::clone(&self.wiring.rings)
     }
 
     /// Returns a handle to the simulated NIC behind interface `i`.
@@ -1166,18 +1170,9 @@ impl NewtStack {
         &self.links[i]
     }
 
-    /// Resolves a component to the service endpoint hosting it, accepting
-    /// both the legacy singleton spelling (`Component::Tcp`) and the shard
-    /// spelling (`Component::TcpShard(0)`) for shard 0.
+    /// Resolves a component to the service endpoint hosting it.
     fn service_for(&self, component: Component) -> Option<Endpoint> {
-        self.component_services
-            .get(&component)
-            .copied()
-            .or_else(|| {
-                component
-                    .shard_alias()
-                    .and_then(|alias| self.component_services.get(&alias).copied())
-            })
+        self.component_services.get(&component).copied()
     }
 
     /// Injects a fault into a component (the SWIFI hook used by the fault
@@ -1288,21 +1283,16 @@ impl NewtStack {
         self.wiring.kernel.stats()
     }
 
-    /// Returns the components present in this topology.
+    /// Returns the components present in this topology, in placement
+    /// order ([`StackConfig::components`] of the booted configuration).
     pub fn components(&self) -> Vec<Component> {
-        let mut all: Vec<Component> = self.component_services.keys().copied().collect();
-        all.sort();
-        all
+        self.wiring.config.components()
     }
 
     /// Returns every component a fault can be injected into on this booted
-    /// stack, each replica individually: on a sharded stack that is
-    /// `TcpShard(s)`/`UdpShard(s)`/`IpShard(s)` for every shard `s`, every
-    /// driver, the packet filter (if configured) and the SYSCALL server.
-    ///
-    /// The fault-injection campaign derives its target weight table from
-    /// this list instead of a hardcoded singleton set, so replicas other
-    /// than shard 0 are reachable by injection.
+    /// stack, each replica individually: `TcpShard(s)`/`UdpShard(s)`/
+    /// `IpShard(s)`/`SyscallShard(s)` for every shard `s`, every driver and
+    /// the packet filter (if configured).
     pub fn fault_targets(&self) -> Vec<Component> {
         self.components()
     }
@@ -1441,11 +1431,11 @@ mod tests {
     fn stack_starts_and_components_report_running() {
         let stack = NewtStack::start(quick_config());
         for component in [
-            Component::Tcp,
-            Component::Udp,
-            Component::Ip,
+            Component::TcpShard(0),
+            Component::UdpShard(0),
+            Component::IpShard(0),
             Component::PacketFilter,
-            Component::Syscall,
+            Component::SyscallShard(0),
             Component::Driver(0),
         ] {
             assert!(
@@ -1622,11 +1612,11 @@ mod tests {
             .expect("send before");
         let _ = socket.recv_from().expect("answer before crash");
 
-        assert!(stack.inject_fault(Component::Udp, FaultAction::Crash));
+        assert!(stack.inject_fault(Component::UdpShard(0), FaultAction::Crash));
         wait_until("the udp server to be replaced", || {
-            stack.restart_count(Component::Udp) >= 1
+            stack.restart_count(Component::UdpShard(0)) >= 1
         });
-        assert!(stack.wait_component_running(Component::Udp, Duration::from_secs(10)));
+        assert!(stack.wait_component_running(Component::UdpShard(0), Duration::from_secs(10)));
 
         // The same socket, same shared buffer, keeps working: the restarted
         // UDP server recovered the socket table from the storage server.
@@ -1804,10 +1794,10 @@ mod tests {
                 1
             };
             for kind in [
-                |c: &Component| matches!(c, Component::Tcp | Component::TcpShard(_)),
-                |c: &Component| matches!(c, Component::Udp | Component::UdpShard(_)),
-                |c: &Component| matches!(c, Component::Ip | Component::IpShard(_)),
-                |c: &Component| matches!(c, Component::Syscall | Component::SyscallShard(_)),
+                |c: &Component| matches!(c, Component::TcpShard(_)),
+                |c: &Component| matches!(c, Component::UdpShard(_)),
+                |c: &Component| matches!(c, Component::IpShard(_)),
+                |c: &Component| matches!(c, Component::SyscallShard(_)),
             ] {
                 assert_eq!(placed(&services, kind), pipelines, "{case}");
             }
@@ -1823,7 +1813,7 @@ mod tests {
             );
 
             // No component is claimed twice, no endpoint hosts two services,
-            // and a service of one is named and addressed like its member.
+            // and a service of one is addressed like its member.
             let members: Vec<Component> = services
                 .iter()
                 .flat_map(|(_, _, members)| members.clone())
@@ -1833,18 +1823,35 @@ mod tests {
             let endpoints: std::collections::HashSet<Endpoint> =
                 services.iter().map(|(_, endpoint, _)| *endpoint).collect();
             assert_eq!(endpoints.len(), services.len(), "{case}");
-            for (name, endpoint, members) in &services {
+            for (_, endpoint, members) in &services {
                 if let [only] = members[..] {
-                    assert_eq!((name, endpoint), (&only.name(), &only.endpoint()));
+                    assert_eq!(*endpoint, only.endpoint(), "{case}");
                 }
             }
 
-            let expected_services = match topology {
-                Topology::Split => members.len(),
-                Topology::SingleServer => 1 + 1 + nics,
-                Topology::SynchronousSingleCore => 1,
+            // Service names (and with them thread, storage and crash-event
+            // names) spelled out: a one-shard stack drops the `.0`, shard
+            // 0's SYSCALL server is `syscall` at any shard count.
+            let (protocol, syscall): (&[&str], &[&str]) = match (topology, shards) {
+                (Topology::Split, 1) => (&["tcp", "udp", "ip"], &["syscall"]),
+                (Topology::Split, _) => (
+                    &[
+                        "tcp.0", "udp.0", "ip.0", "tcp.1", "udp.1", "ip.1", "tcp.2", "udp.2",
+                        "ip.2", "tcp.3", "udp.3", "ip.3",
+                    ],
+                    &["syscall", "syscall.1", "syscall.2", "syscall.3"],
+                ),
+                _ => (&[], &["syscall"]),
             };
-            assert_eq!(services.len(), expected_services, "{case}");
+            let pf: &[&str] = if with_pf { &["pf"] } else { &[] };
+            let drivers = &["e1000.0", "e1000.1"][..nics];
+            let expected: Vec<&str> = match topology {
+                Topology::Split => [protocol, pf, drivers, syscall].concat(),
+                Topology::SingleServer => [&["inet"], drivers, syscall].concat(),
+                Topology::SynchronousSingleCore => vec!["inet"],
+            };
+            let names: Vec<&str> = services.iter().map(|(name, _, _)| name.as_str()).collect();
+            assert_eq!(names, expected, "{case}");
         }
     }
 

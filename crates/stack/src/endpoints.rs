@@ -236,42 +236,38 @@ pub fn next_ephemeral_port(range: (u16, u16), p: u16) -> u16 {
 }
 
 /// The operating-system components of the networking stack, as the fault
-/// injection campaign and the recovery code name them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+/// injection campaign and the recovery code name them.  A replicated kind
+/// names one replica: a one-shard stack runs shard 0 of each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Component {
-    /// The TCP server (shard 0 in a sharded stack).
-    Tcp,
-    /// The UDP server (shard 0 in a sharded stack).
-    Udp,
-    /// The IP/ICMP/ARP server (shard 0 in a sharded stack).
-    Ip,
     /// The packet filter.
     PacketFilter,
     /// Network driver `i`.
     Driver(usize),
-    /// The SYSCALL server.
-    Syscall,
-    /// The TCP server of shard `s` of a sharded stack.
+    /// The TCP server of shard `s`.
     TcpShard(usize),
-    /// The UDP server of shard `s` of a sharded stack.
+    /// The UDP server of shard `s`.
     UdpShard(usize),
-    /// The IP server of shard `s` of a sharded stack.
+    /// The IP/ICMP/ARP server of shard `s`.
     IpShard(usize),
-    /// The SYSCALL ring pump replica serving shard `s > 0` of a sharded
-    /// stack (shard 0's rings are pumped by [`Component::Syscall`]).
+    /// The SYSCALL server of shard `s`: shard 0's is the SYSCALL server
+    /// proper (it answers `RING_SETUP` and pumps shard 0's rings), every
+    /// further shard's a ring pump replica.
     SyscallShard(usize),
 }
 
 impl Component {
+    /// Shard 0's TCP server, `TcpShard(0)`.  Kept only for the benchmark
+    /// harness, which still names it this way; ROADMAP item 10 renames the
+    /// harness's uses and deletes this constant.
+    #[allow(non_upper_case_globals)]
+    pub const Tcp: Component = Component::TcpShard(0);
+
     /// Returns the component's well-known endpoint.
     pub fn endpoint(&self) -> Endpoint {
         match self {
-            Component::Tcp => TCP,
-            Component::Udp => UDP,
-            Component::Ip => IP,
             Component::PacketFilter => PF,
             Component::Driver(i) => driver(*i),
-            Component::Syscall => SYSCALL,
             Component::TcpShard(s) => tcp_shard(*s),
             Component::UdpShard(s) => udp_shard(*s),
             Component::IpShard(s) => ip_shard(*s),
@@ -279,52 +275,19 @@ impl Component {
         }
     }
 
-    /// Returns the component's conventional name.
+    /// Returns the component's name: `"tcp.0"` for `TcpShard(0)`, whatever
+    /// the shard count.  (The service hosting it may be named differently:
+    /// a one-shard stack names its services without the shard suffix, see
+    /// [`Shard::service_name`].)
     pub fn name(&self) -> String {
         match self {
-            Component::Tcp => "tcp".to_string(),
-            Component::Udp => "udp".to_string(),
-            Component::Ip => "ip".to_string(),
             Component::PacketFilter => "pf".to_string(),
             Component::Driver(i) => format!("e1000.{i}"),
-            Component::Syscall => "syscall".to_string(),
             Component::TcpShard(s) => format!("tcp.{s}"),
             Component::UdpShard(s) => format!("udp.{s}"),
             Component::IpShard(s) => format!("ip.{s}"),
             Component::SyscallShard(s) => format!("syscall.{s}"),
         }
-    }
-
-    /// Returns the shard-0 alias of a shard component (and vice versa), if
-    /// one exists: `Tcp` ⇄ `TcpShard(0)` and so on.  A sharded stack
-    /// registers only the shard variants and a singleton stack only the
-    /// legacy ones, so lookups try both spellings through this mapping.
-    pub fn shard_alias(&self) -> Option<Component> {
-        match self {
-            Component::Tcp => Some(Component::TcpShard(0)),
-            Component::Udp => Some(Component::UdpShard(0)),
-            Component::Ip => Some(Component::IpShard(0)),
-            Component::TcpShard(0) => Some(Component::Tcp),
-            Component::UdpShard(0) => Some(Component::Udp),
-            Component::IpShard(0) => Some(Component::Ip),
-            Component::Syscall => Some(Component::SyscallShard(0)),
-            Component::SyscallShard(0) => Some(Component::Syscall),
-            _ => None,
-        }
-    }
-
-    /// The five components the paper injects faults into (Table III).
-    pub fn fault_targets(drivers: usize) -> Vec<Component> {
-        let mut targets = vec![
-            Component::Tcp,
-            Component::Udp,
-            Component::Ip,
-            Component::PacketFilter,
-        ];
-        for i in 0..drivers {
-            targets.push(Component::Driver(i));
-        }
-        targets
     }
 }
 
@@ -393,32 +356,17 @@ mod tests {
     }
 
     #[test]
-    fn shard_aliases_map_both_directions() {
-        assert_eq!(Component::Tcp.shard_alias(), Some(Component::TcpShard(0)));
-        assert_eq!(Component::IpShard(0).shard_alias(), Some(Component::Ip));
-        assert_eq!(Component::TcpShard(1).shard_alias(), None);
-        assert_eq!(Component::PacketFilter.shard_alias(), None);
-        assert_eq!(Component::TcpShard(3).name(), "tcp.3");
-        assert_eq!(Component::IpShard(1).endpoint(), ip_shard(1));
-    }
-
-    #[test]
     fn component_endpoints_and_names() {
-        assert_eq!(Component::Ip.endpoint(), IP);
+        assert_eq!(Component::IpShard(0).endpoint(), IP);
+        assert_eq!(Component::IpShard(1).endpoint(), ip_shard(1));
+        assert_eq!(Component::SyscallShard(0).endpoint(), SYSCALL);
         assert_eq!(
             Component::Driver(2).endpoint(),
             Endpoint::from_raw(DRIVER_BASE + 2)
         );
         assert_eq!(Component::Driver(0).name(), "e1000.0");
         assert_eq!(Component::PacketFilter.name(), "pf");
-        assert_eq!(format!("{}", Component::Tcp), "tcp");
-    }
-
-    #[test]
-    fn fault_targets_cover_the_stack() {
-        let targets = Component::fault_targets(2);
-        assert_eq!(targets.len(), 6);
-        assert!(targets.contains(&Component::Driver(1)));
-        assert!(!targets.contains(&Component::Syscall));
+        assert_eq!(format!("{}", Component::TcpShard(0)), "tcp.0");
+        assert_eq!(Component::TcpShard(3).name(), "tcp.3");
     }
 }

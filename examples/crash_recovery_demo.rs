@@ -30,7 +30,11 @@ fn main() -> Result<(), Box<dyn Error>> {
     assert!(probe(&ssh, "baseline"));
     println!("ssh-like session established and answering.");
 
-    for component in [Component::PacketFilter, Component::Driver(0), Component::Ip] {
+    for component in [
+        Component::PacketFilter,
+        Component::Driver(0),
+        Component::IpShard(0),
+    ] {
         println!("\ninjecting a crash into {component} ...");
         stack.inject_fault(component, FaultAction::Crash);
         let recovered = wait_for(

@@ -59,7 +59,7 @@ fn ip_crash_resets_the_nic_and_traffic_recovers() {
         Duration::from_secs(60)
     ));
 
-    crash_and_wait(&stack, Component::Ip);
+    crash_and_wait(&stack, Component::IpShard(0));
     // The device was reset because the singleton IP owned the receive pool
     // (`nic_stats`/`rx_queue` are the accessors that stay meaningful on
     // multi-queue adapters; a sharded stack would only reset one queue).
@@ -96,7 +96,7 @@ fn tcp_crash_recovers_listening_sockets_but_not_connections() {
     listener.bind(2222).expect("bind");
     listener.listen(4).expect("listen");
 
-    crash_and_wait(&stack, Component::Tcp);
+    crash_and_wait(&stack, Component::TcpShard(0));
 
     // The established connection is gone...
     let mut buf = [0u8; 16];
@@ -131,7 +131,7 @@ fn udp_crash_is_transparent_to_bound_sockets() {
         .expect("send");
     assert!(socket.recv_from().is_ok());
 
-    crash_and_wait(&stack, Component::Udp);
+    crash_and_wait(&stack, Component::UdpShard(0));
 
     // Same socket, same shared buffer, new UDP incarnation.
     socket
@@ -260,8 +260,8 @@ fn live_update_is_not_recorded_as_a_crash() {
         .expect("send");
     assert!(socket.recv_from().is_ok());
 
-    assert!(stack.live_update(Component::Udp));
-    assert!(stack.wait_component_running(Component::Udp, Duration::from_secs(30)));
+    assert!(stack.live_update(Component::UdpShard(0)));
+    assert!(stack.wait_component_running(Component::UdpShard(0), Duration::from_secs(30)));
 
     socket
         .send_to(b"post", StackConfig::peer_addr(0), DNS_PORT)
@@ -271,6 +271,6 @@ fn live_update_is_not_recorded_as_a_crash() {
         stack.crash_log().is_empty(),
         "a live update must not be treated as a crash"
     );
-    assert_eq!(stack.restart_count(Component::Udp), 1);
+    assert_eq!(stack.restart_count(Component::UdpShard(0)), 1);
     stack.shutdown();
 }

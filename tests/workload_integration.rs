@@ -232,8 +232,8 @@ fn http_transfer_survives_a_tcp_crash_and_reincarnation() {
                 ),
                 "transfer never got going"
             );
-            assert!(stack.inject_fault(Component::Tcp, FaultAction::Crash));
-            assert!(stack.wait_component_running(Component::Tcp, Duration::from_secs(30)));
+            assert!(stack.inject_fault(Component::TcpShard(0), FaultAction::Crash));
+            assert!(stack.wait_component_running(Component::TcpShard(0), Duration::from_secs(30)));
 
             handle.join().expect("load generator thread")
         })
@@ -246,7 +246,7 @@ fn http_transfer_survives_a_tcp_crash_and_reincarnation() {
         loadgen.retries >= 1,
         "the crash must have forced a reconnect: {loadgen:?}"
     );
-    assert!(stack.restart_count(Component::Tcp) >= 1);
+    assert!(stack.restart_count(Component::TcpShard(0)) >= 1);
     let stats = server.stop();
     assert!(
         stats.requests >= 2,
@@ -291,8 +291,10 @@ fn ring_completions_survive_a_syscall_crash_under_load() {
                 ),
                 "load never got going"
             );
-            assert!(stack.inject_fault(Component::Syscall, FaultAction::Crash));
-            assert!(stack.wait_component_running(Component::Syscall, Duration::from_secs(30)));
+            assert!(stack.inject_fault(Component::SyscallShard(0), FaultAction::Crash));
+            assert!(
+                stack.wait_component_running(Component::SyscallShard(0), Duration::from_secs(30))
+            );
 
             handle.join().expect("load generator thread")
         })
@@ -308,7 +310,7 @@ fn ring_completions_survive_a_syscall_crash_under_load() {
         loadgen.verify_failures, 0,
         "bodies must verify: {loadgen:?}"
     );
-    assert!(stack.restart_count(Component::Syscall) >= 1);
+    assert!(stack.restart_count(Component::SyscallShard(0)) >= 1);
 
     // The ring still works end to end: fresh connections accept fine.
     let after = run_http_load(
@@ -360,8 +362,10 @@ fn ring_completions_survive_a_syscall_live_update() {
                 ),
                 "load never got going"
             );
-            assert!(stack.live_update(Component::Syscall));
-            assert!(stack.wait_component_running(Component::Syscall, Duration::from_secs(30)));
+            assert!(stack.live_update(Component::SyscallShard(0)));
+            assert!(
+                stack.wait_component_running(Component::SyscallShard(0), Duration::from_secs(30))
+            );
 
             handle.join().expect("load generator thread")
         })
@@ -382,7 +386,7 @@ fn ring_completions_survive_a_syscall_live_update() {
         "a live update must not force a reconnect: {loadgen:?}"
     );
     let stamp = stack
-        .component_recovery(Component::Syscall)
+        .component_recovery(Component::SyscallShard(0))
         .expect("live update leaves a recovery stamp");
     assert!(stamp.requested, "the restart must be stamped requested");
     let stats = server.stop();
@@ -584,9 +588,9 @@ fn one_request_wakes_every_service_on_its_path_by_a_write() {
         Httpd::spawn(stack.client(), stack.shards(), HttpdConfig::default()).expect("http server");
     let path = [
         Component::Driver(0),
-        Component::Ip,
+        Component::IpShard(0),
         Component::PacketFilter,
-        Component::Tcp,
+        Component::TcpShard(0),
     ];
     // Boot traffic (the listener set-up) has settled once everyone parks.
     let parked = |component| {
