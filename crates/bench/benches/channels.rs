@@ -5,19 +5,22 @@
 //! channel between two cores costs ~30 cycles.  These benchmarks measure the
 //! reproduction's equivalents: SPSC enqueue/dequeue (single-message and
 //! batched, direct and through the mutex-guarded handle the fabric used
-//! before the lock-free fast path), pool publish/read/free and the request
-//! database.
+//! before the lock-free fast path), pool publish/read/free, the request
+//! database, and what a socket operation costs when nobody waits: a condvar
+//! notify and one cycle through a shared socket buffer.
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use newt_channels::endpoint::Endpoint;
 use newt_channels::pool::Pool;
 use newt_channels::reqdb::{AbortPolicy, RequestDb};
 use newt_channels::spsc;
+use newt_stack::sockbuf::{Doorbell, SocketBuffer};
 
 const BATCH: usize = 64;
 
@@ -173,5 +176,42 @@ fn bench_reqdb(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_spsc, bench_pool, bench_reqdb);
+fn bench_sync(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sync");
+    group
+        .sample_size(20)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(1));
+
+    // What every socket-buffer operation of a stepped request pays for its
+    // wake-up, with no thread ever blocked on the buffer.
+    group.bench_function("condvar_notify_all_nobody_parked", |b| {
+        let condvar = Condvar::new();
+        b.iter(|| criterion::black_box(&condvar).notify_all());
+    });
+
+    // The four buffer operations of a `step_small` request, none of which
+    // blocks: the application writes a 256-byte response, TCP re-arms the
+    // doorbell, drains it and the send queue, the request arrives by
+    // reference in its 310-byte frame, and the application reads it.
+    group.bench_function("sockbuf_cycle_256b", |b| {
+        let doorbell = Doorbell::new();
+        let buffer = SocketBuffer::new(64 * 1024, 64 * 1024);
+        buffer.attach_doorbell(std::sync::Arc::clone(&doorbell), 1);
+        let (data, frame) = ([7u8; 256], Bytes::from(vec![9u8; 310]));
+        let (mut rung, mut out) = (Vec::with_capacity(4), [0u8; 256]);
+        b.iter(|| {
+            buffer.write(&data, Duration::ZERO).unwrap();
+            buffer.rearm_doorbell();
+            rung.clear();
+            doorbell.drain_into(&mut rung);
+            criterion::black_box(buffer.drain_send_bytes(256));
+            buffer.push_recv_bytes(frame.slice(54..), frame.len());
+            buffer.read(&mut out, Duration::ZERO).unwrap();
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_spsc, bench_pool, bench_reqdb, bench_sync);
 criterion_main!(benches);

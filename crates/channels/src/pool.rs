@@ -265,6 +265,23 @@ impl Pool {
         }
     }
 
+    /// Gives the next `chunks` slots the free list hands out `bytes` of
+    /// storage each (a slot that has as much already keeps its own), so a
+    /// writer that takes one of them and writes at most that much
+    /// allocates nothing — however many of them are out at once.
+    pub fn reserve(&self, chunks: usize, bytes: usize) {
+        let next: Vec<u32> = {
+            let free = self.inner.free_list.lock();
+            free.iter().rev().take(chunks).copied().collect()
+        };
+        for slot in next {
+            let mut entry = self.inner.slots[slot as usize].lock();
+            if entry.spare.capacity() < bytes {
+                entry.spare = BytesMut::with_capacity(bytes);
+            }
+        }
+    }
+
     /// Returns the unique id of this pool.
     pub fn id(&self) -> PoolId {
         self.inner.id

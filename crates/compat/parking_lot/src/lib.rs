@@ -4,10 +4,12 @@
 //! (`Mutex`, `RwLock`, `Condvar` with non-poisoning guards returned straight
 //! from `lock()`/`read()`/`write()`) on top of `std::sync`.  Poisoned locks
 //! are transparently recovered, matching `parking_lot`'s behaviour of not
-//! having poisoning at all.
+//! having poisoning at all, and a `Condvar` notify with nobody waiting
+//! returns without a system call, as `parking_lot`'s does.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{self, TryLockError};
 use std::time::Duration;
 
@@ -168,9 +170,24 @@ impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
 }
 
 /// A condition variable usable with [`Mutex`]/[`MutexGuard`].
+///
+/// Like the real `parking_lot` and unlike `std::sync::Condvar`, a notify
+/// that finds nobody waiting costs one atomic load and no system call.
+/// The condvar counts the threads inside [`Condvar::wait`] and
+/// [`Condvar::wait_for`]: a waiter raises the count while it still holds
+/// the mutex, before std's wait releases it, and lowers it once the wait
+/// has returned.  So a notifier that changed the waited-for condition under
+/// that mutex — and notifies under it or after unlocking — either sees the
+/// raised count or changed the condition before the waiter looked at it,
+/// and the waiter then never waits.
 #[derive(Debug, Default)]
 pub struct Condvar {
     inner: sync::Condvar,
+    waiters: AtomicUsize,
+    /// Notifies passed on to `inner`, so tests can tell that an empty
+    /// notify stopped at the count.
+    #[cfg(test)]
+    forwarded: AtomicUsize,
 }
 
 impl Condvar {
@@ -178,23 +195,41 @@ impl Condvar {
     pub const fn new() -> Self {
         Condvar {
             inner: sync::Condvar::new(),
+            waiters: AtomicUsize::new(0),
+            #[cfg(test)]
+            forwarded: AtomicUsize::new(0),
         }
+    }
+
+    /// `true` if a thread is waiting; counts the notify it lets through.
+    fn has_waiters(&self) -> bool {
+        let waiting = self.waiters.load(Ordering::SeqCst) > 0;
+        #[cfg(test)]
+        self.forwarded
+            .fetch_add(waiting as usize, Ordering::Relaxed);
+        waiting
     }
 
     /// Wakes one waiter.
     pub fn notify_one(&self) {
-        self.inner.notify_one();
+        if self.has_waiters() {
+            self.inner.notify_one();
+        }
     }
 
     /// Wakes every waiter.
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        if self.has_waiters() {
+            self.inner.notify_all();
+        }
     }
 
     /// Blocks on the condition variable until notified.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let inner = guard.inner.take().expect("guard present before wait");
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let inner = self.inner.wait(inner).unwrap_or_else(|e| e.into_inner());
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(inner);
     }
 
@@ -206,13 +241,12 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let inner = guard.inner.take().expect("guard present before wait");
-        let (inner, result) = match self.inner.wait_timeout(inner, timeout) {
-            Ok((g, r)) => (g, r),
-            Err(e) => {
-                let (g, r) = e.into_inner();
-                (g, r)
-            }
-        };
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let (inner, result) = self
+            .inner
+            .wait_timeout(inner, timeout)
+            .unwrap_or_else(|e| e.into_inner());
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(inner);
         WaitTimeoutResult {
             timed_out: result.timed_out(),
@@ -263,6 +297,76 @@ mod tests {
         let result = cv.wait_for(&mut guard, Duration::from_millis(20));
         assert!(result.timed_out());
         assert!(start.elapsed() >= Duration::from_millis(10));
+    }
+
+    #[test]
+    fn a_notify_with_nobody_waiting_stops_at_the_count() {
+        let cv = Condvar::new();
+        cv.notify_one();
+        cv.notify_all();
+        assert_eq!(cv.forwarded.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_waiter_that_timed_out_leaves_no_count_behind() {
+        let m = Mutex::new(());
+        let cv = Condvar::new();
+        let mut guard = m.lock();
+        assert!(cv
+            .wait_for(&mut guard, Duration::from_millis(1))
+            .timed_out());
+        assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
+        drop(guard);
+        cv.notify_all();
+        assert_eq!(cv.forwarded.load(Ordering::Relaxed), 0);
+    }
+
+    /// Two threads hand a counter back and forth through one condvar: each
+    /// waits for its parity, bumps the counter and notifies.  A notify that
+    /// skipped a waiter it should have woken would leave both threads
+    /// waiting, and the 10 s wait of one of them would time out.
+    fn ping_pong(notify_under_lock: bool) {
+        const HANDS: u64 = 100_000;
+        let pair = Arc::new((Mutex::new(0u64), Condvar::new()));
+        let player = |parity: u64| {
+            let pair = Arc::clone(&pair);
+            std::thread::spawn(move || {
+                let (m, cv) = &*pair;
+                loop {
+                    let mut turn = m.lock();
+                    while *turn < HANDS && *turn % 2 != parity {
+                        let waited = cv.wait_for(&mut turn, Duration::from_secs(10));
+                        assert!(!waited.timed_out(), "a wake-up was lost at {}", *turn);
+                    }
+                    if *turn >= HANDS {
+                        return;
+                    }
+                    *turn += 1;
+                    if notify_under_lock {
+                        cv.notify_all();
+                    } else {
+                        drop(turn);
+                        cv.notify_all();
+                    }
+                }
+            })
+        };
+        let (even, odd) = (player(0), player(1));
+        even.join().unwrap();
+        odd.join().unwrap();
+        let (m, cv) = &*pair;
+        assert_eq!(*m.lock(), HANDS);
+        assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_hand_off_notified_under_the_lock_loses_no_wake_up() {
+        ping_pong(true);
+    }
+
+    #[test]
+    fn a_hand_off_notified_after_unlocking_loses_no_wake_up() {
+        ping_pong(false);
     }
 
     #[test]

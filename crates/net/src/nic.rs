@@ -85,6 +85,15 @@ pub struct NicConfig {
     pub rss_key: RssKey,
 }
 
+/// Descriptors in each RX ring of a [`NicConfig::new`] adapter: the most
+/// frames one queue hands its driver in a poll round, and so the entries
+/// the stack's receive-batch vectors are made with.
+pub const RX_RING: usize = 256;
+
+/// Descriptors in each TX ring of a [`NicConfig::new`] adapter: the frames
+/// the stack's transmit-batch vectors and header chunks are made for.
+pub const TX_RING: usize = 256;
+
 impl NicConfig {
     /// Creates the default configuration for adapter `index`: offloads
     /// enabled, 256-entry rings, and a 1.8-second link-reset latency (the
@@ -94,8 +103,8 @@ impl NicConfig {
             mac: MacAddr::from_index(index),
             tso: true,
             checksum_offload: true,
-            rx_ring: 256,
-            tx_ring: 256,
+            rx_ring: RX_RING,
+            tx_ring: TX_RING,
             link_reset_latency: Duration::from_millis(1800),
             queues: 1,
             rss_key: RssKey::default(),
@@ -175,17 +184,23 @@ impl Nic {
     pub fn new(mut config: NicConfig, clock: SimClock, port: LinkPort) -> Self {
         config.queues = config.queues.clamp(1, MAX_QUEUES);
         let steering = RssSteering::new(config.rss_key, config.queues);
-        let queues = config.queues;
+        let (queues, rx_ring, tx_ring) = (config.queues, config.rx_ring, config.tx_ring);
         Nic {
             config,
             clock,
             port,
-            rx_rings: (0..queues).map(|_| VecDeque::new()).collect(),
-            tx_rings: (0..queues).map(|_| VecDeque::new()).collect(),
+            // The rings hold their full descriptor count from the start,
+            // as hardware rings do: no burst grows one.
+            rx_rings: (0..queues)
+                .map(|_| VecDeque::with_capacity(rx_ring))
+                .collect(),
+            tx_rings: (0..queues)
+                .map(|_| VecDeque::with_capacity(tx_ring))
+                .collect(),
             frames: Shelf::new(),
             steering,
             link_up_at: None,
-            arrivals: Vec::new(),
+            arrivals: Vec::with_capacity(rx_ring),
             stats: NicStats::default(),
         }
     }

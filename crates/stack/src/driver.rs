@@ -44,7 +44,7 @@ use newt_channels::reqdb::RequestId;
 use newt_channels::rich::{RichChain, RichPtr};
 use newt_kernel::rs::CrashEvent;
 use newt_net::gro::GroEngine;
-use newt_net::nic::{Nic, NicError};
+use newt_net::nic::{Nic, NicError, RX_RING, TX_RING};
 use newt_net::rss::{is_handshake_syn, MAX_QUEUES};
 
 #[cfg(test)]
@@ -156,6 +156,9 @@ impl DriverServer {
         assert!(!rx_pools.is_empty(), "a driver needs at least one lane");
         let crash_cursor = crash_board.len();
         let shards = rx_pools.len();
+        // A poll round moves at most a full ring of each queue: the batch
+        // vectors are made that large, so no later burst grows one.
+        let per_shard = nic.lock().queues().div_ceil(shards);
         DriverServer {
             index,
             nic,
@@ -167,10 +170,14 @@ impl DriverServer {
             crash_cursor,
             stats: DriverStats::default(),
             inbox_scratch: Vec::new(),
-            ack_batches: (0..shards).map(|_| Vec::new()).collect(),
-            rx_batches: (0..shards).map(|_| Vec::new()).collect(),
+            ack_batches: (0..shards)
+                .map(|_| Vec::with_capacity(TX_RING * per_shard))
+                .collect(),
+            rx_batches: (0..shards)
+                .map(|_| Vec::with_capacity(RX_RING * per_shard))
+                .collect(),
             gro: (gro_max_payload > 0).then(|| GroEngine::new(gro_max_payload)),
-            gro_scratch: Vec::new(),
+            gro_scratch: Vec::with_capacity(RX_RING),
             parts_scratch: Vec::new(),
         }
     }

@@ -36,6 +36,7 @@
 
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
@@ -216,8 +217,10 @@ impl<T> Tx<T> {
 
     /// Takes the batch staged in `staged` for sending, and leaves in its
     /// place a vector the consumer has emptied and handed back
-    /// ([`Rx::recycle`]) — a new one only until the first come back — so a
-    /// batch message costs no allocation however few entries it carries.
+    /// ([`Rx::recycle`]) — a new one, as large as the one taken, only until
+    /// the first come back — so a batch message costs no allocation however
+    /// few entries it carries, and a staging vector made large enough for
+    /// the largest burst passes that size on to every vector of its lane.
     /// `vector_in` points at the vector of a returned message of the staged
     /// kind; messages of another kind the lane keeps for the call that
     /// stages theirs.
@@ -227,7 +230,8 @@ impl<T> Tx<T> {
         vector_in: impl Fn(&mut T) -> Option<&mut Vec<V>>,
     ) -> Vec<V> {
         let spare = self.handle.with(None, |end| end.spare(vector_in));
-        std::mem::replace(staged, spare.unwrap_or_default())
+        let spare = spare.unwrap_or_else(|| Vec::with_capacity(staged.capacity()));
+        std::mem::replace(staged, spare)
     }
 
     /// Bulk-enqueues from the front of `items` (removing what was sent) and
@@ -464,13 +468,23 @@ impl PoolTable {
 
 /// The crash notice board: every crash event observed by the reincarnation
 /// server is appended here, and each server polls for events it has not seen
-/// yet from its own cursor.
+/// yet from its own cursor.  Every server polls it every round, so a poll
+/// that finds nothing new reads one atomic and takes no lock.
 #[derive(Debug, Clone, Default)]
 pub struct CrashBoard {
-    events: Arc<RwLock<Vec<CrashEvent>>>,
+    board: Arc<Board>,
+}
+
+#[derive(Debug, Default)]
+struct Board {
+    events: RwLock<Vec<CrashEvent>>,
+    /// How many events `events` holds, published after each push and
+    /// before the readers' wake words are written: a poll that misses a
+    /// push finds its reader's word written, and does not park.
+    len: AtomicUsize,
     /// The wake words of the servers reading the board, written on every
     /// push so a parked reader comes and looks.
-    readers: Arc<Vec<Arc<WakeWord>>>,
+    readers: Vec<Arc<WakeWord>>,
 }
 
 impl CrashBoard {
@@ -483,26 +497,32 @@ impl CrashBoard {
     /// push.
     pub fn waking(readers: Vec<Arc<WakeWord>>) -> Self {
         CrashBoard {
-            events: Arc::default(),
-            readers: Arc::new(readers),
+            board: Arc::new(Board {
+                readers,
+                ..Board::default()
+            }),
         }
     }
 
     /// Appends a crash event (called from the reincarnation server's crash
     /// listener).
     pub fn push(&self, event: CrashEvent) {
-        self.events.write().push(event);
-        for reader in self.readers.iter() {
+        {
+            let mut events = self.board.events.write();
+            events.push(event);
+            self.board.len.store(events.len(), Ordering::Release);
+        }
+        for reader in &self.board.readers {
             reader.write();
         }
     }
 
     /// Returns the events recorded after `cursor`, advancing the cursor.
     pub fn poll(&self, cursor: &mut usize) -> Vec<CrashEvent> {
-        let events = self.events.read();
-        if *cursor >= events.len() {
+        if *cursor >= self.len() {
             return Vec::new();
         }
+        let events = self.board.events.read();
         let new = events[*cursor..].to_vec();
         *cursor = events.len();
         new
@@ -510,12 +530,12 @@ impl CrashBoard {
 
     /// Returns the total number of events recorded so far.
     pub fn len(&self) -> usize {
-        self.events.read().len()
+        self.board.len.load(Ordering::Acquire)
     }
 
     /// Returns `true` if no crash has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.read().is_empty()
+        self.len() == 0
     }
 }
 
@@ -589,7 +609,7 @@ mod tests {
         staged_words.push(7);
         staged_bytes.push(9);
         // Nothing has come back yet: the staged vectors go out, new ones
-        // take their place.
+        // as large take their place.
         assert!(send(
             &tx,
             Msg::Words(tx.take_batch(&mut staged_words, words))
@@ -598,7 +618,8 @@ mod tests {
             &tx,
             Msg::Bytes(tx.take_batch(&mut staged_bytes, bytes))
         ));
-        assert_eq!((staged_words.capacity(), staged_bytes.capacity()), (0, 0));
+        assert!(staged_words.capacity() >= 16 && staged_words.as_ptr() != words_at);
+        assert!(staged_bytes.capacity() >= 32 && staged_bytes.as_ptr() != bytes_at);
         for mut message in drain(&rx) {
             match &mut message {
                 Msg::Words(v) => assert!(v.drain(..).eq([7])),
@@ -612,9 +633,9 @@ mod tests {
         assert_eq!(staged_bytes.as_ptr(), bytes_at);
         assert_eq!(staged_words.as_ptr(), words_at);
         assert!(staged_bytes.is_empty() && staged_words.is_empty());
-        // And nothing is left to hand out.
+        // And nothing is left to hand out: a new vector again.
         let _ = tx.take_batch(&mut staged_words, words);
-        assert_eq!(staged_words.capacity(), 0);
+        assert!(staged_words.capacity() >= 16 && staged_words.as_ptr() != words_at);
     }
 
     #[test]
@@ -736,5 +757,43 @@ mod tests {
         board.push(event);
         assert_eq!(board.poll(&mut tcp_cursor).len(), 1);
         assert_eq!(board.len(), 2);
+    }
+
+    /// Servers poll the board, then park on their wake word with the value
+    /// they read before polling.  A push the poll missed must have written
+    /// the word by then, so the park ends at once: a reader that keeps
+    /// polling and parking sees every event of a concurrent pusher without
+    /// ever waiting out its timeout.
+    #[test]
+    fn a_push_racing_a_poll_is_never_missed() {
+        const EVENTS: usize = 2_000;
+        let word = Arc::new(WakeWord::new());
+        let board = CrashBoard::waking(vec![Arc::clone(&word)]);
+        let event = CrashEvent {
+            name: "pf".to_string(),
+            endpoint: Endpoint::from_raw(5),
+            generation: Generation::FIRST,
+            reason: CrashReason::Panicked,
+            restarting: true,
+            at: std::time::Duration::ZERO,
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..EVENTS {
+                    board.push(event.clone());
+                }
+            });
+            let (mut cursor, mut seen) = (0, 0);
+            while seen < EVENTS {
+                let last = word.value();
+                let new = board.poll(&mut cursor).len();
+                seen += new;
+                if new == 0 {
+                    let woke = word.mwait(last, std::time::Duration::from_secs(10));
+                    assert_ne!(woke, last, "a push was missed after {seen} events");
+                }
+            }
+            assert_eq!(cursor, EVENTS);
+        });
     }
 }

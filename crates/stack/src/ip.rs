@@ -30,6 +30,7 @@ use newt_channels::reqdb::RequestId;
 use newt_channels::rich::{RichChain, RichPtr};
 use newt_kernel::rs::{CrashEvent, StartMode, StateSnapshot};
 use newt_kernel::storage::{codec, StorageServer};
+use newt_net::nic::{RX_RING, TX_RING};
 use newt_net::wire::{
     internet_checksum, ArpOperation, ArpPacket, Checksum, EtherType, EthernetFrame, EthernetView,
     HeaderBuf, IcmpMessage, IcmpType, IcmpView, IpProtocol, Ipv4View, MacAddr, ETHERNET_HEADER_LEN,
@@ -367,6 +368,11 @@ impl IpServer {
         let drivers = to_drv.len();
         let rx_slots = vec![RxSlot::Free; rx_pool.capacity()];
         let tx_slots = Vec::with_capacity(header_pool.capacity());
+        // Storage for the header chunks of a full TX ring of frames, so a
+        // burst with more frames in flight than any before writes no chunk
+        // for the first time.
+        let frame_header = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + MAX_TRANSPORT_HEADER;
+        header_pool.reserve(TX_RING, frame_header);
         let mut server = IpServer {
             config,
             shard,
@@ -396,15 +402,18 @@ impl IpServer {
             next_tag: 1,
             ip_ident: 1,
             stats: IpStats::default(),
-            transport_scratch: Vec::new(),
+            // A transport sends one message per frame: the scratch it
+            // drains them into and the batch vectors hold a full ring's
+            // burst from the start.
+            transport_scratch: Vec::with_capacity(TX_RING),
             pf_scratch: Vec::new(),
             drv_scratch: Vec::new(),
-            check_batch: Vec::new(),
-            tx_batch: (0..drivers).map(|_| Vec::new()).collect(),
-            deliver_tcp: Vec::new(),
-            deliver_udp: Vec::new(),
-            send_done_tcp: Vec::new(),
-            send_done_udp: Vec::new(),
+            check_batch: Vec::with_capacity(RX_RING),
+            tx_batch: (0..drivers).map(|_| Vec::with_capacity(TX_RING)).collect(),
+            deliver_tcp: Vec::with_capacity(RX_RING),
+            deliver_udp: Vec::with_capacity(RX_RING),
+            send_done_tcp: Vec::with_capacity(TX_RING),
+            send_done_udp: Vec::with_capacity(TX_RING),
         };
         if matches!(mode, StartMode::LiveUpdate) {
             let restored = snapshot

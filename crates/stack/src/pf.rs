@@ -47,6 +47,7 @@ use crate::fabric::drain;
 use crate::fabric::{send, Rx, Tx};
 use crate::msg::{Direction, IpToPf, PacketMeta, PfToIp, PfToTransport, TransportToPf};
 use newt_channels::reqdb::RequestId;
+use newt_net::nic::RX_RING;
 use newt_net::wire::IpProtocol;
 
 /// A tracked flow: protocol, local port, remote address, remote port.
@@ -311,7 +312,8 @@ impl PacketFilterServer {
             blocked: 0,
             inbox_scratch: Vec::new(),
             transport_scratch: Vec::new(),
-            verdicts: Vec::new(),
+            // Received frames are checked a driver's burst at a time.
+            verdicts: Vec::with_capacity(RX_RING),
         };
         if mode == StartMode::Restart || (mode == StartMode::LiveUpdate && !restored) {
             // Rebuild connection tracking by asking every transport replica

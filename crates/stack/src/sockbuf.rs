@@ -24,7 +24,7 @@
 //! bits, plus hang-up and error unconditionally.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -59,6 +59,11 @@ use crate::rings::{interest_bits, CompletionQueue, CqValue, Cqe};
 #[derive(Debug, Default)]
 pub struct Doorbell {
     rung: Mutex<Vec<u64>>,
+    /// How many ids `rung` holds, published after each push and before the
+    /// wake word is written: a drain that misses a ring finds the word
+    /// written and its server does not park, and a drain with nothing to
+    /// take takes no lock.
+    pending: AtomicUsize,
     /// The wake word of the server that drains this doorbell, if it parks.
     wake: Option<Arc<WakeWord>>,
     blocks: Shelf,
@@ -81,7 +86,11 @@ impl Doorbell {
 
     /// Records that socket `id` has application-side work.
     pub fn ring(&self, id: u64) {
-        self.rung.lock().push(id);
+        {
+            let mut rung = self.rung.lock();
+            rung.push(id);
+            self.pending.store(rung.len(), Ordering::Release);
+        }
         if let Some(wake) = &self.wake {
             wake.write();
         }
@@ -90,9 +99,13 @@ impl Doorbell {
     /// Moves every rung socket id into `out` (a reused scratch buffer) and
     /// returns how many there were.
     pub fn drain_into(&self, out: &mut Vec<u64>) -> usize {
+        if self.pending.load(Ordering::Acquire) == 0 {
+            return 0;
+        }
         let mut rung = self.rung.lock();
         let n = rung.len();
         out.append(&mut rung);
+        self.pending.store(0, Ordering::Release);
         n
     }
 }
@@ -455,6 +468,21 @@ impl SendQueue {
     }
 }
 
+/// A queue block for a buffer whose doorbell is `target`: from the
+/// shard's shelf once a server has attached its doorbell, an ordinary
+/// buffer before.
+fn new_block(target: Option<&NotifyTarget>, capacity: usize) -> BytesMut {
+    match target {
+        Some(target) => target.doorbell.blocks.take(capacity),
+        None => BytesMut::with_capacity(capacity),
+    }
+}
+
+/// Everything behind a buffer's one lock: the queues, the flags, the
+/// doorbell registration and the armed watch.  A transition decides in the
+/// critical section that changed the state whether the watch fires, so a
+/// racing [`SocketBuffer::arm_watch`] either sees the new state or has
+/// stored its watch before the transition looks.
 #[derive(Debug, Default)]
 struct BufInner {
     send: SendQueue,
@@ -462,6 +490,55 @@ struct BufInner {
     recv_eof: bool,
     error: Option<SockError>,
     closed_by_app: bool,
+    /// Where to announce application-side work (send-queue writes, close).
+    notify: Option<NotifyTarget>,
+    /// The armed one-shot readiness watch, if any (ring `PollArm`).
+    watch: Option<ReadyWatch>,
+}
+
+impl BufInner {
+    fn readiness(&self, send_capacity: usize) -> Readiness {
+        let error = self.error;
+        let eof = self.recv_eof;
+        Readiness {
+            readable: self.recv.len > 0 || eof || error.is_some(),
+            writable: send_capacity.saturating_sub(self.send.len) > 0 && error.is_none(),
+            hung_up: eof,
+            error,
+        }
+    }
+
+    /// Takes the armed watch out if the current state satisfies it; the
+    /// caller posts it with [`Fired::post`] once the lock is released.
+    /// Only what raises readiness calls this — received data, freed send
+    /// space, end-of-stream, an error: a `read` or `write` only ever lowers
+    /// it, so neither can fire a watch.
+    fn fire_watch(&mut self, send_capacity: usize) -> Fired {
+        let Some(watch) = &self.watch else {
+            return Fired(None);
+        };
+        let readiness = self.readiness(send_capacity);
+        if !readiness.matches_interest(watch.interest) {
+            return Fired(None);
+        }
+        Fired(self.watch.take().map(|watch| (watch, readiness)))
+    }
+}
+
+/// A watch a transition took out of its buffer, posted after the buffer's
+/// lock is released.
+#[must_use = "a fired watch must be posted"]
+struct Fired(Option<(ReadyWatch, Readiness)>);
+
+impl Fired {
+    fn post(self) {
+        if let Some((watch, readiness)) = self.0 {
+            watch.cq.post(Cqe {
+                user_data: watch.user_data,
+                result: Ok(CqValue::Ready(readiness)),
+            });
+        }
+    }
 }
 
 /// The shared buffer between an application and a protocol server.
@@ -469,7 +546,7 @@ struct BufInner {
 /// The application side uses the blocking [`SocketBuffer::write`] and
 /// [`SocketBuffer::read`]; the protocol server uses the non-blocking
 /// [`SocketBuffer::drain_send`] and [`SocketBuffer::push_recv`] from its
-/// event loop.
+/// event loop.  Every operation takes the buffer's lock at most once.
 #[derive(Debug)]
 pub struct SocketBuffer {
     inner: Mutex<BufInner>,
@@ -481,10 +558,6 @@ pub struct SocketBuffer {
     /// yet re-armed by servicing the socket; suppresses repeat rings so a
     /// write burst costs one doorbell entry, not one per `write`.
     wake_pending: AtomicBool,
-    /// Where to announce application-side work (send-queue writes, close).
-    notify: Mutex<Option<NotifyTarget>>,
-    /// The armed one-shot readiness watch, if any (ring `PollArm`).
-    watch: Mutex<Option<ReadyWatch>>,
 }
 
 impl SocketBuffer {
@@ -497,8 +570,6 @@ impl SocketBuffer {
             readable: Condvar::new(),
             writable: Condvar::new(),
             wake_pending: AtomicBool::new(false),
-            notify: Mutex::new(None),
-            watch: Mutex::new(None),
         }
     }
 
@@ -508,40 +579,19 @@ impl SocketBuffer {
     /// transition.  Re-arming replaces a previously armed watch (the old
     /// one is dropped without completing).
     pub fn arm_watch(&self, watch: ReadyWatch) {
-        let readiness = self.readiness();
+        let mut inner = self.inner.lock();
+        let readiness = inner.readiness(self.send_capacity);
         if readiness.matches_interest(watch.interest) {
-            watch.cq.post(Cqe {
-                user_data: watch.user_data,
-                result: Ok(CqValue::Ready(readiness)),
-            });
-            return;
+            drop(inner);
+            Fired(Some((watch, readiness))).post();
+        } else {
+            inner.watch = Some(watch);
         }
-        *self.watch.lock() = Some(watch);
-        // Readiness may have changed between the snapshot and the store;
-        // re-check so a racing transition is never missed.
-        self.maybe_fire_watch();
     }
 
     /// Drops the armed watch, if any, without completing it.
     pub fn cancel_watch(&self) {
-        self.watch.lock().take();
-    }
-
-    /// Fires the armed watch if the buffer's current readiness satisfies
-    /// its interest.  Called (outside the state lock) by every readiness
-    /// transition: received data, freed send space, EOF, error.
-    fn maybe_fire_watch(&self) {
-        let mut slot = self.watch.lock();
-        let Some(watch) = slot.as_ref() else { return };
-        let readiness = self.readiness();
-        if readiness.matches_interest(watch.interest) {
-            let watch = slot.take().expect("checked above");
-            drop(slot);
-            watch.cq.post(Cqe {
-                user_data: watch.user_data,
-                result: Ok(CqValue::Ready(readiness)),
-            });
-        }
+        self.inner.lock().watch.take();
     }
 
     /// Bytes of heap memory this buffer currently holds (everything the
@@ -563,9 +613,10 @@ impl SocketBuffer {
     /// buffer rings when the application queues work, and rings it once so
     /// anything already buffered is discovered.
     pub fn attach_doorbell(&self, doorbell: Arc<Doorbell>, id: u64) {
-        *self.notify.lock() = Some(NotifyTarget { doorbell, id });
+        let mut inner = self.inner.lock();
+        inner.notify = Some(NotifyTarget { doorbell, id });
         self.wake_pending.store(false, Ordering::Release);
-        self.ring_doorbell();
+        self.ring_doorbell(&inner);
     }
 
     /// Re-arms the doorbell; the server calls this right *before* draining
@@ -575,18 +626,11 @@ impl SocketBuffer {
         self.wake_pending.store(false, Ordering::Release);
     }
 
-    /// A block for a queue's tail: from the shard's shelf once a server
-    /// has attached its doorbell, an ordinary buffer before.
-    fn block(&self, capacity: usize) -> BytesMut {
-        match self.notify.lock().as_ref() {
-            Some(target) => target.doorbell.blocks.take(capacity),
-            None => BytesMut::with_capacity(capacity),
-        }
-    }
-
-    fn ring_doorbell(&self) {
+    /// Rings the doorbell in `inner`, unless the buffer has rung it since
+    /// the server last re-armed.
+    fn ring_doorbell(&self, inner: &BufInner) {
         if !self.wake_pending.swap(true, Ordering::AcqRel) {
-            if let Some(target) = self.notify.lock().as_ref() {
+            if let Some(target) = &inner.notify {
                 target.doorbell.ring(target.id);
             }
         }
@@ -614,7 +658,7 @@ impl SocketBuffer {
         if data.is_empty() {
             return Ok(0);
         }
-        let deadline = Instant::now() + timeout;
+        let mut deadline = None;
         let mut inner = self.inner.lock();
         loop {
             if let Some(err) = inner.error {
@@ -623,16 +667,18 @@ impl SocketBuffer {
             let space = self.send_capacity.saturating_sub(inner.send.len);
             if space > 0 {
                 let n = space.min(data.len());
-                inner.send.push(&data[..n], |capacity| self.block(capacity));
+                let BufInner { send, notify, .. } = &mut *inner;
+                send.push(&data[..n], |capacity| new_block(notify.as_ref(), capacity));
                 self.readable.notify_all();
-                drop(inner);
-                self.ring_doorbell();
+                self.ring_doorbell(&inner);
                 return Ok(n);
             }
             if timeout.is_zero() {
                 return Err(SockError::WouldBlock);
             }
+            // Only a call that waits reads the clock.
             let now = Instant::now();
+            let deadline = *deadline.get_or_insert(now + timeout);
             if now >= deadline {
                 return Err(SockError::TimedOut);
             }
@@ -652,7 +698,7 @@ impl SocketBuffer {
     /// nothing is readable and `timeout` is zero, or [`SockError::TimedOut`]
     /// after a non-zero `timeout`.
     pub fn read(&self, buf: &mut [u8], timeout: Duration) -> Result<usize, SockError> {
-        let deadline = Instant::now() + timeout;
+        let mut deadline = None;
         let mut inner = self.inner.lock();
         loop {
             if inner.recv.len > 0 {
@@ -670,6 +716,7 @@ impl SocketBuffer {
                 return Err(SockError::WouldBlock);
             }
             let now = Instant::now();
+            let deadline = *deadline.get_or_insert(now + timeout);
             if now >= deadline {
                 return Err(SockError::TimedOut);
             }
@@ -693,28 +740,18 @@ impl SocketBuffer {
     /// memory — no protocol-server round trip (paper §V-B: the data path
     /// bypasses the SYSCALL server, and so does polling it).
     pub fn readiness(&self) -> Readiness {
-        let inner = self.inner.lock();
-        let error = inner.error;
-        let eof = inner.recv_eof;
-        Readiness {
-            readable: inner.recv.len > 0 || eof || error.is_some(),
-            writable: self.send_capacity.saturating_sub(inner.send.len) > 0 && error.is_none(),
-            hung_up: eof,
-            error,
-        }
+        self.inner.lock().readiness(self.send_capacity)
     }
 
     /// Marks the socket as closed by the application (the server sends FIN
     /// once the send buffer drains).  Cancels any armed readiness watch —
     /// the application is done with the socket.
     pub fn close(&self) {
-        {
-            let mut inner = self.inner.lock();
-            inner.closed_by_app = true;
-            self.readable.notify_all();
-        }
-        self.cancel_watch();
-        self.ring_doorbell();
+        let mut inner = self.inner.lock();
+        inner.closed_by_app = true;
+        inner.watch = None;
+        self.readable.notify_all();
+        self.ring_doorbell(&inner);
     }
 
     // ---- protocol-server side ---------------------------------------------
@@ -745,17 +782,20 @@ impl SocketBuffer {
     /// and the next call continues from there.  An empty queue is left
     /// untouched.
     pub fn drain_send_bytes(&self, max: usize) -> Bytes {
-        let out = {
-            let mut inner = self.inner.lock();
-            if max.min(inner.send.len) == 0 {
-                return Bytes::new();
-            }
-            let out = inner.send.drain(max);
-            self.writable.notify_all();
-            out
-        };
+        // The lock is taken even to find the queue empty.  A write whose
+        // critical section follows this one sees the re-arm the server made
+        // before draining, and rings; one that precedes it left its bytes
+        // here.  A lock-free emptiness check would let both miss.
+        let mut inner = self.inner.lock();
+        if max.min(inner.send.len) == 0 {
+            return Bytes::new();
+        }
+        let out = inner.send.drain(max);
+        self.writable.notify_all();
         // Send space freed: a write-interested watch can fire.
-        self.maybe_fire_watch();
+        let fired = inner.fire_watch(self.send_capacity);
+        drop(inner);
+        fired.post();
         out
     }
 
@@ -780,8 +820,8 @@ impl SocketBuffer {
     /// Returns the number of bytes accepted (data beyond the receive
     /// capacity is rejected so the advertised window is honoured).
     pub fn push_recv(&self, data: &[u8]) -> usize {
-        self.admit_recv(data.len(), |recv, n| {
-            recv.push_copy(&data[..n], |capacity| self.block(capacity))
+        self.admit_recv(data.len(), |recv, n, target| {
+            recv.push_copy(&data[..n], |capacity| new_block(target, capacity))
         })
     }
 
@@ -796,11 +836,11 @@ impl SocketBuffer {
     pub fn push_recv_bytes(&self, payload: Bytes, backing: usize) -> RecvPush {
         let pinned = backing + CHUNK_OVERHEAD;
         let mut copied = false;
-        let accepted = self.admit_recv(payload.len(), |recv, n| {
+        let accepted = self.admit_recv(payload.len(), |recv, n, target| {
             if 2 * n >= pinned {
                 recv.push_chunk(payload.slice(..n), pinned);
             } else {
-                recv.push_copy(&payload[..n], |capacity| self.block(capacity));
+                recv.push_copy(&payload[..n], |capacity| new_block(target, capacity));
                 copied = true;
             }
         });
@@ -808,20 +848,24 @@ impl SocketBuffer {
     }
 
     /// Admits up to `len` bytes into the receive queue: `enqueue` is called
-    /// with the count that fits, unless that is zero.  Returns the count.
-    fn admit_recv(&self, len: usize, enqueue: impl FnOnce(&mut RecvQueue, usize)) -> usize {
-        let n = {
-            let mut inner = self.inner.lock();
-            let n = self.recv_capacity.saturating_sub(inner.recv.len).min(len);
-            if n > 0 {
-                enqueue(&mut inner.recv, n);
-                self.readable.notify_all();
-            }
-            n
-        };
-        if n > 0 {
-            self.maybe_fire_watch();
+    /// with the queue, the count that fits and the doorbell its blocks come
+    /// from, unless the count is zero.  Returns the count.
+    fn admit_recv(
+        &self,
+        len: usize,
+        enqueue: impl FnOnce(&mut RecvQueue, usize, Option<&NotifyTarget>),
+    ) -> usize {
+        let mut inner = self.inner.lock();
+        let n = self.recv_capacity.saturating_sub(inner.recv.len).min(len);
+        if n == 0 {
+            return 0;
         }
+        let BufInner { recv, notify, .. } = &mut *inner;
+        enqueue(recv, n, notify.as_ref());
+        self.readable.notify_all();
+        let fired = inner.fire_watch(self.send_capacity);
+        drop(inner);
+        fired.post();
         n
     }
 
@@ -834,26 +878,26 @@ impl SocketBuffer {
 
     /// Marks the receive stream as finished (the remote sent FIN).
     pub fn set_eof(&self) {
-        {
-            let mut inner = self.inner.lock();
-            inner.recv_eof = true;
-            self.readable.notify_all();
-        }
-        self.maybe_fire_watch();
+        let mut inner = self.inner.lock();
+        inner.recv_eof = true;
+        self.readable.notify_all();
+        let fired = inner.fire_watch(self.send_capacity);
+        drop(inner);
+        fired.post();
     }
 
     /// Posts an error to the application (e.g. connection reset after an
     /// unrecoverable TCP crash).
     pub fn set_error(&self, error: SockError) {
-        {
-            let mut inner = self.inner.lock();
-            if inner.error.is_none() {
-                inner.error = Some(error);
-            }
-            self.readable.notify_all();
-            self.writable.notify_all();
+        let mut inner = self.inner.lock();
+        if inner.error.is_none() {
+            inner.error = Some(error);
         }
-        self.maybe_fire_watch();
+        self.readable.notify_all();
+        self.writable.notify_all();
+        let fired = inner.fire_watch(self.send_capacity);
+        drop(inner);
+        fired.post();
     }
 
     /// Returns the pending error, if any.
@@ -1188,6 +1232,122 @@ mod tests {
         buf.close();
         buf.push_recv(b"late");
         assert_eq!(cq.posted(), 3);
+    }
+
+    /// Rounds of each cross-thread race below.  No round sleeps: the two
+    /// sides meet in whatever order the scheduler picks, and a wake-up lost
+    /// in any of them leaves the blocked side to its 5 s timeout.
+    const RACES: usize = 1000;
+    const LONG: Duration = Duration::from_secs(5);
+
+    #[test]
+    fn a_blocked_read_is_woken_by_push_recv_every_time() {
+        for round in 0..RACES {
+            let buf = SocketBuffer::new(16, 16);
+            thread::scope(|s| {
+                let reader = s.spawn(|| buf.read(&mut [0u8; 8], LONG));
+                assert_eq!(buf.push_recv(b"ping"), 4);
+                assert_eq!(reader.join().unwrap(), Ok(4), "round {round}");
+            });
+        }
+    }
+
+    #[test]
+    fn a_blocked_write_is_woken_by_drain_send_bytes_every_time() {
+        for round in 0..RACES {
+            let buf = SocketBuffer::new(4, 16);
+            assert_eq!(buf.write(&[0u8; 4], Duration::ZERO), Ok(4));
+            thread::scope(|s| {
+                let writer = s.spawn(|| buf.write(b"pong", LONG));
+                assert_eq!(buf.drain_send_bytes(4).len(), 4);
+                assert_eq!(writer.join().unwrap(), Ok(4), "round {round}");
+            });
+        }
+    }
+
+    /// TCP drains its doorbell, then parks on the wake word with the value
+    /// it read before draining.  A ring the drain missed has written the
+    /// word by then, so the park ends at once and the next drain takes the
+    /// id: no ring is ever lost or left waiting for a timeout.
+    #[test]
+    fn a_ring_racing_a_drain_is_never_lost() {
+        const RINGS: u64 = 100_000;
+        let word = Arc::new(WakeWord::new());
+        let doorbell = Doorbell::waking(Arc::clone(&word));
+        thread::scope(|s| {
+            s.spawn(|| (0..RINGS).for_each(|id| doorbell.ring(id)));
+            let mut ids = Vec::new();
+            while (ids.len() as u64) < RINGS {
+                let last = word.value();
+                if doorbell.drain_into(&mut ids) == 0 {
+                    let woke = word.mwait(last, LONG);
+                    assert_ne!(woke, last, "a ring was lost after {} ids", ids.len());
+                }
+            }
+            assert!(ids.iter().copied().eq(0..RINGS));
+        });
+        let mut rest = Vec::new();
+        assert_eq!(doorbell.drain_into(&mut rest), 0);
+        doorbell.ring(7);
+        assert_eq!(doorbell.drain_into(&mut rest), 1);
+        assert_eq!(rest, [7]);
+    }
+
+    /// The application writes one byte at a time, each once the last was
+    /// drained, while TCP's pump runs on another thread: read the wake word,
+    /// drain the doorbell, re-arm and drain the send queue, park when both
+    /// were empty.  Every write thus races a re-arm and a drain; it either
+    /// leaves its byte to that drain or rings the doorbell, so every park
+    /// ends at once and every byte arrives.
+    #[test]
+    fn a_write_racing_the_pump_is_never_lost() {
+        const BYTES: usize = 100_000;
+        let word = Arc::new(WakeWord::new());
+        let doorbell = Doorbell::waking(Arc::clone(&word));
+        let buf = SocketBuffer::new(BYTES, 16);
+        buf.attach_doorbell(Arc::clone(&doorbell), 1);
+        let drained = AtomicUsize::new(0);
+        thread::scope(|s| {
+            s.spawn(|| {
+                for written in 0..BYTES {
+                    while drained.load(Ordering::Acquire) < written {
+                        thread::yield_now();
+                    }
+                    assert_eq!(buf.write(&[1], LONG), Ok(1));
+                }
+            });
+            let mut ids = Vec::new();
+            while drained.load(Ordering::Relaxed) < BYTES {
+                let last = word.value();
+                ids.clear();
+                let rung = doorbell.drain_into(&mut ids);
+                buf.rearm_doorbell();
+                let got = buf.drain_send_bytes(BYTES).len();
+                drained.fetch_add(got, Ordering::Release);
+                if rung == 0 && got == 0 {
+                    let woke = word.mwait(last, LONG);
+                    let after = drained.load(Ordering::Relaxed);
+                    assert_ne!(woke, last, "a write was lost after {after} bytes");
+                }
+            }
+        });
+        assert_eq!(buf.send_pending(), 0);
+    }
+
+    #[test]
+    fn a_watch_armed_while_data_arrives_fires_exactly_once() {
+        for round in 0..RACES {
+            let cq = Arc::new(CompletionQueue::new(8));
+            let buf = SocketBuffer::new(16, 16);
+            thread::scope(|s| {
+                s.spawn(|| {
+                    buf.push_recv(b"x");
+                    buf.push_recv(b"y");
+                });
+                buf.arm_watch(watch(&cq, 9, interest_bits::READ));
+            });
+            assert_eq!(cq.posted(), 1, "round {round}");
+        }
     }
 
     /// A payload of `len` bytes counting up from `first`, inside a frame

@@ -120,6 +120,12 @@ pub(super) enum Sock {
 }
 
 impl Sock {
+    /// `true` for a connection that may still send data or its FIN — what
+    /// the server's `active_senders` counts.
+    fn sends(&self) -> bool {
+        matches!(self, Sock::Conn(entry) if entry.conn.cm.can_send())
+    }
+
     fn buffer_mut(&mut self) -> &mut SharedBuffer {
         match self {
             Sock::Idle { buffer, .. } | Sock::Listener { buffer, .. } => buffer,
@@ -346,14 +352,20 @@ pub struct TcpServer {
     doorbell: Arc<Doorbell>,
     doorbell_scratch: Vec<u64>,
     timer_scratch: Vec<TimerEntry>,
-    /// Cached count of actively sending connections (the divisor of the
-    /// shard send budget); recomputed only when a connection state changed.
-    active_senders: usize,
-    senders_dirty: bool,
+    /// How many connections may still send (the divisor of the shard send
+    /// budget), kept where a connection enters or leaves the table or
+    /// changes state.
+    pub(super) active_senders: usize,
     /// TIME-WAIT-style port quarantine: actively closed local ports and
     /// when the ephemeral allocator may hand them out again.  Bounded by
     /// the port space (entries overwrite by key) and swept opportunistically.
     pub(super) time_wait_ports: HashMap<u16, Duration>,
+}
+
+/// Moves a connection that could send (`sent`) or not into the count of
+/// active senders as it is now (`sends`).
+fn follow_sender(active_senders: &mut usize, sent: bool, sends: bool) {
+    *active_senders = *active_senders + sends as usize - sent as usize;
 }
 
 impl TcpServer {
@@ -473,7 +485,6 @@ impl TcpServer {
             doorbell_scratch: Vec::new(),
             timer_scratch: Vec::new(),
             active_senders: 0,
-            senders_dirty: true,
             time_wait_ports: HashMap::new(),
         };
         let restored = match (mode, &snapshot) {
@@ -488,6 +499,7 @@ impl TcpServer {
             server.egress.tx_pool.reset();
             server.recover();
         }
+        server.active_senders = server.count_senders();
         server.persist_listeners();
         server
     }
@@ -686,6 +698,7 @@ impl TcpServer {
     /// half-open child never had a buffer to revoke.
     fn forget(&mut self, id: SockId) -> Option<Sock> {
         let mut sock = self.sockets.remove(&id)?;
+        self.active_senders -= sock.sends() as usize;
         if sock.buffer_mut().get().is_some() {
             let _ = self.registry.revoke(self.endpoint, &Self::buffer_name(id));
         }
@@ -724,7 +737,9 @@ impl TcpServer {
         self.next_sock += 1;
         let mut entry = ConnEntry::new(conn, None);
         self.index_conn(id, &mut entry);
-        self.sockets.insert(id, Sock::Conn(entry));
+        let sock = Sock::Conn(entry);
+        self.active_senders += sock.sends() as usize;
+        self.sockets.insert(id, sock);
         id
     }
 
@@ -843,7 +858,7 @@ impl TcpServer {
         let Some(Sock::Conn(entry)) = self.sockets.get_mut(&id) else {
             return false;
         };
-        let before = entry.conn.state();
+        let sent = entry.conn.cm.can_send();
         let fx = event(entry, &self.config, &mut self.stats);
         let conn = &entry.conn;
         let (dst, local_port) = (conn.cm.remote().0, conn.cm.local_port());
@@ -862,7 +877,7 @@ impl TcpServer {
             }
         }
         Self::sync_rto(&mut self.wheel, id, entry);
-        self.senders_dirty |= entry.conn.state() != before;
+        follow_sender(&mut self.active_senders, sent, entry.conn.cm.can_send());
         if matches!(fx.handshake, Handshake::Connected | Handshake::Accepted(_)) {
             let due = entry.conn.cm.reap_due(TimerKind::IdleReap, &self.config);
             self.wheel.arm(id, TimerKind::IdleReap, due);
@@ -922,18 +937,14 @@ impl TcpServer {
         work
     }
 
-    /// Returns the per-connection share of the shard send budget,
-    /// recomputing the active-sender count only after connection state
-    /// changed (data transfer leaves it untouched).
-    fn budget_share(&mut self) -> u32 {
-        if self.senders_dirty {
-            self.senders_dirty = false;
-            self.active_senders = self
-                .sockets
-                .values()
-                .filter(|s| matches!(s, Sock::Conn(entry) if entry.conn.cm.can_send()))
-                .count();
-        }
+    /// Counts the connections that may still send, over the whole table:
+    /// once when a restored table replaces the kept count.
+    pub(super) fn count_senders(&self) -> usize {
+        self.sockets.values().filter(|sock| sock.sends()).count()
+    }
+
+    /// Returns the per-connection share of the shard send budget.
+    fn budget_share(&self) -> u32 {
         (self.config.shard_send_budget / self.active_senders.max(1))
             .max(self.config.mss)
             .min(u32::MAX as usize) as u32
@@ -1051,7 +1062,6 @@ impl TcpServer {
                         Ok(0)
                     }
                 };
-                self.senders_dirty = true;
                 self.replies.result(req, result);
             }
         }
@@ -1211,6 +1221,7 @@ impl TcpServer {
                 buffer.rearm_doorbell();
             }
             let (dst, before) = (entry.conn.cm.remote().0, entry.conn.state());
+            let sent = entry.conn.cm.can_send();
             while let Some((segment, data)) =
                 entry.conn.pump(now, share, &self.config, &mut self.stats)
             {
@@ -1222,7 +1233,7 @@ impl TcpServer {
             if entry.conn.state() != before {
                 // Our FIN left.  A peer that never answers it must not pin
                 // this socket (and its sockbuf) forever.
-                self.senders_dirty = true;
+                follow_sender(&mut self.active_senders, sent, entry.conn.cm.can_send());
                 let due = entry.conn.cm.reap_due(TimerKind::FinReap, &self.config);
                 self.wheel.arm(id, TimerKind::FinReap, due);
             }
@@ -1357,7 +1368,6 @@ impl TcpServer {
             match listener.on_cookie_ack(src, segment, now, &self.config, &mut self.stats) {
                 Admission::Child(child) => {
                     let id = self.adopt(child);
-                    self.senders_dirty = true;
                     self.child_established(listener_id.expect("it answered"), id);
                     // What else the ACK carried (a window update, request
                     // bytes) goes the normal way.

@@ -1777,3 +1777,185 @@ fn active_close_quarantines_the_port() {
         "no socket retained for TIME_WAIT"
     );
 }
+
+/// One connection of [`the_kept_sender_count_matches_a_recount_after_every_event`],
+/// as the peer sees it.
+struct PeerSide {
+    sock: SockId,
+    local_port: u16,
+    peer_port: u16,
+}
+
+/// The peer's segment on `side` with `flags` and `payload`, in sequence
+/// and acknowledging everything the connection sent.
+fn peer_segment(rig: &Rig, side: &PeerSide, flags: TcpFlags, payload: Vec<u8>) -> TcpSegment {
+    let c = conn(rig, side.sock);
+    let (seq, ack) = (c.rd.rcv_nxt(), c.rd.snd_nxt());
+    let mut segment = TcpSegment::control(side.peer_port, side.local_port, seq, ack, flags);
+    segment.window = 65_535;
+    segment.mss = flags.syn.then_some(1460);
+    segment.payload = payload;
+    segment
+}
+
+/// The server keeps its count of connections that may send where they
+/// change, instead of recounting the table: after every event of a seeded
+/// run — active and passive opens, data both ways, a close from either
+/// side, a RST, the FIN-WAIT reaper and a live update that restores the
+/// table — the kept count equals a recount.  The rig's clock runs, so
+/// retransmissions and reapers also fire between the events.
+#[test]
+fn the_kept_sender_count_matches_a_recount_after_every_event() {
+    let config = TcpConfig {
+        tso: false,
+        fin_wait_timeout: Duration::from_millis(300),
+        ..TcpConfig::default()
+    };
+    for seed in [3u64, 41, 977] {
+        let (storage, registry) = (Arc::new(StorageServer::new()), Registry::new());
+        let fresh = StartMode::Fresh;
+        let mut rig = rig_full(
+            fresh,
+            Arc::clone(&storage),
+            registry.clone(),
+            None,
+            config.clone(),
+        );
+        // Children are accepted as they come, so the backlog never fills.
+        let listener = listening_socket(&mut rig, 22, false);
+        let accept = RequestId::from_raw(8);
+        send(
+            &rig.syscall_tx,
+            SockRequest::AcceptArm {
+                req: accept,
+                sock: listener,
+            },
+        );
+        let mut sides: Vec<PeerSide> = Vec::new();
+        let (mut state, mut next_port, mut peak) = (seed, 7_000u16, 0);
+        let mut events = std::collections::BTreeSet::new();
+        for step in 0..120 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            sides.retain(|side| matches!(rig.tcp.sockets.get(&side.sock), Some(Sock::Conn(_))));
+            let pick = (state >> 8) as usize % sides.len().max(1);
+            let event = match (state % 8, sides.get(pick)) {
+                (0 | 1, _) | (_, None) => {
+                    // An open, active or passive: the peer answers the
+                    // segment that opens it.
+                    next_port += 1;
+                    let (local_port, peer_port) = if state % 2 == 0 {
+                        let sock = open_socket(&mut rig);
+                        let (addr, port) = (PEER, next_port);
+                        let req = RequestId::from_raw(6);
+                        send(
+                            &rig.syscall_tx,
+                            SockRequest::Connect {
+                                req,
+                                sock,
+                                addr,
+                                port,
+                            },
+                        );
+                        rig.tcp.poll();
+                        let syn = outgoing(&mut rig).into_iter().find(|s| s.dst_port == port);
+                        (syn.expect("a SYN").src_port, port)
+                    } else {
+                        let mut syn = TcpSegment::control(next_port, 22, 1_000, 0, TcpFlags::SYN);
+                        syn.mss = Some(1460);
+                        inject(&mut rig, syn);
+                        (22, next_port)
+                    };
+                    let sock = rig.tcp.sockets.iter().find_map(|(id, sock)| match sock {
+                        Sock::Conn(entry) if entry.conn.cm.remote().1 == peer_port => Some(*id),
+                        _ => None,
+                    });
+                    let side = PeerSide {
+                        sock: sock.expect("the connection is in the table"),
+                        local_port,
+                        peer_port,
+                    };
+                    let flags = if local_port == 22 {
+                        TcpFlags::ACK
+                    } else {
+                        TcpFlags::SYN_ACK
+                    };
+                    let answer = peer_segment(&rig, &side, flags, Vec::new());
+                    inject(&mut rig, answer);
+                    sides.push(side);
+                    "open"
+                }
+                (2 | 3, Some(side)) => {
+                    let data = peer_segment(&rig, side, TcpFlags::PSH_ACK, vec![1; 100]);
+                    inject(&mut rig, data);
+                    let name = TcpServer::buffer_name(side.sock);
+                    // The segment may have been the last the socket took.
+                    if let Ok(buffer) = rig
+                        .registry
+                        .attach_shared::<SocketBuffer>(endpoints::SYSCALL, &name)
+                    {
+                        let _ = buffer.write(&[2; 100], Duration::ZERO);
+                        rig.tcp.poll();
+                    }
+                    "data"
+                }
+                (4, Some(side)) => {
+                    let sock = side.sock;
+                    send(
+                        &rig.syscall_tx,
+                        SockRequest::Close {
+                            req: RequestId::from_raw(7),
+                            sock,
+                        },
+                    );
+                    rig.tcp.poll();
+                    "close by the application"
+                }
+                (5, Some(side)) => {
+                    let fin = peer_segment(&rig, side, TcpFlags::FIN_ACK, Vec::new());
+                    inject(&mut rig, fin);
+                    "close by the peer"
+                }
+                (6, Some(side)) => {
+                    let rst = peer_segment(&rig, side, TcpFlags::RST, Vec::new());
+                    inject(&mut rig, rst);
+                    "reset by the peer"
+                }
+                (_, Some(_)) if step % 2 == 0 => {
+                    run_for(&mut rig, Duration::from_millis(400));
+                    "reaper"
+                }
+                (_, Some(_)) => {
+                    let (version, payload) = rig.tcp.export_state();
+                    let snapshot = Some(snapshot_from(version, payload));
+                    let update = StartMode::LiveUpdate;
+                    let kept = rig.tcp.active_senders;
+                    rig = rig_full(
+                        update,
+                        Arc::clone(&storage),
+                        registry.clone(),
+                        snapshot,
+                        config.clone(),
+                    );
+                    assert_eq!(
+                        rig.tcp.active_senders, kept,
+                        "seed {seed}: the update lost senders"
+                    );
+                    "live update"
+                }
+            };
+            drain(&rig.syscall_rx);
+            outgoing(&mut rig);
+            assert_eq!(
+                rig.tcp.active_senders,
+                rig.tcp.count_senders(),
+                "seed {seed}, step {step}: after {event}"
+            );
+            peak = peak.max(rig.tcp.active_senders);
+            events.insert(event);
+        }
+        assert!(peak >= 3, "seed {seed}: at most {peak} senders at once");
+        assert_eq!(events.len(), 7, "seed {seed}: only {events:?} happened");
+    }
+}
