@@ -12,7 +12,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
+use bytes::{Bytes, Shelf};
 use criterion::{criterion_group, criterion_main, Criterion};
 use parking_lot::{Condvar, Mutex};
 
@@ -208,6 +208,18 @@ fn bench_sync(c: &mut Criterion) {
             criterion::black_box(buffer.drain_send_bytes(256));
             buffer.push_recv_bytes(frame.slice(54..), frame.len());
             buffer.read(&mut out, Duration::ZERO).unwrap();
+        });
+    });
+
+    // A wire frame's buffer over its life: taken from its owner's shelf,
+    // filled with an MSS, frozen, and dropped — home to the shelf.
+    group.bench_function("shelf_round_trip_1536b", |b| {
+        let shelf = Shelf::new();
+        let payload = [5u8; 1460];
+        b.iter(|| {
+            let mut buf = shelf.take(1536);
+            buf.extend_from_slice(criterion::black_box(&payload));
+            criterion::black_box(buf.freeze());
         });
     });
     group.finish();

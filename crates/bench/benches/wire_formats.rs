@@ -64,6 +64,8 @@ fn bench_wire(c: &mut Criterion) {
         ("internet_checksum_1460B", &bytes[..1460]),
         ("internet_checksum_64KiB", &bytes[..64 * 1024]),
         ("internet_checksum_1460B_unaligned", &bytes[1..1461]),
+        // An MTU frame's IP payload: what the peer and GRO sum per frame.
+        ("checksum_1480b", &bytes[..1480]),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| criterion::black_box(internet_checksum(criterion::black_box(data))));

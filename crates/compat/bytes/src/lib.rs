@@ -43,9 +43,9 @@ struct Header {
     /// covers-everything test (`usize::MAX`, which no view covers, in an
     /// [`Appender`]'s block).  Unused while a `BytesMut` owns the block.
     len: usize,
-    /// The shelf the block returns to when its last handle is dropped (a
-    /// `Weak` turned raw, owned by the block); null for a block that is
-    /// simply freed.
+    /// The shelf the block returns to when its last handle is dropped —
+    /// its shared part, which stays allocated while it counts the block as
+    /// out; null for a block that is simply freed.
     home: *const shelf::Shared,
 }
 
@@ -82,19 +82,25 @@ fn alloc_block(cap: usize) -> NonNull<Header> {
 /// # Safety
 ///
 /// The caller must hold a counted reference to `block` and not use it again.
+#[inline]
 unsafe fn drop_ref(block: NonNull<Header>) {
     // SAFETY: the caller's reference keeps the block live.
-    if unsafe { block.as_ref() }
-        .refs
-        .fetch_sub(1, Ordering::Release)
-        == 1
-    {
+    let refs = &unsafe { block.as_ref() }.refs;
+    // A count of one is the caller's own reference, and it cannot rise
+    // concurrently (cloning needs a handle; this is the only one), so the
+    // block is let go without the decrement — the reasoning of
+    // `Bytes::try_into_mut`.  `Acquire` pairs with the `Release` decrements
+    // of the handles dropped before.
+    if refs.load(Ordering::Acquire) != 1 {
+        if refs.fetch_sub(1, Ordering::Release) != 1 {
+            return;
+        }
         // Pairs with the `Release` decrements of the other holders: their
         // reads of the data happen before the block is reused or freed.
         atomic::fence(Ordering::Acquire);
-        // SAFETY: the count reached zero; no handle is left.
-        unsafe { release_block(block) };
     }
+    // SAFETY: the caller held the last reference; no handle is left.
+    unsafe { release_block(block) };
 }
 
 /// Returns the first data byte of `block`.
@@ -102,22 +108,23 @@ unsafe fn drop_ref(block: NonNull<Header>) {
 /// # Safety
 ///
 /// `block` must point at a live block from [`alloc_block`].
+#[inline]
 unsafe fn data_of(block: NonNull<Header>) -> *mut u8 {
     // SAFETY: per the contract the block extends past its header.
     unsafe { block.as_ptr().add(1).cast::<u8>() }
 }
 
-/// Frees `block`, and with it its tie to a shelf.
+/// Frees `block`.
 ///
 /// # Safety
 ///
-/// `block` must come from [`alloc_block`] and no handle may use it again.
+/// `block` must come from [`alloc_block`], no handle may use it again, and
+/// no shelf may count it as out (it has no home, or its home let it go).
 unsafe fn free_block(block: NonNull<Header>) {
     // SAFETY: per the contract the header is live, the caller is the only
     // one who can reach it, and `cap` is the capacity the block was
     // (re)allocated with.
     unsafe {
-        shelf::disown(block);
         let layout = block_layout((*block.as_ptr()).cap);
         alloc::dealloc(block.as_ptr().cast::<u8>(), layout);
     }
@@ -129,6 +136,7 @@ unsafe fn free_block(block: NonNull<Header>) {
 /// # Safety
 ///
 /// `block` must come from [`alloc_block`] and no handle may use it again.
+#[inline(never)]
 unsafe fn release_block(block: NonNull<Header>) {
     // SAFETY: per the contract the header is live and nobody else can reach
     // the block, which is what both callees ask for.
@@ -154,8 +162,8 @@ pub struct Bytes {
 // `try_into_mut` hands out write access, and only to the last holder; an
 // `Appender` writes behind every view of its block, never under one),
 // the reference count is atomic, and the header's `home` is read only by
-// the last holder and names a shelf whose shared part is `Sync` (every
-// list behind a mutex), so views may move to and be shared between threads.
+// the last holder and names a shelf whose shared part is `Sync` (all of it
+// behind one mutex), so views may move to and be shared between threads.
 unsafe impl Send for Bytes {}
 // SAFETY: see `Send`.
 unsafe impl Sync for Bytes {}
@@ -176,11 +184,13 @@ impl Bytes {
     }
 
     /// Returns the number of bytes in the view.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// Returns `true` if the view is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -198,6 +208,7 @@ impl Bytes {
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
+    #[inline]
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
         let len = self.len();
         let begin = match range.start_bound() {
@@ -278,6 +289,7 @@ impl Default for Bytes {
 }
 
 impl Clone for Bytes {
+    #[inline]
     fn clone(&self) -> Self {
         if let Some(block) = self.block {
             // SAFETY: this view holds a reference, so the block is live.
@@ -296,6 +308,7 @@ impl Clone for Bytes {
 }
 
 impl Drop for Bytes {
+    #[inline]
     fn drop(&mut self) {
         if let Some(block) = self.block {
             // SAFETY: this view holds one reference and is gone after this.
@@ -306,6 +319,7 @@ impl Drop for Bytes {
 
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         // SAFETY: `ptr..ptr + len` lies inside the initialised part of a
         // block this view keeps alive (or is the empty dangling slice).
@@ -439,22 +453,26 @@ impl BytesMut {
     }
 
     /// Returns the number of bytes in the buffer.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// Returns `true` if the buffer is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Returns the buffer's capacity.
+    #[inline]
     pub fn capacity(&self) -> usize {
         // SAFETY: a block this buffer points at is live.
         self.block.map_or(0, |block| unsafe { block.as_ref() }.cap)
     }
 
     /// First data byte (dangling while there is no block).
+    #[inline]
     fn data(&self) -> *mut u8 {
         match self.block {
             // SAFETY: a block this buffer points at is live.
@@ -464,6 +482,7 @@ impl BytesMut {
     }
 
     /// Appends `data` to the buffer.
+    #[inline]
     pub fn extend_from_slice(&mut self, data: &[u8]) {
         self.reserve(data.len());
         // SAFETY: `reserve` made room for `data.len()` bytes past `len`, and
@@ -476,15 +495,23 @@ impl BytesMut {
 
     /// Reserves room for at least `additional` more bytes.  Growth is
     /// amortised (at least doubling), like `Vec`.
+    #[inline]
     pub fn reserve(&mut self, additional: usize) {
+        if additional > self.capacity() - self.len {
+            self.grow(additional);
+        }
+    }
+
+    /// The slow half of [`reserve`](Self::reserve): moves the buffer into a
+    /// block with room for `additional` more bytes.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, additional: usize) {
         let cap = self.capacity();
         let needed = self
             .len
             .checked_add(additional)
             .expect("buffer capacity overflow");
-        if needed <= cap {
-            return;
-        }
         let new_cap = needed.max(cap.saturating_mul(2)).max(8);
         let block = match self.block {
             None => alloc_block(new_cap),
@@ -533,6 +560,7 @@ impl BytesMut {
 
     /// Freezes the buffer into an immutable, cheaply cloneable [`Bytes`]
     /// without copying or allocating.
+    #[inline]
     pub fn freeze(self) -> Bytes {
         let Some(mut block) = self.block else {
             return Bytes::new();
@@ -589,6 +617,7 @@ impl Eq for BytesMut {}
 
 impl Deref for BytesMut {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         // SAFETY: the first `len` data bytes are initialised.
         unsafe { std::slice::from_raw_parts(self.data(), self.len) }
@@ -596,6 +625,7 @@ impl Deref for BytesMut {
 }
 
 impl DerefMut for BytesMut {
+    #[inline]
     fn deref_mut(&mut self) -> &mut [u8] {
         // SAFETY: the first `len` data bytes are initialised and this buffer
         // is the block's only handle.
@@ -682,12 +712,14 @@ impl Appender {
     }
 
     /// Returns the capacity of the block (fixed: an appender never grows).
+    #[inline]
     pub fn capacity(&self) -> usize {
         // SAFETY: this appender holds a reference, so the block is live.
         self.block.map_or(0, |block| unsafe { block.as_ref() }.cap)
     }
 
     /// Returns how many more bytes fit.
+    #[inline]
     pub fn room(&self) -> usize {
         self.capacity() - self.len
     }
@@ -697,6 +729,7 @@ impl Appender {
     /// # Panics
     ///
     /// Panics if `data` is longer than [`Appender::room`].
+    #[inline]
     pub fn append(&mut self, data: &[u8]) {
         assert!(data.len() <= self.room(), "append beyond the block");
         let Some(block) = self.block else { return };
@@ -717,6 +750,7 @@ impl Appender {
     /// # Panics
     ///
     /// Panics if `range` reaches beyond the bytes written.
+    #[inline]
     pub fn view(&self, range: std::ops::Range<usize>) -> Bytes {
         assert!(range.start <= range.end && range.end <= self.len);
         let Some(block) = self.block.filter(|_| !range.is_empty()) else {

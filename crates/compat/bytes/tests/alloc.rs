@@ -5,7 +5,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
+use std::sync::{mpsc, Barrier, Mutex};
 
 use bytes::{Appender, Bytes, BytesMut, Shelf};
 
@@ -57,6 +58,28 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, usize) {
 /// Bytes this thread holds allocated.
 fn live() -> isize {
     LIVE.with(Cell::get)
+}
+
+/// Runs `body(i)` on `n` threads at once and returns the bytes the bodies
+/// allocated minus the bytes they freed, wherever each byte was allocated
+/// and wherever it was freed.  Each thread counts only inside its body, so
+/// spawning and joining the threads (and anything else the process does
+/// meanwhile) stays out of the sum: zero means the bodies leaked nothing.
+fn net_heap_on_threads(n: usize, body: impl Fn(usize) + Sync) -> isize {
+    let start = Barrier::new(n);
+    let net = AtomicIsize::new(0);
+    std::thread::scope(|scope| {
+        for i in 0..n {
+            let (start, net, body) = (&start, &net, &body);
+            scope.spawn(move || {
+                start.wait();
+                let before = live();
+                body(i);
+                net.fetch_add(live() - before, Ordering::Relaxed);
+            });
+        }
+    });
+    net.into_inner()
 }
 
 #[test]
@@ -376,4 +399,177 @@ fn blocks_cross_threads_and_come_home_with_every_byte_intact() {
         }
         drop(senders);
     });
+}
+
+#[test]
+fn a_shelf_dropped_with_blocks_out_on_other_threads_is_freed_by_the_last() {
+    const HOLDERS: usize = 3;
+    const BLOCKS: usize = 40;
+    // Made before the threads count, so handing views over allocates
+    // nothing inside the count.
+    let inboxes: [Mutex<Vec<(Bytes, u8)>>; HOLDERS] =
+        std::array::from_fn(|_| Mutex::new(Vec::with_capacity(2 * BLOCKS)));
+    let handed = Barrier::new(HOLDERS + 1);
+    let (shared_size, block_size) = (AtomicIsize::new(0), AtomicIsize::new(0));
+    let shared_frees = AtomicUsize::new(0);
+    let net = net_heap_on_threads(HOLDERS + 1, |t| {
+        if t == 0 {
+            // The owner fills every holder's inbox from one shelf, then
+            // drops the shelf while all of its blocks are out.
+            let before = live();
+            let shelf = Shelf::new();
+            shared_size.store(live() - before, Ordering::Relaxed);
+            for (holder, inbox) in inboxes.iter().enumerate() {
+                for k in 0..BLOCKS {
+                    let tag = (holder * BLOCKS + k) as u8;
+                    let before = live();
+                    let mut buf = shelf.take(1000);
+                    block_size.store(live() - before, Ordering::Relaxed);
+                    buf.resize(1000, tag);
+                    let frame = buf.freeze();
+                    let mut inbox = inbox.lock().unwrap();
+                    inbox.push((frame.slice(..400), tag));
+                    inbox.push((frame.slice(400..), tag));
+                }
+            }
+            let before = live();
+            drop(shelf);
+            assert_eq!(live(), before, "no spares to free, the shared part in use");
+            handed.wait();
+        } else {
+            handed.wait();
+            let shared = shared_size.load(Ordering::Relaxed);
+            let block = block_size.load(Ordering::Relaxed);
+            let mut inbox = inboxes[t - 1].lock().unwrap();
+            for (i, (view, tag)) in inbox.drain(..).enumerate() {
+                assert!(view.iter().all(|&b| b == tag));
+                let before = live();
+                drop(view);
+                // Each block's second view is its last.
+                match (i % 2, before - live()) {
+                    (0, 0) => {}
+                    (1, freed) if freed == block => {}
+                    (1, freed) if freed == block + shared => {
+                        shared_frees.fetch_add(1, Ordering::Relaxed);
+                    }
+                    (nth, freed) => panic!("view {nth} of a block freed {freed} bytes"),
+                }
+            }
+        }
+    });
+    assert_eq!(
+        shared_frees.into_inner(),
+        1,
+        "freed with the last block, once"
+    );
+    assert_eq!(net, 0, "nothing outlives the shelf, nothing leaks");
+}
+
+#[test]
+fn blocks_race_home_while_their_owners_take_again_and_drop_their_shelves() {
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 100_000;
+    const INBOX: usize = 64;
+    let inboxes: [Mutex<Vec<(Bytes, u64)>>; THREADS] =
+        std::array::from_fn(|_| Mutex::new(Vec::with_capacity(INBOX)));
+    let done = Barrier::new(THREADS);
+    // A block handed to two takers at once carries the later one's tag.
+    let check = |view: &Bytes, tag: u64| {
+        let tag = tag.to_le_bytes();
+        assert_eq!(view[..8], tag, "a block reached two takers");
+        assert_eq!(view[view.len() - 8..], tag, "a block reached two takers");
+    };
+    let drain = |t: usize| {
+        for (view, tag) in inboxes[t].lock().unwrap().drain(..) {
+            check(&view, tag);
+        }
+    };
+    let net = net_heap_on_threads(THREADS, |t| {
+        let mut shelf = Shelf::new();
+        for round in 0..ROUNDS {
+            if round == ROUNDS / 2 {
+                // The old shelf goes while its blocks are out next door.
+                shelf = Shelf::new();
+            }
+            let tag = (t * ROUNDS + round) as u64;
+            let len = 16
+                + if round % 64 == 0 {
+                    round % 6000
+                } else {
+                    round % 200
+                };
+            let mut buf = shelf.take(len);
+            buf.resize(len, 0);
+            buf[..8].copy_from_slice(&tag.to_le_bytes());
+            buf[len - 8..].copy_from_slice(&tag.to_le_bytes());
+            let frame = buf.freeze();
+            {
+                // A view to the neighbour, unless its inbox is full.
+                let mut next = inboxes[(t + 1) % THREADS].lock().unwrap();
+                if next.len() < INBOX {
+                    next.push((frame.slice(..), tag));
+                }
+            }
+            // Drop what the other side handed over, racing its owner's
+            // takes and this thread's own releases.
+            drain(t);
+            check(&frame, tag);
+        }
+        drop(shelf);
+        done.wait();
+        drain(t);
+    });
+    assert_eq!(net, 0, "no leak, no double free");
+}
+
+#[test]
+fn a_block_that_outgrows_its_class_after_its_shelf_is_gone_lets_the_shelf_go() {
+    let baseline = live();
+    let shelf = Shelf::new();
+    let mut buf = shelf.take(100);
+    buf.extend_from_slice(&[3; 100]);
+    drop(shelf);
+    // Growing disowns the block, the shelf's last one out.
+    buf.extend_from_slice(&[4; 100]);
+    let block = (live() - baseline) as usize;
+    assert!(
+        (buf.capacity()..buf.capacity() + 64).contains(&block),
+        "{block} bytes live for a {}-byte block: the shelf is still there",
+        buf.capacity()
+    );
+    drop(buf);
+    assert_eq!(live(), baseline);
+}
+
+#[test]
+fn two_views_dropped_on_two_threads_release_their_block_once() {
+    const ROUNDS: usize = 100_000;
+    let handed = Mutex::new(None::<Bytes>);
+    // Both threads pass it once when a view waits in `handed`, and again
+    // when both views are dropped.
+    let step = Barrier::new(2);
+    let net = net_heap_on_threads(2, |t| {
+        // Only the owner takes; the other thread only drops.
+        let shelf = (t == 0).then(Shelf::new);
+        for round in 0..ROUNDS {
+            if let Some(shelf) = &shelf {
+                let mut buf = shelf.take(64);
+                // Released twice, the block would be on the shelf twice
+                // and come out of these two takes both times.
+                let probe = shelf.take(64);
+                assert_ne!(buf.as_ptr(), probe.as_ptr(), "round {round}");
+                drop(probe);
+                buf.extend_from_slice(&[round as u8; 64]);
+                let view = buf.freeze();
+                *handed.lock().unwrap() = Some(view.clone());
+                step.wait();
+                drop(view);
+            } else {
+                step.wait();
+                drop(handed.lock().unwrap().take());
+            }
+            step.wait();
+        }
+    });
+    assert_eq!(net, 0);
 }

@@ -28,6 +28,15 @@
 //! re-ACKs response data, and reports dead flows as
 //! [`ClientStatus::Failed`] so a harness can reconnect — the behaviour of
 //! the paper's SSH client that reconnects after every injected fault.
+//!
+//! # One lock per burst
+//!
+//! Everything the peer knows sits behind one mutex, taken once per
+//! receive burst ([`RemotePeer::poll_once`]) or public call.  Every frame
+//! the peer builds goes into an outbox inside that state, and the call
+//! transmits the outbox as one burst before it lets go: a frame decided
+//! later, on any thread, leaves later — the ACK a segment calls for leaves
+//! before the data its acknowledgement releases.
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -246,6 +255,14 @@ struct PeerState {
     /// late.
     next_client_timer: Option<Duration>,
     stats: PeerStats,
+    /// The receive burst [`RemotePeer::poll_once`] works through; empty
+    /// between polls, kept for its capacity.
+    arrivals: Vec<Bytes>,
+    /// Every frame the peer builds, in build order, until the public call
+    /// that built it puts them on the wire as one burst before it lets go
+    /// of the state.  So the wire order of the peer's frames is the order
+    /// the state machine decided them in, across threads.
+    outbox: Vec<Bytes>,
 }
 
 impl PeerState {
@@ -253,6 +270,14 @@ impl PeerState {
     /// earliest-deadline gate consulted by [`RemotePeer::tick`].
     fn note_client_timer(&mut self, due: Duration) {
         self.next_client_timer = Some(self.next_client_timer.map_or(due, |n| n.min(due)));
+    }
+
+    /// The target's resolved MAC, or broadcast while ARP is still cold.
+    fn target_mac(&self, dst_ip: Ipv4Addr) -> MacAddr {
+        self.arp_cache
+            .get(&dst_ip)
+            .copied()
+            .unwrap_or(MacAddr::BROADCAST)
     }
 }
 
@@ -267,16 +292,9 @@ pub struct RemotePeer {
     /// the GRO engine after a merge, or the application reading the payload
     /// out of its socket buffer).
     frames: Shelf,
+    /// Everything the peer knows, taken once per public call or receive
+    /// burst: the call handles, builds and transmits under it.
     state: Mutex<PeerState>,
-    /// The receive burst [`RemotePeer::poll_once`] is working through, kept
-    /// between polls; held while it is handled, so frames are handled in
-    /// arrival order whoever polls.
-    arrivals: Mutex<Vec<Bytes>>,
-    /// Every frame the peer builds, in build order, until the public call
-    /// that built it puts them on the wire as one burst.  Frames built
-    /// under `state` are queued under it, so their wire order is the order
-    /// the state machine decided them in, across threads.
-    outbox: Mutex<Vec<Bytes>>,
     /// What the background thread parks on: written by the link once per
     /// burst sent towards the peer, and by every call that can arm a client
     /// timer.
@@ -297,9 +315,9 @@ impl RemotePeer {
                 arp_cache: HashMap::new(),
                 next_client_timer: None,
                 stats: PeerStats::default(),
+                arrivals: Vec::new(),
+                outbox: Vec::new(),
             }),
-            arrivals: Mutex::new(Vec::new()),
-            outbox: Mutex::new(Vec::new()),
             wake: Arc::new(WakeWord::new()),
         }
     }
@@ -342,34 +360,28 @@ impl RemotePeer {
 
     /// Processes every frame currently waiting at the peer's link port, as
     /// one receive burst, runs the client-flow timers and transmits what
-    /// they built as one burst.  Returns the amount of work done.
+    /// they built as one burst — all under one hold of the state.  Returns
+    /// the amount of work done.
     pub fn poll_once(&self) -> usize {
-        let mut arrivals = self.arrivals.lock();
+        let mut state = self.state.lock();
+        let mut arrivals = std::mem::take(&mut state.arrivals);
         let handled = self.port.receive_burst(&mut arrivals);
-        if handled > 0 {
-            self.state.lock().stats.frames += handled as u64;
-            for frame in arrivals.drain(..) {
-                self.handle_frame(&frame);
-            }
+        state.stats.frames += handled as u64;
+        for frame in arrivals.drain(..) {
+            self.receive(&mut state, &frame);
         }
-        drop(arrivals);
-        let work = handled + self.run_timers();
-        self.transmit_outbox();
+        state.arrivals = arrivals;
+        let work = handled + self.run_timers(&mut state);
+        self.transmit(&mut state);
         work
     }
 
-    /// Queues a frame the peer built for the next burst.
-    fn emit(&self, frame: Bytes) {
-        self.outbox.lock().push(frame);
-    }
-
-    /// Puts every frame built so far on the wire as one burst.  The outbox
-    /// stays locked across the transmit, so a frame built later, on any
-    /// thread, leaves later.
-    fn transmit_outbox(&self) {
-        let mut outbox = self.outbox.lock();
-        if !outbox.is_empty() {
-            self.port.transmit_burst(outbox.drain(..));
+    /// Puts every frame built so far on the wire as one burst.  The caller
+    /// holds the state, so a frame decided later, on any thread, leaves
+    /// later.
+    fn transmit(&self, state: &mut PeerState) {
+        if !state.outbox.is_empty() {
+            self.port.transmit_burst(state.outbox.drain(..));
         }
     }
 
@@ -413,11 +425,17 @@ impl RemotePeer {
         }
     }
 
-    fn send_frame(&self, dst_mac: MacAddr, ethertype: EtherType, payload: &[u8]) {
+    fn send_frame(
+        &self,
+        outbox: &mut Vec<Bytes>,
+        dst_mac: MacAddr,
+        ethertype: EtherType,
+        payload: &[u8],
+    ) {
         let mut frame = self.frames.take(ETHERNET_HEADER_LEN + payload.len());
         EthernetFrame::write_header(dst_mac, self.config.mac, ethertype, &mut frame);
         frame.extend_from_slice(payload);
-        self.emit(frame.freeze());
+        outbox.push(frame.freeze());
     }
 
     /// Starts a frame towards `dst_ip`: one buffer of the peer's shelf with
@@ -440,38 +458,53 @@ impl RemotePeer {
         frame
     }
 
-    fn send_ipv4(&self, dst_mac: MacAddr, dst_ip: Ipv4Addr, protocol: IpProtocol, payload: &[u8]) {
+    fn send_ipv4(
+        &self,
+        outbox: &mut Vec<Bytes>,
+        dst_mac: MacAddr,
+        dst_ip: Ipv4Addr,
+        protocol: IpProtocol,
+        payload: &[u8],
+    ) {
         let mut frame = self.ipv4_frame(dst_mac, dst_ip, protocol, payload.len());
         frame.extend_from_slice(payload);
-        self.emit(frame.freeze());
+        outbox.push(frame.freeze());
     }
 
-    fn handle_frame(&self, bytes: &[u8]) {
+    /// Handles one received frame; what it calls for goes into the outbox.
+    fn receive(&self, state: &mut PeerState, bytes: &[u8]) {
         let Ok(frame) = EthernetView::parse(bytes) else {
-            self.state.lock().stats.parse_errors += 1;
+            state.stats.parse_errors += 1;
             return;
         };
         match frame.ethertype {
-            EtherType::Arp => self.handle_arp(frame.payload),
-            EtherType::Ipv4 => self.handle_ipv4(&frame),
+            EtherType::Arp => self.handle_arp(state, frame.payload),
+            EtherType::Ipv4 => self.handle_ipv4(state, &frame),
         }
     }
 
-    fn handle_arp(&self, payload: &[u8]) {
+    fn handle_arp(&self, state: &mut PeerState, payload: &[u8]) {
         let Ok(arp) = ArpPacket::parse(payload) else {
-            self.state.lock().stats.parse_errors += 1;
+            state.stats.parse_errors += 1;
             return;
         };
         if arp.operation == ArpOperation::Request && arp.target_ip == self.config.ip {
             let reply = ArpPacket::reply_to(&arp, self.config.mac, self.config.ip);
-            self.send_frame(arp.sender_mac, EtherType::Arp, &reply.build());
+            self.send_frame(
+                &mut state.outbox,
+                arp.sender_mac,
+                EtherType::Arp,
+                &reply.build(),
+            );
         }
         // Learn the sender's mapping from requests and replies alike, and
         // kick any client flows that were waiting for it.
-        let mut state = self.state.lock();
         state.arp_cache.insert(arp.sender_ip, arp.sender_mac);
+        let PeerState {
+            clients, outbox, ..
+        } = &mut *state;
         let mut kicked = None;
-        for conn in state.clients.values_mut() {
+        for conn in clients.values_mut() {
             if conn.status == ClientStatus::Resolving && conn.dst_ip == arp.sender_ip {
                 let now = *kicked.get_or_insert_with(|| self.clock.now());
                 conn.dst_mac = Some(arp.sender_mac);
@@ -480,7 +513,7 @@ impl RemotePeer {
                 conn.rto = CLIENT_RTO_INITIAL;
                 conn.rto_deadline = Some(now + conn.rto);
                 let syn = Self::client_syn(conn);
-                self.emit(self.tcp_frame(arp.sender_mac, conn.dst_ip, syn.as_view()));
+                outbox.push(self.tcp_frame(arp.sender_mac, conn.dst_ip, syn.as_view()));
             }
         }
         if let Some(now) = kicked {
@@ -488,41 +521,47 @@ impl RemotePeer {
         }
     }
 
-    fn handle_ipv4(&self, frame: &EthernetView<'_>) {
+    fn handle_ipv4(&self, state: &mut PeerState, frame: &EthernetView<'_>) {
         let Ok(packet) = Ipv4View::parse(frame.payload) else {
-            self.state.lock().stats.parse_errors += 1;
+            state.stats.parse_errors += 1;
             return;
         };
         if packet.dst != self.config.ip {
             return;
         }
         match packet.protocol {
-            IpProtocol::Icmp => self.handle_icmp(frame, &packet),
-            IpProtocol::Udp => self.handle_udp(frame, &packet),
-            IpProtocol::Tcp => self.handle_tcp(frame, &packet),
+            IpProtocol::Icmp => self.handle_icmp(state, frame, &packet),
+            IpProtocol::Udp => self.handle_udp(state, frame, &packet),
+            IpProtocol::Tcp => self.handle_tcp(state, frame, &packet),
         }
     }
 
-    fn handle_icmp(&self, frame: &EthernetView<'_>, packet: &Ipv4View<'_>) {
+    fn handle_icmp(&self, state: &mut PeerState, frame: &EthernetView<'_>, packet: &Ipv4View<'_>) {
         let Ok(icmp) = IcmpView::parse(packet.payload) else {
-            self.state.lock().stats.parse_errors += 1;
+            state.stats.parse_errors += 1;
             return;
         };
         if icmp.icmp_type == IcmpType::EchoRequest {
-            self.state.lock().stats.pings_answered += 1;
+            state.stats.pings_answered += 1;
             let reply = IcmpMessage::reply_to(icmp);
-            self.send_ipv4(frame.src, packet.src, IpProtocol::Icmp, &reply.build());
+            self.send_ipv4(
+                &mut state.outbox,
+                frame.src,
+                packet.src,
+                IpProtocol::Icmp,
+                &reply.build(),
+            );
         }
     }
 
-    fn handle_udp(&self, frame: &EthernetView<'_>, packet: &Ipv4View<'_>) {
+    fn handle_udp(&self, state: &mut PeerState, frame: &EthernetView<'_>, packet: &Ipv4View<'_>) {
         let Ok(dgram) = UdpView::parse(packet.payload, packet.src, packet.dst) else {
-            self.state.lock().stats.parse_errors += 1;
+            state.stats.parse_errors += 1;
             return;
         };
         let reply_payload = match dgram.dst_port {
             DNS_PORT => {
-                self.state.lock().stats.dns_answered += 1;
+                state.stats.dns_answered += 1;
                 let mut answer = b"answer:".to_vec();
                 answer.extend_from_slice(dgram.payload);
                 Some(answer)
@@ -533,6 +572,7 @@ impl RemotePeer {
         if let Some(payload) = reply_payload {
             let reply = UdpDatagram::new(dgram.dst_port, dgram.src_port, payload);
             self.send_ipv4(
+                &mut state.outbox,
                 frame.src,
                 packet.src,
                 IpProtocol::Udp,
@@ -541,22 +581,19 @@ impl RemotePeer {
         }
     }
 
-    fn handle_tcp(&self, frame: &EthernetView<'_>, packet: &Ipv4View<'_>) {
+    fn handle_tcp(&self, state: &mut PeerState, frame: &EthernetView<'_>, packet: &Ipv4View<'_>) {
         let Ok(seg) = TcpView::parse(packet.payload, packet.src, packet.dst) else {
-            self.state.lock().stats.parse_errors += 1;
+            state.stats.parse_errors += 1;
             return;
         };
         // A segment addressed to a client flow's source port belongs to the
         // client state machine, not to the listening services.
-        let is_client = {
-            let state = self.state.lock();
-            state
-                .clients
-                .get(&seg.dst_port)
-                .is_some_and(|c| c.dst_port == seg.src_port && c.dst_ip == packet.src)
-        };
+        let is_client = state
+            .clients
+            .get(&seg.dst_port)
+            .is_some_and(|c| c.dst_port == seg.src_port && c.dst_ip == packet.src);
         if is_client {
-            self.handle_client_segment(frame, packet, &seg);
+            self.handle_client_segment(state, frame, packet, &seg);
             return;
         }
         let key = FlowKey {
@@ -573,123 +610,124 @@ impl RemotePeer {
 
         // Replies are built where they are decided, each once, in the frame
         // it crosses the link in, and queued in the order they are decided.
-        let reply = |segment: TcpView<'_>| {
-            self.emit(self.tcp_frame(frame.src, packet.src, segment));
+        let PeerState {
+            conns,
+            stats,
+            outbox,
+            ..
+        } = state;
+        let mut reply = |segment: TcpView<'_>| {
+            outbox.push(self.tcp_frame(frame.src, packet.src, segment));
         };
-        {
-            let mut state = self.state.lock();
-            let PeerState { conns, stats, .. } = &mut *state;
-            if seg.flags.rst {
-                conns.remove(&key);
-                return;
-            }
-            if seg.flags.syn && !seg.flags.ack {
-                let Some((_, echo)) = listening else {
-                    // Not listening: reset.
-                    let mut rst = TcpSegment::control(
-                        seg.dst_port,
-                        seg.src_port,
-                        0,
-                        seg.seq.wrapping_add(1),
-                        TcpFlags::RST,
-                    );
-                    rst.window = 0;
-                    reply(rst.as_view());
-                    return;
-                };
-                let isn = 0x7000_0000u32.wrapping_add(seg.seq);
-                let conn = PeerConn {
-                    state: ConnState::SynReceived,
-                    rcv_nxt: seg.seq.wrapping_add(1),
-                    snd_nxt: isn.wrapping_add(1),
-                    bytes_received: 0,
-                    echo,
-                    echo_backlog: Vec::new(),
-                };
-                stats.tcp_accepted += 1;
-                let mut syn_ack = TcpSegment::control(
+        if seg.flags.rst {
+            conns.remove(&key);
+            return;
+        }
+        if seg.flags.syn && !seg.flags.ack {
+            let Some((_, echo)) = listening else {
+                // Not listening: reset.
+                let mut rst = TcpSegment::control(
                     seg.dst_port,
                     seg.src_port,
-                    isn,
-                    conn.rcv_nxt,
-                    TcpFlags::SYN_ACK,
+                    0,
+                    seg.seq.wrapping_add(1),
+                    TcpFlags::RST,
                 );
-                syn_ack.window = self.config.tcp_window;
-                syn_ack.mss = Some((MTU - 40) as u16);
-                conns.insert(key, conn);
-                reply(syn_ack.as_view());
-            } else if let Some(conn) = conns.get_mut(&key) {
-                if conn.state == ConnState::SynReceived && seg.flags.ack {
-                    conn.state = ConnState::Established;
-                }
-                let mut ack_due = false;
-                if !seg.payload.is_empty() {
-                    if seg.seq == conn.rcv_nxt {
-                        conn.rcv_nxt = conn.rcv_nxt.wrapping_add(seg.payload.len() as u32);
-                        conn.bytes_received += seg.payload.len() as u64;
-                        stats.tcp_bytes_received += seg.payload.len() as u64;
-                        if conn.echo {
-                            conn.echo_backlog.extend_from_slice(seg.payload);
-                        }
-                    } else {
-                        stats.tcp_out_of_order += 1;
-                    }
-                    ack_due = true;
-                }
-                if seg.flags.fin && seg.seq == conns.get(&key).expect("present").rcv_nxt {
-                    let conn = conns.get_mut(&key).expect("present");
-                    conn.rcv_nxt = conn.rcv_nxt.wrapping_add(1);
-                    conn.state = ConnState::Closed;
-                    let mut fin_ack = TcpSegment::control(
-                        seg.dst_port,
-                        seg.src_port,
-                        conn.snd_nxt,
-                        conn.rcv_nxt,
-                        TcpFlags::FIN_ACK,
-                    );
-                    fin_ack.window = self.config.tcp_window;
-                    conn.snd_nxt = conn.snd_nxt.wrapping_add(1);
-                    reply(fin_ack.as_view());
-                    ack_due = false;
-                }
-                if ack_due {
-                    let conn = conns.get(&key).expect("present");
-                    let mut ack = TcpSegment::control(
-                        seg.dst_port,
-                        seg.src_port,
-                        conn.snd_nxt,
-                        conn.rcv_nxt,
-                        TcpFlags::ACK,
-                    );
-                    ack.window = self.config.tcp_window;
-                    reply(ack.as_view());
-                }
-                // Flush echo data (the SSH-like service answering the
-                // client), each frame cut straight from the backlog.
-                let conn = conns.get_mut(&key).expect("present");
-                if conn.state == ConnState::Established {
-                    for chunk in conn.echo_backlog.chunks(MTU - 40) {
-                        reply(TcpView {
-                            src_port: seg.dst_port,
-                            dst_port: seg.src_port,
-                            seq: conn.snd_nxt,
-                            ack: conn.rcv_nxt,
-                            flags: TcpFlags::PSH_ACK,
-                            window: self.config.tcp_window,
-                            mss: None,
-                            payload: chunk,
-                        });
-                        conn.snd_nxt = conn.snd_nxt.wrapping_add(chunk.len() as u32);
-                    }
-                    conn.echo_backlog.clear();
-                }
-            } else if seg.flags.ack && !seg.flags.syn {
-                // Segment for a connection we do not know (e.g. the stack
-                // kept a connection across our restart) — reset it.
-                let rst =
-                    TcpSegment::control(seg.dst_port, seg.src_port, seg.ack, 0, TcpFlags::RST);
+                rst.window = 0;
                 reply(rst.as_view());
+                return;
+            };
+            let isn = 0x7000_0000u32.wrapping_add(seg.seq);
+            let conn = PeerConn {
+                state: ConnState::SynReceived,
+                rcv_nxt: seg.seq.wrapping_add(1),
+                snd_nxt: isn.wrapping_add(1),
+                bytes_received: 0,
+                echo,
+                echo_backlog: Vec::new(),
+            };
+            stats.tcp_accepted += 1;
+            let mut syn_ack = TcpSegment::control(
+                seg.dst_port,
+                seg.src_port,
+                isn,
+                conn.rcv_nxt,
+                TcpFlags::SYN_ACK,
+            );
+            syn_ack.window = self.config.tcp_window;
+            syn_ack.mss = Some((MTU - 40) as u16);
+            conns.insert(key, conn);
+            reply(syn_ack.as_view());
+        } else if let Some(conn) = conns.get_mut(&key) {
+            if conn.state == ConnState::SynReceived && seg.flags.ack {
+                conn.state = ConnState::Established;
             }
+            let mut ack_due = false;
+            if !seg.payload.is_empty() {
+                if seg.seq == conn.rcv_nxt {
+                    conn.rcv_nxt = conn.rcv_nxt.wrapping_add(seg.payload.len() as u32);
+                    conn.bytes_received += seg.payload.len() as u64;
+                    stats.tcp_bytes_received += seg.payload.len() as u64;
+                    if conn.echo {
+                        conn.echo_backlog.extend_from_slice(seg.payload);
+                    }
+                } else {
+                    stats.tcp_out_of_order += 1;
+                }
+                ack_due = true;
+            }
+            if seg.flags.fin && seg.seq == conns.get(&key).expect("present").rcv_nxt {
+                let conn = conns.get_mut(&key).expect("present");
+                conn.rcv_nxt = conn.rcv_nxt.wrapping_add(1);
+                conn.state = ConnState::Closed;
+                let mut fin_ack = TcpSegment::control(
+                    seg.dst_port,
+                    seg.src_port,
+                    conn.snd_nxt,
+                    conn.rcv_nxt,
+                    TcpFlags::FIN_ACK,
+                );
+                fin_ack.window = self.config.tcp_window;
+                conn.snd_nxt = conn.snd_nxt.wrapping_add(1);
+                reply(fin_ack.as_view());
+                ack_due = false;
+            }
+            if ack_due {
+                let conn = conns.get(&key).expect("present");
+                let mut ack = TcpSegment::control(
+                    seg.dst_port,
+                    seg.src_port,
+                    conn.snd_nxt,
+                    conn.rcv_nxt,
+                    TcpFlags::ACK,
+                );
+                ack.window = self.config.tcp_window;
+                reply(ack.as_view());
+            }
+            // Flush echo data (the SSH-like service answering the
+            // client), each frame cut straight from the backlog.
+            let conn = conns.get_mut(&key).expect("present");
+            if conn.state == ConnState::Established {
+                for chunk in conn.echo_backlog.chunks(MTU - 40) {
+                    reply(TcpView {
+                        src_port: seg.dst_port,
+                        dst_port: seg.src_port,
+                        seq: conn.snd_nxt,
+                        ack: conn.rcv_nxt,
+                        flags: TcpFlags::PSH_ACK,
+                        window: self.config.tcp_window,
+                        mss: None,
+                        payload: chunk,
+                    });
+                    conn.snd_nxt = conn.snd_nxt.wrapping_add(chunk.len() as u32);
+                }
+                conn.echo_backlog.clear();
+            }
+        } else if seg.flags.ack && !seg.flags.syn {
+            // Segment for a connection we do not know (e.g. the stack
+            // kept a connection across our restart) — reset it.
+            let rst = TcpSegment::control(seg.dst_port, seg.src_port, seg.ack, 0, TcpFlags::RST);
+            reply(rst.as_view());
         }
     }
 
@@ -730,21 +768,22 @@ impl RemotePeer {
             rto_deadline: Some(now + CLIENT_RTO_INITIAL),
             retries: 0,
         };
-        {
-            let mut state = self.state.lock();
-            match state.arp_cache.get(&dst_ip).copied() {
-                Some(mac) => {
-                    conn.dst_mac = Some(mac);
-                    conn.status = ClientStatus::Connecting;
-                    let syn = Self::client_syn(&conn);
-                    self.emit(self.tcp_frame(mac, dst_ip, syn.as_view()));
-                }
-                None => self.send_arp_request(dst_ip),
+        let mut state = self.state.lock();
+        match state.arp_cache.get(&dst_ip).copied() {
+            Some(mac) => {
+                conn.dst_mac = Some(mac);
+                conn.status = ClientStatus::Connecting;
+                let syn = Self::client_syn(&conn);
+                state
+                    .outbox
+                    .push(self.tcp_frame(mac, dst_ip, syn.as_view()));
             }
-            state.note_client_timer(now + CLIENT_RTO_INITIAL);
-            state.clients.insert(src_port, conn);
+            None => self.send_arp_request(&mut state.outbox, dst_ip),
         }
-        self.transmit_outbox();
+        state.note_client_timer(now + CLIENT_RTO_INITIAL);
+        state.clients.insert(src_port, conn);
+        self.transmit(&mut state);
+        drop(state);
         self.wake.write();
     }
 
@@ -752,21 +791,22 @@ impl RemotePeer {
     /// `src_port` and flushes as much as the window allows.  Returns `false`
     /// if no such flow exists or it has failed.
     pub fn client_send(&self, src_port: u16, data: &[u8]) -> bool {
-        {
-            let mut state = self.state.lock();
-            let Some(conn) = state
-                .clients
-                .get_mut(&src_port)
-                .filter(|conn| conn.status != ClientStatus::Failed)
-            else {
-                return false;
-            };
-            conn.tx.push(data);
-            if let Some(due) = self.send_window(conn) {
-                state.note_client_timer(due);
-            }
+        let mut state = self.state.lock();
+        let PeerState {
+            clients, outbox, ..
+        } = &mut *state;
+        let Some(conn) = clients
+            .get_mut(&src_port)
+            .filter(|conn| conn.status != ClientStatus::Failed)
+        else {
+            return false;
+        };
+        conn.tx.push(data);
+        if let Some(due) = self.send_window(conn, outbox) {
+            state.note_client_timer(due);
         }
-        self.transmit_outbox();
+        self.transmit(&mut state);
+        drop(state);
         self.wake.write();
         true
     }
@@ -796,26 +836,27 @@ impl RemotePeer {
     /// it.  Load generators use this to recycle connections; an orderly FIN
     /// exchange is not needed for the workloads the peer drives.
     pub fn client_close(&self, src_port: u16) {
+        let mut state = self.state.lock();
+        let Some(conn) = state.clients.remove(&src_port) else {
+            return;
+        };
+        if let (Some(mac), ClientStatus::Established | ClientStatus::Connecting) =
+            (conn.dst_mac, conn.status)
         {
-            let mut state = self.state.lock();
-            let Some(conn) = state.clients.remove(&src_port) else {
-                return;
-            };
-            if let (Some(mac), ClientStatus::Established | ClientStatus::Connecting) =
-                (conn.dst_mac, conn.status)
-            {
-                let mut rst = TcpSegment::control(
-                    conn.src_port,
-                    conn.dst_port,
-                    conn.snd_nxt(),
-                    conn.rcv_nxt,
-                    TcpFlags::RST,
-                );
-                rst.window = 0;
-                self.emit(self.tcp_frame(mac, conn.dst_ip, rst.as_view()));
-            }
+            let mut rst = TcpSegment::control(
+                conn.src_port,
+                conn.dst_port,
+                conn.snd_nxt(),
+                conn.rcv_nxt,
+                TcpFlags::RST,
+            );
+            rst.window = 0;
+            state
+                .outbox
+                .push(self.tcp_frame(mac, conn.dst_ip, rst.as_view()));
         }
-        self.transmit_outbox();
+        self.transmit(&mut state);
+        drop(state);
         self.wake.write();
     }
 
@@ -838,16 +879,6 @@ impl RemotePeer {
 
     // ---- attack generators (adversarial campaigns) ---------------------------
 
-    /// The target's resolved MAC, or broadcast while ARP is still cold.
-    fn target_mac(&self, dst_ip: Ipv4Addr) -> MacAddr {
-        self.state
-            .lock()
-            .arp_cache
-            .get(&dst_ip)
-            .copied()
-            .unwrap_or(MacAddr::BROADCAST)
-    }
-
     /// Fires `count` TCP SYNs at `dst_ip:dst_port` with source addresses
     /// spoofed into 198.18.0.0/16 (the RFC 2544 benchmarking range) and
     /// randomized ports and sequence numbers.  The sources do not exist,
@@ -855,7 +886,8 @@ impl RemotePeer {
     /// nowhere — the classic resource-exhaustion SYN flood.  Returns the
     /// number of frames transmitted.  Deterministic per `seed`.
     pub fn syn_flood(&self, dst_ip: Ipv4Addr, dst_port: u16, count: usize, seed: u64) -> usize {
-        let mac = self.target_mac(dst_ip);
+        let mut state = self.state.lock();
+        let mac = state.target_mac(dst_ip);
         let mut rng = seed | 1;
         let mut next = move || {
             rng ^= rng << 13;
@@ -871,9 +903,9 @@ impl RemotePeer {
             syn.mss = Some(1460);
             syn.window = u16::MAX;
             let packet = Ipv4Packet::new(src, dst_ip, IpProtocol::Tcp, syn.build(src, dst_ip));
-            self.send_frame(mac, EtherType::Ipv4, &packet.build());
+            self.send_frame(&mut state.outbox, mac, EtherType::Ipv4, &packet.build());
         }
-        self.transmit_outbox();
+        self.transmit(&mut state);
         count
     }
 
@@ -881,7 +913,8 @@ impl RemotePeer {
     /// [`crate::pktgen::FrameFuzzer`] towards `dst_ip`.  A robust stack
     /// counts and drops every one of them.  Returns the frames sent.
     pub fn malformed_flood(&self, dst_ip: Ipv4Addr, count: usize, seed: u64) -> usize {
-        let mac = self.target_mac(dst_ip);
+        let mut state = self.state.lock();
+        let mac = state.target_mac(dst_ip);
         let mut fuzzer = crate::pktgen::FrameFuzzer::new(seed);
         for _ in 0..count {
             let frame = fuzzer.next_frame(
@@ -890,9 +923,9 @@ impl RemotePeer {
                 self.config.ip.octets(),
                 dst_ip.octets(),
             );
-            self.emit(frame.into());
+            state.outbox.push(frame.into());
         }
-        self.transmit_outbox();
+        self.transmit(&mut state);
         count
     }
 
@@ -924,15 +957,15 @@ impl RemotePeer {
         }
     }
 
-    fn send_arp_request(&self, target: Ipv4Addr) {
+    fn send_arp_request(&self, outbox: &mut Vec<Bytes>, target: Ipv4Addr) {
         let req = ArpPacket::request(self.config.mac, self.config.ip, target);
-        self.send_frame(MacAddr::BROADCAST, EtherType::Arp, &req.build());
+        self.send_frame(outbox, MacAddr::BROADCAST, EtherType::Arp, &req.build());
     }
 
     /// Moves backlog bytes of an established client flow into the window,
     /// each data frame built once, straight from the send queue, into the
     /// outbox.  Returns the retransmission deadline it armed, if any.
-    fn send_window(&self, conn: &mut ClientConn) -> Option<Duration> {
+    fn send_window(&self, conn: &mut ClientConn, outbox: &mut Vec<Bytes>) -> Option<Duration> {
         if conn.status != ClientStatus::Established {
             return None;
         }
@@ -941,7 +974,6 @@ impl RemotePeer {
         if conn.tx.backlog_len() == 0 || conn.tx.in_flight >= window {
             return None;
         }
-        let mut outbox = self.outbox.lock();
         while conn.tx.backlog_len() > 0 && conn.tx.in_flight < window {
             let take = conn
                 .tx
@@ -973,12 +1005,17 @@ impl RemotePeer {
     /// releases.
     fn handle_client_segment(
         &self,
+        state: &mut PeerState,
         frame: &EthernetView<'_>,
         packet: &Ipv4View<'_>,
         seg: &TcpView<'_>,
     ) {
-        let mut state = self.state.lock();
-        let PeerState { clients, stats, .. } = &mut *state;
+        let PeerState {
+            clients,
+            stats,
+            outbox,
+            ..
+        } = &mut *state;
         let Some(conn) = clients.get_mut(&seg.dst_port) else {
             return;
         };
@@ -1050,10 +1087,10 @@ impl RemotePeer {
                 TcpFlags::ACK,
             );
             ack.window = u16::MAX;
-            self.emit(self.tcp_frame(frame.src, packet.src, ack.as_view()));
+            outbox.push(self.tcp_frame(frame.src, packet.src, ack.as_view()));
         }
         if window_opened {
-            if let Some(due) = self.send_window(conn) {
+            if let Some(due) = self.send_window(conn, outbox) {
                 state.note_client_timer(due);
             }
         }
@@ -1063,16 +1100,16 @@ impl RemotePeer {
     /// retransmission on a doubling RTO — and transmits what they built as
     /// one burst.  Returns the amount of work done.
     pub fn tick(&self) -> usize {
-        let work = self.run_timers();
-        self.transmit_outbox();
+        let mut state = self.state.lock();
+        let work = self.run_timers(&mut state);
+        self.transmit(&mut state);
         work
     }
 
     /// The timers of [`RemotePeer::tick`]: builds every retry that is due
     /// into the outbox and returns how many it built.
-    fn run_timers(&self) -> usize {
+    fn run_timers(&self, state: &mut PeerState) -> usize {
         let now = self.clock.now();
-        let mut state = self.state.lock();
         // Earliest-deadline gate: skip the O(clients) scan unless some
         // armed timer is actually due.  With a large idle keep-alive
         // population this makes the common tick O(1).
@@ -1082,7 +1119,10 @@ impl RemotePeer {
         }
         let mut work = 0;
         let mut next: Option<Duration> = None;
-        for conn in state.clients.values_mut() {
+        let PeerState {
+            clients, outbox, ..
+        } = &mut *state;
+        for conn in clients.values_mut() {
             let Some(deadline) = conn.rto_deadline else {
                 continue;
             };
@@ -1100,13 +1140,13 @@ impl RemotePeer {
             conn.rto_deadline = Some(now + conn.rto);
             match conn.status {
                 ClientStatus::Resolving => {
-                    self.send_arp_request(conn.dst_ip);
+                    self.send_arp_request(outbox, conn.dst_ip);
                     work += 1;
                 }
                 ClientStatus::Connecting => {
                     if let Some(mac) = conn.dst_mac {
                         let syn = Self::client_syn(conn);
-                        self.emit(self.tcp_frame(mac, conn.dst_ip, syn.as_view()));
+                        outbox.push(self.tcp_frame(mac, conn.dst_ip, syn.as_view()));
                         work += 1;
                     }
                 }
@@ -1125,7 +1165,7 @@ impl RemotePeer {
                             mss: None,
                             payload: &conn.tx.unacked()[..len],
                         };
-                        self.emit(self.tcp_frame(mac, conn.dst_ip, segment));
+                        outbox.push(self.tcp_frame(mac, conn.dst_ip, segment));
                         work += 1;
                     }
                 }
@@ -1199,6 +1239,18 @@ mod tests {
             local_mac: MacAddr::from_index(1),
             local_ip: Ipv4Addr::new(10, 0, 0, 1),
             arrived: RefCell::default(),
+        }
+    }
+
+    impl RemotePeer {
+        /// Handles one frame outside a receive burst; its replies wait in
+        /// the outbox for [`RemotePeer::transmit_outbox`].
+        fn handle_frame(&self, bytes: &[u8]) {
+            self.receive(&mut self.state.lock(), bytes);
+        }
+
+        fn transmit_outbox(&self) {
+            self.transmit(&mut self.state.lock());
         }
     }
 
@@ -1466,6 +1518,141 @@ mod tests {
             seq += seg.payload.len() as u32;
         }
         assert_eq!(seq, syn.seq + 1 + 4_000);
+    }
+
+    /// Decodes a TCP frame the peer sent.
+    fn tcp_of(bytes: &[u8]) -> TcpSegment {
+        let eth = EthernetFrame::parse(bytes).unwrap();
+        let ip = Ipv4Packet::parse(&eth.payload).unwrap();
+        TcpSegment::parse(&ip.payload, ip.src, ip.dst).unwrap()
+    }
+
+    #[test]
+    fn frames_leave_in_decision_order_while_two_threads_drive_the_peer() {
+        // A clock that stands still: no retransmission timer fires, so
+        // every data frame on the wire is a first transmission.
+        let clock = SimClock::with_speedup(1e-9);
+        let (_link, local, remote) = Link::new(LinkConfig::unshaped(), clock.clone());
+        let peer = RemotePeer::new(PeerConfig::default(), clock, remote);
+        let (local_mac, local_ip) = (MacAddr::from_index(1), Ipv4Addr::new(10, 0, 0, 1));
+        let to_peer = |segment: &TcpSegment| {
+            let packet = Ipv4Packet::new(
+                local_ip,
+                peer.ip(),
+                IpProtocol::Tcp,
+                segment.build(local_ip, peer.ip()),
+            );
+            local.transmit(
+                EthernetFrame::new(peer.mac(), local_mac, EtherType::Ipv4, packet.build()).build(),
+            );
+        };
+        let (port, stack_isn, window) = (49_600, 5_000u32, 3_000u16);
+        peer.client_connect(port, local_ip, 8080);
+        let mut wire = Vec::new();
+        local.receive_burst(&mut wire);
+        let request = EthernetFrame::parse(&wire.pop().expect("arp request")).unwrap();
+        let request = ArpPacket::parse(&request.payload).unwrap();
+        let reply = ArpPacket::reply_to(&request, local_mac, local_ip).build();
+        local.transmit(EthernetFrame::new(peer.mac(), local_mac, EtherType::Arp, reply).build());
+        peer.poll_once();
+        local.receive_burst(&mut wire);
+        let syn = tcp_of(&wire.pop().expect("syn"));
+        let mut syn_ack =
+            TcpSegment::control(8080, port, stack_isn, syn.seq + 1, TcpFlags::SYN_ACK);
+        syn_ack.window = window;
+        to_peer(&syn_ack);
+        peer.poll_once();
+        local.receive_burst(&mut wire);
+        assert!(tcp_of(&wire.pop().expect("handshake ack"))
+            .payload
+            .is_empty());
+
+        const WRITES: usize = 10_000;
+        const WRITE: usize = 700;
+        const RESPONSE: usize = 10;
+        let base = syn.seq + 1;
+        let total = (WRITES * WRITE) as u32;
+        // Every frame the peer sent, in wire order, and what each response
+        // of the stack acknowledged.
+        let mut sent: Vec<TcpSegment> = Vec::new();
+        let mut stack_acks: Vec<u32> = Vec::new();
+        std::thread::scope(|scope| {
+            // The application: writes at a varying pace, so the window is
+            // sometimes full (the polling thread sends what an ACK
+            // releases) and sometimes open (this thread sends).
+            scope.spawn(|| {
+                for i in 0..WRITES {
+                    assert!(peer.client_send(port, &[i as u8; WRITE]));
+                    for _ in 0..i % 8 * 20 {
+                        std::hint::spin_loop();
+                    }
+                }
+            });
+            // The stack: each response carries a few bytes and acknowledges
+            // every data byte it has seen, which opens the window; the
+            // peer handles it in `poll_once` on this thread.
+            let mut acked = base;
+            let mut response_seq = stack_isn + 1;
+            let deadline = std::time::Instant::now() + Duration::from_secs(30);
+            while acked != base + total {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "stalled at {}",
+                    acked - base
+                );
+                let mut burst = Vec::new();
+                local.receive_burst(&mut burst);
+                for seg in burst.iter().map(|frame| tcp_of(frame)) {
+                    if !seg.payload.is_empty() {
+                        acked = seg.seq + seg.payload.len() as u32;
+                    }
+                    sent.push(seg);
+                }
+                let mut response =
+                    TcpSegment::control(8080, port, response_seq, acked, TcpFlags::PSH_ACK);
+                response.window = window;
+                response.payload = vec![b'r'; RESPONSE];
+                response_seq += RESPONSE as u32;
+                stack_acks.push(acked);
+                to_peer(&response);
+                peer.poll_once();
+            }
+        });
+        let mut burst = Vec::new();
+        local.receive_burst(&mut burst);
+        sent.extend(burst.iter().map(|frame| tcp_of(frame)));
+
+        // One ACK per response, in order: the polling thread's decisions
+        // leave in the order it made them.
+        let ack_at: Vec<usize> = (0..sent.len())
+            .filter(|&at| sent[at].payload.is_empty())
+            .collect();
+        assert_eq!(ack_at.len(), stack_acks.len());
+        for (n, &at) in ack_at.iter().enumerate() {
+            assert_eq!(sent[at].ack, stack_isn + 1 + ((n + 1) * RESPONSE) as u32);
+        }
+        // The data once each, in sequence order, whichever thread sent it;
+        // and none of it before the ACK of the response that let it into
+        // the window.
+        let mut next = base;
+        for (at, seg) in sent.iter().enumerate() {
+            if seg.payload.is_empty() {
+                continue;
+            }
+            assert_eq!(seg.seq, next, "frame {at}: data out of order");
+            next += seg.payload.len() as u32;
+            if next > base + u32::from(window) {
+                let released_by = stack_acks
+                    .iter()
+                    .position(|&acked| acked + u32::from(window) >= next)
+                    .expect("data beyond every window the stack opened");
+                assert!(
+                    ack_at[released_by] < at,
+                    "frame {at} left before the ACK of response {released_by}, which released it"
+                );
+            }
+        }
+        assert_eq!(next, base + total);
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! * **Wide words (§2(C)).**  The sum may be accumulated in any wider
 //!   register and the carries folded back in at the end.  The kernel adds
 //!   32-bit words into sixteen `u64` lanes, which the compiler turns into
-//!   plain or vector adds, and folds once per call.
+//!   plain or vector adds, and folds once per call.  It is built twice from
+//!   one source, for the baseline target and with AVX2, and each call takes
+//!   the AVX2 build where the CPU has it.
 //! * **Parallel summation (§2(A), §2(B)).**  Sums of separate blocks
 //!   combine by ones'-complement addition, after a byte swap when the
 //!   block starts at an odd offset.  [`Checksum::add`] tracks that parity
@@ -192,8 +194,41 @@ fn sum_native(data: &[u8]) -> u64 {
     }
 }
 
-/// The kernel, for inputs of at least one 64-byte block.
+/// The kernel, for inputs of at least one 64-byte block: one source,
+/// [`sum_blocks_body`], built twice — with AVX2's 256-bit adds for CPUs
+/// that have them, and for the baseline target — and picked per call from
+/// std's cached CPU feature check.
+#[inline]
 fn sum_blocks(data: &[u8]) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU has AVX2, the one feature the build enables.
+        return unsafe { sum_blocks_avx2(data) };
+    }
+    sum_blocks_portable(data)
+}
+
+/// [`sum_blocks_body`] built for the baseline target.
+fn sum_blocks_portable(data: &[u8]) -> u64 {
+    sum_blocks_body(data)
+}
+
+/// [`sum_blocks_body`] built with AVX2.
+///
+/// # Safety
+///
+/// The CPU must have AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn sum_blocks_avx2(data: &[u8]) -> u64 {
+    sum_blocks_body(data)
+}
+
+/// The kernel's one source: 32-bit words into sixteen lanes, one 64-byte
+/// block at a time.  Inlined into each build, which vectorizes it with the
+/// instructions that build may use.
+#[inline(always)]
+fn sum_blocks_body(data: &[u8]) -> u64 {
     // A lane takes one 32-bit word per 64-byte block, so the sixteen lanes
     // of a 1 GiB run add up to less than 2^60; longer inputs are summed a
     // run at a time.
@@ -305,6 +340,37 @@ mod tests {
         for len in [31, 32, 33, 1459, 1460, 65_536] {
             let ones = vec![0xffu8; len];
             assert_eq!(internet_checksum(&ones), reference(&ones, 0), "{len}");
+        }
+    }
+
+    #[test]
+    fn both_builds_of_the_kernel_agree_with_the_reference() {
+        let avx2 = cfg!(target_arch = "x86_64") && std::is_x86_feature_detected!("avx2");
+        let finish = |sum: u64| !to_native(fold(sum));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        let noisy = noise(9_000 + 8, 5);
+        let ones = vec![0xffu8; 9_000 + 8];
+        for round in 0..1_000 {
+            let buffer = if round % 8 == 0 { &ones } else { &noisy };
+            let start = rng.gen_range(0..8);
+            let data = &buffer[start..start + rng.gen_range(0..9_001)];
+            let want = reference(data, 0);
+            let at = format!("round {round}, start {start}, length {}", data.len());
+            assert_eq!(finish(sum_blocks_portable(data)), want, "portable, {at}");
+            #[cfg(target_arch = "x86_64")]
+            if avx2 {
+                // SAFETY: the CPU has AVX2.
+                assert_eq!(finish(unsafe { sum_blocks_avx2(data) }), want, "avx2, {at}");
+            }
+            // The dispatched kernel, fed in odd-length pieces.
+            let mut pieces = Checksum::new();
+            let mut from = 0;
+            while from < data.len() {
+                let to = (from + 2 * rng.gen_range(0..800) + 1).min(data.len());
+                pieces.add(&data[from..to]);
+                from = to;
+            }
+            assert_eq!(pieces.finish(), want, "pieces, {at}");
         }
     }
 

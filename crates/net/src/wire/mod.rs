@@ -45,12 +45,14 @@ pub trait WireBuf: DerefMut<Target = [u8]> {
 }
 
 impl WireBuf for Vec<u8> {
+    #[inline]
     fn put(&mut self, bytes: &[u8]) {
         self.extend_from_slice(bytes);
     }
 }
 
 impl WireBuf for BytesMut {
+    #[inline]
     fn put(&mut self, bytes: &[u8]) {
         self.extend_from_slice(bytes);
     }
@@ -111,6 +113,7 @@ impl WireBuf for HeaderBuf {
     /// # Panics
     ///
     /// Panics if the header would exceed [`MAX_TRANSPORT_HEADER`] bytes.
+    #[inline]
     fn put(&mut self, bytes: &[u8]) {
         let end = self.len as usize + bytes.len();
         self.bytes[self.len as usize..end].copy_from_slice(bytes);

@@ -1706,7 +1706,20 @@ mod tests {
             .expect("connect before fuzz");
         socket.send_all(&data).expect("send before fuzz");
 
-        let before = stack.telemetry();
+        // A service publishes its stats after its working round, so the
+        // connect can complete for the application before TCP's published
+        // stats count the connection: wait for them, or the fuzz would be
+        // charged with it below.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let before = loop {
+            let t = stack.telemetry();
+            if t.tcp_shards[0].connections_established > 0 || std::time::Instant::now() >= deadline
+            {
+                break t;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        assert_eq!(before.tcp_shards[0].connections_established, 1);
         let mut sent = 0usize;
         for seed in [1u64, 0xdead_beef, 0x5eed_5eed] {
             sent += stack
