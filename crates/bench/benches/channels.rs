@@ -6,20 +6,21 @@
 //! reproduction's equivalents: SPSC enqueue/dequeue (single-message and
 //! batched, direct and through the mutex-guarded handle the fabric used
 //! before the lock-free fast path), pool publish/read/free, the request
-//! database, and what a socket operation costs when nobody waits: a condvar
-//! notify and one cycle through a shared socket buffer.
+//! database, and what a socket operation costs when nobody waits: a
+//! wake-word write and one cycle through a shared socket buffer.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::{Bytes, Shelf};
 use criterion::{criterion_group, criterion_main, Criterion};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use newt_channels::endpoint::Endpoint;
 use newt_channels::pool::Pool;
 use newt_channels::reqdb::{AbortPolicy, RequestDb};
 use newt_channels::spsc;
+use newt_channels::wake::WakeWord;
 use newt_stack::sockbuf::{Doorbell, SocketBuffer};
 
 const BATCH: usize = 64;
@@ -183,11 +184,11 @@ fn bench_sync(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(1));
 
-    // What every socket-buffer operation of a stepped request pays for its
-    // wake-up, with no thread ever blocked on the buffer.
-    group.bench_function("condvar_notify_all_nobody_parked", |b| {
-        let condvar = Condvar::new();
-        b.iter(|| criterion::black_box(&condvar).notify_all());
+    // What a completion post or a doorbell ring pays for its wake-up when
+    // nobody is parked on the word.
+    group.bench_function("wake_word_write_nobody_parked", |b| {
+        let word = WakeWord::new();
+        b.iter(|| criterion::black_box(&word).write());
     });
 
     // The four buffer operations of a `step_small` request, none of which
@@ -201,13 +202,13 @@ fn bench_sync(c: &mut Criterion) {
         let (data, frame) = ([7u8; 256], Bytes::from(vec![9u8; 310]));
         let (mut rung, mut out) = (Vec::with_capacity(4), [0u8; 256]);
         b.iter(|| {
-            buffer.write(&data, Duration::ZERO).unwrap();
+            buffer.write(&data).unwrap();
             buffer.rearm_doorbell();
             rung.clear();
             doorbell.drain_into(&mut rung);
             criterion::black_box(buffer.drain_send_bytes(256));
             buffer.push_recv_bytes(frame.slice(54..), frame.len());
-            buffer.read(&mut out, Duration::ZERO).unwrap();
+            buffer.read(&mut out).unwrap();
         });
     });
 

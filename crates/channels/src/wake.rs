@@ -69,8 +69,11 @@ pub const SLEEP_GRANULARITY: Duration = Duration::from_micros(50);
 /// would cost.
 pub const MAX_PARK: Duration = Duration::from_millis(100);
 
-/// A monitored memory word shared between one or more producers and a single
-/// idle consumer.
+/// A monitored memory word shared between one or more producers and the
+/// consumers that park on it: a service's one event loop, or every thread
+/// of an application waiting on its completion queue.  A write wakes every
+/// parked consumer; each checks for its own work and parks again if there
+/// is none.
 ///
 /// # Examples
 ///
@@ -123,8 +126,8 @@ impl WakeWord {
         self.value.load(Ordering::SeqCst)
     }
 
-    /// The producer-side "memory write": bumps the word and wakes a sleeping
-    /// consumer if there is one.
+    /// The producer-side "memory write": bumps the word and wakes every
+    /// consumer sleeping on it, if any.
     ///
     /// This is the fast-path notification of the paper — when the consumer is
     /// busy polling, the cost is a single atomic increment; only when the
@@ -383,46 +386,80 @@ mod tests {
         assert_eq!(w.stats().writes, 4000);
     }
 
-    /// The lost-wake-up stress: four producers write while the consumer
-    /// parks anew after every value it has seen.  A write that slipped
-    /// between the consumer's last look and its park would leave it asleep
-    /// until the (absurdly long) timeout — which must never happen.
-    #[test]
-    fn no_write_slips_between_the_last_look_and_the_park() {
+    /// The lost-wake-up stress: four producers write while each of
+    /// `consumers` threads parks anew after every value it has seen.  A
+    /// write that slipped between a consumer's last look and its park would
+    /// leave it asleep until the (absurdly long) timeout — which must never
+    /// happen.
+    fn no_write_slips_past(consumers: usize) {
         const PRODUCERS: u64 = 4;
         const WRITES: u64 = 100_000;
-        let w = Arc::new(WakeWord::new());
-        let producers: Vec<_> = (0..PRODUCERS)
-            .map(|p| {
-                let w = Arc::clone(&w);
-                thread::spawn(move || {
+        let w = WakeWord::new();
+        thread::scope(|s| {
+            for p in 0..PRODUCERS {
+                let w = &w;
+                s.spawn(move || {
                     for i in 0..WRITES {
                         w.write();
-                        // Uneven gaps, so the consumer is caught spinning,
+                        // Uneven gaps, so a consumer is caught spinning,
                         // taking the lock and already parked in turn.
                         for _ in 0..(i * 7 + p * 13) % 97 {
                             std::hint::spin_loop();
                         }
                     }
-                })
-            })
-            .collect();
-        let mut seen = 0;
-        while seen < PRODUCERS * WRITES {
-            let parked = Instant::now();
-            let now = w.mwait(seen, Duration::from_secs(10));
-            assert!(
-                now != seen && parked.elapsed() < Duration::from_secs(10),
-                "slept through a write at generation {seen}"
-            );
-            seen = now;
-        }
-        for producer in producers {
-            producer.join().unwrap();
-        }
+                });
+            }
+            for _ in 0..consumers {
+                s.spawn(|| {
+                    let mut seen = 0;
+                    while seen < PRODUCERS * WRITES {
+                        let parked = Instant::now();
+                        let now = w.mwait(seen, Duration::from_secs(10));
+                        assert!(
+                            now != seen && parked.elapsed() < Duration::from_secs(10),
+                            "slept through a write at generation {seen}"
+                        );
+                        seen = now;
+                    }
+                });
+            }
+        });
         let stats = w.stats();
         assert_eq!(stats.writes, PRODUCERS * WRITES);
         assert!(stats.slow_wakeups <= stats.writes);
+    }
+
+    #[test]
+    fn no_write_slips_between_the_last_look_and_the_park() {
+        no_write_slips_past(1);
+    }
+
+    /// Threads of one application share their completion queue's word.
+    #[test]
+    fn no_write_slips_past_either_of_two_consumers() {
+        no_write_slips_past(2);
+    }
+
+    /// One write wakes every thread halted on the word, not only the first.
+    #[test]
+    fn one_write_wakes_every_parked_thread() {
+        const SLEEPERS: u64 = 4;
+        let w = WakeWord::new();
+        thread::scope(|s| {
+            let sleepers: Vec<_> = (0..SLEEPERS)
+                .map(|_| s.spawn(|| w.mwait(0, Duration::from_secs(10))))
+                .collect();
+            // Each sleeper counts itself under the lock before it waits.
+            while w.stats().sleeps < SLEEPERS {
+                thread::yield_now();
+            }
+            let written = Instant::now();
+            w.write();
+            for sleeper in sleepers {
+                assert_eq!(sleeper.join().unwrap(), 1);
+            }
+            assert!(written.elapsed() < Duration::from_secs(5));
+        });
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use newt_channels::endpoint::Endpoint;
 use newt_channels::wake::WakeWord;
@@ -108,12 +108,11 @@ pub struct KernelStats {
 #[derive(Debug, Default)]
 struct Mailbox {
     queue: Mutex<VecDeque<Message>>,
-    condvar: Condvar,
     /// Whether the owner is currently blocked in `receive` (i.e. its core is
     /// idle and a message needs an IPI to wake it).
     idle: AtomicBool,
-    /// The wake word of an owner that polls this mailbox from an event loop
-    /// (`try_receive`) and parks on the word while idle.
+    /// The word every delivery writes: a polling service's (see
+    /// [`KernelIpc::attach_wake`]), or the one a blocking receive parks on.
     wake: OnceLock<Arc<WakeWord>>,
 }
 
@@ -203,11 +202,16 @@ impl KernelIpc {
     /// owner polls its mailbox with [`KernelIpc::try_receive`] from an event
     /// loop that parks on that word, so a delivery must wake it.  The first
     /// word attached stays for the life of the mailbox (it belongs to the
-    /// service, not to one of its incarnations).
+    /// service, not to one of its incarnations), so attach it before the
+    /// endpoint's first blocking receive: attaching another word panics.
     pub fn attach_wake(&self, endpoint: Endpoint, wake: Arc<WakeWord>) {
         self.attach(endpoint);
         if let Ok(mailbox) = self.mailbox(endpoint) {
-            let _ = mailbox.wake.set(wake);
+            let word = mailbox.wake.get_or_init(|| Arc::clone(&wake));
+            assert!(
+                Arc::ptr_eq(word, &wake),
+                "{endpoint:?} has a wake word already"
+            );
         }
     }
 
@@ -239,7 +243,6 @@ impl KernelIpc {
                 self.inner.ipis.fetch_add(1, Ordering::Relaxed);
                 self.inner.cycles.charge(self.inner.model.ipi);
             }
-            mailbox.condvar.notify_all();
         }
         if let Some(wake) = mailbox.wake.get() {
             wake.write();
@@ -294,9 +297,11 @@ impl KernelIpc {
     ) -> Result<Message, IpcError> {
         let mailbox = self.mailbox(me)?;
         self.charge_trap();
+        let word = mailbox.wake.get_or_init(Arc::default);
         let deadline = Instant::now() + timeout;
-        let mut queue = mailbox.queue.lock();
         loop {
+            let seen = word.value();
+            let mut queue = mailbox.queue.lock();
             if let Some(pos) = queue.iter().position(&matches) {
                 return Ok(queue.remove(pos).expect("position found above"));
             }
@@ -305,14 +310,9 @@ impl KernelIpc {
                 return Err(IpcError::Timeout);
             }
             mailbox.idle.store(true, Ordering::Release);
-            let timed_out = mailbox
-                .condvar
-                .wait_for(&mut queue, deadline - now)
-                .timed_out();
+            drop(queue);
+            word.mwait(seen, deadline - now);
             mailbox.idle.store(false, Ordering::Release);
-            if timed_out && queue.iter().position(&matches).is_none() {
-                return Err(IpcError::Timeout);
-            }
         }
     }
 
@@ -472,6 +472,47 @@ mod tests {
         handle.join().unwrap().unwrap();
         let stats = k.stats();
         assert!(stats.ipis >= 1, "expected at least one IPI, got {stats:?}");
+    }
+
+    /// The receiver parks on its mailbox's word, made by its first blocking
+    /// receive; no round sleeps, so the send lands before, during and after
+    /// that.
+    #[test]
+    fn a_send_racing_a_blocking_receive_is_never_lost() {
+        for round in 0..1000 {
+            let k = kernel();
+            k.attach(ep(1));
+            k.attach(ep(2));
+            let started = Instant::now();
+            thread::scope(|s| {
+                let receiver = s.spawn(|| k.receive(ep(2), Duration::from_secs(5)));
+                k.send(ep(1), ep(2), Message::new(round)).unwrap();
+                let got = receiver.join().unwrap().map(|m| m.mtype);
+                assert_eq!(got, Ok(round), "round {round}");
+            });
+            // After a lost wake-up the receive finds the message at its
+            // deadline, so only the time shows it.
+            assert!(
+                started.elapsed() < Duration::from_millis(2500),
+                "round {round}"
+            );
+        }
+    }
+
+    /// The service's word wins only if it comes first: attached after a
+    /// blocking receive made the mailbox its own, it would never be
+    /// written, so the attach fails loudly.  Attaching the same word again
+    /// (a new incarnation) is fine.
+    #[test]
+    fn a_wake_word_attached_after_a_blocking_receive_is_refused() {
+        let k = kernel();
+        let word = Arc::new(WakeWord::new());
+        k.attach_wake(ep(1), Arc::clone(&word));
+        k.attach_wake(ep(1), word);
+        k.attach(ep(2));
+        let _ = k.receive(ep(2), Duration::ZERO);
+        let late = std::panic::catch_unwind(|| k.attach_wake(ep(2), Arc::default()));
+        assert!(late.is_err());
     }
 
     #[test]

@@ -21,17 +21,20 @@
 //!
 //! # Blocking, non-blocking and polling
 //!
-//! Every blocking operation is bounded by the client's **real-time**
-//! timeout ([`NetClient::with_timeout`]).  A **zero** timeout puts the
-//! client in non-blocking mode: data operations return
+//! An application sleeps one way, on its completion queue: a data call that
+//! would block waits there for a readiness watch of its own (one per
+//! direction of a socket, so one thread at a time blocks receiving and one
+//! sending).  Every blocking operation is bounded by the client's
+//! **real-time** timeout ([`NetClient::with_timeout`]).  A **zero** timeout
+//! puts the client in non-blocking mode: data operations return
 //! [`SockError::WouldBlock`] instead of waiting, and [`TcpSocket::accept`]
-//! degrades to the non-blocking [`TcpSocket::accept_nb`].  Readiness can be
-//! asked for without blocking:
+//! degrades to the non-blocking [`TcpSocket::accept_nb`].  Readiness can
+//! be asked for without blocking:
 //!
-//! * [`RingHandle::poll_arm`] — a one-shot watch on recv-buffer data,
-//!   send-buffer space, hang-up and pending errors, evaluated **locally**
-//!   against the shared buffer (no server round trip, like the data path
-//!   itself);
+//! * [`RingHandle::poll_arm`] — a one-shot watch on recv-buffer data
+//!   (and end-of-stream), send-buffer space and pending errors, evaluated
+//!   **locally** against the shared buffer (no server round trip, like the
+//!   data path itself);
 //! * [`TcpSocket::accept_ready`] — listen-backlog readiness, answered
 //!   locally from the ring's multishot accept completions.
 //!
@@ -215,6 +218,30 @@ impl NetClient {
         self.ring()?.call(op, self.control_timeout())
     }
 
+    /// Every blocking data call: `op` on `buffer`, retried each time the
+    /// buffer matches `interest` ([`RingHandle::await_ready`]) until the op
+    /// timeout.  A non-blocking client never waits.
+    fn block_on<T>(
+        &self,
+        buffer: &SocketBuffer,
+        interest: u8,
+        mut op: impl FnMut(&SocketBuffer) -> Result<T, SockError>,
+    ) -> Result<T, SockError> {
+        let mut deadline = None;
+        loop {
+            match op(buffer) {
+                Err(SockError::WouldBlock) if !self.op_timeout.is_zero() => {}
+                done => return done,
+            }
+            let now = Instant::now();
+            let deadline = *deadline.get_or_insert(now + self.op_timeout);
+            if now >= deadline {
+                return Err(SockError::TimedOut);
+            }
+            self.ring()?.await_ready(buffer, interest, deadline);
+        }
+    }
+
     /// Opens a socket of `transport` on `shard` (`None`: the next shard of
     /// this client's round-robin) and attaches its shared buffer.
     fn open(
@@ -324,7 +351,10 @@ impl NetClient {
     ///     let mut chunk = [0u8; 16];
     ///     match ring.recv(socket.id(), &mut chunk) {
     ///         Ok(n) => reply.extend_from_slice(&chunk[..n]),
-    ///         Err(SockError::WouldBlock) => std::thread::sleep(Duration::from_millis(1)),
+    ///         Err(SockError::WouldBlock) => {
+    ///             ring.poll_arm(socket.id(), interest_bits::READ, 7)?;
+    ///             while ring.wait(&mut cqes, Duration::from_secs(10)) == 0 {}
+    ///         }
     ///         Err(error) => return Err(error.into()),
     ///     }
     /// }
@@ -462,9 +492,9 @@ struct ShimState {
     /// Terminal error of a listener's arm (consumed on read, so a
     /// re-listen can re-arm).
     errors: HashMap<SockId, SockError>,
-    /// Control calls in progress, by tag: `None` until the completion
-    /// arrives.  A completion whose tag is not here (its caller timed
-    /// out) is dropped.
+    /// Control calls and the watches of blocked data calls in progress, by
+    /// tag: `None` until the completion arrives.  A completion whose tag is
+    /// not here (its caller timed out) is dropped.
     calls: HashMap<u64, Option<Result<CqValue, SockError>>>,
     /// Sequence number of the last control call.
     next_call: u64,
@@ -614,7 +644,7 @@ impl RingHandle {
             SqeOp::Send { sock, data } => {
                 let result = self
                     .buffer(sock)
-                    .and_then(|buffer| buffer.write(&data, Duration::ZERO))
+                    .and_then(|buffer| buffer.write(&data))
                     .map(CqValue::Sent);
                 self.cq.post(Cqe { user_data, result });
                 Ok(())
@@ -622,7 +652,7 @@ impl RingHandle {
             SqeOp::Recv { sock, max } => {
                 let result = self.buffer(sock).and_then(|buffer| {
                     let mut data = vec![0u8; max];
-                    let n = buffer.read(&mut data, Duration::ZERO)?;
+                    let n = buffer.read(&mut data)?;
                     data.truncate(n);
                     Ok(data)
                 });
@@ -658,7 +688,7 @@ impl RingHandle {
     /// [`SockError::WouldBlock`] when the buffer is full, or the pending
     /// socket error.
     pub fn send(&self, sock: SockId, data: &[u8]) -> Result<usize, SockError> {
-        let n = self.buffer(sock)?.write(data, Duration::ZERO)?;
+        let n = self.buffer(sock)?.write(data)?;
         self.cq.note_inline_op();
         Ok(n)
     }
@@ -671,7 +701,7 @@ impl RingHandle {
     /// [`SockError::WouldBlock`] when nothing is buffered, or the pending
     /// socket error.
     pub fn recv(&self, sock: SockId, buf: &mut [u8]) -> Result<usize, SockError> {
-        let n = self.buffer(sock)?.read(buf, Duration::ZERO)?;
+        let n = self.buffer(sock)?.read(buf)?;
         self.cq.note_inline_op();
         Ok(n)
     }
@@ -680,8 +710,9 @@ impl RingHandle {
     /// `user_data` with [`CqValue::Ready`] is posted as soon as the
     /// socket's buffer matches `interest` (bits from
     /// [`rings::interest_bits`]) — immediately if it already does.
-    /// Hang-up and pending errors fire the watch regardless of interest.
-    /// Re-arming replaces the previous watch.
+    /// Read interest fires on hang-up too, and a pending error fires any
+    /// watch.  Arming replaces the watch of the same direction (send space
+    /// alone, or data), and so does a blocking call: do not mix the two.
     ///
     /// # Errors
     ///
@@ -797,13 +828,7 @@ impl RingHandle {
     /// [`SockError::TimedOut`] when no completion arrives in time (a late
     /// one is dropped), or the error the operation completed with.
     fn call(&self, op: SqeOp, timeout: Duration) -> Result<CqValue, SockError> {
-        let tag = {
-            let mut shim = self.shim.lock();
-            shim.next_call += 1;
-            let tag = SHIM_USER_BIT | SHIM_CALL_BIT | shim.next_call;
-            shim.calls.insert(tag, None);
-            tag
-        };
+        let tag = self.open_call();
         let deadline = Instant::now() + timeout;
         let result = self.submit_raw(Sqe { user_data: tag, op }).and_then(|()| {
             self.await_shim(deadline, |shim| shim.calls.get_mut(&tag)?.take())
@@ -811,6 +836,30 @@ impl RingHandle {
         });
         self.shim.lock().calls.remove(&tag);
         result
+    }
+
+    /// Registers a call under a fresh shim tag, which it returns.
+    fn open_call(&self) -> u64 {
+        let mut shim = self.shim.lock();
+        shim.next_call += 1;
+        let tag = SHIM_USER_BIT | SHIM_CALL_BIT | shim.next_call;
+        shim.calls.insert(tag, None);
+        tag
+    }
+
+    /// Waits until `deadline` for `buf` to match `interest`, on a one-shot
+    /// readiness watch armed under a call tag, which is gone when it
+    /// returns.
+    pub(crate) fn await_ready(&self, buf: &SocketBuffer, interest: u8, deadline: Instant) {
+        let tag = self.open_call();
+        buf.arm_watch(ReadyWatch {
+            cq: Arc::clone(&self.cq),
+            user_data: tag,
+            interest,
+        });
+        self.await_shim(deadline, |shim| shim.calls.get_mut(&tag)?.take());
+        self.shim.lock().calls.remove(&tag);
+        buf.cancel_watch(tag);
     }
 
     /// Ensures `listener` has a live multishot accept arm, submitting one
@@ -1024,7 +1073,9 @@ impl TcpSocket {
     /// the buffer is full and the client is non-blocking, or
     /// [`SockError::TimedOut`].
     pub fn send(&self, data: &[u8]) -> Result<usize, SockError> {
-        self.buffer.write(data, self.client.op_timeout)
+        let write = |buffer: &SocketBuffer| buffer.write(data);
+        self.client
+            .block_on(&self.buffer, rings::interest_bits::WRITE, write)
     }
 
     /// Writes all of `data`, blocking as needed.
@@ -1035,7 +1086,7 @@ impl TcpSocket {
     pub fn send_all(&self, data: &[u8]) -> Result<(), SockError> {
         let mut offset = 0;
         while offset < data.len() {
-            offset += self.buffer.write(&data[offset..], self.client.op_timeout)?;
+            offset += self.send(&data[offset..])?;
         }
         Ok(())
     }
@@ -1048,7 +1099,9 @@ impl TcpSocket {
     /// Returns [`SockError::WouldBlock`] (non-blocking client, nothing
     /// buffered), [`SockError::TimedOut`], or the pending socket error.
     pub fn recv(&self, buf: &mut [u8]) -> Result<usize, SockError> {
-        self.buffer.read(buf, self.client.op_timeout)
+        let read = |buffer: &SocketBuffer| buffer.read(buf);
+        self.client
+            .block_on(&self.buffer, rings::interest_bits::READ, read)
     }
 
     /// Reads exactly `buf.len()` bytes.
@@ -1060,9 +1113,7 @@ impl TcpSocket {
     pub fn recv_exact(&self, buf: &mut [u8]) -> Result<(), SockError> {
         let mut offset = 0;
         while offset < buf.len() {
-            let n = self
-                .buffer
-                .read(&mut buf[offset..], self.client.op_timeout)?;
+            let n = self.recv(&mut buf[offset..])?;
             if n == 0 {
                 return Err(SockError::ConnectionReset);
             }
@@ -1133,9 +1184,10 @@ impl UdpSocket {
         let record = encode_datagram(addr, port, payload);
         let mut offset = 0;
         while offset < record.len() {
+            let write = |buffer: &SocketBuffer| buffer.write(&record[offset..]);
             offset += self
-                .buffer
-                .write(&record[offset..], self.client.op_timeout)?;
+                .client
+                .block_on(&self.buffer, rings::interest_bits::WRITE, write)?;
         }
         Ok(())
     }
@@ -1159,28 +1211,20 @@ impl UdpSocket {
     /// [`SockError::TimedOut`] when nothing arrives within the client's
     /// timeout.
     pub fn recv_from(&self) -> Result<(Vec<u8>, Ipv4Addr, u16), SockError> {
-        let deadline = std::time::Instant::now() + self.client.op_timeout;
-        loop {
-            {
-                let mut pending = self.pending.lock();
+        let next = |buffer: &SocketBuffer| {
+            let mut pending = self.pending.lock();
+            loop {
                 if let Some(((addr, port, payload), consumed)) = decode_datagram(&pending) {
                     pending.drain(..consumed);
                     return Ok((payload, addr, port));
                 }
+                let mut chunk = [0u8; 4096];
+                let n = buffer.read(&mut chunk)?;
+                pending.extend_from_slice(&chunk[..n]);
             }
-            let remaining = if self.client.op_timeout.is_zero() {
-                Duration::ZERO
-            } else {
-                let now = std::time::Instant::now();
-                if now >= deadline {
-                    return Err(SockError::TimedOut);
-                }
-                deadline - now
-            };
-            let mut chunk = [0u8; 4096];
-            let n = self.buffer.read(&mut chunk, remaining)?;
-            self.pending.lock().extend_from_slice(&chunk[..n]);
-        }
+        };
+        self.client
+            .block_on(&self.buffer, rings::interest_bits::READ, next)
     }
 
     /// Closes the socket.
@@ -1196,7 +1240,7 @@ impl UdpSocket {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     //! The control calls against a stepped four-shard control plane: the
     //! SYSCALL server, three replicas and four TCP servers are polled from
     //! the test's thread while the blocking calls run on a helper, so the
@@ -1398,5 +1442,143 @@ mod tests {
         });
         assert_eq!(shards, vec![0, 1, 2, 3, 0, 1, 2, 3]);
         assert_eq!(plane.socket_counts(), vec![0; SHARDS]);
+    }
+
+    /// The ring group of a one-shard application with no pump: enough for
+    /// a blocking data call, which never leaves the application.
+    pub(crate) fn bare_ring() -> RingHandle {
+        let cq = Arc::new(CompletionQueue::new(64));
+        RingHandle {
+            registry: Registry::new(),
+            app: endpoints::application(0),
+            sqs: vec![Arc::new(SubmissionRing::new(0, 8, Arc::clone(&cq), None))],
+            cq,
+            next_shard: AtomicUsize::new(0),
+            buffers: Mutex::new(HashMap::new()),
+            shim: Mutex::new(ShimState::default()),
+        }
+    }
+
+    /// Two TCP sockets of one client whose ring group is a bare completion
+    /// queue (one shard, no pump): enough for the data calls, which never
+    /// leave the application, with `timeout` as the client's bound.
+    fn bare_sockets(timeout: Duration) -> [TcpSocket; 2] {
+        let registry = Registry::new();
+        let client = NetClient::new(
+            KernelIpc::new(CostModel::default()),
+            registry.clone(),
+            endpoints::application(0),
+        )
+        .with_timeout(timeout);
+        *client.ring.lock() = Some(Arc::new(bare_ring()));
+        [1, 2].map(|sock| TcpSocket {
+            client: client.clone(),
+            sock,
+            buffer: Arc::new(SocketBuffer::new(16, 16)),
+        })
+    }
+
+    /// Waits until `calls` blocking calls of `socket`'s client are under
+    /// way: each holds its tag, and its watch is armed or about to be.
+    fn until_blocked(socket: &TcpSocket, calls: usize) {
+        let ring = socket.client.ring().unwrap();
+        while ring.shim.lock().calls.len() < calls {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_blocked_recv_ends_with_the_reset_that_lands() {
+        let [socket, _] = bare_sockets(Duration::from_secs(5));
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| socket.recv(&mut [0u8; 8]));
+            until_blocked(&socket, 1);
+            socket.buffer.set_error(SockError::ConnectionReset);
+            assert_eq!(reader.join().unwrap(), Err(SockError::ConnectionReset));
+        });
+    }
+
+    /// Each thread's watch completes on the one queue both park on;
+    /// whichever thread drains a completion hands it to the one it is for.
+    #[test]
+    fn two_threads_blocked_on_their_own_sockets_are_each_woken_by_their_own_data() {
+        let [a, b] = bare_sockets(Duration::from_secs(5));
+        for round in 0..200 {
+            let started = Instant::now();
+            std::thread::scope(|s| {
+                let readers = [&a, &b].map(|socket| {
+                    s.spawn(move || {
+                        let mut out = [0u8; 8];
+                        socket.recv(&mut out).map(|n| out[..n].to_vec())
+                    })
+                });
+                until_blocked(&a, 2);
+                // In turn, the other socket's data comes first.
+                let (first, second) = if round % 2 == 0 { (&b, &a) } else { (&a, &b) };
+                first.buffer.push_recv(&first.sock.to_le_bytes()[..1]);
+                second.buffer.push_recv(&second.sock.to_le_bytes()[..1]);
+                let [got_a, got_b] = readers.map(|reader| reader.join().unwrap());
+                assert_eq!((got_a, got_b), (Ok(vec![1]), Ok(vec![2])), "round {round}");
+            });
+            // A lost wake-up is found once the 5 s timeout ends the park.
+            assert!(
+                started.elapsed() < Duration::from_millis(2500),
+                "round {round}"
+            );
+        }
+    }
+
+    /// A thread blocked sending and one blocked receiving on the same
+    /// socket keep a watch each: whichever transition comes first wakes
+    /// only the thread it is for, and the other still wakes on its own.
+    #[test]
+    fn a_blocked_send_and_a_blocked_recv_on_one_socket_are_each_woken_by_their_own_transition() {
+        let [socket, _] = bare_sockets(Duration::from_secs(5));
+        for round in 0..200 {
+            assert_eq!(socket.buffer.write(&[0u8; 16]), Ok(16));
+            let started = Instant::now();
+            std::thread::scope(|s| {
+                let sender = s.spawn(|| socket.send(b"s"));
+                let receiver = s.spawn(|| socket.recv(&mut [0u8; 8]));
+                until_blocked(&socket, 2);
+                // In turn, one direction's transition comes first, and its
+                // thread returns while the other still sleeps.
+                if round % 2 == 0 {
+                    assert_eq!(socket.buffer.drain_send(16).len(), 16);
+                    assert_eq!(sender.join().unwrap(), Ok(1), "round {round}");
+                    socket.buffer.push_recv(b"r");
+                    assert_eq!(receiver.join().unwrap(), Ok(1), "round {round}");
+                } else {
+                    socket.buffer.push_recv(b"r");
+                    assert_eq!(receiver.join().unwrap(), Ok(1), "round {round}");
+                    assert_eq!(socket.buffer.drain_send(16).len(), 16);
+                    assert_eq!(sender.join().unwrap(), Ok(1), "round {round}");
+                }
+            });
+            assert_eq!(socket.buffer.drain_send(16), b"s", "round {round}");
+            // A lost wake-up is found once the 5 s timeout ends the park.
+            assert!(
+                started.elapsed() < Duration::from_millis(2500),
+                "round {round}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_timed_out_blocking_call_leaves_no_watch_and_no_call_behind() {
+        let [socket, _] = bare_sockets(Duration::from_millis(30));
+        assert_eq!(socket.recv(&mut [0u8; 8]), Err(SockError::TimedOut));
+        let ring = socket.client.ring().unwrap();
+        assert!(ring.shim.lock().calls.is_empty());
+        // No watch is left to fire: data arriving now posts nothing.
+        let posted = ring.cq().posted();
+        socket.buffer.push_recv(b"late");
+        assert_eq!(ring.cq().posted(), posted);
+        assert_eq!(socket.recv(&mut [0u8; 8]), Ok(4));
+        // A non-blocking client is told at once and arms nothing.
+        let [nonblocking, _] = bare_sockets(Duration::ZERO);
+        assert_eq!(nonblocking.recv(&mut [0u8; 8]), Err(SockError::WouldBlock));
+        nonblocking.buffer.push_recv(b"x");
+        assert_eq!(nonblocking.client.ring().unwrap().cq().posted(), 0);
     }
 }

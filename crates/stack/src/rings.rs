@@ -4,7 +4,7 @@
 //! asynchronous, never-blocking discipline the paper applies between the
 //! stack's own servers (§IV): an application enqueues *submission queue
 //! entries* ([`Sqe`]) and harvests *completion queue entries* ([`Cqe`]),
-//! with a condvar doorbell instead of a per-operation round trip.  The one
+//! with a wake-word doorbell instead of a per-operation round trip.  The one
 //! kernel call an application ever makes is `RING_SETUP`, which hands it
 //! its rings — the trap is paid once (§V-B).
 //!
@@ -47,7 +47,7 @@ use std::time::Duration;
 
 use newt_channels::reqdb::RequestId;
 use newt_channels::wake::WakeWord;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::endpoints::{self, Transport};
 use crate::msg::{SockId, SockRequest};
@@ -162,8 +162,8 @@ pub enum SqeOp {
     },
     /// Arm a *one-shot* readiness watch on a socket's shared buffer.
     /// Completes inline with [`CqValue::Ready`] as soon as the buffer
-    /// matches `interest` (immediately if it already does); hang-up and
-    /// error always fire regardless of interest.
+    /// matches `interest` (immediately if it already does); hang-up fires
+    /// read interest, and an error fires any interest.
     PollArm {
         /// The socket to watch.
         sock: SockId,
@@ -328,20 +328,20 @@ struct CqInner {
 /// operations (the SYSCALL replicas for fabric ops, the socket buffers
 /// for readiness watches).
 ///
-/// One condvar serves the whole ring group: an application parks in
-/// [`CompletionQueue::wait`] and is woken by whichever shard or buffer
-/// posts next — the doorbell that replaces per-operation round trips.
+/// One wake word serves the whole ring group: its value is the number of
+/// completions posted, every thread of the application parks on it in
+/// [`CompletionQueue::wait`], and whichever shard or buffer posts next
+/// writes it — the doorbell that replaces per-operation round trips.
 pub struct CompletionQueue {
     inner: Mutex<CqInner>,
-    avail: Condvar,
-    posted: AtomicU64,
+    posted: WakeWord,
     ops: AtomicU64,
 }
 
 impl std::fmt::Debug for CompletionQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompletionQueue")
-            .field("posted", &self.posted.load(Ordering::Relaxed))
+            .field("posted", &self.posted.value())
             .field("ops", &self.ops.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
@@ -357,8 +357,7 @@ impl CompletionQueue {
                 overflow: VecDeque::new(),
                 overflowed: 0,
             }),
-            avail: Condvar::new(),
-            posted: AtomicU64::new(0),
+            posted: WakeWord::new(),
             ops: AtomicU64::new(0),
         }
     }
@@ -376,12 +375,11 @@ impl CompletionQueue {
                 inner.overflow.push_back(cqe);
                 inner.overflowed += 1;
             }
-            // Counted under the lock: a waiter comparing `posted` under
-            // it either sees this entry or is parked before the notify.
-            self.posted.fetch_add(1, Ordering::Relaxed);
         }
+        // Written once the entry is queued: a waiter that read the word
+        // before this write parks on a stale value and returns at once.
+        self.posted.write();
         self.ops.fetch_add(1, Ordering::Relaxed);
-        self.avail.notify_all();
     }
 
     /// Drains every pending completion into `out` without blocking;
@@ -405,15 +403,12 @@ impl CompletionQueue {
     /// the value it read: whichever thread drains an entry posted in
     /// between, the wait returns at once instead of sleeping through it.
     pub fn wait(&self, seen: u64, timeout: Duration) {
-        let mut inner = self.inner.lock();
-        if self.posted.load(Ordering::Relaxed) == seen {
-            self.avail.wait_for(&mut inner, timeout);
-        }
+        self.posted.mwait(seen, timeout);
     }
 
     /// Total completions ever posted to this queue.
     pub fn posted(&self) -> u64 {
-        self.posted.load(Ordering::Relaxed)
+        self.posted.value()
     }
 
     /// Total ring operations ever completed for this group — posted

@@ -4,14 +4,14 @@
 //! memory buffer to it and the actual data bypasses the SYSCALL server
 //! (paper §V-B): only control messages travel over kernel IPC.  A
 //! [`SocketBuffer`] is that shared region — a pair of byte queues (send and
-//! receive) plus the state flags needed for a faithful `send`/`recv`
-//! blocking behaviour on the application side and non-blocking polling on
-//! the server side.
+//! receive) plus the state flags behind `send`/`recv` and readiness.  Every
+//! operation on it is non-blocking; a blocking socket call waits for a
+//! [`ReadyWatch`] through the application's rings ([`crate::posix`]).
 //!
 //! # `WouldBlock` and readiness: one meaning everywhere
 //!
-//! Every non-blocking path in the stack — buffer reads/writes with a zero
-//! timeout, ring submissions ([`crate::rings`]), inline ring `Send`/`Recv`
+//! Every non-blocking path in the stack — buffer reads and writes, ring
+//! submissions ([`crate::rings`]), inline ring `Send`/`Recv`
 //! completions — uses [`SockError::WouldBlock`] with a single meaning:
 //! *the operation made no progress; retry when readiness changes*.  It is
 //! never a failure.  Readiness itself has one source of truth, the
@@ -21,17 +21,17 @@
 //! remote FIN, and `error` is sticky — first error wins and is reported by
 //! every subsequent operation.  A one-shot [`ReadyWatch`] armed through
 //! the ring fires on exactly these conditions: the requested interest
-//! bits, plus hang-up and error unconditionally.
+//! bits, plus an error unconditionally; a hang-up is read readiness
+//! (end-of-stream), which a watch for send space alone cannot use.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use bytes::{Appender, Bytes, BytesMut, Shelf};
 use newt_channels::registry::Name;
 use newt_channels::wake::WakeWord;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::rings::{interest_bits, CompletionQueue, CqValue, Cqe};
@@ -185,12 +185,12 @@ impl Readiness {
     }
 
     /// `true` if this snapshot satisfies a watch armed with `interest`
-    /// (bits from [`crate::rings::interest_bits`]).  Hang-up and errors
-    /// fire every watch, whatever its interest.
+    /// (bits from [`crate::rings::interest_bits`]).  Errors fire every
+    /// watch, whatever its interest; a hang-up fires the ones with read
+    /// interest, as end-of-stream.
     pub fn matches_interest(&self, interest: u8) -> bool {
         (interest & interest_bits::READ != 0 && self.readable)
             || (interest & interest_bits::WRITE != 0 && self.writable)
-            || self.hung_up
             || self.error.is_some()
     }
 }
@@ -200,7 +200,8 @@ impl Readiness {
 /// the buffer's readiness — the transport pushing received data, setting
 /// EOF or an error, or freeing send space — posts the completion, so the
 /// application parks on a single completion-queue doorbell instead of
-/// polling each socket.
+/// polling each socket.  It is the one way a buffer wakes its application:
+/// a blocking socket call arms one too.
 pub struct ReadyWatch {
     /// The completion queue the watch posts to when it fires.
     pub cq: Arc<CompletionQueue>,
@@ -479,8 +480,8 @@ fn new_block(target: Option<&NotifyTarget>, capacity: usize) -> BytesMut {
 }
 
 /// Everything behind a buffer's one lock: the queues, the flags, the
-/// doorbell registration and the armed watch.  A transition decides in the
-/// critical section that changed the state whether the watch fires, so a
+/// doorbell registration and the armed watches.  A transition decides in
+/// the critical section that changed the state whether a watch fires, so a
 /// racing [`SocketBuffer::arm_watch`] either sees the new state or has
 /// stored its watch before the transition looks.
 #[derive(Debug, Default)]
@@ -489,11 +490,17 @@ struct BufInner {
     recv: RecvQueue,
     recv_eof: bool,
     error: Option<SockError>,
-    closed_by_app: bool,
     /// Where to announce application-side work (send-queue writes, close).
     notify: Option<NotifyTarget>,
-    /// The armed one-shot readiness watch, if any (ring `PollArm`).
-    watch: Option<ReadyWatch>,
+    /// The armed one-shot readiness watches (ring `PollArm`, blocked
+    /// socket calls), one per direction: see [`watch_slot`].
+    watches: [Option<ReadyWatch>; 2],
+}
+
+/// The slot of a watch armed with `interest`: the write slot for send space
+/// alone, the read slot for anything else.
+fn watch_slot(interest: u8) -> usize {
+    usize::from(interest & interest_bits::READ == 0 && interest & interest_bits::WRITE != 0)
 }
 
 impl BufInner {
@@ -508,31 +515,28 @@ impl BufInner {
         }
     }
 
-    /// Takes the armed watch out if the current state satisfies it; the
-    /// caller posts it with [`Fired::post`] once the lock is released.
+    /// Takes out the armed watches the current state satisfies; the
+    /// caller posts them with [`Fired::post`] once the lock is released.
     /// Only what raises readiness calls this — received data, freed send
     /// space, end-of-stream, an error: a `read` or `write` only ever lowers
     /// it, so neither can fire a watch.
-    fn fire_watch(&mut self, send_capacity: usize) -> Fired {
-        let Some(watch) = &self.watch else {
-            return Fired(None);
-        };
+    fn fire_watches(&mut self, send_capacity: usize) -> Fired {
         let readiness = self.readiness(send_capacity);
-        if !readiness.matches_interest(watch.interest) {
-            return Fired(None);
-        }
-        Fired(self.watch.take().map(|watch| (watch, readiness)))
+        let ready = |watch: &mut ReadyWatch| readiness.matches_interest(watch.interest);
+        let watches = self.watches.each_mut().map(|slot| slot.take_if(ready));
+        Fired(watches, readiness)
     }
 }
 
-/// A watch a transition took out of its buffer, posted after the buffer's
-/// lock is released.
+/// Watches a transition took out of its buffer, with the readiness they
+/// fired on, posted after the buffer's lock is released.
 #[must_use = "a fired watch must be posted"]
-struct Fired(Option<(ReadyWatch, Readiness)>);
+struct Fired([Option<ReadyWatch>; 2], Readiness);
 
 impl Fired {
     fn post(self) {
-        if let Some((watch, readiness)) = self.0 {
+        let Fired(watches, readiness) = self;
+        for watch in watches.into_iter().flatten() {
             watch.cq.post(Cqe {
                 user_data: watch.user_data,
                 result: Ok(CqValue::Ready(readiness)),
@@ -543,17 +547,16 @@ impl Fired {
 
 /// The shared buffer between an application and a protocol server.
 ///
-/// The application side uses the blocking [`SocketBuffer::write`] and
-/// [`SocketBuffer::read`]; the protocol server uses the non-blocking
+/// The application side uses [`SocketBuffer::write`] and
+/// [`SocketBuffer::read`]; the protocol server uses
 /// [`SocketBuffer::drain_send`] and [`SocketBuffer::push_recv`] from its
-/// event loop.  Every operation takes the buffer's lock at most once.
+/// event loop.  No operation blocks, and every one takes the buffer's lock
+/// at most once.
 #[derive(Debug)]
 pub struct SocketBuffer {
     inner: Mutex<BufInner>,
     send_capacity: usize,
     recv_capacity: usize,
-    readable: Condvar,
-    writable: Condvar,
     /// `true` once the buffer has rung its doorbell and the server has not
     /// yet re-armed by servicing the socket; suppresses repeat rings so a
     /// write burst costs one doorbell entry, not one per `write`.
@@ -567,8 +570,6 @@ impl SocketBuffer {
             inner: Mutex::new(BufInner::default()),
             send_capacity,
             recv_capacity,
-            readable: Condvar::new(),
-            writable: Condvar::new(),
             wake_pending: AtomicBool::new(false),
         }
     }
@@ -576,22 +577,28 @@ impl SocketBuffer {
     /// Arms a one-shot readiness watch.  If the buffer already satisfies
     /// the watch's interest the completion is posted immediately;
     /// otherwise the watch is stored and fired by the next readiness
-    /// transition.  Re-arming replaces a previously armed watch (the old
-    /// one is dropped without completing).
+    /// transition.  A buffer holds one watch for data and one for send
+    /// space alone: arming replaces the watch armed before it in the same
+    /// slot (the old one is dropped without completing).
     pub fn arm_watch(&self, watch: ReadyWatch) {
         let mut inner = self.inner.lock();
         let readiness = inner.readiness(self.send_capacity);
         if readiness.matches_interest(watch.interest) {
             drop(inner);
-            Fired(Some((watch, readiness))).post();
+            Fired([Some(watch), None], readiness).post();
         } else {
-            inner.watch = Some(watch);
+            let slot = watch_slot(watch.interest);
+            inner.watches[slot] = Some(watch);
         }
     }
 
-    /// Drops the armed watch, if any, without completing it.
-    pub fn cancel_watch(&self) {
-        self.inner.lock().watch.take();
+    /// Drops the armed watch tagged `user_data`, if any, without completing
+    /// it; the other direction's watch stays.
+    pub fn cancel_watch(&self, user_data: u64) {
+        let mut inner = self.inner.lock();
+        for slot in &mut inner.watches {
+            slot.take_if(|watch| watch.user_data == user_data);
+        }
     }
 
     /// Bytes of heap memory this buffer currently holds (everything the
@@ -643,84 +650,48 @@ impl SocketBuffer {
 
     // ---- application side -------------------------------------------------
 
-    /// Writes as much of `data` as fits, blocking until at least one byte can
-    /// be written or `timeout` expires.  A **zero** timeout makes the call
-    /// non-blocking: it returns [`SockError::WouldBlock`] instead of waiting
-    /// when the buffer is full.
+    /// Writes as much of `data` as fits and returns how much that was.
     ///
     /// # Errors
     ///
-    /// Returns the socket error if one is pending, [`SockError::WouldBlock`]
-    /// when the buffer is full and `timeout` is zero, or
-    /// [`SockError::TimedOut`] if no space became available within a
-    /// non-zero `timeout`.
-    pub fn write(&self, data: &[u8], timeout: Duration) -> Result<usize, SockError> {
+    /// Returns the socket error if one is pending, or
+    /// [`SockError::WouldBlock`] when the buffer is full.
+    pub fn write(&self, data: &[u8]) -> Result<usize, SockError> {
         if data.is_empty() {
             return Ok(0);
         }
-        let mut deadline = None;
         let mut inner = self.inner.lock();
-        loop {
-            if let Some(err) = inner.error {
-                return Err(err);
-            }
-            let space = self.send_capacity.saturating_sub(inner.send.len);
-            if space > 0 {
-                let n = space.min(data.len());
-                let BufInner { send, notify, .. } = &mut *inner;
-                send.push(&data[..n], |capacity| new_block(notify.as_ref(), capacity));
-                self.readable.notify_all();
-                self.ring_doorbell(&inner);
-                return Ok(n);
-            }
-            if timeout.is_zero() {
-                return Err(SockError::WouldBlock);
-            }
-            // Only a call that waits reads the clock.
-            let now = Instant::now();
-            let deadline = *deadline.get_or_insert(now + timeout);
-            if now >= deadline {
-                return Err(SockError::TimedOut);
-            }
-            self.writable.wait_for(&mut inner, deadline - now);
+        if let Some(err) = inner.error {
+            return Err(err);
         }
+        let n = self
+            .send_capacity
+            .saturating_sub(inner.send.len)
+            .min(data.len());
+        if n == 0 {
+            return Err(SockError::WouldBlock);
+        }
+        let BufInner { send, notify, .. } = &mut *inner;
+        send.push(&data[..n], |capacity| new_block(notify.as_ref(), capacity));
+        self.ring_doorbell(&inner);
+        Ok(n)
     }
 
-    /// Reads up to `buf.len()` bytes, blocking until data, end-of-stream or
-    /// an error is available, or `timeout` expires.  Returns 0 at
-    /// end-of-stream.  A **zero** timeout makes the call non-blocking: it
-    /// returns [`SockError::WouldBlock`] instead of waiting when nothing is
-    /// buffered.
+    /// Reads up to `buf.len()` bytes; returns 0 at end-of-stream.
     ///
     /// # Errors
     ///
-    /// Returns the pending socket error, [`SockError::WouldBlock`] when
-    /// nothing is readable and `timeout` is zero, or [`SockError::TimedOut`]
-    /// after a non-zero `timeout`.
-    pub fn read(&self, buf: &mut [u8], timeout: Duration) -> Result<usize, SockError> {
-        let mut deadline = None;
+    /// Returns the pending socket error once the queued data is read, or
+    /// [`SockError::WouldBlock`] when nothing is readable.
+    pub fn read(&self, buf: &mut [u8]) -> Result<usize, SockError> {
         let mut inner = self.inner.lock();
-        loop {
-            if inner.recv.len > 0 {
-                let n = inner.recv.read(buf);
-                self.writable.notify_all();
-                return Ok(n);
-            }
-            if let Some(err) = inner.error {
-                return Err(err);
-            }
-            if inner.recv_eof {
-                return Ok(0);
-            }
-            if timeout.is_zero() {
-                return Err(SockError::WouldBlock);
-            }
-            let now = Instant::now();
-            let deadline = *deadline.get_or_insert(now + timeout);
-            if now >= deadline {
-                return Err(SockError::TimedOut);
-            }
-            self.readable.wait_for(&mut inner, deadline - now);
+        if inner.recv.len > 0 {
+            return Ok(inner.recv.read(buf));
+        }
+        match (inner.error, inner.recv_eof) {
+            (Some(err), _) => Err(err),
+            (None, true) => Ok(0),
+            (None, false) => Err(SockError::WouldBlock),
         }
     }
 
@@ -743,14 +714,12 @@ impl SocketBuffer {
         self.inner.lock().readiness(self.send_capacity)
     }
 
-    /// Marks the socket as closed by the application (the server sends FIN
-    /// once the send buffer drains).  Cancels any armed readiness watch —
-    /// the application is done with the socket.
+    /// The application closed the socket (the server sends FIN once the
+    /// send buffer drains): cancels the armed readiness watches — the
+    /// application is done with the socket — and rings the doorbell.
     pub fn close(&self) {
         let mut inner = self.inner.lock();
-        inner.closed_by_app = true;
-        inner.watch = None;
-        self.readable.notify_all();
+        inner.watches = Default::default();
         self.ring_doorbell(&inner);
     }
 
@@ -791,9 +760,8 @@ impl SocketBuffer {
             return Bytes::new();
         }
         let out = inner.send.drain(max);
-        self.writable.notify_all();
         // Send space freed: a write-interested watch can fire.
-        let fired = inner.fire_watch(self.send_capacity);
+        let fired = inner.fire_watches(self.send_capacity);
         drop(inner);
         fired.post();
         out
@@ -802,18 +770,6 @@ impl SocketBuffer {
     /// Returns the number of bytes waiting in the send queue.
     pub fn send_pending(&self) -> usize {
         self.inner.lock().send.len
-    }
-
-    /// Returns `true` once the application has closed the socket and the
-    /// send queue is fully drained.
-    pub fn app_closed_and_drained(&self) -> bool {
-        let inner = self.inner.lock();
-        inner.closed_by_app && inner.send.len == 0
-    }
-
-    /// Returns `true` if the application has closed the socket.
-    pub fn app_closed(&self) -> bool {
-        self.inner.lock().closed_by_app
     }
 
     /// Appends received, in-order data for the application by copy.
@@ -862,8 +818,7 @@ impl SocketBuffer {
         }
         let BufInner { recv, notify, .. } = &mut *inner;
         enqueue(recv, n, notify.as_ref());
-        self.readable.notify_all();
-        let fired = inner.fire_watch(self.send_capacity);
+        let fired = inner.fire_watches(self.send_capacity);
         drop(inner);
         fired.post();
         n
@@ -880,8 +835,7 @@ impl SocketBuffer {
     pub fn set_eof(&self) {
         let mut inner = self.inner.lock();
         inner.recv_eof = true;
-        self.readable.notify_all();
-        let fired = inner.fire_watch(self.send_capacity);
+        let fired = inner.fire_watches(self.send_capacity);
         drop(inner);
         fired.post();
     }
@@ -893,9 +847,7 @@ impl SocketBuffer {
         if inner.error.is_none() {
             inner.error = Some(error);
         }
-        self.readable.notify_all();
-        self.writable.notify_all();
-        let fired = inner.fire_watch(self.send_capacity);
+        let fired = inner.fire_watches(self.send_capacity);
         drop(inner);
         fired.post();
     }
@@ -909,15 +861,56 @@ impl SocketBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::posix::{tests::bare_ring, RingHandle};
     use std::sync::Arc;
     use std::thread;
+    use std::time::{Duration, Instant};
 
-    const T: Duration = Duration::from_millis(200);
+    /// `op` on `buf`, blocking the way a `TcpSocket` call does: retried
+    /// each time the buffer matches `interest`, until `timeout`.
+    fn blocking(
+        ring: &RingHandle,
+        buf: &SocketBuffer,
+        interest: u8,
+        timeout: Duration,
+        mut op: impl FnMut() -> Result<usize, SockError>,
+    ) -> Result<usize, SockError> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            match op() {
+                Err(SockError::WouldBlock) if Instant::now() >= deadline => {
+                    return Err(SockError::TimedOut)
+                }
+                Err(SockError::WouldBlock) => ring.await_ready(buf, interest, deadline),
+                done => return done,
+            }
+        }
+    }
+
+    /// A read that blocks the way `TcpSocket::recv` does.
+    fn blocking_read(
+        ring: &RingHandle,
+        buf: &SocketBuffer,
+        out: &mut [u8],
+        timeout: Duration,
+    ) -> Result<usize, SockError> {
+        blocking(ring, buf, interest_bits::READ, timeout, || buf.read(out))
+    }
+
+    /// A write that blocks the way `TcpSocket::send` does.
+    fn blocking_write(
+        ring: &RingHandle,
+        buf: &SocketBuffer,
+        data: &[u8],
+        timeout: Duration,
+    ) -> Result<usize, SockError> {
+        blocking(ring, buf, interest_bits::WRITE, timeout, || buf.write(data))
+    }
 
     #[test]
     fn write_then_drain() {
         let buf = SocketBuffer::new(16, 16);
-        assert_eq!(buf.write(b"hello", T).unwrap(), 5);
+        assert_eq!(buf.write(b"hello").unwrap(), 5);
         assert_eq!(buf.send_pending(), 5);
         assert_eq!(buf.drain_send(3), b"hel");
         assert_eq!(buf.drain_send(10), b"lo");
@@ -927,10 +920,10 @@ mod tests {
     #[test]
     fn drain_send_bytes_loans_stable_views() {
         let buf = SocketBuffer::new(32, 16);
-        buf.write(b"hello", T).unwrap();
+        buf.write(b"hello").unwrap();
         let first = buf.drain_send_bytes(3);
         assert_eq!(&first[..], b"hel");
-        buf.write(b" world", T).unwrap();
+        buf.write(b" world").unwrap();
         let rest = buf.drain_send_bytes(32);
         assert_eq!(&rest[..], b"lo world");
         // Loaned views are immutable snapshots: later writes never touch
@@ -950,7 +943,7 @@ mod tests {
         assert!(SEND_CHUNK >= crate::tcp::TcpConfig::default().tso_segment);
         let buf = SocketBuffer::new(3 * SEND_CHUNK, 16);
         let total = SEND_CHUNK + 1000;
-        assert_eq!(buf.write(&stream(0, total), T), Ok(total));
+        assert_eq!(buf.write(&stream(0, total)), Ok(total));
         assert_eq!(buf.send_space(), 3 * SEND_CHUNK - total);
         let first = buf.drain_send_bytes(SEND_CHUNK - 500);
         assert_eq!(first[..], stream(0, SEND_CHUNK - 500)[..]);
@@ -958,14 +951,13 @@ mod tests {
         let short = buf.drain_send_bytes(2000);
         assert_eq!(short[..], stream(SEND_CHUNK - 500, 500)[..]);
         assert_eq!(buf.send_pending(), 1000);
-        assert!(!buf.app_closed_and_drained());
         // A write in between lands behind what the next drain continues with.
-        assert_eq!(buf.write(&stream(total, 300), T), Ok(300));
+        assert_eq!(buf.write(&stream(total, 300)), Ok(300));
         let rest = buf.drain_send_bytes(2000);
         assert_eq!(rest[..], stream(SEND_CHUNK, 1300)[..]);
         assert_eq!(buf.send_pending(), 0);
         // The copying drain gathers across the edge.
-        assert_eq!(buf.write(&stream(0, total), T), Ok(total));
+        assert_eq!(buf.write(&stream(0, total)), Ok(total));
         assert_eq!(buf.drain_send(total + 1), stream(0, total));
     }
 
@@ -982,7 +974,7 @@ mod tests {
         for round in 0..400usize {
             let offered = 1 + (round * 7919) % 40_000;
             let space = buf.send_space();
-            match buf.write(&stream(written, offered), Duration::ZERO) {
+            match buf.write(&stream(written, offered)) {
                 Ok(n) => {
                     assert_eq!(n, offered.min(space));
                     written += n;
@@ -1017,17 +1009,17 @@ mod tests {
         let doorbell = Doorbell::new();
         let buf = SocketBuffer::new(4096, 16);
         buf.attach_doorbell(doorbell, 1);
-        buf.write(b"response one", T).unwrap();
+        buf.write(b"response one").unwrap();
         let loan = buf.drain_send_bytes(64);
         let at = loan.as_ptr();
         // Still on loan: the next write gets another block.
-        buf.write(b"response two", T).unwrap();
+        buf.write(b"response two").unwrap();
         let second = buf.drain_send_bytes(64);
         assert_ne!(second.as_ptr(), at);
         // Acknowledged: the block is back for the write after that, and
         // what it held cannot be read through the new loan.
         drop(loan);
-        buf.write(b"three", T).unwrap();
+        buf.write(b"three").unwrap();
         let third = buf.drain_send_bytes(64);
         assert_eq!(third.as_ptr(), at);
         assert_eq!(&third[..], b"three");
@@ -1036,22 +1028,25 @@ mod tests {
 
     #[test]
     fn write_respects_capacity_and_unblocks() {
-        let buf = Arc::new(SocketBuffer::new(8, 8));
-        assert_eq!(buf.write(&[1u8; 20], T).unwrap(), 8);
+        let buf = SocketBuffer::new(8, 8);
+        let ring = bare_ring();
+        assert_eq!(buf.write(&[1u8; 20]).unwrap(), 8);
         // Full now; a writer blocks until the server drains.
-        let writer = Arc::clone(&buf);
-        let handle = thread::spawn(move || writer.write(&[2u8; 4], Duration::from_secs(5)));
-        thread::sleep(Duration::from_millis(30));
-        assert_eq!(buf.drain_send(8).len(), 8);
-        assert_eq!(handle.join().unwrap().unwrap(), 4);
+        thread::scope(|s| {
+            let writer = s.spawn(|| blocking_write(&ring, &buf, &[2u8; 4], Duration::from_secs(5)));
+            thread::sleep(Duration::from_millis(30));
+            assert_eq!(buf.drain_send(8).len(), 8);
+            assert_eq!(writer.join().unwrap(), Ok(4));
+        });
     }
 
     #[test]
     fn write_times_out_when_full() {
         let buf = SocketBuffer::new(4, 4);
-        buf.write(&[0u8; 4], T).unwrap();
+        let ring = bare_ring();
+        buf.write(&[0u8; 4]).unwrap();
         assert_eq!(
-            buf.write(&[0u8; 1], Duration::from_millis(30)),
+            blocking_write(&ring, &buf, &[0u8; 1], Duration::from_millis(30)),
             Err(SockError::TimedOut)
         );
     }
@@ -1062,23 +1057,25 @@ mod tests {
         assert_eq!(buf.push_recv(b"data!"), 5);
         assert_eq!(buf.recv_available(), 5);
         let mut out = [0u8; 3];
-        assert_eq!(buf.read(&mut out, T).unwrap(), 3);
+        assert_eq!(buf.read(&mut out).unwrap(), 3);
         assert_eq!(&out, b"dat");
         assert_eq!(buf.recv_space(), 14);
     }
 
     #[test]
     fn read_blocks_until_data_arrives() {
-        let buf = Arc::new(SocketBuffer::with_defaults());
-        let reader = Arc::clone(&buf);
-        let handle = thread::spawn(move || {
-            let mut out = [0u8; 8];
-            let n = reader.read(&mut out, Duration::from_secs(5)).unwrap();
-            out[..n].to_vec()
+        let buf = SocketBuffer::with_defaults();
+        let ring = bare_ring();
+        thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut out = [0u8; 8];
+                let n = blocking_read(&ring, &buf, &mut out, Duration::from_secs(5)).unwrap();
+                out[..n].to_vec()
+            });
+            thread::sleep(Duration::from_millis(30));
+            buf.push_recv(b"wake up");
+            assert_eq!(reader.join().unwrap(), b"wake up");
         });
-        thread::sleep(Duration::from_millis(30));
-        buf.push_recv(b"wake up");
-        assert_eq!(handle.join().unwrap(), b"wake up");
     }
 
     #[test]
@@ -1088,13 +1085,13 @@ mod tests {
         buf.set_eof();
         let mut out = [0u8; 8];
         // Buffered data is still delivered before EOF.
-        assert_eq!(buf.read(&mut out, T).unwrap(), 3);
-        assert_eq!(buf.read(&mut out, T).unwrap(), 0);
+        assert_eq!(buf.read(&mut out).unwrap(), 3);
+        assert_eq!(buf.read(&mut out).unwrap(), 0);
 
         let buf = SocketBuffer::with_defaults();
         buf.set_error(SockError::ConnectionReset);
-        assert_eq!(buf.read(&mut out, T), Err(SockError::ConnectionReset));
-        assert_eq!(buf.write(b"x", T), Err(SockError::ConnectionReset));
+        assert_eq!(buf.read(&mut out), Err(SockError::ConnectionReset));
+        assert_eq!(buf.write(b"x"), Err(SockError::ConnectionReset));
         assert_eq!(buf.error(), Some(SockError::ConnectionReset));
     }
 
@@ -1113,15 +1110,26 @@ mod tests {
         assert_eq!(buf.recv_space(), 0);
     }
 
+    /// Closing rings the doorbell again once the server has re-armed it by
+    /// draining, so TCP learns of the close; and it drops the armed watch.
     #[test]
     fn close_is_visible_after_drain() {
+        let doorbell = Doorbell::new();
         let buf = SocketBuffer::new(16, 16);
-        buf.write(b"last", T).unwrap();
+        buf.attach_doorbell(Arc::clone(&doorbell), 3);
+        buf.write(b"last").unwrap();
+        let mut rung = Vec::new();
+        assert_eq!(doorbell.drain_into(&mut rung), 1);
+        buf.rearm_doorbell();
+        assert_eq!(buf.drain_send(16), b"last");
+        let cq = Arc::new(CompletionQueue::new(8));
+        buf.arm_watch(watch(&cq, 5, interest_bits::READ));
         buf.close();
-        assert!(buf.app_closed());
-        assert!(!buf.app_closed_and_drained());
-        buf.drain_send(16);
-        assert!(buf.app_closed_and_drained());
+        rung.clear();
+        assert_eq!(doorbell.drain_into(&mut rung), 1);
+        assert_eq!(rung, [3]);
+        buf.push_recv(b"late");
+        assert_eq!(cq.posted(), 0);
     }
 
     #[test]
@@ -1145,25 +1153,16 @@ mod tests {
         let buf = SocketBuffer::new(4, 4);
         let mut out = [0u8; 4];
         // Nothing to read: WouldBlock, not TimedOut, and instantly.
-        assert_eq!(
-            buf.read(&mut out, Duration::ZERO),
-            Err(SockError::WouldBlock)
-        );
+        assert_eq!(buf.read(&mut out), Err(SockError::WouldBlock));
         // Full send buffer: WouldBlock.
-        assert_eq!(buf.write(&[0u8; 4], Duration::ZERO), Ok(4));
-        assert_eq!(
-            buf.write(&[0u8; 1], Duration::ZERO),
-            Err(SockError::WouldBlock)
-        );
+        assert_eq!(buf.write(&[0u8; 4]), Ok(4));
+        assert_eq!(buf.write(&[0u8; 1]), Err(SockError::WouldBlock));
         // EOF and errors still take precedence over WouldBlock.
         buf.set_eof();
-        assert_eq!(buf.read(&mut out, Duration::ZERO), Ok(0));
+        assert_eq!(buf.read(&mut out), Ok(0));
         let buf = SocketBuffer::new(4, 4);
         buf.set_error(SockError::ConnectionReset);
-        assert_eq!(
-            buf.read(&mut out, Duration::ZERO),
-            Err(SockError::ConnectionReset)
-        );
+        assert_eq!(buf.read(&mut out), Err(SockError::ConnectionReset));
     }
 
     fn watch(cq: &Arc<CompletionQueue>, user_data: u64, interest: u8) -> ReadyWatch {
@@ -1208,35 +1207,66 @@ mod tests {
         // Write interest: fires when the server drains send space free.
         let cq = Arc::new(CompletionQueue::new(8));
         let buf = SocketBuffer::new(4, 16);
-        buf.write(&[0u8; 4], T).unwrap();
+        buf.write(&[0u8; 4]).unwrap();
         buf.arm_watch(watch(&cq, 2, interest_bits::WRITE));
         assert_eq!(cq.posted(), 0);
         buf.drain_send(4);
         assert_eq!(cq.posted(), 1);
 
-        // A read-interested watch fires on EOF.
-        let buf = SocketBuffer::new(16, 16);
+        // A read-interested watch fires on EOF; a watch for space alone
+        // does not, since a write cannot use it.
+        let buf = SocketBuffer::new(4, 16);
+        buf.write(&[0u8; 4]).unwrap();
         buf.arm_watch(watch(&cq, 3, interest_bits::READ));
+        buf.arm_watch(watch(&cq, 6, interest_bits::WRITE));
         buf.set_eof();
         assert_eq!(cq.posted(), 2);
+        buf.drain_send(4);
+        assert_eq!(cq.posted(), 3);
+        cq.drain_into(&mut Vec::new());
 
         // Errors fire any watch, even with no matching interest bits.
         let buf = SocketBuffer::new(16, 16);
         buf.arm_watch(watch(&cq, 4, 0));
         buf.set_error(SockError::ConnectionReset);
-        assert_eq!(cq.posted(), 3);
+        assert_eq!(cq.posted(), 4);
 
         // App close cancels silently.
         let buf = SocketBuffer::new(16, 16);
         buf.arm_watch(watch(&cq, 5, interest_bits::READ));
         buf.close();
         buf.push_recv(b"late");
-        assert_eq!(cq.posted(), 3);
+        assert_eq!(cq.posted(), 4);
+    }
+
+    /// A watch for data and one for send space alone are kept side by
+    /// side; re-arming replaces only the one of its own direction, and a
+    /// cancel takes only the watch under its tag.
+    #[test]
+    fn a_buffer_keeps_one_watch_per_direction() {
+        let cq = Arc::new(CompletionQueue::new(8));
+        let buf = SocketBuffer::new(4, 16);
+        buf.write(&[0u8; 4]).unwrap();
+        buf.arm_watch(watch(&cq, 1, interest_bits::READ));
+        buf.arm_watch(watch(&cq, 2, interest_bits::WRITE));
+        buf.arm_watch(watch(&cq, 3, interest_bits::READ | interest_bits::WRITE));
+        buf.cancel_watch(2);
+        buf.cancel_watch(1);
+        buf.arm_watch(watch(&cq, 4, interest_bits::WRITE));
+        buf.push_recv(b"x");
+        buf.drain_send(4);
+        let mut fired = Vec::new();
+        cq.drain_into(&mut fired);
+        let tags: Vec<u64> = fired.iter().map(|cqe| cqe.user_data).collect();
+        assert_eq!(tags, [3, 4]);
     }
 
     /// Rounds of each cross-thread race below.  No round sleeps: the two
-    /// sides meet in whatever order the scheduler picks, and a wake-up lost
-    /// in any of them leaves the blocked side to its 5 s timeout.
+    /// sides meet in whatever order the scheduler picks — the transition
+    /// before the watch is armed, between arming and parking, or after the
+    /// park.  A wake-up lost in any of them leaves the blocked side to its
+    /// 5 s timeout, after which it finds the data and succeeds, so the
+    /// round's time is what shows the loss.
     const RACES: usize = 1000;
     const LONG: Duration = Duration::from_secs(5);
 
@@ -1244,11 +1274,17 @@ mod tests {
     fn a_blocked_read_is_woken_by_push_recv_every_time() {
         for round in 0..RACES {
             let buf = SocketBuffer::new(16, 16);
+            let ring = bare_ring();
+            let started = Instant::now();
             thread::scope(|s| {
-                let reader = s.spawn(|| buf.read(&mut [0u8; 8], LONG));
+                let reader = s.spawn(|| blocking_read(&ring, &buf, &mut [0u8; 8], LONG));
                 assert_eq!(buf.push_recv(b"ping"), 4);
                 assert_eq!(reader.join().unwrap(), Ok(4), "round {round}");
             });
+            assert!(
+                started.elapsed() < LONG / 2,
+                "round {round} lost its wake-up"
+            );
         }
     }
 
@@ -1256,13 +1292,43 @@ mod tests {
     fn a_blocked_write_is_woken_by_drain_send_bytes_every_time() {
         for round in 0..RACES {
             let buf = SocketBuffer::new(4, 16);
-            assert_eq!(buf.write(&[0u8; 4], Duration::ZERO), Ok(4));
+            let ring = bare_ring();
+            assert_eq!(buf.write(&[0u8; 4]), Ok(4));
+            let started = Instant::now();
             thread::scope(|s| {
-                let writer = s.spawn(|| buf.write(b"pong", LONG));
+                let writer = s.spawn(|| blocking_write(&ring, &buf, b"pong", LONG));
                 assert_eq!(buf.drain_send_bytes(4).len(), 4);
                 assert_eq!(writer.join().unwrap(), Ok(4), "round {round}");
             });
+            assert!(
+                started.elapsed() < LONG / 2,
+                "round {round} lost its wake-up"
+            );
         }
+    }
+
+    /// After the peer's FIN a full send buffer leaves a blocked write asleep
+    /// — nothing it can use has happened, so its watch posts nothing —
+    /// until TCP frees space.
+    #[test]
+    fn a_blocked_write_sleeps_through_the_peers_fin() {
+        let buf = SocketBuffer::new(4, 16);
+        let ring = bare_ring();
+        assert_eq!(buf.write(&[0u8; 4]), Ok(4));
+        buf.set_eof();
+        thread::scope(|s| {
+            let writer = s.spawn(|| blocking_write(&ring, &buf, b"pong", LONG));
+            // Until its watch is armed, or has fired where it must not.
+            let idle = || buf.inner.lock().watches.iter().all(Option::is_none);
+            while ring.cq().posted() == 0 && idle() {
+                thread::yield_now();
+            }
+            thread::sleep(Duration::from_millis(30));
+            assert_eq!(ring.cq().posted(), 0);
+            assert_eq!(buf.drain_send(4).len(), 4);
+            assert_eq!(writer.join().unwrap(), Ok(4));
+        });
+        assert_eq!(ring.cq().posted(), 1);
     }
 
     /// TCP drains its doorbell, then parks on the wake word with the value
@@ -1313,7 +1379,7 @@ mod tests {
                     while drained.load(Ordering::Acquire) < written {
                         thread::yield_now();
                     }
-                    assert_eq!(buf.write(&[1], LONG), Ok(1));
+                    assert_eq!(buf.write(&[1]), Ok(1));
                 }
             });
             let mut ids = Vec::new();
@@ -1406,17 +1472,14 @@ mod tests {
         let mut got = Vec::new();
         for size in [1usize, 298, 2, 450, 1100, 4096] {
             let mut out = vec![0u8; size];
-            let n = buf.read(&mut out, Duration::ZERO).unwrap();
+            let n = buf.read(&mut out).unwrap();
             assert_eq!(n, size.min(expected.len() - got.len()));
             got.extend_from_slice(&out[..n]);
         }
         assert_eq!(got, expected);
         assert_eq!(buf.recv_available(), 0);
         let mut out = [0u8; 1];
-        assert_eq!(
-            buf.read(&mut out, Duration::ZERO),
-            Err(SockError::WouldBlock)
-        );
+        assert_eq!(buf.read(&mut out), Err(SockError::WouldBlock));
     }
 
     #[test]
@@ -1428,21 +1491,18 @@ mod tests {
         buf.set_eof();
         buf.set_error(SockError::ConnectionReset);
         let mut out = [0u8; 150];
-        assert_eq!(buf.read(&mut out, Duration::ZERO), Ok(150));
-        assert_eq!(buf.read(&mut out, Duration::ZERO), Ok(52));
+        assert_eq!(buf.read(&mut out), Ok(150));
+        assert_eq!(buf.read(&mut out), Ok(52));
         assert_eq!(&out[50..52], b"xy");
         // Drained: the error outranks end-of-stream, as before.
-        assert_eq!(
-            buf.read(&mut out, Duration::ZERO),
-            Err(SockError::ConnectionReset)
-        );
+        assert_eq!(buf.read(&mut out), Err(SockError::ConnectionReset));
         let buf = SocketBuffer::new(16, 4096);
         let (payload, backing) = framed(1, 200);
         buf.push_recv_bytes(payload, backing);
         buf.set_eof();
         let mut out = [0u8; 256];
-        assert_eq!(buf.read(&mut out, Duration::ZERO), Ok(200));
-        assert_eq!(buf.read(&mut out, Duration::ZERO), Ok(0));
+        assert_eq!(buf.read(&mut out), Ok(200));
+        assert_eq!(buf.read(&mut out), Ok(0));
     }
 
     #[test]
@@ -1462,10 +1522,10 @@ mod tests {
         assert_eq!(buf.push_recv_bytes(framed(0, 600).0, 654).accepted, 0);
         // Reading re-opens the window byte for byte.
         let mut out = [0u8; 250];
-        assert_eq!(buf.read(&mut out, Duration::ZERO), Ok(250));
+        assert_eq!(buf.read(&mut out), Ok(250));
         assert_eq!(buf.recv_space(), 250);
         let mut rest = vec![0u8; 1000];
-        assert_eq!(buf.read(&mut rest, Duration::ZERO), Ok(750));
+        assert_eq!(buf.read(&mut rest), Ok(750));
         assert_eq!(&rest[350..450], &[1u8; 100]);
         assert_eq!(rest[450], 9);
         assert_eq!(buf.recv_space(), 1000);
@@ -1487,7 +1547,7 @@ mod tests {
             let push = buf.push_recv_bytes(payload, backing);
             sent += push.accepted;
             if push.accepted == 0 {
-                assert_eq!(buf.read(&mut out, Duration::ZERO), Ok(1));
+                assert_eq!(buf.read(&mut out), Ok(1));
             } else {
                 assert!(push.copied, "a 1-byte payload must not pin its frame");
             }
@@ -1513,7 +1573,7 @@ mod tests {
             let (payload, backing) = framed(i as u8, small);
             let push = buf.push_recv_bytes(payload, backing);
             if push.accepted == 0 {
-                assert_eq!(buf.read(&mut out, Duration::ZERO), Ok(small / 2));
+                assert_eq!(buf.read(&mut out), Ok(small / 2));
             } else if push.accepted == small {
                 assert!(!push.copied);
             }
@@ -1546,7 +1606,7 @@ mod tests {
         buf.push_recv(b"x");
         assert!(buf.readiness().readable);
 
-        buf.write(&[0u8; 4], T).unwrap();
+        buf.write(&[0u8; 4]).unwrap();
         assert!(!buf.readiness().writable);
         assert_eq!(buf.send_space(), 0);
         buf.drain_send(2);

@@ -133,14 +133,14 @@ impl Rig {
         let Some(buffer) = self.conn.buffer.get() else {
             return out;
         };
-        while let Ok(n @ 1..) = buffer.read(&mut chunk, Duration::ZERO) {
+        while let Ok(n @ 1..) = buffer.read(&mut chunk) {
             out.extend_from_slice(&chunk[..n]);
         }
         out
     }
 
     fn write(&self, data: &[u8]) {
-        assert_eq!(self.buffer().write(data, Duration::ZERO), Ok(data.len()));
+        assert_eq!(self.buffer().write(data), Ok(data.len()));
     }
 }
 
@@ -258,7 +258,7 @@ fn a_fin_carrying_payload_delivers_it_and_closes_the_stream() {
         "payload, then the FIN"
     );
     assert_eq!(rig.read_all(), b"bye");
-    assert_eq!(rig.buffer().read(&mut [0u8; 4], Duration::ZERO), Ok(0));
+    assert_eq!(rig.buffer().read(&mut [0u8; 4]), Ok(0));
     let acks = rig.sent(&fx);
     assert_eq!(acks.len(), 1, "a FIN is acknowledged at once");
     assert_eq!(acks[0].0.ack, 9_005);
@@ -280,7 +280,7 @@ fn a_fin_ahead_of_missing_data_waits_for_the_gap_to_close() {
     assert_eq!(rig.conn.rd.rcv_nxt(), 9_001);
     assert!(rig.sent(&fx).is_empty() && !fx.remove);
     assert_eq!(
-        rig.buffer().read(&mut [0u8; 4], Duration::ZERO),
+        rig.buffer().read(&mut [0u8; 4]),
         Err(SockError::WouldBlock),
         "no end-of-stream yet"
     );

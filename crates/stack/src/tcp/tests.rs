@@ -417,7 +417,7 @@ fn connect_data_flows_to_ip_and_acks_advance_window() {
         .registry
         .attach_shared(endpoints::SYSCALL, &TcpServer::buffer_name(sock))
         .unwrap();
-    buffer.write(&[7u8; 4000], Duration::from_secs(1)).unwrap();
+    buffer.write(&[7u8; 4000]).unwrap();
     rig.tcp.poll();
     let segs = outgoing(&mut rig);
     let data_bytes: usize = segs.iter().map(|s| s.payload.len()).sum();
@@ -449,9 +449,7 @@ fn tso_pump_emits_one_super_segment_without_copies() {
         .registry
         .attach_shared(endpoints::SYSCALL, &TcpServer::buffer_name(sock))
         .unwrap();
-    buffer
-        .write(&[3u8; 40_000], Duration::from_secs(1))
-        .unwrap();
+    buffer.write(&[3u8; 40_000]).unwrap();
     rig.tcp.poll();
     let segs: Vec<TcpSegment> = outgoing(&mut rig)
         .into_iter()
@@ -476,7 +474,7 @@ fn retransmission_is_a_refcounted_view_not_a_copy() {
         .registry
         .attach_shared(endpoints::SYSCALL, &TcpServer::buffer_name(_sock))
         .unwrap();
-    buffer.write(&[1u8; 1000], Duration::from_secs(1)).unwrap();
+    buffer.write(&[1u8; 1000]).unwrap();
     rig.tcp.poll();
     outgoing(&mut rig);
     // RTO fires; the retransmission re-publishes the unacked views.
@@ -503,7 +501,7 @@ fn retransmission_after_timeout() {
         .registry
         .attach_shared(endpoints::SYSCALL, &TcpServer::buffer_name(sock))
         .unwrap();
-    buffer.write(&[1u8; 1000], Duration::from_secs(1)).unwrap();
+    buffer.write(&[1u8; 1000]).unwrap();
     rig.tcp.poll();
     let first = outgoing(&mut rig);
     assert_eq!(first.iter().filter(|s| !s.payload.is_empty()).count(), 1);
@@ -528,7 +526,7 @@ fn fast_retransmit_on_duplicate_acks() {
         .registry
         .attach_shared(endpoints::SYSCALL, &TcpServer::buffer_name(sock))
         .unwrap();
-    buffer.write(&[1u8; 3000], Duration::from_secs(1)).unwrap();
+    buffer.write(&[1u8; 3000]).unwrap();
     rig.tcp.poll();
     outgoing(&mut rig);
     // Three duplicate ACKs for the base sequence trigger a fast
@@ -752,7 +750,7 @@ fn bulk_receive(
             send(&rig.ip_tx, IpToTransport::DeliverBatch(vec![ptr]));
         }
         rig.tcp.poll();
-        while let Ok(n) = buffer.read(&mut scratch, Duration::ZERO) {
+        while let Ok(n) = buffer.read(&mut scratch) {
             read.extend_from_slice(&scratch[..n]);
         }
         // Stand in for IP: free the chunks TCP handed back.
@@ -816,7 +814,7 @@ fn a_payload_too_small_to_pin_its_frame_is_copied_and_counted() {
     assert_eq!(rig.tcp.stats().rx_copies, 1);
     let mut out = [0u8; 4];
     let buffer = conn(&rig, sock).buffer.get().unwrap();
-    assert_eq!(buffer.read(&mut out, Duration::ZERO), Ok(1));
+    assert_eq!(buffer.read(&mut out), Ok(1));
     assert_eq!(out[0], 7);
 }
 
@@ -865,7 +863,7 @@ fn delayed_ack_piggybacks_on_response_data() {
         .registry
         .attach_shared(endpoints::SYSCALL, &TcpServer::buffer_name(sock))
         .unwrap();
-    buffer.write(b"200 OK", Duration::from_secs(1)).unwrap();
+    buffer.write(b"200 OK").unwrap();
     rig.tcp.poll();
     let out = outgoing(&mut rig);
     assert_eq!(out.len(), 1, "one response segment, got {out:?}");
@@ -1187,7 +1185,7 @@ fn ip_crash_resubmits_inflight_sends() {
         .registry
         .attach_shared(endpoints::SYSCALL, &TcpServer::buffer_name(_sock))
         .unwrap();
-    buffer.write(&[5u8; 1000], Duration::from_secs(1)).unwrap();
+    buffer.write(&[5u8; 1000]).unwrap();
     rig.tcp.poll();
     assert_eq!(
         outgoing(&mut rig)
@@ -1288,7 +1286,7 @@ fn live_update_carries_established_connections_across_incarnations() {
             .registry
             .attach_shared(endpoints::SYSCALL, &TcpServer::buffer_name(sock))
             .unwrap();
-        buffer.write(&[7u8; 1000], Duration::from_secs(1)).unwrap();
+        buffer.write(&[7u8; 1000]).unwrap();
         rig.tcp.poll();
         assert!(!outgoing(&mut rig).is_empty());
         let in_flight = rig.tcp.egress.ip_reqs.len();
@@ -1338,7 +1336,7 @@ fn live_update_carries_established_connections_across_incarnations() {
     }
     // The connection keeps moving: new application data flows with the
     // carried-over sequence numbers.
-    buffer.write(&[8u8; 100], Duration::from_secs(1)).unwrap();
+    buffer.write(&[8u8; 100]).unwrap();
     rig.tcp.poll();
     let data: Vec<TcpSegment> = outgoing(&mut rig)
         .into_iter()
@@ -1895,7 +1893,7 @@ fn the_kept_sender_count_matches_a_recount_after_every_event() {
                         .registry
                         .attach_shared::<SocketBuffer>(endpoints::SYSCALL, &name)
                     {
-                        let _ = buffer.write(&[2; 100], Duration::ZERO);
+                        let _ = buffer.write(&[2; 100]);
                         rig.tcp.poll();
                     }
                     "data"

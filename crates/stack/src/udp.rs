@@ -933,7 +933,7 @@ mod tests {
             .attach_shared(endpoints::SYSCALL, &UdpServer::buffer_name(sock))
             .unwrap();
         let record = encode_datagram(PEER, 53, b"query");
-        buffer.write(&record, Duration::from_secs(1)).unwrap();
+        buffer.write(&record).unwrap();
         rig.udp.poll();
         let out = drain(&rig.ip_rx);
         match &out[..] {
@@ -976,7 +976,7 @@ mod tests {
             .attach_shared(endpoints::SYSCALL, &UdpServer::buffer_name(sock))
             .unwrap();
         let mut raw = vec![0u8; 256];
-        let n = buffer.read(&mut raw, Duration::from_secs(1)).unwrap();
+        let n = buffer.read(&mut raw).unwrap();
         let ((src, src_port, payload), _) = decode_datagram(&raw[..n]).unwrap();
         assert_eq!(src, PEER);
         assert_eq!(src_port, 53);
@@ -1024,7 +1024,7 @@ mod tests {
         // An unspecified destination in the record means "use the connected
         // remote".
         let record = encode_datagram(Ipv4Addr::UNSPECIFIED, 0, b"query");
-        buffer.write(&record, Duration::from_secs(1)).unwrap();
+        buffer.write(&record).unwrap();
         rig.udp.poll();
         let out = drain(&rig.ip_rx);
         assert!(
@@ -1086,9 +1086,7 @@ mod tests {
         assert_eq!(rig.udp.socket_count(), 1);
         assert_eq!(rig.udp.stats().recovered_sockets, 1);
         let record = encode_datagram(PEER, 53, b"after restart");
-        buffer_before
-            .write(&record, Duration::from_secs(1))
-            .unwrap();
+        buffer_before.write(&record).unwrap();
         rig.udp.poll();
         let out = drain(&rig.ip_rx);
         assert_eq!(
@@ -1121,7 +1119,7 @@ mod tests {
             .unwrap();
         // One datagram in flight towards IP (no SendDone consumed yet).
         let record = encode_datagram(PEER, 53, b"query");
-        buffer.write(&record, Duration::from_secs(1)).unwrap();
+        buffer.write(&record).unwrap();
         rig.udp.poll();
         assert_eq!(drain(&rig.ip_rx).len(), 1);
         assert_eq!(rig.udp.ip_reqs.len(), 1);
@@ -1141,7 +1139,7 @@ mod tests {
         assert_eq!(next.udp.ip_reqs.len(), 1);
         assert_eq!(next.udp.stats().recovered_sockets, 0);
         let record = encode_datagram(PEER, 53, b"after update");
-        buffer.write(&record, Duration::from_secs(1)).unwrap();
+        buffer.write(&record).unwrap();
         next.udp.poll();
         assert_eq!(
             drain(&next.ip_rx).len(),
