@@ -29,7 +29,6 @@ use newt_bench::record::{Gates, Json};
 use newt_bench::{arg_or, header};
 use newt_net::link::LinkConfig;
 use newt_stack::builder::{NewtStack, StackConfig};
-use newt_stack::endpoints;
 use newt_stack::sockbuf::SocketBuffer;
 
 /// Stack shards (and NICs/peers the population is spread over).
@@ -81,11 +80,10 @@ fn main() {
     // Per-connection memory: every TCP socket buffer in the registry
     // (connections plus the per-shard listeners), as actually allocated.
     let registry = stack.registry();
-    let attacher = endpoints::application(0);
     let mut sockbuf_bytes = 0u64;
     let mut sockbufs = 0u64;
     for (name, _, _) in registry.list("sockbuf/tcp/") {
-        if let Ok(buffer) = registry.attach_shared::<SocketBuffer>(attacher, &name) {
+        if let Ok(buffer) = registry.attach_shared::<SocketBuffer>(&name) {
             sockbuf_bytes += buffer.mem_bytes() as u64;
             sockbufs += 1;
         }

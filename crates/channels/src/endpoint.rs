@@ -14,28 +14,24 @@ use serde::{Deserialize, Serialize};
 /// Identifies one operating-system component (a server, driver or process).
 ///
 /// An endpoint is a small copyable token.  The numeric value is assigned by
-/// whoever creates the component (usually [`EndpointAllocator`]) and carries
-/// no meaning besides identity.
+/// whoever creates the component — the stack's well-known endpoints
+/// (`newt_stack::endpoints`) or the reincarnation server — and carries no
+/// meaning besides identity.
 ///
 /// # Examples
 ///
 /// ```
-/// use newt_channels::endpoint::EndpointAllocator;
+/// use newt_channels::endpoint::Endpoint;
 ///
-/// let mut alloc = EndpointAllocator::new();
-/// let ip = alloc.allocate("ip");
-/// let tcp = alloc.allocate("tcp");
-/// assert_ne!(ip, tcp);
+/// let ip = Endpoint::from_raw(3);
+/// assert_eq!(ip.as_raw(), 3);
+/// assert_ne!(ip, Endpoint::from_raw(4));
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Endpoint(u32);
 
 impl Endpoint {
     /// Creates an endpoint from a raw number.
-    ///
-    /// Intended for well-known, statically assigned endpoints (for example
-    /// the reincarnation server); dynamically created components should use
-    /// an [`EndpointAllocator`].
     pub const fn from_raw(raw: u32) -> Self {
         Endpoint(raw)
     }
@@ -101,82 +97,9 @@ impl fmt::Display for Generation {
     }
 }
 
-/// Hands out unique endpoints, remembering a human-readable name per endpoint.
-///
-/// # Examples
-///
-/// ```
-/// use newt_channels::endpoint::EndpointAllocator;
-///
-/// let mut alloc = EndpointAllocator::new();
-/// let drv = alloc.allocate("e1000.0");
-/// assert_eq!(alloc.name(drv), Some("e1000.0"));
-/// ```
-#[derive(Debug, Default)]
-pub struct EndpointAllocator {
-    next: u32,
-    names: Vec<(Endpoint, String)>,
-}
-
-impl EndpointAllocator {
-    /// Creates an empty allocator.  The first allocated endpoint is `ep:1`;
-    /// `ep:0` is reserved for "kernel"/invalid uses by convention.
-    pub fn new() -> Self {
-        EndpointAllocator {
-            next: 1,
-            names: Vec::new(),
-        }
-    }
-
-    /// Allocates a fresh endpoint and associates `name` with it.
-    pub fn allocate(&mut self, name: &str) -> Endpoint {
-        let ep = Endpoint(self.next);
-        self.next += 1;
-        self.names.push((ep, name.to_string()));
-        ep
-    }
-
-    /// Returns the name the endpoint was allocated under, if any.
-    pub fn name(&self, ep: Endpoint) -> Option<&str> {
-        self.names
-            .iter()
-            .find(|(e, _)| *e == ep)
-            .map(|(_, n)| n.as_str())
-    }
-
-    /// Returns the number of endpoints allocated so far.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Returns `true` if no endpoint has been allocated yet.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
-    /// Iterates over `(endpoint, name)` pairs in allocation order.
-    pub fn iter(&self) -> impl Iterator<Item = (Endpoint, &str)> {
-        self.names.iter().map(|(e, n)| (*e, n.as_str()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn endpoints_are_unique_and_named() {
-        let mut alloc = EndpointAllocator::new();
-        let a = alloc.allocate("ip");
-        let b = alloc.allocate("tcp");
-        let c = alloc.allocate("udp");
-        assert_ne!(a, b);
-        assert_ne!(b, c);
-        assert_eq!(alloc.name(a), Some("ip"));
-        assert_eq!(alloc.name(c), Some("udp"));
-        assert_eq!(alloc.len(), 3);
-        assert!(!alloc.is_empty());
-    }
 
     #[test]
     fn raw_round_trip() {
@@ -196,21 +119,5 @@ mod tests {
         assert!(!g2.is_stale_relative_to(g2));
         assert!(!g2.is_stale_relative_to(g0));
         assert_eq!(g2.as_raw(), 2);
-    }
-
-    #[test]
-    fn allocator_iterates_in_order() {
-        let mut alloc = EndpointAllocator::new();
-        alloc.allocate("a");
-        alloc.allocate("b");
-        let names: Vec<&str> = alloc.iter().map(|(_, n)| n).collect();
-        assert_eq!(names, vec!["a", "b"]);
-    }
-
-    #[test]
-    fn endpoint_zero_is_reserved() {
-        let mut alloc = EndpointAllocator::new();
-        let first = alloc.allocate("first");
-        assert_ne!(first.as_raw(), 0);
     }
 }

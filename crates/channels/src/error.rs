@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::endpoint::{Endpoint, Generation};
+use crate::endpoint::Endpoint;
 
 /// Error returned by [`Sender::try_send`](crate::spsc::Sender::try_send).
 ///
@@ -31,11 +31,6 @@ impl<T> TrySendError<T> {
     /// Returns `true` if the send failed because the queue was full.
     pub fn is_full(&self) -> bool {
         matches!(self, TrySendError::Full(_))
-    }
-
-    /// Returns `true` if the send failed because the peer disconnected.
-    pub fn is_disconnected(&self) -> bool {
-        matches!(self, TrySendError::Disconnected(_))
     }
 }
 
@@ -149,17 +144,12 @@ impl Error for PoolError {}
 pub enum RegistryError {
     /// No object has been published under the requested name.
     UnknownName(String),
-    /// The requester has not been granted access to the object.
+    /// The requester is not the creator of the object.
     PermissionDenied { name: String, requester: Endpoint },
     /// The published object has a different type than the one requested.
     TypeMismatch(String),
-    /// The object was published by an older incarnation and has been revoked.
-    Revoked {
-        name: String,
-        generation: Generation,
-    },
-    /// A publication already exists under this name for the current
-    /// generation of the creator.
+    /// Another creator, or the same creator at the same or a newer
+    /// generation, has already published under this name.
     AlreadyPublished(String),
     /// The name is longer than a registry key holds
     /// ([`Name::MAX`](crate::registry::Name::MAX) bytes).
@@ -171,13 +161,10 @@ impl fmt::Display for RegistryError {
         match self {
             RegistryError::UnknownName(name) => write!(f, "no channel published under '{name}'"),
             RegistryError::PermissionDenied { name, requester } => {
-                write!(f, "endpoint {requester} was not granted access to '{name}'")
+                write!(f, "endpoint {requester} did not publish '{name}'")
             }
             RegistryError::TypeMismatch(name) => {
                 write!(f, "published object '{name}' has a different type")
-            }
-            RegistryError::Revoked { name, generation } => {
-                write!(f, "publication '{name}' from {generation} has been revoked")
             }
             RegistryError::AlreadyPublished(name) => {
                 write!(f, "an object is already published under '{name}'")
@@ -199,11 +186,10 @@ mod tests {
     fn try_send_error_reports_kind_and_returns_value() {
         let full = TrySendError::Full(7u32);
         assert!(full.is_full());
-        assert!(!full.is_disconnected());
         assert_eq!(full.into_inner(), 7);
 
         let disc = TrySendError::Disconnected("msg".to_string());
-        assert!(disc.is_disconnected());
+        assert!(!disc.is_full());
         assert_eq!(disc.into_inner(), "msg");
     }
 

@@ -21,9 +21,10 @@
 //!    with an *abort action* to execute if the destination crashes.
 //!
 //! Around these sit the management pieces: endpoint identities and restart
-//! generations ([`endpoint`]), the publish/subscribe registry used to export
-//! and attach channels ([`registry`]) and the MONITOR/MWAIT-style wake-up
-//! words that let idle consumers sleep without kernel polling ([`wake`]).
+//! generations ([`endpoint`]), the registry of shared objects — pool
+//! readers, socket buffers, ring queues — that servers publish and attach
+//! by name ([`registry`]), and the MONITOR/MWAIT-style wake-up words that
+//! let idle consumers sleep without kernel polling ([`wake`]).
 //!
 //! # Fast path
 //!
@@ -118,10 +119,10 @@ pub mod rich;
 pub mod spsc;
 pub mod wake;
 
-pub use endpoint::{Endpoint, EndpointAllocator, Generation};
+pub use endpoint::{Endpoint, Generation};
 pub use error::{PoolError, RecvTimeoutError, RegistryError, TryRecvError, TrySendError};
 pub use pool::{ChunkWriter, Pool, PoolReader, PoolStats};
-pub use registry::{Access, ChannelEvent, EventKind, Registry, Subscription};
+pub use registry::Registry;
 pub use reqdb::{AbortPolicy, AbortedRequest, RequestDb, RequestId};
 pub use rich::{PoolId, RichChain, RichPtr};
 pub use spsc::{channel, QueueStats, Receiver, Sender};

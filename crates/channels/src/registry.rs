@@ -1,36 +1,27 @@
-//! Channel and pool management: publish, subscribe, export and attach.
+//! The registry of shared objects: pool readers, socket buffers and ring
+//! queues, keyed by inline [`Name`]s.
 //!
 //! There is no global manager in the system — servers set their channels up
-//! themselves (paper §IV-C).  When a server starts it announces its presence
-//! through a publish/subscribe mechanism; peers subscribed to the published
-//! event can then export their channels to the newly started server.  A
-//! channel is identified by its creator and a unique name, and the creator
-//! may grant or deny export requests.
+//! themselves (paper §IV-C).  In the paper a restarted server announces
+//! itself through a publish/subscribe registry, and crashes reach its peers
+//! the same way (§IV-C, §IV-D).  This reproduction gives both jobs to other
+//! code: the stack's lanes are built once and re-acquired from the fabric's
+//! parking slots, and crash notices go through the fabric's crash board
+//! (`docs/ARCHITECTURE.md`, "Channel setup: built once, not negotiated").
+//! What is left here is the table of objects that more than one server
+//! attaches to.
 //!
-//! The [`Registry`] is the in-process stand-in for the trusted third party of
-//! §IV-A (the virtual memory manager): only the creator of an object can make
-//! it available, and an attacher only obtains what it was granted.
-//!
-//! Two flavours of publication are offered:
-//!
-//! * **shared** objects ([`Registry::publish_shared`]) such as pool readers —
-//!   any number of granted servers may attach and all receive a handle to the
-//!   same object;
-//! * **offered** objects ([`Registry::offer`]) such as the single receive end
-//!   of an SPSC queue — exactly one granted server may claim it, after which
-//!   it is gone from the registry.
-//!
-//! When a server crashes and restarts, it republishes its channels under the
-//! same names with a bumped [`Generation`]; subscribers receive a
-//! [`EventKind::Revoked`] event for the old incarnation followed by
-//! [`EventKind::Published`] for the new one and must re-attach (paper §IV-D).
+//! The [`Registry`] stands in for the trusted third party of §IV-A (the
+//! virtual memory manager) in the checks that matter after a crash: only
+//! the creator of a name may revoke it or republish it under a newer
+//! [`Generation`] — which replaces the stale incarnation's object for every
+//! later attacher (paper §IV-D) — and any endpoint may attach.
 
 use std::any::Any;
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -120,116 +111,43 @@ impl fmt::Display for Name {
     }
 }
 
-/// Who may attach to a published object.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Access {
-    /// Any endpoint may attach.
-    Public,
-    /// Only the listed endpoints may attach.
-    Granted(Vec<Endpoint>),
-}
-
-impl Access {
-    fn allows(&self, requester: Endpoint) -> bool {
-        match self {
-            Access::Public => true,
-            Access::Granted(list) => list.contains(&requester),
-        }
-    }
-}
-
-/// The kind of a registry event delivered to subscribers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// A new object (or a new incarnation of an object) became available.
-    Published,
-    /// An object was withdrawn, typically because its creator crashed.
-    Revoked,
-}
-
-/// An event delivered to a [`Subscription`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChannelEvent {
-    /// Name the object was published under.
-    pub name: String,
-    /// The endpoint that created the object.
-    pub creator: Endpoint,
-    /// The creator's generation at publication time.
-    pub generation: Generation,
-    /// Whether the object appeared or disappeared.
-    pub kind: EventKind,
-}
-
-enum Stored {
-    Shared(Arc<dyn Any + Send + Sync>),
-    Offered(Option<Box<dyn Any + Send>>),
-}
-
-impl fmt::Debug for Stored {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Stored::Shared(_) => write!(f, "Stored::Shared"),
-            Stored::Offered(Some(_)) => write!(f, "Stored::Offered(available)"),
-            Stored::Offered(None) => write!(f, "Stored::Offered(claimed)"),
-        }
-    }
-}
-
-#[derive(Debug)]
 struct Entry {
     creator: Endpoint,
     generation: Generation,
-    access: Access,
-    stored: Stored,
+    object: Arc<dyn Any + Send + Sync>,
 }
 
-#[derive(Debug, Default)]
-struct SubscriberSlot {
-    id: u64,
-    prefix: String,
-    queue: Vec<ChannelEvent>,
-}
-
-#[derive(Default)]
-struct RegistryInner {
-    entries: Mutex<HashMap<Name, Entry>>,
-    subscribers: Mutex<Vec<SubscriberSlot>>,
-    next_subscriber: AtomicU64,
-}
-
-/// The publish/subscribe broker for channels and pools.
+/// The table of shared objects.
 ///
-/// Cloning a `Registry` is cheap and yields a handle to the same broker.
+/// Cloning a `Registry` is cheap and yields a handle to the same table.
 ///
 /// # Examples
 ///
 /// ```
 /// use std::sync::Arc;
 /// use newt_channels::endpoint::{Endpoint, Generation};
-/// use newt_channels::registry::{Access, Registry};
+/// use newt_channels::registry::Registry;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let registry = Registry::new();
 /// let ip = Endpoint::from_raw(3);
-/// let tcp = Endpoint::from_raw(4);
 ///
-/// registry.publish_shared(ip, Generation::FIRST, "ip.rx-pool", Access::Public,
+/// registry.publish_shared(ip, Generation::FIRST, "ip.rx-pool",
 ///                         Arc::new("pretend this is a pool reader".to_string()))?;
-/// let pool: Arc<String> = registry.attach_shared(tcp, "ip.rx-pool")?;
+/// let pool: Arc<String> = registry.attach_shared("ip.rx-pool")?;
 /// assert!(pool.contains("pool reader"));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Clone, Default)]
 pub struct Registry {
-    inner: Arc<RegistryInner>,
+    entries: Arc<Mutex<HashMap<Name, Entry>>>,
 }
 
 impl fmt::Debug for Registry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let entries = self.inner.entries.lock();
         f.debug_struct("Registry")
-            .field("published", &entries.len())
+            .field("published", &self.entries.lock().len())
             .finish()
     }
 }
@@ -237,9 +155,7 @@ impl fmt::Debug for Registry {
 impl Registry {
     /// Creates an empty registry.
     pub fn new() -> Self {
-        Registry {
-            inner: Arc::new(RegistryInner::default()),
-        }
+        Self::default()
     }
 
     /// Creates an empty registry pre-sized for roughly `entries` published
@@ -248,274 +164,97 @@ impl Registry {
     /// rehashing under load.
     pub fn with_capacity(entries: usize) -> Self {
         Registry {
-            inner: Arc::new(RegistryInner {
-                entries: Mutex::new(HashMap::with_capacity(entries)),
-                subscribers: Mutex::new(Vec::new()),
-                next_subscriber: AtomicU64::new(0),
-            }),
+            entries: Arc::new(Mutex::new(HashMap::with_capacity(entries))),
         }
     }
 
-    /// Queues an event for every subscriber whose prefix matches `name`;
-    /// with nobody listening (the per-socket publications of the data
-    /// path) nothing is built.
-    fn notify(&self, name: &str, creator: Endpoint, generation: Generation, kind: EventKind) {
-        let mut subs = self.inner.subscribers.lock();
-        for sub in subs.iter_mut() {
-            if name.starts_with(&sub.prefix) {
-                sub.queue.push(ChannelEvent {
-                    name: name.to_string(),
-                    creator,
-                    generation,
-                    kind,
-                });
-            }
-        }
-    }
-
-    fn insert(
-        &self,
-        creator: Endpoint,
-        generation: Generation,
-        name: &str,
-        access: Access,
-        stored: Stored,
-    ) -> Result<(), RegistryError> {
-        let key = Name::new(name).ok_or_else(|| RegistryError::NameTooLong(name.to_string()))?;
-        let entry = Entry {
-            creator,
-            generation,
-            access,
-            stored,
-        };
-        {
-            let mut entries = self.inner.entries.lock();
-            if let Some(existing) = entries.get(name) {
-                let newer = existing.generation.is_stale_relative_to(generation)
-                    && existing.creator == creator;
-                if !newer {
-                    return Err(RegistryError::AlreadyPublished(name.to_string()));
-                }
-                // The creator restarted: revoke the stale incarnation first.
-                let (old_creator, old_generation) = (existing.creator, existing.generation);
-                entries.remove(name);
-                drop(entries);
-                self.notify(name, old_creator, old_generation, EventKind::Revoked);
-                self.inner.entries.lock().insert(key, entry);
-            } else {
-                entries.insert(key, entry);
-            }
-        }
-        self.notify(name, creator, generation, EventKind::Published);
-        Ok(())
-    }
-
-    /// Publishes a shared object (e.g. a pool reader) under `name`.
+    /// Publishes a shared object (e.g. a pool reader) under `name`.  A
+    /// creator that restarted replaces its older incarnation's object by
+    /// publishing under a newer generation.
     ///
     /// # Errors
     ///
     /// Returns [`RegistryError::AlreadyPublished`] if an object of the same
-    /// or a newer generation already exists under this name, and
-    /// [`RegistryError::NameTooLong`] if `name` has more than [`Name::MAX`]
-    /// bytes.
+    /// or a newer generation, or one of another creator, already exists
+    /// under this name, and [`RegistryError::NameTooLong`] if `name` has
+    /// more than [`Name::MAX`] bytes.
     pub fn publish_shared<T: Send + Sync + 'static>(
         &self,
         creator: Endpoint,
         generation: Generation,
         name: &str,
-        access: Access,
         object: Arc<T>,
     ) -> Result<(), RegistryError> {
-        self.insert(creator, generation, name, access, Stored::Shared(object))
-    }
-
-    /// Offers an object for exactly one consumer to claim (e.g. one end of an
-    /// SPSC queue).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RegistryError::AlreadyPublished`] if an object of the same
-    /// or a newer generation already exists under this name, and
-    /// [`RegistryError::NameTooLong`] if `name` has more than [`Name::MAX`]
-    /// bytes.
-    pub fn offer<T: Send + 'static>(
-        &self,
-        creator: Endpoint,
-        generation: Generation,
-        name: &str,
-        access: Access,
-        object: T,
-    ) -> Result<(), RegistryError> {
-        self.insert(
-            creator,
-            generation,
-            name,
-            access,
-            Stored::Offered(Some(Box::new(object))),
-        )
-    }
-
-    /// Attaches to a shared object published under `name`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RegistryError::UnknownName`] if nothing is published,
-    /// [`RegistryError::PermissionDenied`] if the requester was not granted
-    /// access and [`RegistryError::TypeMismatch`] if the stored object has a
-    /// different type.
-    pub fn attach_shared<T: Send + Sync + 'static>(
-        &self,
-        requester: Endpoint,
-        name: &str,
-    ) -> Result<Arc<T>, RegistryError> {
-        let entries = self.inner.entries.lock();
-        let entry = entries
-            .get(name)
-            .ok_or_else(|| RegistryError::UnknownName(name.to_string()))?;
-        if !entry.access.allows(requester) {
-            return Err(RegistryError::PermissionDenied {
-                name: name.to_string(),
-                requester,
-            });
+        let key = Name::new(name).ok_or_else(|| RegistryError::NameTooLong(name.to_string()))?;
+        let mut entries = self.entries.lock();
+        // Only the creator's newer incarnation may replace an entry.
+        let taken = entries.get(name).is_some_and(|existing| {
+            existing.creator != creator || !existing.generation.is_stale_relative_to(generation)
+        });
+        if taken {
+            return Err(RegistryError::AlreadyPublished(name.to_string()));
         }
-        match &entry.stored {
-            Stored::Shared(any) => Arc::clone(any)
-                .downcast::<T>()
-                .map_err(|_| RegistryError::TypeMismatch(name.to_string())),
-            Stored::Offered(_) => Err(RegistryError::TypeMismatch(name.to_string())),
-        }
-    }
-
-    /// Claims an offered object, transferring ownership to the requester.
-    ///
-    /// # Errors
-    ///
-    /// As [`Registry::attach_shared`]; additionally returns
-    /// [`RegistryError::Revoked`] if the object was already claimed.
-    pub fn claim<T: Send + 'static>(
-        &self,
-        requester: Endpoint,
-        name: &str,
-    ) -> Result<T, RegistryError> {
-        let mut entries = self.inner.entries.lock();
-        let entry = entries
-            .get_mut(name)
-            .ok_or_else(|| RegistryError::UnknownName(name.to_string()))?;
-        if !entry.access.allows(requester) {
-            return Err(RegistryError::PermissionDenied {
-                name: name.to_string(),
-                requester,
-            });
-        }
-        match &mut entry.stored {
-            Stored::Offered(slot) => {
-                let boxed = slot.take().ok_or(RegistryError::Revoked {
-                    name: name.to_string(),
-                    generation: entry.generation,
-                })?;
-                match boxed.downcast::<T>() {
-                    Ok(v) => Ok(*v),
-                    Err(original) => {
-                        // Put it back; the type did not match.
-                        *slot = Some(original);
-                        Err(RegistryError::TypeMismatch(name.to_string()))
-                    }
-                }
-            }
-            Stored::Shared(_) => Err(RegistryError::TypeMismatch(name.to_string())),
-        }
-    }
-
-    /// Grants `to` access to the object published under `name`.  Only the
-    /// creator may grant access.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RegistryError::UnknownName`] or
-    /// [`RegistryError::PermissionDenied`] (when `granter` is not the
-    /// creator).
-    pub fn grant(&self, granter: Endpoint, name: &str, to: Endpoint) -> Result<(), RegistryError> {
-        let mut entries = self.inner.entries.lock();
-        let entry = entries
-            .get_mut(name)
-            .ok_or_else(|| RegistryError::UnknownName(name.to_string()))?;
-        if entry.creator != granter {
-            return Err(RegistryError::PermissionDenied {
-                name: name.to_string(),
-                requester: granter,
-            });
-        }
-        match &mut entry.access {
-            Access::Public => {}
-            Access::Granted(list) => {
-                if !list.contains(&to) {
-                    list.push(to);
-                }
-            }
-        }
+        entries.insert(
+            key,
+            Entry {
+                creator,
+                generation,
+                object,
+            },
+        );
         Ok(())
     }
 
+    /// Attaches to the shared object published under `name`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RegistryError::UnknownName`] if nothing is published and
+    /// [`RegistryError::TypeMismatch`] if the stored object has a different
+    /// type.
+    pub fn attach_shared<T: Send + Sync + 'static>(
+        &self,
+        name: &str,
+    ) -> Result<Arc<T>, RegistryError> {
+        let entries = self.entries.lock();
+        let entry = entries
+            .get(name)
+            .ok_or_else(|| RegistryError::UnknownName(name.to_string()))?;
+        Arc::clone(&entry.object)
+            .downcast::<T>()
+            .map_err(|_| RegistryError::TypeMismatch(name.to_string()))
+    }
+
     /// Withdraws a publication.  Only the creator (any generation) may
-    /// revoke.  Subscribers are notified.
+    /// revoke.
     ///
     /// # Errors
     ///
     /// Returns [`RegistryError::UnknownName`] or
     /// [`RegistryError::PermissionDenied`].
     pub fn revoke(&self, revoker: Endpoint, name: &str) -> Result<(), RegistryError> {
-        let generation = {
-            let mut entries = self.inner.entries.lock();
-            let entry = entries
-                .get(name)
-                .ok_or_else(|| RegistryError::UnknownName(name.to_string()))?;
-            if entry.creator != revoker {
-                return Err(RegistryError::PermissionDenied {
-                    name: name.to_string(),
-                    requester: revoker,
-                });
-            }
-            let generation = entry.generation;
-            entries.remove(name);
-            generation
-        };
-        self.notify(name, revoker, generation, EventKind::Revoked);
-        Ok(())
-    }
-
-    /// Revokes every publication made by `creator` (used by the
-    /// reincarnation server when it reaps a crashed component).  Returns the
-    /// names that were withdrawn.
-    pub fn revoke_all_from(&self, creator: Endpoint) -> Vec<String> {
-        let revoked: Vec<(Name, Generation)> = {
-            let mut entries = self.inner.entries.lock();
-            let names: Vec<Name> = entries
-                .iter()
-                .filter(|(_, e)| e.creator == creator)
-                .map(|(n, _)| *n)
-                .collect();
-            names
-                .into_iter()
-                .map(|name| {
-                    let entry = entries.remove(&name).expect("name collected above");
-                    (name, entry.generation)
-                })
-                .collect()
-        };
-        for (name, generation) in &revoked {
-            self.notify(name, creator, *generation, EventKind::Revoked);
+        let mut entries = self.entries.lock();
+        let entry = entries
+            .get(name)
+            .ok_or_else(|| RegistryError::UnknownName(name.to_string()))?;
+        if entry.creator != revoker {
+            return Err(RegistryError::PermissionDenied {
+                name: name.to_string(),
+                requester: revoker,
+            });
         }
-        revoked.iter().map(|(name, _)| name.to_string()).collect()
+        entries.remove(name);
+        Ok(())
     }
 
     /// Returns `true` if something is currently published under `name`.
     pub fn exists(&self, name: &str) -> bool {
-        self.inner.entries.lock().contains_key(name)
+        self.entries.lock().contains_key(name)
     }
 
     /// Lists publications whose name starts with `prefix`.
     pub fn list(&self, prefix: &str) -> Vec<(String, Endpoint, Generation)> {
-        let entries = self.inner.entries.lock();
+        let entries = self.entries.lock();
         let mut out: Vec<(String, Endpoint, Generation)> = entries
             .iter()
             .filter(|(name, _)| name.starts_with(prefix))
@@ -524,58 +263,11 @@ impl Registry {
         out.sort();
         out
     }
-
-    /// Subscribes to publication/revocation events for names starting with
-    /// `prefix`.
-    pub fn subscribe(&self, prefix: &str) -> Subscription {
-        let id = self.inner.next_subscriber.fetch_add(1, Ordering::Relaxed);
-        self.inner.subscribers.lock().push(SubscriberSlot {
-            id,
-            prefix: prefix.to_string(),
-            queue: Vec::new(),
-        });
-        Subscription {
-            id,
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-/// A subscription to registry events, created by [`Registry::subscribe`].
-pub struct Subscription {
-    id: u64,
-    inner: Arc<RegistryInner>,
-}
-
-impl fmt::Debug for Subscription {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Subscription")
-            .field("id", &self.id)
-            .finish()
-    }
-}
-
-impl Subscription {
-    /// Drains the events accumulated since the last poll.
-    pub fn poll(&self) -> Vec<ChannelEvent> {
-        let mut subs = self.inner.subscribers.lock();
-        subs.iter_mut()
-            .find(|s| s.id == self.id)
-            .map(|s| std::mem::take(&mut s.queue))
-            .unwrap_or_default()
-    }
-}
-
-impl Drop for Subscription {
-    fn drop(&mut self) {
-        self.inner.subscribers.lock().retain(|s| s.id != self.id);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spsc;
 
     fn ep(n: u32) -> Endpoint {
         Endpoint::from_raw(n)
@@ -584,15 +276,9 @@ mod tests {
     #[test]
     fn shared_publish_and_attach() {
         let reg = Registry::new();
-        reg.publish_shared(
-            ep(1),
-            Generation::FIRST,
-            "ip.pool",
-            Access::Public,
-            Arc::new(42u64),
-        )
-        .unwrap();
-        let v: Arc<u64> = reg.attach_shared(ep(2), "ip.pool").unwrap();
+        reg.publish_shared(ep(1), Generation::FIRST, "ip.pool", Arc::new(42u64))
+            .unwrap();
+        let v: Arc<u64> = reg.attach_shared("ip.pool").unwrap();
         assert_eq!(*v, 42);
         assert!(reg.exists("ip.pool"));
     }
@@ -601,96 +287,24 @@ mod tests {
     fn unknown_name_and_type_mismatch() {
         let reg = Registry::new();
         assert!(matches!(
-            reg.attach_shared::<u64>(ep(2), "nope"),
+            reg.attach_shared::<u64>("nope"),
             Err(RegistryError::UnknownName(_))
         ));
-        reg.publish_shared(
-            ep(1),
-            Generation::FIRST,
-            "x",
-            Access::Public,
-            Arc::new(1u32),
-        )
-        .unwrap();
-        assert!(matches!(
-            reg.attach_shared::<String>(ep(2), "x"),
-            Err(RegistryError::TypeMismatch(_))
-        ));
-    }
-
-    #[test]
-    fn access_control_enforced_and_grantable() {
-        let reg = Registry::new();
-        reg.publish_shared(
-            ep(1),
-            Generation::FIRST,
-            "tcp.queue",
-            Access::Granted(vec![ep(2)]),
-            Arc::new("secret".to_string()),
-        )
-        .unwrap();
-        assert!(reg.attach_shared::<String>(ep(2), "tcp.queue").is_ok());
-        assert!(matches!(
-            reg.attach_shared::<String>(ep(3), "tcp.queue"),
-            Err(RegistryError::PermissionDenied { .. })
-        ));
-        // Only the creator may grant.
-        assert!(matches!(
-            reg.grant(ep(2), "tcp.queue", ep(3)),
-            Err(RegistryError::PermissionDenied { .. })
-        ));
-        reg.grant(ep(1), "tcp.queue", ep(3)).unwrap();
-        assert!(reg.attach_shared::<String>(ep(3), "tcp.queue").is_ok());
-    }
-
-    #[test]
-    fn offered_queue_end_is_claimed_once() {
-        let reg = Registry::new();
-        let (mut tx, rx) = spsc::channel::<u32>(4);
-        reg.offer(ep(1), Generation::FIRST, "ip->tcp.rx", Access::Public, rx)
-            .unwrap();
-        let mut rx: spsc::Receiver<u32> = reg.claim(ep(2), "ip->tcp.rx").unwrap();
-        tx.try_send(5).unwrap();
-        assert_eq!(rx.try_recv().unwrap(), 5);
-        // Second claim fails: already taken.
-        assert!(matches!(
-            reg.claim::<spsc::Receiver<u32>>(ep(3), "ip->tcp.rx"),
-            Err(RegistryError::Revoked { .. })
-        ));
-    }
-
-    #[test]
-    fn claim_with_wrong_type_keeps_object_available() {
-        let reg = Registry::new();
-        reg.offer(ep(1), Generation::FIRST, "thing", Access::Public, 7u8)
+        reg.publish_shared(ep(1), Generation::FIRST, "x", Arc::new(1u32))
             .unwrap();
         assert!(matches!(
-            reg.claim::<String>(ep(2), "thing"),
+            reg.attach_shared::<String>("x"),
             Err(RegistryError::TypeMismatch(_))
         ));
-        // Still claimable with the correct type.
-        assert_eq!(reg.claim::<u8>(ep(2), "thing").unwrap(), 7);
     }
 
     #[test]
     fn duplicate_publish_same_generation_rejected() {
         let reg = Registry::new();
-        reg.publish_shared(
-            ep(1),
-            Generation::FIRST,
-            "dup",
-            Access::Public,
-            Arc::new(1u8),
-        )
-        .unwrap();
+        reg.publish_shared(ep(1), Generation::FIRST, "dup", Arc::new(1u8))
+            .unwrap();
         assert!(matches!(
-            reg.publish_shared(
-                ep(1),
-                Generation::FIRST,
-                "dup",
-                Access::Public,
-                Arc::new(2u8)
-            ),
+            reg.publish_shared(ep(1), Generation::FIRST, "dup", Arc::new(2u8)),
             Err(RegistryError::AlreadyPublished(_))
         ));
     }
@@ -698,154 +312,48 @@ mod tests {
     #[test]
     fn restart_republish_revokes_old_incarnation() {
         let reg = Registry::new();
-        let sub = reg.subscribe("ip.");
-        reg.publish_shared(
-            ep(1),
-            Generation::FIRST,
-            "ip.pool",
-            Access::Public,
-            Arc::new(1u8),
-        )
-        .unwrap();
+        reg.publish_shared(ep(1), Generation::FIRST, "ip.pool", Arc::new(1u8))
+            .unwrap();
+        let old: Arc<u8> = reg.attach_shared("ip.pool").unwrap();
         // The server crashes and its new incarnation republishes.
-        reg.publish_shared(
-            ep(1),
-            Generation::FIRST.next(),
-            "ip.pool",
-            Access::Public,
-            Arc::new(2u8),
-        )
-        .unwrap();
-        let events = sub.poll();
-        let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();
+        reg.publish_shared(ep(1), Generation::FIRST.next(), "ip.pool", Arc::new(2u8))
+            .unwrap();
         assert_eq!(
-            kinds,
-            vec![
-                EventKind::Published,
-                EventKind::Revoked,
-                EventKind::Published
-            ]
+            reg.list("ip."),
+            vec![("ip.pool".to_string(), ep(1), Generation::FIRST.next())]
         );
-        let v: Arc<u8> = reg.attach_shared(ep(2), "ip.pool").unwrap();
+        let v: Arc<u8> = reg.attach_shared("ip.pool").unwrap();
         assert_eq!(*v, 2);
-    }
-
-    #[test]
-    fn another_endpoint_cannot_hijack_a_name() {
-        let reg = Registry::new();
-        reg.publish_shared(
-            ep(1),
-            Generation::FIRST,
-            "ip.pool",
-            Access::Public,
-            Arc::new(1u8),
-        )
-        .unwrap();
-        // A different creator, even with a newer generation, cannot replace it.
+        // An attacher of the old incarnation keeps what it holds.
+        assert_eq!(*old, 1);
+        // The old generation cannot come back.
         assert!(matches!(
-            reg.publish_shared(
-                ep(9),
-                Generation::FIRST.next(),
-                "ip.pool",
-                Access::Public,
-                Arc::new(2u8)
-            ),
+            reg.publish_shared(ep(1), Generation::FIRST, "ip.pool", Arc::new(3u8)),
             Err(RegistryError::AlreadyPublished(_))
         ));
     }
 
     #[test]
-    fn subscription_filters_by_prefix() {
+    fn another_endpoint_cannot_hijack_a_name() {
         let reg = Registry::new();
-        let sub = reg.subscribe("tcp.");
-        reg.publish_shared(
-            ep(1),
-            Generation::FIRST,
-            "tcp.a",
-            Access::Public,
-            Arc::new(0u8),
-        )
-        .unwrap();
-        reg.publish_shared(
-            ep(1),
-            Generation::FIRST,
-            "udp.b",
-            Access::Public,
-            Arc::new(0u8),
-        )
-        .unwrap();
-        let events = sub.poll();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].name, "tcp.a");
-        // Polling again returns nothing new.
-        assert!(sub.poll().is_empty());
-    }
-
-    #[test]
-    fn revoke_all_from_withdraws_everything_of_a_crashed_server() {
-        let reg = Registry::new();
-        let sub = reg.subscribe("");
-        reg.publish_shared(
-            ep(1),
-            Generation::FIRST,
-            "ip.a",
-            Access::Public,
-            Arc::new(0u8),
-        )
-        .unwrap();
-        reg.publish_shared(
-            ep(1),
-            Generation::FIRST,
-            "ip.b",
-            Access::Public,
-            Arc::new(0u8),
-        )
-        .unwrap();
-        reg.publish_shared(
-            ep(2),
-            Generation::FIRST,
-            "tcp.c",
-            Access::Public,
-            Arc::new(0u8),
-        )
-        .unwrap();
-        sub.poll();
-        let mut revoked = reg.revoke_all_from(ep(1));
-        revoked.sort();
-        assert_eq!(revoked, vec!["ip.a".to_string(), "ip.b".to_string()]);
-        assert!(reg.exists("tcp.c"));
-        let events = sub.poll();
-        assert_eq!(events.len(), 2);
-        assert!(events.iter().all(|e| e.kind == EventKind::Revoked));
+        reg.publish_shared(ep(1), Generation::FIRST, "ip.pool", Arc::new(1u8))
+            .unwrap();
+        // A different creator, even with a newer generation, cannot replace it.
+        assert!(matches!(
+            reg.publish_shared(ep(9), Generation::FIRST.next(), "ip.pool", Arc::new(2u8)),
+            Err(RegistryError::AlreadyPublished(_))
+        ));
     }
 
     #[test]
     fn list_returns_sorted_matches() {
         let reg = Registry::new();
-        reg.publish_shared(
-            ep(1),
-            Generation::FIRST,
-            "drv.b",
-            Access::Public,
-            Arc::new(0u8),
-        )
-        .unwrap();
-        reg.publish_shared(
-            ep(1),
-            Generation::FIRST,
-            "drv.a",
-            Access::Public,
-            Arc::new(0u8),
-        )
-        .unwrap();
-        reg.publish_shared(
-            ep(2),
-            Generation::FIRST,
-            "ip.x",
-            Access::Public,
-            Arc::new(0u8),
-        )
-        .unwrap();
+        reg.publish_shared(ep(1), Generation::FIRST, "drv.b", Arc::new(0u8))
+            .unwrap();
+        reg.publish_shared(ep(1), Generation::FIRST, "drv.a", Arc::new(0u8))
+            .unwrap();
+        reg.publish_shared(ep(2), Generation::FIRST, "ip.x", Arc::new(0u8))
+            .unwrap();
         let listed = reg.list("drv.");
         assert_eq!(listed.len(), 2);
         assert_eq!(listed[0].0, "drv.a");
@@ -855,7 +363,7 @@ mod tests {
     #[test]
     fn revoke_requires_creator() {
         let reg = Registry::new();
-        reg.publish_shared(ep(1), Generation::FIRST, "x", Access::Public, Arc::new(0u8))
+        reg.publish_shared(ep(1), Generation::FIRST, "x", Arc::new(0u8))
             .unwrap();
         assert!(matches!(
             reg.revoke(ep(2), "x"),
@@ -870,15 +378,9 @@ mod tests {
         let reg = Registry::new();
         let name = "sockbuf/tcp/18446744073709551615";
         assert_eq!(name.len(), Name::MAX);
-        reg.publish_shared(
-            ep(1),
-            Generation::FIRST,
-            name,
-            Access::Public,
-            Arc::new(5u8),
-        )
-        .unwrap();
-        assert_eq!(*reg.attach_shared::<u8>(ep(2), name).unwrap(), 5);
+        reg.publish_shared(ep(1), Generation::FIRST, name, Arc::new(5u8))
+            .unwrap();
+        assert_eq!(*reg.attach_shared::<u8>(name).unwrap(), 5);
         reg.revoke(ep(1), name).unwrap();
         assert!(!reg.exists(name));
     }
@@ -889,19 +391,9 @@ mod tests {
         let name = "sockbuf/tcp/18446744073709551615x";
         assert_eq!(name.len(), Name::MAX + 1);
         assert_eq!(
-            reg.publish_shared(
-                ep(1),
-                Generation::FIRST,
-                name,
-                Access::Public,
-                Arc::new(0u8)
-            ),
+            reg.publish_shared(ep(1), Generation::FIRST, name, Arc::new(0u8)),
             Err(RegistryError::NameTooLong(name.to_string()))
         );
-        assert!(matches!(
-            reg.offer(ep(1), Generation::FIRST, name, Access::Public, 0u8),
-            Err(RegistryError::NameTooLong(_))
-        ));
         assert!(!reg.exists(name));
         assert!(reg.list("").is_empty());
         assert!(Name::new(name).is_none());
@@ -912,18 +404,12 @@ mod tests {
         let reg = Registry::new();
         let key = Name::new("ring/7/cq").unwrap();
         assert_eq!(key.as_str(), "ring/7/cq");
-        reg.publish_shared(
-            ep(1),
-            Generation::FIRST,
-            &key,
-            Access::Public,
-            Arc::new(1u8),
-        )
-        .unwrap();
+        reg.publish_shared(ep(1), Generation::FIRST, &key, Arc::new(1u8))
+            .unwrap();
         // The lookup key is built on the spot, not the one published.
         let looked_up = format!("ring/{}/cq", 7);
         assert!(reg.exists(&looked_up));
-        assert!(reg.attach_shared::<u8>(ep(2), &looked_up).is_ok());
+        assert!(reg.attach_shared::<u8>(&looked_up).is_ok());
         assert!(!reg.exists("ring/7/c"));
         assert!(!reg.exists("ring/7/cq/"));
         reg.revoke(ep(1), &looked_up).unwrap();
@@ -933,27 +419,12 @@ mod tests {
     #[test]
     fn listings_and_events_carry_the_full_name() {
         let reg = Registry::new();
-        let sub = reg.subscribe("sockbuf/udp/");
         let name = "sockbuf/udp/18446744073709551615";
-        reg.publish_shared(
-            ep(1),
-            Generation::FIRST,
-            name,
-            Access::Public,
-            Arc::new(0u8),
-        )
-        .unwrap();
-        reg.revoke_all_from(ep(1));
-        let listed: Vec<String> = sub.poll().into_iter().map(|e| e.name).collect();
-        assert_eq!(listed, vec![name.to_string(), name.to_string()]);
-        reg.publish_shared(
-            ep(1),
-            Generation::FIRST,
-            name,
-            Access::Public,
-            Arc::new(0u8),
-        )
-        .unwrap();
+        reg.publish_shared(ep(1), Generation::FIRST, name, Arc::new(0u8))
+            .unwrap();
+        reg.revoke(ep(1), name).unwrap();
+        reg.publish_shared(ep(1), Generation::FIRST, name, Arc::new(0u8))
+            .unwrap();
         assert_eq!(reg.list("sockbuf/")[0].0, name);
     }
 }

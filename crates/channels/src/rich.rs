@@ -199,14 +199,6 @@ impl RichChain {
     pub fn iter(&self) -> impl Iterator<Item = &RichPtr> {
         self.parts().iter()
     }
-
-    /// Returns the distinct pools referenced by the chain.
-    pub fn referenced_pools(&self) -> Vec<PoolId> {
-        let mut pools: Vec<PoolId> = self.iter().map(|p| p.pool).collect();
-        pools.sort();
-        pools.dedup();
-        pools
-    }
 }
 
 impl Default for RichChain {
@@ -359,10 +351,8 @@ mod tests {
         let mut chain: RichChain = (0..3).map(|i| ptr(1, i, 10)).collect();
         chain.extend([ptr(2, 0, 5)]);
         assert_eq!(chain.total_len(), 35);
-        assert_eq!(
-            chain.referenced_pools(),
-            vec![PoolId::from_raw(1), PoolId::from_raw(2)]
-        );
+        let pools: Vec<u64> = chain.iter().map(|p| p.pool.as_raw()).collect();
+        assert_eq!(pools, vec![1, 1, 1, 2]);
     }
 
     #[test]

@@ -22,7 +22,6 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use newt_kernel::rs::FaultAction;
 use newt_net::link::LinkConfig;
@@ -32,7 +31,7 @@ use newt_stack::endpoints::Component;
 
 /// Which fault is injected (the paper's tool injects code mutations; the
 /// observable effects are crashes and hangs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The component panics.
     Crash,
@@ -232,7 +231,7 @@ pub fn derive_weights(targets: &[Component]) -> Vec<(Component, u32)> {
 }
 
 /// Outcome of a single fault-injection run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// The component the fault was injected into.
     pub target: Component,
@@ -254,7 +253,7 @@ pub struct RunOutcome {
 
 /// Aggregate results of a campaign: Table III (fault distribution) and
 /// Table IV (consequences).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CampaignReport {
     /// Individual run outcomes.
     pub runs: Vec<RunOutcome>,

@@ -13,8 +13,6 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use newt_kernel::rs::FaultAction;
 use newt_net::peer::IPERF_PORT;
 use newt_net::trace::BitratePoint;
@@ -69,7 +67,7 @@ impl TraceExperimentConfig {
 }
 
 /// Result of a crash-trace experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceExperimentResult {
     /// Bitrate series observed at the receiver (Mbps per bucket).
     pub series: Vec<BitratePoint>,

@@ -9,12 +9,11 @@
 //!   interrupt**;
 //! * kernel IPC on a shared core additionally pays a **context switch**.
 //!
-//! [`CostModel`] packages those numbers.  The kernel-IPC substrate
-//! ([`crate::ipc`]) charges them to a [`CycleAccount`], and the Table II
-//! harness prices the one row it models (MINIX 3's synchronous IPC) with
-//! them.
+//! [`CostModel`] packages those numbers.  Nothing in the stack charges
+//! them: the kernel-IPC substrate ([`crate::ipc`]) only counts its traps and
+//! IPIs.  The Table II harness prices the one row it models (MINIX 3's
+//! synchronous IPC) with them.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Cycle costs of the primitive operations of the communication substrate.
@@ -65,29 +64,6 @@ impl CostModel {
     }
 }
 
-/// Accumulates cycles charged to one actor (a core or a server).
-#[derive(Debug, Default)]
-pub struct CycleAccount {
-    cycles: AtomicU64,
-}
-
-impl CycleAccount {
-    /// Creates an empty account.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `cycles` to the account.
-    pub fn charge(&self, cycles: u64) {
-        self.cycles.fetch_add(cycles, Ordering::Relaxed);
-    }
-
-    /// Returns the total cycles charged so far.
-    pub fn total(&self) -> u64 {
-        self.cycles.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,14 +91,6 @@ mod tests {
         let d = m.cycles_to_duration(cycles);
         assert!((d.as_secs_f64() - 0.001).abs() < 1e-9);
         assert_eq!((d.as_secs_f64() * m.cpu_ghz * 1e9).round() as u64, cycles);
-    }
-
-    #[test]
-    fn account_accumulates() {
-        let acct = CycleAccount::new();
-        acct.charge(100);
-        acct.charge(250);
-        assert_eq!(acct.total(), 350);
     }
 
     #[test]

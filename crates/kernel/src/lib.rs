@@ -12,9 +12,9 @@
 //!   periods) finish quickly;
 //! * [`cost`] — the cycle-cost model of the paper's evaluation machine
 //!   (≈150-cycle hot traps, ≈3000-cycle cold traps, IPIs, context
-//!   switches);
-//! * [`ipc`] — synchronous kernel IPC between endpoints with cost
-//!   accounting;
+//!   switches), which prices Table II's modelled row;
+//! * [`ipc`] — synchronous kernel IPC between endpoints, counting traps,
+//!   messages and IPIs;
 //! * [`storage`] — the key/value storage server holding recoverable state;
 //! * [`rs`] — the reincarnation server: heartbeats, crash detection,
 //!   restarts with generation bumps, fault-injection hooks.
@@ -80,7 +80,7 @@ pub mod rs;
 pub mod storage;
 
 pub use clock::SimClock;
-pub use cost::{CostModel, CycleAccount};
+pub use cost::CostModel;
 pub use ipc::{IpcError, KernelIpc, KernelStats, Message};
 pub use rs::{
     CrashEvent, CrashReason, FaultAction, RecoveryStamp, ReincarnationServer, ServiceConfig,

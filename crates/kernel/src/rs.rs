@@ -214,6 +214,12 @@ struct ServiceShared {
     start_mode: Mutex<StartMode>,
     fault: Mutex<FaultAction>,
     last_heartbeat: Mutex<Duration>,
+    /// The current incarnation has come through its first heartbeat: it
+    /// has built and recovered its state and is serving.  Set (`Release`)
+    /// by `heartbeat`, read (`Acquire`) by `wait_until_running`, so a
+    /// waiter that sees it also sees what recovery wrote; cleared by
+    /// `spawn_incarnation`.
+    beating: AtomicBool,
     /// Virtual time without a heartbeat after which the watchdog reaps.
     heartbeat_timeout: Duration,
     clock: SimClock,
@@ -328,6 +334,7 @@ impl ServiceRuntime {
     pub fn heartbeat(&self) {
         *self.shared.last_heartbeat.lock() = self.shared.clock.now();
         self.check_fault();
+        self.shared.beating.store(true, Ordering::Release);
     }
 
     /// Honours any fault armed against the service without recording a
@@ -396,6 +403,7 @@ impl ManagedService {
         self.exited = Arc::new(AtomicBool::new(false));
         self.panicked = Arc::new(AtomicBool::new(false));
         self.shared.reap.store(false, Ordering::Release);
+        self.shared.beating.store(false, Ordering::Release);
         *self.shared.last_heartbeat.lock() = self.shared.clock.now();
         let shared = Arc::clone(&self.shared);
         let body = Arc::clone(&self.body);
@@ -554,6 +562,7 @@ impl ReincarnationServer {
             start_mode: Mutex::new(StartMode::Fresh),
             fault: Mutex::new(FaultAction::None),
             last_heartbeat: Mutex::new(self.inner.clock.now()),
+            beating: AtomicBool::new(false),
             heartbeat_timeout: config.heartbeat_timeout,
             clock: self.inner.clock.clone(),
             wake,
@@ -723,23 +732,21 @@ impl ReincarnationServer {
         }
     }
 
-    /// Returns `true` once a service's status is [`ServiceStatus::Running`],
-    /// polling for at most `timeout` (real time).
+    /// Returns `true` once a service's status is [`ServiceStatus::Running`]
+    /// and its current incarnation is alive and has come through its first
+    /// [`ServiceRuntime::heartbeat`] — a body heartbeats only once it has
+    /// recovered, so the service then serves what it recovered.  Polls for
+    /// at most `timeout` (real time).
     pub fn wait_until_running(&self, endpoint: Endpoint, timeout: Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
         loop {
-            if self.status(endpoint) == Some(ServiceStatus::Running) {
-                // Also require the incarnation's thread to be alive.
-                let alive = self
-                    .inner
-                    .services
-                    .lock()
-                    .get(&endpoint)
-                    .map(|s| !s.exited.load(Ordering::Acquire))
-                    .unwrap_or(false);
-                if alive {
-                    return true;
-                }
+            let serving = self.inner.services.lock().get(&endpoint).is_some_and(|s| {
+                s.status == ServiceStatus::Running
+                    && s.shared.beating.load(Ordering::Acquire)
+                    && !s.exited.load(Ordering::Acquire)
+            });
+            if serving {
+                return true;
             }
             if std::time::Instant::now() >= deadline {
                 return false;
@@ -932,6 +939,35 @@ mod tests {
         assert_eq!(rs.status(ep), Some(ServiceStatus::Stopped));
         assert_eq!(starts.load(Ordering::SeqCst), 1);
         assert!(rs.crash_log().is_empty());
+        rs.shutdown();
+    }
+
+    /// A body heartbeats only once it has recovered, so a service is not
+    /// running before that — neither its first incarnation nor a
+    /// replacement.
+    #[test]
+    fn running_waits_for_the_first_heartbeat() {
+        let rs = ReincarnationServer::new(SimClock::realtime());
+        let recovered = Arc::new(std::sync::Barrier::new(2));
+        let recovered_in_body = Arc::clone(&recovered);
+        let ep = rs.register(ServiceConfig::new("recovering"), move |rt| {
+            // Stands for building and recovering the service's servers.
+            recovered_in_body.wait();
+            while !rt.should_stop() {
+                rt.heartbeat();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        for incarnation in 0..2 {
+            let early = rs.wait_until_running(ep, Duration::from_millis(50));
+            // Released before asserting: a failing test must not leave the
+            // body on the barrier, where shutting down would wait forever.
+            recovered.wait();
+            assert!(!early, "incarnation {incarnation} ran before recovering");
+            assert!(rs.wait_until_running(ep, Duration::from_secs(2)));
+            assert!(rs.force_restart(ep));
+        }
+        recovered.wait();
         rs.shutdown();
     }
 

@@ -141,15 +141,6 @@ impl StorageServer {
         }
     }
 
-    /// Removes the value stored under `component`/`key`; returns whether a
-    /// value existed.
-    pub fn delete(&self, component: &str, key: &str) -> bool {
-        self.entries
-            .write()
-            .remove(&(component.to_string(), key.to_string()))
-            .is_some()
-    }
-
     /// Lists the keys stored for `component`, sorted.
     pub fn keys(&self, component: &str) -> Vec<String> {
         let mut keys: Vec<String> = self
@@ -161,21 +152,6 @@ impl StorageServer {
             .collect();
         keys.sort();
         keys
-    }
-
-    /// Removes every key stored for `component` (used when the component is
-    /// deliberately reset).  Returns the number of removed keys.
-    pub fn clear_component(&self, component: &str) -> usize {
-        let mut entries = self.entries.write();
-        let before = entries.len();
-        entries.retain(|(c, _), _| c != component);
-        before - entries.len()
-    }
-
-    /// Wipes the whole store — this is what a crash of the storage server
-    /// itself looks like to the rest of the system.
-    pub fn wipe(&self) {
-        self.entries.write().clear();
     }
 
     /// Returns the approximate number of bytes of state stored for
@@ -842,20 +818,7 @@ mod tests {
         storage.store("tcp", "socket/1", &3u8);
         assert_eq!(storage.keys("udp"), vec!["socket/1", "socket/2"]);
         assert_eq!(storage.keys("tcp"), vec!["socket/1"]);
-        assert_eq!(storage.clear_component("udp"), 2);
-        assert!(storage.keys("udp").is_empty());
-        assert_eq!(storage.keys("tcp").len(), 1);
-    }
-
-    #[test]
-    fn delete_and_wipe() {
-        let storage = StorageServer::new();
-        storage.store("ip", "config", &42u64);
-        assert!(storage.delete("ip", "config"));
-        assert!(!storage.delete("ip", "config"));
-        storage.store("ip", "config", &42u64);
-        storage.wipe();
-        assert!(storage.retrieve::<u64>("ip", "config").is_err());
+        assert!(storage.keys("ip").is_empty());
     }
 
     #[test]

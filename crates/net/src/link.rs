@@ -242,12 +242,13 @@ struct Direction {
 }
 
 impl Direction {
-    /// Offers one frame to the wire at virtual time `now` and returns
-    /// whether it was accepted.  `rng` is `None` on a link with neither
-    /// loss nor impairments; otherwise it draws, in this order, uniform
-    /// loss, the Gilbert–Elliott transition and loss, jitter, reordering
-    /// and duplication — each draw only when its impairment is on.
-    fn offer(
+    /// Admits one frame to the wire at virtual time `now`, or drops it,
+    /// and returns whether it was admitted.  `rng` is `None` on a link
+    /// with neither loss nor impairments; otherwise it draws, in this
+    /// order, uniform loss, the Gilbert–Elliott transition and loss,
+    /// jitter, reordering and duplication — each draw only when its
+    /// impairment is on.
+    fn admit(
         &mut self,
         config: &LinkConfig,
         rng: Option<&mut StdRng>,
@@ -496,7 +497,7 @@ impl LinkPort {
         let mut dir = inner.direction(self.side).lock();
         let mut accepted = 0;
         for frame in frames {
-            if dir.offer(config, rng.as_deref_mut(), now, frame) {
+            if dir.admit(config, rng.as_deref_mut(), now, frame) {
                 accepted += 1;
             }
         }

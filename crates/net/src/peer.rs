@@ -860,16 +860,6 @@ impl RemotePeer {
         self.wake.write();
     }
 
-    /// Number of client flows currently established.
-    pub fn client_established_count(&self) -> usize {
-        self.state
-            .lock()
-            .clients
-            .values()
-            .filter(|c| c.status == ClientStatus::Established)
-            .count()
-    }
-
     fn client_syn(conn: &ClientConn) -> TcpSegment {
         let mut syn = TcpSegment::control(conn.src_port, conn.dst_port, conn.isn, 0, TcpFlags::SYN);
         syn.mss = Some(CLIENT_MSS as u16);
@@ -1713,7 +1703,6 @@ mod tests {
                 == Some(ClientStatus::Established)),
             "client flow never established"
         );
-        assert_eq!(a.client_established_count(), 1);
         assert!(a.client_send(49_000, b"ls -l\n"));
         let mut got = Vec::new();
         assert!(

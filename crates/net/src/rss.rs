@@ -253,12 +253,6 @@ impl RssSteering {
         self.indirection[(hash as usize) % INDIRECTION_ENTRIES] as usize
     }
 
-    /// Steers a raw inbound frame; non-IPv4/TCP/UDP traffic goes to
-    /// queue 0.
-    pub fn queue_for_frame(&self, frame: &[u8]) -> usize {
-        self.steer_frame(frame).0
-    }
-
     /// Steers a raw inbound frame and reports whether the decision came
     /// from a flow-director exact match (`true`) or the Toeplitz fallback.
     /// A one-queue adapter has nothing to choose (and pins no flow), so it
@@ -520,7 +514,7 @@ mod tests {
     #[test]
     fn non_ip_frames_fall_back_to_queue_zero() {
         let s = RssSteering::new(RssKey::default(), 8);
-        assert_eq!(s.queue_for_frame(&[0u8; 10]), 0);
+        assert_eq!(s.steer_frame(&[0u8; 10]), (0, false));
         let arp = crate::wire::ArpPacket::request(
             MacAddr::from_index(1),
             Ipv4Addr::new(10, 0, 0, 1),
@@ -533,6 +527,6 @@ mod tests {
             arp.build(),
         )
         .build();
-        assert_eq!(s.queue_for_frame(&frame), 0);
+        assert_eq!(s.steer_frame(&frame), (0, false));
     }
 }

@@ -11,7 +11,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 /// One captured frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,7 +22,7 @@ pub struct TraceRecord {
 }
 
 /// A point of a bitrate time series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BitratePoint {
     /// Start of the bucket, in seconds since the start of the capture.
     pub time_s: f64,

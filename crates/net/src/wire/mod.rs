@@ -208,11 +208,6 @@ impl MacAddr {
     /// The broadcast address `ff:ff:ff:ff:ff:ff`.
     pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
 
-    /// Returns `true` if this is the broadcast address.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
-    }
-
     /// Returns the raw octets.
     pub const fn octets(&self) -> [u8; 6] {
         self.0
@@ -255,8 +250,7 @@ mod tests {
     fn mac_addr_display_and_broadcast() {
         let mac = MacAddr([0x02, 0, 0, 0, 0, 0x2a]);
         assert_eq!(format!("{mac}"), "02:00:00:00:00:2a");
-        assert!(!mac.is_broadcast());
-        assert!(MacAddr::BROADCAST.is_broadcast());
+        assert_eq!(format!("{}", MacAddr::BROADCAST), "ff:ff:ff:ff:ff:ff");
         assert_eq!(MacAddr::from_index(7).octets()[5], 7);
     }
 

@@ -931,7 +931,9 @@ impl Wiring {
 }
 
 impl NewtStack {
-    /// Builds and starts a stack with the given configuration.
+    /// Builds and starts a stack with the given configuration, and returns
+    /// once every service is running (as
+    /// [`NewtStack::wait_component_running`] means it).
     pub fn start(mut config: StackConfig) -> Self {
         // The placement table decides how many pipelines and drivers run;
         // everything below is sized from it.
@@ -1083,9 +1085,10 @@ impl NewtStack {
             component_services,
             next_app: AtomicU32::new(0),
         };
-        // Wait until every service thread is up (in particular until the
-        // SYSCALL server has attached its kernel mailbox) so that clients
-        // created right after `start` never race the boot.
+        // Wait until every service has built and recovered its servers (in
+        // particular until the SYSCALL server has attached its kernel
+        // mailbox) so that clients created right after `start` never race
+        // the boot.
         for (_, endpoint, _) in &services {
             stack
                 .rs
@@ -1128,14 +1131,6 @@ impl NewtStack {
     /// Returns a handle to the simulated NIC behind interface `i`.
     pub fn nic(&self, i: usize) -> Arc<Mutex<Nic>> {
         Arc::clone(&self.wiring.nics[i])
-    }
-
-    /// Returns the number of frames currently waiting in RX queue `queue`
-    /// of NIC `i`.  Callers that used to poke `nic(i)` directly should use
-    /// this (and [`NewtStack::nic_stats`]) — it stays meaningful however
-    /// many queues the adapter runs.
-    pub fn rx_queue(&self, i: usize, queue: usize) -> usize {
-        self.wiring.nics[i].lock().rx_queue_depth(queue)
     }
 
     /// Returns the traffic counters of NIC `i` (including per-queue
@@ -1220,7 +1215,10 @@ impl NewtStack {
             .and_then(|service| self.rs.status(service))
     }
 
-    /// Waits (in real time) until the component's service reports running.
+    /// Waits (in real time) until the component's service is running an
+    /// incarnation that has built and recovered its servers: `serve`
+    /// heartbeats only after that (see
+    /// [`ReincarnationServer::wait_until_running`]).
     pub fn wait_component_running(&self, component: Component, timeout: Duration) -> bool {
         match self.service_for(component) {
             Some(service) => self.rs.wait_until_running(service, timeout),

@@ -374,13 +374,13 @@ impl NetClient {
         let app = endpoints::app_index(self.app);
         let cq: Arc<CompletionQueue> = self
             .registry
-            .attach_shared(self.app, &rings::cq_name(app))
+            .attach_shared(&rings::cq_name(app))
             .map_err(|_| SockError::ServerUnavailable)?;
         let mut sqs: Vec<Arc<SubmissionRing>> = Vec::with_capacity(shards);
         for shard in 0..shards {
             sqs.push(
                 self.registry
-                    .attach_shared(self.app, &rings::sq_name(app, shard))
+                    .attach_shared(&rings::sq_name(app, shard))
                     .map_err(|_| SockError::ServerUnavailable)?,
             );
         }
@@ -585,7 +585,7 @@ impl RingHandle {
     fn attach_buffer(&self, sock: SockId) -> Result<Arc<SocketBuffer>, SockError> {
         let transport = endpoints::sock_transport(sock).name();
         self.registry
-            .attach_shared(self.app, &buffer_name(transport, sock))
+            .attach_shared(&buffer_name(transport, sock))
             .map_err(|_| SockError::ServerUnavailable)
     }
 

@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use newt_channels::endpoint::{Endpoint, Generation};
-use newt_channels::registry::{Access, Registry};
+use newt_channels::registry::Registry;
 use newt_kernel::ipc::{KernelIpc, Message};
 use newt_kernel::rs::{CrashEvent, StateSnapshot};
 
@@ -383,7 +383,6 @@ impl SyscallServer {
             endpoints::SYSCALL,
             self.generation,
             &rings::cq_name(app),
-            Access::Public,
             Arc::clone(&group.cq),
         );
         for (k, sq) in group.sqs.iter().enumerate() {
@@ -391,7 +390,6 @@ impl SyscallServer {
                 endpoints::SYSCALL,
                 self.generation,
                 &rings::sq_name(app, k),
-                Access::Public,
                 Arc::clone(sq),
             );
         }
@@ -879,11 +877,11 @@ mod tests {
         // The queues are attachable through the registry.
         let cq: Arc<CompletionQueue> = rig
             .registry
-            .attach_shared(rig.app, &rings::cq_name(0))
+            .attach_shared(&rings::cq_name(0))
             .expect("cq published");
         let sq: Arc<SubmissionRing> = rig
             .registry
-            .attach_shared(rig.app, &rings::sq_name(0, 0))
+            .attach_shared(&rings::sq_name(0, 0))
             .expect("sq published");
         assert_eq!(sq.shard(), 0);
         assert_eq!(cq.posted(), 0);

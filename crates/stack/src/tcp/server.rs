@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use newt_channels::endpoint::{Endpoint, Generation};
 use newt_channels::pool::Pool;
-use newt_channels::registry::{Access, Name, Registry};
+use newt_channels::registry::{Name, Registry};
 use newt_channels::reqdb::{AbortPolicy, RequestDb, RequestId};
 use newt_channels::rich::{RichChain, RichPtr};
 use newt_kernel::clock::SimClock;
@@ -526,7 +526,7 @@ impl TcpServer {
     fn reattach(&self, id: SockId) -> SharedBuffer {
         let buffer: Arc<SocketBuffer> = self
             .registry
-            .attach_shared(self.endpoint, &Self::buffer_name(id))
+            .attach_shared(&Self::buffer_name(id))
             .unwrap_or_else(|_| Arc::new(SocketBuffer::with_defaults()));
         buffer.attach_doorbell(Arc::clone(&self.doorbell), id);
         SharedBuffer::from(buffer)
@@ -569,10 +569,7 @@ impl TcpServer {
             if self.sockets.contains_key(&id) {
                 continue; // a restored listener
             }
-            if let Ok(buffer) = self
-                .registry
-                .attach_shared::<SocketBuffer>(self.endpoint, &name)
-            {
+            if let Ok(buffer) = self.registry.attach_shared::<SocketBuffer>(&name) {
                 buffer.set_error(SockError::ConnectionReset);
             }
             self.stats.connections_reset += 1;
@@ -688,7 +685,6 @@ impl TcpServer {
             self.endpoint,
             self.generation,
             &Self::buffer_name(id),
-            Access::Public,
             Arc::clone(buffer),
         );
     }

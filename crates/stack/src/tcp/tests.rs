@@ -415,7 +415,7 @@ fn connect_data_flows_to_ip_and_acks_advance_window() {
     // Application writes data into the shared buffer.
     let buffer: Arc<SocketBuffer> = rig
         .registry
-        .attach_shared(endpoints::SYSCALL, &TcpServer::buffer_name(sock))
+        .attach_shared(&TcpServer::buffer_name(sock))
         .unwrap();
     buffer.write(&[7u8; 4000]).unwrap();
     rig.tcp.poll();
@@ -447,7 +447,7 @@ fn tso_pump_emits_one_super_segment_without_copies() {
     let (sock, _local_port, _snd, _rcv) = connect_established(&mut rig);
     let buffer: Arc<SocketBuffer> = rig
         .registry
-        .attach_shared(endpoints::SYSCALL, &TcpServer::buffer_name(sock))
+        .attach_shared(&TcpServer::buffer_name(sock))
         .unwrap();
     buffer.write(&[3u8; 40_000]).unwrap();
     rig.tcp.poll();
@@ -472,7 +472,7 @@ fn retransmission_is_a_refcounted_view_not_a_copy() {
     let (_sock, _local_port, _snd, _rcv) = connect_established(&mut rig);
     let buffer: Arc<SocketBuffer> = rig
         .registry
-        .attach_shared(endpoints::SYSCALL, &TcpServer::buffer_name(_sock))
+        .attach_shared(&TcpServer::buffer_name(_sock))
         .unwrap();
     buffer.write(&[1u8; 1000]).unwrap();
     rig.tcp.poll();
@@ -499,7 +499,7 @@ fn retransmission_after_timeout() {
     let (sock, _local_port, _snd, _rcv) = connect_established(&mut rig);
     let buffer: Arc<SocketBuffer> = rig
         .registry
-        .attach_shared(endpoints::SYSCALL, &TcpServer::buffer_name(sock))
+        .attach_shared(&TcpServer::buffer_name(sock))
         .unwrap();
     buffer.write(&[1u8; 1000]).unwrap();
     rig.tcp.poll();
@@ -524,7 +524,7 @@ fn fast_retransmit_on_duplicate_acks() {
     let (sock, local_port, snd_base, rcv_nxt) = connect_established(&mut rig);
     let buffer: Arc<SocketBuffer> = rig
         .registry
-        .attach_shared(endpoints::SYSCALL, &TcpServer::buffer_name(sock))
+        .attach_shared(&TcpServer::buffer_name(sock))
         .unwrap();
     buffer.write(&[1u8; 3000]).unwrap();
     rig.tcp.poll();
@@ -611,7 +611,7 @@ fn passive_open_accept_and_receive_data() {
     inject(&mut rig, data);
     let buffer: Arc<SocketBuffer> = rig
         .registry
-        .attach_shared(endpoints::SYSCALL, &TcpServer::buffer_name(child))
+        .attach_shared(&TcpServer::buffer_name(child))
         .unwrap();
     assert_eq!(buffer.recv_available(), 13);
     // A lone sub-MSS segment is *not* acked immediately (delayed-ACK
@@ -861,7 +861,7 @@ fn delayed_ack_piggybacks_on_response_data() {
     // goes out.
     let buffer: Arc<SocketBuffer> = rig
         .registry
-        .attach_shared(endpoints::SYSCALL, &TcpServer::buffer_name(sock))
+        .attach_shared(&TcpServer::buffer_name(sock))
         .unwrap();
     buffer.write(b"200 OK").unwrap();
     rig.tcp.poll();
@@ -1038,7 +1038,7 @@ fn listener_caps_size_accepted_children() {
     };
     let buffer: Arc<SocketBuffer> = rig
         .registry
-        .attach_shared(endpoints::SYSCALL, &TcpServer::buffer_name(child))
+        .attach_shared(&TcpServer::buffer_name(child))
         .unwrap();
     assert_eq!(buffer.capacities(), (4096, 2048));
     // The caps survive a crash/reincarnation of this server along with
@@ -1151,7 +1151,7 @@ fn rst_resets_the_connection_and_surfaces_an_error() {
     let (sock, local_port, _snd, rcv) = connect_established(&mut rig);
     let buffer: Arc<SocketBuffer> = rig
         .registry
-        .attach_shared(endpoints::SYSCALL, &TcpServer::buffer_name(sock))
+        .attach_shared(&TcpServer::buffer_name(sock))
         .unwrap();
     let rst = TcpSegment::control(5001, local_port, rcv, 0, TcpFlags::RST);
     inject(&mut rig, rst);
@@ -1183,7 +1183,7 @@ fn ip_crash_resubmits_inflight_sends() {
     let (_sock, _local_port, _snd, _rcv) = connect_established(&mut rig);
     let buffer: Arc<SocketBuffer> = rig
         .registry
-        .attach_shared(endpoints::SYSCALL, &TcpServer::buffer_name(_sock))
+        .attach_shared(&TcpServer::buffer_name(_sock))
         .unwrap();
     buffer.write(&[5u8; 1000]).unwrap();
     rig.tcp.poll();
@@ -1257,9 +1257,7 @@ fn restart_recovers_listening_sockets_and_resets_established() {
     };
     assert_eq!(listener.spec().backlog, 4);
     // The established connection's application sees a reset.
-    let buffer: Arc<SocketBuffer> = registry
-        .attach_shared(endpoints::SYSCALL, &established_buffer_name)
-        .unwrap();
+    let buffer: Arc<SocketBuffer> = registry.attach_shared(&established_buffer_name).unwrap();
     assert_eq!(buffer.error(), Some(SockError::ConnectionReset));
     assert!(rig.tcp.stats().connections_reset >= 1);
 }
@@ -1284,7 +1282,7 @@ fn live_update_carries_established_connections_across_incarnations() {
         // Data in flight towards IP, not yet acknowledged by the peer.
         let buffer: Arc<SocketBuffer> = rig
             .registry
-            .attach_shared(endpoints::SYSCALL, &TcpServer::buffer_name(sock))
+            .attach_shared(&TcpServer::buffer_name(sock))
             .unwrap();
         buffer.write(&[7u8; 1000]).unwrap();
         rig.tcp.poll();
@@ -1325,7 +1323,7 @@ fn live_update_carries_established_connections_across_incarnations() {
     assert_eq!(rig.tcp.egress.ip_reqs.len(), in_flight);
     // The application never saw an error on the shared buffer.
     let buffer: Arc<SocketBuffer> = registry
-        .attach_shared(endpoints::SYSCALL, &TcpServer::buffer_name(sock))
+        .attach_shared(&TcpServer::buffer_name(sock))
         .unwrap();
     assert_eq!(buffer.error(), None);
     // No SYN or RST is emitted for the surviving connection; the first
@@ -1389,7 +1387,7 @@ fn a_half_open_child_crosses_a_live_update_and_completes_its_handshake() {
     // Established in the new incarnation: its own buffer, published, with
     // the capacities the listener gave it.
     let buffer: Arc<SocketBuffer> = registry
-        .attach_shared(endpoints::SYSCALL, &TcpServer::buffer_name(child))
+        .attach_shared(&TcpServer::buffer_name(child))
         .unwrap();
     let capacity = TcpConfig::default().buffer_capacity;
     assert_eq!(buffer.capacities(), (capacity, capacity));
@@ -1421,7 +1419,7 @@ fn live_update_version_mismatch_falls_back_to_crash_recovery() {
         assert!(!rig.tcp.sockets.contains_key(&sock));
         assert!(rig.tcp.stats().connections_reset >= 1);
         let buffer: Arc<SocketBuffer> = registry
-            .attach_shared(endpoints::SYSCALL, &TcpServer::buffer_name(sock))
+            .attach_shared(&TcpServer::buffer_name(sock))
             .unwrap();
         assert_eq!(buffer.error(), Some(SockError::ConnectionReset));
     }
@@ -1889,10 +1887,7 @@ fn the_kept_sender_count_matches_a_recount_after_every_event() {
                     inject(&mut rig, data);
                     let name = TcpServer::buffer_name(side.sock);
                     // The segment may have been the last the socket took.
-                    if let Ok(buffer) = rig
-                        .registry
-                        .attach_shared::<SocketBuffer>(endpoints::SYSCALL, &name)
-                    {
+                    if let Ok(buffer) = rig.registry.attach_shared::<SocketBuffer>(&name) {
                         let _ = buffer.write(&[2; 100]);
                         rig.tcp.poll();
                     }

@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use newt_channels::endpoint::{Endpoint, Generation};
 use newt_channels::pool::Pool;
-use newt_channels::registry::{Access, Name, Registry};
+use newt_channels::registry::{Name, Registry};
 use newt_channels::reqdb::{AbortPolicy, RequestDb};
 use newt_channels::rich::{RichChain, RichPtr};
 use newt_kernel::rs::{CrashEvent, StartMode, StateSnapshot};
@@ -310,7 +310,7 @@ impl UdpServer {
             }
             let buffer: Arc<SocketBuffer> = self
                 .registry
-                .attach_shared(self.endpoint, &Self::buffer_name(h.id))
+                .attach_shared(&Self::buffer_name(h.id))
                 .unwrap_or_else(|_| Arc::new(SocketBuffer::with_defaults()));
             self.adopt(UdpSock {
                 id: h.id,
@@ -366,7 +366,7 @@ impl UdpServer {
             }
             let buffer: Arc<SocketBuffer> = self
                 .registry
-                .attach_shared(self.endpoint, &Self::buffer_name(state.id))
+                .attach_shared(&Self::buffer_name(state.id))
                 .unwrap_or_else(|_| Arc::new(SocketBuffer::with_defaults()));
             self.adopt(UdpSock {
                 id: state.id,
@@ -513,7 +513,6 @@ impl UdpServer {
                     self.endpoint,
                     self.generation,
                     &Self::buffer_name(id),
-                    Access::Public,
                     Arc::clone(&buffer),
                 );
                 self.adopt(UdpSock {
@@ -930,7 +929,7 @@ mod tests {
         let sock = open_and_bind(&mut rig, 5353);
         let buffer: Arc<SocketBuffer> = rig
             .registry
-            .attach_shared(endpoints::SYSCALL, &UdpServer::buffer_name(sock))
+            .attach_shared(&UdpServer::buffer_name(sock))
             .unwrap();
         let record = encode_datagram(PEER, 53, b"query");
         buffer.write(&record).unwrap();
@@ -973,7 +972,7 @@ mod tests {
         // The application sees the record.
         let buffer: Arc<SocketBuffer> = rig
             .registry
-            .attach_shared(endpoints::SYSCALL, &UdpServer::buffer_name(sock))
+            .attach_shared(&UdpServer::buffer_name(sock))
             .unwrap();
         let mut raw = vec![0u8; 256];
         let n = buffer.read(&mut raw).unwrap();
@@ -1019,7 +1018,7 @@ mod tests {
         drain(&rig.syscall_rx);
         let buffer: Arc<SocketBuffer> = rig
             .registry
-            .attach_shared(endpoints::SYSCALL, &UdpServer::buffer_name(sock))
+            .attach_shared(&UdpServer::buffer_name(sock))
             .unwrap();
         // An unspecified destination in the record means "use the connected
         // remote".
@@ -1076,7 +1075,7 @@ mod tests {
             let sock = open_and_bind(&mut rig, 5353);
             let buffer: Arc<SocketBuffer> = rig
                 .registry
-                .attach_shared(endpoints::SYSCALL, &UdpServer::buffer_name(sock))
+                .attach_shared(&UdpServer::buffer_name(sock))
                 .unwrap();
             (sock, buffer)
         };
@@ -1115,7 +1114,7 @@ mod tests {
         let sock = open_and_bind(&mut rig, 5353);
         let buffer: Arc<SocketBuffer> = rig
             .registry
-            .attach_shared(endpoints::SYSCALL, &UdpServer::buffer_name(sock))
+            .attach_shared(&UdpServer::buffer_name(sock))
             .unwrap();
         // One datagram in flight towards IP (no SendDone consumed yet).
         let record = encode_datagram(PEER, 53, b"query");
