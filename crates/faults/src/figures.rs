@@ -14,8 +14,9 @@
 use std::time::Duration;
 
 use newt_kernel::rs::FaultAction;
+use newt_net::link::LinkSide;
 use newt_net::peer::IPERF_PORT;
-use newt_net::trace::BitratePoint;
+use newt_net::trace::{BitratePoint, TraceCapture};
 use newt_stack::builder::{NewtStack, StackConfig};
 use newt_stack::endpoints::Component;
 use newt_stack::pf::FilterRule;
@@ -114,7 +115,9 @@ pub fn run_trace_experiment(config: &TraceExperimentConfig) -> TraceExperimentRe
     let stack = NewtStack::start(stack_config);
     let clock = stack.clock();
     let peer_addr = StackConfig::peer_addr(0);
-    let trace = stack.peer_trace(0);
+    // Every frame the stack sends from here on, as the peer receives it.
+    let trace = TraceCapture::new();
+    stack.link(0).attach_trace(LinkSide::B, trace.clone());
 
     // The iperf-like sender: pushes data for the whole experiment from a
     // separate thread so the control thread can inject faults on schedule.

@@ -220,6 +220,9 @@ struct ServiceShared {
     /// waiter that sees it also sees what recovery wrote; cleared by
     /// `spawn_incarnation`.
     beating: AtomicBool,
+    /// Written when `beating` turns true; what `wait_until_running` parks
+    /// on.  A word of its own, so the service's body is not woken by it.
+    started: WakeWord,
     /// Virtual time without a heartbeat after which the watchdog reaps.
     heartbeat_timeout: Duration,
     clock: SimClock,
@@ -334,7 +337,13 @@ impl ServiceRuntime {
     pub fn heartbeat(&self) {
         *self.shared.last_heartbeat.lock() = self.shared.clock.now();
         self.check_fault();
-        self.shared.beating.store(true, Ordering::Release);
+        // The first heartbeat of an incarnation wakes whoever waits for it
+        // to serve; every later one pays a load.  Only this thread sets the
+        // flag, and it was cleared before the thread started.
+        if !self.shared.beating.load(Ordering::Relaxed) {
+            self.shared.beating.store(true, Ordering::Release);
+            self.shared.started.write();
+        }
     }
 
     /// Honours any fault armed against the service without recording a
@@ -359,8 +368,10 @@ impl ServiceRuntime {
             }
             FaultAction::Hang => {
                 // Stop making progress (and heartbeating) until reaped or
-                // explicitly released.
+                // explicitly released; whoever reaps, stops or re-arms the
+                // service writes its wake word.
                 loop {
+                    let seen = self.shared.wake.value();
                     if self.shared.reap.load(Ordering::Acquire) {
                         panic!("hung service {} reaped", self.shared.name);
                     }
@@ -370,7 +381,7 @@ impl ServiceRuntime {
                     if *self.shared.fault.lock() != FaultAction::Hang {
                         return;
                     }
-                    std::thread::sleep(Duration::from_millis(1));
+                    self.shared.wake.mwait(seen, MAX_PARK);
                 }
             }
         }
@@ -563,6 +574,7 @@ impl ReincarnationServer {
             fault: Mutex::new(FaultAction::None),
             last_heartbeat: Mutex::new(self.inner.clock.now()),
             beating: AtomicBool::new(false),
+            started: WakeWord::new(),
             heartbeat_timeout: config.heartbeat_timeout,
             clock: self.inner.clock.clone(),
             wake,
@@ -735,23 +747,33 @@ impl ReincarnationServer {
     /// Returns `true` once a service's status is [`ServiceStatus::Running`]
     /// and its current incarnation is alive and has come through its first
     /// [`ServiceRuntime::heartbeat`] — a body heartbeats only once it has
-    /// recovered, so the service then serves what it recovered.  Polls for
-    /// at most `timeout` (real time).
+    /// recovered, so the service then serves what it recovered.  Waits for
+    /// at most `timeout` (real time) on a word that first heartbeat writes;
+    /// an endpoint nobody registered is never running.
     pub fn wait_until_running(&self, endpoint: Endpoint, timeout: Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
         loop {
-            let serving = self.inner.services.lock().get(&endpoint).is_some_and(|s| {
-                s.status == ServiceStatus::Running
+            let (shared, seen) = {
+                let services = self.inner.services.lock();
+                let Some(s) = services.get(&endpoint) else {
+                    return false;
+                };
+                // Read before looking, so a heartbeat after the look ends
+                // the wait below at once.
+                let seen = s.shared.started.value();
+                if s.status == ServiceStatus::Running
                     && s.shared.beating.load(Ordering::Acquire)
                     && !s.exited.load(Ordering::Acquire)
-            });
-            if serving {
-                return true;
-            }
-            if std::time::Instant::now() >= deadline {
+                {
+                    return true;
+                }
+                (Arc::clone(&s.shared), seen)
+            };
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            if left.is_zero() {
                 return false;
             }
-            std::thread::sleep(Duration::from_millis(2));
+            shared.started.mwait(seen, left);
         }
     }
 

@@ -73,10 +73,6 @@ pub struct NicConfig {
     pub tso: bool,
     /// Whether checksum offload is enabled.
     pub checksum_offload: bool,
-    /// RX descriptor ring size (frames, per queue).
-    pub rx_ring: usize,
-    /// TX descriptor ring size (frames, per queue).
-    pub tx_ring: usize,
     /// How long the link stays down after a device reset (virtual time).
     pub link_reset_latency: Duration,
     /// Number of RX/TX queue pairs (receive-side scaling), 1..=8.
@@ -85,13 +81,13 @@ pub struct NicConfig {
     pub rss_key: RssKey,
 }
 
-/// Descriptors in each RX ring of a [`NicConfig::new`] adapter: the most
-/// frames one queue hands its driver in a poll round, and so the entries
-/// the stack's receive-batch vectors are made with.
+/// Descriptors in each RX ring of a [`Nic`]: the most frames one queue
+/// hands its driver in a poll round, and so the entries the stack's
+/// receive-batch vectors are made with.
 pub const RX_RING: usize = 256;
 
-/// Descriptors in each TX ring of a [`NicConfig::new`] adapter: the frames
-/// the stack's transmit-batch vectors and header chunks are made for.
+/// Descriptors in each TX ring of a [`Nic`]: the frames the stack's
+/// transmit-batch vectors and header chunks are made for.
 pub const TX_RING: usize = 256;
 
 impl NicConfig {
@@ -103,8 +99,6 @@ impl NicConfig {
             mac: MacAddr::from_index(index),
             tso: true,
             checksum_offload: true,
-            rx_ring: RX_RING,
-            tx_ring: TX_RING,
             link_reset_latency: Duration::from_millis(1800),
             queues: 1,
             rss_key: RssKey::default(),
@@ -184,7 +178,7 @@ impl Nic {
     pub fn new(mut config: NicConfig, clock: SimClock, port: LinkPort) -> Self {
         config.queues = config.queues.clamp(1, MAX_QUEUES);
         let steering = RssSteering::new(config.rss_key, config.queues);
-        let (queues, rx_ring, tx_ring) = (config.queues, config.rx_ring, config.tx_ring);
+        let queues = config.queues;
         Nic {
             config,
             clock,
@@ -192,15 +186,15 @@ impl Nic {
             // The rings hold their full descriptor count from the start,
             // as hardware rings do: no burst grows one.
             rx_rings: (0..queues)
-                .map(|_| VecDeque::with_capacity(rx_ring))
+                .map(|_| VecDeque::with_capacity(RX_RING))
                 .collect(),
             tx_rings: (0..queues)
-                .map(|_| VecDeque::with_capacity(tx_ring))
+                .map(|_| VecDeque::with_capacity(TX_RING))
                 .collect(),
             frames: Shelf::new(),
             steering,
             link_up_at: None,
-            arrivals: Vec::with_capacity(rx_ring),
+            arrivals: Vec::with_capacity(RX_RING),
             stats: NicStats::default(),
         }
     }
@@ -281,7 +275,7 @@ impl Nic {
         if len < ETHERNET_HEADER_LEN {
             return Err(NicError::Malformed);
         }
-        if self.tx_rings[queue].len() + descriptors > self.config.tx_ring {
+        if self.tx_rings[queue].len() + descriptors > TX_RING {
             return Err(NicError::TxRingFull);
         }
         Ok(queue)
@@ -356,7 +350,7 @@ impl Nic {
         self.port.receive_burst(&mut arrivals);
         for frame in arrivals.drain(..) {
             let (queue, fdir_hit) = self.steering.steer_frame(&frame);
-            if self.rx_rings[queue].len() >= self.config.rx_ring {
+            if self.rx_rings[queue].len() >= RX_RING {
                 self.stats.rx_drops += 1;
                 continue;
             }
@@ -402,7 +396,7 @@ impl Nic {
 
     /// Returns the number of free TX descriptors on queue 0.
     pub fn tx_ring_free(&self) -> usize {
-        self.config.tx_ring - self.tx_rings[0].len()
+        TX_RING - self.tx_rings[0].len()
     }
 
     /// Resets the device: every ring is cleared (the shadow descriptors are
@@ -1145,39 +1139,39 @@ mod tests {
 
     #[test]
     fn rx_ring_overflow_drops_frames() {
-        let mut config = NicConfig::new(0);
-        config.rx_ring = 4;
-        let (mut nic, peer, _clock) = setup(config);
-        for _ in 0..10 {
+        let (mut nic, peer, _clock) = setup(NicConfig::new(0));
+        for _ in 0..RX_RING + 6 {
             peer.transmit(tcp_frame(10));
         }
         nic.poll();
-        assert_eq!(nic.stats().rx_frames, 4);
+        assert_eq!(nic.stats().rx_frames, RX_RING as u64);
         assert_eq!(nic.stats().rx_drops, 6);
     }
 
     #[test]
     fn an_arrival_burst_larger_than_the_rx_ring_fills_it_and_drops_the_excess() {
-        let mut config = NicConfig::new(0);
-        config.rx_ring = 4;
-        let (mut nic, peer, _clock) = setup(config);
+        let (mut nic, peer, _clock) = setup(NicConfig::new(0));
         let burst = |from: usize, n: usize| (from..from + n).map(|i| Bytes::from(tcp_frame(i)));
-        assert_eq!(peer.transmit_burst(burst(0, 10)), 10);
+        assert_eq!(peer.transmit_burst(burst(0, RX_RING + 6)), RX_RING + 6);
         nic.poll();
-        assert_eq!(nic.rx_queue_depth(0), 4);
-        assert_eq!((nic.stats().rx_frames, nic.stats().rx_drops), (4, 6));
-        // The ring holds the burst's first four frames, in order.
+        assert_eq!(nic.rx_queue_depth(0), RX_RING);
+        let ring = RX_RING as u64;
+        assert_eq!((nic.stats().rx_frames, nic.stats().rx_drops), (ring, 6));
+        // The ring holds the burst's first ring's worth of frames, in order.
         let kept: Vec<usize> = std::iter::from_fn(|| nic.receive())
             .map(|frame| frame.len() - tcp_frame(0).len())
             .collect();
-        assert_eq!(kept, [0, 1, 2, 3]);
+        assert_eq!(kept, (0..RX_RING).collect::<Vec<_>>());
         // A burst into a ring with one free slot fills it and drops the rest.
-        assert_eq!(peer.transmit_burst(burst(20, 3)), 3);
+        assert_eq!(peer.transmit_burst(burst(300, RX_RING - 1)), RX_RING - 1);
         nic.poll();
-        assert_eq!(peer.transmit_burst(burst(30, 5)), 5);
+        assert_eq!(peer.transmit_burst(burst(600, 5)), 5);
         nic.poll();
-        assert_eq!(nic.rx_queue_depth(0), 4);
-        assert_eq!((nic.stats().rx_frames, nic.stats().rx_drops), (8, 10));
+        assert_eq!(nic.rx_queue_depth(0), RX_RING);
+        assert_eq!(
+            (nic.stats().rx_frames, nic.stats().rx_drops),
+            (2 * ring, 10)
+        );
     }
 
     #[test]
@@ -1199,18 +1193,17 @@ mod tests {
 
     #[test]
     fn tx_ring_overflow_reported() {
-        let mut config = NicConfig::new(0);
-        config.tx_ring = 2;
-        let (mut nic, _peer, _clock) = setup(config);
-        nic.transmit(tcp_frame(10)).unwrap();
-        nic.transmit(tcp_frame(10)).unwrap();
+        let (mut nic, _peer, _clock) = setup(NicConfig::new(0));
+        for _ in 0..TX_RING {
+            nic.transmit(tcp_frame(10)).unwrap();
+        }
         assert_eq!(
             nic.transmit(tcp_frame(10)).unwrap_err(),
             NicError::TxRingFull
         );
         assert_eq!(nic.tx_ring_free(), 0);
         nic.poll();
-        assert_eq!(nic.tx_ring_free(), 2);
+        assert_eq!(nic.tx_ring_free(), TX_RING);
     }
 
     #[test]

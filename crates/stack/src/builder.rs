@@ -57,10 +57,9 @@ use newt_kernel::rs::{
     CrashEvent, FaultAction, ReincarnationServer, ServiceConfig, ServiceRuntime, ServiceStatus,
 };
 use newt_kernel::storage::StorageServer;
-use newt_net::link::{Link, LinkConfig, LinkSide};
+use newt_net::link::{Link, LinkConfig};
 use newt_net::nic::{Nic, NicConfig, NicStats};
 use newt_net::peer::{PeerConfig, PeerHandle, RemotePeer};
-use newt_net::trace::TraceCapture;
 use newt_net::wire::MacAddr;
 
 use crate::driver::{DriverServer, DriverStats};
@@ -110,10 +109,6 @@ pub struct StackConfig {
     pub tso: bool,
     /// Whether checksum offload is enabled.
     pub checksum_offload: bool,
-    /// Whether the drivers coalesce consecutive in-order TCP segments of a
-    /// flow into one oversized deliver message (GRO).  Off reproduces the
-    /// one-message-per-MTU-frame receive path for A/B measurements.
-    pub gro: bool,
     /// Whether the packet filter sits next to IP.
     pub with_packet_filter: bool,
     /// Rules installed into the packet filter at boot.
@@ -136,7 +131,6 @@ impl Default for StackConfig {
             shards: 1,
             tso: true,
             checksum_offload: true,
-            gro: true,
             with_packet_filter: true,
             filter_rules: Vec::new(),
             link: LinkConfig::gigabit(),
@@ -197,13 +191,6 @@ impl StackConfig {
     pub fn tso(mut self, tso: bool) -> Self {
         self.tso = tso;
         self.tcp.tso = tso;
-        self
-    }
-
-    /// Enables or disables receive coalescing (GRO) in the drivers.
-    #[must_use]
-    pub fn gro(mut self, gro: bool) -> Self {
-        self.gro = gro;
         self
     }
 
@@ -419,7 +406,6 @@ pub struct NewtStack {
     peers: Vec<Arc<RemotePeer>>,
     peer_handles: Vec<PeerHandle>,
     links: Vec<Link>,
-    peer_traces: Vec<TraceCapture>,
     component_services: HashMap<Component, Endpoint>,
     next_app: AtomicU32,
 }
@@ -920,11 +906,7 @@ impl Wiring {
                 self.lanes.iter().map(|l| l.ip_to_drv[i].rx()).collect(),
                 self.lanes.iter().map(|l| l.drv_to_ip[i].tx()).collect(),
                 self.crash_board.clone(),
-                if self.config.gro {
-                    crate::driver::GRO_MAX_PAYLOAD
-                } else {
-                    0
-                },
+                crate::driver::GRO_MAX_PAYLOAD,
             )),
         }
     }
@@ -967,18 +949,15 @@ impl NewtStack {
             rs.on_crash(move |event: &CrashEvent| board.push(event.clone()));
         }
 
-        // --- network substrate: links, NICs, peers, traces -------------------
+        // --- network substrate: links, NICs, peers ----------------------------
         let mut links = Vec::new();
         let mut nics = Vec::new();
         let mut peers = Vec::new();
         let mut peer_handles = Vec::new();
-        let mut peer_traces = Vec::new();
         for i in 0..config.nics {
             let (link, local_port, peer_port) = Link::new(config.link.clone(), clock.clone());
             // A frame sent towards the NIC changes its driver's deadline.
             local_port.attach_wake(word_of(endpoints::driver(i)));
-            let trace = TraceCapture::new();
-            link.attach_trace(LinkSide::B, trace.clone());
             let mut nic_config = NicConfig::new(i as u8);
             nic_config.tso = config.tso;
             nic_config.checksum_offload = config.checksum_offload;
@@ -1002,7 +981,6 @@ impl NewtStack {
             links.push(link);
             nics.push(nic);
             peers.push(peer);
-            peer_traces.push(trace);
         }
 
         // --- per-shard pools and fabric lanes ----------------------------------
@@ -1081,7 +1059,6 @@ impl NewtStack {
             peers,
             peer_handles,
             links,
-            peer_traces,
             component_services,
             next_app: AtomicU32::new(0),
         };
@@ -1152,12 +1129,6 @@ impl NewtStack {
     /// Returns the peer host behind interface `i`.
     pub fn peer(&self, i: usize) -> &RemotePeer {
         &self.peers[i]
-    }
-
-    /// Returns the trace of frames arriving at peer `i` (outgoing traffic of
-    /// the stack as a tcpdump-style capture).
-    pub fn peer_trace(&self, i: usize) -> TraceCapture {
-        self.peer_traces[i].clone()
     }
 
     /// Returns the link attached to interface `i`.

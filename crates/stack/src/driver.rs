@@ -557,7 +557,7 @@ mod tests {
     #[test]
     fn a_batch_larger_than_the_tx_ring_goes_out_whole() {
         let mut rig = rig();
-        let ring = rig.nic.lock().config().tx_ring;
+        let ring = TX_RING;
         let ptr = rig.header_pool.publish(&sample_frame()).unwrap();
         let batch: Vec<(RequestId, RichChain)> = (0..ring as u64 + 40)
             .map(|i| (RequestId::from_raw(i + 1), RichChain::single(ptr)))

@@ -224,17 +224,6 @@ impl Shard {
 /// so the two spans never overlap.
 pub const EPHEMERAL_SPAN: u16 = 10_000;
 
-/// Returns the successor of `p` inside a half-open ephemeral `range`,
-/// wrapping at the end — the single definition of the wrap rule both
-/// transports allocate with.
-pub fn next_ephemeral_port(range: (u16, u16), p: u16) -> u16 {
-    if p + 1 >= range.1 {
-        range.0
-    } else {
-        p + 1
-    }
-}
-
 /// The operating-system components of the networking stack, as the fault
 /// injection campaign and the recovery code name them.  A replicated kind
 /// names one replica: a one-shard stack runs shard 0 of each.

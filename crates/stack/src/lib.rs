@@ -12,7 +12,9 @@
 //! * [`driver`] — the NetDrv servers feeding the simulated e1000 adapters;
 //! * [`ip`] — the IP/ICMP/ARP hub with its T junction to the packet filter;
 //! * [`pf`] — the packet filter with rules and connection tracking;
-//! * [`tcp`] / [`udp`] — the transport servers;
+//! * [`tcp`] / [`udp`] — the transport servers, two protocols in one
+//!   crate-private transport shell (lanes, the way out to IP, replies and
+//!   the ephemeral-port cursor);
 //! * [`syscall`] — the POSIX front end: legacy kernel-IPC calls plus the
 //!   sharded submission/completion ring pumps;
 //! * [`posix`] — the application-side socket library;
@@ -56,6 +58,7 @@ pub mod rings;
 pub mod sockbuf;
 pub mod syscall;
 pub mod tcp;
+mod transport;
 pub mod udp;
 
 pub use builder::{NewtStack, StackConfig, Telemetry, Topology};

@@ -15,8 +15,10 @@
 //! and `listener` — knows sequence arithmetic and the state machine and
 //! nothing around it: no lanes, request ids, pools, registry or clock.  Time
 //! is an argument and every event returns `Effects`, an inline value naming
-//! what the caller must do.  The **server shell** (`server`, with its timer
-//! `wheel`) looks a socket up once per event, calls the core and applies
+//! what the caller must do.  The **server** (`server`, with its timer
+//! `wheel`) sits in the transport shell it shares with UDP
+//! (`crate::transport`: lanes, the way out to IP, replies, the port
+//! cursor); it looks a socket up once per event, calls the core and applies
 //! the effects.  The socket table serialises: it *is* the live-update snapshot.
 //!
 //! Recovery behaviour follows §V-D: listening sockets are summarised into

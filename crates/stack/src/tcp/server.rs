@@ -1,7 +1,10 @@
-//! The TCP server shell: the protocol core's surroundings — lanes, TX pool,
-//! registry and storage entries, demux index, timer wheel, crash recovery
-//! and the live-update hand-over.  It looks a socket up once per event,
-//! calls the core and applies the [`Effects`] that come back.
+//! The TCP server: the protocol core's surroundings inside the transport
+//! shell ([`crate::transport`], which owns the lanes, the way out to IP,
+//! replies, socket-buffer naming and the port cursor).  What stays here is
+//! TCP's own: the socket table, demux indices, timer wheel, listeners,
+//! crash recovery of listeners and the live-update hand-over.  It looks a
+//! socket up once per event, calls the core and applies the [`Effects`]
+//! that come back.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
@@ -11,13 +14,12 @@ use std::time::Duration;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
-use newt_channels::endpoint::{Endpoint, Generation};
+use newt_channels::endpoint::Generation;
 use newt_channels::pool::Pool;
-use newt_channels::registry::{Name, Registry};
-use newt_channels::reqdb::{AbortPolicy, RequestDb, RequestId};
-use newt_channels::rich::{RichChain, RichPtr};
+use newt_channels::registry::Registry;
+use newt_channels::reqdb::RequestId;
 use newt_kernel::clock::SimClock;
-use newt_kernel::rs::{CrashEvent, StartMode, StateSnapshot};
+use newt_kernel::rs::{StartMode, StateSnapshot};
 use newt_kernel::storage::{codec, StorageServer};
 use newt_net::rss::{FlowKey, RssSteering};
 use newt_net::wire::{EthernetView, HeaderBuf, IpProtocol, Ipv4View, TcpView};
@@ -29,13 +31,14 @@ use super::listener::{Admission, Listener, ListenerSummary};
 use super::mgmt::TcpState;
 use super::wheel::{TimerEntry, TimerWheel};
 use super::{TcpConfig, TcpStats};
-use crate::endpoints;
-use crate::fabric::{send, CrashBoard, PoolTable, Rx, Tx};
+use crate::endpoints::{self, Transport};
+use crate::fabric::{CrashBoard, PoolTable, Rx, Tx};
 use crate::msg::{
     FlowTuple, IpToTransport, PfToTransport, SockId, SockReply, SockRequest, TransportToIp,
     TransportToPf,
 };
-use crate::sockbuf::{self, Doorbell, SockError, SocketBuffer};
+use crate::sockbuf::{Doorbell, SockError, SocketBuffer};
+use crate::transport::{Egress, PendingSend, Protocol, Shell};
 
 /// Wire-format version of the TCP live-update snapshot.  Bumped whenever
 /// `TcpHotState` or a core struct changes incompatibly; a replacement that
@@ -44,16 +47,6 @@ use crate::sockbuf::{self, Doorbell, SockError, SocketBuffer};
 /// listener-scoped buffer caps, 3 dropped the parked one-shot accepts, 4
 /// is the core's own structs instead of a hand-copied mirror.
 pub const TCP_STATE_VERSION: u32 = 4;
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(super) struct PendingSend {
-    chain: RichChain,
-    dst: Ipv4Addr,
-    src_port: u16,
-    dst_port: u16,
-    transport_header: HeaderBuf,
-    is_connection_start: bool,
-}
 
 /// Everything a TCP incarnation hands to its live-update replacement: the
 /// socket table as it stands, the allocator cursors and the sends still in
@@ -149,143 +142,42 @@ impl Sock {
     }
 }
 
-/// The way out to IP: the TX pool, the lane and the requests in flight.
-#[derive(Debug)]
-pub(super) struct Egress {
-    tx_pool: Pool,
-    to_ip: Tx<TransportToIp>,
-    /// The endpoint of this shard's IP server (request-database key).
-    ip_endpoint: Endpoint,
-    pub(super) ip_reqs: RequestDb<PendingSend>,
+/// Hands one TCP segment to IP.  The payload goes into the shared TX pool
+/// by reference — neither the data pump nor retransmission builds a copy;
+/// `tx_copies` counts the publishes that had to fall back to copying (0 on
+/// the evaluation workloads).  An exhausted pool or a full lane drops the
+/// segment and retransmission recovers.
+fn emit(
+    egress: &mut Egress,
+    stats: &mut TcpStats,
+    dst: Ipv4Addr,
+    segment: &Header,
+    payload: impl IntoIterator<Item = Bytes>,
+    is_connection_start: bool,
+) {
+    // The header bytes with a zero checksum (software checksumming happens
+    // in IP, hardware checksumming in the NIC), written once, inline in the
+    // message to IP.
+    let mut header = HeaderBuf::new();
+    segment.write_header(&mut header);
+    let ports = (segment.src_port, segment.dst_port);
+    let out = egress.emit(dst, ports, header, payload, is_connection_start);
+    stats.tx_copies += out.copies;
+    stats.tx_segments += out.payload as u64;
+    stats.segments_out += out.sent as u64;
 }
 
-impl Egress {
-    /// Hands one TCP segment (header + optional payload) to the IP server.
-    /// The payload is a sequence of reference-counted [`Bytes`] views —
-    /// loans of socket-buffer memory — published into the shared TX pool
-    /// **by reference**: neither the data pump nor retransmission builds a
-    /// copy.  `tx_copies` counts the publishes that had to fall back to
-    /// copying; on the evaluation workloads it stays 0.
-    fn emit(
-        &mut self,
-        dst: Ipv4Addr,
-        segment: &Header,
-        payload: impl IntoIterator<Item = Bytes>,
-        is_connection_start: bool,
-        stats: &mut TcpStats,
-    ) {
-        // The header bytes with a zero checksum (software checksumming
-        // happens in IP, hardware checksumming in the NIC), written once,
-        // inline in the message to IP.
-        let mut header = HeaderBuf::new();
-        segment.write_header(&mut header);
-        let mut chain = RichChain::new();
-        for chunk in payload {
-            if chunk.is_empty() {
-                continue;
-            }
-            let ptr = match self.tx_pool.publish_bytes(chunk.clone()) {
-                Ok(ptr) => ptr,
-                // The zero-copy publish was rejected (view larger than a
-                // pool chunk): fall back to the copying path and count it.
-                Err(_) => match self.tx_pool.publish(chunk.as_ref()) {
-                    Ok(ptr) => {
-                        stats.tx_copies += 1;
-                        ptr
-                    }
-                    Err(_) => {
-                        // Pool exhausted: drop the segment, RTO recovers.
-                        self.tx_pool.free_chain(&chain);
-                        return;
-                    }
-                },
-            };
-            chain.push(ptr);
-        }
-        if !chain.parts().is_empty() {
-            stats.tx_segments += 1;
-        }
-        let pending = PendingSend {
-            chain,
-            dst,
-            src_port: segment.src_port,
-            dst_port: segment.dst_port,
-            transport_header: header,
-            is_connection_start,
-        };
-        let req = self
-            .ip_reqs
-            .submit(self.ip_endpoint, AbortPolicy::Resubmit, pending.clone());
-        if self.submit(req, pending) {
-            stats.segments_out += 1;
-        } else if let Some(p) = self.ip_reqs.complete(req) {
-            // Queue to IP full (or IP down): clean up, retransmission will
-            // retry later.
-            self.tx_pool.free_chain(&p.chain);
-        }
-    }
-
-    fn submit(&self, req: RequestId, pending: PendingSend) -> bool {
-        send(
-            &self.to_ip,
-            TransportToIp::SendPacket {
-                req,
-                protocol: IpProtocol::Tcp,
-                dst: pending.dst,
-                src_port: pending.src_port,
-                dst_port: pending.dst_port,
-                transport_header: pending.transport_header,
-                payload: pending.chain,
-                is_connection_start: pending.is_connection_start,
-            },
-        )
-    }
-
-    fn send_done(&mut self, req: RequestId) {
-        if let Some(pending) = self.ip_reqs.complete(req) {
-            self.tx_pool.free_chain(&pending.chain);
-        }
-    }
-
-    /// IP crashed: resubmit every send it had not completed, under fresh
-    /// request identifiers so late replies to the old ones are ignored;
-    /// this is the quick-retransmit policy of §V-D.
-    fn resubmit_all(&mut self, stats: &mut TcpStats) {
-        for aborted in self.ip_reqs.abort_all_to(self.ip_endpoint) {
-            let pending = aborted.context;
-            let req = self
-                .ip_reqs
-                .submit(self.ip_endpoint, AbortPolicy::Resubmit, pending.clone());
-            stats.resubmitted_sends += 1;
-            self.submit(req, pending);
-        }
-    }
-}
-
-/// The lane replies travel back on, to this shard's ring pump.
-#[derive(Debug)]
-struct Replies(Tx<SockReply>);
-
-impl Replies {
-    fn result(&self, req: RequestId, result: Result<u16, SockError>) {
-        send(&self.0, SockReply::from_result(req, result));
-    }
-
-    /// Answers the listener's multishot arm once per waiting connection;
-    /// the arm itself stays in place.
-    fn complete_accepts(&self, listener: &mut Listener, accept_watch: Option<RequestId>) {
-        let Some(req) = accept_watch else { return };
-        while let Some((sock, peer_addr, peer_port)) = listener.pop_backlog() {
-            send(
-                &self.0,
-                SockReply::Accepted {
-                    req,
-                    sock,
-                    peer_addr,
-                    peer_port,
-                },
-            );
-        }
+/// Answers the listener's multishot arm once per waiting connection; the
+/// arm itself stays in place.
+fn complete_accepts(shell: &Shell, listener: &mut Listener, accept_watch: Option<RequestId>) {
+    let Some(req) = accept_watch else { return };
+    while let Some((sock, peer_addr, peer_port)) = listener.pop_backlog() {
+        shell.reply(SockReply::Accepted {
+            req,
+            sock,
+            peer_addr,
+            peer_port,
+        });
     }
 }
 
@@ -293,48 +185,20 @@ impl Replies {
 #[derive(Debug)]
 pub struct TcpServer {
     pub(super) config: TcpConfig,
-    generation: Generation,
-    /// Which stack shard this incarnation belongs to; a singleton stack is
-    /// shard 0 of 1 and behaves exactly like the unsharded server.
-    pub(super) shard: endpoints::Shard,
-    /// This server's own endpoint (owner of its registry entries).
-    endpoint: Endpoint,
-    /// Storage namespace ("tcp" or "tcp.{shard}").
-    storage_ns: String,
-    /// Service name of this shard's IP server, matched against crash events.
-    ip_name: String,
-    clock: SimClock,
-    storage: Arc<StorageServer>,
-    registry: Registry,
-    pools: PoolTable,
-    /// Submissions forwarded by this shard's ring pump; the server itself
-    /// stays stateless about rings.
-    from_ring: Rx<SockRequest>,
-    replies: Replies,
+    /// Lanes, registry and storage handles and cursors, shared in kind with
+    /// UDP; a singleton stack is shard 0 of 1 and behaves exactly like the
+    /// unsharded server.
+    pub(super) shell: Shell,
     pub(super) egress: Egress,
-    from_ip: Rx<IpToTransport>,
-    from_pf: Rx<PfToTransport>,
-    to_pf: Tx<TransportToPf>,
-    crash_board: CrashBoard,
-    crash_cursor: usize,
+    clock: SimClock,
 
     pub(super) sockets: HashMap<SockId, Sock>,
-    next_sock: SockId,
-    next_ephemeral: u16,
     isn_counter: u32,
     /// The adapter's RSS mapping, recomputed here (it is a pure function of
     /// the default key and the shard count) so sharded listeners can decide
     /// which broadcast SYNs belong to this shard.
     pub(super) rss: RssSteering,
     stats: TcpStats,
-    /// Scratch buffers reused across poll rounds (no steady-state allocation).
-    syscall_scratch: Vec<SockRequest>,
-    ip_scratch: Vec<IpToTransport>,
-    pf_scratch: Vec<PfToTransport>,
-
-    /// RX chunks finished with this poll round, returned to IP as one
-    /// [`TransportToIp::RxDoneBatch`] per round.
-    rxdone_batch: Vec<RichPtr>,
     /// Connections with work to do this round — fed by incoming segments,
     /// socket-buffer doorbells, fired timers and syscall requests, so the
     /// data pump touches only them instead of scanning the whole table.
@@ -347,10 +211,6 @@ pub struct TcpServer {
     listen_index: HashMap<u16, SockId>,
     /// RTO, delayed-ACK and lifecycle-reaper deadlines.
     wheel: TimerWheel,
-    /// Rung by socket buffers when the application queues work; owned by
-    /// the stack fabric so it survives restarts.
-    doorbell: Arc<Doorbell>,
-    doorbell_scratch: Vec<u64>,
     timer_scratch: Vec<TimerEntry>,
     /// How many connections may still send (the divisor of the shard send
     /// budget), kept where a connection enters or leaves the table or
@@ -440,49 +300,35 @@ impl TcpServer {
         doorbell: Arc<Doorbell>,
         snapshot: Option<StateSnapshot>,
     ) -> Self {
-        let crash_cursor = crash_board.len();
+        let (shell, egress) = Shell::new(
+            Transport::Tcp,
+            generation,
+            shard,
+            storage,
+            registry,
+            tx_pool,
+            pools,
+            (from_ring, to_ring),
+            (to_ip, from_ip),
+            (from_pf, to_pf),
+            crash_board,
+            doorbell,
+        );
         let rss_key = config.rss_key;
         let now = clock.now();
         let mut server = TcpServer {
             config,
-            generation,
-            shard,
-            endpoint: shard.tcp(),
-            storage_ns: shard.service_name("tcp"),
-            ip_name: shard.service_name("ip"),
+            shell,
+            egress,
             clock,
-            storage,
-            registry,
-            pools,
-            from_ring,
-            replies: Replies(to_ring),
-            egress: Egress {
-                tx_pool,
-                to_ip,
-                ip_endpoint: shard.ip(),
-                ip_reqs: RequestDb::new(),
-            },
-            from_ip,
-            from_pf,
-            to_pf,
-            crash_board,
-            crash_cursor,
             sockets: HashMap::new(),
-            next_sock: shard.sock_id_base(endpoints::Transport::Tcp) + 1,
-            next_ephemeral: shard.ephemeral_range(40_000).0,
             isn_counter: 0x1000_0000,
             rss: RssSteering::new(rss_key, shard.count),
             stats: TcpStats::default(),
-            syscall_scratch: Vec::new(),
-            ip_scratch: Vec::new(),
-            pf_scratch: Vec::new(),
-            rxdone_batch: Vec::new(),
             ready: VecDeque::new(),
             flow_index: HashMap::new(),
             listen_index: HashMap::new(),
             wheel: TimerWheel::new(now),
-            doorbell,
-            doorbell_scratch: Vec::new(),
             timer_scratch: Vec::new(),
             active_senders: 0,
             time_wait_ports: HashMap::new(),
@@ -496,7 +342,7 @@ impl TcpServer {
             // A restart, or a live update whose snapshot is missing or
             // incompatible: recover crash-style (listeners come back,
             // established connections reset).
-            server.egress.tx_pool.reset();
+            server.egress.reset_pool();
             server.recover();
         }
         server.active_senders = server.count_senders();
@@ -516,36 +362,22 @@ impl TcpServer {
 
     /// Returns the shard identity of this incarnation.
     pub fn shard(&self) -> endpoints::Shard {
-        self.shard
+        self.shell.shard
     }
 
     // ---- recovery ----------------------------------------------------------
 
-    /// The shared buffer published for socket `id`, with this incarnation's
-    /// doorbell attached.
-    fn reattach(&self, id: SockId) -> SharedBuffer {
-        let buffer: Arc<SocketBuffer> = self
-            .registry
-            .attach_shared(&Self::buffer_name(id))
-            .unwrap_or_else(|_| Arc::new(SocketBuffer::with_defaults()));
-        buffer.attach_doorbell(Arc::clone(&self.doorbell), id);
-        SharedBuffer::from(buffer)
-    }
-
     fn recover(&mut self) {
-        let summaries: Vec<ListenerSummary> = self
-            .storage
-            .retrieve(&self.storage_ns, "sockets")
-            .unwrap_or_default();
+        let summaries: Vec<ListenerSummary> = self.shell.summary();
         // Listeners have no volatile state and are restored outright.
         for spec in summaries {
             let id = spec.id;
-            self.next_sock = self.next_sock.max(id + 1);
+            self.shell.next_sock = self.shell.next_sock.max(id + 1);
             self.listen_index.insert(spec.local_port, id);
             let listener = Sock::Listener {
                 listener: Listener::new(spec),
                 accept_watch: None,
-                buffer: self.reattach(id),
+                buffer: SharedBuffer::from(self.shell.attach(id)),
             };
             self.sockets.insert(id, listener);
         }
@@ -554,7 +386,8 @@ impl TcpServer {
         // registry survives the crash and close-time revocation keeps it
         // exact, so enumerating it replaces per-connection summaries — the
         // application sees `ConnectionReset` in the buffer and reconnects.
-        for (name, _, _) in self.registry.list("sockbuf/tcp/") {
+        let registry = &self.shell.registry;
+        for (name, _, _) in registry.list("sockbuf/tcp/") {
             let Some(id) = name
                 .rsplit('/')
                 .next()
@@ -562,14 +395,14 @@ impl TcpServer {
             else {
                 continue;
             };
-            if endpoints::sock_shard(id) != self.shard.index {
+            if endpoints::sock_shard(id) != self.shell.shard.index {
                 continue;
             }
-            self.next_sock = self.next_sock.max(id + 1);
+            self.shell.next_sock = self.shell.next_sock.max(id + 1);
             if self.sockets.contains_key(&id) {
                 continue; // a restored listener
             }
-            if let Ok(buffer) = self.registry.attach_shared::<SocketBuffer>(&name) {
+            if let Ok(buffer) = registry.attach_shared::<SocketBuffer>(&name) {
                 buffer.set_error(SockError::ConnectionReset);
             }
             self.stats.connections_reset += 1;
@@ -586,15 +419,12 @@ impl TcpServer {
     /// all outlive the incarnation.
     pub fn export_state(&mut self) -> (u32, Vec<u8>) {
         let sockets = self.sockets.iter();
-        let in_flight = self.egress.ip_reqs.iter_pending();
         let hot = TcpHotState {
-            next_sock: self.next_sock,
-            next_ephemeral: self.next_ephemeral,
+            next_sock: self.shell.next_sock,
+            next_ephemeral: self.shell.next_ephemeral,
             isn_counter: self.isn_counter,
             sockets: sockets.map(|(id, sock)| (*id, sock.clone())).collect(),
-            in_flight: in_flight
-                .map(|(id, _, _, pending)| (id, pending.clone()))
-                .collect(),
+            in_flight: self.egress.in_flight(),
         };
         (TCP_STATE_VERSION, codec::encode(&hot))
     }
@@ -608,14 +438,14 @@ impl TcpServer {
     /// connections never see a SYN or RST.  Returns `false` when the tag or
     /// payload is unreadable; the caller then recovers crash-style.
     fn restore_from(&mut self, snapshot: &StateSnapshot, now: Duration) -> bool {
-        if !snapshot.accepts(&self.storage_ns, TCP_STATE_VERSION) {
+        if !snapshot.accepts(&self.shell.storage_ns, TCP_STATE_VERSION) {
             return false;
         }
         let Some(hot) = codec::decode::<TcpHotState>(&snapshot.payload) else {
             return false;
         };
-        self.next_sock = hot.next_sock;
-        self.next_ephemeral = hot.next_ephemeral;
+        self.shell.next_sock = hot.next_sock;
+        self.shell.next_ephemeral = hot.next_ephemeral;
         self.isn_counter = hot.isn_counter;
         for (id, mut sock) in hot.sockets {
             let mut half_open = false;
@@ -641,15 +471,12 @@ impl TcpServer {
             // with none and gets its own at establishment.
             self.stats.half_open += half_open as u64;
             if !half_open {
-                *sock.buffer_mut() = self.reattach(id);
+                *sock.buffer_mut() = SharedBuffer::from(self.shell.attach(id));
             }
             self.sockets.insert(id, sock);
         }
         for (id, pending) in hot.in_flight {
-            let to = self.egress.ip_endpoint;
-            self.egress
-                .ip_reqs
-                .restore(id, to, AbortPolicy::Resubmit, pending);
+            self.egress.restore(id, pending);
         }
         self.stats.half_open_peak = self.stats.half_open;
         true
@@ -670,23 +497,12 @@ impl TcpServer {
                 _ => None,
             })
             .collect();
-        self.storage.store(&self.storage_ns, "sockets", &summaries);
+        self.shell.store_summary(&summaries);
     }
 
-    pub(super) fn buffer_name(id: SockId) -> Name {
-        sockbuf::buffer_name("tcp", id)
-    }
-
-    /// Makes a socket's buffer reachable: the application finds it in the
-    /// registry, its writes ring this server's doorbell.
-    fn publish(&self, id: SockId, buffer: &Arc<SocketBuffer>) {
-        buffer.attach_doorbell(Arc::clone(&self.doorbell), id);
-        let _ = self.registry.publish_shared(
-            self.endpoint,
-            self.generation,
-            &Self::buffer_name(id),
-            Arc::clone(buffer),
-        );
+    #[cfg(test)]
+    pub(super) fn buffer_name(id: SockId) -> newt_channels::registry::Name {
+        crate::sockbuf::buffer_name("tcp", id)
     }
 
     /// Forgets socket `id`: buffer revoked, demux entries dropped (guarded
@@ -696,7 +512,7 @@ impl TcpServer {
         let mut sock = self.sockets.remove(&id)?;
         self.active_senders -= sock.sends() as usize;
         if sock.buffer_mut().get().is_some() {
-            let _ = self.registry.revoke(self.endpoint, &Self::buffer_name(id));
+            self.shell.revoke(id);
         }
         match &sock {
             Sock::Idle { .. } => {}
@@ -729,8 +545,7 @@ impl TcpServer {
 
     /// Gives a connection a listener just produced its place in the table.
     fn adopt(&mut self, conn: Connection) -> SockId {
-        let id = self.next_sock;
-        self.next_sock += 1;
+        let id = self.shell.next_id();
         let mut entry = ConnEntry::new(conn, None);
         self.index_conn(id, &mut entry);
         let sock = Sock::Conn(entry);
@@ -749,65 +564,10 @@ impl TcpServer {
     /// open cost nothing.  The clock is read here, once.
     pub fn poll(&mut self) -> usize {
         let now = self.clock.now();
-        let mut work = 0;
-        for event in self.crash_board.poll(&mut self.crash_cursor) {
-            // Reacting to a crash is work: it must reset the idle
-            // back-off and push fresh stats out to telemetry.
-            work += 1;
-            self.handle_crash(&event, now);
-        }
-
-        let mut requests = std::mem::take(&mut self.syscall_scratch);
-        self.from_ring.drain_into(&mut requests);
-        for request in requests.drain(..) {
-            work += 1;
-            self.handle_sock_request(request, now);
-        }
-        self.syscall_scratch = requests;
-
-        let mut from_ip = std::mem::take(&mut self.ip_scratch);
-        self.from_ip.drain_into(&mut from_ip);
-        for msg in from_ip.drain(..) {
-            work += 1;
-            match msg {
-                IpToTransport::DeliverBatch(mut ptrs) => {
-                    for ptr in ptrs.drain(..) {
-                        self.handle_deliver(ptr, now);
-                    }
-                    self.from_ip.recycle(IpToTransport::DeliverBatch(ptrs));
-                }
-                IpToTransport::SendDoneBatch(mut dones) => {
-                    for (req, _ok) in dones.drain(..) {
-                        self.egress.send_done(req);
-                    }
-                    self.from_ip.recycle(IpToTransport::SendDoneBatch(dones));
-                }
-            }
-        }
-        self.ip_scratch = from_ip;
-
-        let mut from_pf = std::mem::take(&mut self.pf_scratch);
-        self.from_pf.drain_into(&mut from_pf);
-        for msg in from_pf.drain(..) {
-            work += 1;
-            let PfToTransport::QueryConnections = msg;
-            let flows = self.flows();
-            send(&self.to_pf, TransportToPf::Connections(flows));
-        }
-        self.pf_scratch = from_pf;
-
-        if !self.rxdone_batch.is_empty() {
-            let to_ip = &self.egress.to_ip;
-            let batch = to_ip.take_batch(&mut self.rxdone_batch, |returned| match returned {
-                TransportToIp::RxDoneBatch(v) => Some(v),
-                _ => None,
-            });
-            send(to_ip, TransportToIp::RxDoneBatch(batch));
-        }
-
+        let mut work = self.poll_lanes(now);
         work += self.expire_timers(now);
-        work += self.pump_ready(now);
-        work
+        work += self.pump_doorbell(now);
+        work + self.pump_ready(now)
     }
 
     /// Returns the stack-clock time of the server's next clock-driven work
@@ -858,13 +618,13 @@ impl TcpServer {
         let fx = event(entry, &self.config, &mut self.stats);
         let conn = &entry.conn;
         let (dst, local_port) = (conn.cm.remote().0, conn.cm.local_port());
+        let (egress, stats) = (&mut self.egress, &mut self.stats);
         if let Some((segment, len)) = &fx.resend {
             let payload = conn.rd.unacked().views(*len);
-            self.egress
-                .emit(dst, segment, payload, false, &mut self.stats);
+            emit(egress, stats, dst, segment, payload, false);
         }
         for segment in fx.segments.iter().flatten() {
-            self.egress.emit(dst, segment, None, false, &mut self.stats);
+            emit(egress, stats, dst, segment, None, false);
         }
         if let Some((kind, at)) = fx.timer {
             let ack_timer = kind == TimerKind::DelayedAck;
@@ -883,7 +643,7 @@ impl TcpServer {
             if let Some(req) = entry.pending_connect.take() {
                 let refused = Err(SockError::ConnectionRefused);
                 let result = if fx.remove { refused } else { Ok(local_port) };
-                self.replies.result(req, result);
+                self.shell.result(req, result);
             }
         }
         if !fx.remove && (from_wire || fx.resend.is_some()) {
@@ -946,35 +706,25 @@ impl TcpServer {
             .min(u32::MAX as usize) as u32
     }
 
-    /// The open flows, in one allocation (a `collect` through the filter
-    /// would grow the vector from empty).
-    pub(super) fn flows(&self) -> Vec<FlowTuple> {
-        let mut flows = Vec::with_capacity(self.sockets.len());
-        flows.extend(self.sockets.values().filter_map(Sock::flow));
-        flows
-    }
-
     // ---- socket API ----------------------------------------------------------
 
     fn handle_sock_request(&mut self, request: SockRequest, now: Duration) {
         let req = request.req();
+        let shell = &self.shell;
         match request {
             SockRequest::Open { .. } => {
-                let id = self.next_sock;
-                self.next_sock += 1;
                 let capacity = self.config.buffer_capacity;
-                let buffer = Arc::new(SocketBuffer::new(capacity, capacity));
-                self.publish(id, &buffer);
+                let (id, buffer) = self.shell.open(SocketBuffer::new(capacity, capacity));
                 let sock = Sock::Idle {
                     local_port: 0,
                     buffer: SharedBuffer::from(buffer),
                 };
                 self.sockets.insert(id, sock);
-                send(&self.replies.0, SockReply::Opened { req, sock: id });
+                self.shell.reply(SockReply::Opened { req, sock: id });
             }
             SockRequest::Bind { sock, port, .. } => {
                 let result = self.bind(sock, port, now);
-                self.replies.result(req, result);
+                self.shell.result(req, result);
             }
             SockRequest::Listen {
                 sock,
@@ -1008,7 +758,7 @@ impl TcpServer {
                     _ => Err(SockError::InvalidState),
                 };
                 self.persist_listeners();
-                self.replies.result(req, result);
+                self.shell.result(req, result);
             }
             SockRequest::AcceptArm { sock, .. } => match self.sockets.get_mut(&sock) {
                 Some(Sock::Listener {
@@ -1020,15 +770,15 @@ impl TcpServer {
                     // This is what lets a SYSCALL ring pump blindly
                     // re-forward arms after this server's reincarnation.
                     *accept_watch = Some(req);
-                    self.replies.complete_accepts(listener, *accept_watch);
+                    complete_accepts(shell, listener, *accept_watch);
                 }
-                _ => self.replies.result(req, Err(SockError::InvalidState)),
+                _ => shell.result(req, Err(SockError::InvalidState)),
             },
             SockRequest::Connect {
                 sock, addr, port, ..
             } => {
                 if let Err(error) = self.connect(sock, addr, port, req, now) {
-                    self.replies.result(req, Err(error));
+                    self.shell.result(req, Err(error));
                 }
             }
             SockRequest::Close { sock, .. } => {
@@ -1051,51 +801,46 @@ impl TcpServer {
                             // A closing listener terminates its multishot
                             // accept arm with a terminal error completion.
                             if let Some(watch) = accept_watch {
-                                self.replies.result(watch, Err(SockError::InvalidState));
+                                let refused = Err(SockError::InvalidState);
+                                self.shell.result(watch, refused);
                             }
                             self.persist_listeners();
                         }
                         Ok(0)
                     }
                 };
-                self.replies.result(req, result);
+                self.shell.result(req, result);
             }
         }
     }
 
+    /// Binds an idle socket; port 0 asks for an ephemeral one.  A socket
+    /// that cannot bind is refused before any port is allocated.
     fn bind(&mut self, sock: SockId, port: u16, now: Duration) -> Result<u16, SockError> {
+        if !matches!(self.sockets.get(&sock), Some(Sock::Idle { .. })) {
+            return Err(SockError::InvalidState);
+        }
         let requested = if port == 0 {
-            // Scan this shard's slice for a port no live socket holds, so
-            // long-lived connections can never be handed a colliding
-            // 4-tuple even after the cursor wraps.
-            let range = self.shard.ephemeral_range(40_000);
-            let width = (range.1 - range.0) as usize;
-            let mut candidate = self.next_ephemeral;
-            let mut found = None;
-            for _ in 0..width {
+            // A port no live socket holds, so long-lived connections can
+            // never be handed a colliding 4-tuple even after the cursor
+            // wraps.
+            let (sockets, time_wait) = (&self.sockets, &mut self.time_wait_ports);
+            let taken = |candidate| {
                 // A port in TIME_WAIT quarantine is skipped until its
                 // timer expires, so a reused 4-tuple can't collide with
                 // the old incarnation's wandering segments.
-                let until = self.time_wait_ports.get(&candidate);
+                let until = time_wait.get(&candidate);
                 let quarantined = until.is_some_and(|until| *until > now);
                 if !quarantined {
-                    self.time_wait_ports.remove(&candidate);
+                    time_wait.remove(&candidate);
                 }
-                let in_use = quarantined
-                    || self.sockets.iter().any(|(id, s)| {
+                quarantined
+                    || sockets.iter().any(|(id, s)| {
                         *id != sock && s.flow().is_some_and(|f| f.local_port == candidate)
-                    });
-                if !in_use {
-                    found = Some(candidate);
-                    break;
-                }
-                candidate = endpoints::next_ephemeral_port(range, candidate);
-            }
-            let Some(p) = found else {
-                return Err(SockError::AddressInUse);
+                    })
             };
-            self.next_ephemeral = endpoints::next_ephemeral_port(range, p);
-            p
+            let found = self.shell.ephemeral_port(taken);
+            found.ok_or(SockError::AddressInUse)?
         } else {
             port
         };
@@ -1103,13 +848,10 @@ impl TcpServer {
         if listener.is_some_and(|listener| *listener != sock) {
             return Err(SockError::AddressInUse);
         }
-        match self.sockets.get_mut(&sock) {
-            Some(Sock::Idle { local_port, .. }) => {
-                *local_port = requested;
-                Ok(requested)
-            }
-            _ => Err(SockError::InvalidState),
+        if let Some(Sock::Idle { local_port, .. }) = self.sockets.get_mut(&sock) {
+            *local_port = requested;
         }
+        Ok(requested)
     }
 
     fn connect(
@@ -1133,7 +875,7 @@ impl TcpServer {
         let buffer = std::mem::take(slot.buffer_mut());
         let (conn, syn) =
             Connection::connect(buffer, local_port, (addr, port), isn, now, &self.config);
-        self.egress.emit(addr, &syn, None, true, &mut self.stats);
+        emit(&mut self.egress, &mut self.stats, addr, &syn, None, true);
         let mut entry = ConnEntry::new(conn, Some(req));
         self.flow_index.insert(entry.flow_key(), sock);
         Self::sync_rto(&mut self.wheel, sock, &mut entry);
@@ -1149,7 +891,7 @@ impl TcpServer {
         };
         let (peer, buffer) = (entry.conn.cm.remote(), entry.conn.buffer.get());
         if let Some(buffer) = buffer {
-            self.publish(child, buffer);
+            self.shell.publish(child, buffer);
         }
         if let Some(Sock::Listener {
             listener,
@@ -1158,7 +900,7 @@ impl TcpServer {
         }) = self.sockets.get_mut(&listener_id)
         {
             listener.enqueue(child, peer);
-            self.replies.complete_accepts(listener, *accept_watch);
+            complete_accepts(&self.shell, listener, *accept_watch);
         }
     }
 
@@ -1185,23 +927,6 @@ impl TcpServer {
     /// segments, timers and syscalls.  Idle sockets cost nothing.
     fn pump_ready(&mut self, now: Duration) -> usize {
         let mut work = 0;
-        let mut rung = std::mem::take(&mut self.doorbell_scratch);
-        self.doorbell.drain_into(&mut rung);
-        for id in rung.drain(..) {
-            work += 1;
-            match self.sockets.get_mut(&id) {
-                Some(Sock::Conn(entry)) => Self::enqueue(&mut self.ready, id, entry),
-                // Nothing to pump: the doorbell is simply re-armed.
-                Some(other) => {
-                    if let Some(buffer) = other.buffer_mut().get() {
-                        buffer.rearm_doorbell();
-                    }
-                }
-                None => {}
-            }
-        }
-        self.doorbell_scratch = rung;
-
         if self.ready.is_empty() {
             return work;
         }
@@ -1222,8 +947,14 @@ impl TcpServer {
                 entry.conn.pump(now, share, &self.config, &mut self.stats)
             {
                 work += 1;
-                self.egress
-                    .emit(dst, &segment, data, false, &mut self.stats);
+                emit(
+                    &mut self.egress,
+                    &mut self.stats,
+                    dst,
+                    &segment,
+                    data,
+                    false,
+                );
             }
             Self::sync_rto(&mut self.wheel, id, entry);
             if entry.conn.state() != before {
@@ -1238,29 +969,6 @@ impl TcpServer {
     }
 
     // ---- inbound segments --------------------------------------------------------
-
-    fn handle_deliver(&mut self, ptr: RichPtr, now: Duration) {
-        // Always hand the chunk back to IP, even if parsing fails; the
-        // whole round's chunks go back as one batched message.  What the
-        // socket buffer keeps of it is a refcounted slice, not the slot.
-        self.rxdone_batch.push(ptr);
-        // A pointer that no longer resolves reads as an empty frame, which
-        // fails to parse like any other garbage.
-        let frame = self
-            .pools
-            .reader(ptr.pool)
-            .and_then(|reader| reader.read(&ptr).ok())
-            .unwrap_or_default();
-        let Some((src, dst, segment)) = Self::parse_segment(&frame) else {
-            // Truncated, garbage-offset or checksum-corrupt frame: count
-            // and drop.  The chunk is already queued for return above, so
-            // attacker input costs a counter bump and nothing else.
-            self.stats.rx_malformed += 1;
-            return;
-        };
-        self.stats.segments_in += 1;
-        self.handle_segment(src, dst, &segment, &frame, now);
-    }
 
     fn parse_segment(frame: &[u8]) -> Option<(Ipv4Addr, Ipv4Addr, TcpView<'_>)> {
         let eth = EthernetView::parse(frame).ok()?;
@@ -1283,7 +991,8 @@ impl TcpServer {
             src_port: segment.src_port,
             dst_port: segment.dst_port,
         };
-        self.shard.count <= 1 || self.rss.queue_by_hash(&flow) == self.shard.index
+        let shard = self.shell.shard;
+        shard.count <= 1 || self.rss.queue_by_hash(&flow) == shard.index
     }
 
     /// Dispatches one inbound segment; `frame` is the receive chunk
@@ -1322,14 +1031,20 @@ impl TcpServer {
         }
         let (counter, stats) = (&mut self.isn_counter, &mut self.stats);
         match listener.on_syn(src, segment, counter, now, &self.config, stats) {
-            Admission::Cookie(syn_ack) => self.egress.emit(src, &syn_ack, None, false, stats),
+            Admission::Cookie(syn_ack) => emit(&mut self.egress, stats, src, &syn_ack, None, false),
             Admission::Child(child) => {
                 stats.half_open += 1;
                 stats.half_open_peak = stats.half_open_peak.max(stats.half_open);
                 let syn_ack = child.syn_ack(&self.config);
                 self.adopt(child);
-                self.egress
-                    .emit(src, &syn_ack, None, false, &mut self.stats);
+                emit(
+                    &mut self.egress,
+                    &mut self.stats,
+                    src,
+                    &syn_ack,
+                    None,
+                    false,
+                );
             }
             Admission::Dropped | Admission::Refused => {}
         }
@@ -1378,18 +1093,35 @@ impl TcpServer {
         }
         self.stats.rsts_out += 1;
         let rst = rst_for(segment);
-        self.egress.emit(src, &rst, None, false, &mut self.stats);
+        emit(&mut self.egress, &mut self.stats, src, &rst, None, false);
+    }
+}
+
+impl Protocol for TcpServer {
+    fn shell(&mut self) -> (&mut Shell, &mut Egress) {
+        (&mut self.shell, &mut self.egress)
     }
 
-    // ---- crash handling ------------------------------------------------------------
+    fn request(&mut self, request: SockRequest, now: Duration) {
+        self.handle_sock_request(request, now);
+    }
 
-    /// Reacts to a crash of another component.
-    pub fn handle_crash(&mut self, event: &CrashEvent, now: Duration) {
-        if event.name != self.ip_name {
+    fn deliver(&mut self, frame: &Bytes, now: Duration) {
+        let Some((src, dst, segment)) = Self::parse_segment(frame) else {
+            // Truncated, garbage-offset or checksum-corrupt frame: count
+            // and drop.  The chunk already goes back to IP, so attacker
+            // input costs a counter bump and nothing else.
+            self.stats.rx_malformed += 1;
             return;
-        }
-        self.egress.resubmit_all(&mut self.stats);
-        // Nudge retransmission so the connections recover their rate fast.
+        };
+        self.stats.segments_in += 1;
+        self.handle_segment(src, dst, &segment, frame, now);
+    }
+
+    /// The shell resubmitted what IP had not completed; nudge
+    /// retransmission so the connections recover their rate fast.
+    fn ip_crashed(&mut self, resubmitted: u64, now: Duration) {
+        self.stats.resubmitted_sends += resubmitted;
         for (id, sock) in self.sockets.iter_mut() {
             if let Sock::Conn(entry) = sock {
                 if entry.conn.hurry(now) {
@@ -1397,5 +1129,27 @@ impl TcpServer {
                 }
             }
         }
+    }
+
+    /// The open flows, in one allocation (a `collect` through the filter
+    /// would grow the vector from empty).
+    fn flows(&self) -> Vec<FlowTuple> {
+        let mut flows = Vec::with_capacity(self.sockets.len());
+        flows.extend(self.sockets.values().filter_map(Sock::flow));
+        flows
+    }
+
+    fn rung(&mut self, id: SockId, _now: Duration) -> usize {
+        match self.sockets.get_mut(&id) {
+            Some(Sock::Conn(entry)) => Self::enqueue(&mut self.ready, id, entry),
+            // Nothing to pump: the doorbell is simply re-armed.
+            Some(other) => {
+                if let Some(buffer) = other.buffer_mut().get() {
+                    buffer.rearm_doorbell();
+                }
+            }
+            None => {}
+        }
+        1
     }
 }

@@ -28,6 +28,7 @@ use crate::msg::{
 };
 use crate::rings;
 use crate::sockbuf::{Doorbell, SockError, SocketBuffer};
+use crate::transport::Protocol;
 
 /// The connection behind socket `sock`.
 fn conn(rig: &Rig, sock: SockId) -> &Connection {
@@ -1075,7 +1076,7 @@ fn sharded_listener_answers_only_flows_hashing_to_its_shard() {
         let storage = Arc::new(StorageServer::new());
         let registry = Registry::new();
         let mut rig = rig_with(StartMode::Fresh, storage, registry);
-        rig.tcp.shard = endpoints::Shard::new(shard_index, 2);
+        rig.tcp.shell.shard = endpoints::Shard::new(shard_index, 2);
         rig.tcp.rss = RssSteering::new(RssKey::default(), 2);
         listening_socket(&mut rig, 22, true);
 

@@ -12,33 +12,40 @@
 //! shared socket buffer as length-prefixed records (see
 //! [`encode_datagram`]/[`decode_datagram`]), so the payload never passes
 //! through the SYSCALL server.
+//!
+//! The server is the UDP protocol inside the transport shell it shares
+//! with TCP (`crate::transport`): the shell owns the lanes, the way out to
+//! IP — whose datagrams in flight are dropped, not resubmitted, when IP
+//! crashes — replies, socket-buffer naming and the ephemeral-port cursor.
+//! What stays here is the socket table, its port index, record framing and
+//! the datagram header.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
+use std::time::Duration;
 
+use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
-use newt_channels::endpoint::{Endpoint, Generation};
+use newt_channels::endpoint::Generation;
 use newt_channels::pool::Pool;
-use newt_channels::registry::{Name, Registry};
-use newt_channels::reqdb::{AbortPolicy, RequestDb};
-use newt_channels::rich::{RichChain, RichPtr};
-use newt_kernel::rs::{CrashEvent, StartMode, StateSnapshot};
+use newt_channels::registry::Registry;
+use newt_channels::reqdb::RequestId;
+use newt_kernel::rs::{StartMode, StateSnapshot};
 use newt_kernel::storage::{codec, StorageServer};
 use newt_net::wire::{
     EthernetView, HeaderBuf, IpProtocol, Ipv4View, UdpView, WireBuf, UDP_HEADER_LEN,
 };
 
-use crate::endpoints;
-#[cfg(test)]
-use crate::fabric::drain;
-use crate::fabric::{send, CrashBoard, PoolTable, Rx, Tx};
+use crate::endpoints::{self, Transport};
+use crate::fabric::{CrashBoard, PoolTable, Rx, Tx};
 use crate::msg::{
     FlowTuple, IpToTransport, PfToTransport, SockId, SockReply, SockRequest, TransportToIp,
     TransportToPf,
 };
-use crate::sockbuf::{self, Doorbell, SockError, SocketBuffer};
+use crate::sockbuf::{Doorbell, SockError, SocketBuffer};
+use crate::transport::{Egress, PendingSend, Protocol, Shell};
 
 /// A decoded datagram record: source address, source port, payload.
 pub type DecodedDatagram = (Ipv4Addr, u16, Vec<u8>);
@@ -80,42 +87,31 @@ pub fn decode_datagram(stream: &[u8]) -> Option<(DecodedDatagram, usize)> {
 struct UdpSockState {
     id: SockId,
     local_port: u16,
-    remote: Option<(u32, u16)>,
+    remote: Option<(Ipv4Addr, u16)>,
 }
 
 /// Version tag of the UDP live-update snapshot payload.  A replacement
 /// incarnation only restores a snapshot carrying exactly this version;
 /// anything else falls back to crash-style recovery from the storage
-/// server.
-pub const UDP_STATE_VERSION: u32 = 1;
-
-/// Hot state of one UDP socket inside a live-update snapshot: the
-/// persisted configuration plus the partially received send record that a
-/// crash would have dropped.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct HotUdpSock {
-    id: SockId,
-    local_port: u16,
-    remote: Option<(u32, u16)>,
-    pending_send: Vec<u8>,
-}
+/// server.  Version 2 carries the sends in flight as the transport shell
+/// books them (header and ports beside the chain).
+pub const UDP_STATE_VERSION: u32 = 2;
 
 /// Everything a UDP incarnation hands over on live update: socket table
-/// (including partial send records), allocation cursors, and the requests
-/// still in flight towards IP with their live pool chains.
+/// (each socket's configuration with the partially received send record a
+/// crash would have dropped), allocation cursors, and the requests still
+/// in flight towards IP with their live pool chains.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct UdpHotState {
     next_sock: SockId,
     next_ephemeral: u16,
-    sockets: Vec<HotUdpSock>,
-    in_flight: Vec<(newt_channels::reqdb::RequestId, RichChain)>,
+    sockets: Vec<(UdpSockState, Vec<u8>)>,
+    in_flight: Vec<(RequestId, PendingSend)>,
 }
 
 #[derive(Debug)]
 struct UdpSock {
-    id: SockId,
-    local_port: u16,
-    remote: Option<(Ipv4Addr, u16)>,
+    state: UdpSockState,
     buffer: Arc<SocketBuffer>,
     /// Bytes of a partially received record from the application (send side).
     pending_send: Vec<u8>,
@@ -137,54 +133,13 @@ pub struct UdpStats {
 /// One incarnation of the UDP server.
 #[derive(Debug)]
 pub struct UdpServer {
-    generation: Generation,
-    /// Which stack shard this incarnation belongs to.
-    shard: endpoints::Shard,
-    /// This server's own endpoint (owner of its registry entries).
-    endpoint: Endpoint,
-    /// The endpoint of this shard's IP server (request-database key).
-    ip_endpoint: Endpoint,
-    /// Storage namespace ("udp" or "udp.{shard}").
-    storage_ns: String,
-    /// Service name of this shard's IP server, matched against crash
-    /// events.
-    ip_name: String,
-    storage: Arc<StorageServer>,
-    registry: Registry,
-    tx_pool: Pool,
-    pools: PoolTable,
-
-    from_ring: Rx<SockRequest>,
-    to_ring: Tx<SockReply>,
-    to_ip: Tx<TransportToIp>,
-    from_ip: Rx<IpToTransport>,
-    from_pf: Rx<PfToTransport>,
-    to_pf: Tx<TransportToPf>,
-
-    crash_board: CrashBoard,
-    crash_cursor: usize,
-
+    shell: Shell,
+    egress: Egress,
     sockets: HashMap<SockId, UdpSock>,
-    /// Every non-zero local port currently held by a socket, so ephemeral
-    /// allocation is an O(1) membership probe per candidate instead of a
-    /// scan over the whole socket table.
-    ports_in_use: HashSet<u16>,
-    next_sock: SockId,
-    next_ephemeral: u16,
-    ip_reqs: RequestDb<RichChain>,
+    /// The socket bound to each non-zero local port: the demux index of
+    /// inbound datagrams and the set the ephemeral cursor skips.
+    ports: HashMap<u16, SockId>,
     stats: UdpStats,
-    /// RX chunks finished with this poll round, returned to IP as one
-    /// [`TransportToIp::RxDoneBatch`] per round.
-    rxdone_batch: Vec<RichPtr>,
-    /// Scratch buffers reused across poll rounds (zero steady-state
-    /// allocation on the message path).
-    syscall_scratch: Vec<SockRequest>,
-    ip_scratch: Vec<IpToTransport>,
-    pf_scratch: Vec<PfToTransport>,
-    /// Rung by this shard's UDP socket buffers when the application queues
-    /// a datagram; owned by the fabric so it survives restarts.
-    doorbell: Arc<Doorbell>,
-    doorbell_scratch: Vec<SockId>,
 }
 
 impl UdpServer {
@@ -210,57 +165,39 @@ impl UdpServer {
         doorbell: Arc<Doorbell>,
         snapshot: Option<StateSnapshot>,
     ) -> Self {
-        let crash_cursor = crash_board.len();
-        let mut server = UdpServer {
+        let (shell, egress) = Shell::new(
+            Transport::Udp,
             generation,
             shard,
-            endpoint: shard.udp(),
-            ip_endpoint: shard.ip(),
-            storage_ns: shard.service_name("udp"),
-            ip_name: shard.service_name("ip"),
             storage,
             registry,
             tx_pool,
             pools,
-            from_ring,
-            to_ring,
-            to_ip,
-            from_ip,
-            from_pf,
-            to_pf,
+            (from_ring, to_ring),
+            (to_ip, from_ip),
+            (from_pf, to_pf),
             crash_board,
-            crash_cursor,
-            sockets: HashMap::new(),
-            ports_in_use: HashSet::new(),
-            next_sock: shard.sock_id_base(endpoints::Transport::Udp) + 1,
-            next_ephemeral: shard.ephemeral_range(50_000).0,
-            ip_reqs: RequestDb::new(),
-            stats: UdpStats::default(),
-            rxdone_batch: Vec::new(),
-            syscall_scratch: Vec::new(),
-            ip_scratch: Vec::new(),
-            pf_scratch: Vec::new(),
             doorbell,
-            doorbell_scratch: Vec::new(),
+        );
+        let mut server = UdpServer {
+            shell,
+            egress,
+            sockets: HashMap::new(),
+            ports: HashMap::new(),
+            stats: UdpStats::default(),
         };
-        match mode {
-            StartMode::Fresh => server.persist(),
-            StartMode::Restart => {
-                server.tx_pool.reset();
-                server.recover();
-            }
-            StartMode::LiveUpdate => {
-                let restored = snapshot
-                    .as_ref()
-                    .is_some_and(|snap| server.restore_from(snap));
-                if !restored {
-                    // Missing or incompatible snapshot: fall back to
-                    // crash-style recovery from the storage server.
-                    server.tx_pool.reset();
-                    server.recover();
-                }
-            }
+        let restored = match (mode, &snapshot) {
+            (StartMode::Fresh, _) => true,
+            (StartMode::LiveUpdate, Some(snapshot)) => server.restore_from(snapshot),
+            _ => false,
+        };
+        if !restored {
+            // A restart, or a live update whose snapshot is missing or
+            // incompatible: recover crash-style from the storage server.
+            server.egress.reset_pool();
+            server.recover();
         }
+        server.persist();
         server
     }
 
@@ -269,24 +206,13 @@ impl UdpServer {
     /// in-flight requests towards IP.  Nothing is freed or aborted — the
     /// pool chains stay live and transfer to the replacement.
     pub fn export_state(&mut self) -> (u32, Vec<u8>) {
+        let sockets = self.sockets.values();
+        let sockets = sockets.map(|s| (s.state.clone(), s.pending_send.clone()));
         let hot = UdpHotState {
-            next_sock: self.next_sock,
-            next_ephemeral: self.next_ephemeral,
-            sockets: self
-                .sockets
-                .values()
-                .map(|s| HotUdpSock {
-                    id: s.id,
-                    local_port: s.local_port,
-                    remote: s.remote.map(|(a, p)| (u32::from(a), p)),
-                    pending_send: s.pending_send.clone(),
-                })
-                .collect(),
-            in_flight: self
-                .ip_reqs
-                .iter_pending()
-                .map(|(id, _, _, chain)| (id, chain.clone()))
-                .collect(),
+            next_sock: self.shell.next_sock,
+            next_ephemeral: self.shell.next_ephemeral,
+            sockets: sockets.collect(),
+            in_flight: self.egress.in_flight(),
         };
         (UDP_STATE_VERSION, codec::encode(&hot))
     }
@@ -296,85 +222,49 @@ impl UdpServer {
     /// carries an incompatible version, in which case the caller falls
     /// back to crash-style recovery.
     fn restore_from(&mut self, snapshot: &StateSnapshot) -> bool {
-        if !snapshot.accepts(&self.storage_ns, UDP_STATE_VERSION) {
+        if !snapshot.accepts(&self.shell.storage_ns, UDP_STATE_VERSION) {
             return false;
         }
         let Some(hot) = codec::decode::<UdpHotState>(&snapshot.payload) else {
             return false;
         };
-        self.next_sock = hot.next_sock;
-        self.next_ephemeral = hot.next_ephemeral;
-        for h in hot.sockets {
-            if h.local_port != 0 {
-                self.ports_in_use.insert(h.local_port);
-            }
-            let buffer: Arc<SocketBuffer> = self
-                .registry
-                .attach_shared(&Self::buffer_name(h.id))
-                .unwrap_or_else(|_| Arc::new(SocketBuffer::with_defaults()));
-            self.adopt(UdpSock {
-                id: h.id,
-                local_port: h.local_port,
-                remote: h.remote.map(|(a, p)| (Ipv4Addr::from(a), p)),
-                buffer,
-                pending_send: h.pending_send,
-            });
+        self.shell.next_sock = hot.next_sock;
+        self.shell.next_ephemeral = hot.next_ephemeral;
+        for (state, pending_send) in hot.sockets {
+            let buffer = self.shell.attach(state.id);
+            self.adopt(state, buffer, pending_send);
         }
-        for (id, chain) in hot.in_flight {
-            self.ip_reqs
-                .restore(id, self.ip_endpoint, AbortPolicy::Drop, chain);
+        for (id, pending) in hot.in_flight {
+            self.egress.restore(id, pending);
         }
-        self.persist();
         true
     }
 
-    fn buffer_name(id: SockId) -> Name {
-        sockbuf::buffer_name("udp", id)
-    }
-
-    /// Enters a socket into the table and points its buffer's doorbell at
-    /// this incarnation (which rings once, so anything the application
-    /// queued while no server was listening is found).
-    fn adopt(&mut self, sock: UdpSock) {
-        sock.buffer
-            .attach_doorbell(Arc::clone(&self.doorbell), sock.id);
-        self.sockets.insert(sock.id, sock);
+    /// Enters a socket into the table.
+    fn adopt(&mut self, state: UdpSockState, buffer: Arc<SocketBuffer>, pending_send: Vec<u8>) {
+        let id = state.id;
+        if state.local_port != 0 {
+            self.ports.insert(state.local_port, id);
+        }
+        let sock = UdpSock {
+            state,
+            buffer,
+            pending_send,
+        };
+        self.sockets.insert(id, sock);
     }
 
     fn persist(&self) {
-        let states: Vec<UdpSockState> = self
-            .sockets
-            .values()
-            .map(|s| UdpSockState {
-                id: s.id,
-                local_port: s.local_port,
-                remote: s.remote.map(|(a, p)| (u32::from(a), p)),
-            })
-            .collect();
-        self.storage.store(&self.storage_ns, "sockets", &states);
+        let states = self.sockets.values().map(|s| s.state.clone());
+        self.shell.store_summary(&states.collect::<Vec<_>>());
     }
 
     fn recover(&mut self) {
-        let states: Vec<UdpSockState> = self
-            .storage
-            .retrieve(&self.storage_ns, "sockets")
-            .unwrap_or_default();
+        let states: Vec<UdpSockState> = self.shell.summary();
         for state in states {
-            self.next_sock = self.next_sock.max(state.id + 1);
-            if state.local_port != 0 {
-                self.ports_in_use.insert(state.local_port);
-            }
-            let buffer: Arc<SocketBuffer> = self
-                .registry
-                .attach_shared(&Self::buffer_name(state.id))
-                .unwrap_or_else(|_| Arc::new(SocketBuffer::with_defaults()));
-            self.adopt(UdpSock {
-                id: state.id,
-                local_port: state.local_port,
-                remote: state.remote.map(|(a, p)| (Ipv4Addr::from(a), p)),
-                buffer,
-                pending_send: Vec::new(),
-            });
+            self.shell.next_sock = self.shell.next_sock.max(state.id + 1);
+            let buffer = self.shell.attach(state.id);
+            self.adopt(state, buffer, Vec::new());
             self.stats.recovered_sockets += 1;
         }
     }
@@ -391,283 +281,83 @@ impl UdpServer {
 
     /// Returns the shard identity of this incarnation.
     pub fn shard(&self) -> endpoints::Shard {
-        self.shard
-    }
-
-    /// Picks the next ephemeral port from this shard's slice that no
-    /// socket currently holds and advances the cursor past it.  Returns
-    /// `None` when the whole slice is occupied — handing out an in-use
-    /// port would silently starve one of the colliding sockets.
-    fn alloc_ephemeral(&mut self) -> Option<u16> {
-        let range = self.shard.ephemeral_range(50_000);
-        let width = (range.1 - range.0) as usize;
-        let mut candidate = self.next_ephemeral;
-        for _ in 0..width {
-            if !self.ports_in_use.contains(&candidate) {
-                self.next_ephemeral = endpoints::next_ephemeral_port(range, candidate);
-                return Some(candidate);
-            }
-            candidate = endpoints::next_ephemeral_port(range, candidate);
-        }
-        None
-    }
-
-    /// Moves a socket onto a new local port, keeping the in-use set exact.
-    fn assign_port(&mut self, sock: SockId, port: u16) {
-        if let Some(s) = self.sockets.get_mut(&sock) {
-            if s.local_port != 0 {
-                self.ports_in_use.remove(&s.local_port);
-            }
-            s.local_port = port;
-            if port != 0 {
-                self.ports_in_use.insert(port);
-            }
-        }
-    }
-
-    fn flows(&self) -> Vec<FlowTuple> {
-        self.sockets
-            .values()
-            .map(|s| FlowTuple {
-                protocol: IpProtocol::Udp.as_u8(),
-                local_port: s.local_port,
-                remote: s.remote,
-            })
-            .collect()
+        self.shell.shard
     }
 
     /// Runs one iteration of the event loop; returns the amount of work done.
     pub fn poll(&mut self) -> usize {
-        let mut work = 0;
-
-        for event in self.crash_board.poll(&mut self.crash_cursor) {
-            // Reacting to a crash is work: it must reset the idle
-            // back-off and push fresh stats out to telemetry.
-            work += 1;
-            self.handle_crash(&event);
-        }
-
-        let mut requests = std::mem::take(&mut self.syscall_scratch);
-        self.from_ring.drain_into(&mut requests);
-        for request in requests.drain(..) {
-            work += 1;
-            self.handle_sock_request(request);
-        }
-        self.syscall_scratch = requests;
-
-        let mut from_ip = std::mem::take(&mut self.ip_scratch);
-        self.from_ip.drain_into(&mut from_ip);
-        for msg in from_ip.drain(..) {
-            work += 1;
-            match msg {
-                IpToTransport::DeliverBatch(mut ptrs) => {
-                    for ptr in ptrs.drain(..) {
-                        self.handle_deliver(ptr);
-                    }
-                    self.from_ip.recycle(IpToTransport::DeliverBatch(ptrs));
-                }
-                IpToTransport::SendDoneBatch(mut dones) => {
-                    for (req, _) in dones.drain(..) {
-                        if let Some(chain) = self.ip_reqs.complete(req) {
-                            self.tx_pool.free_chain(&chain);
-                        }
-                    }
-                    self.from_ip.recycle(IpToTransport::SendDoneBatch(dones));
-                }
-            }
-        }
-        self.ip_scratch = from_ip;
-
-        let mut from_pf = std::mem::take(&mut self.pf_scratch);
-        self.from_pf.drain_into(&mut from_pf);
-        for msg in from_pf.drain(..) {
-            work += 1;
-            let PfToTransport::QueryConnections = msg;
-            let flows = self.flows();
-            send(&self.to_pf, TransportToPf::Connections(flows));
-        }
-        self.pf_scratch = from_pf;
-
-        if !self.rxdone_batch.is_empty() {
-            let batch = self
-                .to_ip
-                .take_batch(&mut self.rxdone_batch, |returned| match returned {
-                    TransportToIp::RxDoneBatch(v) => Some(v),
-                    _ => None,
-                });
-            send(&self.to_ip, TransportToIp::RxDoneBatch(batch));
-        }
-
-        work += self.pump_sockets();
-        work
+        // UDP keeps no timers: the round's time is never read.
+        self.poll_lanes(Duration::ZERO) + self.pump_doorbell(Duration::ZERO)
     }
 
-    fn handle_sock_request(&mut self, request: SockRequest) {
-        let req = request.req();
-        match request {
-            SockRequest::Open { .. } => {
-                let id = self.next_sock;
-                self.next_sock += 1;
-                let buffer = Arc::new(SocketBuffer::with_defaults());
-                let _ = self.registry.publish_shared(
-                    self.endpoint,
-                    self.generation,
-                    &Self::buffer_name(id),
-                    Arc::clone(&buffer),
-                );
-                self.adopt(UdpSock {
-                    id,
-                    local_port: 0,
-                    remote: None,
-                    buffer,
-                    pending_send: Vec::new(),
-                });
-                self.persist();
-                send(&self.to_ring, SockReply::Opened { req, sock: id });
-            }
-            SockRequest::Bind { sock, port, .. } => {
-                let requested = if port == 0 {
-                    match self.alloc_ephemeral() {
-                        Some(p) => p,
-                        None => {
-                            send(
-                                &self.to_ring,
-                                SockReply::Error {
-                                    req,
-                                    error: SockError::AddressInUse,
-                                },
-                            );
-                            return;
-                        }
-                    }
-                } else {
-                    port
-                };
-                let own_port = self.sockets.get(&sock).map(|s| s.local_port);
-                let in_use = requested != 0
-                    && self.ports_in_use.contains(&requested)
-                    && own_port != Some(requested);
-                let reply = if in_use {
-                    SockReply::Error {
-                        req,
-                        error: SockError::AddressInUse,
-                    }
-                } else if own_port.is_some() {
-                    self.assign_port(sock, requested);
-                    SockReply::Ok {
-                        req,
-                        port: requested,
-                    }
-                } else {
-                    SockReply::Error {
-                        req,
-                        error: SockError::InvalidState,
-                    }
-                };
-                self.persist();
-                send(&self.to_ring, reply);
-            }
-            SockRequest::Connect {
-                sock, addr, port, ..
-            } => {
-                let needs_port = self.sockets.get(&sock).is_some_and(|s| s.local_port == 0);
-                let fresh_port = if needs_port {
-                    match self.alloc_ephemeral() {
-                        Some(p) => Some(p),
-                        None => {
-                            send(
-                                &self.to_ring,
-                                SockReply::Error {
-                                    req,
-                                    error: SockError::AddressInUse,
-                                },
-                            );
-                            return;
-                        }
-                    }
-                } else {
-                    None
-                };
-                let reply = if let Some(s) = self.sockets.get_mut(&sock) {
-                    s.remote = Some((addr, port));
-                    let local = s.local_port;
-                    if let Some(p) = fresh_port {
-                        self.assign_port(sock, p);
-                    }
-                    SockReply::Ok {
-                        req,
-                        port: fresh_port.unwrap_or(local),
-                    }
-                } else {
-                    SockReply::Error {
-                        req,
-                        error: SockError::InvalidState,
-                    }
-                };
-                self.persist();
-                send(&self.to_ring, reply);
-            }
-            SockRequest::Close { sock, .. } => {
-                let removed = self.sockets.remove(&sock);
-                if let Some(s) = &removed {
-                    if s.local_port != 0 {
-                        self.ports_in_use.remove(&s.local_port);
-                    }
-                }
-                let existed = removed.is_some();
-                if existed {
-                    let _ = self
-                        .registry
-                        .revoke(self.endpoint, &Self::buffer_name(sock));
-                }
-                self.persist();
-                let reply = if existed {
-                    SockReply::Ok { req, port: 0 }
-                } else {
-                    SockReply::Error {
-                        req,
-                        error: SockError::InvalidState,
-                    }
-                };
-                send(&self.to_ring, reply);
-            }
-            SockRequest::Listen { .. } | SockRequest::AcceptArm { .. } => {
-                send(
-                    &self.to_ring,
-                    SockReply::Error {
-                        req,
-                        error: SockError::InvalidState,
-                    },
-                );
-            }
+    // ---- socket API ----------------------------------------------------------
+
+    /// The local port of an open socket, binding it to an ephemeral one
+    /// first if it has none.
+    fn bound_port(&mut self, sock: SockId) -> Result<u16, SockError> {
+        let Some(UdpSock { state, .. }) = self.sockets.get(&sock) else {
+            return Err(SockError::InvalidState);
+        };
+        if state.local_port != 0 {
+            return Ok(state.local_port);
         }
+        let port = self.ephemeral()?;
+        self.assign_port(sock, port);
+        Ok(port)
     }
 
-    fn handle_deliver(&mut self, ptr: RichPtr) {
-        self.rxdone_batch.push(ptr);
-        // A pointer that no longer resolves reads as an empty frame, which
-        // fails to parse like any other garbage.
-        let frame = self
-            .pools
-            .reader(ptr.pool)
-            .and_then(|reader| reader.read(&ptr).ok())
-            .unwrap_or_default();
-        let Some((src, dgram)) = Self::parse_datagram(&frame) else {
+    /// The next port of this shard's ephemeral slice no socket holds.
+    fn ephemeral(&mut self) -> Result<u16, SockError> {
+        let ports = &self.ports;
+        let port = self.shell.ephemeral_port(|p| ports.contains_key(&p));
+        port.ok_or(SockError::AddressInUse)
+    }
+
+    /// Moves an open socket onto a new local port, keeping the port index
+    /// exact.
+    fn assign_port(&mut self, sock: SockId, port: u16) {
+        let Some(s) = self.sockets.get_mut(&sock) else {
             return;
         };
-        let Some(sock) = self
-            .sockets
-            .values_mut()
-            .find(|s| s.local_port == dgram.dst_port)
-        else {
-            self.stats.no_socket += 1;
-            return;
-        };
-        let record = encode_datagram(src, dgram.src_port, dgram.payload);
-        if sock.buffer.push_recv(&record) == record.len() {
-            self.stats.datagrams_in += 1;
-        }
+        self.ports.remove(&s.state.local_port);
+        s.state.local_port = port;
+        self.ports.insert(port, sock);
     }
+
+    /// Binds an open socket; port 0 asks for a fresh ephemeral one.  An
+    /// unknown socket is refused before any port is allocated.
+    fn bind(&mut self, sock: SockId, port: u16) -> Result<u16, SockError> {
+        let own = self.sockets.get(&sock).ok_or(SockError::InvalidState)?;
+        let port = match port {
+            0 => self.ephemeral()?,
+            p if p != own.state.local_port && self.ports.contains_key(&p) => {
+                return Err(SockError::AddressInUse);
+            }
+            p => p,
+        };
+        self.assign_port(sock, port);
+        self.persist();
+        Ok(port)
+    }
+
+    fn connect(&mut self, sock: SockId, addr: Ipv4Addr, port: u16) -> Result<u16, SockError> {
+        let local = self.bound_port(sock)?;
+        if let Some(s) = self.sockets.get_mut(&sock) {
+            s.state.remote = Some((addr, port));
+        }
+        self.persist();
+        Ok(local)
+    }
+
+    fn close(&mut self, sock: SockId) -> Result<u16, SockError> {
+        let closed = self.sockets.remove(&sock).ok_or(SockError::InvalidState)?;
+        self.ports.remove(&closed.state.local_port);
+        self.shell.revoke(sock);
+        self.persist();
+        Ok(0)
+    }
+
+    // ---- datagrams -------------------------------------------------------------
 
     fn parse_datagram(frame: &[u8]) -> Option<(Ipv4Addr, UdpView<'_>)> {
         let eth = EthernetView::parse(frame).ok()?;
@@ -679,142 +369,128 @@ impl UdpServer {
         Some((packet.src, dgram))
     }
 
-    /// Drains application send queues and hands datagrams to IP.
-    /// Sends what the applications queued on the sockets whose buffers rang
-    /// the doorbell since the last round.
-    fn pump_sockets(&mut self) -> usize {
-        let mut work = 0;
-        let mut rung = std::mem::take(&mut self.doorbell_scratch);
-        self.doorbell.drain_into(&mut rung);
-        for id in rung.drain(..) {
-            match self.sockets.get(&id) {
-                // Re-arm *before* draining so a write racing the drain
-                // re-rings instead of being lost.
-                Some(sock) => sock.buffer.rearm_doorbell(),
-                None => continue,
-            }
-            loop {
-                let record = {
-                    let Some(sock) = self.sockets.get_mut(&id) else {
-                        break;
-                    };
-                    // Accumulate stream bytes until a whole record is there.
-                    let chunk = sock.buffer.drain_send(64 * 1024);
-                    sock.pending_send.extend_from_slice(&chunk);
-                    match decode_datagram(&sock.pending_send) {
-                        Some((record, consumed)) => {
-                            sock.pending_send.drain(..consumed);
-                            Some(record)
-                        }
-                        None => None,
-                    }
-                };
-                let Some((addr, port, payload)) = record else {
-                    break;
-                };
-                work += 1;
-                self.send_datagram(id, addr, port, &payload);
-            }
-        }
-        self.doorbell_scratch = rung;
-        work
-    }
-
-    fn send_datagram(&mut self, id: SockId, addr: Ipv4Addr, port: u16, payload: &[u8]) {
-        let needs_port = self.sockets.get(&id).is_some_and(|s| s.local_port == 0);
-        let fresh_port = if needs_port {
-            match self.alloc_ephemeral() {
-                Some(p) => Some(p),
-                // No free source port: drop the datagram (UDP applications
-                // tolerate loss; a colliding port would misdeliver instead).
-                None => return,
-            }
-        } else {
-            None
+    fn send_datagram(&mut self, id: SockId, addr: Ipv4Addr, port: u16, payload: Vec<u8>) {
+        let Some(sock) = self.sockets.get(&id) else {
+            return;
         };
-        if let Some(p) = fresh_port {
-            self.assign_port(id, p);
-        }
-        let mut needs_persist = false;
-        let (local_port, dst, dst_port) = {
-            let Some(sock) = self.sockets.get_mut(&id) else {
-                return;
-            };
-            if fresh_port.is_some() {
-                needs_persist = true;
-            }
-            let (dst, dst_port) = if addr.is_unspecified() {
-                match sock.remote {
-                    Some(remote) => remote,
-                    None => return,
-                }
-            } else {
-                (addr, port)
-            };
-            (sock.local_port, dst, dst_port)
+        // An unspecified destination means the connected remote.
+        let (dst, dst_port) = match (addr.is_unspecified(), sock.state.remote) {
+            (false, _) => (addr, port),
+            (true, Some(remote)) => remote,
+            (true, None) => return,
         };
-        if needs_persist {
+        let fresh = sock.state.local_port == 0;
+        // No free source port drops the datagram (UDP applications
+        // tolerate loss; a colliding port would misdeliver instead).
+        let Ok(local_port) = self.bound_port(id) else {
+            return;
+        };
+        if fresh {
             self.persist();
         }
 
-        // Build the UDP header with a zero checksum (software checksum in IP
-        // or hardware offload fills it in).
+        // The UDP header with a zero checksum (software checksum in IP or
+        // hardware offload fills it in).
         let mut header = HeaderBuf::new();
         header.put(&local_port.to_be_bytes());
         header.put(&dst_port.to_be_bytes());
         header.put(&((UDP_HEADER_LEN + payload.len()) as u16).to_be_bytes());
         header.put(&[0, 0]);
-
-        let mut chain = RichChain::new();
-        if !payload.is_empty() {
-            match self.tx_pool.publish(payload) {
-                Ok(ptr) => chain.push(ptr),
-                Err(_) => return, // pool exhausted: drop the datagram
-            }
-        }
-        let req = self
-            .ip_reqs
-            .submit(self.ip_endpoint, AbortPolicy::Drop, chain.clone());
-        let sent = send(
-            &self.to_ip,
-            TransportToIp::SendPacket {
-                req,
-                protocol: IpProtocol::Udp,
-                dst,
-                src_port: local_port,
-                dst_port,
-                transport_header: header,
-                payload: chain,
-                is_connection_start: false,
-            },
-        );
-        if sent {
+        let ports = (local_port, dst_port);
+        let payload = Some(Bytes::from(payload));
+        if self.egress.emit(dst, ports, header, payload, false).sent {
             self.stats.datagrams_out += 1;
-        } else if let Some(chain) = self.ip_reqs.complete(req) {
-            self.tx_pool.free_chain(&chain);
+        }
+    }
+}
+
+impl Protocol for UdpServer {
+    fn shell(&mut self) -> (&mut Shell, &mut Egress) {
+        (&mut self.shell, &mut self.egress)
+    }
+
+    fn request(&mut self, request: SockRequest, _now: Duration) {
+        let req = request.req();
+        let result = match request {
+            SockRequest::Open { .. } => {
+                let (id, buffer) = self.shell.open(SocketBuffer::with_defaults());
+                let state = UdpSockState {
+                    id,
+                    local_port: 0,
+                    remote: None,
+                };
+                self.adopt(state, buffer, Vec::new());
+                self.persist();
+                return self.shell.reply(SockReply::Opened { req, sock: id });
+            }
+            SockRequest::Bind { sock, port, .. } => self.bind(sock, port),
+            SockRequest::Connect {
+                sock, addr, port, ..
+            } => self.connect(sock, addr, port),
+            SockRequest::Close { sock, .. } => self.close(sock),
+            SockRequest::Listen { .. } | SockRequest::AcceptArm { .. } => {
+                Err(SockError::InvalidState)
+            }
+        };
+        self.shell.result(req, result);
+    }
+
+    fn deliver(&mut self, frame: &Bytes, _now: Duration) {
+        let Some((src, dgram)) = Self::parse_datagram(frame) else {
+            return;
+        };
+        let sock = self.ports.get(&dgram.dst_port);
+        let Some(sock) = sock.and_then(|id| self.sockets.get(id)) else {
+            self.stats.no_socket += 1;
+            return;
+        };
+        let record = encode_datagram(src, dgram.src_port, dgram.payload);
+        if sock.buffer.push_recv(&record) == record.len() {
+            self.stats.datagrams_in += 1;
         }
     }
 
-    /// Reacts to a crash of another component.
-    pub fn handle_crash(&mut self, event: &CrashEvent) {
-        if event.name == self.ip_name {
-            // Datagrams are fire-and-forget: drop whatever was in flight and
-            // free the chunks (UDP applications tolerate loss).
-            let aborted = self.ip_reqs.abort_all_to(self.ip_endpoint);
-            for a in aborted {
-                self.tx_pool.free_chain(&a.context);
-            }
+    fn flows(&self) -> Vec<FlowTuple> {
+        let flows = self.sockets.values().map(|s| FlowTuple {
+            protocol: IpProtocol::Udp.as_u8(),
+            local_port: s.state.local_port,
+            remote: s.state.remote,
+        });
+        flows.collect()
+    }
+
+    /// Sends what the application queued on socket `id`.
+    fn rung(&mut self, id: SockId, _now: Duration) -> usize {
+        let mut work = 0;
+        // Re-arm *before* draining so a write racing the drain re-rings
+        // instead of being lost.
+        let Some(sock) = self.sockets.get(&id) else {
+            return 0;
+        };
+        sock.buffer.rearm_doorbell();
+        while let Some(sock) = self.sockets.get_mut(&id) {
+            // Accumulate stream bytes until a whole record is there.
+            let chunk = sock.buffer.drain_send(64 * 1024);
+            sock.pending_send.extend_from_slice(&chunk);
+            let Some(((addr, port, payload), consumed)) = decode_datagram(&sock.pending_send)
+            else {
+                break;
+            };
+            sock.pending_send.drain(..consumed);
+            work += 1;
+            self.send_datagram(id, addr, port, payload);
         }
+        work
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::Chan;
-    use newt_channels::reqdb::RequestId;
+    use crate::fabric::{drain, send, Chan};
+    use newt_channels::registry::Name;
+    use newt_kernel::rs::{CrashEvent, CrashReason};
     use newt_net::wire::{EthernetFrame, Ipv4Packet, UdpDatagram};
-    use std::time::Duration;
 
     struct Rig {
         udp: UdpServer,
@@ -822,9 +498,15 @@ mod tests {
         syscall_rx: Rx<SockReply>,
         ip_rx: Rx<TransportToIp>,
         ip_tx: Tx<IpToTransport>,
+        tx_pool: Pool,
         rx_pool: Pool,
+        crash_board: CrashBoard,
         registry: Registry,
         storage: Arc<StorageServer>,
+    }
+
+    fn buffer_name(sock: SockId) -> Name {
+        crate::sockbuf::buffer_name("udp", sock)
     }
 
     fn rig_with(mode: StartMode, storage: Arc<StorageServer>, registry: Registry) -> Rig {
@@ -848,13 +530,14 @@ mod tests {
         let ip_udp: Chan<IpToTransport> = Chan::new(64);
         let pf_udp: Chan<PfToTransport> = Chan::new(8);
         let udp_pf: Chan<TransportToPf> = Chan::new(8);
+        let crash_board = CrashBoard::new();
         let udp = UdpServer::new(
             mode,
             Generation::FIRST,
             endpoints::Shard::singleton(),
             Arc::clone(&storage),
             registry.clone(),
-            tx_pool,
+            tx_pool.clone(),
             pools,
             sys_udp.rx(),
             udp_sys.tx(),
@@ -862,7 +545,7 @@ mod tests {
             ip_udp.rx(),
             pf_udp.rx(),
             udp_pf.tx(),
-            CrashBoard::new(),
+            crash_board.clone(),
             Doorbell::new(),
             snapshot,
         );
@@ -872,7 +555,9 @@ mod tests {
             syscall_rx: udp_sys.rx(),
             ip_rx: udp_ip.rx(),
             ip_tx: ip_udp.tx(),
+            tx_pool,
             rx_pool,
+            crash_board,
             registry,
             storage,
         }
@@ -927,10 +612,7 @@ mod tests {
     fn send_records_become_datagrams_towards_ip() {
         let mut rig = rig();
         let sock = open_and_bind(&mut rig, 5353);
-        let buffer: Arc<SocketBuffer> = rig
-            .registry
-            .attach_shared(&UdpServer::buffer_name(sock))
-            .unwrap();
+        let buffer: Arc<SocketBuffer> = rig.registry.attach_shared(&buffer_name(sock)).unwrap();
         let record = encode_datagram(PEER, 53, b"query");
         buffer.write(&record).unwrap();
         rig.udp.poll();
@@ -970,10 +652,7 @@ mod tests {
         rig.udp.poll();
         // The chunk was returned to IP.
         // The application sees the record.
-        let buffer: Arc<SocketBuffer> = rig
-            .registry
-            .attach_shared(&UdpServer::buffer_name(sock))
-            .unwrap();
+        let buffer: Arc<SocketBuffer> = rig.registry.attach_shared(&buffer_name(sock)).unwrap();
         let mut raw = vec![0u8; 256];
         let n = buffer.read(&mut raw).unwrap();
         let ((src, src_port, payload), _) = decode_datagram(&raw[..n]).unwrap();
@@ -1016,10 +695,7 @@ mod tests {
         );
         rig.udp.poll();
         drain(&rig.syscall_rx);
-        let buffer: Arc<SocketBuffer> = rig
-            .registry
-            .attach_shared(&UdpServer::buffer_name(sock))
-            .unwrap();
+        let buffer: Arc<SocketBuffer> = rig.registry.attach_shared(&buffer_name(sock)).unwrap();
         // An unspecified destination in the record means "use the connected
         // remote".
         let record = encode_datagram(Ipv4Addr::UNSPECIFIED, 0, b"query");
@@ -1073,10 +749,7 @@ mod tests {
         let (sock, buffer_before) = {
             let mut rig = rig_with(StartMode::Fresh, Arc::clone(&storage), registry.clone());
             let sock = open_and_bind(&mut rig, 5353);
-            let buffer: Arc<SocketBuffer> = rig
-                .registry
-                .attach_shared(&UdpServer::buffer_name(sock))
-                .unwrap();
+            let buffer: Arc<SocketBuffer> = rig.registry.attach_shared(&buffer_name(sock)).unwrap();
             (sock, buffer)
         };
         // New incarnation in restart mode: the socket is back, bound to the
@@ -1112,16 +785,13 @@ mod tests {
         let registry = Registry::new();
         let mut rig = rig_with(StartMode::Fresh, Arc::clone(&storage), registry.clone());
         let sock = open_and_bind(&mut rig, 5353);
-        let buffer: Arc<SocketBuffer> = rig
-            .registry
-            .attach_shared(&UdpServer::buffer_name(sock))
-            .unwrap();
+        let buffer: Arc<SocketBuffer> = rig.registry.attach_shared(&buffer_name(sock)).unwrap();
         // One datagram in flight towards IP (no SendDone consumed yet).
         let record = encode_datagram(PEER, 53, b"query");
         buffer.write(&record).unwrap();
         rig.udp.poll();
         assert_eq!(drain(&rig.ip_rx).len(), 1);
-        assert_eq!(rig.udp.ip_reqs.len(), 1);
+        assert_eq!(rig.udp.egress.ip_reqs.len(), 1);
 
         let (version, payload) = rig.udp.export_state();
         assert_eq!(version, UDP_STATE_VERSION);
@@ -1135,7 +805,7 @@ mod tests {
         // in-flight request transferred (no abort, no chain freed); nothing
         // was counted as a crash recovery.
         assert_eq!(next.udp.socket_count(), 1);
-        assert_eq!(next.udp.ip_reqs.len(), 1);
+        assert_eq!(next.udp.egress.ip_reqs.len(), 1);
         assert_eq!(next.udp.stats().recovered_sockets, 0);
         let record = encode_datagram(PEER, 53, b"after update");
         buffer.write(&record).unwrap();
@@ -1165,6 +835,91 @@ mod tests {
         // Incompatible snapshot: crash-style recovery from storage instead.
         assert_eq!(next.udp.socket_count(), 1);
         assert_eq!(next.udp.stats().recovered_sockets, 1);
+    }
+
+    #[test]
+    fn ip_crash_frees_the_datagrams_in_flight_and_resubmits_none() {
+        let mut rig = rig();
+        let sock = open_and_bind(&mut rig, 5353);
+        let buffer: Arc<SocketBuffer> = rig.registry.attach_shared(&buffer_name(sock)).unwrap();
+        for query in [&b"one"[..], b"two", b"three"] {
+            buffer.write(&encode_datagram(PEER, 53, query)).unwrap();
+        }
+        rig.udp.poll();
+        assert_eq!(drain(&rig.ip_rx).len(), 3);
+        assert_eq!(rig.udp.egress.ip_reqs.len(), 3);
+        assert_eq!(rig.tx_pool.in_use(), 3);
+
+        rig.crash_board.push(CrashEvent {
+            name: "ip".to_string(),
+            endpoint: endpoints::IP,
+            generation: Generation::FIRST,
+            reason: CrashReason::Panicked,
+            restarting: true,
+            at: Duration::ZERO,
+        });
+        rig.udp.poll();
+        assert!(drain(&rig.ip_rx).is_empty(), "a datagram is never resent");
+        assert!(rig.udp.egress.ip_reqs.is_empty());
+        assert_eq!(rig.tx_pool.in_use(), 0, "every chunk went back to the pool");
+        // A late completion from the dead IP finds nothing to free.
+        let stale = RequestId::from_raw(1);
+        send(
+            &rig.ip_tx,
+            IpToTransport::SendDoneBatch(vec![(stale, true)]),
+        );
+        rig.udp.poll();
+        assert_eq!(rig.tx_pool.in_use(), 0);
+    }
+
+    #[test]
+    fn calls_on_an_unknown_socket_are_refused_before_a_port_is_allocated() {
+        let mut rig = rig();
+        let unknown: SockId = 0xdead;
+        send(
+            &rig.syscall_tx,
+            SockRequest::Bind {
+                req: RequestId::from_raw(1),
+                sock: unknown,
+                port: 0,
+            },
+        );
+        send(
+            &rig.syscall_tx,
+            SockRequest::Connect {
+                req: RequestId::from_raw(2),
+                sock: unknown,
+                addr: PEER,
+                port: 53,
+            },
+        );
+        rig.udp.poll();
+        let replies = drain(&rig.syscall_rx);
+        assert_eq!(replies.len(), 2);
+        for reply in &replies {
+            assert!(
+                matches!(
+                    reply,
+                    SockReply::Error {
+                        error: SockError::InvalidState,
+                        ..
+                    }
+                ),
+                "unexpected {reply:?}"
+            );
+        }
+        // The first ephemeral port is still the first one handed out.
+        let first = endpoints::Shard::singleton().ephemeral_range(50_000).0;
+        let sock = open_and_bind(&mut rig, 0);
+        let stored: Vec<UdpSockState> = rig.storage.retrieve("udp", "sockets").unwrap();
+        assert_eq!(
+            stored,
+            [UdpSockState {
+                id: sock,
+                local_port: first,
+                remote: None
+            }]
+        );
     }
 
     #[test]
