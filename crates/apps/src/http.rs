@@ -1,14 +1,107 @@
 //! A minimal HTTP/1.1 codec: enough protocol for keep-alive GET traffic
 //! with `Content-Length` framing, plus deterministic bodies so every
 //! transfer can be integrity-checked end to end.
+//!
+//! A server's side of a request costs no heap allocation: a parsed head
+//! keeps its method and target in [`InlineString`]s, and a response is
+//! written into the caller's buffer, its body generated in place by the
+//! one routing table ([`response_bytes`] and [`body_for_path`] are that
+//! same writer and table, into a vector of their own).
+
+use std::fmt;
+use std::io::Write;
+use std::ops::Deref;
+
+/// A string of up to [`InlineString::INLINE`] bytes held inline, longer
+/// ones on the heap: a request head's method and target, which are short
+/// for every ordinary request, cost no allocation.
+#[derive(Clone)]
+pub struct InlineString(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline {
+        len: u8,
+        bytes: [u8; InlineString::INLINE],
+    },
+    Heap(Box<str>),
+}
+
+impl InlineString {
+    /// The longest string kept inline, in bytes: with the length and the
+    /// tag the whole string is 32 bytes.
+    pub const INLINE: usize = 30;
+
+    /// Copies `s`: inline if it fits, else into a heap allocation.
+    pub fn new(s: &str) -> Self {
+        if s.len() > Self::INLINE {
+            return InlineString(Repr::Heap(s.into()));
+        }
+        let mut bytes = [0; Self::INLINE];
+        bytes[..s.len()].copy_from_slice(s.as_bytes());
+        InlineString(Repr::Inline {
+            len: s.len() as u8,
+            bytes,
+        })
+    }
+
+    fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline { len, bytes } => {
+                std::str::from_utf8(&bytes[..usize::from(*len)]).expect("copied whole from a str")
+            }
+            Repr::Heap(s) => s,
+        }
+    }
+}
+
+impl Deref for InlineString {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for InlineString {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for InlineString {}
+
+impl PartialEq<str> for InlineString {
+    fn eq(&self, other: &str) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl PartialEq<&str> for InlineString {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl PartialEq<String> for InlineString {
+    fn eq(&self, other: &String) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl fmt::Debug for InlineString {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
 
 /// A parsed HTTP request head.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpRequest {
     /// Request method (`GET`, ...).
-    pub method: String,
+    pub method: InlineString,
     /// Request target (`/`, `/bytes/4096`, ...).
-    pub path: String,
+    pub path: InlineString,
     /// Whether the connection should stay open after the response
     /// (HTTP/1.1 defaults to keep-alive unless `Connection: close`).
     pub keep_alive: bool,
@@ -68,8 +161,8 @@ pub fn parse_request(buf: &[u8]) -> ParseOutcome {
     }
     ParseOutcome::Request(
         HttpRequest {
-            method: method.to_string(),
-            path: path.to_string(),
+            method: InlineString::new(method),
+            path: InlineString::new(path),
             keep_alive,
         },
         head_len,
@@ -82,15 +175,57 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
 }
 
-/// Formats one HTTP/1.1 response with `Content-Length` framing.
-pub fn response_bytes(status: u16, reason: &str, body: &[u8], keep_alive: bool) -> Vec<u8> {
+/// A response body as the routing table serves it: bytes the caller has,
+/// or a deterministic pattern generated where it is written.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Body<'a> {
+    Bytes(&'a [u8]),
+    Pattern(usize),
+}
+
+impl Body<'_> {
+    fn len(self) -> usize {
+        match self {
+            Body::Bytes(bytes) => bytes.len(),
+            Body::Pattern(len) => len,
+        }
+    }
+
+    fn write_to(self, out: &mut Vec<u8>) {
+        match self {
+            Body::Bytes(bytes) => out.extend_from_slice(bytes),
+            Body::Pattern(len) => out.extend((0..len).map(pattern_byte)),
+        }
+    }
+}
+
+/// Room for a response head besides its reason phrase: the status line,
+/// a 20-digit `Content-Length` and `Connection: keep-alive`.
+const HEAD_ROOM: usize = 80;
+
+/// Appends one HTTP/1.1 response with `Content-Length` framing to `out`.
+pub(crate) fn write_response(
+    out: &mut Vec<u8>,
+    status: u16,
+    reason: &str,
+    body: Body<'_>,
+    keep_alive: bool,
+) {
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    let mut out = format!(
+    out.reserve(HEAD_ROOM + reason.len() + body.len());
+    write!(
+        out,
         "HTTP/1.1 {status} {reason}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
         body.len()
     )
-    .into_bytes();
-    out.extend_from_slice(body);
+    .expect("writing to a vector cannot fail");
+    body.write_to(out);
+}
+
+/// Formats one HTTP/1.1 response with `Content-Length` framing.
+pub fn response_bytes(status: u16, reason: &str, body: &[u8], keep_alive: bool) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_response(&mut out, status, reason, Body::Bytes(body), keep_alive);
     out
 }
 
@@ -99,24 +234,37 @@ pub fn request_bytes(path: &str) -> Vec<u8> {
     format!("GET {path} HTTP/1.1\r\nHost: newtos\r\nConnection: keep-alive\r\n\r\n").into_bytes()
 }
 
+/// Byte `i` of the deterministic payload.
+fn pattern_byte(i: usize) -> u8 {
+    (i * 31 + i / 251) as u8
+}
+
 /// Deterministic payload of `len` bytes (the same generator on both ends
 /// lets transfers be verified byte for byte).
 pub fn pattern(len: usize) -> Vec<u8> {
-    (0..len).map(|i| (i * 31 + i / 251) as u8).collect()
+    (0..len).map(pattern_byte).collect()
 }
 
 /// The server's routing table: `/` serves a small index page,
 /// `/bytes/<n>` serves `n` deterministic bytes (capped at 4 MiB), anything
 /// else is `None` (404).
-pub fn body_for_path(path: &str) -> Option<Vec<u8>> {
+pub(crate) fn route(path: &str) -> Option<Body<'static>> {
     if path == "/" {
-        return Some(b"<html>newtos: keep net working</html>".to_vec());
+        return Some(Body::Bytes(b"<html>newtos: keep net working</html>"));
     }
     let n: usize = path.strip_prefix("/bytes/")?.parse().ok()?;
     if n > 4 * 1024 * 1024 {
         return None;
     }
-    Some(pattern(n))
+    Some(Body::Pattern(n))
+}
+
+/// The body the routing table serves for `path`, or `None` (404).
+pub fn body_for_path(path: &str) -> Option<Vec<u8>> {
+    let body = route(path)?;
+    let mut out = Vec::with_capacity(body.len());
+    body.write_to(&mut out);
+    Some(out)
 }
 
 /// Incremental HTTP/1.1 response reader for the client side: feed raw
@@ -224,6 +372,17 @@ mod tests {
         assert_eq!(got, body);
         assert_eq!(reader.buffered(), 0);
         assert!(reader.pop_response().is_none());
+    }
+
+    #[test]
+    fn a_response_is_framed_byte_for_byte() {
+        let wire = response_bytes(404, "Not Found", b"gone", false);
+        let head = "HTTP/1.1 404 Not Found\r\nContent-Length: 4\r\nConnection: close\r\n\r\n";
+        assert_eq!(wire, [head.as_bytes(), b"gone"].concat());
+        let wire = response_bytes(200, "OK", &pattern(300), true);
+        let head = "HTTP/1.1 200 OK\r\nContent-Length: 300\r\nConnection: keep-alive\r\n\r\n";
+        assert_eq!(wire, [head.as_bytes(), &pattern(300)].concat());
+        assert_eq!(body_for_path("/bytes/300").unwrap(), pattern(300));
     }
 
     #[test]

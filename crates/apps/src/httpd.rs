@@ -12,6 +12,12 @@
 //! fabric messages); only accept arms and closes cross the fabric, and
 //! the SYSCALL servers batch those.
 //!
+//! A keep-alive request allocates nothing once its connection's buffers
+//! have their size: the head parses into inline strings
+//! ([`crate::http::InlineString`]) and the response — head and body — is
+//! written straight into the connection's output buffer, which keeps its
+//! capacity from one response to the next.
+//!
 //! The server listens `SO_REUSEPORT`-style: one listening socket per
 //! stack shard ([`NetClient::listen_sharded_with_caps`]), so the NIC's
 //! RSS hash decides which replicated pipeline serves each inbound
@@ -34,7 +40,7 @@ use newt_stack::rings::{interest_bits, Sqe, SqeOp};
 use newt_stack::sockbuf::SockError;
 use newt_stack::SimClock;
 
-use crate::http::{body_for_path, parse_request, response_bytes, HttpRequest, ParseOutcome};
+use crate::http::{parse_request, route, write_response, Body, HttpRequest, ParseOutcome};
 
 /// Configuration of an [`Httpd`].
 #[derive(Debug, Clone)]
@@ -240,7 +246,8 @@ impl Conn {
             match parse_request(&self.inbuf) {
                 ParseOutcome::Incomplete => break,
                 ParseOutcome::Bad => {
-                    self.queue_response(400, "Bad Request", b"bad request", false, stats);
+                    let body = Body::Bytes(b"bad request");
+                    self.queue_response(400, "Bad Request", body, false, stats);
                     stats.error_responses.fetch_add(1, Ordering::Relaxed);
                     self.inbuf.clear();
                     break;
@@ -281,46 +288,37 @@ impl Conn {
     }
 
     fn respond(&mut self, request: &HttpRequest, stats: &SharedStats) {
+        let keep_alive = request.keep_alive;
         if request.method != "GET" {
             stats.error_responses.fetch_add(1, Ordering::Relaxed);
-            self.queue_response(
-                405,
-                "Method Not Allowed",
-                b"GET only",
-                request.keep_alive,
-                stats,
-            );
+            let body = Body::Bytes(b"GET only");
+            self.queue_response(405, "Method Not Allowed", body, keep_alive, stats);
             return;
         }
-        match body_for_path(&request.path) {
-            Some(body) => self.queue_response(200, "OK", &body, request.keep_alive, stats),
+        match route(&request.path) {
+            Some(body) => self.queue_response(200, "OK", body, keep_alive, stats),
             None => {
                 stats.error_responses.fetch_add(1, Ordering::Relaxed);
-                self.queue_response(
-                    404,
-                    "Not Found",
-                    b"no such object",
-                    request.keep_alive,
-                    stats,
-                )
+                let body = Body::Bytes(b"no such object");
+                self.queue_response(404, "Not Found", body, keep_alive, stats)
             }
         }
     }
 
+    /// Writes a response straight into `outbuf`, behind what is queued.
     fn queue_response(
         &mut self,
         status: u16,
         reason: &str,
-        body: &[u8],
+        body: Body<'_>,
         keep_alive: bool,
         stats: &SharedStats,
     ) {
-        let wire = response_bytes(status, reason, body, keep_alive);
+        let queued = self.outbuf.len();
+        write_response(&mut self.outbuf, status, reason, body, keep_alive);
         stats.requests.fetch_add(1, Ordering::Relaxed);
-        stats
-            .bytes_out
-            .fetch_add(wire.len() as u64, Ordering::Relaxed);
-        self.outbuf.extend_from_slice(&wire);
+        let written = self.outbuf.len() - queued;
+        stats.bytes_out.fetch_add(written as u64, Ordering::Relaxed);
         if !keep_alive {
             self.close_after_flush = true;
         }
@@ -331,7 +329,8 @@ impl Conn {
     fn shed(&mut self, stats: &SharedStats) {
         stats.shed_503.fetch_add(1, Ordering::Relaxed);
         stats.error_responses.fetch_add(1, Ordering::Relaxed);
-        self.queue_response(503, "Service Unavailable", b"overloaded", false, stats);
+        let body = Body::Bytes(b"overloaded");
+        self.queue_response(503, "Service Unavailable", body, false, stats);
     }
 }
 

@@ -32,7 +32,9 @@ pub mod http;
 pub mod httpd;
 pub mod loadgen;
 
-pub use http::{body_for_path, parse_request, response_bytes, HttpRequest, ResponseReader};
+pub use http::{
+    body_for_path, parse_request, response_bytes, HttpRequest, InlineString, ResponseReader,
+};
 pub use httpd::{Httpd, HttpdConfig, HttpdStats};
 pub use loadgen::{
     percentile_us, run_http_load, run_http_load_with_hook, LoadConfig, LoadReport, LoadSnapshot,

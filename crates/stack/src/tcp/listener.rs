@@ -12,6 +12,7 @@ use super::conn::{header, next_isn, Connection, Header, SharedBuffer};
 use super::mgmt::Embryo;
 use super::{TcpConfig, TcpStats};
 use crate::msg::SockId;
+use crate::sockbuf::BufferBin;
 
 /// MSS classes a SYN cookie can encode in its 3 low bits (the classic
 /// cookie trick: the ISN has no room for the full option, so the peer's
@@ -198,7 +199,8 @@ impl Listener {
 
     /// An ACK that matched no connection arrived at this listener's port:
     /// validates it against the SYN cookie for its 4-tuple and, on success,
-    /// reconstructs the connection the stateless SYN-ACK never stored.
+    /// reconstructs the connection the stateless SYN-ACK never stored,
+    /// with a socket buffer from `bin`.
     pub(crate) fn on_cookie_ack(
         &mut self,
         src: Ipv4Addr,
@@ -206,6 +208,7 @@ impl Listener {
         now: Duration,
         config: &TcpConfig,
         stats: &mut TcpStats,
+        bin: &mut BufferBin,
     ) -> Admission {
         let (client_isn, cookie) = (ack.seq.wrapping_sub(1), ack.ack.wrapping_sub(1));
         let secret = config.syn_cookie_secret;
@@ -223,7 +226,7 @@ impl Listener {
             return Admission::Dropped;
         }
         let (send_cap, recv_cap) = self.child_caps(config);
-        let buffer = SharedBuffer::new(send_cap as usize, recv_cap as usize);
+        let buffer = SharedBuffer::new(bin, send_cap as usize, recv_cap as usize);
         let mss = (mss_class as usize).min(config.mss);
         stats.syn_cookies_validated += 1;
         stats.connections_established += 1;

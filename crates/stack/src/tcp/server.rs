@@ -37,7 +37,7 @@ use crate::msg::{
     FlowTuple, IpToTransport, PfToTransport, SockId, SockReply, SockRequest, TransportToIp,
     TransportToPf,
 };
-use crate::sockbuf::{Doorbell, SockError, SocketBuffer};
+use crate::sockbuf::{BufferBin, Doorbell, SockError, SocketBuffer};
 use crate::transport::{Egress, PendingSend, Protocol, Shell};
 
 /// Wire-format version of the TCP live-update snapshot.  Bumped whenever
@@ -505,14 +505,15 @@ impl TcpServer {
         crate::sockbuf::buffer_name("tcp", id)
     }
 
-    /// Forgets socket `id`: buffer revoked, demux entries dropped (guarded
-    /// by value, so a newer socket that reused the key is left alone).  A
-    /// half-open child never had a buffer to revoke.
+    /// Forgets socket `id`: buffer revoked (and binned, if the application
+    /// holds it no more), demux entries dropped (guarded by value, so a
+    /// newer socket that reused the key is left alone).  A half-open child
+    /// never had a buffer to revoke.  What is returned holds no buffer.
     fn forget(&mut self, id: SockId) -> Option<Sock> {
         let mut sock = self.sockets.remove(&id)?;
         self.active_senders -= sock.sends() as usize;
-        if sock.buffer_mut().get().is_some() {
-            self.shell.revoke(id);
+        if let Some(buffer) = sock.buffer_mut().take() {
+            self.shell.revoke(id, buffer);
         }
         match &sock {
             Sock::Idle { .. } => {}
@@ -609,13 +610,13 @@ impl TcpServer {
         id: SockId,
         now: Duration,
         from_wire: bool,
-        event: impl FnOnce(&mut ConnEntry, &TcpConfig, &mut TcpStats) -> Effects,
+        event: impl FnOnce(&mut ConnEntry, &TcpConfig, &mut TcpStats, &mut BufferBin) -> Effects,
     ) -> bool {
         let Some(Sock::Conn(entry)) = self.sockets.get_mut(&id) else {
             return false;
         };
         let sent = entry.conn.cm.can_send();
-        let fx = event(entry, &self.config, &mut self.stats);
+        let fx = event(entry, &self.config, &mut self.stats, &mut self.shell.bin);
         let conn = &entry.conn;
         let (dst, local_port) = (conn.cm.remote().0, conn.cm.local_port());
         let (egress, stats) = (&mut self.egress, &mut self.stats);
@@ -680,7 +681,7 @@ impl TcpServer {
             .expire(now, &mut due, |sock| sockets.contains_key(&sock));
         let mut work = 0;
         for timer in due.drain(..) {
-            work += self.on_conn(timer.sock, now, false, |entry, config, stats| {
+            work += self.on_conn(timer.sock, now, false, |entry, config, stats, _| {
                 // The wheel entry is gone: forget it was outstanding.
                 if timer.kind == TimerKind::Rto && entry.rto_timer_at == Some(timer.deadline) {
                     entry.rto_timer_at = None;
@@ -714,7 +715,7 @@ impl TcpServer {
         match request {
             SockRequest::Open { .. } => {
                 let capacity = self.config.buffer_capacity;
-                let (id, buffer) = self.shell.open(SocketBuffer::new(capacity, capacity));
+                let (id, buffer) = self.shell.open(capacity, capacity);
                 let sock = Sock::Idle {
                     local_port: 0,
                     buffer: SharedBuffer::from(buffer),
@@ -1008,8 +1009,10 @@ impl TcpServer {
         // Exact connection match first, then listener fallback — O(1).
         let key = (src, segment.src_port, segment.dst_port);
         if let Some(&id) = self.flow_index.get(&key) {
-            self.on_conn(id, now, true, |entry, config, stats| {
-                entry.conn.on_segment(segment, frame, now, config, stats)
+            self.on_conn(id, now, true, |entry, config, stats, bin| {
+                entry
+                    .conn
+                    .on_segment(segment, frame, now, config, stats, bin)
             });
             return;
         }
@@ -1076,14 +1079,17 @@ impl TcpServer {
         if let Some(Sock::Listener { listener, .. }) =
             listener.and_then(|id| self.sockets.get_mut(&id))
         {
-            match listener.on_cookie_ack(src, segment, now, &self.config, &mut self.stats) {
+            let (config, stats, bin) = (&self.config, &mut self.stats, &mut self.shell.bin);
+            match listener.on_cookie_ack(src, segment, now, config, stats, bin) {
                 Admission::Child(child) => {
                     let id = self.adopt(child);
                     self.child_established(listener_id.expect("it answered"), id);
                     // What else the ACK carried (a window update, request
                     // bytes) goes the normal way.
-                    self.on_conn(id, now, true, |entry, config, stats| {
-                        entry.conn.on_segment(segment, frame, now, config, stats)
+                    self.on_conn(id, now, true, |entry, config, stats, bin| {
+                        entry
+                            .conn
+                            .on_segment(segment, frame, now, config, stats, bin)
                     });
                     return;
                 }

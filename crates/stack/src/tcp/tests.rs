@@ -1953,3 +1953,147 @@ fn the_kept_sender_count_matches_a_recount_after_every_event() {
         assert_eq!(events.len(), 7, "seed {seed}: only {events:?} happened");
     }
 }
+
+/// Completes a passive handshake from `src_port` against port 22 with an
+/// ACK that carries `payload`, and returns the child the listener's
+/// accept arm reports.
+fn handshake_in_with_data(rig: &mut Rig, src_port: u16, payload: &[u8]) -> SockId {
+    let mut syn = TcpSegment::control(src_port, 22, 1_000, 0, TcpFlags::SYN);
+    syn.mss = Some(1460);
+    inject(rig, syn);
+    let syn_ack = outgoing(rig).pop().expect("syn-ack");
+    let ack = syn_ack.seq.wrapping_add(1);
+    let mut last = TcpSegment::control(src_port, 22, 1_001, ack, TcpFlags::PSH_ACK);
+    last.window = 65_535;
+    last.payload = payload.to_vec();
+    inject(rig, last);
+    match drain(&rig.syscall_rx).pop() {
+        Some(SockReply::Accepted { sock, .. }) => sock,
+        other => panic!("expected Accepted, got {other:?}"),
+    }
+}
+
+/// A listener with a multishot accept arm on port 22.
+fn accepting_listener(rig: &mut Rig) -> SockId {
+    let listener = listening_socket(rig, 22, false);
+    let req = rings::ring_req(1, 0);
+    send(
+        &rig.syscall_tx,
+        SockRequest::AcceptArm {
+            req,
+            sock: listener,
+        },
+    );
+    rig.tcp.poll();
+    listener
+}
+
+fn reset_from(rig: &mut Rig, src_port: u16, seq: u32) {
+    inject(
+        rig,
+        TcpSegment::control(src_port, 22, seq, 0, TcpFlags::RST),
+    );
+}
+
+/// A connection that is gone hands its buffer, reset, to the next one the
+/// listener accepts — in time for the data on the handshake's last ACK —
+/// while a buffer the application still holds stays the application's.
+#[test]
+fn a_gone_connection_s_buffer_serves_the_next_one_unless_the_application_holds_it() {
+    let mut rig = rig();
+    accepting_listener(&mut rig);
+    let attach = |rig: &Rig, sock| -> Arc<SocketBuffer> {
+        let name = TcpServer::buffer_name(sock);
+        rig.registry.attach_shared(&name).unwrap()
+    };
+
+    // The application reads the request and lets go; then the peer resets.
+    let first = handshake_in_with_data(&mut rig, 50_000, b"GET / HTTP/1.1\r\n\r\n");
+    let buffer = attach(&rig, first);
+    assert_eq!(buffer.recv_available(), 18);
+    buffer.write(b"unsent").unwrap();
+    let recycled = Arc::as_ptr(&buffer);
+    drop(buffer);
+    reset_from(&mut rig, 50_000, 1_019);
+    assert_eq!(rig.tcp.socket_count(), 1, "only the listener is left");
+    assert_eq!(rig.tcp.shell.bin.len(), 1);
+
+    // The next connection gets that buffer, with nothing of the first in it.
+    let second = handshake_in_with_data(&mut rig, 50_001, b"second");
+    assert_eq!(rig.tcp.shell.bin.len(), 0);
+    let buffer = attach(&rig, second);
+    assert_eq!(Arc::as_ptr(&buffer), recycled);
+    let mut out = [0; 64];
+    assert_eq!(buffer.read(&mut out), Ok(6));
+    assert_eq!(&out[..6], b"second");
+    assert_eq!(buffer.send_pending(), 0);
+    assert_eq!(buffer.error(), None);
+
+    // This time the application holds on when the peer resets: the buffer
+    // keeps its bytes, reports the reset and is not handed out again.
+    let ack = conn(&rig, second).rd.snd_nxt();
+    let mut more = TcpSegment::control(50_001, 22, 1_007, ack, TcpFlags::PSH_ACK);
+    more.window = 65_535;
+    more.payload = b"more".to_vec();
+    inject(&mut rig, more);
+    reset_from(&mut rig, 50_001, 1_011);
+    assert_eq!(rig.tcp.socket_count(), 1);
+    assert_eq!(
+        rig.tcp.shell.bin.len(),
+        0,
+        "a buffer the application holds was binned"
+    );
+    assert_eq!(buffer.error(), Some(SockError::ConnectionReset));
+    let third = handshake_in_with_data(&mut rig, 50_002, b"third");
+    assert!(!Arc::ptr_eq(&attach(&rig, third), &buffer));
+    assert_eq!(buffer.recv_available(), 4);
+}
+
+/// Buffers in the bin die with the incarnation: a crashed server's
+/// replacement recovers its listener and resets its connections exactly as
+/// without them, and accepts with a bin of its own.
+#[test]
+fn a_tcp_crash_with_buffers_in_the_bin_recovers_as_before() {
+    let storage = Arc::new(StorageServer::new());
+    let registry = Registry::new();
+    let established;
+    {
+        let mut rig = rig_with(StartMode::Fresh, Arc::clone(&storage), registry.clone());
+        accepting_listener(&mut rig);
+        for port in 50_000..50_003 {
+            handshake_in_with_data(&mut rig, port, b"x");
+        }
+        for port in 50_000..50_003 {
+            reset_from(&mut rig, port, 1_002);
+        }
+        assert_eq!(rig.tcp.shell.bin.len(), 3);
+        established = handshake_in_with_data(&mut rig, 50_010, b"kept");
+        assert_eq!(rig.tcp.shell.bin.len(), 2);
+    }
+    let mut rig = rig_with(StartMode::Restart, Arc::clone(&storage), registry.clone());
+    assert_eq!(rig.tcp.socket_count(), 1, "the listener is back");
+    assert_eq!(rig.tcp.stats().connections_reset, 1);
+    assert_eq!(rig.tcp.shell.bin.len(), 0);
+    let buffer: Arc<SocketBuffer> = registry
+        .attach_shared(&TcpServer::buffer_name(established))
+        .unwrap();
+    assert_eq!(buffer.error(), Some(SockError::ConnectionReset));
+    assert_eq!(buffer.recv_available(), 4);
+    // The replacement accepts into a buffer of its own.
+    let req = rings::ring_req(1, 1);
+    let listener = *rig.tcp.sockets.keys().next().expect("the listener");
+    send(
+        &rig.syscall_tx,
+        SockRequest::AcceptArm {
+            req,
+            sock: listener,
+        },
+    );
+    rig.tcp.poll();
+    let child = handshake_in_with_data(&mut rig, 50_020, b"after");
+    let buffer: Arc<SocketBuffer> = registry
+        .attach_shared(&TcpServer::buffer_name(child))
+        .unwrap();
+    assert_eq!(buffer.recv_available(), 5);
+    assert_eq!(buffer.error(), None);
+}

@@ -15,6 +15,10 @@
 //!   [`RequestDb`] under the egress's [`AbortPolicy`]; when IP crashes one
 //!   [`Egress::abort_all`] pass resubmits (TCP) or frees (UDP) what IP had
 //!   not completed.
+//! * The shell's [`BufferBin`] keeps the socket buffers of closed sockets
+//!   that nothing else holds, reset, and hands them to the next sockets:
+//!   [`Shell::open`] and TCP's handshake take from it, [`Shell::revoke`]
+//!   gives back, so a connection costs no allocation once it has filled.
 //!
 //! A server keeps only its protocol: TCP its connection table, demux
 //! indices, timer wheel, listeners and core; UDP its socket table, record
@@ -43,7 +47,7 @@ use crate::msg::{
     FlowTuple, IpToTransport, PfToTransport, SockId, SockReply, SockRequest, TransportToIp,
     TransportToPf,
 };
-use crate::sockbuf::{self, Doorbell, SockError, SocketBuffer};
+use crate::sockbuf::{self, BufferBin, Doorbell, SockError, SocketBuffer};
 
 /// One packet in flight towards IP, kept until IP completes it so it can
 /// be resubmitted or freed if IP crashes first.
@@ -245,6 +249,8 @@ pub(crate) struct Shell {
     /// RX chunks finished with this poll round, returned to IP as one
     /// [`TransportToIp::RxDoneBatch`] per round.
     rxdone_batch: Vec<RichPtr>,
+    /// Closed sockets' buffers, reset, for the next sockets to take.
+    pub(crate) bin: BufferBin,
 }
 
 impl Shell {
@@ -306,6 +312,7 @@ impl Shell {
             pf_scratch: Vec::new(),
             doorbell_scratch: Vec::new(),
             rxdone_batch: Vec::new(),
+            bin: BufferBin::default(),
         };
         (shell, egress)
     }
@@ -352,10 +359,15 @@ impl Shell {
 
     // ---- socket buffers -------------------------------------------------------
 
-    /// Opens a socket: mints its id and makes `buffer` reachable.
-    pub(crate) fn open(&mut self, buffer: SocketBuffer) -> (SockId, Arc<SocketBuffer>) {
+    /// Opens a socket: mints its id and makes a buffer of the given
+    /// capacities, from the bin if it holds one, reachable.
+    pub(crate) fn open(
+        &mut self,
+        send_capacity: usize,
+        recv_capacity: usize,
+    ) -> (SockId, Arc<SocketBuffer>) {
         let id = self.next_id();
-        let buffer = Arc::new(buffer);
+        let buffer = self.bin.take(send_capacity, recv_capacity);
         self.publish(id, &buffer);
         (id, buffer)
     }
@@ -383,10 +395,12 @@ impl Shell {
         buffer
     }
 
-    /// Makes a closed socket's buffer unreachable.
-    pub(crate) fn revoke(&self, id: SockId) {
+    /// Makes a closed socket's `buffer` unreachable, and bins it unless the
+    /// application still holds it.
+    pub(crate) fn revoke(&mut self, id: SockId, buffer: Arc<SocketBuffer>) {
         let name = sockbuf::buffer_name(self.transport.name(), id);
         let _ = self.registry.revoke(self.endpoint, &name);
+        self.bin.give(buffer);
     }
 
     // ---- §V-D storage summaries --------------------------------------------

@@ -44,7 +44,7 @@ use crate::msg::{
     FlowTuple, IpToTransport, PfToTransport, SockId, SockReply, SockRequest, TransportToIp,
     TransportToPf,
 };
-use crate::sockbuf::{Doorbell, SockError, SocketBuffer};
+use crate::sockbuf::{Doorbell, SockError, SocketBuffer, DEFAULT_CAPACITY};
 use crate::transport::{Egress, PendingSend, Protocol, Shell};
 
 /// A decoded datagram record: source address, source port, payload.
@@ -352,7 +352,7 @@ impl UdpServer {
     fn close(&mut self, sock: SockId) -> Result<u16, SockError> {
         let closed = self.sockets.remove(&sock).ok_or(SockError::InvalidState)?;
         self.ports.remove(&closed.state.local_port);
-        self.shell.revoke(sock);
+        self.shell.revoke(sock, closed.buffer);
         self.persist();
         Ok(0)
     }
@@ -413,7 +413,7 @@ impl Protocol for UdpServer {
         let req = request.req();
         let result = match request {
             SockRequest::Open { .. } => {
-                let (id, buffer) = self.shell.open(SocketBuffer::with_defaults());
+                let (id, buffer) = self.shell.open(DEFAULT_CAPACITY, DEFAULT_CAPACITY);
                 let state = UdpSockState {
                     id,
                     local_port: 0,
@@ -705,6 +705,38 @@ mod tests {
         assert!(
             matches!(&out[..], [TransportToIp::SendPacket { dst, dst_port: 53, .. }] if *dst == PEER)
         );
+    }
+
+    /// A closed socket's buffer, reset, is the next socket's, unless the
+    /// application still holds it.
+    #[test]
+    fn a_closed_socket_s_buffer_serves_the_next_one() {
+        let mut rig = rig();
+        let close = |rig: &mut Rig, sock| {
+            let req = RequestId::from_raw(9);
+            send(&rig.syscall_tx, SockRequest::Close { req, sock });
+            rig.udp.poll();
+            drain(&rig.syscall_rx);
+        };
+        let first = open_and_bind(&mut rig, 1234);
+        let buffer: Arc<SocketBuffer> = rig.registry.attach_shared(&buffer_name(first)).unwrap();
+        buffer.push_recv(b"old datagram");
+        let recycled = Arc::as_ptr(&buffer);
+        drop(buffer);
+        close(&mut rig, first);
+        let second = open_and_bind(&mut rig, 1235);
+        let buffer: Arc<SocketBuffer> = rig.registry.attach_shared(&buffer_name(second)).unwrap();
+        assert_eq!(Arc::as_ptr(&buffer), recycled);
+        assert_eq!(buffer.recv_available(), 0);
+        assert_eq!(
+            buffer.capacities(),
+            SocketBuffer::with_defaults().capacities()
+        );
+        // Held by the application when it closes: not handed out again.
+        close(&mut rig, second);
+        let third = open_and_bind(&mut rig, 1236);
+        let other: Arc<SocketBuffer> = rig.registry.attach_shared(&buffer_name(third)).unwrap();
+        assert!(!Arc::ptr_eq(&buffer, &other));
     }
 
     #[test]
