@@ -162,19 +162,22 @@ impl Shelf {
     /// one MTU-sized frame; receive merges of up to 4, 8 and 16 KiB (a
     /// merge fills more than half of its block, so the receive queue may
     /// still hold it by reference); one send-queue chunk, which holds the
-    /// largest (60 KiB) TSO draw.  The depths are the benchmark's measured
-    /// high-water marks of blocks out at once — 296 ACK/SYN/RST frames
-    /// (`step_churn`), 184 MTU frames and 24 send chunks (`step_bulk_tx`,
-    /// two connections with ~700 KB in flight each), 8 merges
-    /// (`step_bulk_rx`) — with headroom; a shelf whose every class is full
-    /// idles on 3.3 MiB.
-    pub const CLASSES: [(usize, usize); 6] = [
+    /// largest (60 KiB) TSO draw; one client take of the remote peer, whose
+    /// largest on the benchmark's workloads is 131 072 bytes
+    /// (`step_bulk_tx`, where nine in ten takes exceed 64 KiB).  The depths
+    /// are the benchmark's measured high-water marks of blocks out at
+    /// once — 296 ACK/SYN/RST frames (`step_churn`), 184 MTU frames and 24
+    /// send chunks (`step_bulk_tx`, two connections with ~700 KB in flight
+    /// each), 8 merges (`step_bulk_rx`), 2 takes (`step_bulk_tx`, `thr_faults`) — with
+    /// headroom; a shelf whose every class is full idles on 4.4 MiB.
+    pub const CLASSES: [(usize, usize); 7] = [
         (128, 512),
         (1536, 256),
         (4096, 32),
         (8192, 32),
         (16 * 1024, 32),
         (64 * 1024, 32),
+        (128 * 1024, 8),
     ];
 
     /// Capacity of the largest class.

@@ -29,6 +29,14 @@
 //! [`ClientStatus::Failed`] so a harness can reconnect — the behaviour of
 //! the paper's SSH client that reconnects after every injected fault.
 //!
+//! A client flow's buffers are lent, not made: the response bytes arrive
+//! in a block of the peer's own shelf, and [`RemotePeer::client_take`]
+//! hands that block over frozen; when the caller drops it, the block goes
+//! back to the shelf for a later take.  A closed or replaced flow leaves
+//! its send queue's storage to the next [`RemotePeer::client_connect`].
+//! So after warm-up a flow costs the peer no allocation: not per take, not
+//! per request written, not per connection.
+//!
 //! # One lock per burst
 //!
 //! Everything the peer knows sits behind one mutex, taken once per
@@ -161,6 +169,11 @@ const CLIENT_RTO_MAX: Duration = Duration::from_secs(2);
 const CLIENT_WINDOW: usize = 64 * 1024;
 /// MSS used by client flows (Ethernet MTU minus IP + TCP headers).
 const CLIENT_MSS: usize = MTU - 40;
+/// Send queues the peer keeps from closed or replaced client flows for the
+/// next ones to connect.  A churning harness closes a handful of flows
+/// before it opens as many again (`step_churn`: 8); a queue that grew past
+/// [`CLIENT_WINDOW`] is not kept, so the spares idle on at most 4 MiB.
+const SPARE_QUEUES: usize = 64;
 
 /// A client flow's outbound bytes, oldest first, in one buffer behind two
 /// cursors: `buf[head..head + in_flight]` was transmitted and awaits
@@ -226,11 +239,9 @@ struct ClientConn {
     tx: SendQueue,
     rcv_nxt: u32,
     peer_window: u32,
-    /// Response bytes waiting for the harness to take.
-    received: Vec<u8>,
-    /// The capacity of what the last take handed over: the buffer the
-    /// next bytes arrive in is made this big at once.
-    take_size: usize,
+    /// Response bytes waiting for the harness to take, in a block of the
+    /// peer's `takes` shelf (no block while there are none).
+    received: BytesMut,
     rto: Duration,
     rto_deadline: Option<Duration>,
     retries: u32,
@@ -266,6 +277,9 @@ struct PeerState {
     /// of the state.  So the wire order of the peer's frames is the order
     /// the state machine decided them in, across threads.
     outbox: Vec<Bytes>,
+    /// Send-queue storage of closed or replaced client flows, at most
+    /// [`SPARE_QUEUES`] of them, for the next `client_connect`.
+    spare_queues: Vec<Vec<u8>>,
 }
 
 impl PeerState {
@@ -282,6 +296,16 @@ impl PeerState {
             .copied()
             .unwrap_or(MacAddr::BROADCAST)
     }
+
+    /// Keeps the send-queue storage of a client flow that is gone for the
+    /// next one to connect, unless the spares are full or it grew large.
+    fn recycle(&mut self, conn: ClientConn) {
+        let mut buf = conn.tx.buf;
+        if self.spare_queues.len() < SPARE_QUEUES && buf.capacity() <= CLIENT_WINDOW {
+            buf.clear();
+            self.spare_queues.push(buf);
+        }
+    }
 }
 
 /// The simulated remote host.  See the module documentation.
@@ -295,6 +319,10 @@ pub struct RemotePeer {
     /// the GRO engine after a merge, or the application reading the payload
     /// out of its socket buffer).
     frames: Shelf,
+    /// Owner of every client flow's response bytes: a flow receives into a
+    /// block of it, and the block comes back when the caller of
+    /// [`RemotePeer::client_take`] drops what it was handed.
+    takes: Shelf,
     /// Everything the peer knows, taken once per public call or receive
     /// burst: the call handles, builds and transmits under it.
     state: Mutex<PeerState>,
@@ -312,6 +340,7 @@ impl RemotePeer {
             clock,
             port,
             frames: Shelf::new(),
+            takes: Shelf::new(),
             state: Mutex::new(PeerState {
                 conns: HashMap::new(),
                 clients: HashMap::new(),
@@ -320,6 +349,7 @@ impl RemotePeer {
                 stats: PeerStats::default(),
                 arrivals: Vec::new(),
                 outbox: Vec::new(),
+                spare_queues: Vec::with_capacity(SPARE_QUEUES),
             }),
             wake: Arc::new(WakeWord::new()),
         }
@@ -749,12 +779,18 @@ impl RemotePeer {
     /// on the far side of the link.  Resolution (ARP), the handshake and
     /// retransmissions run asynchronously in the peer's poll loop; track
     /// progress with [`RemotePeer::client_status`].  An existing flow on the
-    /// same source port is replaced.
+    /// same source port is replaced.  The flow's send queue reuses the
+    /// storage of one that is gone, when the peer kept one.
     pub fn client_connect(&self, src_port: u16, dst_ip: Ipv4Addr, dst_port: u16) {
         let now = self.clock.now();
         let isn = 0x4000_0000u32
             .wrapping_add((src_port as u32) << 12)
             .wrapping_add(now.subsec_nanos());
+        let mut state = self.state.lock();
+        let tx = SendQueue {
+            buf: state.spare_queues.pop().unwrap_or_default(),
+            ..SendQueue::default()
+        };
         let mut conn = ClientConn {
             dst_ip,
             dst_port,
@@ -763,16 +799,14 @@ impl RemotePeer {
             status: ClientStatus::Resolving,
             isn,
             snd_una: isn.wrapping_add(1),
-            tx: SendQueue::default(),
+            tx,
             rcv_nxt: 0,
             peer_window: CLIENT_WINDOW as u32,
-            received: Vec::new(),
-            take_size: 0,
+            received: BytesMut::new(),
             rto: CLIENT_RTO_INITIAL,
             rto_deadline: Some(now + CLIENT_RTO_INITIAL),
             retries: 0,
         };
-        let mut state = self.state.lock();
         match state.arp_cache.get(&dst_ip).copied() {
             Some(mac) => {
                 conn.dst_mac = Some(mac);
@@ -785,7 +819,9 @@ impl RemotePeer {
             None => self.send_arp_request(&mut state.outbox, dst_ip),
         }
         state.note_client_timer(now + CLIENT_RTO_INITIAL);
-        state.clients.insert(src_port, conn);
+        if let Some(replaced) = state.clients.insert(src_port, conn) {
+            state.recycle(replaced);
+        }
         self.transmit(&mut state);
         drop(state);
         self.wake.write();
@@ -815,22 +851,22 @@ impl RemotePeer {
         true
     }
 
-    /// Takes every response byte the client flow has received so far.  A
-    /// non-empty take leaves its size behind, and the flow's next bytes —
-    /// the rest of a response the take cut in half, or the next one —
-    /// arrive in one buffer of that size instead of growing one from
-    /// empty: a flow costs at most one allocation per take that finds
-    /// bytes, none per take that does not, and none after a last take (a
-    /// flow that closes after its one response).
-    pub fn client_take(&self, src_port: u16) -> Vec<u8> {
+    /// Takes every response byte the client flow has received so far, as
+    /// the block of the peer's shelf they arrived in (empty if there are
+    /// none, or no such flow).  The block is lent: the flow's next bytes
+    /// go into another one, and this one returns to the shelf when the
+    /// last view of it is dropped — never sooner, so what the caller holds
+    /// stays as it was handed over.  A take allocates nothing, and neither
+    /// do the bytes it hands over unless they outgrew the shelf's largest
+    /// class (see `receive_in_order`).
+    pub fn client_take(&self, src_port: u16) -> Bytes {
         let mut state = self.state.lock();
-        match state.clients.get_mut(&src_port) {
-            Some(conn) if !conn.received.is_empty() => {
-                conn.take_size = conn.received.capacity();
-                std::mem::take(&mut conn.received)
-            }
-            _ => Vec::new(),
-        }
+        state
+            .clients
+            .get_mut(&src_port)
+            .map_or_else(Bytes::new, |conn| {
+                std::mem::take(&mut conn.received).freeze()
+            })
     }
 
     /// Returns the status of the client flow bound to `src_port`.
@@ -861,6 +897,7 @@ impl RemotePeer {
                 .outbox
                 .push(self.tcp_frame(mac, conn.dst_ip, rst.as_view()));
         }
+        state.recycle(conn);
         self.transmit(&mut state);
         drop(state);
         self.wake.write();
@@ -1059,11 +1096,7 @@ impl RemotePeer {
                 if !seg.payload.is_empty() {
                     if seg.seq == conn.rcv_nxt {
                         conn.rcv_nxt = conn.rcv_nxt.wrapping_add(seg.payload.len() as u32);
-                        if conn.received.capacity() == 0 {
-                            let size = conn.take_size.max(seg.payload.len());
-                            conn.received.reserve_exact(size);
-                        }
-                        conn.received.extend_from_slice(seg.payload);
+                        self.receive_in_order(&mut conn.received, seg.payload);
                         stats.tcp_bytes_received += seg.payload.len() as u64;
                     } else {
                         stats.tcp_out_of_order += 1;
@@ -1094,6 +1127,28 @@ impl RemotePeer {
                 state.note_client_timer(due);
             }
         }
+    }
+
+    /// Appends in-order response bytes to a client flow's `received`, in
+    /// blocks of the `takes` shelf.  A take's first bytes go into a block
+    /// of one segment's size, so a one-segment response pins no more; a
+    /// response that outgrows it moves, once, to a block of the largest
+    /// class, which holds the largest take the benchmark's workloads make
+    /// (`Shelf::CLASSES`).  Only bytes beyond that grow the block off the
+    /// shelf, like a `Vec`.
+    fn receive_in_order(&self, received: &mut BytesMut, payload: &[u8]) {
+        let needed = received.len() + payload.len();
+        if needed > received.capacity() && received.capacity() < Shelf::MAX_BLOCK {
+            let class = if received.is_empty() {
+                CLIENT_MSS
+            } else {
+                Shelf::MAX_BLOCK
+            };
+            let mut block = self.takes.take(class.max(needed));
+            block.extend_from_slice(received);
+            *received = block;
+        }
+        received.extend_from_slice(payload);
     }
 
     /// Runs the client-flow timers — ARP and SYN retries plus data
@@ -1717,7 +1772,7 @@ mod tests {
         let mut got = Vec::new();
         assert!(
             pump(&a, &b, || {
-                got.extend(a.client_take(49_000));
+                got.extend_from_slice(&a.client_take(49_000));
                 got == b"ls -l\n"
             }),
             "echo never arrived, got {got:?}"

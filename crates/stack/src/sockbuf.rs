@@ -240,11 +240,11 @@ pub(crate) const DEFAULT_CAPACITY: usize = 256 * 1024;
 /// length, home shelf) the buffer's allocation starts with.
 const CHUNK_OVERHEAD: usize = std::mem::size_of::<(Bytes, usize)>() + 32;
 
-/// Capacity of a full send-queue chunk: the shelf's largest block, which
+/// Capacity of a full send-queue chunk: the shelf's 64 KiB class, which
 /// holds the transport's largest draw (a 60 KiB TSO segment) — so a draw
 /// that meets a chunk edge finds the rest of what it wants in the next
 /// chunk.
-const SEND_CHUNK: usize = Shelf::MAX_BLOCK;
+const SEND_CHUNK: usize = 64 * 1024;
 
 /// Size at which the receive queue's copy tail is sealed into a chunk, so
 /// bytes the application has read are returned a few KiB at a time instead

@@ -141,7 +141,8 @@ static RS: [u8; 64 * 1024] = [b'r'; 64 * 1024];
 const ACCEPT_TAG: u64 = 1 << 62;
 const CLOSE_TAG: u64 = 1 << 61;
 
-/// Allocations charged to each stack layer's `poll`.
+/// Allocations charged to each stack layer's `poll`, and to the peer: its
+/// `poll_once` and the client calls the world makes.
 #[derive(Debug, Default, Clone, Copy)]
 struct LayerAllocs {
     driver: u64,
@@ -150,6 +151,8 @@ struct LayerAllocs {
     tcp: u64,
     /// Of `tcp`, the allocations the size of a socket buffer.
     tcp_buffers: u64,
+    /// Not a stack layer: not in `total`.
+    peer: u64,
 }
 
 impl LayerAllocs {
@@ -184,10 +187,11 @@ struct World {
     _link: Link,
 }
 
-fn charge(counter: &mut u64, poll: impl FnOnce() -> usize) {
+fn charge<T>(counter: &mut u64, call: impl FnOnce() -> T) -> T {
     let before = allocs();
-    poll();
+    let out = call();
     *counter += allocs() - before;
+    out
 }
 
 impl World {
@@ -389,7 +393,7 @@ impl World {
 
     /// One poll round.
     fn round(&mut self) {
-        self.peer.poll_once();
+        charge(&mut self.charged.peer, || self.peer.poll_once());
         charge(&mut self.charged.driver, || self.driver.poll());
         charge(&mut self.charged.ip, || self.ip.poll());
         charge(&mut self.charged.pf, || self.pf.poll());
@@ -479,8 +483,10 @@ impl World {
     }
 
     fn connect(&mut self, port: u16) {
-        self.peer
-            .client_connect(port, StackConfig::local_addr(0), PORT);
+        charge(&mut self.charged.peer, || {
+            self.peer
+                .client_connect(port, StackConfig::local_addr(0), PORT)
+        });
         self.run_until("a client flow to connect", |world| {
             world.peer.client_status(port) == Some(ClientStatus::Established)
         });
@@ -496,7 +502,10 @@ impl World {
     fn request_on_all(&mut self, ports: &[u16]) -> usize {
         let (request, response) = self.exchange;
         for &port in ports {
-            assert!(self.peer.client_send(port, &QS[..request]));
+            let sent = charge(&mut self.charged.peer, || {
+                self.peer.client_send(port, &QS[..request])
+            });
+            assert!(sent);
         }
         let mut got = vec![0; ports.len()];
         let mut most_in_flight = 0;
@@ -504,9 +513,10 @@ impl World {
             let in_flight = world.ip_pools.iter().map(Pool::in_use).sum();
             most_in_flight = most_in_flight.max(in_flight);
             for (got, &port) in got.iter_mut().zip(ports) {
-                let data = world.peer.client_take(port);
+                let data = charge(&mut world.charged.peer, || world.peer.client_take(port));
                 assert!(data.iter().all(|&b| b == b'r'));
                 *got += data.len();
+                charge(&mut world.charged.peer, || drop(data));
             }
             got.iter().all(|&got| got >= response)
         });
@@ -566,11 +576,12 @@ fn a_keep_alive_request_costs_the_stack_layers_no_allocation() {
     let after = world.tcp.stats();
     let per_request = |n: u64| n as f64 / REQUESTS as f64;
     println!(
-        "allocations per request: driver {:.2} ip {:.2} pf {:.2} tcp {:.2}",
+        "allocations per request: driver {:.2} ip {:.2} pf {:.2} tcp {:.2}, peer {:.2}",
         per_request(charged.driver),
         per_request(charged.ip),
         per_request(charged.pf),
         per_request(charged.tcp),
+        per_request(charged.peer),
     );
     // Should this fail, the TCP counters over the measured window say what
     // TCP was doing beyond answering requests (a host stall firing timers).
@@ -581,6 +592,9 @@ fn a_keep_alive_request_costs_the_stack_layers_no_allocation() {
         after.fast_retransmits - before.fast_retransmits,
         after.pure_acks_out - before.pure_acks_out,
     );
+    // The client's side: the peer's polls and the sends and takes of the
+    // flows, whose response blocks go back to the peer's shelf.
+    assert_eq!(charged.peer, 0, "{REQUESTS} requests: {charged:?}");
 }
 
 /// A megabyte either way costs the four layers a handful of allocations,
@@ -786,7 +800,9 @@ fn a_connection_costs_tcp_no_socket_buffer() {
             let ports: Vec<u16> = (group..group + FLOWS).collect();
             ports.iter().for_each(|&port| world.connect(port));
             world.request_on_all(&ports);
-            ports.iter().for_each(|&port| world.peer.client_close(port));
+            for &port in &ports {
+                charge(&mut world.charged.peer, || world.peer.client_close(port));
+            }
         }
         world.run_until("the wave's connections to be reaped", |world| {
             world.tcp.socket_count() == 1
@@ -805,7 +821,10 @@ fn a_connection_costs_tcp_no_socket_buffer() {
     }
     let connections = WAVES * WAVE;
     let per_connection = world.charged.tcp as f64 / connections as f64;
-    println!("tcp allocations per connection: {per_connection:.2}");
+    println!(
+        "tcp allocations per connection: {per_connection:.2}, peer {}",
+        world.charged.peer
+    );
     assert!(
         per_connection <= 0.2,
         "{connections} connections cost tcp {} allocations",
@@ -814,6 +833,12 @@ fn a_connection_costs_tcp_no_socket_buffer() {
     assert_eq!(
         world.charged.tcp_buffers, 0,
         "{connections} connections allocated socket-buffer-sized blocks in tcp"
+    );
+    // The client's side: connecting, sending, taking and closing, with
+    // the peer's polls.  A closed flow's send queue serves the next one.
+    assert_eq!(
+        world.charged.peer, 0,
+        "{connections} connections cost the peer allocations"
     );
 }
 
